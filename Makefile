@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint bench bench-checkers bench-checkers-baseline bench-streaming bench-apps bench-apps-baseline bench-efficiency bench-efficiency-baseline bench-scale bench-scale-baseline experiments experiments-smoke faults apps hunt-smoke serve-smoke place-smoke clean-cache
+.PHONY: test lint bench bench-compare experiments experiments-smoke faults apps hunt-smoke serve-smoke place-smoke clean-cache
 
 # Tier-1 verification (the command ROADMAP.md records).
 test:
@@ -21,28 +21,17 @@ test:
 lint:
 	$(PYTHON) -m repro lint --third-party
 
-# Benchmark harness: re-asserts the paper's qualitative claims under timing.
+# The one benchmark gate: the layered end-to-end harness (benchmarks/e2e/,
+# declared by BENCHMARK.json).  Runs the six workloads untraced then traced,
+# prints the per-layer table, writes the result JSON and exits 1 unless every
+# exact counter matches benchmarks/e2e/expected.json (about 3.5 min).
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+	$(PYTHON) benchmarks/e2e/run.py --out benchmarks/e2e/out/result.json
 
-# Tier-2 benchmark smoke job: run the checker benchmarks, then fail if the
-# consistency-check hot path regressed >2x against the committed baseline
-# (benchmarks/checkers_baseline.json; timings are calibration-normalised so
-# the comparison is machine-independent).
-bench-checkers:
-	$(PYTHON) -m pytest benchmarks/test_bench_checkers.py --benchmark-only -q
-	$(PYTHON) benchmarks/check_regression.py
-
-# Re-measure and commit a new checker baseline (after a deliberate change).
-bench-checkers-baseline:
-	$(PYTHON) benchmarks/check_regression.py --update
-
-# Streaming gate: fail-fast incremental checking must process >=3x fewer ops
-# than batch checking on a violating 500+ op stress history (plus the timed
-# pytest-benchmark comparison).
-bench-streaming:
-	$(PYTHON) -m pytest benchmarks/test_bench_streaming.py --benchmark-only -q
-	$(PYTHON) benchmarks/check_regression.py --streaming
+# Gate one result against another with BENCHMARK.json's bounds (timing is
+# only ever judged parent-vs-change):  make bench-compare OLD=a.json NEW=b.json
+bench-compare:
+	$(PYTHON) benchmarks/e2e/run.py --compare $(OLD) $(NEW)
 
 # Application gate: run the spec-driven apps suite (the four registered
 # applications over reliable and faulty networks) with expected-result
@@ -51,49 +40,6 @@ bench-streaming:
 # being *diagnosed* as a livelock (exit 1 on any expectation mismatch).
 apps:
 	$(PYTHON) -m repro experiments run --suite apps --no-cache
-
-# Application benchmark gate: Bellman-Ford session wall-clock per delivered
-# message, calibration-normalised against benchmarks/apps_baseline.json
-# (>2x regression fails), plus the timed pytest-benchmark series.
-bench-apps:
-	$(PYTHON) -m pytest benchmarks/test_bench_apps.py --benchmark-only -q
-	$(PYTHON) benchmarks/check_regression.py --apps
-
-# Re-measure and commit a new apps baseline (after a deliberate change).
-bench-apps-baseline:
-	$(PYTHON) benchmarks/check_regression.py --update-apps
-
-# Efficiency gate: the replica-placement headline of Section 3.3 at 100
-# processes — optimize a placement with repro.place, replay the same
-# Zipf-skewed script through causal_tree on it and causal_full on full
-# replication; both must stay consistent and the optimized placement must
-# move strictly fewer control bytes per message.  Seeded counts are compared
-# exactly against benchmarks/efficiency_baseline.json and the optimizer
-# wall-clock is calibration-normalised (>2x regression fails).
-bench-efficiency:
-	$(PYTHON) -m pytest benchmarks/test_bench_efficiency.py --benchmark-only -q
-	$(PYTHON) benchmarks/check_regression.py --efficiency
-
-# Re-measure and commit a new efficiency baseline (after a deliberate change).
-bench-efficiency-baseline:
-	$(PYTHON) benchmarks/check_regression.py --update-efficiency
-
-# Scale gate: the arena engine's 10^4/10^5-op tiers.  Records a pram_partial
-# session through the struct-of-arrays engine, checks causal consistency
-# exactly on the integer columns, and gates (a) the arena's 10^5-tier
-# throughput at >=10x the object engine's reference ops/sec (unconditional),
-# (b) tier wall-clocks calibration-normalised against
-# benchmarks/scale_baseline.json (>3x fails; single-shot tiers are noisier
-# than the median-of-3 small runs), and (c) tracemalloc peaks (>2x fails).
-# Set BENCH_SCALE_FULL=1 to also run the 10^6-op tier (minutes, informational
-# until a baseline entry exists).
-bench-scale:
-	$(PYTHON) -m pytest benchmarks/test_bench_scale.py --benchmark-only -q
-	$(PYTHON) benchmarks/check_regression.py --scale
-
-# Re-measure and commit a new scale baseline (after a deliberate change).
-bench-scale-baseline:
-	$(PYTHON) benchmarks/check_regression.py --update-scale
 
 # One-scenario end-to-end check of the experiment orchestrator.
 experiments-smoke:
@@ -121,7 +67,8 @@ hunt-smoke:
 # Place smoke: a fast end-to-end pass of the placement optimizer — exact
 # search on a paper-sized profile, report JSON round-trip, and one measured
 # run of the optimized placement through a sharded protocol (exit 1 on any
-# inconsistency; the scale-100 comparison lives in bench-efficiency).
+# inconsistency; the scale-100 comparison lives in
+# benchmarks/test_bench_efficiency.py).
 place-smoke:
 	$(PYTHON) -m repro place optimize --processes 8 --variables 6 \
 		--accessors 2 --profile-seed 2 --measure sequencer_shard \

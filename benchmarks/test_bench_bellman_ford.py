@@ -32,11 +32,11 @@ def test_distributed_bellman_ford_figure8(benchmark, figure8_graph):
         rounds=3, iterations=1,
     )
     assert run.correct
-    assert run.outcome.efficiency.irrelevant_messages == 0
-    history = run.outcome.history
-    assert get_checker("pram").check(history, read_from=run.outcome.read_from).consistent
+    assert run.report.efficiency.irrelevant_messages == 0
+    history = run.report.history
+    assert get_checker("pram").check(history, read_from=run.report.read_from).consistent
     dist = bellman_ford_distribution(figure8_graph)
-    assert relevance_violations(run.outcome.efficiency, dist) == {}
+    assert relevance_violations(run.report.efficiency, dist) == {}
 
 
 def test_distributed_bellman_ford_random_network(benchmark):
@@ -46,7 +46,7 @@ def test_distributed_bellman_ford_random_network(benchmark):
         rounds=2, iterations=1,
     )
     assert run.correct
-    assert run.outcome.efficiency.irrelevant_messages == 0
+    assert run.report.efficiency.irrelevant_messages == 0
 
 
 def test_figure9_step_trace(benchmark):
@@ -69,6 +69,6 @@ def test_distributed_bellman_ford_on_causal_full_is_costlier(benchmark, figure8_
     )
     assert run.correct
     pram_run = run_distributed_bellman_ford(figure8_graph, source=1)
-    assert run.outcome.efficiency.irrelevant_messages > 0
-    assert pram_run.outcome.efficiency.irrelevant_messages == 0
-    assert run.outcome.efficiency.control_bytes > pram_run.outcome.efficiency.control_bytes
+    assert run.report.efficiency.irrelevant_messages > 0
+    assert pram_run.report.efficiency.irrelevant_messages == 0
+    assert run.report.efficiency.control_bytes > pram_run.report.efficiency.control_bytes

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from bench_cases import build_stress_case
 from repro.apps.bellman_ford import run_distributed_bellman_ford
 from repro.core.consistency import get_checker
 from repro.mcs.system import MCSystem
@@ -27,7 +28,7 @@ from repro.workloads.topology import figure8_network
 @pytest.fixture(scope="module")
 def bellman_ford_history():
     run = run_distributed_bellman_ford(figure8_network(), source=1)
-    return run.outcome.history, run.outcome.read_from
+    return run.report.history, run.report.read_from
 
 
 @pytest.fixture(scope="module")
@@ -83,16 +84,7 @@ def test_sequential_check_on_small_history(benchmark, protocol_histories):
 
 @pytest.fixture(scope="module")
 def stress_history():
-    """A 500+ operation protocol trace (stress-suite scale).
-
-    Shared with the tier-2 regression gate so both measure the same workload.
-    """
-    import pathlib
-    import sys
-
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-    from check_regression import build_stress_case
-
+    """A 500+ operation protocol trace (stress-suite scale)."""
     return build_stress_case()
 
 

@@ -6,16 +6,15 @@ operation histories end-to-end, which the object pipeline cannot sustain
 leave the feasible range around a few hundred operations).  The timed series
 here compares both engines at the object engine's comfortable size and
 measures the columnar-only costs — recording throughput and the columnar
-exact check — at the 10^4-op tier.  The 10^5/10^6 acceptance gate (ops/sec
-floor, peak-memory tracking, calibration-normalised baselines) lives in
-``check_regression.py --scale`` / ``make bench-scale``; keeping the
-minute-long runs out of pytest-benchmark keeps this file re-runnable.
+exact check — at the 10^4-op tier.  Un-instrumented throughput, peak RSS and
+the exact row/byte counters at scale are the e2e ``scale_pram`` workload
+(``make bench``); keeping the long runs out of pytest-benchmark keeps this
+file re-runnable.
 """
 
 import pytest
 
-from check_regression import SCALE_OBJECT_REFERENCE_OPS, _scale_session
-
+from bench_cases import SCALE_OBJECT_REFERENCE_OPS, scale_session
 from repro.arena.check import ArenaBatchChecker
 from repro.arena.recorder import ArenaRecorder
 from repro.core.operations import BOTTOM
@@ -26,7 +25,7 @@ ARENA_TIER = 10_000
 @pytest.fixture(scope="module")
 def recorded_arena():
     """A 10^4-op arena recorded by a real (check-free) protocol session."""
-    session = _scale_session("arena", ARENA_TIER)
+    session = scale_session("arena", ARENA_TIER)
     session.checkers = {}
     session.run()
     return session.recorder.arena
@@ -49,12 +48,12 @@ def _record_n(n):
 
 def test_engines_at_object_feasible_size(benchmark):
     """Both engines, end-to-end, at the object engine's reference size."""
-    result = benchmark(lambda: _scale_session("arena", SCALE_OBJECT_REFERENCE_OPS).run())
+    result = benchmark(lambda: scale_session("arena", SCALE_OBJECT_REFERENCE_OPS).run())
     assert result.consistent is True
 
 
 def test_object_engine_at_reference_size(benchmark):
-    result = benchmark(lambda: _scale_session("object", SCALE_OBJECT_REFERENCE_OPS).run())
+    result = benchmark(lambda: scale_session("object", SCALE_OBJECT_REFERENCE_OPS).run())
     assert result.consistent is True
 
 

@@ -2,14 +2,13 @@
 
 The claim under test is the Session facade's reason to exist: on a violating
 run, fail-fast incremental checking stops at the violation instead of paying
-for the whole history.  ``check_regression.py --streaming`` carries the same
-comparison as a CI gate (``make bench-streaming``); here it runs under
-``pytest-benchmark`` timing with the ops-ratio assertion attached.
+for the whole history.  The comparison runs under ``pytest-benchmark`` timing
+with the ops-ratio assertion attached, so tier-1 gates it on every run.
 """
 
 import pytest
 
-from check_regression import STREAM_RATIO_FLOOR, build_violating_stream
+from bench_cases import STREAM_RATIO_FLOOR, build_violating_stream
 from repro.api import Session
 from repro.core.consistency import get_checker, incremental_checker
 from repro.core.history import History

@@ -80,10 +80,8 @@ from .core.consistency import all_checkers, get_checker
 from .dsm import (
     AppInstance,
     AppVerdict,
-    DistributedSharedMemory,
     DSMRuntime,
     ProcessContext,
-    RunOutcome,
 )
 from .mcs import MCSystem, PROTOCOLS
 from .version import __version__
@@ -96,7 +94,6 @@ __all__ = [
     "CheckPolicy",
     "CheckSpec",
     "DSMRuntime",
-    "DistributedSharedMemory",
     "DistributionSpec",
     "NetworkSpec",
     "ProtocolSpec",
@@ -117,7 +114,6 @@ __all__ = [
     "Operation",
     "PROTOCOLS",
     "ProcessContext",
-    "RunOutcome",
     "RunReport",
     "Session",
     "ShareGraph",

@@ -361,15 +361,15 @@ def figure7_8_9_bellman_ford(protocol: str = "pram_partial") -> FigureReproducti
 
     graph = figure8_network()
     run = run_distributed_bellman_ford(graph, source=1, protocol=protocol)
-    pram = _get_checker("pram").check(run.outcome.history, read_from=run.outcome.read_from)
+    pram = _get_checker("pram").check(run.report.history, read_from=run.report.read_from)
     measured = {
         "distances": tuple(sorted(run.distances.items())),
         "matches_reference": run.correct,
         "history_is_pram": pram.consistent,
-        "irrelevant_messages": run.outcome.efficiency.irrelevant_messages,
+        "irrelevant_messages": run.report.efficiency.irrelevant_messages,
         "rounds": run.rounds,
     }
-    matches = run.correct and pram.consistent and run.outcome.efficiency.irrelevant_messages == 0
+    matches = run.correct and pram.consistent and run.report.efficiency.irrelevant_messages == 0
     return FigureReproduction(
         figure_id="figure7-9",
         title="Distributed Bellman-Ford over partially replicated PRAM memory",

@@ -179,9 +179,7 @@ class RunReport:
 
         Counted from the recorder's delivery log, so the answer stays
         correct when ``keep_history=False`` buffers no
-        :class:`~repro.core.history.History` (the historical
-        ``RunOutcome.operations()`` read ``len(history)`` and drifted from
-        the efficiency metrics in that mode).
+        :class:`~repro.core.history.History`.
         """
         return self.operations_executed
 

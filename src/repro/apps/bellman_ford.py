@@ -219,13 +219,6 @@ class BellmanFordRun:
     trace: Dict[int, List[Tuple[int, float]]] = field(default_factory=dict)
 
     @property
-    def outcome(self):
-        """Deprecated view of :attr:`report` under the historical names."""
-        from ..dsm.memory import RunOutcome
-
-        return RunOutcome(self.report)
-
-    @property
     def rounds(self) -> int:
         """Number of iterations executed by each process."""
         return max((len(v) for v in self.trace.values()), default=0)

@@ -190,13 +190,6 @@ class JacobiRun:
     converged: bool
     report: Any  # repro.api.RunReport
 
-    @property
-    def outcome(self):
-        """Deprecated view of :attr:`report` under the historical names."""
-        from ..dsm.memory import RunOutcome
-
-        return RunOutcome(self.report)
-
 
 def run_distributed_jacobi(
     a: np.ndarray,

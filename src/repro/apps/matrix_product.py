@@ -151,13 +151,6 @@ class MatrixProductRun:
     correct: bool
     report: Any  # repro.api.RunReport
 
-    @property
-    def outcome(self):
-        """Deprecated view of :attr:`report` under the historical names."""
-        from ..dsm.memory import RunOutcome
-
-        return RunOutcome(self.report)
-
 
 def run_distributed_matrix_product(
     a: np.ndarray,

@@ -1,7 +1,6 @@
-"""Application-facing distributed shared memory: programs, runtime, facade."""
+"""Application-facing distributed shared memory: programs, runtime, app contract."""
 
 from .app import AppInstance, AppValidator, AppVerdict
-from .memory import DistributedSharedMemory, RunOutcome
 from .program import ProcessContext, ProgramFn, Read, Write
 from .runtime import DSMRuntime
 
@@ -10,10 +9,8 @@ __all__ = [
     "AppValidator",
     "AppVerdict",
     "DSMRuntime",
-    "DistributedSharedMemory",
     "ProcessContext",
     "ProgramFn",
     "Read",
-    "RunOutcome",
     "Write",
 ]

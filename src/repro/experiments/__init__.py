@@ -11,7 +11,7 @@ cacheable experiment pipeline.  The data flow of every run is
                                        v          v
                                   ScenarioRecord --> aggregate --> report
 
-* :mod:`~repro.experiments.spec` — declarative :class:`ScenarioSpec` /
+* :mod:`~repro.experiments.spec` — declarative :class:`ExperimentSpec` /
   :class:`ScenarioPoint` dataclasses: protocol line-up, distribution family,
   workload pattern, seeds, parameter grids, content hashing;
 * :mod:`~repro.experiments.registry` — named-scenario registry grouped into
@@ -49,7 +49,6 @@ from .spec import (
     ExperimentSpec,
     NetworkSpec,
     ScenarioPoint,
-    ScenarioSpec,
     WorkloadSpec,
     build_topology,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "ScenarioPoint",
     "ScenarioRecord",
     "ScenarioRegistry",
-    "ScenarioSpec",
     "ScenarioSpecError",
     "SuiteResult",
     "TOPOLOGIES",

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .spec import ScenarioSpec, ScenarioSpecError
+from .spec import ExperimentSpec, ScenarioSpecError
 
 
 class ScenarioRegistry:
-    """A name -> :class:`ScenarioSpec` mapping with suite-level views."""
+    """A name -> :class:`ExperimentSpec` mapping with suite-level views."""
 
     def __init__(self) -> None:
-        self._specs: Dict[str, ScenarioSpec] = {}
+        self._specs: Dict[str, ExperimentSpec] = {}
 
-    def register(self, spec: ScenarioSpec) -> ScenarioSpec:
+    def register(self, spec: ExperimentSpec) -> ExperimentSpec:
         """Validate and store ``spec``; duplicate names are an error."""
         spec.validate()
         if spec.name in self._specs:
@@ -28,7 +28,7 @@ class ScenarioRegistry:
         self._specs[spec.name] = spec
         return spec
 
-    def get(self, name: str) -> ScenarioSpec:
+    def get(self, name: str) -> ExperimentSpec:
         """The spec registered under ``name``."""
         try:
             return self._specs[name]
@@ -41,7 +41,7 @@ class ScenarioRegistry:
         """Registered scenario names (optionally restricted to one suite)."""
         return [s.name for s in self.specs(suite)]
 
-    def specs(self, suite: Optional[str] = None) -> List[ScenarioSpec]:
+    def specs(self, suite: Optional[str] = None) -> List[ExperimentSpec]:
         """Registered specs in registration order (optionally one suite)."""
         return [
             spec for spec in self._specs.values()

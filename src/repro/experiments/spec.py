@@ -13,8 +13,8 @@ The component specs themselves (:class:`~repro.spec.DistributionSpec`,
 :class:`~repro.spec.WorkloadSpec`, ...) live in :mod:`repro.spec`; they are
 re-exported here, together with live registry views replacing the historical
 hardcoded tables (``DISTRIBUTION_FAMILIES``, ``WORKLOAD_PATTERNS``,
-``TOPOLOGIES``, ``*_PARAMS``, ``SEEDED_FAMILIES``), so existing imports keep
-working while third-party plugins appear automatically.
+``TOPOLOGIES``, ``*_PARAMS``), so existing imports keep working while
+third-party plugins appear automatically.
 
 Each point canonicalises to a JSON-stable key whose SHA-256 digest
 (:meth:`ScenarioPoint.content_hash`) identifies its result in the cache.  The
@@ -67,21 +67,11 @@ CACHE_VERSION = 4
 #: Topology builders usable by the ``neighbourhood`` distribution family.
 TOPOLOGIES = RegistryView(TOPOLOGY_REGISTRY, lambda c: c.factory)
 
-#: Allowed parameters per topology (``figure8`` takes none).
-TOPOLOGY_PARAMS = RegistryView(TOPOLOGY_REGISTRY, lambda c: c.params)
-
 #: Distribution family builders, keyed by the name used in specs.
 DISTRIBUTION_FAMILIES = RegistryView(DISTRIBUTION_REGISTRY, lambda c: c.factory)
 
 #: Allowed parameters per distribution family.
 DISTRIBUTION_PARAMS = RegistryView(DISTRIBUTION_REGISTRY, lambda c: c.params)
-
-#: Families whose builder accepts a ``seed``; when the spec omits it, the
-#: point's workload seed is injected so the seed axis also varies the layout.
-SEEDED_FAMILIES = RegistryView(
-    DISTRIBUTION_REGISTRY, lambda c: c.factory,
-    predicate=lambda c: bool(c.metadata.get("seeded")),
-)
 
 #: Workload access-pattern generators, keyed by the name used in specs.
 WORKLOAD_PATTERNS = RegistryView(WORKLOAD_REGISTRY, lambda c: c.factory)
@@ -274,13 +264,6 @@ class ExperimentSpec:
                         )
                     )
         return points
-
-
-#: Back-compat alias: the grid-level spec was historically called
-#: ``ScenarioSpec`` in this module.  The canonical *single-run*
-#: ``ScenarioSpec`` now lives in :mod:`repro.spec`; new code should say
-#: ``ExperimentSpec`` for the grid-level class.
-ScenarioSpec = ExperimentSpec
 
 
 @dataclass

@@ -51,9 +51,9 @@ Three suites ship with the library (all registered on the global
     degree x placement (optimized vs uniform-random vs full) over the
     Zipf-skewed workload and records control bytes per message for the
     sharded-sequencer, causal-tree and PRAM protocols against the
-    full-replication baselines.  ``make bench-efficiency`` gates the
-    headline comparison (optimized partial strictly cheaper per message
-    than full replication at 120 processes).
+    full-replication baselines.  ``benchmarks/test_bench_efficiency.py``
+    pins the headline comparison (optimized partial strictly cheaper per
+    message than full replication at 100 processes).
 """
 
 from __future__ import annotations
@@ -64,15 +64,12 @@ from ..spec.scenario import AppSpec, NetworkSpec
 from .registry import REGISTRY, ScenarioRegistry
 from .spec import DistributionSpec, ExperimentSpec, WorkloadSpec
 
-#: Back-compat: the grid-level spec class was historically named ScenarioSpec.
-ScenarioSpec = ExperimentSpec
-
 
 def builtin_scenarios() -> List[ExperimentSpec]:
     """Fresh spec objects for every built-in scenario (paper/stress/faults)."""
     return [
         # ------------------------------------------------------------------ paper
-        ScenarioSpec(
+        ExperimentSpec(
             name="hoopfree-blocks",
             suite="paper",
             paper_ref="Figure 1 / Section 3.1",
@@ -87,7 +84,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
                                               "write_fraction": 0.5}),
             seeds=(0, 1),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="figure2-hoop",
             suite="paper",
             paper_ref="Figure 2 / Theorem 1",
@@ -100,7 +97,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
                                               "write_fraction": 0.6}),
             seeds=(0, 1),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="theorem1-hoop-traffic",
             suite="paper",
             paper_ref="Theorem 1",
@@ -114,7 +111,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             grid={"distribution.intermediates": (1, 2, 4)},
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="theorem2-pram-confinement",
             suite="paper",
             paper_ref="Theorem 2",
@@ -128,7 +125,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
                                               "write_fraction": 0.6}),
             seeds=(0, 1, 2),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="section33-overhead",
             suite="paper",
             paper_ref="Section 3.3",
@@ -144,7 +141,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
                                               "write_fraction": 0.6}),
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="section6-bellman-ford",
             suite="paper",
             paper_ref="Section 6 / Figures 7-9",
@@ -159,7 +156,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             seeds=(0,),
         ),
         # ----------------------------------------------------------------- stress
-        ScenarioSpec(
+        ExperimentSpec(
             name="stress-large-clique",
             suite="stress",
             paper_ref="Section 3.1 (scaled)",
@@ -174,7 +171,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             seeds=(0,),
             exact=False,
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="stress-long-hoop",
             suite="stress",
             paper_ref="Theorem 1 (scaled)",
@@ -188,7 +185,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             seeds=(0,),
             exact=False,
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="stress-write-heavy",
             suite="stress",
             paper_ref="Section 3.3 (skewed)",
@@ -203,7 +200,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             seeds=(0, 1),
             exact=False,
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="stress-ring",
             suite="stress",
             paper_ref="Section 6 (ring)",
@@ -217,7 +214,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             seeds=(0,),
             exact=False,
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="stress-star",
             suite="stress",
             paper_ref="Section 6 (star)",
@@ -232,7 +229,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             seeds=(0,),
             exact=False,
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="stress-random-topology",
             suite="stress",
             paper_ref="Section 6 (random)",
@@ -248,7 +245,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             exact=False,
         ),
         # ----------------------------------------------------------------- faults
-        ScenarioSpec(
+        ExperimentSpec(
             name="faults-partition-hoop",
             suite="faults",
             paper_ref="Section 3 assumption [5] (violated)",
@@ -270,7 +267,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             expect_consistent=False,
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="faults-partition-barrier",
             suite="faults",
             paper_ref="Section 4 (causal barriers under partition)",
@@ -289,7 +286,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             expect_consistent=True,
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="faults-duplication",
             suite="faults",
             paper_ref="Section 5 (sequence numbers as idempotence)",
@@ -314,7 +311,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             expect_consistent=False,
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="faults-duplication-hardened",
             suite="faults",
             paper_ref="Section 5 (sequence numbers as idempotence)",
@@ -337,7 +334,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             expect_consistent=True,
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="faults-loss",
             suite="faults",
             paper_ref="Section 5 (loss: staleness, not inconsistency)",
@@ -356,7 +353,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             expect_consistent=True,
             seeds=(0, 1),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="faults-crash-recover",
             suite="faults",
             paper_ref="Section 1 (MCS process availability)",
@@ -379,7 +376,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             seeds=(0,),
         ),
         # ------------------------------------------------------------------- apps
-        ScenarioSpec(
+        ExperimentSpec(
             name="apps-bellman-ford",
             suite="apps",
             paper_ref="Section 6 / Figures 7-9",
@@ -394,7 +391,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             expect_correct=True,
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="apps-producer-consumer",
             suite="apps",
             paper_ref="Section 5 (PRAM suffices for flag synchronisation)",
@@ -408,7 +405,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             expect_correct=True,
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="apps-jacobi",
             suite="apps",
             paper_ref="Section 5 (iterative methods on slow memory)",
@@ -423,7 +420,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             expect_correct=True,
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="apps-matrix-product",
             suite="apps",
             paper_ref="Section 5 (oblivious computations)",
@@ -438,7 +435,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             expect_correct=True,
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="apps-bellman-ford-duplication",
             suite="apps",
             paper_ref="Section 5/6 (sequence numbers under duplication)",
@@ -458,7 +455,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             expect_correct=True,
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="apps-bellman-ford-partition",
             suite="apps",
             paper_ref="Section 6 (liveness needs the links up)",
@@ -481,7 +478,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             seeds=(0,),
         ),
         # ------------------------------------------------------------- efficiency
-        ScenarioSpec(
+        ExperimentSpec(
             name="efficiency-placed-scale",
             suite="efficiency",
             paper_ref="Section 3.3 / Theorem 1 (control-information cost)",
@@ -502,7 +499,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             exact=False,
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="efficiency-uniform-placement",
             suite="efficiency",
             paper_ref="Section 3.3 (placement matters, not just the degree)",
@@ -520,7 +517,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             exact=False,
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="efficiency-full-baseline",
             suite="efficiency",
             paper_ref="Section 3.3 ([5] over full replication)",
@@ -539,7 +536,7 @@ def builtin_scenarios() -> List[ExperimentSpec]:
             exact=False,
             seeds=(0,),
         ),
-        ScenarioSpec(
+        ExperimentSpec(
             name="efficiency-hot-migration",
             suite="efficiency",
             paper_ref="Section 3.3 (placement vs a drifting workload)",

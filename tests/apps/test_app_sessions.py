@@ -5,9 +5,6 @@ Covers the PR's acceptance criteria:
 * the four built-in apps are registered with capability metadata and are
   addressable from JSON-round-trippable :class:`repro.spec.ScenarioSpec`
   objects (``app`` axis);
-* for every registered app, a spec-driven ``Session.from_spec`` run on the
-  reliable network reproduces the legacy ``DistributedSharedMemory.run``
-  results exactly (program results, history, read-from, efficiency);
 * app histories stream into the incremental checkers (equivalence with the
   batch verdict; fail-fast aborts a violating app run mid-flight);
 * faulty-network app scenarios yield a checker verdict plus a
@@ -18,7 +15,6 @@ import pytest
 
 from repro.api import Session
 from repro.dsm.app import AppInstance, AppVerdict
-from repro.dsm.memory import DistributedSharedMemory
 from repro.exceptions import (
     AppCompatibilityError,
     ScenarioSpecError,
@@ -27,8 +23,7 @@ from repro.exceptions import (
 )
 from repro.spec import APP_REGISTRY, AppSpec, ScenarioSpec
 
-#: (app name, params) pairs used by the equivalence tests — small instances
-#: of each registered app.
+#: (app name, params) pairs — small instances of each registered app.
 APP_POINTS = [
     ("bellman_ford", {"topology": "figure8", "source": 1}),
     ("jacobi", {"unknowns": 5, "workers": 2, "iterations": 25}),
@@ -146,45 +141,6 @@ class TestScenarioSpecAppAxis:
             session.run(until=5)
 
 
-def _history_fingerprint(history):
-    return tuple(
-        (pid, tuple(op.label() for op in history.local(pid).operations))
-        for pid in sorted(history.processes)
-    )
-
-
-def _read_from_fingerprint(read_from):
-    return sorted(
-        (op.label(), source.label() if source is not None else None)
-        for op, source in read_from.items()
-    )
-
-
-class TestSpecPathMatchesLegacyDSM:
-    """Acceptance: Session.from_spec == DistributedSharedMemory.run, exactly."""
-
-    @pytest.mark.parametrize("name,params", APP_POINTS, ids=lambda v: str(v)[:20])
-    def test_equivalence_on_reliable_network(self, name, params):
-        report = Session.from_spec(app_scenario(name, params)).run()
-
-        instance = AppSpec(name, params).build(seed=0)
-        with pytest.warns(DeprecationWarning):
-            dsm = DistributedSharedMemory(instance.distribution,
-                                          protocol="pram_partial")
-        outcome = dsm.run(instance.programs)
-
-        assert report.app_results == outcome.results
-        assert _history_fingerprint(report.history) == \
-            _history_fingerprint(outcome.history)
-        assert _read_from_fingerprint(report.read_from) == \
-            _read_from_fingerprint(outcome.read_from)
-        assert report.efficiency.messages_sent == outcome.efficiency.messages_sent
-        assert report.efficiency.control_bytes == outcome.efficiency.control_bytes
-        assert report.sim_time == outcome.elapsed
-        assert report.program_steps == outcome.steps
-        assert report.operations() == outcome.operations()
-
-
 class TestAppChecking:
     def test_app_history_streams_into_incremental_checkers(self):
         report = Session.from_spec(
@@ -241,11 +197,6 @@ class TestAppChecking:
         assert report.history is None
         assert report.operations() > 0
         assert report.app_correct is True
-        from repro.dsm.memory import RunOutcome
-
-        view = RunOutcome(report)
-        assert view.operations() == report.operations()
-        assert view.history is None  # no RecorderStateError from the view
 
 
 class TestFaultyAppScenarios:

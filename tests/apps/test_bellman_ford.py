@@ -42,12 +42,12 @@ class TestDistributedRun:
 
     def test_history_is_pram_consistent_and_efficient(self):
         run = run_distributed_bellman_ford(figure8_network(), source=1)
-        history = run.outcome.history
+        history = run.report.history
         checker = get_checker("pram")
-        assert checker.check(history, read_from=run.outcome.read_from).consistent
-        assert run.outcome.efficiency.irrelevant_messages == 0
+        assert checker.check(history, read_from=run.report.read_from).consistent
+        assert run.report.efficiency.irrelevant_messages == 0
         dist = bellman_ford_distribution(figure8_network())
-        assert relevance_violations(run.outcome.efficiency, dist) == {}
+        assert relevance_violations(run.report.efficiency, dist) == {}
 
     def test_trace_records_every_round(self):
         run = run_distributed_bellman_ford(figure8_network(), source=1)
@@ -77,4 +77,4 @@ class TestDistributedRun:
         run = run_distributed_bellman_ford(figure8_network(), source=1,
                                            protocol="causal_full")
         assert run.correct
-        assert run.outcome.efficiency.irrelevant_messages > 0
+        assert run.report.efficiency.irrelevant_messages > 0

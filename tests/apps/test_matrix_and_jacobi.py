@@ -43,7 +43,7 @@ class TestMatrixProduct:
         a = rng.normal(size=(4, 3))
         b = rng.normal(size=(3, 3))
         run = run_distributed_matrix_product(a, b, workers=2)
-        assert run.outcome.efficiency.irrelevant_messages == 0
+        assert run.report.efficiency.irrelevant_messages == 0
 
 
 class TestJacobi:

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import Session
 from repro.core.distribution import VariableDistribution
-from repro.core.operations import BOTTOM
-from repro.dsm.memory import DistributedSharedMemory
+from repro.dsm.app import AppInstance
 from repro.dsm.program import Read, Write
 from repro.dsm.runtime import DSMRuntime
 from repro.exceptions import LivelockError, SimulationError
@@ -15,10 +15,18 @@ def two_process_distribution():
     return VariableDistribution({0: {"flag", "data"}, 1: {"flag", "data"}})
 
 
+def run_programs(dist, protocol, programs, **session_kwargs):
+    """Run caller-owned programs through a check-free Session; runtime errors raise."""
+    instance = AppInstance(name="programs", distribution=dist,
+                           programs=dict(programs), validate=None,
+                           blocking_ok=True)
+    return Session(protocol=protocol, app=instance, check=False,
+                   diagnose_app_failures=False, **session_kwargs).run()
+
+
 class TestDirectStylePrograms:
     def test_producer_consumer(self):
         dist = two_process_distribution()
-        dsm = DistributedSharedMemory(dist, protocol="pram_partial")
 
         def producer(ctx):
             ctx.write("data", "payload")
@@ -31,17 +39,16 @@ class TestDirectStylePrograms:
                 yield
             return ctx.read("data")
 
-        outcome = dsm.run({0: producer, 1: consumer})
-        assert outcome.results[0] == "produced"
+        report = run_programs(dist, "pram_partial", {0: producer, 1: consumer})
+        assert report.app_results[0] == "produced"
         # PRAM preserves the producer's program order, so the data is visible
         # once the flag is.
-        assert outcome.results[1] == "payload"
-        assert outcome.elapsed > 0
-        assert outcome.operations() == len(outcome.history)
+        assert report.app_results[1] == "payload"
+        assert report.sim_time > 0
+        assert report.operations() == len(report.history)
 
     def test_history_and_efficiency_are_exposed(self):
         dist = two_process_distribution()
-        dsm = DistributedSharedMemory(dist, protocol="pram_partial")
 
         def writer(ctx):
             ctx.write("data", 1)
@@ -52,14 +59,13 @@ class TestDirectStylePrograms:
             yield
             return None
 
-        outcome = dsm.run({0: writer, 1: idle})
-        assert len(outcome.history.writes) == 1
-        assert outcome.efficiency.protocol == "pram_partial"
-        assert set(outcome.steps) == {0, 1}
+        report = run_programs(dist, "pram_partial", {0: writer, 1: idle})
+        assert len(report.history.writes) == 1
+        assert report.efficiency.protocol == "pram_partial"
+        assert set(report.program_steps) == {0, 1}
 
     def test_each_run_is_independent(self):
         dist = two_process_distribution()
-        dsm = DistributedSharedMemory(dist, protocol="pram_partial")
 
         def writer(ctx):
             ctx.write("data", 1)
@@ -70,13 +76,12 @@ class TestDirectStylePrograms:
             yield
             return None
 
-        first = dsm.run({0: writer, 1: idle})
-        second = dsm.run({0: writer, 1: idle})
+        first = run_programs(dist, "pram_partial", {0: writer, 1: idle})
+        second = run_programs(dist, "pram_partial", {0: writer, 1: idle})
         assert len(first.history) == len(second.history)
 
     def test_context_accessors(self):
         dist = two_process_distribution()
-        dsm = DistributedSharedMemory(dist, protocol="pram_partial")
         seen = {}
 
         def probe(ctx):
@@ -90,7 +95,7 @@ class TestDirectStylePrograms:
             yield
             return None
 
-        dsm.run({0: probe, 1: idle})
+        run_programs(dist, "pram_partial", {0: probe, 1: idle})
         assert seen["pid"] == 0
         assert seen["vars"] == {"flag", "data"}
         assert seen["now"] >= 0
@@ -99,7 +104,6 @@ class TestDirectStylePrograms:
 class TestCommandStylePrograms:
     def test_blocking_reads_on_sequencer_sc(self):
         dist = two_process_distribution()
-        dsm = DistributedSharedMemory(dist, protocol="sequencer_sc")
 
         def writer(ctx):
             yield Write("data", 123)
@@ -112,13 +116,12 @@ class TestCommandStylePrograms:
                 if value == 123:
                     return value
 
-        outcome = dsm.run({0: writer, 1: reader})
-        assert outcome.results[0] == 123
-        assert outcome.results[1] == 123
+        report = run_programs(dist, "sequencer_sc", {0: writer, 1: reader})
+        assert report.app_results[0] == 123
+        assert report.app_results[1] == 123
 
     def test_command_style_works_on_wait_free_protocols_too(self):
         dist = two_process_distribution()
-        dsm = DistributedSharedMemory(dist, protocol="pram_partial")
 
         def program(ctx):
             yield Write("data", 5)
@@ -129,8 +132,8 @@ class TestCommandStylePrograms:
             yield
             return None
 
-        outcome = dsm.run({0: program, 1: idle})
-        assert outcome.results[0] == 5
+        report = run_programs(dist, "pram_partial", {0: program, 1: idle})
+        assert report.app_results[0] == 5
 
     def test_unknown_command_rejected(self):
         dist = two_process_distribution()
@@ -176,20 +179,33 @@ class TestRuntimeGuards:
         with pytest.raises(SimulationError):
             runtime.add_program(0, lambda ctx: iter(()))
 
+    def test_livelock_raises_through_an_undiagnosed_session(self):
+        def spinner(ctx):
+            while True:
+                yield
+
+        def idle(ctx):
+            yield
+            return None
+
+        with pytest.raises(LivelockError):
+            run_programs(two_process_distribution(), "pram_partial",
+                         {0: spinner, 1: idle}, max_steps_per_process=50)
+
     def test_retry_counts_reported(self):
         dist = two_process_distribution()
-        dsm = DistributedSharedMemory(dist, protocol="sequencer_sc")
 
         def writer(ctx):
             yield Write("data", 1)
-            value = yield Read("data")
+            value = yield Read("data")   # retried until the write is ordered
             return value
 
         def idle(ctx):
             yield
             return None
 
-        dsm.run({0: writer, 1: idle})
-        # The runtime is still reachable through the system for diagnostics;
-        # at least the run completed, which is what matters here.
-        assert dsm.system is not None
+        # process 0 is the sequencer, so only the remote writer has to wait
+        report = run_programs(dist, "sequencer_sc", {0: idle, 1: writer})
+        assert report.app_results[1] == 1
+        assert report.program_retries[1] > 0
+        assert report.program_retries[0] == 0

@@ -4,9 +4,9 @@ import json
 
 from repro.experiments import (
     DistributionSpec,
+    ExperimentSpec,
     ResultCache,
     ScenarioRecord,
-    ScenarioSpec,
     WorkloadSpec,
     aggregate_records,
     run_point,
@@ -24,7 +24,7 @@ def tiny_spec(name="tiny", **overrides):
         seeds=(0,),
     )
     base.update(overrides)
-    return ScenarioSpec(**base)
+    return ExperimentSpec(**base)
 
 
 class TestRunPoint:

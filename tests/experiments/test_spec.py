@@ -5,8 +5,8 @@ import pytest
 from repro.experiments import (
     REGISTRY,
     DistributionSpec,
+    ExperimentSpec,
     ScenarioRegistry,
-    ScenarioSpec,
     ScenarioSpecError,
     WorkloadSpec,
     build_topology,
@@ -24,7 +24,7 @@ def make_spec(**overrides):
         seeds=(0,),
     )
     base.update(overrides)
-    return ScenarioSpec(**base)
+    return ExperimentSpec(**base)
 
 
 class TestValidation:

@@ -1,0 +1,48 @@
+"""Tooling guard: every ``make <target>`` the docs and CI name must exist."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Where a dangling target would mislead a reader or break a pipeline.
+#: (benchmarks/e2e/README.md is the historical record of what superseded
+#: which legacy target, so it is deliberately not scanned.)
+SOURCES = sorted(
+    [ROOT / "README.md", ROOT / "EXPERIMENTS.md",
+     ROOT / ".github" / "workflows" / "ci.yml",
+     ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+    + list((ROOT / "docs").glob("*.md"))
+)
+MAKE_CALL = re.compile(r"\bmake ([a-z][\w-]*)")
+#: Markdown prose says "make" too; only code spans and fences name targets.
+MARKDOWN_CODE = re.compile(r"```.*?```|`[^`\n]+`", re.DOTALL)
+
+
+@pytest.fixture(scope="module")
+def makefile():
+    return (ROOT / "Makefile").read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def rules(makefile):
+    return set(re.findall(r"^([A-Za-z][\w-]*):", makefile, re.MULTILINE))
+
+
+def named_targets(path: Path):
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".md":
+        text = "\n".join(MARKDOWN_CODE.findall(text))
+    return set(MAKE_CALL.findall(text))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_named_make_target_is_a_rule(path, rules):
+    assert named_targets(path) - rules == set()
+
+
+def test_every_phony_entry_has_a_rule(makefile, rules):
+    phony = re.search(r"^\.PHONY:(.*)$", makefile, re.MULTILINE).group(1).split()
+    assert phony and set(phony) - rules == set()

@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint bench bench-compare experiments experiments-smoke faults apps hunt-smoke serve-smoke place-smoke clean-cache
+.PHONY: test lint bench bench-compare profile experiments experiments-smoke faults apps hunt-smoke serve-smoke place-smoke clean-cache
 
 # Tier-1 verification (the command ROADMAP.md records).
 test:
@@ -32,6 +32,12 @@ bench:
 # only ever judged parent-vs-change):  make bench-compare OLD=a.json NEW=b.json
 bench-compare:
 	$(PYTHON) benchmarks/e2e/run.py --compare $(OLD) $(NEW)
+
+# The profile that motivates an optimisation (ROADMAP: none lands without
+# one): cProfile of one benchmark workload, top 30 rows by own time.
+#   make profile W=partial_causal
+profile:
+	$(PYTHON) -m cProfile -s tottime benchmarks/e2e/run.py --workload $(W) --seconds 3 --trace 0 | grep -A 35 "function calls"
 
 # Application gate: run the spec-driven apps suite (the four registered
 # applications over reliable and faulty networks) with expected-result

@@ -16,7 +16,7 @@ write) and :meth:`MCSProcess.on_message` (how to treat received messages).
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.distribution import VariableDistribution
 from ..core.operations import BOTTOM
@@ -167,15 +167,43 @@ class MCSProcess(abc.ABC):
         payload: Optional[Dict[str, Any]] = None,
         control: Optional[Dict[str, Any]] = None,
     ) -> int:
-        """Send the same logical message to every destination except self."""
-        count = 0
-        for dst in sorted(set(destinations)):
-            if dst == self.pid:
-                continue
-            self.send(dst, kind, variable=variable,
-                      payload=dict(payload or {}), control=dict(control or {}))
-            count += 1
-        return count
+        """Send the same logical message (built and sized once; ``payload`` and
+        ``control`` are shared, read-only from here on) to all but self."""
+        targets = set(destinations) - {self.pid}
+        if not targets:
+            return 0
+        return self.network.multicast(
+            Message(
+                src=self.pid,
+                dst=min(targets),
+                kind=kind,
+                variable=variable,
+                payload=payload or {},
+                control=control or {},
+            ),
+            targets,
+        )
+
+    # -- buffered delivery -------------------------------------------------------------------
+    def _deliverable(self, message: Message) -> bool:
+        """Hook of :meth:`_drain_pending`: may the buffered ``message`` be applied now?"""
+        raise NotImplementedError
+
+    def _deliver(self, message: Message) -> None:
+        """Hook of :meth:`_drain_pending`: apply ``message`` locally."""
+        raise NotImplementedError
+
+    def _drain_pending(self, pending: List[Message]) -> None:
+        """Deliver what ``pending`` allows, until a pass makes no progress
+        (one delivery can unblock messages buffered before it)."""
+        progress = True
+        while progress:
+            progress = False
+            for message in list(pending):
+                if self._deliverable(message):
+                    pending.remove(message)
+                    self._deliver(message)
+                    progress = True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} p{self.pid}>"

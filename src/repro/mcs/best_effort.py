@@ -58,19 +58,16 @@ class BestEffortReplication(MCSProcess):
 
     # -- write propagation ------------------------------------------------------
     def _propagate_write(self, variable: str, value: Any, write_id: WriteId) -> None:
-        for dst in sorted(self.holders(variable)):
-            if dst == self.pid:
-                continue
-            self.send(
-                dst,
-                "update",
-                variable=variable,
-                payload={"value": value},
-                # The write identifier is simulation bookkeeping (underscore
-                # key: excluded from the control-byte accounting); the
-                # protocol itself ships no control information at all.
-                control={"_wid": list(write_id)},
-            )
+        self.send_to_all(
+            self.holders(variable),
+            "update",
+            variable=variable,
+            payload={"value": value},
+            # The write identifier is simulation bookkeeping (underscore
+            # key: excluded from the control-byte accounting); the
+            # protocol itself ships no control information at all.
+            control={"_wid": list(write_id)},
+        )
 
     # -- delivery ------------------------------------------------------------------
     def on_message(self, message: Message) -> None:

@@ -93,7 +93,7 @@ class CausalFullReplication(MCSProcess):
             # advances the clock past it) and would pin the pending buffer.
             return
         self._pending.append(message)
-        self._drain()
+        self._drain_pending(self._pending)
 
     def _deliverable(self, message: Message) -> bool:
         sender = message.control["sender"]
@@ -105,16 +105,6 @@ class CausalFullReplication(MCSProcess):
             for pid, count in vc.items()
             if pid != sender
         )
-
-    def _drain(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            for message in list(self._pending):
-                if self._deliverable(message):
-                    self._pending.remove(message)
-                    self._deliver(message)
-                    progress = True
 
     def _deliver(self, message: Message) -> None:
         sender = message.control["sender"]

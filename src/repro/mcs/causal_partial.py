@@ -83,10 +83,12 @@ class CausalPartialReplication(MCSProcess):
         self._applied: Set[WriteId] = set()
         #: Causal past to piggyback on the next writes: wid -> variable.
         self._context: Dict[WriteId, str] = {}
-        #: Updates waiting for their dependencies.
+        #: Updates waiting for their dependencies, and their write identifiers.
         self._pending: List[Message] = []
+        self._pending_wids: Set[WriteId] = set()
         #: Variables about which this process has handled control information.
         self.control_variables_seen: Set[str] = set()
+        self._relevant_cache: Optional[Set[str]] = None
 
     # -- relay-scope policy -------------------------------------------------------
     def _relevant_variables(self) -> Set[str]:
@@ -103,7 +105,7 @@ class CausalPartialReplication(MCSProcess):
             return True
         if self.relay_scope == "own":
             return self.holds(variable)
-        if not hasattr(self, "_relevant_cache"):
+        if self._relevant_cache is None:
             self._relevant_cache = self._relevant_variables()
         return variable in self._relevant_cache
 
@@ -116,35 +118,28 @@ class CausalPartialReplication(MCSProcess):
         self._applied.add(write_id)
         self._context[write_id] = variable
         self.control_variables_seen.add(variable)
-        for dst in sorted(self.holders(variable)):
-            if dst == self.pid:
-                continue
-            self.send(
-                dst,
-                "update",
-                variable=variable,
-                payload={"value": value},
-                control={
-                    "wid": list(write_id),
-                    "deps": [list(d) for d in deps],
-                },
-            )
+        self.send_to_all(
+            self.holders(variable),
+            "update",
+            variable=variable,
+            payload={"value": value},
+            control={"wid": list(write_id), "deps": deps},
+        )
 
     # -- delivery ----------------------------------------------------------------------
     def on_message(self, message: Message) -> None:
         if message.kind != "update":
             raise ProtocolError(f"unexpected message kind {message.kind!r}")
         wid: WriteId = tuple(message.control["wid"])  # type: ignore[assignment]
-        if wid in self._applied or any(
-            tuple(m.control["wid"]) == wid for m in self._pending
-        ):
+        if wid in self._applied or wid in self._pending_wids:
             # Duplicate copy (faulty network): the write identifier makes the
             # update idempotent — whether the original was already applied or
             # is still buffered awaiting its dependencies, the second copy
             # must not be delivered again.
             return
         self._pending.append(message)
-        self._drain()
+        self._pending_wids.add(wid)
+        self._drain_pending(self._pending)
 
     def _deliverable(self, message: Message) -> bool:
         for writer, seq, var in message.control["deps"]:
@@ -152,22 +147,13 @@ class CausalPartialReplication(MCSProcess):
                 return False
         return True
 
-    def _drain(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            for message in list(self._pending):
-                if self._deliverable(message):
-                    self._pending.remove(message)
-                    self._deliver(message)
-                    progress = True
-
     def _deliver(self, message: Message) -> None:
         wid: WriteId = tuple(message.control["wid"])  # type: ignore[assignment]
         variable = message.variable
         assert variable is not None
         self._apply(variable, message.payload["value"], wid)
         self._applied.add(wid)
+        self._pending_wids.discard(wid)
         # Merge the dependency information into the local causal past, subject
         # to the relay-scope policy, then add the freshly applied write.
         for writer, seq, var in message.control["deps"]:

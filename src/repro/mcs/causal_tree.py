@@ -101,17 +101,13 @@ class CausalTreeReplication(MCSProcess):
         self._seen.add(write_id)
         self._context[write_id] = variable
         self.control_variables_seen.add(variable)
-        for dst in self._tree_neighbours(variable):
-            self.send(
-                dst,
-                "update",
-                variable=variable,
-                payload={"value": value},
-                control={
-                    "wid": list(write_id),
-                    "deps": [list(d) for d in deps],
-                },
-            )
+        self.send_to_all(
+            self._tree_neighbours(variable),
+            "update",
+            variable=variable,
+            payload={"value": value},
+            control={"wid": list(write_id), "deps": deps},
+        )
 
     # -- delivery ----------------------------------------------------------------------
     def on_message(self, message: Message) -> None:
@@ -126,40 +122,24 @@ class CausalTreeReplication(MCSProcess):
         self._forward(message)
         if self.holds(message.variable):
             self._pending.append(message)
-            self._drain()
+            self._drain_pending(self._pending)
         # A relay outside C(x) stores-and-forwards only: the update cannot be
         # applied here and its dependencies cannot be judged here.
 
     def _forward(self, message: Message) -> None:
-        for dst in self._tree_neighbours(message.variable):  # type: ignore[arg-type]
-            if dst == message.src:
-                continue
-            self.send(
-                dst,
-                "update",
-                variable=message.variable,
-                payload=dict(message.payload),
-                control={
-                    "wid": list(message.control["wid"]),
-                    "deps": [list(d) for d in message.control["deps"]],
-                },
-            )
+        self.send_to_all(
+            set(self._tree_neighbours(message.variable)) - {message.src},  # type: ignore[arg-type]
+            "update",
+            variable=message.variable,
+            payload=message.payload,
+            control=message.control,
+        )
 
     def _deliverable(self, message: Message) -> bool:
         for writer, seq, var in message.control["deps"]:
             if self.holds(var) and (writer, seq) not in self._applied:
                 return False
         return True
-
-    def _drain(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            for message in list(self._pending):
-                if self._deliverable(message):
-                    self._pending.remove(message)
-                    self._deliver(message)
-                    progress = True
 
     def _deliver(self, message: Message) -> None:
         wid: WriteId = tuple(message.control["wid"])  # type: ignore[assignment]

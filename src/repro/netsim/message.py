@@ -11,14 +11,16 @@ processes must propagate (Section 3.3).  To make that measurable every
 Both are sized by :func:`estimate_size`, a simple deterministic byte model
 (8 bytes per number, UTF-8 length per string, recursive for containers), so
 that protocols can be compared on equal footing regardless of how Python
-happens to represent their in-memory state.
+happens to represent their in-memory state.  A message is sized once, when it
+is built; the siblings of one fan-out (:meth:`Message.to`) share the result.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 
 def estimate_size(obj: Any) -> int:
@@ -29,6 +31,23 @@ def estimate_size(obj: Any) -> int:
     container structure itself — the model deliberately measures information
     content, not wire framing).
     """
+    # Exact-type dispatch for what protocol metadata is made of; the
+    # isinstance ladder below takes everything else and defines the model.
+    kind = type(obj)
+    if kind is int or kind is float:
+        return 8
+    if kind is str:
+        return len(obj.encode("utf-8"))
+    if kind is list or kind is tuple:
+        total = 0
+        for item in obj:
+            total += estimate_size(item)
+        return total
+    if kind is dict:
+        total = 0
+        for key, value in obj.items():
+            total += estimate_size(key) + estimate_size(value)
+        return total
     if obj is None or isinstance(obj, bool):
         return 1
     if isinstance(obj, (int, float)):
@@ -52,6 +71,12 @@ _message_counter = itertools.count()
 class Message:
     """A point-to-point protocol message.
 
+    A message is **immutable once built**: its sizes are measured in the
+    constructor and shared by the siblings :meth:`to` makes, so nothing may
+    write ``payload``, ``control`` or ``variable`` (or anything reachable from
+    them) afterwards — receivers only read them, and forwarding builds a new
+    message.  Only the network stamps ``sent_at`` / ``delivered_at``.
+
     Attributes
     ----------
     src, dst:
@@ -66,6 +91,14 @@ class Message:
         Application data (typically ``{"value": ...}``).
     control:
         Protocol metadata (sequence numbers, vector clocks, ...).
+    payload_bytes:
+        Size of the application data carried.
+    control_bytes:
+        Size of the protocol metadata carried, plus the variable name.
+        Control entries whose key starts with ``"_"`` are *simulation
+        bookkeeping* (e.g. the write identifier used to reconstruct the exact
+        read-from mapping) and are excluded from the accounting: a real
+        deployment would not carry them.
     """
 
     src: int
@@ -77,25 +110,26 @@ class Message:
     sent_at: Optional[float] = None
     delivered_at: Optional[float] = None
     uid: int = field(default_factory=lambda: next(_message_counter))
+    payload_bytes: int = field(init=False)
+    control_bytes: int = field(init=False)
 
-    @property
-    def payload_bytes(self) -> int:
-        """Size of the application data carried."""
-        return estimate_size(self.payload)
+    def __post_init__(self) -> None:
+        self.payload_bytes = estimate_size(self.payload)
+        size = 0 if self.variable is None else estimate_size(self.variable)
+        for key, value in self.control.items():
+            if not key.startswith("_"):
+                size += estimate_size(key) + estimate_size(value)
+        self.control_bytes = size
 
-    @property
-    def control_bytes(self) -> int:
-        """Size of the protocol metadata carried (plus the variable name).
-
-        Control entries whose key starts with ``"_"`` are *simulation
-        bookkeeping* (e.g. the write identifier used to reconstruct the exact
-        read-from mapping) and are excluded from the accounting: a real
-        deployment would not carry them.
-        """
-        size = estimate_size({k: v for k, v in self.control.items() if not k.startswith("_")})
-        if self.variable is not None:
-            size += estimate_size(self.variable)
-        return size
+    def to(self, dst: int) -> "Message":
+        """An unsent sibling for another destination: fresh ``uid``, the same
+        ``payload`` and ``control`` objects, sizes inherited (not re-measured)."""
+        sibling = object.__new__(Message)
+        sibling.__dict__.update(self.__dict__)
+        sibling.dst = dst
+        sibling.uid = next(_message_counter)
+        sibling.sent_at = sibling.delivered_at = None
+        return sibling
 
     @property
     def total_bytes(self) -> int:

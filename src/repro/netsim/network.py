@@ -15,7 +15,7 @@ packet arrives whenever it arrives.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from ..exceptions import SimulationError
 from .latency import ConstantLatency, LatencyModel
@@ -62,88 +62,72 @@ class Network:
             raise SimulationError(f"node {node_id} registered twice")
         self._nodes[node_id] = node
 
-    @property
-    def node_ids(self) -> Tuple[int, ...]:
-        """Registered process identifiers."""
-        return tuple(sorted(self._nodes))
-
     # -- transmission --------------------------------------------------------------
     def send(self, message: Message) -> None:
         """Send ``message``; delivery is scheduled on the simulator."""
-        if message.dst not in self._nodes:
-            raise SimulationError(f"unknown destination {message.dst}")
-        if message.src == message.dst:
+        self._transmit(message, None)
+
+    def multicast(self, message: Message, destinations: Iterable[int]) -> int:
+        """Send one logical message to every destination; returns the count.
+
+        Served in sorted order, ``message.src`` excluded: ``message`` itself
+        goes to its own ``dst``, every other destination gets the sibling
+        ``message.to(dst)``, so the fan-out is sized once.  Without a network
+        model the latencies are drawn in one :meth:`LatencyModel.sample_many`
+        call — the RNG draw order of per-message sends, so traces are unchanged.
+        """
+        src = message.src
+        targets = [dst for dst in sorted(set(destinations)) if dst != src]
+        delays: Sequence[Optional[float]] = (
+            self.latency.sample_many(src, targets) if self.model is None
+            else [None] * len(targets)
+        )
+        for dst, delay in zip(targets, delays):
+            self._transmit(message if dst == message.dst else message.to(dst), delay)
+        return len(targets)
+
+    def _transmit(self, message: Message, delay: Optional[float]) -> None:
+        """The one transmit body; ``delay`` is a latency already drawn, if any."""
+        src, dst = message.src, message.dst
+        if dst not in self._nodes:
+            raise SimulationError(f"unknown destination {dst}")
+        if src == dst:
             raise SimulationError("a process does not send messages to itself")
-        message.sent_at = self.simulator.now
+        if message.sent_at is not None:
+            # Sizes are measured once per message, so an object that went out
+            # (and may have been mutated since) must not go out again.
+            raise SimulationError(f"{message!r} was already sent; build a new message")
+        now = self.simulator.now
+        message.sent_at = now
         self.stats.record_send(message)
         if self.model is None:
-            delays: Tuple[float, ...] = (self.latency.sample(message.src, message.dst),)
+            delays: Tuple[float, ...] = (
+                self.latency.sample(src, dst) if delay is None else delay,
+            )
         else:
-            plan = self.model.plan(message.src, message.dst, self.simulator.now)
+            plan = self.model.plan(src, dst, now)
             if plan.dropped:
                 self.stats.record_drop(message, plan.drop_reason or "dropped")
                 return
             delays = plan.delays
-        for copy, delay in enumerate(delays):
-            delivery_time = self.simulator.now + delay
+
+        def deliver() -> None:
+            message.delivered_at = self.simulator.now
+            self.stats.record_delivery(message)
+            if self.record_trace:
+                self.trace.append(message)
+            self._nodes[dst].on_message(message)
+
+        for copy, copy_delay in enumerate(delays):
+            delivery_time = now + copy_delay
             if copy == 0:
                 # The FIFO floor orders the primary copies of a channel; a
                 # duplicate is a retransmission and lands whenever it lands.
                 if self.fifo:
-                    channel = (message.src, message.dst)
+                    channel = (src, dst)
                     floor = self._last_delivery.get(channel, 0.0)
                     delivery_time = max(delivery_time, floor + 1e-9)
                     self._last_delivery[channel] = delivery_time
             else:
                 self.stats.record_duplicate(message)
-
-            self._schedule_delivery(message, delivery_time)
-
-    def _schedule_delivery(self, message: Message, delivery_time: float) -> None:
-        def deliver(msg: Message = message) -> None:
-            msg.delivered_at = self.simulator.now
-            self.stats.record_delivery(msg)
-            if self.record_trace:
-                self.trace.append(msg)
-            self._nodes[msg.dst].on_message(msg)
-
-        self.simulator.schedule_at(delivery_time, deliver)
-
-    def multicast(self, src: int, destinations, template: Callable[[int], Message]) -> int:
-        """Send one message per destination (excluding ``src``); returns the count.
-
-        On the reliable (model-free) network the per-link latencies of the
-        whole fan-out are drawn in one :meth:`LatencyModel.sample_many` call
-        — same RNG draw order as per-message sends, so traces are unchanged,
-        but a broadcast to *n* peers costs one batched draw instead of *n*
-        dispatches through :meth:`send`.
-        """
-        targets = [dst for dst in sorted(destinations) if dst != src]
-        if not targets:
-            return 0
-        messages = [template(dst) for dst in targets]
-        if self.model is not None or any(
-            m.src != src or m.dst != dst for m, dst in zip(messages, targets)
-        ):
-            for message in messages:
-                self.send(message)
-            return len(messages)
-        now = self.simulator.now
-        delays = self.latency.sample_many(src, targets)
-        for message, delay in zip(messages, delays):
-            if message.dst not in self._nodes:
-                raise SimulationError(f"unknown destination {message.dst}")
-            message.sent_at = now
-            self.stats.record_send(message)
-            delivery_time = now + delay
-            if self.fifo:
-                channel = (message.src, message.dst)
-                floor = self._last_delivery.get(channel, 0.0)
-                delivery_time = max(delivery_time, floor + 1e-9)
-                self._last_delivery[channel] = delivery_time
-            self._schedule_delivery(message, delivery_time)
-        return len(messages)
-
-    def broadcast(self, src: int, template: Callable[[int], Message]) -> int:
-        """Send one message to every other registered node."""
-        return self.multicast(src, self.node_ids, template)
+            self.simulator.schedule_at(delivery_time, deliver)

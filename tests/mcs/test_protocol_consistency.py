@@ -21,7 +21,7 @@ from repro.core.distribution import VariableDistribution
 from repro.core.relevance import verify_theorem2
 from repro.mcs.metrics import relevance_violations
 from repro.mcs.system import PROTOCOL_CRITERION, MCSystem
-from repro.netsim.latency import UniformLatency
+from repro.netsim.latency import LatencyModel, UniformLatency
 from repro.workloads.access_patterns import (
     run_script,
     single_writer_script,
@@ -81,7 +81,7 @@ def _hoop_workload_system(relay_scope: str) -> MCSystem:
     # Direct channel p0 -> p3 (the x update) is much slower than the relays.
     latency = UniformLatency(0.5, 1.0, seed=1)
 
-    class SlowDirect:
+    class SlowDirect(LatencyModel):
         def sample(self, src, dst):
             if (src, dst) == (0, 3):
                 return 50.0

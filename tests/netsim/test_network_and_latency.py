@@ -116,12 +116,13 @@ class TestNetwork:
 
     def test_broadcast_and_multicast(self):
         sim, net, sinks = build_network(nodes=4)
-        count = net.broadcast(0, lambda dst: Message(src=0, dst=dst, kind="hello"))
+        count = net.multicast(Message(src=0, dst=1, kind="hello"), range(4))
         assert count == 3
-        count = net.multicast(1, [0, 1, 2], lambda dst: Message(src=1, dst=dst, kind="hi"))
+        count = net.multicast(Message(src=1, dst=0, kind="hi"), [0, 1, 2])
         assert count == 2  # self excluded
         sim.run()
-        assert len(sinks[2].received) == 2
+        assert [m.kind for m in sinks[2].received] == ["hello", "hi"]
+        assert [len(sinks[i].received) for i in range(4)] == [1, 1, 2, 1]
 
     def test_trace_recording(self):
         sim, net, sinks = build_network(record_trace=True)

@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint bench bench-compare profile experiments experiments-smoke faults apps hunt-smoke serve-smoke place-smoke clean-cache
+.PHONY: test lint bench bench-compare bench-pairs profile experiments experiments-smoke faults apps hunt-smoke serve-smoke place-smoke clean-cache
 
 # Tier-1 verification (the command ROADMAP.md records).
 test:
@@ -32,6 +32,14 @@ bench:
 # only ever judged parent-vs-change):  make bench-compare OLD=a.json NEW=b.json
 bench-compare:
 	$(PYTHON) benchmarks/e2e/run.py --compare $(OLD) $(NEW)
+
+# The evidence a claimed gain needs (choosing-metrics §8): N alternating
+# parent/change pairs of one workload, BASE extracted into a temporary
+# directory; prints each side's median and quartiles, the win count and
+# whether the gain holds (about 35 s per pair):
+#   make bench-pairs W=place_40p BASE=HEAD~1
+bench-pairs:
+	$(PYTHON) benchmarks/pairs.py --workload $(W) --base $(BASE) --pairs $(or $(N),10)
 
 # The profile that motivates an optimisation (ROADMAP: none lands without
 # one): cProfile of one benchmark workload, top 30 rows by own time.

@@ -68,7 +68,7 @@ def figure1_distribution() -> VariableDistribution:
 def figure1_share_graph() -> FigureReproduction:
     """Figure 1: the share graph is the union of the cliques C(x1) and C(x2)."""
     dist = figure1_distribution()
-    share = ShareGraph(dist)
+    share = ShareGraph.of(dist)
     measured = {
         "C(x1)": tuple(sorted(share.clique("x1"))),
         "C(x2)": tuple(sorted(share.clique("x2"))),
@@ -101,7 +101,7 @@ def figure2_distribution(intermediates: int = 3) -> VariableDistribution:
 def figure2_hoop(intermediates: int = 3) -> FigureReproduction:
     """Figure 2: an x-hoop between two members of C(x) through outside processes."""
     dist = figure2_distribution(intermediates)
-    share = ShareGraph(dist)
+    share = ShareGraph.of(dist)
     hoops = list(share.hoops("x"))
     endpoints = sorted(share.clique("x"))
     longest = max(hoops, key=lambda h: h.length) if hoops else None
@@ -131,7 +131,7 @@ def figure2_hoop(intermediates: int = 3) -> FigureReproduction:
 def figure3_dependency_chain(intermediates: int = 3) -> FigureReproduction:
     """Figure 3: the witness history creating an x-dependency chain along the hoop."""
     dist = figure2_distribution(intermediates)
-    share = ShareGraph(dist)
+    share = ShareGraph.of(dist)
     hoop = max(share.hoops("x"), key=lambda h: h.length)
     history = witness_history(hoop)
     chains = find_dependency_chains(history, dist, criterion="causal", variable="x",

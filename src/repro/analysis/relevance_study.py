@@ -88,7 +88,7 @@ def relevance_sweep(
                 replicas_per_variable=min(replicas_per_variable, n),
                 seed=seed + 1000 * n + sample,
             )
-            sample_metrics = measure_distribution(ShareGraph(dist))
+            sample_metrics = measure_distribution(ShareGraph.of(dist))
             for key in metrics:
                 metrics[key] += sample_metrics[key]
         for key in metrics:
@@ -118,7 +118,7 @@ def structured_comparison(processes: int = 8) -> List[Dict[str, object]]:
                                                    replicas_per_variable=2, seed=1),
     }
     for name, dist in cases.items():
-        metrics = measure_distribution(ShareGraph(dist))
+        metrics = measure_distribution(ShareGraph.of(dist))
         rows.append({
             "distribution": name,
             "processes": len(dist.processes),

@@ -568,7 +568,7 @@ class WindowedChecker(IncrementalChecker):
         self.criterion = checker.name
         self._window = int(window)
         self._distribution = distribution
-        self._share = None if distribution is None else ShareGraph(distribution)
+        self._share = None if distribution is None else ShareGraph.of(distribution)
         self._real_time = real_time
         self.start()
 

@@ -36,6 +36,9 @@ class VariableDistribution:
                 self._holders[var] = self._holders.get(var, frozenset()) | {pid}
         if not self._per_process:
             raise DistributionError("a distribution needs at least one process")
+        #: Memo slot of :meth:`repro.core.share_graph.ShareGraph.of` — derived
+        #: data, outside the value (``__eq__``/``__hash__``) and never pickled.
+        self._share_graph: Optional[object] = None
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -130,6 +133,9 @@ class VariableDistribution:
         )
 
     # -- dunder ----------------------------------------------------------------
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "_share_graph": None}
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VariableDistribution):
             return NotImplemented

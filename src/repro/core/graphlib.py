@@ -11,7 +11,7 @@ auditable here.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 Vertex = Hashable
 
@@ -41,6 +41,12 @@ class LabelledGraph:
     def vertices(self) -> Tuple[Vertex, ...]:
         """Every vertex of the graph (sorted by repr for determinism)."""
         return tuple(sorted(self._adj, key=repr))
+
+    @property
+    def adjacency(self) -> Mapping[Vertex, Mapping[Vertex, Set[str]]]:
+        """Read-only view ``vertex -> {neighbour: labels}`` in insertion order:
+        what the linear-time traversals walk (no sorting, no copies)."""
+        return self._adj
 
     def has_vertex(self, vertex: Vertex) -> bool:
         return vertex in self._adj

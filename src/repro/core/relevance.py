@@ -103,7 +103,7 @@ def verify_theorem1(
     * **Converse direction**: enumerate hoops (bounded) and confirm every
       external process of every witnessed chain is characterised as relevant.
     """
-    share = ShareGraph(distribution)
+    share = ShareGraph.of(distribution)
     clique = share.clique(variable)
     characterised = share.relevant_processes(variable)
     hoop_procs = share.hoop_processes(variable)
@@ -201,4 +201,4 @@ def verify_theorem2(
 
 def relevance_summary(distribution: VariableDistribution) -> Dict[str, Dict[str, object]]:
     """Convenience wrapper: the share graph's per-variable relevance report."""
-    return ShareGraph(distribution).relevance_report()
+    return ShareGraph.of(distribution).relevance_report()

@@ -13,16 +13,34 @@ the distribution, not on any history.
 
 Theorem 1 characterises the *x-relevant* processes (those that may have to
 propagate control information about ``x``) as exactly ``C(x)`` plus the
-processes lying on some x-hoop; :meth:`ShareGraph.relevant_processes`
-implements that characterisation with a polynomial component-based algorithm
-(no hoop enumeration needed), while :meth:`ShareGraph.hoops` enumerates actual
-hoops (bounded) for witness construction and for the figure reproductions.
+processes lying on some x-hoop.  :meth:`ShareGraph.hoop_processes` finds the
+latter for all processes at once, in ``O(|V| + |E|)`` per variable:
+
+* ``p`` outside ``C(x)`` lies on an x-hoop iff it has two paths to *distinct*
+  members of ``C(x)`` that meet only at ``p`` and otherwise stay outside
+  ``C(x)`` (split the hoop at ``p``).  A process that does not hold ``x`` has
+  no incident edge labelled ``x``, so "every edge shares a variable other
+  than ``x``" only ever rules out clique–clique edges;
+* let ``H_x`` be ``SG`` without its clique–clique edges, plus a virtual
+  vertex ``r`` adjacent to every member of ``C(x)``.  The two paths, closed
+  through ``r``, are a simple cycle through ``p`` and ``r``; conversely, by
+  Menger's theorem two vertices of one biconnected component (block) are
+  joined by two internally disjoint paths, and cutting each at the first
+  member it meets (distinct: members are ``r``'s only neighbours) gives the
+  two paths.  So ``p`` is a hoop process iff it shares a block with ``r``;
+* one lowpoint depth-first search rooted at ``r`` (Hopcroft & Tarjan,
+  *Efficient algorithms for graph manipulation*, CACM 1973) finds the blocks.
+
+:meth:`ShareGraph.hoops` enumerates actual hoops (bounded) for witness
+construction and for the figure reproductions.  :meth:`ShareGraph.of` shares
+one memoised graph among everything that asks about a distribution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..exceptions import RelationDomainError
 from .distribution import VariableDistribution
@@ -68,21 +86,24 @@ class ShareGraph:
 
     def __init__(self, distribution: VariableDistribution):
         self._distribution = distribution
-        graph = LabelledGraph()
-        for pid in distribution.processes:
-            graph.add_vertex(pid)
-        for var in distribution.variables:
-            holders = sorted(distribution.holders(var))
-            for i, a in enumerate(holders):
-                for b in holders[i + 1:]:
-                    graph.add_edge(a, b, var)
-        self._graph = graph
-        # The graph is immutable once built, so the Theorem 1 quantities are
-        # memoised: the sharded protocols and the placement optimizer query
-        # the same instance repeatedly (once per process, per variable).
+        self._processes = distribution.processes
+        # Everything derived is lazy and memoised (the distribution is
+        # immutable); the adjacency too (``graph``), so a fully replicated
+        # distribution never pays for its O(n²) clique edges.
         self._hoop_cache: Dict[str, FrozenSet[int]] = {}
+        self._candidate_cache: Dict[str, FrozenSet[int]] = {}
         self._component_cache: Optional[Tuple[FrozenSet[int], ...]] = None
         self._tree_cache: Dict[str, Dict[int, Tuple[int, ...]]] = {}
+
+    @classmethod
+    def of(cls, distribution: VariableDistribution) -> "ShareGraph":
+        """The share graph of ``distribution``, memoised on that instance
+        (outside its equality, hash and pickle): the protocol processes of a
+        system, its efficiency report and the placement objectives share one."""
+        share = distribution._share_graph
+        if share is None:
+            share = distribution._share_graph = cls(distribution)
+        return share
 
     # -- basic structure --------------------------------------------------------
     @property
@@ -90,14 +111,20 @@ class ShareGraph:
         """The distribution the graph was built from."""
         return self._distribution
 
-    @property
+    @cached_property
     def graph(self) -> LabelledGraph:
-        """The underlying labelled graph."""
-        return self._graph
+        """The underlying labelled graph (built on first use)."""
+        graph = LabelledGraph()
+        for pid in self._processes:
+            graph.add_vertex(pid)
+        for var in self.variables:
+            for a, b in self.clique_edges(var):
+                graph.add_edge(a, b, var)
+        return graph
 
     @property
     def processes(self) -> Tuple[int, ...]:
-        return self._distribution.processes
+        return self._processes
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -114,11 +141,11 @@ class ShareGraph:
 
     def edge_label(self, a: int, b: int) -> FrozenSet[str]:
         """Variables shared by ``a`` and ``b`` (empty when no edge)."""
-        return self._graph.labels(a, b)
+        return self.graph.labels(a, b)
 
     def neighbours(self, process: int) -> Tuple[int, ...]:
         """Processes sharing at least one variable with ``process``."""
-        return self._graph.neighbours(process)
+        return self.graph.neighbours(process)
 
     # -- share-graph components (sharding) -----------------------------------------
     def components(self) -> Tuple[FrozenSet[int], ...]:
@@ -130,7 +157,7 @@ class ShareGraph:
         """
         if self._component_cache is None:
             active = [p for p in self.processes if self._distribution.variables_of(p)]
-            comps = self._graph.connected_components(active)
+            comps = self.graph.connected_components(active)
             self._component_cache = tuple(
                 sorted((frozenset(c) for c in comps), key=min)
             )
@@ -147,21 +174,25 @@ class ShareGraph:
         the independence that lets a sharded protocol order each group
         separately without any cross-group synchronisation.
         """
-        groups = []
-        for component in self.components():
-            vars_ = frozenset(
-                var for var in self.variables if self.clique(var) <= component
-            )
-            groups.append((vars_, component))
-        return tuple(groups)
+        return self._groups
+
+    @cached_property
+    def _groups(self) -> Tuple[Tuple[FrozenSet[str], FrozenSet[int]], ...]:
+        variables = self.variables
+        return tuple(
+            (frozenset(v for v in variables if self.clique(v) <= component), component)
+            for component in self.components()
+        )
+
+    @cached_property
+    def _group_index(self) -> Dict[str, Tuple[FrozenSet[str], FrozenSet[int]]]:
+        return {var: group for group in self._groups for var in group[0]}
 
     def group_of(self, variable: str) -> Tuple[FrozenSet[str], FrozenSet[int]]:
         """The shard (variable group) ``variable`` belongs to."""
-        for vars_, members in self.variable_groups():
-            if variable in vars_:
-                return vars_, members
-        raise RelationDomainError(
-            f"variable {variable!r} not in the distribution")
+        if variable not in self._group_index:
+            raise RelationDomainError(f"variable {variable!r} not in the distribution")
+        return self._group_index[variable]
 
     def relevance_tree(self, variable: str) -> Dict[int, Tuple[int, ...]]:
         """A deterministic spanning tree of the x-relevant processes.
@@ -179,12 +210,13 @@ class ShareGraph:
         relevant = self.relevant_processes(variable)
         root = min(self.clique(variable))
         neighbours: Dict[int, Set[int]] = {p: set() for p in relevant}
+        graph = self.graph
         visited = {root}
         frontier = [root]
         while frontier:
             nxt: List[int] = []
             for u in frontier:
-                for v in self._graph.neighbours(u):
+                for v in graph.neighbours(u):  # repr-sorted: pins the routing table
                     if v in neighbours and v not in visited:
                         visited.add(v)
                         neighbours[u].add(v)
@@ -196,11 +228,6 @@ class ShareGraph:
         return tree
 
     # -- hoops -------------------------------------------------------------------
-    def _hoop_edge_filter(self, variable: str):
-        def usable(a: int, b: int, labels: FrozenSet[str]) -> bool:
-            return bool(labels - {variable})
-        return usable
-
     def hoops(
         self,
         variable: str,
@@ -215,25 +242,24 @@ class ShareGraph:
         """
         clique = self.clique(variable)
         outside = set(self.processes) - clique
-        usable = self._hoop_edge_filter(variable)
+        graph = self.graph
         remaining = max_hoops
         holders = sorted(clique)
         for i, a in enumerate(holders):
             for b in holders[i + 1:]:
-                for path in self._graph.simple_paths(
+                for path in graph.simple_paths(
                     a,
                     b,
                     allowed=outside,
-                    edge_filter=usable,
+                    edge_filter=lambda u, v, labels: bool(labels - {variable}),
                     max_length=max_length,
                     max_paths=remaining,
                 ):
                     labels = tuple(
-                        frozenset(self._graph.labels(u, v) - {variable})
+                        frozenset(graph.labels(u, v) - {variable})
                         for u, v in zip(path, path[1:])
                     )
-                    hoop = Hoop(variable, tuple(path), labels)
-                    yield hoop
+                    yield Hoop(variable, tuple(path), labels)
                     if remaining is not None:
                         remaining -= 1
                         if remaining <= 0:
@@ -258,129 +284,96 @@ class ShareGraph:
         return None
 
     # -- Theorem 1 characterisation ------------------------------------------------
-    def _max_disjoint_paths_to_clique(
-        self, process: int, variable: str, needed: int = 2
-    ) -> int:
-        """Maximum number of vertex-disjoint paths (meeting only at ``process``)
-        from ``process`` to *distinct* members of ``C(variable)``, with every
-        intermediate vertex outside ``C(variable)`` and every edge sharing a
-        variable other than ``variable``.
-
-        A process outside ``C(x)`` lies on an x-hoop iff this value is at least
-        two (split the hoop at the process).  Implemented as unit-capacity
-        max-flow with node splitting; the search stops as soon as ``needed``
-        augmenting paths have been found.
-        """
-        clique = self.clique(variable)
-        outside = set(self.processes) - clique
-        usable = self._hoop_edge_filter(variable)
-
-        # Node-split flow network over: "in"/"out" copies of outside vertices,
-        # source = (process, "out"), sink = "T"; each clique member contributes
-        # a single capacity-1 arc to the sink so endpoints stay distinct.
-        capacity: Dict[Tuple[object, object], int] = {}
-        adjacency: Dict[object, Set[object]] = {}
-
-        def add_arc(u: object, v: object, cap: int) -> None:
-            capacity[(u, v)] = capacity.get((u, v), 0) + cap
-            capacity.setdefault((v, u), 0)
-            adjacency.setdefault(u, set()).add(v)
-            adjacency.setdefault(v, set()).add(u)
-
-        source = (process, "out")
-        sink = "T"
-        for v in outside:
-            if v != process:
-                add_arc((v, "in"), (v, "out"), 1)
-        for member in clique:
-            add_arc((member, "in"), sink, 1)
-        for a, b, labels in self._graph.edges():
-            if not usable(a, b, labels):
-                continue
-            for u, v in ((a, b), (b, a)):
-                if u in clique:
-                    continue  # clique members cannot be traversed
-                if v in clique:
-                    add_arc((u, "out"), (v, "in"), 1)
-                elif v in outside:
-                    add_arc((u, "out"), (v, "in"), 1)
-
-        flow = 0
-        while flow < needed:
-            # BFS for an augmenting path in the residual graph.
-            parent: Dict[object, object] = {source: source}
-            frontier = [source]
-            while frontier and sink not in parent:
-                nxt_frontier = []
-                for u in frontier:
-                    for v in adjacency.get(u, ()):  # residual neighbours
-                        if v in parent or capacity.get((u, v), 0) <= 0:
-                            continue
-                        parent[v] = u
-                        if v == sink:
-                            break
-                        nxt_frontier.append(v)
-                    if sink in parent:
-                        break
-                frontier = nxt_frontier
-            if sink not in parent:
-                break
-            node = sink
-            while node != source:
-                prev = parent[node]
-                capacity[(prev, node)] -= 1
-                capacity[(node, prev)] += 1
-                node = prev
-            flow += 1
-        return flow
+    def _outside_pass(self, cache: Dict[str, FrozenSet[int]], variable: str,
+                      compute) -> FrozenSet[int]:
+        """``compute(clique, adjacency)`` once per variable — and not at all,
+        nor building the graph for it, when no process is outside ``C(x)``."""
+        result = cache.get(variable)
+        if result is None:
+            clique = self.clique(variable)
+            outside = len(self._processes) - len(clique)
+            result = compute(clique, self.graph.adjacency) if outside else frozenset()
+            cache[variable] = result
+        return result
 
     def is_on_hoop(self, process: int, variable: str) -> bool:
         """``True`` iff ``process`` (outside ``C(x)``) lies on some x-hoop."""
-        if process in self.clique(variable):
-            return False
-        return self._max_disjoint_paths_to_clique(process, variable, needed=2) >= 2
+        return process in self.hoop_processes(variable)
 
     def hoop_processes(self, variable: str) -> FrozenSet[int]:
-        """Processes outside ``C(x)`` lying on at least one x-hoop.
+        """Processes outside ``C(x)`` lying on at least one x-hoop (exact)."""
+        return self._outside_pass(self._hoop_cache, variable, self._block_pass)
 
-        Polynomial algorithm in two stages: a cheap component pre-filter
-        (a component of ``SG - C(x)`` whose attachment to ``C(x)`` uses fewer
-        than two distinct clique members can contain no hoop process), then an
-        exact vertex-disjoint-paths test per surviving candidate
-        (:meth:`is_on_hoop`).
+    @staticmethod
+    def _block_pass(clique: FrozenSet[int], adjacency) -> FrozenSet[int]:
+        """The outside vertices sharing a block of ``H_x`` with ``r`` (module
+        docstring): one lowpoint DFS rooted at ``r``, whose ``disc`` is 0.
+
+        ``top[v]`` is the ``disc`` of the highest vertex of the block holding
+        the tree edge into ``v``; ``r`` can only be the top of its blocks.
         """
-        if variable in self._hoop_cache:
-            return self._hoop_cache[variable]
-        result = frozenset(
-            p for p in self.hoop_candidates(variable) if self.is_on_hoop(p, variable)
-        )
-        self._hoop_cache[variable] = result
-        return result
+        root = None  # r; a member's edge to it is folded into low[member] = 0
+        disc: Dict[Optional[int], int] = {root: 0}
+        low: Dict[Optional[int], int] = {root: 0}
+        parent: Dict[int, Optional[int]] = {}
+        stack: List[Tuple[Optional[int], Iterator[int]]] = [(root, iter(sorted(clique)))]
+        while stack:
+            v, pending = stack[-1]
+            for w in pending:
+                if w in disc:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                    continue
+                parent[w] = v
+                disc[w] = low[w] = len(disc)
+                neighbours = adjacency[w]
+                if w in clique:  # adjacent to r, and H_x has no clique–clique edge
+                    low[w] = 0
+                    neighbours = [u for u in neighbours if u not in clique]
+                stack.append((w, iter(neighbours)))
+                break
+            else:
+                stack.pop()
+                if stack and low[v] < low[stack[-1][0]]:
+                    low[stack[-1][0]] = low[v]
+        top: Dict[Optional[int], int] = {}
+        on_hoop: List[int] = []
+        for v, p in parent.items():  # discovery order: a parent precedes its children
+            top[v] = disc[p] if low[v] >= disc[p] else top[p]
+            if top[v] == 0 and v not in clique:
+                on_hoop.append(v)
+        return frozenset(on_hoop)
 
     def hoop_candidates(self, variable: str) -> FrozenSet[int]:
         """Cheap upper bound on :meth:`hoop_processes` (component pre-filter).
 
-        A component of ``SG - C(x)`` (over edges sharing a variable other than
-        ``x``) whose attachment to ``C(x)`` touches fewer than two distinct
-        clique members can contain no hoop process; everything else is a
-        candidate.  One BFS over the graph — no max-flow — which makes this
-        the evaluation primitive of the placement optimizer's surrogate cost
-        (the exact test runs only on the final report).
+        A component of ``SG - C(x)`` whose attachment to ``C(x)`` touches fewer
+        than two distinct clique members can contain no hoop process;
+        everything else is a candidate.  This is the score of the placement
+        optimizer's greedy search (the exact sets describe its final report).
         """
-        clique = self.clique(variable)
-        outside = set(self.processes) - clique
-        usable = self._hoop_edge_filter(variable)
+        return self._outside_pass(self._candidate_cache, variable,
+                                  self._attached_components)
+
+    @staticmethod
+    def _attached_components(clique: FrozenSet[int], adjacency) -> FrozenSet[int]:
         candidates: Set[int] = set()
-        for component in self._graph.connected_components(outside, edge_filter=usable):
+        seen: Set[int] = set()
+        for start in adjacency:
+            if start in seen or start in clique:
+                continue
+            seen.add(start)
+            component = [start]
             attached: Set[int] = set()
-            for member in component:
-                for neighbour in self._graph.neighbours(member):
-                    if neighbour in clique and usable(
-                        member, neighbour, self._graph.labels(member, neighbour)
-                    ):
-                        attached.add(neighbour)
+            for v in component:  # grows while the component is discovered
+                for w in adjacency[v]:
+                    if w in clique:
+                        attached.add(w)
+                    elif w not in seen:
+                        seen.add(w)
+                        component.append(w)
             if len(attached) >= 2:
-                candidates |= component
+                candidates.update(component)
         return frozenset(candidates)
 
     def relevant_processes(self, variable: str) -> FrozenSet[int]:
@@ -427,5 +420,5 @@ class ShareGraph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<ShareGraph processes={len(self.processes)} variables={len(self.variables)} "
-            f"edges={self._graph.edge_count()}>"
+            f"edges={self.graph.edge_count()}>"
         )

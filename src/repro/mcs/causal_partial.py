@@ -50,8 +50,7 @@ RELAY_SCOPES = ("all", "relevant", "own")
     "causal_partial",
     criterion="causal",
     replication="partial",
-    options=("relay_scope", "share_graph"),
-    needs_share_graph=True,
+    options=("relay_scope",),
     fault_tolerant=True,   # causal barriers withhold updates with missing
     order_tolerant=True,   # dependencies; faults degrade to staleness
     blocking_reads=False,  # reads return the local replica immediately
@@ -70,7 +69,6 @@ class CausalPartialReplication(MCSProcess):
         network: Network,
         recorder: HistoryRecorder,
         relay_scope: str = "all",
-        share_graph: Optional[ShareGraph] = None,
     ):
         super().__init__(pid, distribution, network, recorder)
         if relay_scope not in RELAY_SCOPES:
@@ -78,7 +76,6 @@ class CausalPartialReplication(MCSProcess):
                 f"relay_scope must be one of {RELAY_SCOPES}, got {relay_scope!r}"
             )
         self.relay_scope = relay_scope
-        self._share_graph = share_graph
         #: Write identifiers applied locally (writes on replicated variables).
         self._applied: Set[WriteId] = set()
         #: Causal past to piggyback on the next writes: wid -> variable.
@@ -92,12 +89,11 @@ class CausalPartialReplication(MCSProcess):
 
     # -- relay-scope policy -------------------------------------------------------
     def _relevant_variables(self) -> Set[str]:
-        if self._share_graph is None:
-            self._share_graph = ShareGraph(self.distribution)
+        share = ShareGraph.of(self.distribution)
         return {
             var
             for var in self.distribution.variables
-            if self.pid in self._share_graph.relevant_processes(var)
+            if self.pid in share.relevant_processes(var)
         }
 
     def _should_relay(self, variable: str) -> bool:

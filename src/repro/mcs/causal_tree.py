@@ -41,8 +41,6 @@ from .recorder import HistoryRecorder, WriteId
     "causal_tree",
     criterion="causal",
     replication="partial",
-    options=("share_graph",),
-    needs_share_graph=True,
     fault_tolerant=True,   # a lost tree edge starves a subtree: barriers
     order_tolerant=True,   # withhold causally-later updates, so faults and
                            # reordering degrade to staleness, never disorder
@@ -61,11 +59,9 @@ class CausalTreeReplication(MCSProcess):
         distribution: VariableDistribution,
         network: Network,
         recorder: HistoryRecorder,
-        share_graph: Optional[ShareGraph] = None,
     ):
         super().__init__(pid, distribution, network, recorder)
-        self._share_graph = share_graph if share_graph is not None \
-            else ShareGraph(distribution)
+        self._share_graph = ShareGraph.of(distribution)
         #: Write identifiers applied locally (writes on replicated variables).
         self._applied: Set[WriteId] = set()
         #: Causal past to piggyback on the next writes: wid -> variable.

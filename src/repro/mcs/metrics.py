@@ -15,7 +15,7 @@ paper-specific quantities:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..core.distribution import VariableDistribution
 from ..core.share_graph import ShareGraph
@@ -103,7 +103,6 @@ def efficiency_report(
 def relevance_violations(
     report: EfficiencyReport,
     distribution: VariableDistribution,
-    share_graph: Optional[ShareGraph] = None,
 ) -> Dict[str, Tuple[int, ...]]:
     """Processes that handled information about ``x`` despite being x-irrelevant.
 
@@ -111,7 +110,7 @@ def relevance_violations(
     no such process for any variable; the PRAM protocol achieves it, the
     causal protocols generally do not.
     """
-    share = share_graph or ShareGraph(distribution)
+    share = ShareGraph.of(distribution)
     violations: Dict[str, Tuple[int, ...]] = {}
     for var, procs in report.observed_relevance.items():
         allowed = share.relevant_processes(var)

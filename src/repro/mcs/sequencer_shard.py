@@ -41,8 +41,6 @@ from .recorder import HistoryRecorder, WriteId
     "sequencer_shard",
     criterion="sequential",
     replication="partial",
-    options=("share_graph",),
-    needs_share_graph=True,
     blocking_reads=True,
     fault_tolerant=True,   # per-destination stamps make gaps block the
                            # suffix: faults stall reads, they never reorder
@@ -65,14 +63,12 @@ class SequencerShard(MCSProcess):
         distribution: VariableDistribution,
         network: Network,
         recorder: HistoryRecorder,
-        share_graph: Optional[ShareGraph] = None,
     ):
         super().__init__(pid, distribution, network, recorder)
-        share = share_graph if share_graph is not None else ShareGraph(distribution)
         self.group_variables: FrozenSet[str] = frozenset()
         self.group_members: Tuple[int, ...] = ()
         self.sequencer: Optional[int] = None
-        for vars_, members in share.variable_groups():
+        for vars_, members in ShareGraph.of(distribution).variable_groups():
             if pid in members:
                 self.group_variables = vars_
                 self.group_members = tuple(sorted(members))

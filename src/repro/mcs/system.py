@@ -30,7 +30,6 @@ from typing import Any, Dict, Mapping, Optional
 
 from ..core.distribution import VariableDistribution
 from ..core.history import History
-from ..core.share_graph import ShareGraph
 from ..netsim.latency import LatencyModel
 from ..netsim.models import NetworkModel
 from ..netsim.network import Network
@@ -93,8 +92,6 @@ class MCSystem:
         self.recorder = recorder if recorder is not None else HistoryRecorder()
         options = dict(protocol_options or {})
         component.validate_params(options)  # typed ComponentParamError
-        if component.metadata.get("needs_share_graph") and "share_graph" not in options:
-            options["share_graph"] = ShareGraph(distribution)
         ctor = component.factory
         self._processes: Dict[int, MCSProcess] = {
             pid: ctor(pid, distribution, self.network, self.recorder, **options)

@@ -18,15 +18,17 @@ axes the issue calls for:
     replica count only (storage floor, for calibration).
 
 Scoring uses :meth:`~repro.core.share_graph.ShareGraph.hoop_candidates` — the
-cheap component pre-filter, an upper bound on the true hoop-process set — so
-a single evaluation is one BFS per variable and the local search stays usable
-at 1000 processes.  Set ``exact=True`` (the reports do) for the max-flow
-exact relevant sets.
+component pre-filter, an upper bound on the true hoop-process set — because
+the greedy search trajectory is pinned on it.  Set ``exact=True`` (the
+reports do) for the exact relevant sets: one biconnected-component pass per
+variable, linear in the share graph like the pre-filter, so either stays
+usable at 1000 processes.  Both are read from the distribution's one memoised
+:meth:`~repro.core.share_graph.ShareGraph.of`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..core.distribution import VariableDistribution
 from ..core.share_graph import ShareGraph
@@ -55,7 +57,6 @@ def placement_cost(
     distribution: VariableDistribution,
     profile: AccessProfile,
     objective: str = "control",
-    share: Optional[ShareGraph] = None,
     exact: bool = False,
 ) -> float:
     """Score ``distribution`` under ``objective`` (lower is better)."""
@@ -65,7 +66,7 @@ def placement_cost(
         )
     if objective == "replicas":
         return float(distribution.total_replicas())
-    share = share if share is not None else ShareGraph(distribution)
+    share = ShareGraph.of(distribution)
     if objective == "hoops":
         if exact:
             return float(sum(
@@ -90,7 +91,6 @@ def placement_cost(
 def predicted_overhead(
     distribution: VariableDistribution,
     profile: AccessProfile,
-    share: Optional[ShareGraph] = None,
 ) -> Dict[str, float]:
     """The paper-model prediction the reports compare against measurements.
 
@@ -100,7 +100,7 @@ def predicted_overhead(
     ``hoop_processes`` are the Theorem 1 footprint; ``replicas`` the storage
     cost.  Exact hoop sets are used (this is a report-time quantity).
     """
-    share = share if share is not None else ShareGraph(distribution)
+    share = ShareGraph.of(distribution)
     messages = 0
     relevant_total = 0
     hoop_total = 0

@@ -10,12 +10,13 @@ trade-off the objectives of :mod:`repro.place.objectives` arbitrate.
 
 ``mode="exact"`` enumerates every subset of the hoop-breaking candidate
 replicas ``{(x, p) : p on an x-hoop of the minimal placement}`` and scores
-them with the exact (max-flow) relevant sets — feasible for the paper-sized
+them with the exact relevant sets (one biconnected-component pass per
+variable) — the subset count, not the scoring, confines it to the paper-sized
 systems (a dozen processes).  ``mode="greedy"`` runs seeded first-improvement
-local search over add/drop moves using the cheap component pre-filter as the
-cost surrogate, bounded by an evaluation budget — this is the 100–1000
-process path.  ``mode="auto"`` picks for you.  Everything is driven by one
-``random.Random(seed)``: same profile, same seed, same placement.
+local search over add/drop moves scored by the component pre-filter, bounded
+by an evaluation budget — this is the 100–1000 process path.  ``mode="auto"``
+picks for you.  Everything is driven by one ``random.Random(seed)``: same
+profile, same seed, same placement.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.distribution import VariableDistribution
 from ..core.share_graph import ShareGraph
@@ -99,29 +100,27 @@ def optimize_placement(
     if budget < 1:
         raise ScenarioSpecError(f"budget must be >= 1, got {budget}")
     minimal = profile.minimal_distribution()
-    minimal_share = ShareGraph(minimal)
     full = _full_replication_of(profile)
     full_cost = placement_cost(full, profile, objective)
 
-    if mode == "auto":
-        candidates = _exact_candidates(minimal, minimal_share)
-        mode = (
-            "exact"
-            if len(minimal.processes) <= EXACT_PROCESS_LIMIT
-            and len(candidates) <= EXACT_CANDIDATE_LIMIT
-            else "greedy"
-        )
-    if mode == "exact":
-        return _optimize_exact(profile, objective, seed, minimal, minimal_share,
+    # The process limit is tested first: a larger profile never computes the
+    # exact candidates it could not enumerate anyway.
+    candidates: Optional[List[Tuple[str, int]]] = None
+    if mode == "exact" or (
+        mode == "auto" and len(minimal.processes) <= EXACT_PROCESS_LIMIT
+    ):
+        candidates = _exact_candidates(minimal)
+    if candidates is not None and (
+        mode == "exact" or len(candidates) <= EXACT_CANDIDATE_LIMIT
+    ):
+        return _optimize_exact(profile, objective, seed, minimal, candidates,
                                full_cost)
-    return _optimize_greedy(profile, objective, seed, budget, minimal,
-                            minimal_share, full_cost)
+    return _optimize_greedy(profile, objective, seed, budget, minimal, full_cost)
 
 
-def _exact_candidates(
-    minimal: VariableDistribution, share: ShareGraph
-) -> List[Tuple[str, int]]:
+def _exact_candidates(minimal: VariableDistribution) -> List[Tuple[str, int]]:
     """The hoop-breaking additions of the minimal placement, exactly."""
+    share = ShareGraph.of(minimal)
     return [
         (var, pid)
         for var in minimal.variables
@@ -134,14 +133,12 @@ def _optimize_exact(
     objective: str,
     seed: int,
     minimal: VariableDistribution,
-    minimal_share: ShareGraph,
+    candidates: List[Tuple[str, int]],
     full_cost: float,
 ) -> PlacementResult:
     """Exhaustive search over subsets of hoop-breaking additions (small n)."""
     base = _per_process(minimal)
-    candidates = _exact_candidates(minimal, minimal_share)
-    minimal_cost = placement_cost(minimal, profile, objective, minimal_share,
-                                  exact=True)
+    minimal_cost = placement_cost(minimal, profile, objective, exact=True)
     best_cost = minimal_cost
     best_added: Tuple[Tuple[str, int], ...] = ()
     best_dist = minimal
@@ -174,7 +171,6 @@ def _optimize_greedy(
     seed: int,
     budget: int,
     minimal: VariableDistribution,
-    minimal_share: ShareGraph,
     full_cost: float,
 ) -> PlacementResult:
     """Seeded first-improvement local search over add/drop moves."""
@@ -182,8 +178,7 @@ def _optimize_greedy(
     base = _per_process(minimal)
     current = {pid: set(vars_) for pid, vars_ in base.items()}
     dist = minimal
-    share = minimal_share
-    cost = placement_cost(dist, profile, objective, share)
+    cost = placement_cost(dist, profile, objective)
     minimal_cost = cost
     added: Set[Tuple[str, int]] = set()
     evaluations = 1
@@ -191,6 +186,7 @@ def _optimize_greedy(
     while improved and evaluations < budget:
         improved = False
         moves: List[Tuple[str, str, int]] = []
+        share = ShareGraph.of(dist)
         for var in dist.variables:
             for pid in sorted(share.hoop_candidates(var)):
                 moves.append(("add", var, pid))
@@ -206,11 +202,10 @@ def _optimize_greedy(
             else:
                 candidate[pid].discard(var)
             cand_dist = VariableDistribution(candidate)
-            cand_share = ShareGraph(cand_dist)
-            cand_cost = placement_cost(cand_dist, profile, objective, cand_share)
+            cand_cost = placement_cost(cand_dist, profile, objective)
             evaluations += 1
             if cand_cost < cost - 1e-9:
-                current, dist, share, cost = candidate, cand_dist, cand_share, cand_cost
+                current, dist, cost = candidate, cand_dist, cand_cost
                 if kind == "add":
                     added.add((var, pid))
                 else:

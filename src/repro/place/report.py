@@ -184,7 +184,7 @@ def build_report(
 ) -> PlacementReport:
     """Characterise ``result`` exactly (Theorem 1 sets, hoop witnesses)."""
     distribution = result.distribution
-    share = ShareGraph(distribution)
+    share = ShareGraph.of(distribution)
     rows: List[VariablePlacement] = []
     for var in distribution.variables:
         hoops = share.hoop_processes(var)
@@ -213,7 +213,7 @@ def build_report(
                  for var in distribution.variables},
         processes=distribution.processes,
         rows=rows,
-        predicted=predicted_overhead(distribution, profile, share),
+        predicted=predicted_overhead(distribution, profile),
         measured=measured,
     )
 

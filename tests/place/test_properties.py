@@ -2,10 +2,11 @@
 
 Two properties back the placement subsystem:
 
-* on random distributions (n <= 12 processes), the max-flow
+* on random distributions (n <= 12 processes), the biconnected-component
   :meth:`ShareGraph.relevant_processes` characterisation agrees with
   brute-force hoop *enumeration* (clique union every process on any
-  enumerated x-hoop) — two independent code paths for Theorem 1;
+  enumerated x-hoop) — two independent code paths for Theorem 1 (the
+  generated differential test is ``tests/core/test_share_graph_blocks.py``);
 * optimizer output distributions survive the full serialisation loop:
   ``PlacementReport`` JSON -> ``explicit`` family ``DistributionSpec`` ->
   scenario JSON -> ``Session.from_spec`` replay on every registered

@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint bench bench-compare bench-pairs profile experiments experiments-smoke faults apps hunt-smoke serve-smoke place-smoke clean-cache
+.PHONY: test lint reproduce bench bench-compare bench-pairs profile experiments experiments-smoke faults apps hunt-smoke serve-smoke place-smoke clean-cache
 
 # Tier-1 verification (the command ROADMAP.md records).
 test:
@@ -20,6 +20,13 @@ test:
 # rules still gate.
 lint:
 	$(PYTHON) -m repro lint --third-party
+
+# Paper gate: evaluate the ledger of paper claims (src/repro/analysis/figures.py)
+# stage by stage — definitions, theorems, Section 3.3, Section 6 — and print
+# every claim with its measured value and its expected value or bound; exit 1
+# on any FAIL (about 3 s).
+reproduce:
+	$(PYTHON) -m repro reproduce
 
 # The one benchmark gate: the layered end-to-end harness (benchmarks/e2e/,
 # declared by BENCHMARK.json).  Runs the six workloads untraced then traced,
@@ -81,8 +88,8 @@ hunt-smoke:
 # Place smoke: a fast end-to-end pass of the placement optimizer — exact
 # search on a paper-sized profile, report JSON round-trip, and one measured
 # run of the optimized placement through a sharded protocol (exit 1 on any
-# inconsistency; the scale-100 comparison lives in
-# benchmarks/test_bench_efficiency.py).
+# inconsistency; the scale-100 comparison is the ledger claim
+# section33-headline-100p of `make reproduce`).
 place-smoke:
 	$(PYTHON) -m repro place optimize --processes 8 --variables 6 \
 		--accessors 2 --profile-seed 2 --measure sequencer_shard \

@@ -20,8 +20,9 @@ The package is organised bottom-up:
   reference ground truths — runnable as the ``app`` axis of any scenario
   (``Session(app="bellman_ford")``);
 * :mod:`repro.workloads` — history, distribution and topology generators;
-* :mod:`repro.analysis` — the reproduction harness: every figure and theorem
-  of the paper, plus the quantitative control-overhead studies.
+* :mod:`repro.analysis` — the ledger of paper claims behind ``repro
+  reproduce`` (every figure, theorem and measured section, each judged
+  against its expected value or bound) and the x-relevance study.
 
 * :mod:`repro.api` — the streaming :class:`~repro.api.Session` facade tying
   all of the above behind one object, with incremental consistency checking

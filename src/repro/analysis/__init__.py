@@ -1,37 +1,23 @@
-"""Analysis and reproduction harness: figures, theorems, overhead studies."""
+"""The paper-claims ledger (:mod:`~repro.analysis.figures`), the x-relevance
+study it draws on, and the plain-text / markdown table renderers."""
 
 from .figures import (
-    FigureReproduction,
+    STAGES,
+    Claim,
+    Expected,
+    Reproduction,
     all_reproductions,
+    claims,
+    claims_markdown,
+    exactly,
     figure1_distribution,
-    figure1_share_graph,
     figure2_distribution,
-    figure2_hoop,
-    figure3_dependency_chain,
-    figure4_distribution,
     figure4_history,
-    figure4_verdicts,
     figure5_distribution,
     figure5_history,
-    figure5_verdicts,
     figure6_distribution,
     figure6_history,
-    figure6_verdicts,
-    figure7_8_9_bellman_ford,
-    figure9_rows,
-    figure9_step_trace,
     reproduction_table,
-    theorem1_reproduction,
-    theorem2_reproduction,
-)
-from .overhead import (
-    DEFAULT_PROTOCOLS,
-    ProtocolRun,
-    comparison_table,
-    protocol_comparison,
-    replication_degree_sweep,
-    run_protocol,
-    scaling_sweep,
 )
 from .relevance_study import (
     RelevancePoint,
@@ -40,44 +26,32 @@ from .relevance_study import (
     relevance_table,
     structured_comparison,
 )
-from .report import markdown_table, render_mapping, render_table
+from .report import markdown_table, render_mapping, render_records, render_table
 
 __all__ = [
-    "DEFAULT_PROTOCOLS",
-    "FigureReproduction",
-    "ProtocolRun",
+    "STAGES",
+    "Claim",
+    "Expected",
     "RelevancePoint",
+    "Reproduction",
     "all_reproductions",
-    "comparison_table",
+    "claims",
+    "claims_markdown",
+    "exactly",
     "figure1_distribution",
-    "figure1_share_graph",
     "figure2_distribution",
-    "figure2_hoop",
-    "figure3_dependency_chain",
-    "figure4_distribution",
     "figure4_history",
-    "figure4_verdicts",
     "figure5_distribution",
     "figure5_history",
-    "figure5_verdicts",
     "figure6_distribution",
     "figure6_history",
-    "figure6_verdicts",
-    "figure7_8_9_bellman_ford",
-    "figure9_rows",
-    "figure9_step_trace",
     "markdown_table",
     "measure_distribution",
-    "protocol_comparison",
     "relevance_sweep",
     "relevance_table",
     "render_mapping",
+    "render_records",
     "render_table",
-    "replication_degree_sweep",
     "reproduction_table",
-    "run_protocol",
-    "scaling_sweep",
     "structured_comparison",
-    "theorem1_reproduction",
-    "theorem2_reproduction",
 ]

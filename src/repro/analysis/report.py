@@ -2,7 +2,7 @@
 
 The library has no plotting dependency; every experiment renders its result as
 a monospace table (the same rows/series the paper's figures and discussion
-describe), which the benchmark harness prints and EXPERIMENTS.md records.
+describe); EXPERIMENTS.md records the markdown form of the claims ledger.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ def render_records(
     """Render objects exposing ``as_row()`` as an aligned plain-text table.
 
     This is the bridge between the structured result records (experiment
-    :class:`~repro.experiments.runner.ScenarioRecord`, overhead
-    :class:`~repro.analysis.overhead.ProtocolRun`, figure reproductions) and
-    the plain-text reports: anything with an ``as_row()`` method renders.
+    :class:`~repro.experiments.runner.ScenarioRecord`, ledger
+    :class:`~repro.analysis.figures.Reproduction`) and the plain-text
+    reports: anything with an ``as_row()`` method renders.
     """
     return render_table([record.as_row() for record in records],
                         columns=columns, title=title)

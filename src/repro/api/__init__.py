@@ -18,8 +18,7 @@ object::
 Checking happens *while* the run executes (see
 :mod:`repro.core.consistency.incremental`), so a violating run stops at the
 first proven violation instead of paying for the full history — the batch
-entry points (:func:`repro.experiments.run_point`,
-:func:`repro.analysis.overhead.run_protocol`, the CLI) are all built on top
+entry points (:func:`repro.experiments.run_point`, the CLI) are built on top
 of this facade.
 """
 

@@ -42,7 +42,6 @@ from ..exceptions import LivelockError, SessionError, SimulationError
 from ..mcs.metrics import EfficiencyReport, relevance_violations
 from ..mcs.recorder import HistoryRecorder
 from ..mcs.system import MCSystem
-from ..netsim.latency import LatencyModel
 from ..netsim.models import NetworkModel
 from ..spec.registry import resolve_protocol
 from ..spec.scenario import (
@@ -295,9 +294,9 @@ class Session:
     network:
         A :class:`~repro.spec.NetworkSpec`, a concrete
         :class:`~repro.netsim.models.NetworkModel`, a model name or a
-        ``(model, params)`` pair — the fault-injection entry point.  When
-        omitted, the legacy ``latency``/``fifo`` arguments configure the
-        plain reliable network exactly as before.
+        ``(model, params)`` pair — the fault-injection entry point, and
+        where latency and channel order (``NetworkSpec.fifo``) are set.
+        Omitted: the reliable unit-latency FIFO network.
     criteria:
         Criterion name(s) to check incrementally; defaults to the criterion
         the protocol claims (:data:`repro.mcs.PROTOCOL_CRITERION`).  Pass
@@ -356,8 +355,6 @@ class Session:
         keep_history: bool = True,
         engine: str = "object",
         network: Optional[NetworkLike] = None,
-        latency: Optional[LatencyModel] = None,
-        fifo: bool = True,
         protocol_options: Optional[Dict[str, Any]] = None,
         pool: Optional[Any] = None,
         settle_every: int = 1,
@@ -421,7 +418,7 @@ class Session:
             self.app = None
             self.distribution = self._resolve_distribution(distribution)
             self.script = self._resolve_workload(workload)
-        model, fifo = self._resolve_network(network, latency, fifo)
+        model, fifo = self._resolve_network(network)
         self.network_model = model
         if engine == "arena":
             from ..arena.recorder import ArenaRecorder
@@ -432,7 +429,6 @@ class Session:
         self.system = MCSystem(
             self.distribution,
             protocol=self.protocol,
-            latency=latency,
             fifo=fifo,
             protocol_options=protocol_options,
             recorder=self.recorder,
@@ -558,42 +554,22 @@ class Session:
         return script
 
     def _resolve_network(
-        self,
-        network: Optional[NetworkLike],
-        latency: Optional[LatencyModel],
-        fifo: bool,
+        self, network: Optional[NetworkLike]
     ) -> Tuple[Optional[NetworkModel], bool]:
-        """Resolve the network argument to a (model, fifo) pair.
-
-        ``None`` keeps the legacy path (``latency``/``fifo`` forwarded to the
-        plain reliable network) so pre-spec callers behave bit-identically.
-        """
+        """Resolve the network argument to a (model, fifo) pair."""
         if network is None:
-            return None, fifo
-        if latency is not None:
-            raise SessionError(
-                "pass latency inside the network spec/model, not alongside it"
-            )
+            return None, True
         if isinstance(network, NetworkModel):
-            return network, fifo
+            return network, True
         if isinstance(network, str):
-            # a bare name / (name, params) pair carries no QoS of its own, so
-            # the caller's fifo argument still applies
-            network = NetworkSpec(network, fifo=fifo)
+            network = NetworkSpec(network)
         elif isinstance(network, tuple) and len(network) == 2:
             model_name, params = network
-            network = NetworkSpec(model_name, dict(params), fifo=fifo)
+            network = NetworkSpec(model_name, dict(params))
         if not isinstance(network, NetworkSpec):
             raise SessionError(
                 "network must be a NetworkSpec, a NetworkModel, a model name "
                 f"or a (model, params) pair; got {type(network).__name__}"
-            )
-        if not fifo and network.fifo:
-            # mirror the latency conflict above: an explicit fifo=False next
-            # to a FIFO NetworkSpec is a contradiction, not a tie to break
-            raise SessionError(
-                "conflicting QoS: fifo=False was passed alongside a "
-                "NetworkSpec with fifo=True; set fifo on the NetworkSpec"
             )
         network.validate()
         return network.build(seed=self.seed), network.fifo

@@ -30,7 +30,6 @@ from ..core.distribution import VariableDistribution
 from ..core.operations import BOTTOM
 from ..dsm.app import AppInstance, AppVerdict
 from ..dsm.program import ProcessContext, ProgramFn
-from ..netsim.latency import LatencyModel
 from ..spec.registry import TOPOLOGY_REGISTRY, register_app
 from ..workloads.topology import INFINITY, WeightedDigraph
 from .reference import bellman_ford as reference_bellman_ford
@@ -228,7 +227,6 @@ def run_distributed_bellman_ford(
     graph: WeightedDigraph,
     source: int,
     protocol: str = "pram_partial",
-    latency: Optional[LatencyModel] = None,
     rounds: Optional[int] = None,
     protocol_options: Optional[Dict[str, Any]] = None,
 ) -> BellmanFordRun:
@@ -245,7 +243,6 @@ def run_distributed_bellman_ford(
         protocol=protocol,
         app=instance,
         check=False,
-        latency=latency,
         protocol_options=protocol_options,
         diagnose_app_failures=False,
     ).run()

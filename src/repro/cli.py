@@ -22,16 +22,11 @@ any Python:
     replication mode and accepted options, including any third-party
     protocols registered via :func:`repro.spec.register_protocol`.
 ``reproduce``
-    Re-evaluate every figure and theorem of the paper and print the
-    claim/measured/match summary table.
-``overhead``
-    Replay the Section 3.3 efficiency workload over every protocol and print
-    the control-information comparison table.
-``bellman-ford``
-    Run the Section 6 case study on the Figure 8 network (or a random network
-    of a given size) and print the routing table plus the run's cost profile.
-``relevance``
-    Print the x-relevance scalability study (Theorem 1 at scale).
+    Evaluate the paper-claims ledger (:mod:`repro.analysis.figures`) stage by
+    stage — definitions, theorems, Section 3.3, Section 6 — and print every
+    claim with its measured value, its expected value or bound and its
+    status; exits 1 on any ``FAIL`` (the stages after a failed one are
+    reported ``skipped``).
 ``experiments``
     Scenario-suite orchestrator (``list`` / ``run`` / ``report``): expand the
     registered scenario grids, execute them through the simulator with
@@ -57,6 +52,13 @@ any Python:
     check policy and bounded eviction window — and reports per-tenant
     verdicts plus ingest-lag/backpressure metrics (see docs/API.md, "Online
     monitoring").
+``place`` / ``arena`` / ``lint``
+    The replica-placement optimizer (``optimize`` / ``report``), the columnar
+    engine's sizing report (``info``) and the static analyzer.
+
+Every leaf sub-parser names its handler with ``set_defaults(func=...)`` and
+:func:`main` calls ``args.func(args)``; there is no dispatch table to keep in
+step with the parser.
 """
 
 from __future__ import annotations
@@ -103,12 +105,39 @@ def _resolve_exactness(args: argparse.Namespace, network) -> bool:
     return exact
 
 
+def _load_scenario(path: str):
+    """Read a :class:`repro.spec.ScenarioSpec` JSON file.
+
+    A promoted hunt finding wraps its spec: it is unwrapped, so the committed
+    reproducers replay directly (``repro run --scenario
+    src/repro/experiments/hunted/<slug>.json``).
+    """
+    from .exceptions import ScenarioSpecError
+    from .spec import ScenarioSpec
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ScenarioSpecError(f"cannot read scenario file {path}: {exc}") from None
+    if isinstance(data, dict) and "kind" in data and isinstance(data.get("spec"), dict):
+        data = data["spec"]
+    return ScenarioSpec.from_dict(data)
+
+
+def _distribution_flags(args: argparse.Namespace):
+    """The ``(family, params)`` pair of ``--distribution`` / ``--dist-param``."""
+    params = _parse_params(args.dist_param, "--dist-param")
+    if args.distribution == "random" and not params:
+        # the canonical Section 3.3 comparison distribution
+        params = {"processes": 6, "variables": 8, "replicas_per_variable": 3}
+    return args.distribution, params
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from .api import Session
 
     if args.scenario:
-        from .spec import ScenarioSpec
-
         if getattr(args, "app", None) or getattr(args, "app_param", None) \
                 or getattr(args, "max_steps", None) is not None:
             print("error: --scenario is a complete run specification; "
@@ -120,20 +149,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   "set \"engine\" inside the file, not as a flag",
                   file=sys.stderr)
             return 2
-        try:
-            with open(args.scenario, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read scenario file {args.scenario}: {exc}",
-                  file=sys.stderr)
-            return 2
-        # a promoted hunt finding wraps its ScenarioSpec: unwrap it so the
-        # committed reproducers replay directly (repro run --scenario
-        # src/repro/experiments/hunted/<slug>.json)
-        if isinstance(data, dict) and "kind" in data \
-                and isinstance(data.get("spec"), dict):
-            data = data["spec"]
-        session = Session.from_spec(ScenarioSpec.from_dict(data),
+        session = Session.from_spec(_load_scenario(args.scenario),
                                     keep_history=not args.no_history,
                                     trace_out=args.trace_out,
                                     trace_scenario=args.scenario)
@@ -172,13 +188,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 **session_kwargs,
             )
         else:
-            dist_params = _parse_params(args.dist_param, "--dist-param")
-            if args.distribution == "random" and not dist_params:
-                # the canonical Section 3.3 comparison distribution
-                dist_params = {"processes": 6, "variables": 8,
-                               "replicas_per_variable": 3}
             session = Session(
-                distribution=(args.distribution, dist_params),
+                distribution=_distribution_flags(args),
                 workload=(args.workload,
                           _parse_params(args.workload_param, "--workload-param")),
                 **session_kwargs,
@@ -194,71 +205,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from .analysis.figures import all_reproductions
-    from .analysis.report import render_records
+    from .analysis.figures import all_reproductions, reproduction_table
 
     results = all_reproductions()
-    print(render_records(results,
-                         columns=["id", "title", "paper", "measured", "match"],
-                         title="Paper reproduction summary"))
-    failures = [r.figure_id for r in results if not r.matches]
+    print(reproduction_table(results))
+    failures = [r.claim.id for r in results if r.status == "FAIL"]
     if failures:
-        print(f"\nMISMATCHES: {', '.join(failures)}", file=sys.stderr)
+        skipped = sum(r.status == "skipped" for r in results)
+        print(f"\nFAILED: {', '.join(failures)} ({skipped} later claims skipped)",
+              file=sys.stderr)
         return 1
-    print(f"\nAll {len(results)} reproductions match the paper's claims.")
-    return 0
-
-
-def _cmd_overhead(args: argparse.Namespace) -> int:
-    from .analysis.overhead import comparison_table, protocol_comparison, scaling_sweep
-    from .analysis.report import render_table
-
-    runs = protocol_comparison(operations_per_process=args.operations, seed=args.seed)
-    print(comparison_table(runs, title="Protocol comparison (same workload)"))
-    if args.sweep:
-        rows = scaling_sweep(process_counts=tuple(args.sweep),
-                             operations_per_process=args.operations)
-        print()
-        print(render_table(rows, columns=["n_processes", "protocol", "messages",
-                                          "control_B", "ctrl_B/msg", "irrelevant_msgs"],
-                           title="Scaling sweep"))
-    return 0
-
-
-def _cmd_bellman_ford(args: argparse.Namespace) -> int:
-    from .analysis.report import render_table
-    from .apps.bellman_ford import run_distributed_bellman_ford
-    from .workloads.topology import figure8_network, random_network
-
-    if args.nodes:
-        graph = random_network(nodes=args.nodes, extra_edges=args.nodes, seed=args.seed)
-        label = f"random {args.nodes}-node network"
-    else:
-        graph = figure8_network()
-        label = "Figure 8 network"
-    run = run_distributed_bellman_ford(graph, source=args.source, protocol=args.protocol)
-    rows = [{"node": node,
-             "distributed": run.distances[node],
-             "reference": run.reference[node]}
-            for node in graph.nodes]
-    print(render_table(rows, title=f"Least-cost routes on the {label}"))
-    efficiency = run.report.efficiency
-    print(f"matches reference            : {run.correct}")
-    print(f"messages exchanged           : {efficiency.messages_sent}")
-    print(f"control bytes                : {efficiency.control_bytes}")
-    print(f"messages to non-replicas     : {efficiency.irrelevant_messages}")
-    return 0 if run.correct else 1
-
-
-def _cmd_relevance(args: argparse.Namespace) -> int:
-    from .analysis.relevance_study import relevance_sweep, relevance_table, structured_comparison
-    from .analysis.report import render_table
-
-    points = relevance_sweep(process_counts=tuple(args.processes), samples=args.samples)
-    print(relevance_table(points))
-    print()
-    print(render_table(structured_comparison(processes=max(args.processes)),
-                       title="Structured distributions"))
+    print(f"\nAll {len(results)} claims pass.")
     return 0
 
 
@@ -483,16 +440,6 @@ def _cmd_hunt_smoke(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_hunt(args: argparse.Namespace) -> int:
-    handlers = {
-        "run": _cmd_hunt_run,
-        "shrink": _cmd_hunt_shrink,
-        "promote": _cmd_hunt_promote,
-        "smoke": _cmd_hunt_smoke,
-    }
-    return handlers[args.hunt_command](args)
-
-
 def _cmd_trace_info(args: argparse.Namespace) -> int:
     from .serve.trace import read_trace
 
@@ -552,11 +499,6 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         if not result.consistent:
             status = 1
     return status
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    handlers = {"info": _cmd_trace_info, "replay": _cmd_trace_replay}
-    return handlers[args.trace_command](args)
 
 
 def _cmd_serve_run(args: argparse.Namespace) -> int:
@@ -623,11 +565,6 @@ def _cmd_serve_smoke(args: argparse.Namespace) -> int:
     from .serve.smoke import run_smoke
 
     return run_smoke()
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    handlers = {"run": _cmd_serve_run, "smoke": _cmd_serve_smoke}
-    return handlers[args.serve_command](args)
 
 
 def _place_profile(args: argparse.Namespace):
@@ -704,14 +641,6 @@ def _cmd_place_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_place(args: argparse.Namespace) -> int:
-    handlers = {
-        "optimize": _cmd_place_optimize,
-        "report": _cmd_place_report,
-    }
-    return handlers[args.place_command](args)
-
-
 def _cmd_arena_info(args: argparse.Namespace) -> int:
     """``repro arena info``: record a run columnar and print the arena's
     sizes, block occupancy and memory estimate (no checking)."""
@@ -719,30 +648,14 @@ def _cmd_arena_info(args: argparse.Namespace) -> int:
     from .arena import arena_info, format_info
 
     if args.scenario:
-        from .spec import ScenarioSpec
-
-        try:
-            with open(args.scenario, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read scenario file {args.scenario}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if isinstance(data, dict) and "kind" in data \
-                and isinstance(data.get("spec"), dict):
-            data = data["spec"]
-        spec = ScenarioSpec.from_dict(data)
+        spec = _load_scenario(args.scenario)
         spec.engine = "arena"
         spec.check.enabled = False
         session = Session.from_spec(spec)
     else:
-        dist_params = _parse_params(args.dist_param, "--dist-param")
-        if args.distribution == "random" and not dist_params:
-            dist_params = {"processes": 6, "variables": 8,
-                           "replicas_per_variable": 3}
         session = Session(
             protocol=args.protocol,
-            distribution=(args.distribution, dist_params),
+            distribution=_distribution_flags(args),
             workload=(args.workload,
                       _parse_params(args.workload_param, "--workload-param")),
             seed=args.seed,
@@ -752,13 +665,6 @@ def _cmd_arena_info(args: argparse.Namespace) -> int:
     session.run()
     print(format_info(arena_info(session.recorder.arena)))
     return 0
-
-
-def _cmd_arena(args: argparse.Namespace) -> int:
-    handlers = {
-        "info": _cmd_arena_info,
-    }
-    return handlers[args.arena_command](args)
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -812,18 +718,6 @@ def _cmd_apps_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_apps_run(args: argparse.Namespace) -> int:
-    args.scenario = None
-    args.distribution = None
-    args.workload = None
-    return _cmd_run(args)
-
-
-def _cmd_apps(args: argparse.Namespace) -> int:
-    handlers = {"list": _cmd_apps_list, "run": _cmd_apps_run}
-    return handlers[args.apps_command](args)
-
-
 def _cmd_protocols_list(args: argparse.Namespace) -> int:
     from .analysis.report import render_table
     from .spec import PROTOCOL_REGISTRY
@@ -860,20 +754,6 @@ def _print_component_registries() -> None:
         ("network models", NETWORK_MODEL_REGISTRY),
     ):
         print(f"{title}: {', '.join(registry.names())}")
-
-
-def _cmd_protocols(args: argparse.Namespace) -> int:
-    handlers = {"list": _cmd_protocols_list}
-    return handlers[args.proto_command](args)
-
-
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    handlers = {
-        "list": _cmd_experiments_list,
-        "run": _cmd_experiments_run,
-        "report": _cmd_experiments_report,
-    }
-    return handlers[args.exp_command](args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -935,6 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="one streaming session with incremental checking")
     add_session_flags(run)
+    run.set_defaults(func=_cmd_run)
     run.add_argument("--distribution", default="random",
                      help="distribution family (full_replication, disjoint_blocks, "
                           "chain, random, neighbourhood)")
@@ -959,32 +840,18 @@ def build_parser() -> argparse.ArgumentParser:
     apps_list = asub.add_parser("list", help="list the registered applications")
     apps_list.add_argument("--verbose", action="store_true",
                            help="also print app descriptions")
+    apps_list.set_defaults(func=_cmd_apps_list)
     apps_run = asub.add_parser("run", help="run one registered application")
     apps_run.add_argument("--app", required=True,
                           help="registered application name")
     add_session_flags(apps_run)
-    apps_run.set_defaults(until=None)
+    # 'apps run' is 'run --app': one handler, the component flags absent
+    apps_run.set_defaults(func=_cmd_run, until=None, scenario=None,
+                          distribution=None, workload=None)
 
-    sub.add_parser("reproduce", help="re-evaluate every figure and theorem")
-
-    overhead = sub.add_parser("overhead", help="Section 3.3 efficiency comparison")
-    overhead.add_argument("--operations", type=int, default=10,
-                          help="operations per process in the workload")
-    overhead.add_argument("--seed", type=int, default=0)
-    overhead.add_argument("--sweep", type=int, nargs="*", default=None,
-                          help="also run the scaling sweep over these process counts")
-
-    bellman = sub.add_parser("bellman-ford", help="Section 6 case study")
-    bellman.add_argument("--nodes", type=int, default=None,
-                         help="use a random network of this size instead of Figure 8")
-    bellman.add_argument("--source", type=int, default=1)
-    bellman.add_argument("--seed", type=int, default=0)
-    bellman.add_argument("--protocol", default="pram_partial",
-                         choices=["pram_partial", "causal_partial", "causal_full"])
-
-    relevance = sub.add_parser("relevance", help="x-relevance scalability study")
-    relevance.add_argument("--processes", type=int, nargs="*", default=[4, 6, 8])
-    relevance.add_argument("--samples", type=int, default=3)
+    reproduce = sub.add_parser(
+        "reproduce", help="evaluate the ledger of paper claims, stage by stage")
+    reproduce.set_defaults(func=_cmd_reproduce)
 
     protocols = sub.add_parser("protocols",
                                help="protocol plugin registry (list)")
@@ -993,6 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
     proto_list.add_argument("--verbose", action="store_true",
                             help="also print descriptions and the other "
                                  "component registries")
+    proto_list.set_defaults(func=_cmd_protocols_list)
 
     experiments = sub.add_parser("experiments",
                                  help="scenario-suite orchestrator (list/run/report)")
@@ -1003,6 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="restrict to one suite (paper, stress, ...)")
     exp_list.add_argument("--verbose", action="store_true",
                           help="also print scenario descriptions")
+    exp_list.set_defaults(func=_cmd_experiments_list)
 
     exp_run = esub.add_parser("run", help="run scenarios with result caching")
     exp_run.add_argument("--suite", default="all",
@@ -1021,6 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the per-run records, not only the aggregate")
     exp_run.add_argument("--verbose", action="store_true",
                          help="print per-point progress to stderr")
+    exp_run.set_defaults(func=_cmd_experiments_run)
 
     exp_report = esub.add_parser("report",
                                  help="re-render a JSON record file from a past run")
@@ -1028,6 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="record file written by 'experiments run --json'")
     exp_report.add_argument("--per-run", action="store_true",
                             help="print the per-run records, not only the aggregate")
+    exp_report.set_defaults(func=_cmd_experiments_report)
 
     hunt = sub.add_parser(
         "hunt",
@@ -1062,6 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "corpus before searching")
     hunt_run.add_argument("--verbose", action="store_true",
                           help="print per-trial progress to stderr")
+    hunt_run.set_defaults(func=_cmd_hunt_run)
 
     hunt_shrink = hsub.add_parser(
         "shrink", help="re-shrink one reproducer file in place")
@@ -1071,12 +943,14 @@ def build_parser() -> argparse.ArgumentParser:
     hunt_shrink.add_argument("--out", default=None,
                              help="write the shrunk finding here instead of "
                                   "overwriting the input")
+    hunt_shrink.set_defaults(func=_cmd_hunt_shrink)
 
     hunt_promote = hsub.add_parser(
         "promote", help="re-validate findings and commit them into the "
                         "'hunted' experiment suite")
     hunt_promote.add_argument("file", nargs="+",
                               help="finding JSON file(s) to promote")
+    hunt_promote.set_defaults(func=_cmd_hunt_promote)
 
     hunt_smoke = hsub.add_parser(
         "smoke", help="replay every committed reproducer plus a small "
@@ -1086,6 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     hunt_smoke.add_argument("--seed", type=int, default=0)
     hunt_smoke.add_argument("--jobs", type=int, default=0,
                             help="worker processes for trial execution")
+    hunt_smoke.set_defaults(func=_cmd_hunt_smoke)
 
     trace = sub.add_parser(
         "trace",
@@ -1094,6 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_info = tsub.add_parser("info", help="print a trace file's metadata")
     trace_info.add_argument("file", help="repro-trace-v1 JSONL file")
+    trace_info.set_defaults(func=_cmd_trace_info)
 
     trace_replay = tsub.add_parser(
         "replay", help="batch-check a trace with the offline oracle")
@@ -1110,6 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_replay.add_argument("--policy", default="fail_fast",
                               help="check policy of the windowed monitor "
                                    "(default fail_fast)")
+    trace_replay.set_defaults(func=_cmd_trace_replay)
 
     serve = sub.add_parser(
         "serve",
@@ -1143,10 +1020,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_run.add_argument("--oneshot", action="store_true",
                            help="exit (with the combined verdict) once every "
                                 "file-backed tenant's stream is finalised")
+    serve_run.set_defaults(func=_cmd_serve_run)
 
     serve_smoke = ssub.add_parser(
         "smoke", help="two-tenant end-to-end smoke over a real socket "
                       "(the CI gate)")
+    serve_smoke.set_defaults(func=_cmd_serve_smoke)
 
     place = sub.add_parser(
         "place",
@@ -1187,6 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write the placement report as JSON (its "
                                 "holders mapping replays via the 'explicit' "
                                 "distribution family)")
+    place_opt.set_defaults(func=_cmd_place_optimize)
 
     place_rep = plsub.add_parser(
         "report", help="re-render (and optionally measure) a placement report")
@@ -1194,6 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
     place_rep.add_argument("--measure", default=None, metavar="PROTOCOL",
                            help="run the placement through this protocol "
                                 "and refresh the measured numbers")
+    place_rep.set_defaults(func=_cmd_place_report)
 
     arena = sub.add_parser(
         "arena",
@@ -1220,6 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
     ar_info.add_argument("--scenario", default=None, metavar="FILE",
                          help="inspect a ScenarioSpec JSON file's run instead "
                               "of the component flags above")
+    ar_info.set_defaults(func=_cmd_arena_info)
 
     lint = sub.add_parser(
         "lint",
@@ -1236,6 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--third-party", action="store_true",
                       help="also run ruff and mypy (skipped with a notice "
                            "when not installed; pinned in the dev extra)")
+    lint.set_defaults(func=_cmd_lint)
 
     return parser
 
@@ -1244,26 +1127,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
     from .exceptions import ReproError
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "apps": _cmd_apps,
-        "reproduce": _cmd_reproduce,
-        "overhead": _cmd_overhead,
-        "bellman-ford": _cmd_bellman_ford,
-        "relevance": _cmd_relevance,
-        "protocols": _cmd_protocols,
-        "experiments": _cmd_experiments,
-        "hunt": _cmd_hunt,
-        "trace": _cmd_trace,
-        "serve": _cmd_serve,
-        "place": _cmd_place,
-        "arena": _cmd_arena,
-        "lint": _cmd_lint,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.func(args)
     except BrokenPipeError:
         # e.g. ``repro ... | head``: the pipe closing is not an error.
         try:

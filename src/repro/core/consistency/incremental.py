@@ -101,7 +101,6 @@ class CheckPolicy:
     #: name -> (every, fail_fast, geometric).
     ALIASES = {
         "finalize": (0, False, False),
-        "batch": (0, False, False),
         "every_op": (1, False, False),
         "fail_fast": (0, True, True),
     }
@@ -116,8 +115,9 @@ class CheckPolicy:
     def parse(cls, spec: "CheckPolicy | str | None") -> "CheckPolicy":
         """Resolve a policy from an instance, an alias string or ``None``.
 
-        Strings: ``"finalize"``/``"batch"``, ``"every_op"``, ``"fail_fast"``,
-        or ``"every:N"`` (optionally ``"every:N:fail_fast"``).
+        Strings: ``"finalize"``, ``"every_op"``, ``"fail_fast"``, ``"every:N"``
+        or ``"every:N:fail_fast"`` — exactly; a misspelt suffix is an error,
+        never a silently collect-all policy.
         """
         if spec is None:
             return cls()
@@ -131,15 +131,12 @@ class CheckPolicy:
             every, fail_fast, geometric = cls.ALIASES[spec]
             return cls(every=every, fail_fast=fail_fast, geometric=geometric)
         if spec.startswith("every:"):
-            parts = spec.split(":")
-            try:
-                every = int(parts[1])
-            except (IndexError, ValueError):
+            _, number, *suffix = spec.split(":")
+            if not number.isdecimal() or suffix not in ([], ["fail_fast"]):
                 raise ConsistencyCheckError(
                     f"malformed check policy {spec!r}; want 'every:N[:fail_fast]'"
-                ) from None
-            fail_fast = len(parts) > 2 and parts[2] == "fail_fast"
-            return cls(every=every, fail_fast=fail_fast)
+                )
+            return cls(every=int(number), fail_fast=bool(suffix))
         raise ConsistencyCheckError(
             f"unknown check policy {spec!r}; known: "
             f"{sorted(cls.ALIASES)} or 'every:N[:fail_fast]'"

@@ -42,9 +42,6 @@ from .runner import (
 )
 from .spec import (
     CACHE_VERSION,
-    DISTRIBUTION_FAMILIES,
-    TOPOLOGIES,
-    WORKLOAD_PATTERNS,
     DistributionSpec,
     ExperimentSpec,
     NetworkSpec,
@@ -60,7 +57,6 @@ __all__ = [
     "ExperimentSpec",
     "NetworkSpec",
     "DEFAULT_CACHE_DIR",
-    "DISTRIBUTION_FAMILIES",
     "DistributionSpec",
     "REGISTRY",
     "ResultCache",
@@ -69,8 +65,6 @@ __all__ = [
     "ScenarioRegistry",
     "ScenarioSpecError",
     "SuiteResult",
-    "TOPOLOGIES",
-    "WORKLOAD_PATTERNS",
     "WorkloadSpec",
     "aggregate_records",
     "build_topology",

@@ -10,11 +10,8 @@ one per ``protocol x seed x grid-cell`` — each of which wraps one canonical
 single-run spec the whole stack executes).
 
 The component specs themselves (:class:`~repro.spec.DistributionSpec`,
-:class:`~repro.spec.WorkloadSpec`, ...) live in :mod:`repro.spec`; they are
-re-exported here, together with live registry views replacing the historical
-hardcoded tables (``DISTRIBUTION_FAMILIES``, ``WORKLOAD_PATTERNS``,
-``TOPOLOGIES``, ``*_PARAMS``), so existing imports keep working while
-third-party plugins appear automatically.
+:class:`~repro.spec.WorkloadSpec`, ...) live in :mod:`repro.spec` and are
+re-exported here.
 
 Each point canonicalises to a JSON-stable key whose SHA-256 digest
 (:meth:`ScenarioPoint.content_hash`) identifies its result in the cache.  The
@@ -36,9 +33,7 @@ from ..exceptions import ScenarioSpecError
 from ..spec.registry import (
     APP_REGISTRY,
     DISTRIBUTION_REGISTRY,
-    TOPOLOGY_REGISTRY,
     WORKLOAD_REGISTRY,
-    RegistryView,
     build_topology,
     resolve_protocol,
 )
@@ -58,26 +53,6 @@ from ..spec.scenario import ScenarioSpec as _RunSpec
 #: (3: scenarios gained the application axis and records the app verdict;
 #: 4: records carry the control/payload overhead ratio.)
 CACHE_VERSION = 4
-
-
-# ---------------------------------------------------------------------------
-# Back-compat registry views (the historical hardcoded tables)
-# ---------------------------------------------------------------------------
-
-#: Topology builders usable by the ``neighbourhood`` distribution family.
-TOPOLOGIES = RegistryView(TOPOLOGY_REGISTRY, lambda c: c.factory)
-
-#: Distribution family builders, keyed by the name used in specs.
-DISTRIBUTION_FAMILIES = RegistryView(DISTRIBUTION_REGISTRY, lambda c: c.factory)
-
-#: Allowed parameters per distribution family.
-DISTRIBUTION_PARAMS = RegistryView(DISTRIBUTION_REGISTRY, lambda c: c.params)
-
-#: Workload access-pattern generators, keyed by the name used in specs.
-WORKLOAD_PATTERNS = RegistryView(WORKLOAD_REGISTRY, lambda c: c.factory)
-
-#: Allowed parameters per workload pattern (``seed`` comes from the point).
-WORKLOAD_PARAMS = RegistryView(WORKLOAD_REGISTRY, lambda c: c.params)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +164,9 @@ class ExperimentSpec:
                 if component.metadata.get("dynamic_params"):
                     allowed = None  # the factory validates (topology params)
             elif scope == "distribution":
-                allowed = DISTRIBUTION_PARAMS[self.distribution.family]
+                allowed = DISTRIBUTION_REGISTRY.get(self.distribution.family).params
             else:
-                allowed = WORKLOAD_PARAMS[self.workload.pattern]
+                allowed = WORKLOAD_REGISTRY.get(self.workload.pattern).params
             if allowed is not None and param not in allowed:
                 raise ScenarioSpecError(
                     f"scenario {self.name!r}: grid axis {axis!r} names no parameter of "

@@ -51,9 +51,9 @@ Three suites ship with the library (all registered on the global
     degree x placement (optimized vs uniform-random vs full) over the
     Zipf-skewed workload and records control bytes per message for the
     sharded-sequencer, causal-tree and PRAM protocols against the
-    full-replication baselines.  ``benchmarks/test_bench_efficiency.py``
-    pins the headline comparison (optimized partial strictly cheaper per
-    message than full replication at 100 processes).
+    full-replication baselines.  The ledger claim ``section33-headline-100p``
+    (:mod:`repro.analysis.figures`) pins the headline comparison (optimized
+    partial against full replication at 100 processes, every count exact).
 """
 
 from __future__ import annotations
@@ -555,6 +555,25 @@ def builtin_scenarios() -> List[ExperimentSpec]:
                                               "hot_migration_every": 8}),
             exact=False,
             seeds=(0, 1),
+        ),
+        ExperimentSpec(
+            name="efficiency-replication-degree",
+            suite="efficiency",
+            paper_ref="Section 3.3 (partial replication pays off below full degree)",
+            description="Replication-degree sweep on six processes: while the "
+                        "degree is below the process count the partial PRAM "
+                        "protocol sends fewer messages than full broadcast on "
+                        "the same script.",
+            protocols=("pram_partial", "causal_full"),
+            distribution=DistributionSpec("random", {
+                "processes": 6, "variables": 8,
+                "replicas_per_variable": 2,
+            }),
+            workload=WorkloadSpec("uniform", {"operations_per_process": 6,
+                                              "write_fraction": 0.6}),
+            grid={"distribution.replicas_per_variable": (2, 4)},
+            exact=False,
+            seeds=(0,),
         ),
     ]
 

@@ -31,10 +31,9 @@ raises :class:`~repro.exceptions.ComponentParamError` — all of them
 :class:`~repro.exceptions.ScenarioSpecError` subclasses, so spec-level
 callers can catch one type.
 
-The historical tables (:data:`repro.mcs.PROTOCOLS`,
-:data:`repro.mcs.PROTOCOL_CRITERION`, ``DISTRIBUTION_FAMILIES``, ...) remain
-importable: they are live read-only :class:`RegistryView` mappings over these
-registries, so components registered later appear in them automatically.
+:data:`repro.mcs.PROTOCOLS` and :data:`repro.mcs.PROTOCOL_CRITERION` are live
+read-only :class:`RegistryView` mappings over the protocol registry, so
+protocols registered later appear in them automatically.
 """
 
 from __future__ import annotations
@@ -208,48 +207,29 @@ class ComponentRegistry:
 
 
 class RegistryView(MappingABC):
-    """Live read-only mapping over a registry (back-compat for the old tables).
+    """Live read-only mapping ``name -> value(component)`` over a registry.
 
-    ``value`` extracts what the historical table stored for each component —
-    the factory for ``PROTOCOLS``/``DISTRIBUTION_FAMILIES``, the declared
-    parameter names for ``*_PARAMS``, a metadata entry for
-    ``PROTOCOL_CRITERION``.
+    ``value`` picks what the mapping stores for each component — the factory
+    for ``PROTOCOLS``, a metadata entry for ``PROTOCOL_CRITERION``.
     """
 
     def __init__(
-        self,
-        registry: ComponentRegistry,
-        value: Callable[[Component], Any],
-        predicate: Optional[Callable[[Component], bool]] = None,
+        self, registry: ComponentRegistry, value: Callable[[Component], Any]
     ) -> None:
         self._registry = registry
         self._value = value
-        self._predicate = predicate or (lambda component: True)
-
-    def _selected(self) -> Dict[str, Component]:
-        return {
-            component.name: component
-            for component in self._registry.components()
-            if self._predicate(component)
-        }
 
     def __getitem__(self, name: str) -> Any:
-        component = self._registry.get(name)
-        if not self._predicate(component):
-            raise self._registry._unknown_error(
-                f"unknown {self._registry.kind} {name!r}; "
-                f"known: {sorted(self._selected())}"
-            )
-        return self._value(component)
+        return self._value(self._registry.get(name))
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._selected()))
+        return iter(self._registry.names())
 
     def __len__(self) -> int:
-        return len(self._selected())
+        return len(self._registry.names())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<RegistryView {self._registry.kind} {sorted(self._selected())}>"
+        return f"<RegistryView {self._registry.kind} {self._registry.names()}>"
 
 
 # ---------------------------------------------------------------------------

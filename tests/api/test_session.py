@@ -148,6 +148,17 @@ class TestChecking:
         assert report.stopped_early
         assert report.operations_executed < report.operations_total
         assert report.first_violation
+        # at stress-suite scale (520 operations) the abort saves most of the run
+        stress = make_session(
+            distribution=("random", {"processes": 8, "variables": 10,
+                                     "replicas_per_variable": 4}),
+            workload=("uniform", {"operations_per_process": 65}),
+            seed=7,
+            criteria="atomic",
+            check_policy="fail_fast",
+        ).run()
+        assert stress.consistent is False and stress.stopped_early
+        assert stress.operations_executed * 3 <= stress.operations_total == 520
 
     def test_collect_all_runs_to_completion(self):
         report = make_session(

@@ -151,6 +151,16 @@ class TestArenaRecorderParity:
         assert col.operation_count() == len(col.arena) == 60
         assert col.processes == (0, 1, 2)
 
+    def test_recording_allocates_no_objects_and_a_quarter_of_their_bytes(self):
+        from repro.arena.info import OBJECT_OP_BYTES
+
+        col = ArenaRecorder()
+        _drive(col, processes=4, variables=8, ops=10_000)
+        assert col.operation_count() == 10_000
+        assert not col.cache  # integer appends only: nothing forced materialisation
+        per_op = sum(col.arena.column_bytes().values()) / len(col.arena)
+        assert per_op * 4 <= OBJECT_OP_BYTES, (per_op, OBJECT_OP_BYTES)
+
     def test_subscribe_replay_delivers_whole_stream(self):
         col = ArenaRecorder()
         _drive(col, ops=25)

@@ -141,3 +141,55 @@ def test_paper_relations_reachability_matches_oracle(builder, seed):
         for b in history.operations:
             assert rel.reachable(a, b) == (b in reach)
     assert rel.is_acyclic() == oracle.is_acyclic()
+
+
+def oracle_precheck(history, relation, read_from):
+    """The polynomial pre-check on the dict-of-sets closure: per view, restrict
+    the relation, close it, reject cycles and bad patterns."""
+    consistent = True
+    edges = list(relation.edges())
+    for pid in history.processes:
+        view = history.sub_history_plus_writes(pid)
+        ops = set(view)
+        oracle = DictRelationOracle(
+            view, [(a, b) for a, b in edges if a in ops and b in ops])
+        reach = {op: oracle.reachable_set(op) for op in view}
+        if any(op in reach[op] for op in view):
+            consistent = False
+            continue
+        for read in view:
+            if not read.is_read:
+                continue
+            rivals = [w for w in view if w.is_write and w.variable == read.variable]
+            writer = read_from.get(read)
+            if writer is None:
+                bad = any(read in reach[w] for w in rivals)
+            else:
+                bad = writer not in ops or writer in reach[read] or any(
+                    w is not writer and w in reach[writer] and read in reach[w]
+                    for w in rivals)
+            consistent = consistent and not bad
+    return consistent
+
+
+@pytest.mark.parametrize("criterion", ["pram", "causal", "slow"])
+def test_precheck_verdicts_match_dict_oracle_at_stress_scale(criterion, stress_system):
+    """Pass *and* fail: the 520-operation run, and a history in which one
+    process observes two program-ordered writes in the wrong order."""
+    from repro.core.consistency import get_checker
+    from repro.core.history import HistoryBuilder
+
+    b = HistoryBuilder()
+    b.write(1, "x", "a").write(1, "x", "b")
+    b.read(2, "x", "b").read(2, "x", "a")
+    for i in range(40):
+        b.write(3, f"pad{i}", i)
+    tampered = b.build()
+
+    checker = get_checker(criterion)
+    cases = ((stress_system.history(), stress_system.read_from(), True),
+             (tampered, tampered.read_from(), False))
+    for history, read_from, expected in cases:
+        relation = checker.relation(history, read_from)
+        verdict = checker.check(history, read_from, exact=False).consistent
+        assert verdict == oracle_precheck(history, relation, read_from) == expected

@@ -144,6 +144,15 @@ class TestBasicVerdicts:
         h = pram_violation_history()
         assert not PRAMChecker().check(h, exact=False).consistent
 
+    def test_heuristic_mode_only_errs_on_the_permissive_side(self):
+        from repro.workloads.random_history import random_history
+
+        checker = CausalChecker()
+        for seed in range(10):
+            h = random_history(processes=4, variables=3, operations=16, seed=seed)
+            if checker.check(h, exact=True).consistent:
+                assert checker.check(h, exact=False).consistent, seed
+
     def test_heuristic_mode_rejects_large_inconsistent_views(self):
         # Regression for the silent no-op: views above 300 operations used to
         # skip the pre-check entirely, so exact=False returned

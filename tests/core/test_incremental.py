@@ -34,8 +34,10 @@ class TestCheckPolicy:
     def test_malformed_specs_raise_typed_errors(self):
         with pytest.raises(ConsistencyCheckError):
             CheckPolicy.parse("bogus")
-        with pytest.raises(ConsistencyCheckError):
-            CheckPolicy.parse("every:x")
+        for spelling in ("every:x", "every:", "every:-3", "every:8:failfast",
+                         "every:8:fail_fast:junk", "every:8:", "batch"):
+            with pytest.raises(ConsistencyCheckError):
+                CheckPolicy.parse(spelling)
         with pytest.raises(ConsistencyCheckError):
             CheckPolicy(every=-1)
 
@@ -186,6 +188,50 @@ class TestPrefixChecker:
         _feed_history(checker, history, history.read_from())
         result = checker.finalize()
         assert result.consistent and not result.exact
+
+
+def violating_stream(system):
+    """The run's recording stream with one early read redirected to a stale write.
+
+    Returns ``(log, read_from)``: the ``(op, source)`` stream with the
+    corrupted source and the matching full mapping.  The corruption is the
+    smallest possible — one read made to return an *older* write of the same
+    writer on the same variable than the reader had already observed, a proven
+    violation of every criterion of the lattice — placed in the first third
+    of the stream so fail-fast checking has something to save.
+    """
+    log = list(system.recorder.log())
+    writes = {}  # (writer, variable) -> [writes in program order]
+    observed = {}  # (reader, variable, writer) -> max observed write index
+    for position, (op, source) in enumerate(log):
+        if op.is_write:
+            writes.setdefault((op.process, op.variable), []).append(op)
+            continue
+        if source is None:
+            continue
+        seen = observed.get((op.process, op.variable, source.process), -1)
+        stale = [w for w in writes.get((source.process, op.variable), [])
+                 if w.index < seen]
+        if stale:
+            assert position <= len(log) // 3, (
+                f"corruption landed at stream position {position}/{len(log)}; "
+                "the stress workload changed — pick an earlier read"
+            )
+            log[position] = (op, stale[0])
+            return log, {**system.read_from(), op: stale[0]}
+        observed[(op.process, op.variable, source.process)] = max(seen, source.index)
+    raise AssertionError("no corruptible read found in the stress stream")
+
+
+def test_fail_fast_feeding_beats_batch_on_a_violating_stream(stress_system):
+    log, read_from = violating_stream(stress_system)
+    history = stress_system.history()
+    checker = incremental_checker("pram", exact=False)
+    checker.start(universe=history.processes)
+    assert any(checker.feed(op, source) is not None for op, source in log)
+    # the batch checker must consume the entire history before it can say so
+    assert not get_checker("pram").check(history, read_from, exact=False).consistent
+    assert len(history) / checker.ops_fed >= 3
 
 
 def _suite_points():

@@ -69,6 +69,21 @@ def test_pram_partial_is_efficient_in_the_paper_sense(seed):
                            read_from=system.read_from()).holds
 
 
+def test_pram_partial_needs_no_fifo_channels():
+    # per-sender sequence numbers reorder what a non-FIFO channel delivers
+    # out of order: still PRAM, still nothing sent to a non-replica
+    distribution = random_distribution(processes=6, variables=8,
+                                       replicas_per_variable=3, seed=2)
+    script = single_writer_script(distribution, writes_per_variable=6,
+                                  reads_per_replica=6, seed=2)
+    system = MCSystem(distribution, protocol="pram_partial", fifo=False,
+                      latency=UniformLatency(0.2, 3.0, seed=4))
+    run_script(system, script)
+    checker = get_checker("pram")
+    assert checker.check(system.history(), read_from=system.read_from()).consistent
+    assert system.efficiency().irrelevant_messages == 0
+
+
 def _hoop_workload_system(relay_scope: str) -> MCSystem:
     """The paper's Figure 3 scenario executed on the causal partial protocol.
 
@@ -123,6 +138,8 @@ def test_causal_partial_relays_dependencies_along_the_hoop():
     # Intermediate processes handled control information about x although
     # they do not replicate it — exactly Theorem 1's x-relevance.
     assert "x" in system.process(1).foreign_control_variables()
+    assert any(proc.relayed_variables() - set(proc.replicated_variables)
+               for proc in system.processes.values())
 
 
 def test_causal_partial_with_relevant_scope_is_still_correct():
@@ -141,6 +158,9 @@ def test_causal_partial_refusing_to_relay_breaks_causality():
     checker = get_checker("causal")
     consistent = checker.check(history, read_from=system.read_from()).consistent
     assert final_read.value != "v" and not consistent
+    # the "efficient" variant relays information about its own variables only
+    assert all(proc.relayed_variables() <= set(proc.replicated_variables)
+               for proc in system.processes.values())
 
 
 def test_history_includes_external_chain_under_causal_order():

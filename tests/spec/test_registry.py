@@ -124,7 +124,8 @@ class TestThirdPartyPlugin:
             register_workload("uniform")(lambda distribution, seed=0: [])
 
     def test_workload_plugin_reaches_experiment_specs(self):
-        from repro.experiments import WORKLOAD_PATTERNS, WorkloadSpec
+        from repro.experiments import WorkloadSpec
+        from repro.spec import WORKLOAD_REGISTRY
         from repro.workloads.access_patterns import Access
 
         @register_workload("test_singleton", params=("variable",))
@@ -133,7 +134,7 @@ class TestThirdPartyPlugin:
             return [Access(process, "write", variable, "v")]
 
         try:
-            assert "test_singleton" in WORKLOAD_PATTERNS  # live view
+            assert "test_singleton" in WORKLOAD_REGISTRY
             spec = WorkloadSpec("test_singleton", {"variable": "x"})
             from repro.workloads.distributions import chain_distribution
 
@@ -160,21 +161,14 @@ class TestEagerOptionAndQoSValidation:
         with _pytest.raises(ScenarioSpecError, match="does not accept"):
             spec.validate()  # at registration, not halfway through a suite
 
-    def test_session_rejects_conflicting_fifo(self):
-        import pytest as _pytest
-
+    def test_session_takes_channel_order_from_the_network_spec(self):
         from repro.api import Session
-        from repro.exceptions import SessionError
         from repro.spec import NetworkSpec
 
-        with _pytest.raises(SessionError, match="fifo"):
-            Session(protocol="pram_partial",
-                    distribution=("chain", {"intermediates": 1}),
-                    workload=("uniform", {"operations_per_process": 3}),
-                    network=NetworkSpec("reliable"), fifo=False)
-        # the name/tuple forms carry no QoS: the caller's fifo applies
-        session = Session(protocol="pram_partial",
-                          distribution=("chain", {"intermediates": 1}),
-                          workload=("uniform", {"operations_per_process": 3}),
-                          network="reliable", fifo=False)
-        assert session.system.network.fifo is False
+        for network, fifo in ((NetworkSpec("reliable", fifo=False), False),
+                              ("reliable", True), (None, True)):
+            session = Session(protocol="pram_partial",
+                              distribution=("chain", {"intermediates": 1}),
+                              workload=("uniform", {"operations_per_process": 3}),
+                              network=network)
+            assert session.system.network.fifo is fifo

@@ -1,8 +1,20 @@
 """Tests of the command-line interface (``python -m repro``)."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def leaf_parsers(parser, path=()):
+    """Every ``(verb path, parser)`` that takes no further sub-command."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from leaf_parsers(sub, path + (name,))
 
 
 class TestParser:
@@ -10,40 +22,44 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_known_commands(self):
-        parser = build_parser()
-        for command in ("reproduce", "overhead", "bellman-ford", "relevance"):
-            args = parser.parse_args([command])
-            assert args.command == command
+    def test_every_leaf_registers_its_handler(self):
+        leaves = dict(leaf_parsers(build_parser()))
+        assert ("reproduce",) in leaves and ("hunt", "smoke") in leaves
+        for path, leaf in leaves.items():
+            assert callable(leaf.get_default("func")), path
 
-    def test_bellman_ford_options(self):
-        args = build_parser().parse_args(
-            ["bellman-ford", "--nodes", "6", "--protocol", "causal_full", "--source", "2"]
-        )
-        assert args.nodes == 6 and args.protocol == "causal_full" and args.source == 2
+    @pytest.mark.parametrize("verb", ["overhead", "bellman-ford", "relevance"])
+    def test_single_claim_verbs_are_gone(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([verb])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_reproduce_takes_no_flag(self):
+        (reproduce,) = [leaf for path, leaf in leaf_parsers(build_parser())
+                        if path == ("reproduce",)]
+        assert [a.dest for a in reproduce._actions] == ["help"]
 
 
 class TestCommands:
-    def test_bellman_ford_figure8(self, capsys):
-        assert main(["bellman-ford"]) == 0
-        out = capsys.readouterr().out
-        assert "Least-cost routes" in out
-        assert "matches reference            : True" in out
+    def test_reproduce_exits_one_and_skips_the_later_stages(self, capsys, monkeypatch):
+        from dataclasses import replace
 
-    def test_overhead(self, capsys):
-        assert main(["overhead", "--operations", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "pram_partial" in out and "ctrl_B/msg" in out
+        from repro.analysis import figures
 
-    def test_relevance(self, capsys):
-        assert main(["relevance", "--processes", "4", "5", "--samples", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "x-relevance scalability study" in out
-
-    def test_reproduce_exits_zero_when_everything_matches(self, capsys):
-        assert main(["reproduce"]) == 0
-        out = capsys.readouterr().out
-        assert "All 10 reproductions match" in out
+        ledger = [replace(c, measure=lambda: "wrong") if c.id == "theorem1-at-scale" else c
+                  for c in figures.claims()]
+        monkeypatch.setattr(figures, "claims", lambda: ledger)
+        assert main(["reproduce"]) == 1
+        captured = capsys.readouterr()
+        assert "FAILED: theorem1-at-scale" in captured.err
+        rows = [line.split() for line in captured.out.splitlines()]
+        status = {row[1]: row[-1] for row in rows if row and row[0] in figures.STAGES}
+        assert status.pop("theorem1-at-scale") == "FAIL"
+        by_stage = {stage: {status[c.id] for c in ledger if c.stage == stage and c.id in status}
+                    for stage in figures.STAGES}
+        assert by_stage == {"definitions": {"pass"}, "theorems": {"pass"},
+                            "section3.3": {"skipped"}, "section6": {"skipped"}}
 
     def test_protocols_list(self, capsys):
         assert main(["protocols", "list", "--verbose"]) == 0

@@ -1,4 +1,5 @@
-"""Tooling guard: every ``make <target>`` the docs and CI name must exist."""
+"""Tooling guard: every ``make <target>`` and every ``python -m repro <verb>``
+the docs and CI name must exist."""
 
 import re
 from pathlib import Path
@@ -17,6 +18,7 @@ SOURCES = sorted(
     + list((ROOT / "docs").glob("*.md"))
 )
 MAKE_CALL = re.compile(r"\bmake ([a-z][\w-]*)")
+REPRO_CALL = re.compile(r"python -m repro ([a-z][\w-]*)(?: ([a-z][\w-]*))?")
 #: Markdown prose says "make" too; only code spans and fences name targets.
 MARKDOWN_CODE = re.compile(r"```.*?```|`[^`\n]+`", re.DOTALL)
 
@@ -31,16 +33,33 @@ def rules(makefile):
     return set(re.findall(r"^([A-Za-z][\w-]*):", makefile, re.MULTILINE))
 
 
-def named_targets(path: Path):
+def named(pattern, path: Path):
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".md":
         text = "\n".join(MARKDOWN_CODE.findall(text))
-    return set(MAKE_CALL.findall(text))
+    return set(pattern.findall(text))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_named_make_target_is_a_rule(path, rules):
-    assert named_targets(path) - rules == set()
+    assert named(MAKE_CALL, path) - rules == set()
+
+
+def sub_commands(parser):
+    """``name -> sub-parser`` of an argparse parser ({} for a leaf)."""
+    return parser._subparsers._group_actions[0].choices if parser._subparsers else {}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_named_cli_verb_exists(path):
+    from repro.cli import build_parser
+
+    verbs = sub_commands(build_parser())
+    for verb, sub_verb in sorted(named(REPRO_CALL, path)):
+        assert verb in verbs, f"python -m repro {verb}"
+        groups = sub_commands(verbs[verb])
+        assert not groups or not sub_verb or sub_verb in groups, \
+            f"python -m repro {verb} {sub_verb}"
 
 
 def test_every_phony_entry_has_a_rule(makefile, rules):

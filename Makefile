@@ -49,10 +49,12 @@ bench-pairs:
 	$(PYTHON) benchmarks/pairs.py --workload $(W) --base $(BASE) --pairs $(or $(N),10)
 
 # The profile that motivates an optimisation (ROADMAP: none lands without
-# one): cProfile of one benchmark workload, top 30 rows by own time.
+# one): cProfile of three full-size timed sections of one benchmark workload
+# (imports, warm-up and set-up run unprofiled), top 30 rows by own time, then
+# top 30 by cumulative time.
 #   make profile W=partial_causal
 profile:
-	$(PYTHON) -m cProfile -s tottime benchmarks/e2e/run.py --workload $(W) --seconds 3 --trace 0 | grep -A 35 "function calls"
+	$(PYTHON) benchmarks/timed_profile.py --workload $(W)
 
 # Application gate: run the spec-driven apps suite (the four registered
 # applications over reliable and faulty networks) with expected-result

@@ -172,10 +172,12 @@ class PerProcessChecker(ConsistencyChecker):
         Criterion name.
 
     The polynomial bad-pattern pre-check runs on every per-process view,
-    whatever its size (it needs only the lazily cached bitset reachability of
-    the restricted relation, so there is no longer a size above which it
-    would be skipped).  A ``False`` verdict is therefore always an exact
-    proof, even under ``exact=False``.
+    whatever its size.  The relation is built — and, for the causal family,
+    closed — once per check; each view restricts it and probes the
+    restriction's reachability rows in integers, which for a closure are the
+    restricted rows themselves (no second closure, no acyclicity pass) and
+    otherwise one lazily cached SCC pass.  A ``False`` verdict is therefore
+    always an exact proof, even under ``exact=False``.
     """
 
     def __init__(

@@ -584,6 +584,8 @@ class WindowedChecker(IncrementalChecker):
         self._violations: List[str] = []
         self._finalized: Optional[CheckResult] = None
         self._metrics = WindowMetrics()
+        #: ``(ops_fed, retained, standins)`` of the last window that checked clean
+        self._clean_at: Optional[Tuple[int, int, int]] = None
 
     def feed(
         self, op: Operation, read_from: Optional[Operation] = None
@@ -617,23 +619,30 @@ class WindowedChecker(IncrementalChecker):
             return self._result_so_far()
         return None
 
-    def check_now(self) -> Optional[CheckResult]:
+    def _window_violations(self) -> List[str]:
+        """Bad patterns of the retained window: none, without checking again,
+        when nothing was fed or re-inserted since it last checked clean."""
+        state = (self._fed, self._retained, self._metrics.standins)
+        if state == self._clean_at:
+            return []
         history, read_from = self.window_view()
         result = self._checker.check(history, read_from=read_from, exact=False)
-        if not result.consistent:
-            for violation in result.violations:
-                if violation not in self._violations:
-                    self._violations.append(violation)
-            return self._result_so_far()
+        if result.consistent:
+            self._clean_at = state
+        return result.violations
+
+    def check_now(self) -> Optional[CheckResult]:
+        for violation in self._window_violations():
+            if violation not in self._violations:
+                self._violations.append(violation)
         return self._result_so_far() if self._violations else None
 
     def finalize(self) -> CheckResult:
         if self._finalized is None:
-            history, read_from = self.window_view()
-            result = self._checker.check(history, read_from=read_from, exact=False)
-            if self._violations or not result.consistent:
+            found = self._window_violations()
+            if self._violations or found:
                 merged = list(self._violations)
-                for violation in result.violations:
+                for violation in found:
                     if violation not in merged:
                         merged.append(violation)
                 self._finalized = CheckResult(

@@ -43,6 +43,11 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _popcount(mask: int) -> int:
+    """Number of set bits of ``mask`` (the ``int`` method for it needs Python 3.10)."""
+    return bin(mask).count("1")
+
+
 class Relation:
     """A binary relation over a fixed universe of operations.
 
@@ -51,6 +56,14 @@ class Relation:
     over the direct edges is computed lazily (once, via strongly connected
     components) and cached on the instance; mutating the relation with
     :meth:`add` invalidates the cache.
+
+    A relation remembers that it is transitive: a closure's reachability rows
+    *are* its edge rows (one shared list), and the alias survives
+    :meth:`restricted_to` and pickling until the next :meth:`add`.  There,
+    reachability is free and :meth:`is_acyclic` a diagonal test.  Predecessor
+    rows are transposed on first use (closures and restrictions are mostly
+    only probed).  :meth:`index_of` and :meth:`reaches` let a caller resolve
+    each operation once and then probe in integers.
     """
 
     def __init__(self, universe: Iterable[Operation], name: str = "relation"):
@@ -58,7 +71,7 @@ class Relation:
         self._index: Dict[Operation, int] = {op: i for i, op in enumerate(self._universe)}
         n = len(self._universe)
         self._succ: List[int] = [0] * n
-        self._pred: List[int] = [0] * n
+        self._pred: Optional[List[int]] = [0] * n
         self._reach: Optional[List[int]] = None
         self.name = name
 
@@ -71,12 +84,16 @@ class Relation:
             raise RelationDomainError(
                 "both operations must belong to the relation's universe"
             )
-        if i == j:
-            return
+        if i != j:
+            self._link(i, j)
+
+    def _link(self, i: int, j: int) -> None:
+        """Set the edge between two universe positions (a self-edge too: closures have them)."""
         if not (self._succ[i] >> j) & 1:
+            self._reach = None  # first: a closure's reachability rows *are* its edge rows
             self._succ[i] |= 1 << j
-            self._pred[j] |= 1 << i
-            self._reach = None
+            if self._pred is not None:
+                self._pred[j] |= 1 << i
 
     def add_edges(self, edges: Iterable[Tuple[Operation, Operation]]) -> None:
         """Add every pair of ``edges`` to the relation."""
@@ -95,7 +112,18 @@ class Relation:
 
     def predecessors(self, op: Operation) -> FrozenSet[Operation]:
         """Direct predecessors of ``op``."""
-        return frozenset(self._universe[j] for j in _iter_bits(self._pred[self._index[op]]))
+        return frozenset(self._universe[j] for j in _iter_bits(self._pred_masks()[self._index[op]]))
+
+    def _pred_masks(self) -> List[int]:
+        """The predecessor rows, transposed on first use after a bulk construction."""
+        if self._pred is None:
+            pred = [0] * len(self._universe)
+            for i, mask in enumerate(self._succ):
+                bit = 1 << i
+                for j in _iter_bits(mask):
+                    pred[j] |= bit
+            self._pred = pred
+        return self._pred
 
     def precedes(self, first: Operation, second: Operation) -> bool:
         """``True`` iff the pair ``first -> second`` belongs to the relation."""
@@ -113,8 +141,14 @@ class Relation:
         """
         i = self._index.get(first)
         j = self._index.get(second)
-        if i is None or j is None:
-            return False
+        return i is not None and j is not None and self.reaches(i, j)
+
+    def index_of(self, op: Operation) -> Optional[int]:
+        """Position of ``op`` in the universe, ``None`` when it is outside it."""
+        return self._index.get(op)
+
+    def reaches(self, i: int, j: int) -> bool:
+        """:meth:`reachable` between universe positions (see :meth:`index_of`)."""
         return bool((self._reachability()[i] >> j) & 1)
 
     def concurrent(self, first: Operation, second: Operation) -> bool:
@@ -130,16 +164,29 @@ class Relation:
 
     def edge_count(self) -> int:
         """Number of pairs in the relation."""
-        return sum(mask.bit_count() for mask in self._succ)
+        return sum(_popcount(mask) for mask in self._succ)
+
+    def _mark_transitive(self) -> None:
+        """The relation is transitive: its edge rows are its reachability rows."""
+        self._reach = self._succ
+
+    def _is_transitive(self) -> bool:
+        return self._reach is self._succ
 
     def is_acyclic(self) -> bool:
-        """``True`` iff the relation (viewed as a digraph) has no cycle."""
+        """``True`` iff the relation (viewed as a digraph) has no cycle.
+
+        A cycle of a transitive relation makes each of its members reach
+        itself, so there the diagonal decides; otherwise Kahn's algorithm does.
+        """
+        if self._is_transitive():
+            return not any(self.reaches(i, i) for i in range(len(self._universe)))
         return self.topological_order() is not None
 
     def topological_order(self) -> Optional[List[Operation]]:
         """A topological order of the universe, or ``None`` if the relation is cyclic."""
         n = len(self._universe)
-        indegree = [mask.bit_count() for mask in self._pred]
+        indegree = [_popcount(mask) for mask in self._pred_masks()]
         ready = [i for i in range(n) if indegree[i] == 0]
         order: List[int] = []
         while ready:
@@ -295,7 +342,9 @@ class Relation:
                 for nxt in _iter_bits(succ[member] & ~mask):
                     target = comp_of[nxt]
                     reach |= comp_mask[target] | comp_reach[target]
-            if len(members) > 1:  # self-loops are impossible (add() drops them)
+            # add() drops self-loops, but a closure has them and keeps them
+            # when it is restricted: a cycle may run through dropped operations
+            if len(members) > 1 or (succ[members[0]] >> members[0]) & 1:
                 reach |= mask
             comp_mask.append(mask)
             comp_reach.append(reach)
@@ -307,13 +356,8 @@ class Relation:
         closed = Relation(self._universe, name or f"{self.name}+")
         reach = self._reachability()
         closed._succ = list(reach)
-        for i, mask in enumerate(reach):
-            bit = 1 << i
-            for j in _iter_bits(mask):
-                closed._pred[j] |= bit
-        # A closure is transitive by construction: its direct edges *are* its
-        # reachability, so the cache is seeded for free.
-        closed._reach = closed._succ
+        closed._pred = None
+        closed._mark_transitive()
         return closed
 
     def union(self, other: "Relation", name: Optional[str] = None) -> "Relation":
@@ -321,7 +365,7 @@ class Relation:
         merged = Relation(self._universe, name or f"{self.name}∪{other.name}")
         if other._universe == self._universe:
             merged._succ = [a | b for a, b in zip(self._succ, other._succ)]
-            merged._pred = [a | b for a, b in zip(self._pred, other._pred)]
+            merged._pred = None
         else:
             merged.add_edges(self.edges())
             for a, b in other.edges():
@@ -341,9 +385,10 @@ class Relation:
         new_of_old = {old: new for new, old in enumerate(old_indices)}
         for new, old in enumerate(old_indices):
             for tgt in _iter_bits(self._succ[old] & keep_mask):
-                j = new_of_old[tgt]
-                sub._succ[new] |= 1 << j
-                sub._pred[j] |= 1 << new
+                sub._succ[new] |= 1 << new_of_old[tgt]
+        sub._pred = None
+        if self._is_transitive():
+            sub._mark_transitive()
         return sub
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -390,7 +435,7 @@ def _block_iter(row: BlockRow) -> Iterator[int]:
 
 
 def _block_count(row: BlockRow) -> int:
-    return sum(mask.bit_count() for mask in row.values())
+    return sum(_popcount(mask) for mask in row.values())
 
 
 class BlockedRelation(Relation):
@@ -416,20 +461,12 @@ class BlockedRelation(Relation):
         self.name = name
 
     # -- construction -------------------------------------------------------
-    def add(self, first: Operation, second: Operation) -> None:
-        i = self._index.get(first)
-        j = self._index.get(second)
-        if i is None or j is None:
-            raise RelationDomainError(
-                "both operations must belong to the relation's universe"
-            )
-        if i == j:
-            return
+    def _link(self, i: int, j: int) -> None:
         if not _block_test(self._bsucc[i], j):
+            self._breach = None  # first: a closure's reachability rows *are* its edge rows
             _block_set(self._bsucc[i], j)
             if self._bpred is not None:
                 _block_set(self._bpred[j], i)
-            self._breach = None
 
     def _pred_rows(self) -> List[BlockRow]:
         """The predecessor rows, rebuilt on demand after a bulk construction."""
@@ -457,12 +494,14 @@ class BlockedRelation(Relation):
             return False
         return _block_test(self._bsucc[i], j)
 
-    def reachable(self, first: Operation, second: Operation) -> bool:
-        i = self._index.get(first)
-        j = self._index.get(second)
-        if i is None or j is None:
-            return False
+    def reaches(self, i: int, j: int) -> bool:
         return _block_test(self._block_reachability()[i], j)
+
+    def _mark_transitive(self) -> None:
+        self._breach = self._bsucc
+
+    def _is_transitive(self) -> bool:
+        return self._breach is self._bsucc
 
     def edges(self) -> Iterator[Tuple[Operation, Operation]]:
         for i, row in enumerate(self._bsucc):
@@ -578,30 +617,19 @@ class BlockedRelation(Relation):
                     target = comp_of[nxt]
                     _block_or(reach, comp_mask[target])
                     _block_or(reach, comp_reach[target])
-            if len(members) > 1:  # self-loops are impossible (add() drops them)
+            if len(members) > 1 or _block_test(succ[members[0]], members[0]):
                 _block_or(reach, mask)
             comp_mask.append(mask)
             comp_reach.append(reach)
         self._breach = [comp_reach[comp_of[i]] for i in range(n)]
         return self._breach
 
-    def _reachability(self) -> List[int]:  # pragma: no cover - compat shim
-        # Dense masks of the blocked reachability, for callers that reach into
-        # the base representation; the public API never takes this path.
-        dense = []
-        for row in self._block_reachability():
-            mask = 0
-            for block, bits in row.items():
-                mask |= bits << (block * BLOCK_BITS)
-            dense.append(mask)
-        return dense
-
     def transitive_closure(self, name: Optional[str] = None) -> "Relation":
         closed = BlockedRelation(self._universe, name or f"{self.name}+")
         reach = self._block_reachability()
         closed._bsucc = [dict(row) for row in reach]
         closed._bpred = None  # rebuilt on demand; closures are often query-only
-        closed._breach = closed._bsucc
+        closed._mark_transitive()
         return closed
 
     def union(self, other: "Relation", name: Optional[str] = None) -> "Relation":
@@ -625,12 +653,13 @@ class BlockedRelation(Relation):
         requested = set(ops)
         keep = [op for op in self._universe if op in requested]
         sub = relation_for(keep, name or f"{self.name}|")
-        kept_old = {self._index[op] for op in keep}
-        for op in keep:
-            row = self._bsucc[self._index[op]]
-            for tgt in _block_iter(row):
-                if tgt in kept_old:
-                    sub.add(op, self._universe[tgt])
+        new_of_old = {self._index[op]: new for new, op in enumerate(keep)}
+        for old, new in new_of_old.items():
+            for tgt in _block_iter(self._bsucc[old]):
+                if tgt in new_of_old:
+                    sub._link(new, new_of_old[tgt])
+        if self._is_transitive():
+            sub._mark_transitive()
         return sub
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

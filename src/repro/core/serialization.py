@@ -19,7 +19,8 @@ separately for the heuristic checking mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .operations import BOTTOM, Operation
@@ -73,6 +74,12 @@ class SerializationProblem:
         the initial value).  Writers need not belong to ``ops``; a read whose
         writer is outside ``ops`` can never be legally scheduled and makes the
         problem unsatisfiable.
+
+    Construction builds nothing.  The relation restricted to the view is made
+    on first use (every stage needs it) and the predecessor sets of the search
+    on the first :meth:`solve_greedy` / :meth:`solve`, so a problem that is only
+    pre-checked (``exact=False``) or that the pre-check rejects never pays for
+    exact-search structures.
     """
 
     ops: Tuple[Operation, ...]
@@ -83,12 +90,17 @@ class SerializationProblem:
 
     def __post_init__(self) -> None:
         self.ops = tuple(self.ops)
-        # The relation restricted to the view is needed by every stage (quick
-        # check, greedy fast path, final verification), so build it once.
-        self._restricted = self.relation.restricted_to(self.ops)
-        self._preds: Dict[Operation, Set[Operation]] = {op: set() for op in self.ops}
+
+    @cached_property
+    def _restricted(self) -> Relation:
+        return self.relation.restricted_to(self.ops)
+
+    @cached_property
+    def _preds(self) -> Dict[Operation, Set[Operation]]:
+        preds: Dict[Operation, Set[Operation]] = {op: set() for op in self.ops}
         for a, b in self._restricted.edges():
-            self._preds[b].add(a)
+            preds[b].add(a)
+        return preds
 
     # -- quick, polynomial necessary conditions ------------------------------
     def quick_violations(self) -> List[str]:
@@ -99,53 +111,58 @@ class SerializationProblem:
         respecting the relation exists; an empty result is inconclusive (use
         :meth:`solve`).
 
-        Acyclicity is decided first (linear), and the forced-before queries
-        run off the restricted relation's lazily cached bitset reachability —
-        no transitive closure is ever materialised, which keeps this check
-        cheap enough to run at every view size.
+        Acyclicity is decided first (a diagonal test when the relation is a
+        closure, linear otherwise).  Each view operation's position in the
+        restricted relation is then resolved once and the forced-before
+        queries are integer probes of its reachability rows — free on a
+        closure, one lazily cached SCC pass otherwise; an operation outside
+        the relation's universe is unconstrained.
         """
-        violations: List[str] = []
         restricted = self._restricted
         if not restricted.is_acyclic():
-            violations.append("constraint relation is cyclic on the view")
-            return violations
-        forced_before = restricted.reachable
-
-        ops_set = set(self.ops)
-        writes_by_var: Dict[str, List[Operation]] = {}
+            return ["constraint relation is cyclic on the view"]
+        violations: List[str] = []
+        forced_before = restricted.reaches
+        position = {op: restricted.index_of(op) for op in self.ops}
+        writes_by_var: Dict[str, List[Tuple[Operation, int]]] = {}
         for op in self.ops:
-            if op.is_write:
-                writes_by_var.setdefault(op.variable, []).append(op)
+            at = position[op]
+            if op.is_write and at is not None:
+                writes_by_var.setdefault(op.variable, []).append((op, at))
 
         for read in self.ops:
             if not read.is_read:
                 continue
             writer = self.read_from.get(read)
+            if writer is not None and writer not in position:
+                violations.append(
+                    f"{read.label()} reads from {writer.label()} which is not in the view"
+                )
+                continue
+            r = position[read]
+            if r is None:
+                continue
             if writer is None:
                 # read of the initial value: no write on the variable may be
                 # forced before the read.
-                for w in writes_by_var.get(read.variable, []):
-                    if forced_before(w, read):
+                for w, at in writes_by_var.get(read.variable, ()):
+                    if forced_before(at, r):
                         violations.append(
                             f"{read.label()} returns ⊥ but {w.label()} precedes it"
                         )
-            else:
-                if writer not in ops_set:
+                continue
+            source = position[writer]
+            if source is None:
+                continue
+            if forced_before(r, source):
+                violations.append(
+                    f"{read.label()} is constrained to precede its writer {writer.label()}"
+                )
+            for w, at in writes_by_var.get(read.variable, ()):
+                if at != source and forced_before(source, at) and forced_before(at, r):
                     violations.append(
-                        f"{read.label()} reads from {writer.label()} which is not in the view"
+                        f"{w.label()} is forced between {writer.label()} and {read.label()}"
                     )
-                    continue
-                if forced_before(read, writer):
-                    violations.append(
-                        f"{read.label()} is constrained to precede its writer {writer.label()}"
-                    )
-                for w in writes_by_var.get(read.variable, []):
-                    if w == writer:
-                        continue
-                    if forced_before(writer, w) and forced_before(w, read):
-                        violations.append(
-                            f"{w.label()} is forced between {writer.label()} and {read.label()}"
-                        )
         return violations
 
     # -- greedy fast path ------------------------------------------------------

@@ -8,11 +8,13 @@ query of the new implementation agrees with it — including on cyclic inputs,
 where transitive closure and reachability are the easiest to get wrong.
 """
 
+import pickle
 import random
 
 import pytest
 
 from repro.core.orders import (
+    BlockedRelation,
     Relation,
     causal_order,
     full_program_order,
@@ -51,10 +53,10 @@ class DictRelationOracle:
         return all(op not in self.reachable_set(op) for op in self.universe)
 
 
-def random_relation(history, rng, density=0.15):
+def random_relation(history, rng, density=0.15, backend=Relation):
     """A random (frequently cyclic) relation plus its oracle twin."""
     ops = history.operations
-    rel = Relation(ops, "random")
+    rel = backend(ops, "random")
     edges = []
     for a in ops:
         for b in ops:
@@ -100,6 +102,62 @@ def test_mutation_after_reachability_query_invalidates_cache(seed):
         reach = oracle.reachable_set(a)
         for b in ops:
             assert rel.reachable(a, b) == (b in reach)
+
+
+def assert_matches_oracle(rel, oracle):
+    for a in oracle.universe:
+        reach = oracle.reachable_set(a)
+        for b in oracle.universe:
+            assert rel.precedes(a, b) == (b in oracle.succ[a]), (a, b)
+            assert rel.reachable(a, b) == (b in reach), (a, b)
+            assert rel.reaches(rel.index_of(a), rel.index_of(b)) == (b in reach), (a, b)
+    assert rel.is_acyclic() == oracle.is_acyclic()
+
+
+@pytest.mark.parametrize("backend", [Relation, BlockedRelation])
+@pytest.mark.parametrize("seed", range(8))
+def test_closure_then_add_then_query_matches_dict_oracle(backend, seed):
+    """A closure's reachability rows are its edge rows; ``add()`` must part
+    them, or the mutated row would pass for reachability."""
+    rng = random.Random(seed)
+    history = random_history(processes=3, variables=2, operations=10, seed=seed)
+    rel, oracle = random_relation(history, rng, density=0.06, backend=backend)
+    ops = history.operations
+    closed = rel.transitive_closure()
+    twin = DictRelationOracle(ops)
+    for a, b in oracle.closure_edges():
+        twin.succ[a].add(b)  # the members of a cycle reach themselves
+    assert_matches_oracle(closed, twin)
+    assert closed.predecessors(ops[0]) == frozenset(a for a in ops if ops[0] in twin.succ[a])
+    for a, b in [(ops[-1], ops[0]), (ops[1], ops[-2]), (ops[2], ops[3])]:
+        closed.add(a, b)
+        twin.succ[a].add(b)
+        assert_matches_oracle(closed, twin)
+
+
+@pytest.mark.parametrize("backend", [Relation, BlockedRelation])
+@pytest.mark.parametrize("seed", range(8))
+def test_restricted_and_pickled_closures_match_dict_oracle(backend, seed):
+    """Restricting a closure keeps it a closure — a cycle that ran through a
+    dropped operation still shows, as an operation reaching itself — and so
+    does pickling one (the ``pool=`` fan-out ships the relation per view)."""
+    rng = random.Random(seed)
+    history = random_history(processes=3, variables=2, operations=12, seed=seed)
+    rel, oracle = random_relation(history, rng, density=0.06, backend=backend)
+    keep = [op for op in history.operations if rng.random() < 0.6]
+    closed = rel.transitive_closure()
+    for relation in (closed, pickle.loads(pickle.dumps(closed))):
+        sub = relation.restricted_to(keep)
+        shipped = pickle.loads(pickle.dumps(sub))
+        for a in keep:
+            reach = oracle.reachable_set(a)
+            for b in keep:
+                for candidate in (sub, shipped):
+                    assert candidate.reachable(a, b) == (b in reach), (a, b)
+        cyclic = any(a in oracle.reachable_set(a) for a in keep)
+        assert sub.is_acyclic() == shipped.is_acyclic() == (not cyclic)
+        assert relation.is_acyclic() == oracle.is_acyclic()
+        assert (sub.topological_order() is None) == cyclic
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -18,6 +18,7 @@ import json
 import pytest
 
 from repro.core.consistency import get_checker
+from repro.core.operations import BOTTOM
 from repro.core.consistency.incremental import WindowedChecker
 from repro.serve.monitor import TenantMonitor, VIOLATED
 from repro.serve.replay import materialise, replay_trace, replay_windowed
@@ -111,6 +112,77 @@ class TestBoundedMemory:
 
         with pytest.raises(ConsistencyCheckError):
             WindowedChecker(get_checker("causal"), window=2)
+
+
+class TestCleanWindowIsCheckedOnce:
+    """A window that checked clean is not checked again until something is fed
+    or re-inserted: ``finalize`` right after a due ``check_now`` reuses it."""
+
+    @staticmethod
+    def _monitor_counting_checks(calls, policy="every:64", window=256):
+        monitor = TenantMonitor(
+            TenantSpec(name="count", policy=policy, window=window),
+            meta=TraceMeta(distribution={"x": [0, 1, 2, 3], "y": [1, 2]}))
+        windowed = monitor._checker
+        inner = windowed._checker.check
+
+        class Counting:
+            name = windowed._checker.name
+
+            @staticmethod
+            def check(history, read_from=None, exact=True):
+                calls.append(len(history))
+                return inner(history, read_from=read_from, exact=exact)
+
+        windowed._checker = Counting()
+        return monitor
+
+    @pytest.mark.parametrize("records,checks", [(128, 2), (130, 3)])
+    def test_finalize_after_a_clean_due_check(self, records, checks):
+        calls = []
+        monitor = self._monitor_counting_checks(calls)
+        plain = TenantMonitor(
+            TenantSpec(name="plain", policy="finalize", window=256), meta=_synthetic_meta())
+        for record in _synthetic_stream(33)[:records]:
+            assert monitor.ingest(record) is None
+            plain.ingest(record)
+        result = monitor.finalize()
+        assert len(calls) == checks
+        reference = plain.finalize()
+        assert (result.consistent, result.exact, result.violations) == \
+            (reference.consistent, reference.exact, reference.violations) == (True, False, [])
+        assert monitor.metrics.as_dict() == plain.metrics.as_dict()
+        assert monitor._checker.check_now() is None and len(calls) == checks
+
+    def test_a_reinserted_standin_invalidates_the_clean_window(self):
+        calls = []
+        monitor = self._monitor_counting_checks(calls, policy="every:32", window=8)
+        for record in _synthetic_stream(8):
+            monitor.ingest(record)
+        windowed = monitor._checker
+        assert len(calls) == 1 and windowed.lookup_write(0, 0) is None  # evicted
+        assert windowed.check_now() is None and len(calls) == 1
+        windowed.resolve_source(0, "x", 0, 0)
+        assert windowed.check_now() is None and len(calls) == 2
+        assert monitor.finalize().consistent and len(calls) == 2
+
+    def test_a_violating_window_is_never_reused(self):
+        """p2 reads y from p1, who had read x from p0, then still reads x = ⊥:
+        silent stream monitors, a causal bad pattern over the window."""
+        calls = []
+        monitor = self._monitor_counting_checks(calls, policy="finalize", window=16)
+        for record in [
+            TraceRecord(kind="write", process=0, variable="x", value=1, index=0),
+            TraceRecord(kind="read", process=1, variable="x", value=1, index=0, source=(0, 0)),
+            TraceRecord(kind="write", process=1, variable="y", value=2, index=1),
+            TraceRecord(kind="read", process=2, variable="y", value=2, index=0, source=(1, 1)),
+            TraceRecord(kind="read", process=2, variable="x", value=BOTTOM, index=1),
+        ]:
+            assert monitor.ingest(record) is None
+        first, second = monitor._checker.check_now(), monitor._checker.check_now()
+        assert len(calls) == 2 and not first.consistent
+        assert first.violations == second.violations == monitor.finalize().violations
+        assert len(calls) == 3 and len(first.violations) == 1
 
 
 class TestBatchEquivalence:

@@ -65,3 +65,9 @@ def test_every_named_cli_verb_exists(path):
 def test_every_phony_entry_has_a_rule(makefile, rules):
     phony = re.search(r"^\.PHONY:(.*)$", makefile, re.MULTILINE).group(1).split()
     assert phony and set(phony) - rules == set()
+
+
+def test_every_script_a_recipe_runs_exists(makefile):
+    scripts = set(re.findall(r"\$\(PYTHON\) ([\w/.-]+\.py)", makefile))
+    assert "benchmarks/timed_profile.py" in scripts  # what `make profile` runs
+    assert [s for s in sorted(scripts) if not (ROOT / s).is_file()] == []

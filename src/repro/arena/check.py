@@ -7,7 +7,7 @@ but it never observes per-operation ``Operation`` objects: the
 :class:`~repro.arena.store.OpArena` it shares with the
 :class:`~repro.arena.recorder.ArenaRecorder` *is* the fed stream.
 
-Two evaluation modes:
+Two evaluation modes, chosen by the input:
 
 **Materialise** (small histories, or criteria without a columnar path).
     The arena is materialised in recording order and replayed through the
@@ -20,29 +20,23 @@ Two evaluation modes:
     does not precede it (only adapter-built arenas can violate that).
 
 **Columnar** (``causal`` / ``pram`` at scale).
-    Monitors, bad-pattern checks and witness construction run over the int
-    columns:
-
-    * The stream monitors of
-      :class:`~repro.core.consistency.incremental.StreamMonitors` are
-      replicated verbatim over rows (same messages, same order).
-    * For **pram**, reachability inside the view ``H_{p+w}`` of the
-      restricted :func:`~repro.core.orders.pram_generating_order` graph
-      (p's chain + per-process write chains + read-from into p's reads) is
-      answered by per-writer suffix minima over the read-from pairs — each
-      bad-pattern query costs ``O(log)``.
-    * For **causal**, two vector-clock sweeps (operation counts and write
-      counts per process) answer ``a -> b`` in O(1) and give every view's
-      generating-predecessor *counts*, so the greedy witness construction
-      schedules by advancing per-process prefix pointers — no per-view
-      graph is ever built.
-
-    Witness schedules are linear extensions of the restricted relation by
-    construction and verified legal columnarly; if the greedy schedule of
-    any view is illegal (the greedy search is incomplete), the checker
-    falls back to the materialised object pipeline for an exact answer.
-    Verdicts are exact either way; witness *identity* with the object
-    engine is only guaranteed in materialise mode.
+    Monitors, bad patterns and witnesses run over the int columns, with no
+    per-view graph: the stream monitors of
+    :class:`~repro.core.consistency.incremental.StreamMonitors` replicated
+    over rows (same messages, same order), and for **causal** two
+    vector-clock sweeps (operation and write counts per process) that answer
+    ``a -> b`` in O(1).  Each view ``H_{p+w}`` gives every remote write a
+    *batch index*, the first own operation it precedes — read off the clocks
+    for causal, off the read-from pairs for pram (whose restricted
+    :func:`~repro.core.orders.pram_generating_order` graph is p's chain, the
+    write chains and read-from into p's reads).  The bad patterns are
+    bisections over it, and saturation (:meth:`ArenaBatchChecker._witness`,
+    the columnar form of
+    :meth:`~repro.core.serialization.SerializationProblem.saturate`) lowers
+    it to a fixpoint: a cycle proves the view inconsistent, otherwise the
+    batches and own operations, interleaved, are the witness.  The decision
+    is complete, so verdicts are exact in both modes; witness *identity*
+    with the object engine is only guaranteed in materialise mode.
 
 Witness serializations are materialised only when the history has at most
 ``witness_max`` operations — beyond that the verdict is still exact but the
@@ -53,7 +47,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from operator import le
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.consistency.base import CheckResult
 from ..core.consistency.incremental import (
@@ -69,6 +65,12 @@ from .store import KIND_WRITE, NO_SOURCE, OpArena
 #: Criteria with a columnar fast path; everything else materialises.
 COLUMNAR_CRITERIA = frozenset({"causal", "pram"})
 
+#: The relation each columnar criterion's object checker builds
+#: (:func:`~repro.core.orders.causal_order`,
+#: :func:`~repro.core.orders.pram_generating_order`): the one an unsatisfiable
+#: view's verdict names.
+_RELATION_NAMES = {"causal": "causal", "pram": "pram-gen"}
+
 #: At or below this many operations the checker always materialises, which
 #: makes its results bit-identical with the object engine (every committed
 #: suite lives far below this threshold).
@@ -77,7 +79,18 @@ MATERIALIZE_MAX = 4096
 #: Above this many operations no witness serializations are materialised.
 WITNESS_MAX = 200_000
 
-_INF = float("inf")
+#: The causal vector clocks ``(vc, wvc, pidx)`` of :meth:`ArenaBatchChecker._causal_vcs`.
+Clocks = Tuple[array, array, Dict[int, int]]
+
+
+class _Chains(NamedTuple):
+    """The write index every view of one check shares: each process' write
+    rows, the chain positions of its writes on each variable id, and each
+    variable id's writers (ascending)."""
+
+    rows: Dict[int, Sequence[int]]
+    on: Dict[Tuple[int, int], List[int]]
+    writers: Dict[int, List[int]]
 
 
 def _last_true(n: int, pred) -> int:
@@ -241,9 +254,6 @@ class ArenaBatchChecker(IncrementalChecker):
         return inner.finalize()
 
     # -- columnar mode --------------------------------------------------------
-    def _view_pids(self) -> List[int]:
-        return sorted(set(self._universe) | set(self.arena.processes))
-
     def _columnar_result(self, exact: bool) -> CheckResult:
         monitor_violations = self._columnar_monitors()
         self._last_monitors = [message for _, message in monitor_violations]
@@ -252,17 +262,10 @@ class ArenaBatchChecker(IncrementalChecker):
         # With monitor violations the object pipeline closes with a
         # polynomial-only sweep (no solve, no witnesses) — mirror that.
         solve = exact and not monitor_violations
-        if self.criterion == "pram":
-            quick, witnesses, fallback = self._pram_views(solve)
-        else:
-            quick, witnesses, fallback = self._causal_views(solve)
-        if fallback:
-            # Greedy could not order some quick-clean view: fall back to the
-            # exact materialised pipeline (rare; verdict stays exact).
-            return self._materialized_result(exact)
+        found, witnesses = self._views(solve)
         if monitor_violations:
             merged = [message for _, message in monitor_violations]
-            for violation in quick:
+            for violation in found:
                 if violation not in merged:
                     merged.append(violation)
             return CheckResult(
@@ -277,16 +280,9 @@ class ArenaBatchChecker(IncrementalChecker):
                 pid: [cache[row] for row in schedule]
                 for pid, schedule in witnesses.items()
             }
-        if quick:
-            return CheckResult(
-                criterion=self.criterion, consistent=False, exact=True,
-                violations=list(quick), serializations=serializations,
-            )
-        if not exact:
-            return CheckResult(criterion=self.criterion, consistent=True, exact=False)
         return CheckResult(
-            criterion=self.criterion, consistent=True, exact=True,
-            serializations=serializations,
+            criterion=self.criterion, consistent=not found, exact=exact or bool(found),
+            violations=found, serializations=serializations,
         )
 
     def _columnar_monitors(self) -> List[Tuple[int, str]]:
@@ -328,178 +324,39 @@ class ArenaBatchChecker(IncrementalChecker):
                 frontier[sp] = si
         return out
 
-    def _write_po_lists(self) -> Dict[Tuple[int, int], Tuple[List[int], Sequence[int]]]:
-        """(process, variable id) -> (program indices, rows) of its writes."""
+    # -- columnar views -------------------------------------------------------
+    def _views(self, solve: bool) -> Tuple[List[str], Dict[int, List[int]]]:
+        """Every view's bad patterns, then — when it has none and ``solve`` is
+        set — its saturation: the object checker's violation strings in its
+        order, and the witness rows of every view that has one."""
         arena = self.arena
-        index = arena.index
-        lists: Dict[Tuple[int, int], Tuple[List[int], Sequence[int]]] = {}
-        for p in arena.processes:
-            for v in sorted(set(arena.var[row] for row in arena.write_rows_of(p))):
-                rows = arena.write_rows_on(p, v)
-                lists[(p, v)] = ([index[row] for row in rows], rows)
-        return lists
-
-    # -- pram columnar --------------------------------------------------------
-    def _pram_views(
-        self, solve: bool
-    ) -> Tuple[List[str], Dict[int, List[int]], bool]:
-        arena = self.arena
-        kind, proc, var, index, source = (
-            arena.kind, arena.proc, arena.var, arena.index, arena.source,
-        )
-        pids = self._view_pids()
-        wl = self._write_po_lists()
-        write_ordinal = self._write_ordinals()
+        pids = sorted(set(self._universe) | set(arena.processes))
+        clocks = self._causal_vcs(pids) if self.criterion == "causal" else None
+        chains = _Chains({q: arena.write_rows_of(q) for q in pids}, {}, {})
+        for q in pids:
+            for k, row in enumerate(chains.rows[q]):
+                on = chains.on.setdefault((q, arena.var[row]), [])
+                if not on:
+                    chains.writers.setdefault(arena.var[row], []).append(q)
+                on.append(k)
         violations: List[str] = []
         witnesses: Dict[int, List[int]] = {}
-
         for p in pids:
-            own = arena.rows_of(p)
-            # read-from pairs grouped by source process, as (po_src, po_read)
-            pairs: Dict[int, List[Tuple[int, int]]] = {}
-            for r in own:
-                if kind[r] == KIND_WRITE:
-                    continue
-                s = source[r]
-                if s != NO_SOURCE:
-                    pairs.setdefault(proc[s], []).append((index[s], index[r]))
-            sufmin: Dict[int, Tuple[List[int], List[int]]] = {}
-            for q, qpairs in pairs.items():
-                qpairs.sort()
-                pos = [po for po, _ in qpairs]
-                mins = [0] * len(qpairs)
-                best = _INF
-                for i in range(len(qpairs) - 1, -1, -1):
-                    if qpairs[i][1] < best:
-                        best = qpairs[i][1]
-                    mins[i] = best
-                sufmin[q] = (pos, mins)
-
-            def reach_from(q: int, po_write: int) -> float:
-                """Min program index of a p-op reachable from the q-write at
-                ``po_write`` through the restricted pram graph (inf if none)."""
-                entry = sufmin.get(q)
-                if entry is None:
-                    return _INF
-                pos, mins = entry
-                i = bisect_left(pos, po_write)
-                return mins[i] if i < len(pos) else _INF
-
-            view_violations: List[str] = []
-            for r in own:
-                if kind[r] == KIND_WRITE:
-                    continue
-                po_r = index[r]
-                v = var[r]
-                s = source[r]
-                if s == NO_SOURCE:
-                    # ⊥-read: one violation per view write on v preceding it.
-                    # For q != p the precedence predicate is monotone in the
-                    # write's program index, so the matches are a prefix.
-                    for q in arena.writers_of(v):
-                        po_list, row_list = wl[(q, v)]
-                        if q == p:
-                            hi = bisect_left(po_list, po_r)
-                        else:
-                            hi = _last_true(
-                                len(po_list),
-                                lambda i, q=q, pl=po_list: reach_from(q, pl[i]) <= po_r,
-                            )
-                        for row in row_list[:hi]:
-                            view_violations.append(
-                                f"{arena.label(r)} returns ⊥ but "
-                                f"{arena.label(row)} precedes it"
-                            )
-                    continue
-                qw = proc[s]
-                po_w = index[s]
-                # Forced-between: one violation per view write w on v with
-                # writer -> w -> read.  Only p-writes and later qw-writes can
-                # qualify (nothing else is reachable from the writer), and
-                # both predicates are monotone, so each group is a po-range.
-                for q in arena.writers_of(v):
-                    if q != p and q != qw:
-                        continue
-                    po_list, row_list = wl[(q, v)]
-                    if q == p:
-                        lo_po = po_w if qw == p else reach_from(qw, po_w) - 1
-                        lo = bisect_right(po_list, lo_po)
-                        hi = bisect_left(po_list, po_r)
-                    else:  # q == qw != p: later writes of the writer itself
-                        lo = bisect_right(po_list, po_w)
-                        hi = _last_true(
-                            len(po_list),
-                            lambda i, pl=po_list: reach_from(qw, pl[i]) <= po_r,
-                        )
-                    for row in row_list[lo:hi]:
-                        if row == s:
-                            continue
-                        view_violations.append(
-                            f"{arena.label(row)} is forced between "
-                            f"{arena.label(s)} and {arena.label(r)}"
-                        )
-            if view_violations:
-                violations.extend(f"p{p}: {v}" for v in view_violations)
+            bound = self._bounds(p, chains, clocks)
+            found = self._bad_patterns(p, bound, chains, clocks)
+            if found:
+                violations.extend(f"p{p}: {v}" for v in found)
             elif solve:
-                schedule = self._pram_schedule(p, pids, write_ordinal)
+                schedule = self._witness(p, bound, chains, clocks)
                 if schedule is None:
-                    return violations, {}, True
-                witnesses[p] = schedule
-        return violations, witnesses, False
+                    violations.append(
+                        f"p{p}: no legal serialization of H_{{{p}+w}} respects "
+                        f"{_RELATION_NAMES[self.criterion]}"
+                    )
+                else:
+                    witnesses[p] = schedule
+        return violations, witnesses
 
-    def _write_ordinals(self) -> Dict[int, int]:
-        """Write row -> per-process write ordinal."""
-        ordinals: Dict[int, int] = {}
-        for p in self.arena.processes:
-            for i, row in enumerate(self.arena.write_rows_of(p)):
-                ordinals[row] = i
-        return ordinals
-
-    def _pram_schedule(
-        self, p: int, pids: List[int], write_ordinal: Dict[int, int]
-    ) -> Optional[List[int]]:
-        """Eager linear extension of the restricted pram graph for view p.
-
-        A chain write's *direct* deadline is the program position of the
-        first own read that demands it (directly or, via chain order, a
-        successor); see :meth:`_eager` for how deadlines are adjusted and
-        enforced.  A read's own-op prerequisite is its source chain having
-        advanced past the source write.
-        """
-        arena = self.arena
-        kind, index, source = arena.kind, arena.index, arena.source
-        own = arena.rows_of(p)
-        # Direct deadlines: walking own reads in program order, the first
-        # read demanding chain q past ordinal k is write k's deadline.
-        direct: Dict[int, List[float]] = {
-            q: [_INF] * len(arena.write_rows_of(q)) for q in pids if q != p
-        }
-        filled: Dict[int, int] = {q: 0 for q in direct}
-        for r in own:
-            if kind[r] == KIND_WRITE:
-                continue
-            s = source[r]
-            if s == NO_SOURCE or arena.proc[s] == p:
-                continue
-            q = arena.proc[s]
-            dq = direct[q]
-            po = index[r]
-            for k in range(filled[q], write_ordinal[s] + 1):
-                dq[k] = po
-            filled[q] = max(filled[q], write_ordinal[s] + 1)
-
-        def own_ready(r: int, ptr: Dict[int, int]) -> bool:
-            if kind[r] == KIND_WRITE:
-                return True
-            s = source[r]
-            if s == NO_SOURCE:
-                return True
-            q = arena.proc[s]
-            return q == p or ptr[q] > write_ordinal[s]
-
-        return self._eager(p, pids, own, own_ready, direct, lambda w: ())
-
-    # -- causal columnar ------------------------------------------------------
     def _causal_vcs(
         self, pids: List[int]
     ) -> Tuple[array, array, Dict[int, int]]:
@@ -545,371 +402,294 @@ class ArenaBatchChecker(IncrementalChecker):
             last[p] = row
         return vc, wvc, pidx
 
-    def _causal_views(
-        self, solve: bool
-    ) -> Tuple[List[str], Dict[int, List[int]], bool]:
+    def _bounds(self, p: int, chains: _Chains, clocks: Optional[Clocks]) -> Dict[int, List[int]]:
+        """Batch index of every remote write of view p before saturation: the
+        first own position it precedes in the relation (``len(own)``: none),
+        non-decreasing along each write chain.  Causal reads it off the own
+        operations' write clocks; in the pram view the only paths from a
+        remote write to an own operation run down its chain to a write that
+        an own read reads."""
+        arena = self.arena
+        kind, proc, source = arena.kind, arena.proc, arena.source
+        own = arena.rows_of(p)
+        bound = {q: [len(own)] * len(rows) for q, rows in chains.rows.items() if q != p}
+        if clocks is not None:
+            wvc, pidx = clocks[1], clocks[2]
+            for q, bq in bound.items():
+                filled, j = 0, pidx[q]
+                for t, row in enumerate(own):
+                    need = wvc[row * len(pidx) + j]
+                    if need > filled:
+                        bq[filled:need] = [t] * (need - filled)
+                        filled = need
+            return bound
+        for t, row in enumerate(own):
+            s = source[row]
+            if kind[row] != KIND_WRITE and s != NO_SOURCE and proc[s] != p:
+                bq = bound[proc[s]]
+                k = bisect_left(chains.rows[proc[s]], s)
+                bq[k] = min(bq[k], t)
+        for bq in bound.values():
+            for k in range(len(bq) - 2, -1, -1):
+                bq[k] = min(bq[k], bq[k + 1])
+        return bound
+
+    def _bad_patterns(
+        self, p: int, bound: Dict[int, List[int]], chains: _Chains, clocks: Optional[Clocks]
+    ) -> List[str]:
+        """The object pre-check's findings on view p, same strings in the same
+        order: per own read, its writer forced after it (only causal orders
+        an own operation before a remote one), then per writer process the
+        writes on its variable forced before it — and, for a sourced read,
+        after its source.  In each writer's chain "before the read" is a
+        prefix (the batch index grows along chains, and with the read) and
+        "after the source" a suffix (clocks grow along chains)."""
         arena = self.arena
         kind, proc, var, index, source = (
             arena.kind, arena.proc, arena.var, arena.index, arena.source,
         )
-        pids = self._view_pids()
-        P = len(pids)
-        vc, wvc, pidx = self._causal_vcs(pids)
-        wl = self._write_po_lists()
-        violations: List[str] = []
-        witnesses: Dict[int, List[int]] = {}
-
-        for p in pids:
-            jp = pidx[p]
-            view_violations: List[str] = []
-            for r in arena.rows_of(p):
-                if kind[r] == KIND_WRITE:
-                    continue
-                base = r * P
-                v = var[r]
-                s = source[r]
-                if s == NO_SOURCE:
-                    # ⊥-read: one violation per view write causally before it
-                    # (the causal past meets each process' writes in a prefix).
-                    for q in arena.writers_of(v):
-                        po_list, row_list = wl[(q, v)]
-                        hi = bisect_left(po_list, vc[base + pidx[q]])
-                        for row in row_list[:hi]:
-                            view_violations.append(
-                                f"{arena.label(r)} returns ⊥ but "
-                                f"{arena.label(row)} precedes it"
-                            )
-                    continue
-                if index[r] < vc[s * P + jp]:
-                    view_violations.append(
-                        f"{arena.label(r)} is constrained to precede its "
-                        f"writer {arena.label(s)}"
-                    )
-                qw = proc[s]
-                jw = pidx[qw]
-                iw = index[s]
-                # Forced-between: writes w on v with writer -> w -> read.
-                # "w -> read" holds for a prefix of each process' writes,
-                # "writer -> w" for a suffix (vector clocks grow along
-                # program order), so the matches form a po-range per process.
-                for q in arena.writers_of(v):
-                    po_list, row_list = wl[(q, v)]
-                    hi = bisect_left(po_list, vc[base + pidx[q]])
-                    lo = _last_true(
-                        hi,
-                        lambda i, rl=row_list: iw >= vc[rl[i] * P + jw],
-                    )
-                    for row in row_list[lo:hi]:
-                        if row == s:
-                            continue
-                        view_violations.append(
-                            f"{arena.label(row)} is forced between "
-                            f"{arena.label(s)} and {arena.label(r)}"
-                        )
-            if view_violations:
-                violations.extend(f"p{p}: {v}" for v in view_violations)
-            elif solve:
-                schedule = self._causal_schedule(p, pids, pidx, vc, wvc)
-                if schedule is None:
-                    return violations, {}, True
-                witnesses[p] = schedule
-        return violations, witnesses, False
-
-    def _causal_schedule(
-        self,
-        p: int,
-        pids: List[int],
-        pidx: Dict[int, int],
-        vc: array,
-        wvc: array,
-    ) -> Optional[List[int]]:
-        """Lazy linear extension of the restricted causal order for view p.
-
-        Every causal past meets each process in a program-order prefix, so
-        a member's causal prerequisites are per-process *counts* read
-        straight out of the vector clocks — no per-view graph is built.
-        Direct deadlines come from the demanded write counts along the
-        view's own operations; cross-chain write prerequisites are pulled
-        through ``pull_targets``.
-        """
-        arena = self.arena
-        kind = arena.kind
-        P = len(pids)
+        label = arena.label
         own = arena.rows_of(p)
-        n_own = len(own)
-
-        def own_ready(r: int, ptr: Dict[int, int]) -> bool:
+        mine: Dict[int, List[int]] = {}
+        for t, row in enumerate(own):
+            if kind[row] == KIND_WRITE:
+                mine.setdefault(var[row], []).append(t)
+        before: Dict[Tuple[int, int], int] = {}
+        found: List[str] = []
+        for t, r in enumerate(own):
             if kind[r] == KIND_WRITE:
-                return True  # adds nothing beyond its (already emitted) chain pred
-            base = r * P
-            for q in pids:
-                if q != p and ptr[q] < wvc[base + pidx[q]]:
-                    return False
-            return True
+                continue
+            v, s = var[r], source[r]
+            sp = p if s == NO_SOURCE else proc[s]
+            if sp != p:
+                ks = bisect_left(chains.rows[sp], s)
+                if clocks is not None and clocks[0][s * len(clocks[2]) + clocks[2][p]] > t:
+                    found.append(f"{label(r)} is constrained to precede its writer {label(s)}")
+            for q in chains.writers.get(v, ()):
+                if q == p:
+                    at = mine[v]
+                    hi = bisect_left(at, t)
+                    if s == NO_SOURCE:
+                        lo = 0
+                    else:
+                        lo = bisect_right(at, index[s]) if sp == p else bisect_left(at, bound[sp][ks])
+                    rows = [own[i] for i in at[lo:hi]]
+                elif s == NO_SOURCE or clocks is not None or q == sp:
+                    chain, xs, bq = chains.rows[q], chains.on[(q, v)], bound[q]
+                    hi = before.get((q, v), 0)
+                    while hi < len(xs) and bq[xs[hi]] <= t:
+                        hi += 1
+                    before[(q, v)] = hi
+                    if s == NO_SOURCE:
+                        lo = 0
+                    elif q == sp:
+                        lo = bisect_right(xs, ks)
+                    else:
+                        clock, j, o = ((clocks[0], clocks[2][p], index[s]) if sp == p
+                                       else (clocks[1], clocks[2][sp], ks))
+                        P = len(clocks[2])
+                        lo = _last_true(hi, lambda i: clock[chain[xs[i]] * P + j] <= o)
+                    rows = [chain[k] for k in xs[lo:hi]]
+                else:
+                    continue  # in the pram view nothing else follows a source
+                for w in rows:
+                    if s == NO_SOURCE:
+                        found.append(f"{label(r)} returns ⊥ but {label(w)} precedes it")
+                    elif w != s:
+                        found.append(f"{label(w)} is forced between {label(s)} and {label(r)}")
+        return found
 
-        proc = arena.proc
-
-        # Direct deadlines: own program order makes the demanded write
-        # counts (wvc along own ops) non-decreasing, so one forward walk
-        # fills each chain write's first demanding own position.
-        direct: Dict[int, List[float]] = {
-            q: [_INF] * len(arena.write_rows_of(q)) for q in pids if q != p
-        }
-        filled: Dict[int, int] = {q: 0 for q in direct}
-        for t in range(n_own):
-            base = own[t] * P
-            for q in direct:
-                dq = direct[q]
-                need = wvc[base + pidx[q]]
-                for k in range(filled[q], min(need, len(dq))):
-                    dq[k] = t
-                filled[q] = max(filled[q], need)
-
-        def pull_targets(w: int):
-            base = w * P
-            qw = proc[w]
-            return [
-                (g, wvc[base + pidx[g]]) for g in pids if g != p and g != qw
-            ]
-
-        return self._eager(p, pids, own, own_ready, direct, pull_targets)
-
-    # -- shared helpers -------------------------------------------------------
-    def _eager(
-        self,
-        p: int,
-        pids: List[int],
-        own: Sequence[int],
-        own_ready,
-        direct_deadlines: Dict[int, List[float]],
-        pull_targets,
+    def _witness(
+        self, p: int, bound: Dict[int, List[int]], chains: _Chains, clocks: Optional[Clocks]
     ) -> Optional[List[int]]:
-        """Lazy deadline-driven schedule of view p: own operations at their
-        fixed program positions, each remote chain write emitted in the gap
-        right before the own position that is its *adjusted deadline*.
+        """Saturate view p's batch index and emit its witness; ``None`` proves
+        that no legal serialization of the view respects the relation.
 
-        A chain write's direct deadline (``direct_deadlines``) is the first
-        own position demanding it.  Deadlines cascade two ways:
-
-        * along the chain — a write inherits its successor's deadline
-          (backward running min), and
-        * across *read windows* — every write w read by this view owns a
-          window ``(s, l]`` in own-position coordinates, where ``l`` is w's
-          last own reader and ``s`` is the gap w itself lands in (its own
-          position for own writes, its adjusted deadline for chain writes).
-          A same-variable write due inside the window would overwrite w
-          before its readers are done, so its deadline *snaps* to ``s``.
-
-        Window starts move as deadlines tighten, so deadlines are iterated
-        to a fixpoint (they only decrease; a few rounds suffice).  Emission
-        is then purely mechanical: before own position t, force-emit every
-        chain write due at t — writes whose own window opens at t last, so
-        they end up adjacent to their first reader — pulling cross-chain
-        prerequisites first via ``pull_targets``; undemanded writes drain
-        after the last own operation, where nothing can break.
-
-        The construction respects the restricted relation by design
-        (``own_ready``/``pull_targets`` gate on the members' precedence
-        counts, deadlines never reorder a chain); legality is verified at
-        the end and ``None`` means the caller must fall back to the exact
-        search.
+        Own operation ``t`` has index ``t``.  An own read at ``t`` of ``s``
+        needs every other write on its variable placed before it — per writer
+        chain, the last one with index ``<= t`` — placed before ``s``.  Such a
+        write later in ``s``' chain, or an own one at or after ``s``' index,
+        closes a cycle; one with a larger index is lowered to ``s``' index
+        with its predecessors (for causal, below its own lower bound
+        ``vc[row][p]`` is a cycle); one with the same index gets an edge to
+        ``s`` inside the batch.  Reads at or after the lowest lowered index
+        are revisited until nothing moves.  Emission: batch ``t`` in row order
+        (a topological order of the relation), sorted locally only when it
+        holds such an edge, then own operation ``t``.
         """
         arena = self.arena
-        kind, var, index = arena.kind, arena.var, arena.index
-        chains = [(q, arena.write_rows_of(q)) for q in pids if q != p]
-        chain_rows = dict(chains)
-        n_own = len(own)
-        last_read_of: Dict[int, int] = {}
-        first_read_of: Dict[int, int] = {}
-        for r in own:
-            if kind[r] != KIND_WRITE:
-                s = arena.source[r]
-                if s != NO_SOURCE:
-                    last_read_of[s] = index[r]
-                    first_read_of.setdefault(s, index[r])
+        kind, proc, var, index, source = (
+            arena.kind, arena.proc, arena.var, arena.index, arena.source,
+        )
+        own = arena.rows_of(p)
+        mine: Dict[int, List[int]] = {}
+        for t, row in enumerate(own):
+            if kind[row] == KIND_WRITE:
+                mine.setdefault(var[row], []).append(t)
 
-        def compute(prev: Optional[Dict[int, List[float]]]) -> Dict[int, List[float]]:
-            # Windows per var: (start gap, last reader, source row), sorted.
-            windows: Dict[int, Tuple[List[float], List[int], List[int]]] = {}
-            for r in own:
-                if kind[r] == KIND_WRITE:
-                    lr = last_read_of.get(r, -1)
-                    if lr > index[r]:
-                        st, en, sr = windows.setdefault(var[r], ([], [], []))
-                        st.append(index[r])
-                        en.append(lr)
-                        sr.append(r)
-            if prev is not None:
-                for q, rows in chains:
-                    adq = prev[q]
-                    for k, row in enumerate(rows):
-                        lr = last_read_of.get(row, -1)
-                        if lr >= 0:
-                            st, en, sr = windows.setdefault(var[row], ([], [], []))
-                            st.append(min(adq[k], first_read_of[row]))
-                            en.append(lr)
-                            sr.append(row)
-            for entry in windows.values():
-                order = sorted(range(len(entry[0])), key=lambda i: entry[0][i])
-                for lst in entry:
-                    lst[:] = [lst[i] for i in order]
-
-            def snap(v: int, d: float, self_row: int) -> float:
-                got = windows.get(v)
-                if got is None or d == _INF:
-                    return d
-                st, en, sr = got
-                i = bisect_left(st, d) - 1
-                if i >= 0 and en[i] >= d and sr[i] != self_row:
-                    return st[i]
-                return d
-
-            # Cross-chain inheritance: a write w' due at d causally pulls
-            # other chains' prefixes (``pull_targets``), so those writes'
-            # deadlines tighten to d as well.
-            effective = direct_deadlines
-            if prev is not None:
-                inc: Dict[int, List[Tuple[int, float]]] = {
-                    q: [] for q, _ in chains
-                }
-                any_inc = False
-                for g, rows in chains:
-                    adg = prev[g]
-                    for k, row in enumerate(rows):
-                        a = adg[k]
-                        if a == _INF:
-                            continue
-                        for h, target in pull_targets(row):
-                            if h != p and target > 0:
-                                inc[h].append((target, a))
-                                any_inc = True
-                if any_inc:
-                    effective = {}
-                    for q, rows in chains:
-                        base = list(direct_deadlines[q])
-                        pairs = sorted(inc[q], key=lambda x: -x[0])
-                        run_in = _INF
-                        i = 0
-                        for k in range(len(base) - 1, -1, -1):
-                            while i < len(pairs) and pairs[i][0] > k:
-                                if pairs[i][1] < run_in:
-                                    run_in = pairs[i][1]
-                                i += 1
-                            if run_in < base[k]:
-                                base[k] = run_in
-                        effective[q] = base
-
-            out: Dict[int, List[float]] = {}
-            for q, rows in chains:
-                dq = effective[q]
-                ad: List[float] = [_INF] * len(rows)
-                run = _INF
-                for k in range(len(rows) - 1, -1, -1):
-                    d = dq[k]
-                    if d < run:
-                        run = d
-                    run = snap(var[rows[k]], run, rows[k])
-                    ad[k] = run
-                out[q] = ad
-            return out
-
-        deadline = compute(None)
-        for _ in range(6):
-            refined = compute(deadline)
-            if refined == deadline:
-                break
-            deadline = refined
-        self._last_deadlines = deadline  # introspection / debugging
-
-        ptr: Dict[int, int] = {q: 0 for q in pids}
-        schedule: List[int] = []
-
-        def force(q: int, target: int) -> bool:
-            stack: List[Tuple[int, int]] = [(q, target)]
-            while stack:
-                g, tg = stack[-1]
-                if ptr[g] >= tg:
-                    stack.pop()
-                    continue
-                if len(stack) > len(chains) + 1:
-                    return False  # circular pull: bail out
-                w = chain_rows[g][ptr[g]]
-                deficit = None
-                for h, th in pull_targets(w):
-                    if h != p and ptr[h] < th:
-                        deficit = (h, th)
-                        break
-                if deficit is not None:
-                    stack.append(deficit)
-                    continue
-                schedule.append(w)
-                ptr[g] += 1
+        def lower(q: int, k: int, to: int) -> bool:
+            if clocks is None:
+                preds = {q: k + 1}
+            else:
+                vc, wvc, pidx = clocks
+                base = chains.rows[q][k] * len(pidx)
+                if vc[base + pidx[p]] > to:
+                    return False
+                preds = {g: wvc[base + pidx[g]] for g in bound}
+            for g, c in preds.items():
+                bg = bound[g]
+                while c and bg[c - 1] > to:
+                    c -= 1
+                    bg[c] = to
             return True
 
-        for t in range(n_own):
-            # Gather the due segment of every chain (deadlines are monotone
-            # along a chain, so due writes form a prefix from ptr) and count
-            # due writes per variable.
-            due_end: Dict[int, int] = {}
-            due_vars: Dict[int, int] = {}
-            remaining = 0
-            for q, rows in chains:
-                ad = deadline[q]
-                k = ptr[q]
-                while k < len(rows) and ad[k] <= t:
-                    due_vars[var[rows[k]]] = due_vars.get(var[rows[k]], 0) + 1
-                    k += 1
-                due_end[q] = k
-                remaining += k - ptr[q]
-            # Greedy head emission: a chain head is ready when its causal
-            # prerequisites are met; a head that this view *reads* defers
-            # while another due write of its variable is still pending, so
-            # the source lands last and stays visible to its readers.
-            while remaining:
-                progress = False
-                for q, rows in chains:
-                    while ptr[q] < due_end[q]:
-                        w = rows[ptr[q]]
-                        if w in first_read_of and due_vars.get(var[w], 0) > 1:
-                            break
-                        ready = True
-                        for h, th in pull_targets(w):
-                            if h != p and ptr[h] < th:
-                                ready = False
-                                break
-                        if not ready:
-                            break
-                        schedule.append(w)
-                        ptr[q] += 1
-                        due_vars[var[w]] -= 1
-                        remaining -= 1
-                        progress = True
-                if not progress:
-                    return None  # deferral/prerequisite cycle: bail out
-            r = own[t]
-            if not own_ready(r, ptr):
-                return None
-            schedule.append(r)
-            ptr[p] = t + 1
-        for q, rows in chains:
-            if not force(q, len(rows)):
-                return None
-        return schedule if self._legal(schedule) else None
+        edges = set()
+        start = 0
+        while start < len(own):
+            lowest = len(own)
+            before: Dict[Tuple[int, int], int] = {}
+            for t in range(start, len(own)):
+                r = own[t]
+                if kind[r] == KIND_WRITE:
+                    continue
+                v, s = var[r], source[r]
+                if s == NO_SOURCE:
+                    if any(bound[q][chains.on[(q, v)][0]] <= t
+                           for q in chains.writers.get(v, ()) if q != p):
+                        return None
+                    continue
+                sp = proc[s]
+                ks = index[s] if sp == p else bisect_left(chains.rows[sp], s)
+                at = ks if sp == p else bound[sp][ks]
+                written = mine.get(v, ())
+                if bisect_left(written, at + (sp == p)) < bisect_left(written, t):
+                    return None  # an own write on v after s and before r
+                for q in chains.writers.get(v, ()):
+                    if q == p:
+                        continue
+                    xs, bq = chains.on[(q, v)], bound[q]
+                    i = before.get((q, v), 0)
+                    while i < len(xs) and bq[xs[i]] <= t:
+                        i += 1
+                    before[(q, v)] = i
+                    if not i or bq[xs[i - 1]] < at:
+                        continue
+                    last = xs[i - 1]
+                    if q == sp and last > ks:
+                        return None
+                    if bq[last] > at:
+                        if not lower(q, last, at):
+                            return None
+                        lowest = min(lowest, at)
+                    if sp != p and q != sp:
+                        edges.add((q, last, sp, ks))
+            start = lowest
 
-    def _legal(self, schedule: List[int]) -> bool:
-        """Columnar legality: every read returns the latest preceding write's
-        value (interned ids compare like values; ⊥ is interned too)."""
+        n = len(arena)
+        rows = chains.rows
+        keyed = sorted(b * n + row for q, bq in bound.items() for b, row in zip(bq, rows[q]))
+        tied: Dict[int, List[Tuple[int, int]]] = {}
+        for q, k, sq, ks in sorted(edges):
+            if bound[q][k] == bound[sq][ks]:
+                tied.setdefault(bound[q][k], []).append((rows[q][k], rows[sq][ks]))
+        schedule: List[int] = []
+        at = 0
+        for t in range(len(own) + 1):
+            end = bisect_left(keyed, (t + 1) * n, at)
+            batch = [key - t * n for key in keyed[at:end]]
+            at = end
+            if t in tied:
+                batch = self._sorted_batch(batch, tied[t], rows, clocks)
+                if not batch:
+                    return None
+            schedule.extend(batch)
+            if t < len(own):
+                schedule.append(own[t])
+        self._verify(p, schedule, rows, clocks)
+        return schedule
+
+    def _sorted_batch(
+        self,
+        batch: List[int],
+        tied: List[Tuple[int, int]],
+        rows: Dict[int, Sequence[int]],
+        clocks: Optional[Clocks],
+    ) -> List[int]:
+        """Topological order of one batch under the relation plus the
+        saturation edges ``tied``, smallest row first; empty on a cycle.  A
+        process' members of a batch are consecutive in its chain, so inside
+        it the relation is the chains plus, for causal, an edge from the last
+        member of each other process the write clock counts."""
+        proc = self.arena.proc
+        preds: Dict[int, List[int]] = {row: [] for row in batch}
+        for before, after in tied:
+            preds[after].append(before)
+        runs: Dict[int, List[int]] = {}
+        for row in batch:
+            run = runs.setdefault(proc[row], [])
+            preds[row].extend(run[-1:])
+            run.append(row)
+        if clocks is not None:
+            wvc, pidx = clocks[1], clocks[2]
+            first = {g: bisect_left(rows[g], run[0]) for g, run in runs.items()}
+            for row in batch:
+                for g, run in runs.items():
+                    counted = min(wvc[row * len(pidx) + pidx[g]] - first[g], len(run))
+                    if g != proc[row] and counted > 0:
+                        preds[row].append(run[counted - 1])
+        succ: Dict[int, List[int]] = {row: [] for row in batch}
+        waiting = dict.fromkeys(batch, 0)
+        for row, before in preds.items():
+            for b in dict.fromkeys(before):
+                succ[b].append(row)
+                waiting[row] += 1
+        ready = [row for row in batch if not waiting[row]]
+        out: List[int] = []
+        while ready:
+            out.append(heappop(ready))
+            for after in succ[out[-1]]:
+                waiting[after] -= 1
+                if not waiting[after]:
+                    heappush(ready, after)
+        return out if len(out) == len(batch) else []
+
+    def _verify(
+        self,
+        p: int,
+        schedule: List[int],
+        rows: Dict[int, Sequence[int]],
+        clocks: Optional[Clocks],
+    ) -> None:
+        """Self-check of view p's witness — every process' view operations in
+        chain order, each read preceded last on its variable by its source
+        row, and for causal every row after all it is counted to follow.  A
+        failure is an internal error, never a verdict."""
         arena = self.arena
-        kind, var, value = arena.kind, arena.var, arena.value
-        bottom = arena.bottom_id
+        kind, proc, var, source = arena.kind, arena.proc, arena.var, arena.source
+        lines = dict(rows)
+        lines[p] = arena.rows_of(p)
+        done = dict.fromkeys(lines, 0)
+        if clocks is not None:
+            vc, wvc, pidx = clocks
+            counts, P = [0] * len(pidx), len(pidx)
         last: Dict[int, int] = {}
         for row in schedule:
-            v = var[row]
+            q = proc[row]
+            k = done[q]
+            ok = k < len(lines[q]) and lines[q][k] == row
+            done[q] = k + 1
             if kind[row] == KIND_WRITE:
-                last[v] = value[row]
-            elif last.get(v, bottom) != value[row]:
-                return False
-        return True
+                last[var[row]] = row
+            elif last.get(var[row], NO_SOURCE) != source[row]:
+                ok = False
+            if clocks is not None and ok:
+                counts[pidx[q]] = k + 1
+                base = row * P
+                ok = vc[base + pidx[p]] <= done[p] and all(map(le, wvc[base:base + P], counts))
+            if not ok:
+                raise AssertionError(f"p{p}: the columnar witness fails its self-check at row {row}")
+        if any(done[q] != len(line) for q, line in lines.items()):
+            raise AssertionError(f"p{p}: the columnar witness misses view operations")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -26,7 +26,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ...exceptions import ConsistencyCheckError, WitnessError
+from ...exceptions import ConsistencyCheckError, SearchBudgetError, WitnessError
 from ..history import History
 from ..operations import Operation
 from ..orders import Relation
@@ -38,23 +38,28 @@ ReadFrom = Mapping[Operation, Optional[Operation]]
 ViewTask = Tuple[int, Tuple[Operation, ...], Relation, ReadFrom, bool]
 
 
-def check_view(task: ViewTask) -> Tuple[int, List[str], Optional[List[Operation]]]:
+def check_view(task: ViewTask) -> Tuple[int, List[str], Optional[List[Operation]], bool]:
     """Check one per-process view; the unit fanned out over worker pools.
 
-    Returns ``(pid, violations, witness)``.  The polynomial bad-pattern
-    pre-check always runs first (whatever the view size); when it finds
-    nothing and ``exact`` is set, the exact backtracking search decides the
-    view.  A module-level function so that ``multiprocessing`` pools can
-    pickle it.
+    Returns ``(pid, violations, witness, exact)``.  The polynomial bad-pattern
+    pre-check always runs first; when it finds nothing and ``exact`` is set,
+    :meth:`SerializationProblem.solve` decides the view — by saturation when
+    its reads form a chain (every causal and PRAM view), by the backtracking
+    search otherwise; a search past its state budget leaves the pre-check's
+    verdict with ``exact`` ``False``.  A module-level function so that
+    ``multiprocessing`` pools can pickle it.
     """
     pid, view, relation, read_from, exact = task
     problem = SerializationProblem(view, relation, read_from)
     violations = problem.quick_violations()
     if violations:
-        return pid, violations, None
+        return pid, violations, None, True
     if not exact:
-        return pid, [], None
-    return pid, [], problem.solve()
+        return pid, [], None, False
+    try:
+        return pid, [], problem.solve(), True
+    except SearchBudgetError:
+        return pid, [], None, False
 
 
 @dataclass
@@ -70,7 +75,8 @@ class CheckResult:
         means *no violation was found by the polynomial pre-check* — which
         runs at every view size; a ``False`` verdict is always a proof.
     exact:
-        Whether the verdict was established by the exact search.
+        Whether the verdict was established exactly — ``False`` also when the
+        search of some view ran past its state budget.
     serializations:
         For per-process criteria: a witness serialization of ``H_{i+w}`` per
         process.  For global criteria: a single witness under key ``-1``.
@@ -145,11 +151,12 @@ class ConsistencyChecker(abc.ABC):
             Optional explicit read-from mapping; inferred from values when
             omitted (requires a differentiated history).
         exact:
-            When ``True`` (default) run the exact backtracking search; when
-            ``False`` only run the polynomial bad-pattern pre-check, which
-            can prove inconsistency but not consistency.  The pre-check runs
-            at *every* view size (historically views above an internal limit
-            skipped it, silently turning ``exact=False`` checks into no-ops).
+            When ``True`` (default) decide every view exactly (saturation, or
+            the backtracking search); when ``False`` only run the polynomial
+            bad-pattern pre-check, which can prove inconsistency but not
+            consistency.  The pre-check runs at *every* view size (historically
+            views above an internal limit skipped it, silently turning
+            ``exact=False`` checks into no-ops).
         """
 
     def is_consistent(self, history: History, **kwargs: object) -> bool:
@@ -217,13 +224,13 @@ class PerProcessChecker(ConsistencyChecker):
             outcomes = pool.map(check_view, tasks)
         else:
             outcomes = [check_view(task) for task in tasks]
-        for pid, violations, witness in outcomes:
+        decided = True
+        for pid, violations, witness, view_exact in outcomes:
             if violations:
                 result.consistent = False
-                result.exact = True
                 result.violations.extend(f"p{pid}: {v}" for v in violations)
-            elif not exact:
-                continue
+            elif not view_exact:
+                decided = False
             elif witness is None:
                 result.consistent = False
                 result.violations.append(
@@ -231,6 +238,9 @@ class PerProcessChecker(ConsistencyChecker):
                 )
             else:
                 result.serializations[pid] = witness
+        # a violation is always a proof; a clean verdict is exact only if
+        # every view was decided
+        result.exact = not result.consistent or decided
         return result
 
 
@@ -244,27 +254,20 @@ def run_global_check(
 ) -> CheckResult:
     """Shared body of the single-witness criteria (sequential, atomic).
 
-    One legal serialization of the *whole* history must respect ``relation``;
-    the polynomial pre-check always runs first (fast exact rejection), then
-    the exact search unless ``exact`` is ``False``.  The witness, when found,
-    is recorded under key ``-1``.
+    One legal serialization of the *whole* history must respect ``relation``:
+    :func:`check_view` on the whole history, whose witness, when found, is
+    recorded under key ``-1``.
     """
-    problem = SerializationProblem(history.operations, relation, read_from)
-    result = CheckResult(criterion=name, consistent=True, exact=exact)
-    violations = problem.quick_violations()
-    if violations:
-        result.consistent = False
-        result.exact = True
-        result.violations.extend(violations)
-        return result
-    if not exact:
-        return result
-    witness = problem.solve()
-    if witness is None:
-        result.consistent = False
-        result.violations.append(failure_message)
-    else:
-        result.serializations[-1] = witness
+    _, violations, witness, decided = check_view(
+        (-1, history.operations, relation, read_from, exact))
+    result = CheckResult(criterion=name, consistent=not violations, exact=decided,
+                         violations=list(violations))
+    if decided and not violations:
+        if witness is None:
+            result.consistent = False
+            result.violations.append(failure_message)
+        else:
+            result.serializations[-1] = witness
     return result
 
 

@@ -151,6 +151,10 @@ class Relation:
         """:meth:`reachable` between universe positions (see :meth:`index_of`)."""
         return bool((self._reachability()[i] >> j) & 1)
 
+    def reach_rows(self) -> List[int]:
+        """A copy of the reachability rows: bit ``j`` of row ``i`` iff ``reaches(i, j)``."""
+        return list(self._reachability())
+
     def concurrent(self, first: Operation, second: Operation) -> bool:
         """``True`` iff neither operation reaches the other (paper: ``o1 || o2``)."""
         return not self.reachable(first, second) and not self.reachable(second, first)
@@ -496,6 +500,10 @@ class BlockedRelation(Relation):
 
     def reaches(self, i: int, j: int) -> bool:
         return _block_test(self._block_reachability()[i], j)
+
+    def reach_rows(self) -> List[int]:
+        return [sum(mask << (block * BLOCK_BITS) for block, mask in row.items())
+                for row in self._block_reachability()]
 
     def _mark_transitive(self) -> None:
         self._breach = self._bsucc

@@ -6,15 +6,37 @@ value written by the most recent preceding write on ``x`` in ``S`` (or the
 initial value ``⊥`` if there is none).  ``S`` *respects* an order relation
 when every related pair appears in the relation's order.
 
-The consistency checkers of :mod:`repro.core.consistency` reduce to the search
-problem solved here: *given a set of operations, a constraint relation and a
-read-from mapping, find a legal serialization respecting the relation*.  The
-search is an exact backtracking procedure with memoisation on the set of
-scheduled operations; it is exponential in the worst case (checking sequential
-consistency is NP-hard) but paper-sized and protocol-trace-sized views are
-handled comfortably.  A polynomial *bad pattern* pre-check
-(:func:`quick_violations`) provides fast sound rejection and is also exposed
-separately for the heuristic checking mode.
+The consistency checkers of :mod:`repro.core.consistency` reduce to the problem
+solved here: *given a set of operations, a constraint relation and a read-from
+mapping, find a legal serialization respecting the relation*, where a read is
+legal when its *mapped* writer is the last write on its variable before it
+(:func:`follows_read_from`).  A polynomial *bad pattern* pre-check
+(:meth:`SerializationProblem.quick_violations`) gives fast sound rejection and
+is also the whole of the heuristic checking mode.  Two procedures decide:
+
+**Saturation** (:meth:`SerializationProblem.saturate`), polynomial, for every
+view whose reads are totally ordered by the relation plus read-from — the
+per-process views of the causal (Definition 2) and PRAM (Definition 12)
+criteria.  Let ``C`` be the closure of the relation restricted to the view,
+plus every read-from edge ``w -> r``.  Saturate to a fixpoint: whenever ``r``
+reads ``w`` and another write ``w'`` on the same variable has ``w' -> r``,
+add ``w' -> w`` and re-close.  Each added edge holds in every legal
+serialization respecting ``C`` (``w'`` precedes ``r``, and ``w`` is the last
+write on the variable before ``r``), so a cycle proves that none exists, as
+does a write before a read of ``⊥``.  At an acyclic fixpoint let
+``r_1 -> ... -> r_k`` be the reads.  Emit the down-set of ``r_1`` (without
+it), ``r_1``, what ``r_2``'s down-set adds, ``r_2``, ..., then the rest, each
+batch in a topological order.  That respects ``C``: each batch is closed
+under predecessors in the later ones.  It is legal: the writes on ``x``
+placed before ``r_j`` are exactly the down-set's, and saturation made every
+one of them but ``r_j``'s writer ``w`` a predecessor of ``w`` — so ``w`` is
+the last; a read of ``⊥`` has no write on its variable in its down-set.
+
+**Search** (:meth:`SerializationProblem.search`): exact backtracking with
+memoisation, for every other view — sequential consistency is NP-hard even
+with the read-from map (Gibbons & Korach, 1997).  It is exponential in the
+worst case and ends with :class:`~repro.exceptions.SearchBudgetError` past
+``max_states`` explored states.
 """
 
 from __future__ import annotations
@@ -23,8 +45,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..exceptions import SearchBudgetError
 from .operations import BOTTOM, Operation
-from .orders import Relation
+from .orders import Relation, _popcount
 
 
 def is_legal_serialization(sequence: Sequence[Operation]) -> bool:
@@ -43,6 +66,20 @@ def is_legal_serialization(sequence: Sequence[Operation]) -> bool:
     return True
 
 
+def follows_read_from(
+    sequence: Sequence[Operation], read_from: Mapping[Operation, Optional[Operation]]
+) -> bool:
+    """``True`` iff each read's mapped writer (``None``: no write at all) is the
+    last write on its variable before it — legality under the mapping."""
+    last: Dict[str, Operation] = {}
+    for op in sequence:
+        if op.is_write:
+            last[op.variable] = op
+        elif last.get(op.variable) != read_from.get(op):
+            return False
+    return True
+
+
 def respects(sequence: Sequence[Operation], relation: Relation) -> bool:
     """``True`` iff ``sequence`` orders every related pair consistently with ``relation``."""
     position = {op: i for i, op in enumerate(sequence)}
@@ -53,9 +90,20 @@ def respects(sequence: Sequence[Operation], relation: Relation) -> bool:
     return True
 
 
-def is_serialization_of(sequence: Sequence[Operation], ops: Iterable[Operation]) -> bool:
-    """``True`` iff ``sequence`` contains exactly the operations ``ops`` once each."""
-    return set(sequence) == set(ops) and len(sequence) == len(set(sequence)) == len(tuple(ops))
+def _join(desc: List[int], sources: int, target: int) -> bool:
+    """Close the descendant rows ``desc`` under new edges from every position
+    of the mask ``sources`` to ``target``; ``False`` when that closes a cycle.
+
+    Every source's ancestors gain ``target`` and its descendants — one pass
+    over the rows, as the ancestors are exactly the rows that meet ``sources``.
+    """
+    if desc[target] & sources or (sources >> target) & 1:
+        return False
+    down = desc[target] | (1 << target)
+    for i, row in enumerate(desc):
+        if row & sources or (sources >> i) & 1:
+            desc[i] = row | down
+    return True
 
 
 @dataclass
@@ -77,9 +125,9 @@ class SerializationProblem:
 
     Construction builds nothing.  The relation restricted to the view is made
     on first use (every stage needs it) and the predecessor sets of the search
-    on the first :meth:`solve_greedy` / :meth:`solve`, so a problem that is only
-    pre-checked (``exact=False``) or that the pre-check rejects never pays for
-    exact-search structures.
+    on the first :meth:`search`, so a problem that is only pre-checked
+    (``exact=False``), rejected by the pre-check or decided by saturation
+    never pays for them.
     """
 
     ops: Tuple[Operation, ...]
@@ -165,95 +213,97 @@ class SerializationProblem:
                     )
         return violations
 
-    # -- greedy fast path ------------------------------------------------------
-    def solve_greedy(self) -> Optional[List[Operation]]:
-        """Attempt a linear-time "apply as late as possible" schedule.
-
-        The fast path targets the per-process views of protocol-recorded
-        histories, where every read belongs to a single process: the reader's
-        operations are replayed in program order and, whenever a read needs a
-        write that is not yet visible, the write's (relation) ancestors and
-        the write itself are appended first.  The produced sequence is then
-        *verified* (legality + relation respect); on any failure ``None`` is
-        returned and the caller falls back to the exact backtracking search,
-        so the fast path can never change a verdict, only speed it up.
-        """
-        reads = [op for op in self.ops if op.is_read]
-        if not reads:
-            ordering = self._restricted.topological_order()
-            if ordering is None:
-                return None
-            return ordering if is_legal_serialization(ordering) else None
-        reader_processes = {op.process for op in reads}
-        if len(reader_processes) != 1:
-            return None
-        reader = next(iter(reader_processes))
-
-        ops_set = set(self.ops)
-        preds = self._preds
-        scheduled: List[Operation] = []
-        scheduled_set: Set[Operation] = set()
-
-        def append(op: Operation) -> None:
-            scheduled.append(op)
-            scheduled_set.add(op)
-
-        def require(op: Operation, stack: Optional[Set[Operation]] = None) -> bool:
-            """Schedule ``op`` after (recursively) scheduling its ancestors."""
-            if op in scheduled_set:
-                return True
-            stack = stack or set()
-            if op in stack:  # cycle in the constraint relation
-                return False
-            stack.add(op)
-            for pred in sorted(preds[op], key=lambda o: o.uid):
-                if not require(pred, stack):
-                    return False
-            stack.discard(op)
-            if op not in scheduled_set:
-                append(op)
-            return True
-
-        own_ops = [op for op in self.ops if op.process == reader]
-        own_ops.sort(key=lambda o: o.index)
-        for op in own_ops:
-            if op.is_read:
-                writer = self.read_from.get(op)
-                if writer is not None:
-                    if writer not in ops_set:
-                        return None
-                    if not require(writer):
-                        return None
-            if not require(op):
-                return None
-        # Remaining writes (never needed by the reader) go at the end, in an
-        # order that respects the relation.
-        for op in self.ops:
-            if op not in scheduled_set:
-                if not require(op):
-                    return None
-        if len(scheduled) != len(self.ops):
-            return None
-        if not is_legal_serialization(scheduled):
-            return None
-        if not respects(scheduled, self._restricted):
-            return None
-        return scheduled
-
-    # -- exact backtracking search -------------------------------------------
+    # -- the two deciders -----------------------------------------------------
     def solve(self) -> Optional[List[Operation]]:
-        """Find a legal serialization respecting the relation, or ``None``.
+        """A legal serialization respecting the relation, or ``None``.
 
-        A greedy fast path (:meth:`solve_greedy`) is attempted first; when it
-        fails, an exact backtracking search with memoisation on the set of
-        already scheduled operations (plus the visible write per variable)
-        decides the instance.  Raises :class:`RuntimeError` if the number of
-        explored states exceeds ``max_states`` (a guard against pathological
-        instances; paper-scale instances explore a few hundred states).
+        Decided by :meth:`saturate` when the view's reads form a chain, by
+        :meth:`search` otherwise — the input chooses, never the caller.
         """
-        greedy = self.solve_greedy()
-        if greedy is not None:
-            return greedy
+        decided, witness = self.saturate()
+        return witness if decided else self.search()
+
+    def saturate(self) -> Tuple[bool, Optional[List[Operation]]]:
+        """``(decided, witness)`` by saturation (see the module docstring).
+
+        ``decided`` is ``False`` when the reads are not totally ordered by the
+        relation plus read-from; then only :meth:`search` can decide.
+        Otherwise ``witness`` is the serialization, or ``None`` when none
+        exists.  Works on descendant bitmask rows over the view: the
+        restricted relation's reachability rows, then one row pass per
+        read-from edge the relation lacks and per saturating read.
+        """
+        restricted = self._restricted
+        inside = restricted.universe
+        ops = inside + tuple(op for op in self.ops if restricted.index_of(op) is None)
+        position = {op: i for i, op in enumerate(ops)}
+        base = restricted.reach_rows()
+        desc = base + [0] * (len(ops) - len(base))
+        if any((row >> i) & 1 for i, row in enumerate(base)):
+            return True, None
+        reads: List[Tuple[int, Optional[int]]] = []
+        writes_of: Dict[str, List[int]] = {}
+        for i, op in enumerate(ops):
+            if op.is_write:
+                writes_of.setdefault(op.variable, []).append(i)
+                continue
+            writer = self.read_from.get(op)
+            if writer is None:
+                reads.append((i, None))
+                continue
+            w = position.get(writer)
+            if w is None or not writer.is_write or writer.variable != op.variable:
+                return True, None
+            if not (desc[w] >> i) & 1 and not _join(desc, 1 << w, i):
+                return True, None
+            reads.append((i, w))
+
+        chain = sorted((r for r, _ in reads), key=lambda r: -_popcount(desc[r]))
+        if any(not (desc[a] >> b) & 1 for a, b in zip(chain, chain[1:])):
+            return False, None
+
+        changed = True
+        while changed:
+            changed = False
+            for r, w in reads:
+                rivals = writes_of.get(ops[r].variable, ())
+                if w is None:
+                    if any((desc[v] >> r) & 1 for v in rivals):
+                        return True, None
+                    continue
+                need = 0
+                for v in rivals:
+                    if v != w and (desc[v] >> r) & 1 and not (desc[v] >> w) & 1:
+                        need |= 1 << v
+                if need:
+                    if not _join(desc, need, w):
+                        return True, None
+                    changed = True
+
+        # batch = how many reads an operation does not precede (its own read
+        # counted as preceded); within a batch more descendants come first
+        read_mask = sum(1 << r for r in chain)
+        order = sorted(
+            range(len(ops)),
+            key=lambda i: (-_popcount((desc[i] | (1 << i)) & read_mask), -_popcount(desc[i])),
+        )
+        witness = [ops[i] for i in order]
+        emitted = 0
+        for i in order:
+            if i < len(base) and base[i] & emitted:
+                raise AssertionError("saturation witness violates the relation")
+            emitted |= 1 << i
+        if not follows_read_from(witness, self.read_from):
+            raise AssertionError("saturation witness violates the read-from map")
+        return True, witness
+
+    def search(self) -> Optional[List[Operation]]:
+        """Exact backtracking search for a legal serialization, or ``None``.
+
+        Memoises on the set of already scheduled operations plus the visible
+        write per variable.  Raises :class:`~repro.exceptions.SearchBudgetError`
+        if the number of explored states exceeds ``max_states``.
+        """
         ops = self.ops
         if not ops:
             return []
@@ -320,7 +370,7 @@ class SerializationProblem:
                 return False
             states += 1
             if states > self.max_states:
-                raise RuntimeError(
+                raise SearchBudgetError(
                     f"serialization search exceeded {self.max_states} states"
                 )
             # Scheduling an enabled read never disables any other operation

@@ -169,6 +169,11 @@ class WitnessError(CheckError, KeyError):
         return Exception.__str__(self)
 
 
+class SearchBudgetError(CheckError, RuntimeError):
+    """The serialization search ran past its state budget (the checkers then
+    report ``exact=False``); a :class:`RuntimeError`, like the raise it replaced."""
+
+
 class DependencyChainError(CheckError, ValueError):
     """The dependency-chain analysis was asked about an unsupported criterion."""
 

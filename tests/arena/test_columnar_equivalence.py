@@ -4,9 +4,10 @@
 result contract — below ``materialize_max`` it replays the object engine's
 incremental pipeline over materialised operations; above it, the pram and
 causal criteria run entirely on the arena's integer columns (monitor
-replica, quick bad-pattern enumeration, and the deadline-driven witness
-scheduler).  Forcing each mode explicitly (``materialize_max=0`` vs ``=∞``)
-on the same randomly generated arenas pins the equivalence guarantee the
+replica, quick bad-pattern enumeration, and saturation, which decides each
+view and builds its witness).  Forcing each mode explicitly
+(``materialize_max=0`` vs ``=∞``) on the same randomly generated arenas pins
+the equivalence guarantee the
 ``Session(engine="arena")`` axis is built on: identical verdicts, identical
 violation strings in identical order, and witnesses for the same views.
 """

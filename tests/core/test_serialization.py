@@ -1,7 +1,11 @@
 """Unit tests for :mod:`repro.core.serialization`."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.consistency.criteria import SlowChecker
+from repro.core.consistency.sequential import SequentialChecker
 from repro.core.history import HistoryBuilder
 from repro.core.operations import BOTTOM, Operation
 from repro.core.orders import Relation, causal_order, full_program_order
@@ -11,6 +15,7 @@ from repro.core.serialization import (
     is_legal_serialization,
     respects,
 )
+from repro.exceptions import CheckError, SearchBudgetError
 
 
 class TestLegality:
@@ -148,3 +153,48 @@ class TestSerializationProblem:
                                        max_states=1)
         with pytest.raises(RuntimeError):
             problem.solve()
+
+
+class TestSearchBudget:
+    """A search past its state budget leaves the pre-check's verdict, with
+    ``exact=False``; it never raises out of a checker."""
+
+    @pytest.fixture
+    def tiny_budget(self, monkeypatch):
+        search = SerializationProblem.search
+        monkeypatch.setattr(SerializationProblem, "search",
+                            lambda problem: search(dataclasses.replace(problem, max_states=1)))
+
+    @staticmethod
+    def two_readers():
+        b = HistoryBuilder()
+        b.write(1, "x", "a").write(2, "y", "b")
+        b.read(3, "x", "a").read(3, "y", "b").read(4, "y", "b")
+        return b.build()
+
+    def test_the_budget_is_a_typed_check_error(self):
+        h = self.two_readers()
+        problem = SerializationProblem(h.operations, Relation(h.operations), h.read_from(),
+                                       max_states=1)
+        with pytest.raises(SearchBudgetError) as raised:
+            problem.solve()
+        assert isinstance(raised.value, CheckError)
+
+    def test_a_sequential_check_past_its_budget_is_inexact(self, tiny_budget):
+        result = SequentialChecker().check(self.two_readers(), exact=True)
+        assert result.consistent and not result.exact and not result.serializations
+
+    def test_a_view_past_its_budget_is_inexact(self, tiny_budget):
+        # slow memory leaves p3's reads of x and y unordered: its view searches
+        result = SlowChecker().check(self.two_readers(), exact=True)
+        assert result.consistent and not result.exact
+        assert sorted(result.serializations) == [1, 2, 4]
+
+    def test_a_proof_in_another_view_stays_exact(self, tiny_budget):
+        b = HistoryBuilder()
+        b.write(1, "x", "a").write(1, "x", "b").write(2, "y", "c")
+        b.read(3, "x", "a").read(3, "y", "c")
+        b.read(4, "x", "b").read(4, "x", "a")  # against p1's program order
+        result = SlowChecker().check(b.build(), exact=True)
+        assert not result.consistent and result.exact
+        assert [v[:3] for v in result.violations] == ["p4:"]

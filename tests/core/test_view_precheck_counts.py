@@ -1,18 +1,24 @@
-"""Count-based guard of the view pre-check (seed-deterministic, no timing).
+"""Count-based guard of the view checks (seed-deterministic, no timing).
 
 What one check is allowed to compute: a closure is taken once, and nothing on
-a restriction of it — no second SCC pass, no Kahn pass — while the predecessor
-sets of the exact search exist only for views with reads that reach ``solve()``.
+a restriction of it — no second SCC pass, no Kahn pass — and no causal or
+PRAM view ever reaches the backtracking search: saturation decides every one
+of them, whatever its size.  Only views whose reads are not a chain (here: a
+sequential check of two processes) still search.
 """
 
 from collections import Counter
 
 import pytest
 
+from repro.api import Session
 from repro.core.consistency.criteria import CausalChecker, PRAMChecker
-from repro.core.history import HistoryBuilder
+from repro.core.consistency.sequential import SequentialChecker
+from repro.core.history import History, HistoryBuilder
 from repro.core.orders import Relation
 from repro.core.serialization import SerializationProblem
+from repro.experiments import builtin_scenarios
+from repro.hunt import SpecSampler
 from repro.mcs.system import MCSystem
 from repro.workloads.access_patterns import run_script, uniform_access_script
 from repro.workloads.distributions import random_distribution
@@ -29,11 +35,11 @@ def recorded():
 
 
 class Work:
-    """SCC and Kahn passes run, problems created, problems that reached ``solve()``."""
+    """SCC and Kahn passes run, problems created, problems that reached the search."""
 
     def __init__(self):
         self.passes = Counter()
-        self.problems, self.solved = [], []
+        self.problems, self.solved, self.searched = [], [], []
 
     def with_preds(self):
         return [problem for problem in self.problems if "_preds" in vars(problem)]
@@ -44,6 +50,7 @@ def work(monkeypatch):
     work = Work()
     reachability, kahn = Relation._reachability, Relation.topological_order
     created, solve = SerializationProblem.__post_init__, SerializationProblem.solve
+    search = SerializationProblem.search
 
     def counted_reachability(relation):
         work.passes["scc"] += relation._reach is None
@@ -61,10 +68,15 @@ def work(monkeypatch):
         work.solved.append(problem)
         return solve(problem)
 
+    def recorded_search(problem):
+        work.searched.append(problem)
+        return search(problem)
+
     monkeypatch.setattr(Relation, "_reachability", counted_reachability)
     monkeypatch.setattr(Relation, "topological_order", counted_kahn)
     monkeypatch.setattr(SerializationProblem, "__post_init__", recorded_creation)
     monkeypatch.setattr(SerializationProblem, "solve", recorded_solve)
+    monkeypatch.setattr(SerializationProblem, "search", recorded_search)
     return work
 
 
@@ -77,15 +89,19 @@ def test_heuristic_causal_check_closes_once_and_builds_no_search_structure(recor
     assert work.with_preds() == [] and work.solved == []
 
 
-def test_exact_causal_check_builds_predecessor_sets_once_per_solved_view(recorded, work):
+@pytest.mark.parametrize("checker, passes", [(CausalChecker(), (1, 0)), (PRAMChecker(), (4, 4))],
+                         ids=["causal", "pram"])
+def test_exact_check_of_a_recorded_run_never_searches(recorded, work, checker, passes):
+    """Causal closes once; PRAM sorts and closes each restriction once, in the
+    pre-check — saturation reuses those rows."""
     history, read_from = recorded
-    result = CausalChecker().check(history, read_from, exact=True)
+    result = checker.check(history, read_from, exact=True)
     assert result.consistent and result.exact and sorted(result.serializations) == [0, 1, 2, 3]
-    assert (work.passes["scc"], work.passes["kahn"]) == (1, 0)
-    assert work.with_preds() == work.solved == work.problems
+    assert (work.passes["scc"], work.passes["kahn"]) == passes
+    assert work.solved == work.problems and work.searched == [] and work.with_preds() == []
 
 
-def test_a_view_the_precheck_rejects_builds_no_predecessor_sets(work):
+def test_a_view_the_precheck_rejects_never_reaches_solve(work):
     b = HistoryBuilder()
     b.write(1, "x", "a").write(1, "x", "b")
     b.read(2, "x", "b").read(2, "x", "a")  # p2 sees p1's writes against program order
@@ -95,10 +111,8 @@ def test_a_view_the_precheck_rejects_builds_no_predecessor_sets(work):
     assert not result.consistent and [v[:3] for v in result.violations] == ["p2:"]
     p1, p2, p3 = work.problems
     assert work.solved == [p1, p3]  # p2's view never reaches solve()
-    # p1's view has no read: the greedy path sorts it (the one Kahn pass) and
-    # needs no predecessor sets either
-    assert [p is p3 for p in work.with_preds()] == [True]
-    assert (work.passes["scc"], work.passes["kahn"]) == (1, 1)
+    assert work.searched == []  # p1's view has no read, p3's reads are a chain
+    assert (work.passes["scc"], work.passes["kahn"]) == (1, 0)
 
 
 def test_pram_check_pays_one_scc_and_one_kahn_pass_per_view(recorded, work):
@@ -109,3 +123,43 @@ def test_pram_check_pays_one_scc_and_one_kahn_pass_per_view(recorded, work):
     assert result.consistent
     assert (work.passes["scc"], work.passes["kahn"]) == (4, 4)
     assert work.with_preds() == []
+
+
+SUITE_SPECS = [point.spec for experiment in builtin_scenarios()
+               if experiment.suite in ("paper", "stress", "faults") for point in experiment.expand()]
+
+
+def test_no_view_of_a_suite_point_or_sampled_run_searches(work):
+    checked = 0
+    for spec in SUITE_SPECS + [SpecSampler(0).sample(index) for index in range(60)]:
+        report = Session.from_spec(spec).run()  # its own checks may search (sequential)
+        if not isinstance(report.history, History):
+            continue
+        solved, searched = len(work.solved), len(work.searched)
+        for checker in (CausalChecker(), PRAMChecker()):
+            result = checker.check(report.history, read_from=report.read_from, exact=True)
+            assert result.exact, (spec.name, checker.name)
+            checked += 1
+        assert len(work.solved) > solved and len(work.searched) == searched, spec.name
+    assert checked >= 200
+
+
+def test_the_1000_operation_scale_pram_shape_is_decided_exactly_without_search(work):
+    """The shape on which the backtracking search ran past a minute."""
+    dist = random_distribution(processes=4, variables=8, replicas_per_variable=2, seed=3)
+    script = uniform_access_script(dist, 250, 0.4, seed=3)
+    report = Session("pram_partial", dist, script, seed=3, check=False).run()
+    assert len(report.history) == 1000
+    for checker in (CausalChecker(), PRAMChecker()):
+        result = checker.check(report.history, report.read_from, exact=True)
+        assert result.consistent and result.exact and len(result.serializations) == 4
+    assert len(work.solved) == 8 and work.searched == []
+
+
+def test_a_sequential_check_of_two_processes_still_searches(work):
+    b = HistoryBuilder()
+    b.write(1, "x", "a").read(1, "y", "b")
+    b.write(2, "y", "b").read(2, "x", "a")
+    result = SequentialChecker().check(b.build(), exact=True)
+    assert result.consistent and result.exact
+    assert len(work.searched) == 1

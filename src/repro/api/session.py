@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.consistency.base import CheckResult
 from ..core.consistency.incremental import (
-    BatchAdapter,
     CheckPolicy,
     IncrementalChecker,
     incremental_checker,
@@ -306,8 +305,10 @@ class Session:
         its string spellings (``"finalize"``, ``"every_op"``, ``"fail_fast"``,
         ``"every:N[:fail_fast]"``).
     exact:
-        Whether ``finalize`` runs the exact serialization search (witnesses)
-        or only the polynomial pre-check.
+        Whether ``finalize`` decides every view exactly — by saturation for
+        the causal and PRAM views, by the backtracking search for the other
+        criteria — and records witnesses, or only runs the polynomial
+        pre-check.
     keep_history:
         When ``False`` neither the history nor the checkers' prefixes are
         buffered; only the O(1) stream monitors run and the report carries
@@ -321,13 +322,12 @@ class Session:
         through the incremental checkers; ``"arena"`` records the run into a
         columnar :class:`~repro.arena.store.OpArena` and checks it with
         :class:`~repro.arena.check.ArenaBatchChecker` — same verdicts,
-        violations and witness keys (the cross-engine equivalence suite
-        enforces it), at a fraction of the per-operation cost.  With the
+        violations and witnesses (both engines emit by one rule, and the
+        cross-engine equivalence suite enforces it), at a fraction of the
+        per-operation cost.  With the
         default finalize policy an arena run allocates no per-op objects at
         all; a periodic or fail-fast policy on an application run subscribes
         the checking listener and pays object materialisation only then.
-    pool:
-        Optional worker pool forwarded to per-process checkers at finalize.
     trace_out:
         Path of a ``repro-trace-v1`` JSONL file to export the run's delivery
         log to (see :mod:`repro.serve.trace`).  The recorder's subscription
@@ -356,7 +356,6 @@ class Session:
         engine: str = "object",
         network: Optional[NetworkLike] = None,
         protocol_options: Optional[Dict[str, Any]] = None,
-        pool: Optional[Any] = None,
         settle_every: int = 1,
         max_retries: int = 1_000,
         step_delay: float = 0.1,
@@ -399,7 +398,6 @@ class Session:
             self.criteria = (criteria,)
         else:
             self.criteria = tuple(criteria)
-        self._pool = pool
         self._settle_every = settle_every
         self._max_retries = max_retries
         self._step_delay = step_delay
@@ -446,13 +444,10 @@ class Session:
                         exact=exact,
                         cache=self.recorder.cache,
                     )
-                    checker.set_pool(pool)
                 else:
                     checker = incremental_checker(
                         criterion, exact=exact, bounded=not keep_history
                     )
-                    if isinstance(checker, BatchAdapter):
-                        checker.set_pool(pool)
                 checker.start(universe=tuple(self.distribution.processes))
                 self.checkers[criterion] = checker
         self._ran = False
@@ -463,7 +458,6 @@ class Session:
         spec: Union[ScenarioSpec, Mapping[str, Any]],
         *,
         keep_history: bool = True,
-        pool: Optional[Any] = None,
         settle_every: int = 1,
         max_retries: int = 1_000,
         trace_out: Optional[str] = None,
@@ -492,7 +486,6 @@ class Session:
             keep_history=keep_history,
             engine=spec.engine,
             network=spec.network,
-            pool=pool,
             settle_every=settle_every,
             max_retries=max_retries,
             trace_out=trace_out,

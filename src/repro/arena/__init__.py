@@ -18,7 +18,7 @@ Layout:
 """
 
 from .adapter import arena_from_history, history_from_arena
-from .check import COLUMNAR_CRITERIA, MATERIALIZE_MAX, WITNESS_MAX, ArenaBatchChecker
+from .check import COLUMNAR_CRITERIA, WITNESS_MAX, ArenaBatchChecker
 from .info import arena_info, format_info
 from .recorder import ArenaRecorder
 from .store import KIND_READ, KIND_WRITE, NO_SOURCE, OpArena
@@ -29,7 +29,6 @@ __all__ = [
     "COLUMNAR_CRITERIA",
     "KIND_READ",
     "KIND_WRITE",
-    "MATERIALIZE_MAX",
     "NO_SOURCE",
     "OpArena",
     "WITNESS_MAX",

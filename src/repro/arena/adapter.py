@@ -11,8 +11,8 @@ dict) so object identity stays consistent across calls, and it always
 proceeds in **row order** (:func:`materialize_prefix`): ``Operation.uid``\\ s
 are allocated at construction time, so materialising in recording order
 reproduces exactly the relative uid order the object engine would have
-produced — which the serialization search's deterministic tie-breaks depend
-on for bit-identical witnesses.
+produced — the recording order both engines' witness emission rule
+follows, so witnesses built from materialised rows are label-identical.
 """
 
 from __future__ import annotations

@@ -7,36 +7,29 @@ but it never observes per-operation ``Operation`` objects: the
 :class:`~repro.arena.store.OpArena` it shares with the
 :class:`~repro.arena.recorder.ArenaRecorder` *is* the fed stream.
 
-Two evaluation modes, chosen by the input:
+Causal and pram are checked over the columns at every size.  Monitors, bad
+patterns and witnesses run over the int columns, with no per-view graph: the
+stream monitors of
+:class:`~repro.core.consistency.incremental.StreamMonitors` replicated over
+rows (same messages, same order), and for **causal** two vector-clock sweeps
+(operation and write counts per process) that answer ``a -> b`` in O(1).
+Each view ``H_{p+w}`` gives every remote write a *batch index*, the first own
+operation it precedes — read off the clocks for causal, off the read-from
+pairs for pram (whose restricted
+:func:`~repro.core.orders.pram_generating_order` graph is p's chain, the
+write chains and read-from into p's reads).  The bad patterns are bisections
+over it, and saturation (:meth:`ArenaBatchChecker._witness`, the columnar
+form of :meth:`~repro.core.serialization.SerializationProblem.saturate`)
+lowers it to a fixpoint: a cycle proves the view inconsistent, otherwise the
+batches and own operations, interleaved, are the witness.  Both engines emit
+by the one rule stated in :mod:`repro.core.serialization`, so verdicts,
+violation strings and witnesses equal the object checker's over the
+materialised history.
 
-**Materialise** (small histories, or criteria without a columnar path).
-    The arena is materialised in recording order and replayed through the
-    exact object pipeline
-    (:func:`~repro.core.consistency.incremental.incremental_checker`), so
-    verdicts, violations, witnesses and summaries are *bit-identical* with
-    the object engine — the equivalence guarantee of ``Session(engine=...)``.
-    Used whenever the history has at most ``materialize_max`` operations,
-    the criterion has no columnar implementation, or a read's source row
-    does not precede it (only adapter-built arenas can violate that).
-
-**Columnar** (``causal`` / ``pram`` at scale).
-    Monitors, bad patterns and witnesses run over the int columns, with no
-    per-view graph: the stream monitors of
-    :class:`~repro.core.consistency.incremental.StreamMonitors` replicated
-    over rows (same messages, same order), and for **causal** two
-    vector-clock sweeps (operation and write counts per process) that answer
-    ``a -> b`` in O(1).  Each view ``H_{p+w}`` gives every remote write a
-    *batch index*, the first own operation it precedes — read off the clocks
-    for causal, off the read-from pairs for pram (whose restricted
-    :func:`~repro.core.orders.pram_generating_order` graph is p's chain, the
-    write chains and read-from into p's reads).  The bad patterns are
-    bisections over it, and saturation (:meth:`ArenaBatchChecker._witness`,
-    the columnar form of
-    :meth:`~repro.core.serialization.SerializationProblem.saturate`) lowers
-    it to a fixpoint: a cycle proves the view inconsistent, otherwise the
-    batches and own operations, interleaved, are the witness.  The decision
-    is complete, so verdicts are exact in both modes; witness *identity*
-    with the object engine is only guaranteed in materialise mode.
+Every other criterion, and an adapter-built arena whose read sources do not
+all precede their reads, is materialised in recording order and replayed
+through the object pipeline
+(:func:`~repro.core.consistency.incremental.incremental_checker`).
 
 Witness serializations are materialised only when the history has at most
 ``witness_max`` operations — beyond that the verdict is still exact but the
@@ -52,17 +45,13 @@ from operator import le
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.consistency.base import CheckResult
-from ..core.consistency.incremental import (
-    BatchAdapter,
-    IncrementalChecker,
-    incremental_checker,
-)
+from ..core.consistency.incremental import IncrementalChecker, incremental_checker
 from ..core.consistency.registry import all_checkers
 from ..exceptions import UnknownCriterionError
 from . import adapter
 from .store import KIND_WRITE, NO_SOURCE, OpArena
 
-#: Criteria with a columnar fast path; everything else materialises.
+#: Criteria with a columnar path; everything else materialises.
 COLUMNAR_CRITERIA = frozenset({"causal", "pram"})
 
 #: The relation each columnar criterion's object checker builds
@@ -70,11 +59,6 @@ COLUMNAR_CRITERIA = frozenset({"causal", "pram"})
 #: :func:`~repro.core.orders.pram_generating_order`): the one an unsatisfiable
 #: view's verdict names.
 _RELATION_NAMES = {"causal": "causal", "pram": "pram-gen"}
-
-#: At or below this many operations the checker always materialises, which
-#: makes its results bit-identical with the object engine (every committed
-#: suite lives far below this threshold).
-MATERIALIZE_MAX = 4096
 
 #: Above this many operations no witness serializations are materialised.
 WITNESS_MAX = 200_000
@@ -116,7 +100,6 @@ class ArenaBatchChecker(IncrementalChecker):
         *,
         exact: bool = True,
         cache: Optional[adapter.OpCache] = None,
-        materialize_max: int = MATERIALIZE_MAX,
         witness_max: int = WITNESS_MAX,
     ) -> None:
         if criterion not in all_checkers():
@@ -128,9 +111,7 @@ class ArenaBatchChecker(IncrementalChecker):
         self.arena = arena
         self._exact = exact
         self._cache: adapter.OpCache = {} if cache is None else cache
-        self._materialize_max = materialize_max
         self._witness_max = witness_max
-        self._pool: Optional[Any] = None
         self._universe: Tuple[int, ...] = ()
         self._finalized: Optional[CheckResult] = None
         self._violations: List[str] = []
@@ -139,10 +120,6 @@ class ArenaBatchChecker(IncrementalChecker):
         #: Earliest stream-monitor violation, as ``(row, "p{pid}: message")``
         #: — what the object session would have reported as first violation.
         self.first_stream_violation: Optional[Tuple[int, str]] = None
-
-    def set_pool(self, pool: Optional[Any]) -> None:
-        """Worker pool forwarded to the materialised pipeline at finalize."""
-        self._pool = pool
 
     # -- incremental protocol -------------------------------------------------
     def start(self, universe: Optional[Tuple[int, ...]] = None) -> None:
@@ -207,7 +184,7 @@ class ArenaBatchChecker(IncrementalChecker):
     def ops_fed(self) -> int:
         return len(self.arena)
 
-    # -- mode selection -------------------------------------------------------
+    # -- path selection -------------------------------------------------------
     def _sources_forward(self) -> bool:
         """``True`` iff every read's source row precedes the read (always the
         case for live-recorded arenas; adapter-built ones may differ)."""
@@ -221,23 +198,16 @@ class ArenaBatchChecker(IncrementalChecker):
         return all(source[row] <= row for row in range(len(source)))
 
     def _evaluate(self, exact: bool) -> CheckResult:
-        n = len(self.arena)
-        if (
-            self.criterion in COLUMNAR_CRITERIA
-            and n > self._materialize_max
-            and self._sources_forward()
-        ):
+        if self.criterion in COLUMNAR_CRITERIA and self._sources_forward():
             return self._columnar_result(exact)
         return self._materialized_result(exact)
 
-    # -- materialise mode -----------------------------------------------------
+    # -- materialised pipeline ----------------------------------------------
     def _materialized_result(self, exact: bool) -> CheckResult:
         arena, cache = self.arena, self._cache
         n = len(arena)
         inner = incremental_checker(self.criterion, exact=exact, bounded=False)
         inner.start(self._universe)
-        if isinstance(inner, BatchAdapter) and self._pool is not None:
-            inner.set_pool(self._pool)
         adapter.materialize_prefix(arena, n, cache)
         kind, source = arena.kind, arena.source
         for row in range(n):
@@ -253,7 +223,7 @@ class ArenaBatchChecker(IncrementalChecker):
         self._last_monitors = list(inner._violations)
         return inner.finalize()
 
-    # -- columnar mode --------------------------------------------------------
+    # -- columnar path --------------------------------------------------------
     def _columnar_result(self, exact: bool) -> CheckResult:
         monitor_violations = self._columnar_monitors()
         self._last_monitors = [message for _, message in monitor_violations]

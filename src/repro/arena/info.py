@@ -1,17 +1,14 @@
-"""Introspection for ``repro arena info``: sizes, occupancy, memory estimates.
+"""Introspection for ``repro arena info``: sizes, edge counts, memory estimates.
 
-Everything here works on arena columns and row integers — the causal
-generating relation is built directly over rows (the universe of a
-:class:`~repro.core.orders.Relation` only needs hashable elements), so no
-``Operation`` is ever materialised and the numbers reflect what the arena
-engine actually allocates at scale.
+Everything here works on arena columns and row integers: no ``Operation`` is
+ever materialised and no relation is built, so the numbers reflect what the
+arena engine actually allocates at scale.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict
 
-from ..core.orders import BLOCKED_MIN_UNIVERSE, BlockedRelation, relation_for
 from .store import KIND_WRITE, NO_SOURCE, OpArena
 
 #: Rough per-``Operation`` footprint of the object engine (frozen dataclass
@@ -20,50 +17,38 @@ from .store import KIND_WRITE, NO_SOURCE, OpArena
 OBJECT_OP_BYTES = 360
 
 
-def causal_row_relation(arena: OpArena):
-    """The causal *generating* relation (program ∪ read-from covering edges)
-    over raw row numbers, on the backend :func:`relation_for` picks."""
-    n = len(arena)
-    relation = relation_for(range(n), "causal-gen/rows")
+def causal_generating_edges(arena: OpArena) -> int:
+    """Edge count of the causal *generating* relation (program ∪ read-from
+    covering edges) over the rows: one program-order edge per operation with
+    a predecessor in its process, plus each read-from edge that is not also
+    that program-order edge."""
     proc, kind, source = arena.proc, arena.kind, arena.source
     last: Dict[int, int] = {}
-    for row in range(n):
+    edges = 0
+    for row in range(len(kind)):
         prev = last.get(proc[row])
         if prev is not None:
-            relation.add(prev, row)
+            edges += 1
         last[proc[row]] = row
-        if kind[row] != KIND_WRITE:
-            src = source[row]
-            if src != NO_SOURCE and src != row:
-                relation.add(src, row)
-    return relation
+        if kind[row] != KIND_WRITE and source[row] not in (NO_SOURCE, row, prev):
+            edges += 1
+    return edges
 
 
 def arena_info(arena: OpArena) -> Dict[str, Any]:
-    """The payload of ``repro arena info``.
-
-    Extends :meth:`OpArena.stats` with the estimated object-engine footprint
-    for the same history and, when the history is large enough to use the
-    blocked reachability backend, the block-occupancy digest of its causal
-    generating relation.
-    """
+    """The payload of ``repro arena info``: :meth:`OpArena.stats` plus the
+    estimated object-engine footprint for the same history and the causal
+    generating edge count."""
     stats = arena.stats()
-    ops = stats["operations"]
-    stats["object_engine_estimated_bytes"] = ops * OBJECT_OP_BYTES
-    stats["reachability_backend"] = (
-        "blocked" if ops >= BLOCKED_MIN_UNIVERSE else "dense"
-    )
-    relation = causal_row_relation(arena)
-    stats["causal_generating_edges"] = relation.edge_count()
-    if isinstance(relation, BlockedRelation):
-        stats["blocks"] = relation.block_stats()
+    stats["object_engine_estimated_bytes"] = stats["operations"] * OBJECT_OP_BYTES
+    stats["causal_generating_edges"] = causal_generating_edges(arena)
     return stats
 
 
 def format_info(stats: Dict[str, Any]) -> str:
     """Human-readable rendering of :func:`arena_info` (one ``key: value`` per
-    line, blocks indented)."""
-    lines = [
+    line)."""
+    return "\n".join([
         f"operations:       {stats['operations']}"
         f" ({stats['writes']} writes, {stats['reads']} reads)",
         f"processes:        {stats['processes']}",
@@ -75,20 +60,5 @@ def format_info(stats: Dict[str, Any]) -> str:
         f"estimated total:  {stats['estimated_bytes']}"
         f" (object engine ≈ {stats['object_engine_estimated_bytes']})",
         f"numpy views:      {'available' if stats['numpy'] else 'unavailable'}",
-        f"reachability:     {stats['reachability_backend']}"
-        f" ({stats['causal_generating_edges']} generating edges)",
-    ]
-    blocks = stats.get("blocks")
-    if blocks:
-        occupancy = (
-            100.0 * blocks["allocated"] / blocks["possible"]
-            if blocks["possible"]
-            else 0.0
-        )
-        lines.append(
-            f"blocks:           {blocks['allocated']}/{blocks['possible']}"
-            f" allocated ({occupancy:.2f}%),"
-            f" {blocks['set_bits']} set bits,"
-            f" {blocks['block_bits']} bits/block"
-        )
-    return "\n".join(lines)
+        f"causal edges:     {stats['causal_generating_edges']} generating",
+    ])

@@ -66,7 +66,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def _parse_params(pairs: Optional[Sequence[str]], flag: str) -> dict:
@@ -643,7 +643,7 @@ def _cmd_place_report(args: argparse.Namespace) -> int:
 
 def _cmd_arena_info(args: argparse.Namespace) -> int:
     """``repro arena info``: record a run columnar and print the arena's
-    sizes, block occupancy and memory estimate (no checking)."""
+    sizes, causal generating edges and memory estimate (no checking)."""
     from .api import Session
     from .arena import arena_info, format_info
 
@@ -1078,13 +1078,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     arena = sub.add_parser(
         "arena",
-        help="columnar history engine introspection (sizes, occupancy, "
+        help="columnar history engine introspection (sizes, edge counts, "
              "memory estimates)")
     arsub = arena.add_subparsers(dest="arena_command", required=True)
     ar_info = arsub.add_parser(
         "info",
         help="record a run into an OpArena (checking disabled) and print "
-             "its sizes, reachability backend and block occupancy")
+             "its sizes, causal generating edges and memory estimate")
     ar_info.add_argument("--protocol", default="pram_partial")
     ar_info.add_argument("--seed", type=int, default=0)
     ar_info.add_argument("--distribution", default="random",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ...exceptions import ConsistencyCheckError, SearchBudgetError, WitnessError
 from ..history import History
@@ -34,32 +34,29 @@ from ..serialization import SerializationProblem
 
 ReadFrom = Mapping[Operation, Optional[Operation]]
 
-#: One per-process unit of work: ``(pid, view ops, relation, read_from, exact)``.
-ViewTask = Tuple[int, Tuple[Operation, ...], Relation, ReadFrom, bool]
 
+def check_view(
+    pid: int, view: Sequence[Operation], relation: Relation, read_from: ReadFrom, exact: bool
+) -> Tuple[List[str], Optional[List[Operation]], bool]:
+    """Check one per-process view (``pid`` ``-1``: the whole history).
 
-def check_view(task: ViewTask) -> Tuple[int, List[str], Optional[List[Operation]], bool]:
-    """Check one per-process view; the unit fanned out over worker pools.
-
-    Returns ``(pid, violations, witness, exact)``.  The polynomial bad-pattern
+    Returns ``(violations, witness, exact)``.  The polynomial bad-pattern
     pre-check always runs first; when it finds nothing and ``exact`` is set,
     :meth:`SerializationProblem.solve` decides the view — by saturation when
     its reads form a chain (every causal and PRAM view), by the backtracking
     search otherwise; a search past its state budget leaves the pre-check's
-    verdict with ``exact`` ``False``.  A module-level function so that
-    ``multiprocessing`` pools can pickle it.
+    verdict with ``exact`` ``False``.
     """
-    pid, view, relation, read_from, exact = task
-    problem = SerializationProblem(view, relation, read_from)
+    problem = SerializationProblem(view, relation, read_from, owner=pid)
     violations = problem.quick_violations()
     if violations:
-        return pid, violations, None, True
+        return violations, None, True
     if not exact:
-        return pid, [], None, False
+        return [], None, False
     try:
-        return pid, [], problem.solve(), True
+        return [], problem.solve(), True
     except SearchBudgetError:
-        return pid, [], None, False
+        return [], None, False
 
 
 @dataclass
@@ -204,28 +201,15 @@ class PerProcessChecker(ConsistencyChecker):
         history: History,
         read_from: Optional[ReadFrom] = None,
         exact: bool = True,
-        pool: Optional[Any] = None,
     ) -> CheckResult:
-        """Check every per-process view of ``history``.
-
-        When ``pool`` (anything with a ``map`` method, e.g. a
-        ``multiprocessing.Pool``) is given and the history has more than one
-        process, the per-process serialization searches are fanned out over
-        it — the views are independent, so any split is sound.
-        """
+        """Check every per-process view of ``history``."""
         rf = history.read_from() if read_from is None else read_from
         relation = self._builder(history, rf)
         result = CheckResult(criterion=self.name, consistent=True, exact=exact)
-        tasks: List[ViewTask] = [
-            (pid, history.sub_history_plus_writes(pid), relation, rf, exact)
-            for pid in history.processes
-        ]
-        if pool is not None and len(tasks) > 1:
-            outcomes = pool.map(check_view, tasks)
-        else:
-            outcomes = [check_view(task) for task in tasks]
         decided = True
-        for pid, violations, witness, view_exact in outcomes:
+        for pid in history.processes:
+            violations, witness, view_exact = check_view(
+                pid, history.sub_history_plus_writes(pid), relation, rf, exact)
             if violations:
                 result.consistent = False
                 result.violations.extend(f"p{pid}: {v}" for v in violations)
@@ -258,8 +242,8 @@ def run_global_check(
     :func:`check_view` on the whole history, whose witness, when found, is
     recorded under key ``-1``.
     """
-    _, violations, witness, decided = check_view(
-        (-1, history.operations, relation, read_from, exact))
+    violations, witness, decided = check_view(
+        -1, history.operations, relation, read_from, exact)
     result = CheckResult(criterion=name, consistent=not violations, exact=decided,
                          violations=list(violations))
     if decided and not violations:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import abc
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...exceptions import (
@@ -61,7 +61,7 @@ from ..distribution import VariableDistribution
 from ..history import History
 from ..operations import Operation, OpKind, decode_value, encode_value
 from ..share_graph import ShareGraph
-from .base import CheckResult, ConsistencyChecker, PerProcessChecker
+from .base import CheckResult, ConsistencyChecker
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +402,9 @@ class PrefixChecker(IncrementalChecker):
     def _prefix_history(self) -> Tuple[History, Dict[Operation, Optional[Operation]]]:
         return History(self._ops), dict(self._read_from)
 
-    def _prefix_check(self, exact: bool, **kwargs: Any) -> CheckResult:
+    def _prefix_check(self, exact: bool) -> CheckResult:
         history, read_from = self._prefix_history()
-        return self._checker.check(history, read_from=read_from, exact=exact, **kwargs)
+        return self._checker.check(history, read_from=read_from, exact=exact)
 
     def _merged_full_violations(self) -> CheckResult:
         """Collect-all closure: one last polynomial sweep over the whole
@@ -460,20 +460,12 @@ class BatchAdapter(PrefixChecker):
         real_time: bool = False,
     ) -> None:
         self._exact = exact
-        self._pool: Optional[Any] = None
         super().__init__(checker, bounded=False, real_time=real_time)
-
-    def set_pool(self, pool: Optional[Any]) -> None:
-        """Worker pool forwarded to per-process checkers at finalize time."""
-        self._pool = pool
 
     def _final_check(self) -> CheckResult:
         if self._violations:
             return self._merged_full_violations()
-        kwargs: Dict[str, Any] = {}
-        if self._pool is not None and isinstance(self._checker, PerProcessChecker):
-            kwargs["pool"] = self._pool
-        return self._prefix_check(exact=self._exact, **kwargs)
+        return self._prefix_check(exact=self._exact)
 
 
 # ---------------------------------------------------------------------------

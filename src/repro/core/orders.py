@@ -28,7 +28,7 @@ objects, keeping the checkers easy to audit against the paper's definitions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..exceptions import RelationDomainError
 from .history import History
@@ -84,12 +84,7 @@ class Relation:
             raise RelationDomainError(
                 "both operations must belong to the relation's universe"
             )
-        if i != j:
-            self._link(i, j)
-
-    def _link(self, i: int, j: int) -> None:
-        """Set the edge between two universe positions (a self-edge too: closures have them)."""
-        if not (self._succ[i] >> j) & 1:
+        if i != j and not (self._succ[i] >> j) & 1:
             self._reach = None  # first: a closure's reachability rows *are* its edge rows
             self._succ[i] |= 1 << j
             if self._pred is not None:
@@ -170,20 +165,13 @@ class Relation:
         """Number of pairs in the relation."""
         return sum(_popcount(mask) for mask in self._succ)
 
-    def _mark_transitive(self) -> None:
-        """The relation is transitive: its edge rows are its reachability rows."""
-        self._reach = self._succ
-
-    def _is_transitive(self) -> bool:
-        return self._reach is self._succ
-
     def is_acyclic(self) -> bool:
         """``True`` iff the relation (viewed as a digraph) has no cycle.
 
         A cycle of a transitive relation makes each of its members reach
         itself, so there the diagonal decides; otherwise Kahn's algorithm does.
         """
-        if self._is_transitive():
+        if self._reach is self._succ:
             return not any(self.reaches(i, i) for i in range(len(self._universe)))
         return self.topological_order() is not None
 
@@ -361,7 +349,7 @@ class Relation:
         reach = self._reachability()
         closed._succ = list(reach)
         closed._pred = None
-        closed._mark_transitive()
+        closed._reach = closed._succ  # transitive: the edge rows are the reachability rows
         return closed
 
     def union(self, other: "Relation", name: Optional[str] = None) -> "Relation":
@@ -391,315 +379,12 @@ class Relation:
             for tgt in _iter_bits(self._succ[old] & keep_mask):
                 sub._succ[new] |= 1 << new_of_old[tgt]
         sub._pred = None
-        if self._is_transitive():
-            sub._mark_transitive()
+        if self._reach is self._succ:
+            sub._reach = sub._succ
         return sub
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Relation {self.name} |U|={len(self._universe)} edges={self.edge_count()}>"
-
-
-# ---------------------------------------------------------------------------
-# Blocked bitset backend (large universes)
-# ---------------------------------------------------------------------------
-
-#: Width of one lazily allocated bitset block of :class:`BlockedRelation`.
-BLOCK_BITS = 1024
-
-#: Universe size at which :func:`relation_for` switches to the blocked backend.
-#: Below it, a single dense Python integer per row is both smaller and faster;
-#: above it, a sparse row would otherwise cost ``n/8`` bytes per *edge* (a
-#: dense integer always spans up to its highest set bit).
-BLOCKED_MIN_UNIVERSE = 4096
-
-BlockRow = Dict[int, int]
-
-
-def _block_set(row: BlockRow, j: int) -> None:
-    block, offset = divmod(j, BLOCK_BITS)
-    row[block] = row.get(block, 0) | (1 << offset)
-
-
-def _block_test(row: BlockRow, j: int) -> bool:
-    block, offset = divmod(j, BLOCK_BITS)
-    return bool((row.get(block, 0) >> offset) & 1)
-
-
-def _block_or(dst: BlockRow, src: BlockRow) -> None:
-    get = dst.get
-    for block, mask in src.items():
-        dst[block] = get(block, 0) | mask
-
-
-def _block_iter(row: BlockRow) -> Iterator[int]:
-    for block in sorted(row):
-        base = block * BLOCK_BITS
-        for offset in _iter_bits(row[block]):
-            yield base + offset
-
-
-def _block_count(row: BlockRow) -> int:
-    return sum(_popcount(mask) for mask in row.values())
-
-
-class BlockedRelation(Relation):
-    """A :class:`Relation` whose rows are sparse blocked bitsets.
-
-    Each adjacency row is a ``{block index: BLOCK_BITS-wide int}`` dict —
-    blocks are allocated lazily, only where edges land, so a sparse relation
-    over 100k+ operations costs memory proportional to its edges instead of
-    ``n**2/8`` bytes.  Reachability uses the same SCC-condensed one-sweep
-    algorithm as the dense backend, over block unions.  Semantics are
-    identical to :class:`Relation` (the equivalence is property-tested);
-    :meth:`restricted_to` returns a dense relation when the kept subset is
-    small enough, so per-view serialization problems stay on the fast path.
-    """
-
-    def __init__(self, universe: Iterable[Operation], name: str = "relation"):
-        self._universe = tuple(universe)
-        self._index = {op: i for i, op in enumerate(self._universe)}
-        n = len(self._universe)
-        self._bsucc: List[BlockRow] = [{} for _ in range(n)]
-        self._bpred: Optional[List[BlockRow]] = [{} for _ in range(n)]
-        self._breach: Optional[List[BlockRow]] = None
-        self.name = name
-
-    # -- construction -------------------------------------------------------
-    def _link(self, i: int, j: int) -> None:
-        if not _block_test(self._bsucc[i], j):
-            self._breach = None  # first: a closure's reachability rows *are* its edge rows
-            _block_set(self._bsucc[i], j)
-            if self._bpred is not None:
-                _block_set(self._bpred[j], i)
-
-    def _pred_rows(self) -> List[BlockRow]:
-        """The predecessor rows, rebuilt on demand after a bulk construction."""
-        if self._bpred is None:
-            pred: List[BlockRow] = [{} for _ in range(len(self._universe))]
-            for i, row in enumerate(self._bsucc):
-                for j in _block_iter(row):
-                    _block_set(pred[j], i)
-            self._bpred = pred
-        return self._bpred
-
-    # -- queries ------------------------------------------------------------
-    def successors(self, op: Operation) -> FrozenSet[Operation]:
-        row = self._bsucc[self._index[op]]
-        return frozenset(self._universe[j] for j in _block_iter(row))
-
-    def predecessors(self, op: Operation) -> FrozenSet[Operation]:
-        row = self._pred_rows()[self._index[op]]
-        return frozenset(self._universe[j] for j in _block_iter(row))
-
-    def precedes(self, first: Operation, second: Operation) -> bool:
-        i = self._index.get(first)
-        j = self._index.get(second)
-        if i is None or j is None:
-            return False
-        return _block_test(self._bsucc[i], j)
-
-    def reaches(self, i: int, j: int) -> bool:
-        return _block_test(self._block_reachability()[i], j)
-
-    def reach_rows(self) -> List[int]:
-        return [sum(mask << (block * BLOCK_BITS) for block, mask in row.items())
-                for row in self._block_reachability()]
-
-    def _mark_transitive(self) -> None:
-        self._breach = self._bsucc
-
-    def _is_transitive(self) -> bool:
-        return self._breach is self._bsucc
-
-    def edges(self) -> Iterator[Tuple[Operation, Operation]]:
-        for i, row in enumerate(self._bsucc):
-            op = self._universe[i]
-            for j in _block_iter(row):
-                yield op, self._universe[j]
-
-    def edge_count(self) -> int:
-        return sum(_block_count(row) for row in self._bsucc)
-
-    def topological_order(self) -> Optional[List[Operation]]:
-        n = len(self._universe)
-        indegree = [_block_count(row) for row in self._pred_rows()]
-        ready = [i for i in range(n) if indegree[i] == 0]
-        order: List[int] = []
-        while ready:
-            i = ready.pop()
-            order.append(i)
-            for j in _block_iter(self._bsucc[i]):
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    ready.append(j)
-        if len(order) != n:
-            return None
-        return [self._universe[i] for i in order]
-
-    def find_path(self, first: Operation, second: Operation) -> Optional[List[Operation]]:
-        start = self._index.get(first)
-        goal = self._index.get(second)
-        if start is None or goal is None:
-            return None
-        parents: Dict[int, int] = {}
-        frontier: List[int] = [start]
-        seen: Set[int] = {start}
-        while frontier:
-            nxt_frontier: List[int] = []
-            for cur in frontier:
-                for nxt in _block_iter(self._bsucc[cur]):
-                    if nxt in seen:
-                        continue
-                    parents[nxt] = cur
-                    if nxt == goal:
-                        path = [goal]
-                        while path[-1] != start:
-                            path.append(parents[path[-1]])
-                        path.reverse()
-                        return [self._universe[i] for i in path]
-                    seen.add(nxt)
-                    nxt_frontier.append(nxt)
-            frontier = nxt_frontier
-        return None
-
-    # -- derivation ---------------------------------------------------------
-    def _block_reachability(self) -> List[BlockRow]:
-        """Blocked per-operation reachability (SCC condensation, one sweep)."""
-        if self._breach is not None:
-            return self._breach
-        n = len(self._universe)
-        succ = self._bsucc
-        index_of = [-1] * n
-        low = [0] * n
-        on_stack = bytearray(n)
-        stack: List[int] = []
-        comp_of = [-1] * n
-        comp_members: List[List[int]] = []
-        counter = 0
-        for start in range(n):
-            if index_of[start] != -1:
-                continue
-            index_of[start] = low[start] = counter
-            counter += 1
-            stack.append(start)
-            on_stack[start] = 1
-            frames: List[Tuple[int, Iterator[int]]] = [(start, _block_iter(succ[start]))]
-            while frames:
-                node, remaining = frames[-1]
-                nxt = next(remaining, -1)
-                if nxt != -1:
-                    if index_of[nxt] == -1:
-                        index_of[nxt] = low[nxt] = counter
-                        counter += 1
-                        stack.append(nxt)
-                        on_stack[nxt] = 1
-                        frames.append((nxt, _block_iter(succ[nxt])))
-                    elif on_stack[nxt] and index_of[nxt] < low[node]:
-                        low[node] = index_of[nxt]
-                else:
-                    frames.pop()
-                    if frames and low[node] < low[frames[-1][0]]:
-                        low[frames[-1][0]] = low[node]
-                    if low[node] == index_of[node]:
-                        members: List[int] = []
-                        while True:
-                            member = stack.pop()
-                            on_stack[member] = 0
-                            comp_of[member] = len(comp_members)
-                            members.append(member)
-                            if member == node:
-                                break
-                        comp_members.append(members)
-        comp_mask: List[BlockRow] = []
-        comp_reach: List[BlockRow] = []
-        for members in comp_members:
-            mask: BlockRow = {}
-            for member in members:
-                _block_set(mask, member)
-            reach: BlockRow = {}
-            member_set = set(members)
-            for member in members:
-                for nxt in _block_iter(succ[member]):
-                    if nxt in member_set:
-                        continue
-                    target = comp_of[nxt]
-                    _block_or(reach, comp_mask[target])
-                    _block_or(reach, comp_reach[target])
-            if len(members) > 1 or _block_test(succ[members[0]], members[0]):
-                _block_or(reach, mask)
-            comp_mask.append(mask)
-            comp_reach.append(reach)
-        self._breach = [comp_reach[comp_of[i]] for i in range(n)]
-        return self._breach
-
-    def transitive_closure(self, name: Optional[str] = None) -> "Relation":
-        closed = BlockedRelation(self._universe, name or f"{self.name}+")
-        reach = self._block_reachability()
-        closed._bsucc = [dict(row) for row in reach]
-        closed._bpred = None  # rebuilt on demand; closures are often query-only
-        closed._mark_transitive()
-        return closed
-
-    def union(self, other: "Relation", name: Optional[str] = None) -> "Relation":
-        merged = BlockedRelation(self._universe, name or f"{self.name}∪{other.name}")
-        if isinstance(other, BlockedRelation) and other._universe == self._universe:
-            rows = []
-            for a, b in zip(self._bsucc, other._bsucc):
-                row = dict(a)
-                _block_or(row, b)
-                rows.append(row)
-            merged._bsucc = rows
-            merged._bpred = None
-        else:
-            merged.add_edges(self.edges())
-            for a, b in other.edges():
-                if a in merged._index and b in merged._index:
-                    merged.add(a, b)
-        return merged
-
-    def restricted_to(self, ops: Iterable[Operation], name: Optional[str] = None) -> "Relation":
-        requested = set(ops)
-        keep = [op for op in self._universe if op in requested]
-        sub = relation_for(keep, name or f"{self.name}|")
-        new_of_old = {self._index[op]: new for new, op in enumerate(keep)}
-        for old, new in new_of_old.items():
-            for tgt in _block_iter(self._bsucc[old]):
-                if tgt in new_of_old:
-                    sub._link(new, new_of_old[tgt])
-        if self._is_transitive():
-            sub._mark_transitive()
-        return sub
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<BlockedRelation {self.name} |U|={len(self._universe)} "
-                f"edges={self.edge_count()} blocks={self.block_stats()['allocated']}>")
-
-    def block_stats(self) -> Dict[str, int]:
-        """Occupancy of the lazily allocated blocks (``repro arena info``)."""
-        n = len(self._universe)
-        per_row = -(-n // BLOCK_BITS) if n else 0
-        allocated = sum(len(row) for row in self._bsucc)
-        return {
-            "universe": n,
-            "block_bits": BLOCK_BITS,
-            "possible": per_row * n,
-            "allocated": allocated,
-            "set_bits": self.edge_count(),
-        }
-
-
-def relation_for(ops: Sequence[Operation], name: str = "relation") -> Relation:
-    """A relation over ``ops`` on the backend fitting the universe size.
-
-    Dense integer rows up to :data:`BLOCKED_MIN_UNIVERSE` operations (the
-    regime every existing suite lives in), lazily blocked bitset rows beyond
-    it — the representations are semantically identical, only the memory and
-    closure/restriction complexity differ.
-    """
-    ops = tuple(ops)
-    if len(ops) >= BLOCKED_MIN_UNIVERSE:
-        return BlockedRelation(ops, name)
-    return Relation(ops, name)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +404,7 @@ def program_order(history: History) -> Relation:
     The relation contains the *covering* pairs (consecutive operations); take
     :meth:`Relation.transitive_closure` for the full total order per process.
     """
-    rel = relation_for(history.operations, "program")
+    rel = Relation(history.operations, "program")
     for pid in history.processes:
         ops = history.local(pid).operations
         for prev, nxt in zip(ops, ops[1:]):
@@ -735,7 +420,7 @@ def full_program_order(history: History) -> Relation:
 def read_from_order(history: History, read_from: Optional[ReadFrom] = None) -> Relation:
     """Read-from order ``->_ro``: writer to reader edges (paper, Section 2)."""
     read_from = _resolve_read_from(history, read_from)
-    rel = relation_for(history.operations, "read-from")
+    rel = Relation(history.operations, "read-from")
     for read, writer in read_from.items():
         if writer is not None:
             rel.add(writer, read)
@@ -760,7 +445,7 @@ def lazy_program_order(history: History) -> Relation:
 
     closed under transitivity (within the local history).
     """
-    rel = relation_for(history.operations, "lazy-program")
+    rel = Relation(history.operations, "lazy-program")
     for pid in history.processes:
         ops = history.local(pid).operations
         for i, o1 in enumerate(ops):
@@ -786,7 +471,7 @@ def lazy_writes_before(history: History, read_from: Optional[ReadFrom] = None) -
     """
     read_from = _resolve_read_from(history, read_from)
     lpo = lazy_program_order(history)
-    rel = relation_for(history.operations, "lazy-writes-before")
+    rel = Relation(history.operations, "lazy-writes-before")
     for read, writer in read_from.items():
         if writer is None:
             continue
@@ -847,7 +532,7 @@ def slow_relation(history: History, read_from: Optional[ReadFrom] = None) -> Rel
     process to one variable to be observed in program order.
     """
     read_from = _resolve_read_from(history, read_from)
-    rel = relation_for(history.operations, "slow")
+    rel = Relation(history.operations, "slow")
     for pid in history.processes:
         ops = history.local(pid).operations
         for i, o1 in enumerate(ops):

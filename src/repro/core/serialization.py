@@ -23,14 +23,34 @@ reads ``w`` and another write ``w'`` on the same variable has ``w' -> r``,
 add ``w' -> w`` and re-close.  Each added edge holds in every legal
 serialization respecting ``C`` (``w'`` precedes ``r``, and ``w`` is the last
 write on the variable before ``r``), so a cycle proves that none exists, as
-does a write before a read of ``⊥``.  At an acyclic fixpoint let
-``r_1 -> ... -> r_k`` be the reads.  Emit the down-set of ``r_1`` (without
-it), ``r_1``, what ``r_2``'s down-set adds, ``r_2``, ..., then the rest, each
-batch in a topological order.  That respects ``C``: each batch is closed
-under predecessors in the later ones.  It is legal: the writes on ``x``
-placed before ``r_j`` are exactly the down-set's, and saturation made every
-one of them but ``r_j``'s writer ``w`` a predecessor of ``w`` — so ``w`` is
-the last; a read of ``⊥`` has no write on its variable in its down-set.
+does a write before a read of ``⊥``.
+
+At an acyclic fixpoint one emission rule builds the witness, on both engines
+(:meth:`repro.arena.check.ArenaBatchChecker._witness` is its columnar form).
+The *spine* ``s_1 -> ... -> s_k`` is a chain holding every read: the view
+owner's operations (a chain in every causal and PRAM view), or the reads
+when the view has no owner (``owner=-1``, the single-witness criteria) or
+its owner's operations are not a chain.  An operation off the spine is in
+batch ``j`` when ``s_j`` is the first spine operation it precedes, and in
+batch ``k + 1`` when it precedes none.  The witness is batch 1, ``s_1``,
+batch 2, ``s_2``, ..., batch ``k + 1``; each batch is in recording order
+(``Operation.uid``, the arena's row); only when ``C`` orders two of its
+members against that order — a saturation edge can, and so can the uids of a
+hand-built history — is the batch sorted instead: smallest position first
+among the members whose predecessors are placed.
+
+The witness respects ``C``.  If ``a -> s_j`` then ``a`` is in a batch
+``<= j``; if ``s_j -> b`` then ``b``'s first spine successor ``s_m`` has
+``m > j`` (``m <= j`` would close the cycle ``s_j -> b -> s_m ->* s_j``); if
+``a -> b`` off the spine, every spine successor of ``b`` is one of ``a``, so
+``a``'s batch is no later, and inside one batch the order is topological
+(a path between two members of batch ``j`` never leaves it, by the same two
+arguments).  It is legal.  Take a read ``r = s_j`` of ``w``: every write
+placed before ``r`` is a batch-``<= j`` member or a spine operation before
+``s_j``, so it precedes ``r`` in ``C``; saturation made each such write but
+``w`` a predecessor of ``w``, hence placed before ``w``, and ``w -> r``
+places ``w`` before ``r`` — ``w`` is the last write on the variable before
+``r``.  A read of ``⊥`` has no write on its variable among its predecessors.
 
 **Search** (:meth:`SerializationProblem.search`): exact backtracking with
 memoisation, for every other view — sequential consistency is NP-hard even
@@ -43,11 +63,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..exceptions import SearchBudgetError
 from .operations import BOTTOM, Operation
-from .orders import Relation, _popcount
+from .orders import Relation, _iter_bits, _popcount
 
 
 def is_legal_serialization(sequence: Sequence[Operation]) -> bool:
@@ -106,6 +127,43 @@ def _join(desc: List[int], sources: int, target: int) -> bool:
     return True
 
 
+def _chain(desc: List[int], members: List[int]) -> Optional[List[int]]:
+    """``members`` in order when the descendant rows ``desc`` totally order
+    them (a transitive chain: more descendants come first), else ``None``."""
+    chain = sorted(members, key=lambda i: -_popcount(desc[i]))
+    if any(not (desc[a] >> b) & 1 for a, b in zip(chain, chain[1:])):
+        return None
+    return chain
+
+
+def _smallest_first(batch: List[int], desc: List[int], ops: Sequence[Operation]) -> List[int]:
+    """``batch`` (in uid order) as is when no member descends to an earlier
+    one, else its topological order under ``desc`` that places the
+    smallest-uid member whose predecessors are placed first."""
+    earlier = 0
+    for i in batch:
+        if desc[i] & earlier:
+            break
+        earlier |= 1 << i
+    else:
+        return batch
+    members = sum(1 << i for i in batch)
+    waiting = dict.fromkeys(batch, 0)
+    for i in batch:
+        for j in _iter_bits(desc[i] & members):
+            waiting[j] += 1
+    ready = [(ops[i].uid, i) for i in batch if not waiting[i]]  # sorted: a heap
+    out: List[int] = []
+    while ready:
+        i = heappop(ready)[1]
+        out.append(i)
+        for j in _iter_bits(desc[i] & members):
+            waiting[j] -= 1
+            if not waiting[j]:
+                heappush(ready, (ops[j].uid, j))
+    return out
+
+
 @dataclass
 class SerializationProblem:
     """A single "find a legal serialization" instance.
@@ -122,6 +180,9 @@ class SerializationProblem:
         the initial value).  Writers need not belong to ``ops``; a read whose
         writer is outside ``ops`` can never be legally scheduled and makes the
         problem unsatisfiable.
+    owner:
+        The process whose view this is (``-1``: none); its operations are the
+        spine of the saturation witness (see the module docstring).
 
     Construction builds nothing.  The relation restricted to the view is made
     on first use (every stage needs it) and the predecessor sets of the search
@@ -135,6 +196,7 @@ class SerializationProblem:
     read_from: Mapping[Operation, Optional[Operation]]
 
     max_states: int = 2_000_000
+    owner: int = -1
 
     def __post_init__(self) -> None:
         self.ops = tuple(self.ops)
@@ -258,8 +320,8 @@ class SerializationProblem:
                 return True, None
             reads.append((i, w))
 
-        chain = sorted((r for r, _ in reads), key=lambda r: -_popcount(desc[r]))
-        if any(not (desc[a] >> b) & 1 for a, b in zip(chain, chain[1:])):
+        read_chain = _chain(desc, [r for r, _ in reads])
+        if read_chain is None:
             return False, None
 
         changed = True
@@ -280,13 +342,18 @@ class SerializationProblem:
                         return True, None
                     changed = True
 
-        # batch = how many reads an operation does not precede (its own read
-        # counted as preceded); within a batch more descendants come first
-        read_mask = sum(1 << r for r in chain)
-        order = sorted(
-            range(len(ops)),
-            key=lambda i: (-_popcount((desc[i] | (1 << i)) & read_mask), -_popcount(desc[i])),
-        )
+        # saturation only added edges, so the reads keep their chain order
+        owned = [i for i, op in enumerate(ops) if op.process == self.owner]
+        spine = _chain(desc, owned) or read_chain
+        spine_mask = sum(1 << i for i in spine)
+        batches: List[List[int]] = [[] for _ in range(len(spine) + 1)]
+        for i in sorted(range(len(ops)), key=lambda i: ops[i].uid):
+            if not (spine_mask >> i) & 1:
+                batches[len(spine) - _popcount(desc[i] & spine_mask)].append(i)
+        order: List[int] = []
+        for t, batch in enumerate(batches):
+            order.extend(_smallest_first(batch, desc, ops))
+            order.extend(spine[t:t + 1])
         witness = [ops[i] for i in order]
         emitted = 0
         for i in order:

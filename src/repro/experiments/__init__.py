@@ -23,8 +23,9 @@ cacheable experiment pipeline.  The data flow of every run is
   ``src/repro/experiments/hunted/``;
 * :mod:`~repro.experiments.cache` — content-hash result cache, so repeated
   runs of unchanged scenario/seed pairs are free;
-* :mod:`~repro.experiments.runner` — batch execution (optionally over a
-  ``multiprocessing`` pool) and per-scenario aggregation.
+* :mod:`~repro.experiments.runner` — batch execution (optionally with the
+  points spread over a ``multiprocessing`` pool, one point per task) and
+  per-scenario aggregation.
 
 CLI: ``python -m repro experiments list|run|report``.  Claim-to-scenario
 cross references live in EXPERIMENTS.md at the repository root.

@@ -181,19 +181,17 @@ def worker_pool(workers: int = 0) -> Iterator[Optional[Any]]:
         yield None
 
 
-def run_point(point: ScenarioPoint, pool: Optional[Any] = None) -> ScenarioRecord:
-    """Execute one scenario point end-to-end and build its record.
+def run_point(point: ScenarioPoint) -> ScenarioRecord:
+    """Execute one scenario point end-to-end, through one streaming
+    :class:`repro.api.Session`, and build its record.
 
-    The point runs through one streaming :class:`repro.api.Session`; ``pool``
-    (a ``multiprocessing.Pool`` or compatible) is forwarded to per-process
-    consistency checkers so the independent per-process serialization
-    searches of one check fan out over the workers; it is only passed when
-    :func:`run_suite` executes points in the parent process.
+    A module-level function of the point alone, so :func:`run_suite` can map
+    it over a worker pool.
     """
     from ..api import Session  # local import: repro.api builds on this package
 
     started = time.perf_counter()
-    session = Session.from_spec(point.spec, pool=pool)
+    session = Session.from_spec(point.spec)
     report = session.run()
     criterion = ",".join(report.criteria) if report.criteria else \
         PROTOCOL_CRITERION[point.protocol]
@@ -259,10 +257,9 @@ def run_suite(
         Result cache; pass ``None`` to disable caching entirely.
     workers:
         When > 1, cache misses are executed in a ``multiprocessing`` pool of
-        that size (scenario points are independent, so any split is sound).
-        A single pending point runs in the parent process instead, with the
-        pool used *inside* its consistency check (one per-process
-        serialization search per worker).
+        that size, one point per task (scenario points are independent, so
+        any split is sound).  Each point's record is the one ``workers=0``
+        gives, bar ``elapsed_s``.
     progress:
         Optional ``callable(str)`` invoked with a one-line status per point.
     """
@@ -299,13 +296,7 @@ def run_suite(
     if pending and workers > 1:
         with worker_pool(workers) as pool:
             assert pool is not None  # workers > 1 always yields a pool
-            if len(pending) > 1:
-                fresh = pool.map(run_point, pending, chunksize=1)
-            else:
-                # A single pending point cannot use point-level parallelism;
-                # run it in the parent and fan its check's per-process
-                # serialization searches over the pool instead.
-                fresh = [run_point(pending[0], pool=pool)]
+            fresh = pool.map(run_point, pending, chunksize=1)
     else:
         fresh = [run_point(point) for point in pending]
     for point, record in zip(pending, fresh):

@@ -5,7 +5,7 @@ scenarios drawn by the hunt's :class:`~repro.hunt.SpecSampler` (random
 protocols, distributions, fault schedules and check policies), is run
 through both session engines and the reports compared.  For finalize-checked
 specs the guarantee is full equality — verdict, exactness, the violation
-strings in order, and the set of witnessed views.  Fail-fast policies are
+strings in order, and every witness, label for label.  Fail-fast policies are
 the documented exception: the object engine's per-operation stream monitors
 can stop a run mid-operation, while the arena engine (which records
 integers, not objects, and therefore does not feed a per-op monitor) stops

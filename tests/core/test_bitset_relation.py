@@ -14,7 +14,6 @@ import random
 import pytest
 
 from repro.core.orders import (
-    BlockedRelation,
     Relation,
     causal_order,
     full_program_order,
@@ -53,10 +52,10 @@ class DictRelationOracle:
         return all(op not in self.reachable_set(op) for op in self.universe)
 
 
-def random_relation(history, rng, density=0.15, backend=Relation):
+def random_relation(history, rng, density=0.15):
     """A random (frequently cyclic) relation plus its oracle twin."""
     ops = history.operations
-    rel = backend(ops, "random")
+    rel = Relation(ops, "random")
     edges = []
     for a in ops:
         for b in ops:
@@ -114,14 +113,13 @@ def assert_matches_oracle(rel, oracle):
     assert rel.is_acyclic() == oracle.is_acyclic()
 
 
-@pytest.mark.parametrize("backend", [Relation, BlockedRelation])
 @pytest.mark.parametrize("seed", range(8))
-def test_closure_then_add_then_query_matches_dict_oracle(backend, seed):
+def test_closure_then_add_then_query_matches_dict_oracle(seed):
     """A closure's reachability rows are its edge rows; ``add()`` must part
     them, or the mutated row would pass for reachability."""
     rng = random.Random(seed)
     history = random_history(processes=3, variables=2, operations=10, seed=seed)
-    rel, oracle = random_relation(history, rng, density=0.06, backend=backend)
+    rel, oracle = random_relation(history, rng, density=0.06)
     ops = history.operations
     closed = rel.transitive_closure()
     twin = DictRelationOracle(ops)
@@ -135,15 +133,14 @@ def test_closure_then_add_then_query_matches_dict_oracle(backend, seed):
         assert_matches_oracle(closed, twin)
 
 
-@pytest.mark.parametrize("backend", [Relation, BlockedRelation])
 @pytest.mark.parametrize("seed", range(8))
-def test_restricted_and_pickled_closures_match_dict_oracle(backend, seed):
+def test_restricted_and_pickled_closures_match_dict_oracle(seed):
     """Restricting a closure keeps it a closure — a cycle that ran through a
     dropped operation still shows, as an operation reaching itself — and so
-    does pickling one (the ``pool=`` fan-out ships the relation per view)."""
+    does pickling one (a relation crossing a process boundary)."""
     rng = random.Random(seed)
     history = random_history(processes=3, variables=2, operations=12, seed=seed)
-    rel, oracle = random_relation(history, rng, density=0.06, backend=backend)
+    rel, oracle = random_relation(history, rng, density=0.06)
     keep = [op for op in history.operations if rng.random() < 0.6]
     closed = rel.transitive_closure()
     for relation in (closed, pickle.loads(pickle.dumps(closed))):

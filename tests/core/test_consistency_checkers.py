@@ -178,20 +178,6 @@ class TestBasicVerdicts:
         assert not result.exact
         assert not result.serializations
 
-    def test_per_process_checks_fan_out_over_a_pool(self):
-        import multiprocessing
-
-        consistent = writer_reader_history()
-        violating = padded_pram_violation_history(padding=16)
-        with multiprocessing.Pool(2) as pool:
-            for h in (consistent, violating):
-                serial = CausalChecker().check(h)
-                fanned = CausalChecker().check(h, pool=pool)
-                assert fanned.consistent == serial.consistent
-                assert fanned.exact == serial.exact
-                assert sorted(fanned.serializations) == sorted(serial.serializations)
-                assert fanned.violations == serial.violations
-
     def test_explicit_read_from_mapping(self):
         b = HistoryBuilder()
         b.write(1, "x", "same").write(2, "x", "same")

@@ -14,8 +14,8 @@ redirected to an older write, a concurrent write or ⊥, by turns).
 
 Arena engine: the same inputs appended in a topological order of program
 order plus read-from (sources before reads) must give the columnar checker
-at ``materialize_max=0`` the verdict, exactness and violation strings of the
-materialised object run.
+the verdict, exactness, violation strings and witness labels of the object
+engine fed the same rows (both engines emit by one rule).
 
 :func:`old_greedy` is the greedy witness construction that preceded
 saturation, kept as the reference that shows what saturation adds: views it
@@ -31,9 +31,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
+from repro.arena import adapter
 from repro.arena.check import ArenaBatchChecker
 from repro.arena.store import NO_SOURCE, OpArena
 from repro.core.consistency import all_checkers
+from repro.core.consistency.incremental import BatchAdapter
 from repro.core.history import History
 from repro.core.orders import RELATION_BUILDERS, causal_order, pram_generating_order
 from repro.core.serialization import (
@@ -171,21 +173,30 @@ def arena_in_topological_order(history, read_from):
 
 
 def compare_arena(history, read_from):
-    """Columnar against materialised; ``False`` when no arena can be built."""
+    """Columnar against the object engine fed the arena's rows; ``False``
+    when no arena can be built."""
     arena = arena_in_topological_order(history, read_from)
     if arena is None:
         return False
+    cache = {}
+    rows_read_from = adapter.read_from_of(arena, cache)
     for criterion in ("causal", "pram"):
-        columnar, materialised = (
-            ArenaBatchChecker(criterion, arena, exact=True, materialize_max=limit)
-            for limit in (0, 10**9))
-        columnar.start(history.processes)
-        materialised.start(history.processes)
-        columnar, materialised = columnar.finalize(), materialised.finalize()
+        columnar = ArenaBatchChecker(criterion, arena, exact=True)
+        stream = BatchAdapter(all_checkers()[criterion], exact=True)
+        for checker in (columnar, stream):
+            checker.start(history.processes)
+        for row in range(len(arena)):
+            stream.feed(cache[row], rows_read_from.get(cache[row]))
+        columnar, reference = columnar.finalize(), stream.finalize()
         assert (columnar.consistent, columnar.exact, columnar.violations) == \
-            (materialised.consistent, materialised.exact, materialised.violations), criterion
-        assert sorted(columnar.serializations) == sorted(materialised.serializations)
+            (reference.consistent, reference.exact, reference.violations), criterion
+        assert labels(columnar) == labels(reference), criterion
     return True
+
+
+def labels(result):
+    return {pid: [op.label() for op in witness]
+            for pid, witness in result.serializations.items()}
 
 
 #: The read-from mutations: a read redirected to a write its writer causally

@@ -168,3 +168,15 @@ class TestCacheVsExpectations:
         assert record.cached is True
         assert record.expected_consistent is False
         assert result.failures  # consistent run vs flipped expectation
+
+
+class TestWorkerPool:
+    def test_one_pending_point_over_a_pool_gives_the_serial_record(self):
+        """A single cache miss goes through the pool like any other batch;
+        its record is the serial one, bar the wall time."""
+        pooled = run_suite([tiny_spec()], cache=None, workers=2)
+        serial = run_suite([tiny_spec()], cache=None, workers=0)
+        assert pooled.executed == serial.executed == 1
+        (a,), (b,) = pooled.records, serial.records
+        a.elapsed_s = b.elapsed_s = 0.0
+        assert a == b

@@ -8,9 +8,10 @@ information management).
 
 :class:`MCSProcess` factors the machinery every protocol shares: replica
 storage with write-identifier tagging, operation recording, message sending
-helpers and the local-store access used by wait-free reads.  Each concrete
-protocol implements :meth:`MCSProcess._propagate_write` (what to send on a
-write) and :meth:`MCSProcess.on_message` (how to treat received messages).
+helpers, the local-store access used by wait-free reads, and the buffered
+delivery of :meth:`MCSProcess._receive`.  Each concrete protocol implements
+:meth:`MCSProcess._propagate_write` (what to send on a write) and
+:meth:`MCSProcess.on_message` (how to treat received messages).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class MCSProcess(abc.ABC):
         return self.distribution.holders(variable)
 
     def _require_replica(self, variable: str) -> None:
-        if not self.holds(variable):
+        if variable not in self._store:
             raise ReplicaMissingError(
                 f"process {self.pid} ({self.protocol_name}) does not replicate {variable!r}"
             )
@@ -186,12 +187,47 @@ class MCSProcess(abc.ABC):
 
     # -- buffered delivery -------------------------------------------------------------------
     def _deliverable(self, message: Message) -> bool:
-        """Hook of :meth:`_drain_pending`: may the buffered ``message`` be applied now?"""
+        """Hook of :meth:`_receive`: may ``message`` be applied now?"""
         raise NotImplementedError
 
     def _deliver(self, message: Message) -> None:
-        """Hook of :meth:`_drain_pending`: apply ``message`` locally."""
+        """Hook of :meth:`_receive`: apply ``message`` locally."""
         raise NotImplementedError
+
+    def _receive(self, message: Message, pending: List[Message]) -> bool:
+        """Deliver an arrival now, or buffer it in ``pending``; ``True`` iff buffered.
+
+        The arrival is tested once.  If it is blocked it is appended and
+        nothing else runs; if not, it is delivered, and the pass loop of
+        :meth:`_drain_pending` runs only when something is buffered.  The
+        delivery order is the one of appending the arrival and running that
+        loop, because of this invariant: *no buffered message is
+        deliverable between two arrivals.*
+
+        - It holds after every drain, which ends only on a pass that
+          delivers nothing.
+        - Deliverability is a function of the local state.  Between two
+          arrivals only a delivery or an own write changes that state.
+          A delivery happens only inside this method.
+        - An own write adds an identifier, or advances this process' own
+          clock entry, that no earlier-created message can depend on.
+          Every buffered message was created before it.
+
+        So the first pass of the old append-then-drain loop delivers nothing
+        before it reaches the arrival, which is what the single test checks.
+        If the arrival is blocked, that pass ends without progress.  If it
+        is deliverable, the next pass is :meth:`_drain_pending` over the
+        same buffer.  A protocol using this method must keep the invariant.
+        Its hooks may read and change only state that deliveries and own
+        writes change.
+        """
+        if not self._deliverable(message):
+            pending.append(message)
+            return True
+        self._deliver(message)
+        if pending:
+            self._drain_pending(pending)
+        return False
 
     def _drain_pending(self, pending: List[Message]) -> None:
         """Deliver what ``pending`` allows, until a pass makes no progress

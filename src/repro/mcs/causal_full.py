@@ -15,7 +15,7 @@ replication in the first place (Section 3.3).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Set, Tuple
 
 from ..core.distribution import VariableDistribution
 from ..exceptions import ProtocolError
@@ -57,7 +57,9 @@ class CausalFullReplication(MCSProcess):
         for var in distribution.variables:
             self._store.setdefault(var, (BOTTOM, None))
         self._vc = VectorClock(distribution.processes)
+        #: Updates waiting for causal deliverability, and their (sender, seq) keys.
         self._pending: List[Message] = []
+        self._buffered: Set[Tuple[int, int]] = set()
 
     # -- write propagation --------------------------------------------------------
     def _propagate_write(self, variable: str, value: Any, write_id: WriteId) -> None:
@@ -78,39 +80,30 @@ class CausalFullReplication(MCSProcess):
     def on_message(self, message: Message) -> None:
         if message.kind != "update":
             raise ProtocolError(f"unexpected message kind {message.kind!r}")
-        sender = message.control["sender"]
-        vc_sender = message.control["vc"][sender]
-        if vc_sender <= self._vc[sender]:
-            # Duplicate copy (faulty network): the sender entry was already
-            # advanced past this update, so it was applied before.  Discard
-            # instead of letting it sit in the pending buffer forever.
+        control = message.control
+        sender = control["sender"]
+        seq = control["vc"][sender]
+        if seq <= self._vc[sender] or (sender, seq) in self._buffered:
+            # Duplicate copy (faulty network).  Either the sender entry was
+            # already advanced past this update, so it was applied before, or
+            # a first copy is still buffered and will advance the clock past
+            # this one.  Discard instead of letting it pin the pending buffer.
             return
-        if any(m.control["sender"] == sender
-               and m.control["vc"][sender] == vc_sender
-               for m in self._pending):
-            # Duplicate of an update still waiting for deliverability: a
-            # second buffered copy could never be delivered (the first one
-            # advances the clock past it) and would pin the pending buffer.
-            return
-        self._pending.append(message)
-        self._drain_pending(self._pending)
+        if self._receive(message, self._pending):
+            self._buffered.add((sender, seq))
 
     def _deliverable(self, message: Message) -> bool:
-        sender = message.control["sender"]
-        vc = message.control["vc"]
-        if vc[sender] != self._vc[sender] + 1:
-            return False
-        return all(
-            count <= self._vc[pid]
-            for pid, count in vc.items()
-            if pid != sender
-        )
+        control = message.control
+        return self._vc.admits(control["sender"], control["vc"])
 
     def _deliver(self, message: Message) -> None:
-        sender = message.control["sender"]
-        wid = tuple(message.control["_wid"])
-        self._apply(message.variable, message.payload["value"], wid)  # type: ignore[arg-type]
-        self._vc[sender] = message.control["vc"][sender]
+        control = message.control
+        sender = control["sender"]
+        seq = control["vc"][sender]
+        self._apply(message.variable, message.payload["value"], tuple(control["_wid"]))  # type: ignore[arg-type]
+        self._vc[sender] = seq
+        if self._buffered:
+            self._buffered.discard((sender, seq))
 
     # -- diagnostics ---------------------------------------------------------------------
     def pending_updates(self) -> int:

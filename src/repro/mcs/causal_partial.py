@@ -133,9 +133,8 @@ class CausalPartialReplication(MCSProcess):
             # is still buffered awaiting its dependencies, the second copy
             # must not be delivered again.
             return
-        self._pending.append(message)
-        self._pending_wids.add(wid)
-        self._drain_pending(self._pending)
+        if self._receive(message, self._pending):
+            self._pending_wids.add(wid)
 
     def _deliverable(self, message: Message) -> bool:
         for writer, seq, var in message.control["deps"]:

@@ -117,8 +117,7 @@ class CausalTreeReplication(MCSProcess):
         self.control_variables_seen.add(message.variable)
         self._forward(message)
         if self.holds(message.variable):
-            self._pending.append(message)
-            self._drain_pending(self._pending)
+            self._receive(message, self._pending)
         # A relay outside C(x) stores-and-forwards only: the update cannot be
         # applied here and its dependencies cannot be judged here.
 

@@ -3,13 +3,21 @@
 A vector clock over ``n`` processes maps each process identifier to the number
 of its writes known to the clock's owner.  The full-replication causal
 protocol ([3], [10]) piggybacks one vector clock per update message — the
-``8 * n`` control bytes per message that the paper's Section 3.3 contrasts
-with what partial replication could hope to achieve.
+``O(n)`` control bytes per message that the paper's Section 3.3 contrasts
+with what partial replication could hope to achieve.  Under the library's
+byte model (:func:`~repro.netsim.message.estimate_size`) an entry is a
+process number and a counter, 8 bytes each, so a clock costs ``16 * n``
+bytes; :meth:`VectorClock.size_bytes` asks that model rather than restating
+it.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import gt
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
+
+from ..netsim.message import estimate_size
 
 
 class VectorClock:
@@ -61,6 +69,19 @@ class VectorClock:
         return VectorClock(values=self._clock)
 
     # -- comparisons -----------------------------------------------------------------
+    def admits(self, sender: int, stamp: Mapping[int, int]) -> bool:
+        """Causal-delivery condition of an update from ``sender`` stamped
+        ``stamp``: it is ``sender``'s next write, and every other write it
+        depends on is already counted here.
+
+        After the sender-entry check, exactly one entry of ``stamp`` (the
+        sender's) may exceed this clock, so the rest is one pass in C.
+        """
+        clock = self._clock
+        if stamp[sender] != clock.get(sender, 0) + 1:
+            return False
+        return sum(map(gt, stamp.values(), map(clock.get, stamp, repeat(0)))) == 1
+
     def dominates(self, other: "VectorClock") -> bool:
         """``True`` iff every entry of ``self`` is ``>=`` the matching entry of ``other``."""
         keys = set(self._clock) | set(other._clock)
@@ -85,8 +106,11 @@ class VectorClock:
 
     # -- sizing ------------------------------------------------------------------------
     def size_bytes(self) -> int:
-        """Control-byte footprint under the library's size model (8 bytes/entry pair)."""
-        return 16 * len(self._clock)
+        """Control-byte footprint under the library's size model: what
+        :func:`~repro.netsim.message.estimate_size` charges for the clock as a
+        message field (16 bytes per entry, 8 for the process and 8 for the
+        counter)."""
+        return estimate_size(self._clock)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(f"{p}:{v}" for p, v in self.items())

@@ -1,11 +1,19 @@
 """Event queue of the discrete-event simulator.
 
-Events are ``(time, priority, sequence, callback)`` records kept in a binary
-heap.  The ``sequence`` counter guarantees a deterministic FIFO tie-break for
-events scheduled at the same instant, which is essential for reproducible
-protocol traces (the whole reproduction pipeline — protocol run, recorded
-history, consistency check, report — must be bit-for-bit repeatable for a
-given seed).
+Events are kept in a binary heap of ``(time, priority, sequence, event)``
+tuples: the first three fields are the sort key, and the last is the
+:class:`Event` itself.  ``sequence`` is unique per queue, so two records
+always differ before the fourth field and the heap compares floats and ints
+in C, never two :class:`Event` objects.  The counter also gives a
+deterministic FIFO tie-break for events scheduled at the same instant, which
+is essential for reproducible protocol traces (the whole reproduction
+pipeline — protocol run, recorded history, consistency check, report — must
+be bit-for-bit repeatable for a given seed).
+
+The queue trusts its callers with the key: a NaN time would compare false
+both ways and silently break the heap order, so
+:class:`~repro.netsim.simulator.Simulator` rejects non-finite times before
+they get here.
 """
 
 from __future__ import annotations
@@ -13,10 +21,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled callback."""
 
@@ -36,6 +44,10 @@ class Event:
             self._on_cancel()
 
 
+#: One heap record: the sort key ``(time, priority, sequence)`` and the event.
+_Entry = Tuple[float, int, int, Event]
+
+
 class EventQueue:
     """A time-ordered queue of :class:`Event` objects.
 
@@ -50,15 +62,15 @@ class EventQueue:
     _COMPACT_MIN = 64
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[_Entry] = []
         self._counter = itertools.count()
         self._cancelled = 0  # cancelled events still sitting in the heap
 
     def push(self, time: float, callback: Callable[[], None], priority: int = 0) -> Event:
         """Schedule ``callback`` at ``time``; lower ``priority`` runs first on ties."""
-        event = Event(time, priority, next(self._counter), callback)
-        event._on_cancel = self._note_cancel
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        event = Event(time, priority, sequence, callback, False, self._note_cancel)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
     def _note_cancel(self) -> None:
@@ -71,14 +83,14 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Drop every cancelled entry and re-heapify the remainder."""
-        self._heap = [e for e in self._heap if not e.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
 
     def pop(self) -> Optional[Event]:
         """Pop the earliest non-cancelled event, or ``None`` when empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
@@ -102,19 +114,20 @@ class EventQueue:
         time = None
         while heap:
             head = heap[0]
-            if head.cancelled:
+            event = head[3]
+            if event.cancelled:
                 heapq.heappop(heap)
                 self._cancelled -= 1
                 continue
             if time is None:
-                time = head.time
-            elif head.time != time:
+                time = head[0]
+            elif head[0] != time:
                 break
             if limit is not None and len(batch) >= limit:
                 break
             heapq.heappop(heap)
-            head._on_cancel = None
-            batch.append(head)
+            event._on_cancel = None
+            batch.append(event)
         # Skipping a long run of cancelled entries decrements the counter
         # without ever compacting; re-check here so a buried backlog cannot
         # outlive the drain that exposed it.
@@ -123,10 +136,11 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest pending event, or ``None``."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
             self._cancelled -= 1
-        return self._heap[0].time if self._heap else None
+        return heap[0][0] if heap else None
 
     def __len__(self) -> int:
         return len(self._heap) - self._cancelled

@@ -9,8 +9,11 @@ heavy-tailed delays while staying fully deterministic for a given seed.
 from __future__ import annotations
 
 import abc
+import math
 import random
 from typing import Optional
+
+from ..exceptions import NetworkModelError
 
 
 #: Latency classes buildable from a declarative ``{"kind": ...}`` spec.
@@ -35,8 +38,6 @@ def build_latency(spec=None, seed: int = 0) -> "LatencyModel":
     kinds default to ``seed`` unless the spec pins its own.  Raises
     :class:`~repro.exceptions.NetworkModelError` on malformed specs.
     """
-    from ..exceptions import NetworkModelError
-
     if spec is None:
         return ConstantLatency(1.0)
     if isinstance(spec, LatencyModel):
@@ -65,8 +66,19 @@ def build_latency(spec=None, seed: int = 0) -> "LatencyModel":
         raise NetworkModelError(f"bad latency spec {spec!r}: {exc}") from None
 
 
+def _require_finite(**params: float) -> None:
+    """Raise :class:`NetworkModelError` naming the first non-finite parameter.
+
+    A NaN latency would pass every ``<``/``<=`` range check (they are all
+    false) and then corrupt the simulator's event order.
+    """
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise NetworkModelError(f"latency parameter {name} must be finite, got {value!r}")
+
+
 class LatencyModel(abc.ABC):
-    """Base class of latency models: maps (src, dst) to a positive delay."""
+    """Base class of latency models: maps (src, dst) to a positive, finite delay."""
 
     @abc.abstractmethod
     def sample(self, src: int, dst: int) -> float:
@@ -92,8 +104,9 @@ class ConstantLatency(LatencyModel):
     """Every message takes exactly ``delay`` time units."""
 
     def __init__(self, delay: float = 1.0):
+        _require_finite(delay=delay)
         if delay <= 0:
-            raise ValueError("latency must be positive")
+            raise NetworkModelError("latency must be positive")
         self.delay = delay
 
     def sample(self, src: int, dst: int) -> float:
@@ -111,8 +124,9 @@ class UniformLatency(LatencyModel):
     """Latency drawn uniformly from ``[low, high]`` (seeded, deterministic)."""
 
     def __init__(self, low: float = 0.5, high: float = 1.5, seed: int = 0):
+        _require_finite(low=low, high=high)
         if not 0 < low <= high:
-            raise ValueError("need 0 < low <= high")
+            raise NetworkModelError("need 0 < low <= high")
         self.low = low
         self.high = high
         self._rng = random.Random(seed)
@@ -133,10 +147,9 @@ class LogNormalLatency(LatencyModel):
     """Heavy-tailed latency (log-normal), mimicking wide-area links."""
 
     def __init__(self, median: float = 1.0, sigma: float = 0.5, seed: int = 0):
+        _require_finite(median=median, sigma=sigma)
         if median <= 0 or sigma < 0:
-            raise ValueError("median must be positive and sigma non-negative")
-        import math
-
+            raise NetworkModelError("median must be positive and sigma non-negative")
         self._mu = math.log(median)
         self._sigma = sigma
         self._rng = random.Random(seed)
@@ -154,6 +167,9 @@ class PairwiseLatency(LatencyModel):
 
     def __init__(self, base: dict, default: float = 1.0, jitter: float = 0.0, seed: int = 0):
         self._base = {tuple(k): float(v) for k, v in base.items()}
+        _require_finite(default=default, jitter=jitter, **{
+            f"base[{pair}]": value for pair, value in self._base.items()
+        })
         self._default = default
         self._jitter = jitter
         self._rng = random.Random(seed)

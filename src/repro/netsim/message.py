@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, Optional
 
 
@@ -33,20 +34,24 @@ def estimate_size(obj: Any) -> int:
     """
     # Exact-type dispatch for what protocol metadata is made of; the
     # isinstance ladder below takes everything else and defines the model.
+    # A dict is the flat run of its keys and values.  The loop sizes numbers
+    # and strings inline (vector clocks and dependency lists are made of
+    # them) and recurses only for the rest.
     kind = type(obj)
     if kind is int or kind is float:
         return 8
     if kind is str:
         return len(obj.encode("utf-8"))
-    if kind is list or kind is tuple:
+    if kind is list or kind is tuple or kind is dict:
         total = 0
-        for item in obj:
-            total += estimate_size(item)
-        return total
-    if kind is dict:
-        total = 0
-        for key, value in obj.items():
-            total += estimate_size(key) + estimate_size(value)
+        for item in chain.from_iterable(obj.items()) if kind is dict else obj:
+            kind = type(item)
+            if kind is int or kind is float:
+                total += 8
+            elif kind is str:
+                total += len(item.encode("utf-8"))
+            else:
+                total += estimate_size(item)
         return total
     if obj is None or isinstance(obj, bool):
         return 1

@@ -34,6 +34,7 @@ message.
 from __future__ import annotations
 
 import abc
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -258,9 +259,9 @@ class FaultyNetworkModel(NetworkModel):
             raise NetworkModelError(
                 f"duplicate_rate must be in [0, 1], got {duplicate_rate!r}"
             )
-        if float(duplicate_lag) < 0.0:
+        if not 0.0 <= float(duplicate_lag) < math.inf:
             raise NetworkModelError(
-                f"duplicate_lag must be >= 0, got {duplicate_lag!r}"
+                f"duplicate_lag must be finite and >= 0, got {duplicate_lag!r}"
             )
         self.drop_rate = float(drop_rate)
         self.duplicate_rate = float(duplicate_rate)

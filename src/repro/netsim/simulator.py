@@ -13,6 +13,8 @@ from typing import Callable, Optional, Tuple
 from ..exceptions import SimulationError
 from .events import Event, EventQueue
 
+_INF = float("inf")
+
 #: An event listener: called with ``(event,)`` after the event's callback ran.
 EventListener = Callable[[Event], None]
 
@@ -60,15 +62,26 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[[], None], priority: int = 0) -> Event:
-        """Schedule ``callback`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        """Schedule ``callback`` to run ``delay`` time units from now.
+
+        ``delay`` must be finite and non-negative: a NaN would compare false
+        against every heap key and silently break the event order.
+        """
+        if not 0 <= delay < _INF:
+            if delay < 0:
+                raise SimulationError(f"cannot schedule in the past (delay={delay})")
+            raise SimulationError(f"event delay must be finite (delay={delay})")
         return self._queue.push(self._now + delay, callback, priority)
 
     def schedule_at(self, time: float, callback: Callable[[], None], priority: int = 0) -> Event:
-        """Schedule ``callback`` at absolute virtual time ``time``."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule in the past (time={time}, now={self._now})")
+        """Schedule ``callback`` at absolute virtual time ``time`` (finite, not
+        before :attr:`now`)."""
+        if not self._now <= time < _INF:
+            if time < self._now:
+                raise SimulationError(
+                    f"cannot schedule in the past (time={time}, now={self._now})"
+                )
+            raise SimulationError(f"event time must be finite (time={time})")
         return self._queue.push(time, callback, priority)
 
     # -- execution ------------------------------------------------------------------

@@ -1,0 +1,59 @@
+"""Count-based guard of the causal delivery path (seed-deterministic, no timing).
+
+On the shape of the ``full_broadcast`` benchmark — ``causal_full`` over 16
+fully replicated processes, reliable FIFO channels — nothing is ever
+buffered, so each delivered message costs exactly one deliverability test and
+no pass over the buffer.  The event heap orders ``(time, priority, sequence,
+event)`` records, so it never compares two :class:`Event` objects.
+"""
+
+import pytest
+
+from repro.mcs.base import MCSProcess
+from repro.mcs.causal_full import CausalFullReplication
+from repro.mcs.system import MCSystem
+from repro.netsim.events import Event
+from repro.workloads.access_patterns import run_script, uniform_access_script
+from repro.workloads.distributions import full_replication
+
+COMPARISONS = ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    counts = {"tests": 0, "drains": 0, "event_comparisons": 0}
+    deliverable, drain = CausalFullReplication._deliverable, MCSProcess._drain_pending
+
+    def counted_deliverable(self, message):
+        counts["tests"] += 1
+        return deliverable(self, message)
+
+    def counted_drain(self, pending):
+        counts["drains"] += 1
+        return drain(self, pending)
+
+    def counted_comparison(self, other):
+        counts["event_comparisons"] += 1
+        return NotImplemented
+
+    monkeypatch.setattr(CausalFullReplication, "_deliverable", counted_deliverable)
+    monkeypatch.setattr(MCSProcess, "_drain_pending", counted_drain)
+    for name in COMPARISONS:
+        monkeypatch.setattr(Event, name, counted_comparison, raising=False)
+    return counts
+
+
+def test_the_comparison_probe_sees_a_comparison(counts):
+    first, second = Event(1.0, 0, 0, print), Event(1.0, 0, 1, print)
+    assert first != second
+    assert counts["event_comparisons"] > 0
+
+
+def test_full_broadcast_shape_tests_each_message_once_and_never_compares_events(counts):
+    dist = full_replication(16, 8)
+    script = uniform_access_script(dist, operations_per_process=12, write_fraction=0.4, seed=1)
+    system = MCSystem(dist, protocol="causal_full")
+    run_script(system, script)
+    delivered = system.stats.messages_delivered
+    assert delivered == 15 * sum(access.kind == "write" for access in script) > 0
+    assert counts == {"tests": delivered, "drains": 0, "event_comparisons": 0}

@@ -127,6 +127,28 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule_at(-5.0, lambda: None)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_times_are_rejected(self, bad):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule_at(bad, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_a_nan_cannot_scramble_the_event_order(self):
+        """A NaN key compares false both ways: accepted, ``[3, nan, 1, 2]``
+        used to run as ``1, 2, nan, 3``."""
+        sim = Simulator()
+        ran = []
+        for time in (3.0, float("nan"), 1.0, 2.0):
+            try:
+                sim.schedule_at(time, lambda time=time: ran.append(time))
+            except SimulationError:
+                pass
+        sim.run()
+        assert ran == [1.0, 2.0, 3.0]
+
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
         fired = []

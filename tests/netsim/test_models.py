@@ -49,6 +49,52 @@ class TestBuildLatency:
             build_latency(["nope"])
 
 
+class TestNonFiniteLatencies:
+    """A NaN passes every ``<`` range check, and an infinite delay never
+    arrives; both must be refused where the latency is configured."""
+
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "constant", "delay": NAN},
+        {"kind": "constant", "delay": INF},
+        {"kind": "uniform", "low": 0.5, "high": INF},
+        {"kind": "lognormal", "median": NAN},
+        {"kind": "lognormal", "sigma": INF},
+        {"kind": "pairwise", "base": {(0, 1): NAN}},
+        {"kind": "pairwise", "base": {}, "default": INF},
+        {"kind": "pairwise", "base": {}, "jitter": NAN},
+        NAN,
+    ], ids=repr)
+    def test_build_latency_rejects(self, spec):
+        with pytest.raises(NetworkModelError, match="finite"):
+            build_latency(spec)
+
+    def test_models_reject_directly(self):
+        from repro.netsim import PairwiseLatency
+
+        with pytest.raises(NetworkModelError, match="median"):
+            LogNormalLatency(median=self.NAN)
+        with pytest.raises(NetworkModelError, match="base"):
+            PairwiseLatency({(0, 1): self.NAN})
+        with pytest.raises(NetworkModelError, match="delay"):
+            ConstantLatency(self.NAN)
+        with pytest.raises(NetworkModelError, match="duplicate_lag"):
+            FaultyNetworkModel(duplicate_rate=0.5, duplicate_lag=self.NAN)
+
+    def test_spec_dicts_reject(self):
+        from repro.exceptions import ScenarioSpecError
+        from repro.spec import NetworkSpec
+
+        spec = NetworkSpec.from_dict(
+            {"model": "faulty", "params": {"latency": {"kind": "constant", "delay": self.NAN}}}
+        )
+        with pytest.raises(ScenarioSpecError, match="finite"):
+            spec.validate()
+        with pytest.raises(NetworkModelError, match="finite"):
+            spec.build(seed=0)
+
+
 class TestPartition:
     def test_group_partition_severs_across_groups_only(self):
         partition = Partition(start=1.0, end=2.0, groups=((0, 1), (2,)))

@@ -11,9 +11,10 @@ only x-relevant processes ever touch information about ``x``, which is
 exactly the boundary Theorem 1 proves unimprovable.
 
 Causal order is enforced with the same causal barriers as
-``causal_partial``: each update carries the writer's causal context as an
-explicit dependency list, and a receiver applies it only once every
-dependency on a variable it replicates has been applied.  Forwarding is
+``causal_partial``, through the same :class:`~repro.mcs.causal_past.CausalPast`:
+each update carries the writer's causal context as a tuple of ``(writer, seq,
+variable)`` tuples, and a receiver applies it only once every dependency on a
+variable it replicates has been applied.  Forwarding is
 immediate (a relay does not wait for deliverability — it cannot judge
 dependencies on variables it does not hold), and duplicate copies are
 recognised by write id.  The context a process piggybacks is confined to the
@@ -25,7 +26,7 @@ efficiency gain over full replication comes from at scale.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Tuple
 
 from ..core.distribution import VariableDistribution
 from ..core.share_graph import ShareGraph
@@ -33,7 +34,7 @@ from ..exceptions import ProtocolError
 from ..netsim.message import Message
 from ..netsim.network import Network
 from ..spec.registry import register_protocol
-from .base import MCSProcess
+from .causal_past import CausalBarrierProcess
 from .recorder import HistoryRecorder, WriteId
 
 
@@ -48,7 +49,7 @@ from .recorder import HistoryRecorder, WriteId
     description="causal barriers routed along spanning trees of the "
                 "Theorem-1 relevant sets (hoop relaying made physical)",
 )
-class CausalTreeReplication(MCSProcess):
+class CausalTreeReplication(CausalBarrierProcess):
     """Causal memory whose updates travel relevant-set spanning trees."""
 
     protocol_name = "causal_tree"
@@ -60,49 +61,22 @@ class CausalTreeReplication(MCSProcess):
         network: Network,
         recorder: HistoryRecorder,
     ):
-        super().__init__(pid, distribution, network, recorder)
+        super().__init__(pid, distribution, network, recorder, self._is_relevant)
         self._share_graph = ShareGraph.of(distribution)
-        #: Write identifiers applied locally (writes on replicated variables).
-        self._applied: Set[WriteId] = set()
-        #: Causal past to piggyback on the next writes: wid -> variable.
-        self._context: Dict[WriteId, str] = {}
-        #: Updates on held variables waiting for their dependencies.
-        self._pending: List[Message] = []
-        #: Every write id seen (applied, buffered or forwarded) — dedup.
-        self._seen: Set[WriteId] = set()
-        #: Variables about which this process has handled control information.
-        self.control_variables_seen: Set[str] = set()
-        self._relevant_cache: Optional[Set[str]] = None
 
-    # -- relevance ----------------------------------------------------------------
-    def _is_relevant(self, variable: str) -> bool:
-        if self._relevant_cache is None:
-            self._relevant_cache = {
-                var
-                for var in self.distribution.variables
-                if self.pid in self._share_graph.relevant_processes(var)
-            }
-        return variable in self._relevant_cache
-
+    # -- routing ------------------------------------------------------------------
     def _tree_neighbours(self, variable: str) -> Tuple[int, ...]:
         return self._share_graph.relevance_tree(variable).get(self.pid, ())
 
     # -- write propagation ----------------------------------------------------------
     def _propagate_write(self, variable: str, value: Any, write_id: WriteId) -> None:
-        deps = [
-            [wid[0], wid[1], var]
-            for wid, var in sorted(self._context.items())
-        ]
-        self._applied.add(write_id)
         self._seen.add(write_id)
-        self._context[write_id] = variable
-        self.control_variables_seen.add(variable)
         self.send_to_all(
             self._tree_neighbours(variable),
             "update",
             variable=variable,
             payload={"value": value},
-            control={"wid": list(write_id), "deps": deps},
+            control={"wid": list(write_id), "deps": self._past.write(write_id, variable)},
         )
 
     # -- delivery ----------------------------------------------------------------------
@@ -114,7 +88,7 @@ class CausalTreeReplication(MCSProcess):
             return  # duplicate copy (faulty network): forwarded/applied once only
         self._seen.add(wid)
         assert message.variable is not None
-        self.control_variables_seen.add(message.variable)
+        self._past.variables_seen.add(message.variable)
         self._forward(message)
         if self.holds(message.variable):
             self._receive(message, self._pending)
@@ -129,37 +103,3 @@ class CausalTreeReplication(MCSProcess):
             payload=message.payload,
             control=message.control,
         )
-
-    def _deliverable(self, message: Message) -> bool:
-        for writer, seq, var in message.control["deps"]:
-            if self.holds(var) and (writer, seq) not in self._applied:
-                return False
-        return True
-
-    def _deliver(self, message: Message) -> None:
-        wid: WriteId = tuple(message.control["wid"])  # type: ignore[assignment]
-        variable = message.variable
-        assert variable is not None
-        self._apply(variable, message.payload["value"], wid)
-        self._applied.add(wid)
-        # Merge the dependency information this process is relevant for into
-        # the local causal past, then add the freshly applied write.
-        for writer, seq, var in message.control["deps"]:
-            self.control_variables_seen.add(var)
-            if self._is_relevant(var):
-                self._context[(writer, seq)] = var
-        if self._is_relevant(variable):
-            self._context[wid] = variable
-
-    # -- diagnostics -------------------------------------------------------------------
-    def pending_updates(self) -> int:
-        """Number of updates waiting for their causal dependencies."""
-        return len(self._pending)
-
-    def context_size(self) -> int:
-        """Number of write identifiers currently piggybacked on outgoing updates."""
-        return len(self._context)
-
-    def foreign_control_variables(self) -> Set[str]:
-        """Variables not replicated here about which control info was handled."""
-        return {v for v in self.control_variables_seen if not self.holds(v)}

@@ -13,6 +13,9 @@ Both are sized by :func:`estimate_size`, a simple deterministic byte model
 that protocols can be compared on equal footing regardless of how Python
 happens to represent their in-memory state.  A message is sized once, when it
 is built; the siblings of one fan-out (:meth:`Message.to`) share the result.
+A :class:`SizedTuple` (the causal protocols' tuple of ``(writer, seq,
+variable)`` dependency tuples) carries its size, kept by its builder as a
+running sum, so sizing it does not walk it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Dict, Optional
+
+
+class SizedTuple(tuple):
+    """A tuple whose :func:`estimate_size` is its ``size``, set by its builder."""
+
+    size: int
 
 
 def estimate_size(obj: Any) -> int:
@@ -53,6 +62,8 @@ def estimate_size(obj: Any) -> int:
             else:
                 total += estimate_size(item)
         return total
+    if kind is SizedTuple:
+        return obj.size
     if obj is None or isinstance(obj, bool):
         return 1
     if isinstance(obj, (int, float)):

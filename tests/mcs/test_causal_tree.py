@@ -64,6 +64,22 @@ class TestRelevanceConfinement:
             edges = sum(len(neighbours) for neighbours in tree.values())
             assert edges == 2 * (len(relevant) - 1), "a spanning tree"
 
+    @pytest.mark.parametrize("dist", [chain_distribution(3),
+                                      random_distribution(6, 5, replicas_per_variable=2, seed=2)],
+                             ids=["chain", "random"])
+    def test_relayed_variables_stay_within_theorem1_relevant_sets(self, dist):
+        session = Session("causal_tree", dist,
+                          ("uniform", {"operations_per_process": 8}), seed=2)
+        assert session.run().outcome() == "pass"
+        share = ShareGraph.of(dist)
+        hoop_relayed = set()
+        for pid, process in session.system.processes.items():
+            relevant = {var for var in dist.variables if pid in share.relevant_processes(var)}
+            relayed = process.relayed_variables()
+            assert relayed <= relevant, pid
+            hoop_relayed |= relayed - set(process.replicated_variables)
+        assert hoop_relayed, "some process relays a variable it does not replicate"
+
     def test_guarantee_envelope_metadata(self):
         from repro.spec import PROTOCOL_REGISTRY
 

@@ -232,13 +232,13 @@ class TestDuplicateToleranceWhilePending:
         # not applied yet: it buffers.
         update = Message(src=0, dst=1, kind="update", variable="x",
                          payload={"value": "vx"},
-                         control={"wid": [0, 2], "deps": [[0, 1, "y"]]})
+                         control={"wid": [0, 2], "deps": ((0, 1, "y"),)})
         receiver.on_message(update)
         assert receiver.pending_updates() == 1
         receiver.on_message(update)  # duplicate while the original is pending
         assert receiver.pending_updates() == 1
         receiver.on_message(Message(src=0, dst=1, kind="update", variable="y",
                                     payload={"value": "vy"},
-                                    control={"wid": [0, 1], "deps": []}))
+                                    control={"wid": [0, 1], "deps": ()}))
         assert receiver.pending_updates() == 0
         assert delivered.count((0, 2)) == 1  # applied exactly once

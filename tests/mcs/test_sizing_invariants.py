@@ -6,25 +6,35 @@ siblings of one fan-out.  That is only sound while nobody writes a message's
 registered protocol the sizes cached on the traced messages — and every byte
 counter derived from them — are compared with a *fresh* measurement taken
 after the run: a protocol that mutates a message it sent or received (or a
-dependency list it shares between siblings) shows up as a mismatch.
+dependency list it shares between siblings) shows up as a mismatch.  The
+causal protocols' dependency tuples carry their size as a running sum, so that
+number is checked against the tuple it describes, and the sizing work per
+message is pinned not to grow with the causal past.
 """
 
 from collections import defaultdict
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.mcs.causal_past import CausalPast
 from repro.mcs.system import PROTOCOL_CRITERION, MCSystem
 from repro.netsim import message as message_module
 from repro.netsim.latency import UniformLatency
-from repro.netsim.message import estimate_size
+from repro.netsim.message import Message, SizedTuple, estimate_size
 from repro.netsim.models import FaultyNetworkModel
 from repro.workloads.access_patterns import run_script, uniform_access_script
 from repro.workloads.distributions import random_distribution
 
 
 def fresh_sizes(message):
-    """``(payload_bytes, control_bytes)`` measured from the fields, now."""
-    accounted = {k: v for k, v in message.control.items() if not k.startswith("_")}
+    """``(payload_bytes, control_bytes)`` measured from the fields, now.
+
+    A :class:`SizedTuple` is measured as a plain-tuple copy, so the size it
+    carries is checked here, not trusted."""
+    accounted = {k: tuple(v) if isinstance(v, SizedTuple) else v
+                 for k, v in message.control.items() if not k.startswith("_")}
     control = estimate_size(accounted)
     if message.variable is not None:
         control += estimate_size(message.variable)
@@ -92,7 +102,7 @@ def test_send_to_all_sizes_the_fan_out_once(monkeypatch):
                                            replicas_per_variable=replicas, seed=0)
         system = MCSystem(distribution, protocol="causal_partial", record_trace=True)
         writer = min(distribution.holders("x0"))
-        deps = [[0, n, "x0"] for n in range(20)]
+        deps = tuple((0, n, "x0") for n in range(20))
         del calls[:]
         sent = system.process(writer).send_to_all(
             distribution.holders("x0"), "update", variable="x0",
@@ -110,3 +120,59 @@ def test_send_to_all_sizes_the_fan_out_once(monkeypatch):
         assert siblings[0].control_bytes == 3 + 16 + 4 + 20 * 18 + 2
         assert system.stats.control_bytes == sent * siblings[0].control_bytes
     assert counts[2] == counts[5] > 0  # sizing work does not grow with the fan-out
+
+
+VARIABLES = ("x0", "y", "ü3", "変数")
+ENTRIES = st.tuples(st.integers(0, 4), st.integers(1, 30), st.sampled_from(VARIABLES))
+
+
+@given(st.lists(st.tuples(st.sampled_from(VARIABLES), st.lists(ENTRIES, max_size=8)),
+                max_size=30))
+def test_a_dependency_snapshot_carries_its_own_size(steps):
+    # Own writes (writer 9) interleave with delivered updates (writer 8) that
+    # bring random, unsorted, partly known pasts; "y" is never relayed.
+    past = CausalPast(frozenset({"x0", "ü3"}), relays=lambda variable: variable != "y")
+    for seq, (variable, deps) in enumerate(steps, start=1):
+        if not deps:
+            snapshot = past.write((9, seq), "ü3")
+            assert snapshot.size == estimate_size(tuple(snapshot))
+            assert list(snapshot) == sorted(set(snapshot))
+        else:
+            past.merge(deps, (8, seq), variable)
+    snapshot = past.write((9, 0), "x0")
+    assert estimate_size(snapshot) == estimate_size(tuple(snapshot))
+    assert len(snapshot) == len(past.entries) - 1
+
+
+def sizing_calls_per_message(monkeypatch, operations_per_process):
+    """``estimate_size`` calls (recursive ones included) per message built, and
+    the largest causal past, on the ``partial_causal`` benchmark shape."""
+    counts = {"calls": 0, "built": 0}
+    real, post_init = message_module.estimate_size, Message.__post_init__
+
+    def counting(obj):
+        counts["calls"] += 1
+        return real(obj)
+
+    def counted_post_init(self):
+        counts["built"] += 1
+        post_init(self)
+
+    distribution = random_distribution(6, 12, 3, seed=3)
+    script = uniform_access_script(distribution, operations_per_process=operations_per_process,
+                                   write_fraction=0.1, seed=3)
+    system = MCSystem(distribution, protocol="causal_partial")
+    with monkeypatch.context() as patch:
+        patch.setattr(message_module, "estimate_size", counting)
+        patch.setattr(Message, "__post_init__", counted_post_init)
+        run_script(system, script)
+    context = max(process.context_size() for process in system.processes.values())
+    return counts["calls"] / counts["built"], context
+
+
+def test_sizing_work_per_message_does_not_grow_with_the_causal_past(monkeypatch):
+    short, short_context = sizing_calls_per_message(monkeypatch, 40)
+    long, long_context = sizing_calls_per_message(monkeypatch, 160)
+    assert long_context > 3 * short_context
+    # payload, variable, and the key and value of "wid" and of "deps"
+    assert short == long == 6

@@ -23,22 +23,20 @@ of this facade.
 """
 
 from ..core.consistency.incremental import (
-    BatchAdapter,
     CheckPolicy,
     IncrementalChecker,
-    PrefixChecker,
     StreamMonitors,
+    WindowedChecker,
     incremental_checker,
 )
 from .session import RunReport, Session
 
 __all__ = [
-    "BatchAdapter",
     "CheckPolicy",
     "IncrementalChecker",
-    "PrefixChecker",
     "RunReport",
     "Session",
     "StreamMonitors",
+    "WindowedChecker",
     "incremental_checker",
 ]

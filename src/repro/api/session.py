@@ -673,7 +673,7 @@ class Session:
             hits = [
                 checker.first_stream_violation
                 for checker in self.checkers.values()
-                if getattr(checker, "first_stream_violation", None) is not None
+                if checker.first_stream_violation is not None
             ]
             if hits:
                 first_violation.append(min(hits)[1])

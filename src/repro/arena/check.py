@@ -45,9 +45,12 @@ from operator import le
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.consistency.base import CheckResult
-from ..core.consistency.incremental import IncrementalChecker, incremental_checker
-from ..core.consistency.registry import all_checkers
-from ..exceptions import UnknownCriterionError
+from ..core.consistency.incremental import (
+    IncrementalChecker,
+    append_new,
+    incremental_checker,
+)
+from ..core.consistency.registry import get_checker
 from . import adapter
 from .store import KIND_WRITE, NO_SOURCE, OpArena
 
@@ -102,33 +105,20 @@ class ArenaBatchChecker(IncrementalChecker):
         cache: Optional[adapter.OpCache] = None,
         witness_max: int = WITNESS_MAX,
     ) -> None:
-        if criterion not in all_checkers():
-            raise UnknownCriterionError(
-                f"unknown consistency criterion {criterion!r}; "
-                f"known: {sorted(all_checkers())}"
-            )
+        get_checker(criterion)  # an unknown name fails here, not at finalize
         self.criterion = criterion
         self.arena = arena
         self._exact = exact
         self._cache: adapter.OpCache = {} if cache is None else cache
         self._witness_max = witness_max
-        self._universe: Tuple[int, ...] = ()
-        self._finalized: Optional[CheckResult] = None
-        self._violations: List[str] = []
-        self._monitors_taken = 0
-        self._last_monitors: List[str] = []
-        #: Earliest stream-monitor violation, as ``(row, "p{pid}: message")``
-        #: — what the object session would have reported as first violation.
-        self.first_stream_violation: Optional[Tuple[int, str]] = None
+        self.start()
 
     # -- incremental protocol -------------------------------------------------
     def start(self, universe: Optional[Tuple[int, ...]] = None) -> None:
         self._universe = tuple(universe or ())
-        self._finalized = None
-        self._violations = []
+        self._reset_findings()
+        #: Monitor hits of the arena prefix already accumulated.
         self._monitors_taken = 0
-        self._last_monitors = []
-        self.first_stream_violation = None
 
     def feed(self, op: Any, read_from: Any = None) -> Optional[CheckResult]:
         """No-op: the shared arena *is* the stream (the recorder already
@@ -136,49 +126,26 @@ class ArenaBatchChecker(IncrementalChecker):
         return None
 
     def check_now(self) -> Optional[CheckResult]:
-        """Bad-pattern sweep over the current arena prefix (monitors + quick).
-
-        Mirrors ``PrefixChecker``'s bookkeeping exactly: monitor hits enter
-        the accumulated violation list verbatim (in feed order, duplicates
-        preserved), quick findings are appended with string dedup, and every
-        inconsistent checkpoint returns the accumulated list — so repeated
+        """Bad-pattern sweep over the current arena prefix (monitors + quick),
+        accumulated by the object engine's rule: the monitor hits fed since
+        the last checkpoint, then the sweep's findings — so repeated
         checkpoints over a growing prefix yield the same strings, in the same
-        order, as the object engine's stream.
-        """
-        result = self._evaluate(exact=False)
-        fresh = self._last_monitors[self._monitors_taken:]
-        self._violations.extend(fresh)
-        self._monitors_taken = len(self._last_monitors)
-        if not result.consistent:
-            for violation in result.violations:
-                if violation not in self._violations:
-                    self._violations.append(violation)
-            return self._result_so_far()
-        return self._result_so_far() if self._violations else None
+        order, as the object engine's stream."""
+        hits, result = self._evaluate(exact=False)
+        self._note_monitor_hits(hits[self._monitors_taken:])
+        self._monitors_taken = len(hits)
+        return self._note_findings(result.violations)
 
     def finalize(self) -> CheckResult:
         if self._finalized is None:
+            hits, result = self._evaluate(exact=self._exact and not self._violations)
             if self._violations:
                 # Checkpoint findings exist: close with a polynomial sweep
-                # merged into them, like PrefixChecker._merged_full_violations.
-                result = self._evaluate(exact=False)
-                merged = list(self._violations)
-                for violation in result.violations:
-                    if violation not in merged:
-                        merged.append(violation)
-                self._finalized = CheckResult(
-                    criterion=self.criterion, consistent=False, exact=True,
-                    violations=merged,
-                )
-            else:
-                self._finalized = self._evaluate(exact=self._exact)
+                # merged into them, like the object engine's collect-all close.
+                result = self._closing(result.violations)
+            self._note_monitor_hits(hits[self._monitors_taken:])
+            self._finalized = result
         return self._finalized
-
-    def _result_so_far(self) -> CheckResult:
-        return CheckResult(
-            criterion=self.criterion, consistent=False, exact=True,
-            violations=list(self._violations),
-        )
 
     @property
     def ops_fed(self) -> int:
@@ -197,48 +164,40 @@ class ArenaBatchChecker(IncrementalChecker):
         source = self.arena.source
         return all(source[row] <= row for row in range(len(source)))
 
-    def _evaluate(self, exact: bool) -> CheckResult:
+    def _evaluate(self, exact: bool) -> Tuple[List[Tuple[int, str]], CheckResult]:
+        """The stream-monitor hits ``(row, message)`` over the arena and its
+        check result, whose violations open with those hits."""
         if self.criterion in COLUMNAR_CRITERIA and self._sources_forward():
             return self._columnar_result(exact)
         return self._materialized_result(exact)
 
     # -- materialised pipeline ----------------------------------------------
-    def _materialized_result(self, exact: bool) -> CheckResult:
+    def _materialized_result(self, exact: bool) -> Tuple[List[Tuple[int, str]], CheckResult]:
         arena, cache = self.arena, self._cache
         n = len(arena)
-        inner = incremental_checker(self.criterion, exact=exact, bounded=False)
+        inner = incremental_checker(self.criterion, exact=exact)
         inner.start(self._universe)
         adapter.materialize_prefix(arena, n, cache)
         kind, source = arena.kind, arena.source
+        hits: List[Tuple[int, str]] = []
         for row in range(n):
             src = source[row]
             resolved = (
                 cache[src] if kind[row] != KIND_WRITE and src != NO_SOURCE else None
             )
-            found = inner.feed(cache[row], resolved)
-            if found is not None and self.first_stream_violation is None:
-                self.first_stream_violation = (row, found.violations[0])
-        # Monitor hits (already "p{pid}: "-prefixed), in feed order — what the
-        # object engine would have accumulated in _violations by this prefix.
-        self._last_monitors = list(inner._violations)
-        return inner.finalize()
+            if inner.feed(cache[row], resolved) is not None:
+                hits.extend((row, message) for message in inner.violations[len(hits):])
+        return hits, inner.finalize()
 
     # -- columnar path --------------------------------------------------------
-    def _columnar_result(self, exact: bool) -> CheckResult:
-        monitor_violations = self._columnar_monitors()
-        self._last_monitors = [message for _, message in monitor_violations]
-        if monitor_violations and self.first_stream_violation is None:
-            self.first_stream_violation = monitor_violations[0]
-        # With monitor violations the object pipeline closes with a
-        # polynomial-only sweep (no solve, no witnesses) — mirror that.
-        solve = exact and not monitor_violations
-        found, witnesses = self._views(solve)
-        if monitor_violations:
-            merged = [message for _, message in monitor_violations]
-            for violation in found:
-                if violation not in merged:
-                    merged.append(violation)
-            return CheckResult(
+    def _columnar_result(self, exact: bool) -> Tuple[List[Tuple[int, str]], CheckResult]:
+        hits = self._columnar_monitors()
+        # With monitor hits the object pipeline closes with a polynomial-only
+        # sweep (no solve, no witnesses) merged after them — mirror that.
+        found, witnesses = self._views(exact and not hits)
+        if hits:
+            merged = append_new([message for _, message in hits], found)
+            return hits, CheckResult(
                 criterion=self.criterion, consistent=False, exact=True,
                 violations=merged,
             )
@@ -250,14 +209,14 @@ class ArenaBatchChecker(IncrementalChecker):
                 pid: [cache[row] for row in schedule]
                 for pid, schedule in witnesses.items()
             }
-        return CheckResult(
+        return hits, CheckResult(
             criterion=self.criterion, consistent=not found, exact=exact or bool(found),
             violations=found, serializations=serializations,
         )
 
     def _columnar_monitors(self) -> List[Tuple[int, str]]:
         """Row-level replica of ``StreamMonitors.observe`` + the ``p{pid}:``
-        prefix of ``PrefixChecker.feed`` (real-time monitoring is only used
+        prefix of ``WindowedChecker.feed`` (real-time monitoring is only used
         by the atomic criterion, which has no columnar path)."""
         arena = self.arena
         kind, proc, var, index, source = (

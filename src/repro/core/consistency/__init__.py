@@ -10,22 +10,18 @@ from .criteria import (
     SlowChecker,
 )
 from .incremental import (
-    BatchAdapter,
     CheckPolicy,
     IncrementalChecker,
-    PrefixChecker,
     StreamMonitors,
     WindowedChecker,
     WindowMetrics,
     incremental_checker,
-    windowed_checker,
 )
 from .registry import CRITERIA, IMPLIES, all_checkers, get_checker, implied_criteria
 from .sequential import SequentialChecker
 
 __all__ = [
     "AtomicChecker",
-    "BatchAdapter",
     "CRITERIA",
     "CausalChecker",
     "CheckPolicy",
@@ -33,12 +29,10 @@ __all__ = [
     "ConsistencyChecker",
     "IMPLIES",
     "IncrementalChecker",
-    "PrefixChecker",
     "StreamMonitors",
     "WindowedChecker",
     "WindowMetrics",
     "incremental_checker",
-    "windowed_checker",
     "LazyCausalChecker",
     "LazySemiCausalChecker",
     "PRAMChecker",

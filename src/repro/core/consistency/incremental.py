@@ -1,22 +1,26 @@
 """Incremental consistency checking over live runs.
 
 The batch checkers of this package answer "is this *finished* history
-consistent?".  The streaming :class:`repro.api.Session` facade needs the dual
-question: "is the run still consistent *so far*?" — answered while the
-protocol executes, so a violating run can be aborted long before its history
-is complete.  This module provides that protocol:
+consistent?".  The streaming :class:`repro.api.Session` facade and the
+``repro serve`` tenants need the dual question: "is the run still consistent
+*so far*?" — answered while the operations arrive, so a violating run can be
+stopped long before its history is complete.  One argument answers it
+everywhere.  ``feed`` receives operations in *recording* (delivery) order,
+which extends every process' program order, so at any instant the fed
+operations form a prefix of each local history.  All relations of the paper
+(program, read-from, causal and lazy closures, PRAM, slow) are *monotone* —
+adding operations only ever adds pairs — and every bad pattern of
+:meth:`repro.core.serialization.SerializationProblem.quick_violations` is an
+existential statement over those relations.  A violation found on a prefix,
+or on any sub-history of it, therefore remains a violation of every
+extension: early ``False`` verdicts are exact proofs.
 
 :class:`IncrementalChecker`
-    ``start(universe) / feed(op, read_from) / finalize() -> CheckResult``.
-    ``feed`` receives operations in *recording* (delivery) order, which by
-    construction extends every process' program order, so at any instant the
-    fed operations form a prefix of each local history.  All relations of the
-    paper (program, read-from, causal and lazy closures, PRAM, slow) are
-    *monotone* — adding operations only ever adds pairs — and every bad
-    pattern of :meth:`repro.core.serialization.SerializationProblem.quick_violations`
-    is an existential statement over those relations.  A violation found on a
-    prefix therefore remains a violation of every extension: early ``False``
-    verdicts are exact proofs.
+    ``start(universe) / feed(op, read_from) / check_now() / finalize()``,
+    and the one rule by which every implementation — this module's and the
+    arena's :class:`~repro.arena.check.ArenaBatchChecker` — accumulates what
+    it proves: monitor hits in feed order, prefix findings with string
+    dedup, the collect-all closing merge and ``first_stream_violation``.
 
 :class:`StreamMonitors`
     O(1)-per-operation necessary conditions maintained natively (no relation
@@ -27,18 +31,16 @@ is complete.  This module provides that protocol:
     *weakest* criterion of the lattice (slow memory), hence for every
     criterion above it.
 
-:class:`PrefixChecker`
-    Native incremental checker: the stream monitors plus, on demand
-    (:meth:`~IncrementalChecker.check_now`), the polynomial bad-pattern
-    pre-check over the bitset :class:`~repro.core.orders.Relation` of the fed
-    prefix.  Purely polynomial; ``finalize`` yields a heuristic verdict
-    (``exact=False``) like the batch pre-check does.
-
-:class:`BatchAdapter`
-    A :class:`PrefixChecker` whose ``finalize`` additionally runs the wrapped
-    batch checker's exact serialization search, so streaming callers get the
-    exact same verdicts (and witnesses) the offline
-    :meth:`~repro.core.consistency.base.ConsistencyChecker.check` returns.
+:class:`WindowedChecker`
+    The incremental checker: the stream monitors on every operation plus, on
+    demand (:meth:`~IncrementalChecker.check_now`) and at ``finalize``, the
+    polynomial bad-pattern pre-check over the operations it retains.  Its
+    ``window`` is the retention policy: ``None`` retains the whole stream
+    (with ``exact=True`` a clean ``finalize`` is then the batch checker's
+    exact decision, witnesses included), ``0`` retains nothing (monitors
+    only, constant memory), and ``N >= 4`` retains a sliding window with
+    Theorem 1 eviction (``repro serve``).  :func:`incremental_checker`
+    builds the first two.
 
 :class:`CheckPolicy`
     When to spend how much: every-op / every-N / on-finalize cadence for the
@@ -50,7 +52,7 @@ from __future__ import annotations
 import abc
 import bisect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...exceptions import (
     ConsistencyCheckError,
@@ -62,6 +64,7 @@ from ..history import History
 from ..operations import Operation, OpKind, decode_value, encode_value
 from ..share_graph import ShareGraph
 from .base import CheckResult, ConsistencyChecker
+from .registry import get_checker
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +278,16 @@ class StreamMonitors:
 
 
 # ---------------------------------------------------------------------------
-# The incremental protocol
+# The incremental protocol and its accumulation rule
 # ---------------------------------------------------------------------------
+
+def append_new(violations: List[str], found: Sequence[str]) -> List[str]:
+    """Append every string of ``found`` not yet in ``violations``, in order."""
+    for violation in found:
+        if violation not in violations:
+            violations.append(violation)
+    return violations
+
 
 class IncrementalChecker(abc.ABC):
     """Streaming counterpart of :class:`~repro.core.consistency.base.ConsistencyChecker`.
@@ -286,10 +297,23 @@ class IncrementalChecker(abc.ABC):
     :class:`CheckPolicy` says so, ``finalize()`` once at the end of the run.
     ``feed``/``check_now`` return a :class:`CheckResult` as soon as a
     violation is *proven* (such early verdicts are exact), else ``None``.
+
+    Every implementation accumulates what it proves by one rule, written
+    here: stream-monitor hits enter :attr:`violations` verbatim in feed order
+    (:meth:`_note_monitor_hits`, duplicates kept), prefix and window findings
+    are appended with string dedup (:meth:`_note_findings`), every
+    inconsistent return carries the whole accumulated list
+    (:meth:`_result_so_far`), and ``finalize`` merges its closing polynomial
+    sweep after it (:meth:`_closing`).  Subclasses call :meth:`_reset_findings`
+    from ``start``.
     """
 
     #: Criterion name, e.g. ``"pram"``.
     criterion: str = "abstract"
+
+    #: Earliest stream-monitor hit as ``(stream position, message)`` — the
+    #: violation a session reports first when no ``feed`` returned one.
+    first_stream_violation: Optional[Tuple[int, str]] = None
 
     @abc.abstractmethod
     def start(self, universe: Optional[Tuple[int, ...]] = None) -> None:
@@ -314,82 +338,28 @@ class IncrementalChecker(abc.ABC):
     def ops_fed(self) -> int:
         """Number of operations observed so far (the early-exit metric)."""
 
+    # -- the accumulation rule -------------------------------------------------
+    @property
+    def violations(self) -> List[str]:
+        """The violations proven so far, in the order they were accumulated."""
+        return list(self._violations)
 
-class PrefixChecker(IncrementalChecker):
-    """Native incremental checker: stream monitors + prefix bad-pattern checks.
-
-    ``check_now`` materialises the fed prefix as a :class:`History`, builds
-    the criterion's bitset relation and runs the polynomial bad-pattern
-    pre-check on every per-process view — i.e. the batch checker's
-    ``exact=False`` mode, restricted to the prefix.  ``finalize`` does the
-    same over the whole stream, so the verdict is heuristic (``exact=False``)
-    exactly like the batch pre-check's; use :class:`BatchAdapter` when the
-    exact serialization search (and its witnesses) is wanted.
-
-    ``bounded=True`` drops the operation buffer entirely: only the O(1)
-    stream monitors run, the checker's state stays independent of the run
-    length, and ``check_now`` is a no-op.  This is the mode behind
-    ``Session(keep_history=False)``.
-    """
-
-    def __init__(
-        self,
-        checker: ConsistencyChecker,
-        bounded: bool = False,
-        real_time: bool = False,
-    ) -> None:
-        self._checker = checker
-        self.criterion = checker.name
-        self._bounded = bounded
-        self._real_time = real_time
-        self.start()
-
-    # -- protocol ------------------------------------------------------------
-    def start(self, universe: Optional[Tuple[int, ...]] = None) -> None:
-        self._monitors = StreamMonitors(real_time=self._real_time)
-        self._ops: Dict[int, List[Operation]] = {
-            pid: [] for pid in (universe or ())
-        }
-        self._read_from: Dict[Operation, Optional[Operation]] = {}
-        self._fed = 0
+    def _reset_findings(self) -> None:
         self._violations: List[str] = []
         self._finalized: Optional[CheckResult] = None
+        self.first_stream_violation = None
 
-    def feed(
-        self, op: Operation, read_from: Optional[Operation] = None
-    ) -> Optional[CheckResult]:
-        self._fed += 1
-        if not self._bounded:
-            self._ops.setdefault(op.process, []).append(op)
-            if op.is_read:
-                self._read_from[op] = read_from
-        found = self._monitors.observe(op, read_from)
-        if found:
-            self._violations.extend(f"p{op.process}: {v}" for v in found)
-            return self._result_so_far()
-        return None
+    def _note_monitor_hits(self, hits: Sequence[Tuple[int, str]]) -> None:
+        """Accumulate stream-monitor hits ``(stream position, message)``."""
+        if hits and self.first_stream_violation is None:
+            self.first_stream_violation = hits[0]
+        self._violations.extend(message for _, message in hits)
 
-    def check_now(self) -> Optional[CheckResult]:
-        if self._bounded:
-            return self._result_so_far() if self._violations else None
-        result = self._prefix_check(exact=False)
-        if not result.consistent:
-            for violation in result.violations:
-                if violation not in self._violations:
-                    self._violations.append(violation)
-            return self._result_so_far()
+    def _note_findings(self, found: Sequence[str]) -> Optional[CheckResult]:
+        """Accumulate prefix or window findings; the result so far, if any."""
+        append_new(self._violations, found)
         return self._result_so_far() if self._violations else None
 
-    def finalize(self) -> CheckResult:
-        if self._finalized is None:
-            self._finalized = self._final_check()
-        return self._finalized
-
-    @property
-    def ops_fed(self) -> int:
-        return self._fed
-
-    # -- internals -----------------------------------------------------------
     def _result_so_far(self) -> CheckResult:
         # A violation proven on a prefix is exact whatever mode we run in.
         return CheckResult(
@@ -399,77 +369,18 @@ class PrefixChecker(IncrementalChecker):
             violations=list(self._violations),
         )
 
-    def _prefix_history(self) -> Tuple[History, Dict[Operation, Optional[Operation]]]:
-        return History(self._ops), dict(self._read_from)
-
-    def _prefix_check(self, exact: bool) -> CheckResult:
-        history, read_from = self._prefix_history()
-        return self._checker.check(history, read_from=read_from, exact=exact)
-
-    def _merged_full_violations(self) -> CheckResult:
-        """Collect-all closure: one last polynomial sweep over the whole
-        stream, merged with everything the monitors/periodic checks found.
-        The history is already proven inconsistent, so no exact search is
-        ever needed here."""
-        result = self._prefix_check(exact=False)
-        merged = list(self._violations)
-        for violation in result.violations:
-            if violation not in merged:
-                merged.append(violation)
-        return CheckResult(
-            criterion=self.criterion,
-            consistent=False,
-            exact=True,
-            violations=merged,
-        )
-
-    def _final_check(self) -> CheckResult:
-        if self._bounded:
-            if self._violations:
-                return self._result_so_far()
-            # Nothing buffered: the monitors' silence is all we can certify.
-            return CheckResult(
-                criterion=self.criterion, consistent=True, exact=False
-            )
-        if self._violations:
-            return self._merged_full_violations()
-        return self._prefix_check(exact=False)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "bounded" if self._bounded else "buffering"
-        return (
-            f"<{type(self).__name__} criterion={self.criterion!r} "
-            f"{mode} fed={self._fed}>"
-        )
-
-
-class BatchAdapter(PrefixChecker):
-    """Incremental adapter over a batch checker's exact serialization search.
-
-    Streams like :class:`PrefixChecker` (monitors + polynomial prefix
-    checks), but ``finalize`` runs the wrapped checker's full ``check`` with
-    the configured ``exact`` mode, so the result — verdict *and* witness
-    serializations — is byte-identical with what the offline batch API
-    returns for the same history and read-from mapping.
-    """
-
-    def __init__(
-        self,
-        checker: ConsistencyChecker,
-        exact: bool = True,
-        real_time: bool = False,
-    ) -> None:
-        self._exact = exact
-        super().__init__(checker, bounded=False, real_time=real_time)
-
-    def _final_check(self) -> CheckResult:
-        if self._violations:
-            return self._merged_full_violations()
-        return self._prefix_check(exact=self._exact)
+    def _closing(self, found: Sequence[str]) -> CheckResult:
+        """The collect-all close: the accumulated findings, then the closing
+        sweep's.  With neither, the sweep and the monitors are all that
+        speaks for the stream: a heuristic pass, like the batch pre-check's."""
+        result = self._note_findings(found)
+        if result is None:
+            return CheckResult(criterion=self.criterion, consistent=True, exact=False)
+        return result
 
 
 # ---------------------------------------------------------------------------
-# Windowed (bounded-memory) checking over unbounded streams
+# The incremental checker: a retention window over the stream
 # ---------------------------------------------------------------------------
 
 #: Format tag of :meth:`WindowedChecker.checkpoint` payloads.
@@ -499,20 +410,28 @@ class WindowMetrics:
 
 
 class WindowedChecker(IncrementalChecker):
-    """Bounded-memory incremental checker over an unbounded operation stream.
+    """The incremental checker: stream monitors on every operation, plus the
+    polynomial bad-pattern pre-check over the operations it retains.
 
-    The buffering checkers above retain the whole stream; this one retains a
-    *window* and garbage-collects the prefix, which is what lets the
-    ``repro serve`` monitors run forever.  Soundness rests on two pillars:
+    ``window`` is the retention policy:
+
+    * ``None`` retains the whole stream — the mode behind
+      :func:`incremental_checker` and every history-keeping session;
+    * ``0`` retains nothing: only the O(1) :class:`StreamMonitors` run, the
+      state is independent of the run length and ``check_now`` proves
+      nothing new (``Session(keep_history=False)``, every hunt trial);
+    * ``N >= 4`` retains a sliding window and garbage-collects the prefix,
+      which is what lets the ``repro serve`` monitors run forever.
+
+    Soundness rests on two pillars:
 
     * **Monotone subset.**  Every retained view is a sub-history of the full
       stream whose program order, read-from and derived closures are subsets
       of the full relations, so every bad pattern found over the window is a
       bad pattern of the full history — windowed violations are *exact*
-      proofs.  Clean verdicts are heuristic (``exact=False``): evicted
-      operations were only covered by the O(1) :class:`StreamMonitors`,
-      which keep running — exactly — across evictions because their state
-      (per-reader writer frontiers) never references retained operations.
+      proofs.  The O(1) monitors keep running — exactly — across evictions
+      because their state (per-reader writer frontiers) never references
+      retained operations.
 
     * **Proved eviction (paper, Theorem 1).**  A write ``w_p(x)#k`` can stop
       participating in *new* bad patterns once every process that can ever
@@ -527,15 +446,29 @@ class WindowedChecker(IncrementalChecker):
       separately): that only weakens the windowed check's completeness,
       never its soundness.
 
-    Two invariants keep the windowed views free of spurious bad patterns:
-    the read-from source of every retained read stays pinned (a read whose
-    writer is missing from the view would be reported as a violation by the
-    serialization pre-check), and the newest retained write per
-    ``(process, variable)`` is never evicted (it resolves future source
-    references without reconstruction).  A source reference to an evicted
-    write is rebuilt by :meth:`resolve_source` as an equivalent stand-in,
-    re-inserted at its original index — the windowed :class:`History`
-    accepts gap-tolerant, strictly-increasing indices.
+    Under a finite window two invariants keep the retained views free of
+    spurious bad patterns: the read-from source of every retained read stays
+    pinned (a read whose writer is missing from the view would be reported
+    as a violation by the serialization pre-check), and the newest retained
+    write per ``(process, variable)`` is never evicted (it resolves future
+    source references without reconstruction).  A source reference to an
+    evicted write is rebuilt by :meth:`resolve_source` as an equivalent
+    stand-in, re-inserted at its original index — the windowed
+    :class:`History` accepts gap-tolerant, strictly-increasing indices.  This
+    pin, frontier and stand-in bookkeeping runs only under a finite window.
+
+    **Exactness.**  A stream with no proven violation closes with the
+    wrapped batch checker's ``check(..., exact=exact)`` over the retained
+    operations when they are the whole stream: always under ``window=None``,
+    and under a finite window with ``exact=True`` while nothing has been
+    evicted and no stand-in inserted.  With ``exact=True`` the verdict *and*
+    the witnesses then equal the offline check's.  Otherwise the close is
+    the polynomial sweep with its findings deduplicated, and a clean verdict
+    is heuristic (``exact=False``), as served tenants have always reported.
+    Once a violation is proven the close is that sweep merged after the
+    accumulated findings.  The clean-window memo only ever skips that
+    sweep, never an exact decision.  ``real_time`` monitoring is on exactly
+    for the atomic criterion.
 
     The full state round-trips through JSON (:meth:`checkpoint` /
     :meth:`restore`), so a serving process can be stopped and resumed
@@ -545,24 +478,28 @@ class WindowedChecker(IncrementalChecker):
     def __init__(
         self,
         checker: ConsistencyChecker,
-        window: int = 512,
+        window: Optional[int] = 512,
         distribution: Optional["VariableDistribution"] = None,
-        real_time: bool = False,
+        exact: bool = False,
     ) -> None:
-        if window < 4:
+        if window is not None and not (
+            isinstance(window, int) and (window == 0 or window >= 4)
+        ):
             raise ConsistencyCheckError(
-                f"windowed checking needs a window of at least 4 operations, got {window}"
+                "the window must be None (retain everything), 0 (monitors only) "
+                f"or at least 4 operations, got {window!r}"
             )
         self._checker = checker
         self.criterion = checker.name
-        self._window = int(window)
-        self._distribution = distribution
+        self._window = window
+        self._exact = exact
         self._share = None if distribution is None else ShareGraph.of(distribution)
-        self._real_time = real_time
+        self._real_time = checker.name == "atomic"
         self.start()
 
     # -- protocol --------------------------------------------------------------
     def start(self, universe: Optional[Tuple[int, ...]] = None) -> None:
+        self._reset_findings()
         self._monitors = StreamMonitors(real_time=self._real_time)
         self._ops: Dict[int, List[Operation]] = {
             pid: [] for pid in (universe or ())
@@ -573,8 +510,6 @@ class WindowedChecker(IncrementalChecker):
         self._by_writer: Dict[Tuple[int, int], Operation] = {}
         self._retained = 0
         self._fed = 0
-        self._violations: List[str] = []
-        self._finalized: Optional[CheckResult] = None
         self._metrics = WindowMetrics()
         #: ``(ops_fed, retained, standins)`` of the last window that checked clean
         self._clean_at: Optional[Tuple[int, int, int]] = None
@@ -582,40 +517,56 @@ class WindowedChecker(IncrementalChecker):
     def feed(
         self, op: Operation, read_from: Optional[Operation] = None
     ) -> Optional[CheckResult]:
-        ops = self._ops.setdefault(op.process, [])
-        if ops and op.index <= ops[-1].index:
-            raise ConsistencyCheckError(
-                f"operation {op!r} does not extend h_{op.process} "
-                f"(last retained index {ops[-1].index})"
-            )
+        window = self._window
+        if window != 0:
+            ops = self._ops.setdefault(op.process, [])
+            if ops and op.index <= ops[-1].index:
+                raise ConsistencyCheckError(
+                    f"operation {op!r} does not extend h_{op.process} "
+                    f"(last retained index {ops[-1].index})"
+                )
+            ops.append(op)
+            self._retained += 1
+            if op.is_read:
+                self._read_from[op] = read_from
+            if window is not None:
+                self._track(op, read_from)
         self._fed += 1
-        ops.append(op)
-        self._retained += 1
-        if op.is_write:
-            self._by_writer[(op.process, op.index)] = op
-            self._frontier[(op.process, op.variable)] = op
-        else:
-            self._read_from[op] = read_from
-            if read_from is not None:
-                self._pins[read_from] = self._pins.get(read_from, 0) + 1
-        self._metrics.ops_fed = self._fed
-        if self._retained > self._metrics.peak_retained:
-            self._metrics.peak_retained = self._retained
         found = self._monitors.observe(op, read_from)
         if found:
-            self._violations.extend(f"p{op.process}: {v}" for v in found)
-        if self._retained > self._window:
+            self._note_monitor_hits(
+                [(self._fed - 1, f"p{op.process}: {v}") for v in found]
+            )
+        if window and self._retained > window:
             self._evict()
-        self._metrics.retained = self._retained
-        if found:
-            return self._result_so_far()
-        return None
+        return self._result_so_far() if found else None
+
+    def check_now(self) -> Optional[CheckResult]:
+        return self._note_findings(self._window_violations())
+
+    def finalize(self) -> CheckResult:
+        if self._finalized is None:
+            if not self._violations and (
+                self._window is None or self._exact and self._holds_whole_stream()
+            ):
+                history, read_from = self.window_view()
+                self._finalized = self._checker.check(
+                    history, read_from=read_from, exact=self._exact
+                )
+            else:
+                self._finalized = self._closing(self._window_violations())
+        return self._finalized
+
+    @property
+    def ops_fed(self) -> int:
+        return self._fed
 
     def _window_violations(self) -> List[str]:
-        """Bad patterns of the retained window: none, without checking again,
-        when nothing was fed or re-inserted since it last checked clean."""
+        """Bad patterns of the retained operations: none, without checking,
+        when nothing is retained or nothing was fed or re-inserted since
+        they last checked clean."""
         state = (self._fed, self._retained, self._metrics.standins)
-        if state == self._clean_at:
+        if self._window == 0 or state == self._clean_at:
             return []
         history, read_from = self.window_view()
         result = self._checker.check(history, read_from=read_from, exact=False)
@@ -623,46 +574,24 @@ class WindowedChecker(IncrementalChecker):
             self._clean_at = state
         return result.violations
 
-    def check_now(self) -> Optional[CheckResult]:
-        for violation in self._window_violations():
-            if violation not in self._violations:
-                self._violations.append(violation)
-        return self._result_so_far() if self._violations else None
-
-    def finalize(self) -> CheckResult:
-        if self._finalized is None:
-            found = self._window_violations()
-            if self._violations or found:
-                merged = list(self._violations)
-                for violation in found:
-                    if violation not in merged:
-                        merged.append(violation)
-                self._finalized = CheckResult(
-                    criterion=self.criterion,
-                    consistent=False,
-                    exact=True,
-                    violations=merged,
-                )
-            else:
-                # Clean over the window and silent monitors over the whole
-                # stream: a heuristic pass, like the batch pre-check's.
-                self._finalized = CheckResult(
-                    criterion=self.criterion, consistent=True, exact=False
-                )
-        return self._finalized
-
-    @property
-    def ops_fed(self) -> int:
-        return self._fed
+    def _holds_whole_stream(self) -> bool:
+        metrics = self._metrics
+        return self._window != 0 and not (
+            metrics.evicted_proved or metrics.evicted_forced or metrics.standins
+        )
 
     # -- windowed views --------------------------------------------------------
     @property
-    def window(self) -> int:
+    def window(self) -> Optional[int]:
         return self._window
 
     @property
     def metrics(self) -> WindowMetrics:
-        return self._metrics
+        metrics = self._metrics
+        metrics.ops_fed = self._fed
+        metrics.retained = self._retained
+        metrics.peak_retained = max(metrics.peak_retained, self._retained)
+        return metrics
 
     @property
     def retained_operations(self) -> int:
@@ -670,10 +599,11 @@ class WindowedChecker(IncrementalChecker):
 
     def window_view(self) -> Tuple[History, Dict[Operation, Optional[Operation]]]:
         """The retained sub-history and its read-from restriction."""
-        return History(self._ops, windowed=True), dict(self._read_from)
+        return History(self._ops, windowed=self._window is not None), dict(self._read_from)
 
     def lookup_write(self, process: int, index: int) -> Optional[Operation]:
-        """The retained write ``(process, index)``, or ``None`` if evicted."""
+        """The retained write ``(process, index)`` of a finite window, or
+        ``None`` if evicted."""
         return self._by_writer.get((process, index))
 
     def resolve_source(
@@ -684,8 +614,12 @@ class WindowedChecker(IncrementalChecker):
         Returns the retained write when it survives in the window; otherwise
         reconstructs an equivalent stand-in write at its original index and
         re-inserts it, so the ingestion layer never has to retain anything
-        itself.
+        itself.  Only a finite window resolves references.
         """
+        if not self._window:
+            raise ConsistencyCheckError(
+                f"source references resolve against a finite window, not window={self._window}"
+            )
         op = self._by_writer.get((process, index))
         if op is not None:
             return op
@@ -721,7 +655,16 @@ class WindowedChecker(IncrementalChecker):
             return {}
         return self._share.relevance_report()
 
-    # -- eviction --------------------------------------------------------------
+    # -- finite-window bookkeeping and eviction --------------------------------
+    def _track(self, op: Operation, read_from: Optional[Operation]) -> None:
+        if op.is_write:
+            self._by_writer[(op.process, op.index)] = op
+            self._frontier[(op.process, op.variable)] = op
+        elif read_from is not None:
+            self._pins[read_from] = self._pins.get(read_from, 0) + 1
+        if self._retained > self._metrics.peak_retained:
+            self._metrics.peak_retained = self._retained
+
     def _evict(self) -> None:
         # Proved pass: drop every write the monitors' reader frontiers prove
         # dead (Theorem 1 bounds the candidate readers to the clique).
@@ -797,14 +740,6 @@ class WindowedChecker(IncrementalChecker):
                 else:
                     self._pins[source] = pins
 
-    def _result_so_far(self) -> CheckResult:
-        return CheckResult(
-            criterion=self.criterion,
-            consistent=False,
-            exact=True,
-            violations=list(self._violations),
-        )
-
     # -- checkpointing ---------------------------------------------------------
     def checkpoint(self) -> Dict[str, Any]:
         """JSON-able snapshot of the full checker state (see :meth:`restore`)."""
@@ -831,11 +766,12 @@ class WindowedChecker(IncrementalChecker):
             "format": CHECKPOINT_FORMAT,
             "criterion": self.criterion,
             "window": self._window,
+            "exact": self._exact,
             "real_time": self._real_time,
             "fed": self._fed,
             "universe": sorted(self._ops),
             "violations": list(self._violations),
-            "metrics": self._metrics.as_dict(),
+            "metrics": self.metrics.as_dict(),
             "operations": operations,
             "read_from": read_from,
             "monitors": self._monitors.export_state(),
@@ -852,30 +788,43 @@ class WindowedChecker(IncrementalChecker):
         The restored checker continues exactly where the snapshot left off:
         same retained window, pins, monitor frontiers, metrics and verdict
         state.  Operations get fresh ``uid``\\ s — identity only has to be
-        consistent *within* one checker.
+        consistent *within* one checker.  A malformed payload raises
+        :class:`~repro.exceptions.ConsistencyCheckError` here, never later
+        inside a check; an unknown criterion raises
+        :class:`~repro.exceptions.UnknownCriterionError`.
         """
-        from .registry import all_checkers  # local import: registry imports base too
-
-        if data.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
+            found = data.get("format") if isinstance(data, dict) else type(data).__name__
             raise ConsistencyCheckError(
-                f"not a windowed-checker checkpoint: format={data.get('format')!r}"
+                f"not a windowed-checker checkpoint: format={found!r}"
             )
-        criterion = data["criterion"]
-        checkers = all_checkers()
-        if criterion not in checkers:
-            raise UnknownCriterionError(
-                f"checkpoint names unknown criterion {criterion!r}; "
-                f"known: {sorted(checkers)}"
-            )
+        missing = [key for key in ("criterion", "window", "operations") if key not in data]
+        if missing:
+            raise ConsistencyCheckError(f"checkpoint lacks the keys {missing}")
+        try:
+            return cls._restore(data, distribution)
+        except UnknownCriterionError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConsistencyCheckError(
+                f"malformed windowed-checker checkpoint: {type(exc).__name__}: {exc}"
+            ) from None
+
+    @classmethod
+    def _restore(
+        cls,
+        data: Dict[str, Any],
+        distribution: Optional["VariableDistribution"],
+    ) -> "WindowedChecker":
         checker = cls(
-            checkers[criterion],
-            window=int(data["window"]),
+            get_checker(data["criterion"]),
+            window=data["window"],
             distribution=distribution,
-            real_time=bool(data.get("real_time", False)),
+            exact=bool(data.get("exact", False)),
         )
         checker.start(tuple(data.get("universe", ())))
         by_ref: Dict[Tuple[int, int], Operation] = {}
-        for record in data.get("operations", ()):
+        for record in data["operations"]:
             op = Operation(
                 OpKind(record["kind"]),
                 record["process"],
@@ -885,10 +834,16 @@ class WindowedChecker(IncrementalChecker):
                 invoked_at=record.get("invoked_at"),
                 completed_at=record.get("completed_at"),
             )
+            ops = checker._ops.setdefault(op.process, [])
+            if ops and op.index <= ops[-1].index:
+                raise ConsistencyCheckError(
+                    f"checkpoint operation {op!r} does not extend h_{op.process} "
+                    f"(previous index {ops[-1].index})"
+                )
+            ops.append(op)
             by_ref[(op.process, op.index)] = op
-            checker._ops.setdefault(op.process, []).append(op)
             checker._retained += 1
-            if op.is_write:
+            if op.is_write and checker._window:
                 checker._by_writer[(op.process, op.index)] = op
                 checker._frontier[(op.process, op.variable)] = op
         for read_ref, source_ref in data.get("read_from", ()):
@@ -904,14 +859,13 @@ class WindowedChecker(IncrementalChecker):
                     raise ConsistencyCheckError(
                         f"checkpoint read-from references evicted source {source_ref!r}"
                     )
-                checker._pins[source] = checker._pins.get(source, 0) + 1
+                if checker._window:
+                    checker._pins[source] = checker._pins.get(source, 0) + 1
             checker._read_from[read] = source
         checker._fed = int(data.get("fed", 0))
         checker._violations = list(data.get("violations", ()))
         metrics = dict(data.get("metrics", ()))
         checker._metrics = WindowMetrics(
-            ops_fed=int(metrics.get("ops_fed", checker._fed)),
-            retained=checker._retained,
             peak_retained=int(metrics.get("peak_retained", checker._retained)),
             evicted_proved=int(metrics.get("evicted_proved", 0)),
             evicted_forced=int(metrics.get("evicted_forced", 0)),
@@ -919,7 +873,7 @@ class WindowedChecker(IncrementalChecker):
         )
         checker._monitors.load_state(
             data.get("monitors", {}),
-            resolve=lambda process, index: checker._by_writer.get((process, index)),
+            resolve=lambda process, index: by_ref.get((process, index)),
         )
         return checker
 
@@ -934,54 +888,18 @@ class WindowedChecker(IncrementalChecker):
 # Factory
 # ---------------------------------------------------------------------------
 
-def windowed_checker(
-    criterion: str,
-    window: int = 512,
-    distribution: Optional["VariableDistribution"] = None,
-) -> WindowedChecker:
-    """Build a bounded-memory :class:`WindowedChecker` for ``criterion``.
-
-    ``distribution`` enables the Theorem 1 eviction proofs (without it only
-    forced eviction is available — still sound, never proved).
-    """
-    from .registry import all_checkers  # local import: registry imports base too
-
-    checkers = all_checkers()
-    if criterion not in checkers:
-        raise UnknownCriterionError(
-            f"unknown consistency criterion {criterion!r}; known: {sorted(checkers)}"
-        )
-    return WindowedChecker(
-        checkers[criterion],
-        window=window,
-        distribution=distribution,
-        real_time=criterion == "atomic",
-    )
-
-
 def incremental_checker(
     criterion: str,
     exact: bool = True,
     bounded: bool = False,
-) -> IncrementalChecker:
-    """Build the right incremental checker for ``criterion``.
+) -> WindowedChecker:
+    """The incremental checker of a history-keeping run of ``criterion``.
 
-    ``bounded=True`` returns a constant-memory :class:`PrefixChecker` (stream
-    monitors only).  Otherwise ``exact=True`` returns a :class:`BatchAdapter`
-    (exact serialization search at finalize) and ``exact=False`` the purely
-    polynomial :class:`PrefixChecker`.
+    It retains the whole stream (``window=None``) and, with ``exact=True``,
+    closes a clean stream with the batch checker's exact decision and
+    witnesses.  ``bounded=True`` retains nothing (``window=0``): the stream
+    monitors only, in constant memory.
     """
-    from .registry import all_checkers  # local import: registry imports base too
-
-    checkers = all_checkers()
-    if criterion not in checkers:
-        raise UnknownCriterionError(
-            f"unknown consistency criterion {criterion!r}; known: {sorted(checkers)}"
-        )
-    real_time = criterion == "atomic"
-    checker = checkers[criterion]
-    if bounded:
-        return PrefixChecker(checker, bounded=True, real_time=real_time)
-    if exact:
-        return BatchAdapter(checker, exact=True, real_time=real_time)
-    return PrefixChecker(checker, bounded=False, real_time=real_time)
+    return WindowedChecker(
+        get_checker(criterion), window=0 if bounded else None, exact=exact
+    )

@@ -340,9 +340,11 @@ class SpecSampler:
     # -- check axis ------------------------------------------------------------
     @staticmethod
     def _sample_check(rng: random.Random) -> CheckSpec:
-        # exact=False keeps every trial polynomial: a reported violation is
-        # still a proof (bad patterns are sound); only "consistent" verdicts
-        # become heuristic, which the oracle treats accordingly.
+        # Trials run with keep_history=False (oracle.execute_spec), i.e. the
+        # monitors-only checker (window 0): no bad-pattern pre-check runs and
+        # ``exact`` is never consulted.  A reported violation is a stream
+        # monitor's proof; a clean trial is heuristic, which the oracle
+        # treats accordingly.  Deciding trials exactly needs a window first.
         policy = _weighted_choice(rng, (
             ("fail_fast", 3.0),
             ("finalize", 1.0),

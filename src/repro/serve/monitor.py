@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..core.consistency import CheckPolicy, CheckResult, windowed_checker
+from ..core.consistency import CheckPolicy, CheckResult, WindowedChecker, get_checker
 from ..core.operations import BOTTOM
 from ..core.relevance import relevance_summary
 from ..exceptions import ConsistencyCheckError, TenantError, TraceFormatError
@@ -55,8 +55,8 @@ class TenantMonitor:
         self.state = RUNNING
         self.result: Optional[CheckResult] = None
         self._finalized = False
-        self._checker = windowed_checker(
-            self.criterion, window=self.window, distribution=self.distribution
+        self._checker = WindowedChecker(
+            get_checker(self.criterion), window=self.window, distribution=self.distribution
         )
         self._checker.start()
 

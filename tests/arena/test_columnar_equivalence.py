@@ -21,7 +21,7 @@ from repro.arena import adapter
 from repro.arena.check import ArenaBatchChecker
 from repro.arena.store import OpArena
 from repro.core.consistency import get_checker
-from repro.core.consistency.incremental import BatchAdapter
+from repro.core.consistency.incremental import incremental_checker
 from repro.core.operations import BOTTOM
 from repro.core.orders import causal_order
 from repro.core.serialization import respects
@@ -73,11 +73,11 @@ def object_check(criterion, arena, exact=True):
 
 
 def object_stream(criterion, arena, exact=True):
-    """The object stream: a :class:`BatchAdapter` fed the arena's rows in
-    recording order, and its first monitor hit as ``(row, message)``."""
+    """The object stream: the retaining incremental checker fed the arena's
+    rows in recording order, and its first monitor hit as ``(row, message)``."""
     cache = {}
     read_from = adapter.read_from_of(arena, cache)
-    stream = BatchAdapter(get_checker(criterion), exact=exact)
+    stream = incremental_checker(criterion, exact=exact)
     first = None
     for row in range(len(arena)):
         op = cache[row]
@@ -121,7 +121,7 @@ def test_the_cases_hold_enough_consistent_views():
 
 @pytest.mark.parametrize("criterion", ["causal", "pram"])
 def test_check_now_accumulation_matches(criterion):
-    """The checkpoint path must dedup exactly like PrefixChecker.check_now."""
+    """The checkpoint path must dedup exactly like the object check_now."""
     for seed in range(8):
         arena = build_arena(seed, 3, 2, chaos=1)
         columnar = ArenaBatchChecker(criterion, arena, exact=True)

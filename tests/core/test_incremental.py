@@ -4,10 +4,9 @@ import pytest
 
 from repro.core.consistency import get_checker
 from repro.core.consistency.incremental import (
-    BatchAdapter,
     CheckPolicy,
-    PrefixChecker,
     StreamMonitors,
+    WindowedChecker,
     incremental_checker,
 )
 from repro.core.history import HistoryBuilder
@@ -58,11 +57,11 @@ class TestFactory:
             incremental_checker("nope")
 
     def test_modes(self):
-        assert isinstance(incremental_checker("pram", exact=True), BatchAdapter)
-        exactless = incremental_checker("pram", exact=False)
-        assert isinstance(exactless, PrefixChecker) and not isinstance(exactless, BatchAdapter)
-        bounded = incremental_checker("pram", bounded=True)
-        assert isinstance(bounded, PrefixChecker)
+        """One class; the retention window is the mode."""
+        for kwargs, window in (({"exact": True}, None), ({"exact": False}, None),
+                               ({"bounded": True}, 0)):
+            checker = incremental_checker("pram", **kwargs)
+            assert type(checker) is WindowedChecker and checker.window == window
 
 
 def _feed_history(checker, history, read_from):
@@ -116,7 +115,7 @@ class TestStreamMonitors:
             assert monitors.observe(op, rf.get(op) if op.is_read else None) == []
 
 
-class TestPrefixChecker:
+class TestRetainingChecker:
     def test_finalize_is_heuristic_without_exact_search(self):
         b = HistoryBuilder()
         b.write(0, "x", "a").read(1, "x", "a")
@@ -126,6 +125,17 @@ class TestPrefixChecker:
         _feed_history(checker, history, history.read_from())
         result = checker.finalize()
         assert result.consistent and not result.exact
+
+    def test_a_clean_due_check_never_replaces_the_exact_finalize(self):
+        b = HistoryBuilder()
+        b.write(0, "x", "a").read(1, "x", "a")
+        history = b.build()
+        checker = incremental_checker("causal", exact=True)
+        checker.start(universe=history.processes)
+        _feed_history(checker, history, history.read_from())
+        assert checker.check_now() is None  # the window checked clean
+        result = checker.finalize()
+        assert result.consistent and result.exact and result.serializations
 
     def test_check_now_catches_prefix_violation(self):
         # The classic causal-transitivity anomaly: p1 observes w(y)b, which

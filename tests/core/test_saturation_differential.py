@@ -35,7 +35,7 @@ from repro.arena import adapter
 from repro.arena.check import ArenaBatchChecker
 from repro.arena.store import NO_SOURCE, OpArena
 from repro.core.consistency import all_checkers
-from repro.core.consistency.incremental import BatchAdapter
+from repro.core.consistency.incremental import incremental_checker
 from repro.core.history import History
 from repro.core.orders import RELATION_BUILDERS, causal_order, pram_generating_order
 from repro.core.serialization import (
@@ -182,7 +182,7 @@ def compare_arena(history, read_from):
     rows_read_from = adapter.read_from_of(arena, cache)
     for criterion in ("causal", "pram"):
         columnar = ArenaBatchChecker(criterion, arena, exact=True)
-        stream = BatchAdapter(all_checkers()[criterion], exact=True)
+        stream = incremental_checker(criterion, exact=True)
         for checker in (columnar, stream):
             checker.start(history.processes)
         for row in range(len(arena)):

@@ -20,6 +20,7 @@ import pytest
 from repro.core.consistency import get_checker
 from repro.core.operations import BOTTOM
 from repro.core.consistency.incremental import WindowedChecker
+from repro.exceptions import ConsistencyCheckError, UnknownCriterionError
 from repro.serve.monitor import TenantMonitor, VIOLATED
 from repro.serve.replay import materialise, replay_trace, replay_windowed
 from repro.serve.spec import TenantSpec
@@ -108,10 +109,9 @@ class TestBoundedMemory:
         assert monitor.metrics.peak_retained <= window + 4 + 8
 
     def test_window_floor_is_enforced(self):
-        from repro.exceptions import ConsistencyCheckError
-
-        with pytest.raises(ConsistencyCheckError):
-            WindowedChecker(get_checker("causal"), window=2)
+        for window in (-1, 1, 2, 3):
+            with pytest.raises(ConsistencyCheckError):
+                WindowedChecker(get_checker("causal"), window=window)
 
 
 class TestCleanWindowIsCheckedOnce:
@@ -290,6 +290,51 @@ class TestCheckpointRestore:
         assert result.consistent is expected.consistent is True
         assert resumed.ops_fed == straight.ops_ingested
         assert resumed.metrics.retained == straight.metrics.retained
+
+    @staticmethod
+    def _snapshot():
+        monitor = TenantMonitor(
+            TenantSpec(name="snap", policy="finalize", window=32), meta=_synthetic_meta())
+        for record in _synthetic_stream(20):
+            monitor.ingest(record)
+        return json.loads(json.dumps(monitor.checkpoint()))
+
+    def test_a_payload_without_the_exact_flag_restores_identically(self):
+        """Checkpoints written before the ``exact`` key existed restore as the
+        serve tenants' ``exact=False`` checker, state for state."""
+        snapshot = self._snapshot()
+        assert snapshot.pop("exact") is False
+        restored = WindowedChecker.restore(
+            snapshot, distribution=_synthetic_meta().variable_distribution())
+        assert restored.checkpoint() == {**snapshot, "exact": False}
+
+    @pytest.mark.parametrize("key", ["criterion", "window", "operations"])
+    def test_a_missing_key_is_refused_at_restore(self, key):
+        snapshot = self._snapshot()
+        del snapshot[key]
+        with pytest.raises(ConsistencyCheckError, match=key):
+            WindowedChecker.restore(snapshot)
+
+    def test_an_unknown_operation_kind_is_refused_at_restore(self):
+        snapshot = self._snapshot()
+        snapshot["operations"][0]["kind"] = "fence"
+        with pytest.raises(ConsistencyCheckError, match="fence"):
+            WindowedChecker.restore(snapshot)
+
+    @pytest.mark.parametrize("shift", [0, -1], ids=["duplicate", "decreasing"])
+    def test_a_non_increasing_index_is_refused_at_restore(self, shift):
+        snapshot = self._snapshot()
+        ops = snapshot["operations"]
+        at = next(i for i in range(1, len(ops)) if ops[i]["process"] == ops[i - 1]["process"])
+        ops[at]["index"] = ops[at - 1]["index"] + shift
+        with pytest.raises(ConsistencyCheckError, match="does not extend"):
+            WindowedChecker.restore(snapshot)
+
+    def test_an_unknown_criterion_is_refused_at_restore(self):
+        snapshot = self._snapshot()
+        snapshot["criterion"] = "nope"
+        with pytest.raises(UnknownCriterionError):
+            WindowedChecker.restore(snapshot)
 
     def test_restored_monitor_still_proves_violations(self):
         window = 32

@@ -3,8 +3,12 @@
 A session owns one end-to-end run: it builds the variable distribution and
 the scripted workload *or* application programs (from concrete objects or
 declarative specs), wires a :class:`~repro.mcs.system.MCSystem` over the
-discrete-event simulator, and attaches incremental consistency checkers to
-the history recorder so every operation is checked *as it is recorded*.  The
+discrete-event simulator, and checks the recorded run incrementally.  There
+is one recorder per kind of run: a history-keeping run records into a
+columnar :class:`~repro.arena.store.OpArena` checked by
+:class:`~repro.arena.check.ArenaBatchChecker`; a bounded
+(``keep_history=False``) run streams per-operation objects through the
+monitors-only checker.  The
 :class:`~repro.core.consistency.incremental.CheckPolicy` decides how eagerly
 the polynomial prefix checks run and whether a proven violation aborts the
 run (fail-fast) — the property that makes adversarial and long-horizon
@@ -14,10 +18,11 @@ workloads affordable: a violation at operation 50 costs 50 operations, not
 Application runs (``Session(app=...)``, the paper's Section 6 case study)
 drive a :class:`~repro.dsm.runtime.DSMRuntime` instead of a script: the
 app's registered factory supplies the variable distribution, one program per
-process and the result validator, the programs' operations stream into the
-same incremental checkers via :meth:`HistoryRecorder.subscribe`, and the
-report carries the validated-or-diagnosed application verdict next to the
-consistency verdicts, efficiency metrics and fault/network statistics.
+process and the result validator, the programs' operations are recorded
+and checked the same way (a mid-run policy checks, and may abort, as each
+one is recorded), and the report carries the validated-or-diagnosed
+application verdict next to the consistency verdicts, efficiency metrics and
+fault/network statistics.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..arena.check import ArenaBatchChecker
+from ..arena.recorder import ArenaRecorder
 from ..core.consistency.base import CheckResult
 from ..core.consistency.incremental import (
     CheckPolicy,
@@ -279,10 +286,9 @@ class Session:
         their results are validated by the app's registered validator.
         Direct-style apps are rejected on blocking protocols with a typed
         :class:`~repro.exceptions.AppCompatibilityError`.
-    step_delay / retry_delay / max_steps_per_process / max_events:
-        Scheduling knobs of the application runtime (ignored for scripted
-        workloads); an :class:`~repro.spec.AppSpec` carrying ``max_steps``
-        overrides the step budget.
+        The runtime keeps its default scheduling; an
+        :class:`~repro.spec.AppSpec` carrying ``max_steps`` sets the
+        per-process step budget.
     diagnose_app_failures:
         When ``True`` (default) a :class:`~repro.exceptions.LivelockError`
         or other :class:`~repro.exceptions.SimulationError` raised while
@@ -310,24 +316,27 @@ class Session:
         criteria — and records witnesses, or only runs the polynomial
         pre-check.
     keep_history:
-        When ``False`` neither the history nor the checkers' prefixes are
-        buffered; only the O(1) stream monitors run and the report carries
-        no :class:`~repro.core.history.History`.  Memory then no longer
-        grows with the length of the run's *read* stream (the recorder still
-        keeps the write table it needs to resolve read sources, so it grows
-        with the number of distinct writes only).
+        When ``True`` (default) the run is recorded into a columnar
+        :class:`~repro.arena.store.OpArena` and checked by
+        :class:`~repro.arena.check.ArenaBatchChecker`; the report carries
+        the materialised :class:`~repro.core.history.History`.  A
+        finalize-only policy then builds no per-operation object until the
+        end of the run; a policy that checks mid-run (periodic, geometric or
+        fail-fast) subscribes the checker to the recorder, so every
+        operation is materialised as it is recorded and a fail-fast run
+        stops at the operation that proves the violation.  When ``False``
+        the run streams per-operation objects through the monitors-only
+        checker (``WindowedChecker(window=0)``): nothing is buffered, the
+        report carries no history, and memory no longer grows with the
+        length of the run's *read* stream (the recorder still keeps the
+        write table it needs to resolve read sources, so it grows with the
+        number of distinct writes only).
     engine:
-        ``"object"`` (default) records per-operation
-        :class:`~repro.core.operations.Operation` objects and streams them
-        through the incremental checkers; ``"arena"`` records the run into a
-        columnar :class:`~repro.arena.store.OpArena` and checks it with
-        :class:`~repro.arena.check.ArenaBatchChecker` — same verdicts,
-        violations and witnesses (both engines emit by one rule, and the
-        cross-engine equivalence suite enforces it), at a fraction of the
-        per-operation cost.  With the
-        default finalize policy an arena run allocates no per-op objects at
-        all; a periodic or fail-fast policy on an application run subscribes
-        the checking listener and pays object materialisation only then.
+        Deprecated, checked only: ``"arena"`` with ``keep_history=True``,
+        ``"object"`` with ``keep_history=False``; any other value raises
+        :class:`~repro.exceptions.SessionError`.  :attr:`engine` reports the
+        derived value.  It stays for the callers that still pass it and
+        goes with the next ``benchmark`` change.
     trace_out:
         Path of a ``repro-trace-v1`` JSONL file to export the run's delivery
         log to (see :mod:`repro.serve.trace`).  The recorder's subscription
@@ -353,15 +362,9 @@ class Session:
         check_policy: Union[CheckPolicy, str, None] = None,
         exact: bool = True,
         keep_history: bool = True,
-        engine: str = "object",
+        engine: Optional[str] = None,
         network: Optional[NetworkLike] = None,
         protocol_options: Optional[Dict[str, Any]] = None,
-        settle_every: int = 1,
-        max_retries: int = 1_000,
-        step_delay: float = 0.1,
-        retry_delay: float = 0.5,
-        max_steps_per_process: int = 200_000,
-        max_events: int = 5_000_000,
         diagnose_app_failures: bool = True,
         trace_out: Optional[str] = None,
         trace_scenario: str = "",
@@ -381,13 +384,16 @@ class Session:
             raise SessionError(
                 "an app brings its own distribution; don't pass one"
             )
-        if engine not in ("object", "arena"):
+        #: ``"arena"`` for a history-keeping run, else ``"object"``.
+        self.engine = "arena" if keep_history else "object"
+        if engine is not None and engine != self.engine:
             raise SessionError(
-                f"engine must be 'object' or 'arena', got {engine!r}"
+                f"engine={engine!r} contradicts keep_history={keep_history}: "
+                "a history-keeping session records into the arena, a bounded "
+                "one streams per-operation objects"
             )
         self.protocol = component.name
         self.seed = seed
-        self.engine = engine
         self.policy = CheckPolicy.parse(check_policy)
         self.exact = exact
         self.keep_history = keep_history
@@ -398,12 +404,6 @@ class Session:
             self.criteria = (criteria,)
         else:
             self.criteria = tuple(criteria)
-        self._settle_every = settle_every
-        self._max_retries = max_retries
-        self._step_delay = step_delay
-        self._retry_delay = retry_delay
-        self._max_steps = max_steps_per_process
-        self._max_events = max_events
         self._diagnose_app_failures = diagnose_app_failures
         self._trace_out = trace_out
         self._trace_scenario = trace_scenario
@@ -418,12 +418,10 @@ class Session:
             self.script = self._resolve_workload(workload)
         model, fifo = self._resolve_network(network)
         self.network_model = model
-        if engine == "arena":
-            from ..arena.recorder import ArenaRecorder
-
-            self.recorder: Any = ArenaRecorder(keep_history=keep_history)
+        if keep_history:
+            self.recorder: Any = ArenaRecorder()
         else:
-            self.recorder = HistoryRecorder(keep_history=keep_history)
+            self.recorder = HistoryRecorder(keep_history=False)
         self.system = MCSystem(
             self.distribution,
             protocol=self.protocol,
@@ -435,9 +433,7 @@ class Session:
         self.checkers: Dict[str, IncrementalChecker] = {}
         if check:
             for criterion in self.criteria:
-                if engine == "arena":
-                    from ..arena.check import ArenaBatchChecker
-
+                if keep_history:
                     checker: IncrementalChecker = ArenaBatchChecker(
                         criterion,
                         self.recorder.arena,
@@ -445,9 +441,7 @@ class Session:
                         cache=self.recorder.cache,
                     )
                 else:
-                    checker = incremental_checker(
-                        criterion, exact=exact, bounded=not keep_history
-                    )
+                    checker = incremental_checker(criterion, exact=exact, bounded=True)
                 checker.start(universe=tuple(self.distribution.processes))
                 self.checkers[criterion] = checker
         self._ran = False
@@ -458,8 +452,6 @@ class Session:
         spec: Union[ScenarioSpec, Mapping[str, Any]],
         *,
         keep_history: bool = True,
-        settle_every: int = 1,
-        max_retries: int = 1_000,
         trace_out: Optional[str] = None,
         trace_scenario: str = "",
     ) -> "Session":
@@ -484,10 +476,7 @@ class Session:
             check_policy=spec.check.policy,
             exact=spec.check.exact,
             keep_history=keep_history,
-            engine=spec.engine,
             network=spec.network,
-            settle_every=settle_every,
-            max_retries=max_retries,
             trace_out=trace_out,
             trace_scenario=trace_scenario,
         )
@@ -615,14 +604,13 @@ class Session:
         def collect_trace(op: Operation, source: Optional[Operation]) -> None:
             trace_log.append((op, source))
 
-        # The arena engine's feed is a no-op (the shared arena *is* the
-        # stream), so subscribing the listener would only force per-op
-        # object materialisation; it is needed solely when an application
-        # run must be checked (and possibly aborted) mid-flight.
+        # An arena checker reads its rows from the shared arena, so its feed
+        # listener (which forces per-op materialisation) is subscribed only
+        # when the policy checks mid-run; the bounded stream is fed always.
+        policy = self.policy
         stream_checks = bool(self.checkers) and (
-            self.engine != "arena"
-            or (app_mode and (self.policy.fail_fast or self.policy.every > 0
-                              or self.policy.geometric))
+            not self.keep_history
+            or policy.fail_fast or policy.every > 0 or policy.geometric
         )
         if stream_checks:
             self.recorder.subscribe(feed)
@@ -645,12 +633,7 @@ class Session:
                           else min(until, len(self.script)))
                 executed = 0
                 stopped_early = False
-                for _idx, _access in drive_script(
-                    self.system,
-                    self.script[:budget],
-                    settle_every=self._settle_every,
-                    max_retries=self._max_retries,
-                ):
+                for _idx, _access in drive_script(self.system, self.script[:budget]):
                     executed += 1
                     check_due(executed)
                     if violated and self.policy.fail_fast:
@@ -667,9 +650,9 @@ class Session:
         simulator = self.system.simulator
         results = {name: checker.finalize() for name, checker in self.checkers.items()}
         if not first_violation:
-            # Arena runs skip the feed listener, so the stream monitors ran
-            # inside finalize; surface the earliest hit they recorded, which
-            # is the violation the object session would have noted first.
+            # A finalize-only arena run subscribes no feed listener, so its
+            # stream monitors ran inside finalize; surface the earliest hit
+            # they recorded, the violation a fed stream would have noted first.
             hits = [
                 checker.first_stream_violation
                 for checker in self.checkers.values()
@@ -758,19 +741,6 @@ class Session:
         ]
         return write_trace(path, meta, records)
 
-    @staticmethod
-    def check_trace(path: str, criteria: Sequence[str] = (), exact: bool = True) -> Any:
-        """Batch-check an exported trace file (the offline oracle).
-
-        Delegates to :func:`repro.serve.replay.replay_trace`; returns its
-        :class:`~repro.serve.replay.ReplayReport`.  The per-criterion
-        verdicts match what a fresh run with ``keep_history=True`` would
-        have produced — the trace carries the complete delivery log.
-        """
-        from ..serve.replay import replay_trace
-
-        return replay_trace(path, criteria=criteria, exact=exact)
-
     def _drive_app(self) -> Tuple[int, bool, AppVerdict]:
         """Run the application programs on a DSM runtime over our system.
 
@@ -781,13 +751,8 @@ class Session:
         ``diagnose_app_failures`` is set, re-raised otherwise.
         """
         assert self.app is not None
-        runtime = DSMRuntime(
-            self.system,
-            step_delay=self._step_delay,
-            retry_delay=self._retry_delay,
-            max_steps_per_process=self._app_max_steps or self._max_steps,
-            max_events=self._max_events,
-        )
+        runtime = (DSMRuntime(self.system) if self._app_max_steps is None else
+                   DSMRuntime(self.system, max_steps_per_process=self._app_max_steps))
         self._runtime = runtime
         runtime.add_programs(self.app.programs)
         stopped_early = False

@@ -1,4 +1,5 @@
-"""Columnar struct-of-arrays history engine (``Session(engine="arena")``).
+"""Columnar struct-of-arrays history engine: how every history-keeping
+:class:`repro.api.Session` records and checks its run.
 
 The arena engine stores a run's operations as parallel int-typed columns
 (:class:`~repro.arena.store.OpArena`) shared by the recorder, the checkers
@@ -10,7 +11,7 @@ Layout:
 - :mod:`repro.arena.store`    — the columns (:class:`OpArena`)
 - :mod:`repro.arena.recorder` — :class:`ArenaRecorder`, the drop-in
   ``HistoryRecorder`` replacement protocols write into
-- :mod:`repro.arena.check`    — :class:`ArenaBatchChecker`, finalize-time
+- :mod:`repro.arena.check`    — :class:`ArenaBatchChecker`, incremental
   consistency checking straight off the columns
 - :mod:`repro.arena.adapter`  — the *only* module that materialises
   ``Operation`` objects (lint rule RPR105)

@@ -17,7 +17,7 @@ follows, so witnesses built from materialised rows are label-identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.history import History
 from ..core.operations import Operation, OpKind
@@ -30,17 +30,17 @@ OpCache = Dict[int, Operation]
 def materialize_prefix(arena: OpArena, upto: int, cache: OpCache) -> None:
     """Materialise rows ``[0, upto)`` (row order) into ``cache``.
 
-    Idempotent; rows already present are kept (identity preservation).
+    Idempotent; rows already present are kept (identity preservation).  The
+    cache is always a row prefix — this function is its only writer and
+    appends in row order — so rows ``[0, len(cache))`` are present and
+    materialisation resumes at ``len(cache)``: a run materialised one row at
+    a time costs O(rows) in total.
     """
-    if len(cache) >= upto:
-        return
     kind, proc, var, value, index = (
         arena.kind, arena.proc, arena.var, arena.value, arena.index,
     )
     invoked, completed = arena.invoked, arena.completed
-    for row in range(upto):
-        if row in cache:
-            continue
+    for row in range(len(cache), upto):
         inv = invoked[row]
         comp = completed[row]
         cache[row] = Operation(
@@ -89,20 +89,25 @@ def read_from_of(arena: OpArena, cache: OpCache) -> Dict[Operation, Optional[Ope
     return mapping
 
 
+def stream_of(
+    arena: OpArena, start: int, cache: OpCache
+) -> Iterator[Tuple[Operation, Optional[Operation]]]:
+    """The ``(operation, source)`` stream from row ``start`` on, in recording
+    order, materialised — what a listener subscribed from the first row saw."""
+    materialize_prefix(arena, len(arena), cache)
+    kind, source = arena.kind, arena.source
+    for row in range(start, len(arena)):
+        src = source[row]
+        yield cache[row], (
+            cache[src] if kind[row] != KIND_WRITE and src != NO_SOURCE else None
+        )
+
+
 def log_of(
     arena: OpArena, cache: OpCache
 ) -> Tuple[Tuple[Operation, Optional[Operation]], ...]:
     """The ``(operation, source)`` stream in recording order, materialised."""
-    materialize_prefix(arena, len(arena), cache)
-    kind, source = arena.kind, arena.source
-    out = []
-    for row in range(len(arena)):
-        src = source[row]
-        resolved = (
-            cache[src] if kind[row] != KIND_WRITE and src != NO_SOURCE else None
-        )
-        out.append((cache[row], resolved))
-    return tuple(out)
+    return tuple(stream_of(arena, 0, cache))
 
 
 def arena_from_history(

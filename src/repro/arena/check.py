@@ -1,18 +1,24 @@
-"""Batch consistency checking directly over arena columns.
+"""Consistency checking directly over arena columns.
 
-:class:`ArenaBatchChecker` is the arena engine's finalize-time checker.  It
-implements the :class:`~repro.core.consistency.incremental.IncrementalChecker`
-protocol so :class:`repro.api.Session` can treat it like any other checker,
-but it never observes per-operation ``Operation`` objects: the
-:class:`~repro.arena.store.OpArena` it shares with the
-:class:`~repro.arena.recorder.ArenaRecorder` *is* the fed stream.
+:class:`ArenaBatchChecker` checks every history-keeping
+:class:`repro.api.Session` run: the session records into an
+:class:`~repro.arena.store.OpArena` (:class:`~repro.arena.recorder.ArenaRecorder`)
+and the checker reads the rows from that shared arena, so the operation
+arguments of the :class:`~repro.core.consistency.incremental.IncrementalChecker`
+protocol are ignored — ``feed``, ``check_now`` and ``finalize`` each first
+advance over the rows appended since the last call.  A finalize-only session
+subscribes no listener at all: ``finalize`` then advances over the whole run
+and no per-operation object is ever built.  A session whose policy checks
+mid-run subscribes ``feed``, so a stream-monitor hit is noted at the row that
+proves it and a fail-fast run stops where the object stream would.
 
 Causal and pram are checked over the columns at every size.  Monitors, bad
 patterns and witnesses run over the int columns, with no per-view graph: the
 stream monitors of
 :class:`~repro.core.consistency.incremental.StreamMonitors` replicated over
-rows (same messages, same order), and for **causal** two vector-clock sweeps
-(operation and write counts per process) that answer ``a -> b`` in O(1).
+rows (same messages, same order, frontier state kept across calls), and for
+**causal** two vector-clock sweeps (operation and write counts per process)
+that answer ``a -> b`` in O(1).
 Each view ``H_{p+w}`` gives every remote write a *batch index*, the first own
 operation it precedes — read off the clocks for causal, off the read-from
 pairs for pram (whose restricted
@@ -27,13 +33,14 @@ violation strings and witnesses equal the object checker's over the
 materialised history.
 
 Every other criterion, and an adapter-built arena whose read sources do not
-all precede their reads, is materialised in recording order and replayed
-through the object pipeline
-(:func:`~repro.core.consistency.incremental.incremental_checker`).
+all precede their reads, is checked by one inner
+:func:`~repro.core.consistency.incremental.incremental_checker`: each row is
+materialised and fed to it once, in recording order, and ``check_now``,
+``finalize`` and ``first_stream_violation`` are the inner checker's.
 
 Witness serializations are materialised only when the history has at most
-``witness_max`` operations — beyond that the verdict is still exact but the
-result carries no serializations (``CheckResult.witness`` then raises).
+:data:`WITNESS_MAX` operations — beyond that the verdict is still exact but
+the result carries no serializations (``CheckResult.witness`` then raises).
 """
 
 from __future__ import annotations
@@ -45,11 +52,7 @@ from operator import le
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.consistency.base import CheckResult
-from ..core.consistency.incremental import (
-    IncrementalChecker,
-    append_new,
-    incremental_checker,
-)
+from ..core.consistency.incremental import IncrementalChecker, incremental_checker
 from ..core.consistency.registry import get_checker
 from . import adapter
 from .store import KIND_WRITE, NO_SOURCE, OpArena
@@ -94,7 +97,7 @@ def _last_true(n: int, pred) -> int:
 
 
 class ArenaBatchChecker(IncrementalChecker):
-    """Finalize-time checker evaluating directly over an :class:`OpArena`."""
+    """Incremental checker reading its stream from an :class:`OpArena`."""
 
     def __init__(
         self,
@@ -103,53 +106,71 @@ class ArenaBatchChecker(IncrementalChecker):
         *,
         exact: bool = True,
         cache: Optional[adapter.OpCache] = None,
-        witness_max: int = WITNESS_MAX,
     ) -> None:
         get_checker(criterion)  # an unknown name fails here, not at finalize
         self.criterion = criterion
         self.arena = arena
         self._exact = exact
         self._cache: adapter.OpCache = {} if cache is None else cache
-        self._witness_max = witness_max
         self.start()
 
     # -- incremental protocol -------------------------------------------------
     def start(self, universe: Optional[Tuple[int, ...]] = None) -> None:
+        """Reset, and fix the path: columnar when the criterion has one and
+        every read source precedes its read, else the inner object checker."""
         self._universe = tuple(universe or ())
         self._reset_findings()
-        #: Monitor hits of the arena prefix already accumulated.
-        self._monitors_taken = 0
+        #: Rows the monitors (or the inner checker) have advanced over.
+        self._fed = 0
+        #: Row-monitor frontiers: (reader, variable id) -> {writer: index}.
+        self._observed: Dict[Tuple[int, int], Dict[int, int]] = {}
+        self._inner: Optional[IncrementalChecker] = None
+        if self.criterion not in COLUMNAR_CRITERIA or not self._sources_forward():
+            self._inner = incremental_checker(self.criterion, exact=self._exact)
+            self._inner.start(self._universe)
 
-    def feed(self, op: Any, read_from: Any = None) -> Optional[CheckResult]:
-        """No-op: the shared arena *is* the stream (the recorder already
-        appended the operation before any listener could run)."""
-        return None
+    def feed(self, op: Any = None, read_from: Any = None) -> Optional[CheckResult]:
+        """Advance over the rows appended since the last call (the arguments
+        are ignored: the shared arena already holds them); the result so far
+        when they prove a violation."""
+        if self._inner is not None:
+            return self._feed_inner()
+        hits = self._advance_monitors()
+        self._note_monitor_hits(hits)
+        return self._result_so_far() if hits else None
 
     def check_now(self) -> Optional[CheckResult]:
-        """Bad-pattern sweep over the current arena prefix (monitors + quick),
-        accumulated by the object engine's rule: the monitor hits fed since
-        the last checkpoint, then the sweep's findings — so repeated
-        checkpoints over a growing prefix yield the same strings, in the same
-        order, as the object engine's stream."""
-        hits, result = self._evaluate(exact=False)
-        self._note_monitor_hits(hits[self._monitors_taken:])
-        self._monitors_taken = len(hits)
-        return self._note_findings(result.violations)
+        """Bad-pattern sweep over the current arena prefix, after the rows
+        not yet fed — accumulated by the object stream's rule."""
+        if self._inner is not None:
+            self._feed_inner()
+            return self._inner.check_now()
+        self.feed()
+        return self._note_findings(self._views(solve=False)[0])
 
     def finalize(self) -> CheckResult:
+        if self._inner is not None:
+            self._feed_inner()
+            return self._inner.finalize()
         if self._finalized is None:
-            hits, result = self._evaluate(exact=self._exact and not self._violations)
+            self.feed()
             if self._violations:
-                # Checkpoint findings exist: close with a polynomial sweep
-                # merged into them, like the object engine's collect-all close.
-                result = self._closing(result.violations)
-            self._note_monitor_hits(hits[self._monitors_taken:])
-            self._finalized = result
+                # Proven violations exist: close with a polynomial sweep merged
+                # after them, like the object stream's collect-all close.
+                self._finalized = self._closing(self._views(solve=False)[0])
+            else:
+                self._finalized = self._solved()
         return self._finalized
 
     @property
     def ops_fed(self) -> int:
         return len(self.arena)
+
+    @property
+    def violations(self) -> List[str]:
+        if self._inner is not None:
+            return self._inner.violations
+        return list(self._violations)
 
     # -- path selection -------------------------------------------------------
     def _sources_forward(self) -> bool:
@@ -164,67 +185,51 @@ class ArenaBatchChecker(IncrementalChecker):
         source = self.arena.source
         return all(source[row] <= row for row in range(len(source)))
 
-    def _evaluate(self, exact: bool) -> Tuple[List[Tuple[int, str]], CheckResult]:
-        """The stream-monitor hits ``(row, message)`` over the arena and its
-        check result, whose violations open with those hits."""
-        if self.criterion in COLUMNAR_CRITERIA and self._sources_forward():
-            return self._columnar_result(exact)
-        return self._materialized_result(exact)
-
-    # -- materialised pipeline ----------------------------------------------
-    def _materialized_result(self, exact: bool) -> Tuple[List[Tuple[int, str]], CheckResult]:
-        arena, cache = self.arena, self._cache
-        n = len(arena)
-        inner = incremental_checker(self.criterion, exact=exact)
-        inner.start(self._universe)
-        adapter.materialize_prefix(arena, n, cache)
-        kind, source = arena.kind, arena.source
-        hits: List[Tuple[int, str]] = []
-        for row in range(n):
-            src = source[row]
-            resolved = (
-                cache[src] if kind[row] != KIND_WRITE and src != NO_SOURCE else None
-            )
-            if inner.feed(cache[row], resolved) is not None:
-                hits.extend((row, message) for message in inner.violations[len(hits):])
-        return hits, inner.finalize()
+    # -- the inner object checker ---------------------------------------------
+    def _feed_inner(self) -> Optional[CheckResult]:
+        """Feed the rows not yet fed to the inner checker, materialised; its
+        result so far when they prove a violation."""
+        assert self._inner is not None
+        result = None
+        for op, source in adapter.stream_of(self.arena, self._fed, self._cache):
+            hit = self._inner.feed(op, source)
+            if hit is not None:
+                result = hit
+        self._fed = len(self.arena)
+        self.first_stream_violation = self._inner.first_stream_violation
+        return result
 
     # -- columnar path --------------------------------------------------------
-    def _columnar_result(self, exact: bool) -> Tuple[List[Tuple[int, str]], CheckResult]:
-        hits = self._columnar_monitors()
-        # With monitor hits the object pipeline closes with a polynomial-only
-        # sweep (no solve, no witnesses) merged after them — mirror that.
-        found, witnesses = self._views(exact and not hits)
-        if hits:
-            merged = append_new([message for _, message in hits], found)
-            return hits, CheckResult(
-                criterion=self.criterion, consistent=False, exact=True,
-                violations=merged,
-            )
+    def _solved(self) -> CheckResult:
+        """The closing check of a stream with no proven violation: every
+        view's bad patterns, then (``exact``) its saturation and witness."""
+        found, witnesses = self._views(self._exact)
         serializations: Dict[int, List[Any]] = {}
-        if witnesses and len(self.arena) <= self._witness_max:
+        if witnesses and len(self.arena) <= WITNESS_MAX:
             adapter.materialize_prefix(self.arena, len(self.arena), self._cache)
             cache = self._cache
             serializations = {
                 pid: [cache[row] for row in schedule]
                 for pid, schedule in witnesses.items()
             }
-        return hits, CheckResult(
-            criterion=self.criterion, consistent=not found, exact=exact or bool(found),
-            violations=found, serializations=serializations,
+        return CheckResult(
+            criterion=self.criterion, consistent=not found,
+            exact=self._exact or bool(found), violations=found,
+            serializations=serializations,
         )
 
-    def _columnar_monitors(self) -> List[Tuple[int, str]]:
+    def _advance_monitors(self) -> List[Tuple[int, str]]:
         """Row-level replica of ``StreamMonitors.observe`` + the ``p{pid}:``
-        prefix of ``WindowedChecker.feed`` (real-time monitoring is only used
-        by the atomic criterion, which has no columnar path)."""
+        prefix of ``WindowedChecker.feed`` over the rows appended since the
+        last call: their hits as ``(row, message)`` (real-time monitoring is
+        only used by the atomic criterion, which has no columnar path)."""
         arena = self.arena
         kind, proc, var, index, source = (
             arena.kind, arena.proc, arena.var, arena.index, arena.source,
         )
-        observed: Dict[Tuple[int, int], Dict[int, int]] = {}
+        observed = self._observed
         out: List[Tuple[int, str]] = []
-        for row in range(len(kind)):
+        for row in range(self._fed, len(kind)):
             p = proc[row]
             v = var[row]
             frontier = observed.setdefault((p, v), {})
@@ -251,6 +256,7 @@ class ArenaBatchChecker(IncrementalChecker):
                 )))
             if si > seen:
                 frontier[sp] = si
+        self._fed = len(kind)
         return out
 
     # -- columnar views -------------------------------------------------------

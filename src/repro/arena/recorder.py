@@ -15,9 +15,8 @@ A run with no listeners therefore records 10^5–10^6 operations without
 creating a single per-op object.
 
 The arena buffers columns unconditionally (that is the point — ~58 bytes
-per operation instead of a few hundred), so unlike the object recorder,
-``keep_history=False`` does not disable ``history()`` here; it only tells
-the owning session not to materialise a ``History`` for its report.
+per operation instead of a few hundred), so there is no bounded mode: a
+session that keeps no history records with the object recorder instead.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from .store import NO_SOURCE, OpArena
 class ArenaRecorder:
     """Collects operations and read-from evidence as arena columns."""
 
-    def __init__(self, keep_history: bool = True) -> None:
-        self.keep_history = keep_history
+    def __init__(self) -> None:
         self.arena = OpArena()
         self._write_rows: Dict[WriteId, int] = {}
         self._listeners: Tuple[RecordListener, ...] = ()

@@ -144,11 +144,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   "pass the app inside the file, not as flags",
                   file=sys.stderr)
             return 2
-        if getattr(args, "engine", "object") != "object":
-            print("error: --scenario is a complete run specification; "
-                  "set \"engine\" inside the file, not as a flag",
-                  file=sys.stderr)
-            return 2
         session = Session.from_spec(_load_scenario(args.scenario),
                                     keep_history=not args.no_history,
                                     trace_out=args.trace_out,
@@ -165,7 +160,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             check_policy=args.check_policy,
             exact=_resolve_exactness(args, network),
             keep_history=not args.no_history,
-            engine=args.engine,
             network=network,
             trace_out=args.trace_out,
         )
@@ -649,7 +643,6 @@ def _cmd_arena_info(args: argparse.Namespace) -> int:
 
     if args.scenario:
         spec = _load_scenario(args.scenario)
-        spec.engine = "arena"
         spec.check.enabled = False
         session = Session.from_spec(spec)
     else:
@@ -660,7 +653,6 @@ def _cmd_arena_info(args: argparse.Namespace) -> int:
                       _parse_params(args.workload_param, "--workload-param")),
             seed=args.seed,
             check=False,
-            engine="arena",
         )
     session.run()
     print(format_info(arena_info(session.recorder.arena)))
@@ -787,11 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
         target.add_argument("--no-history", action="store_true",
                             help="bounded memory: keep no history, stream "
                                  "monitors only")
-        target.add_argument("--engine", choices=("object", "arena"),
-                            default="object",
-                            help="history engine: per-op objects (default) or "
-                                 "the columnar arena (same verdicts, scales "
-                                 "to 10^5+ operations)")
         target.add_argument("--verbose", action="store_true",
                             help="also print the recorded history")
         target.add_argument("--network", default=None,

@@ -26,7 +26,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ...exceptions import ConsistencyCheckError, SearchBudgetError, WitnessError
+from ...exceptions import SearchBudgetError, WitnessError
 from ..history import History
 from ..operations import Operation
 from ..orders import Relation
@@ -156,10 +156,6 @@ class ConsistencyChecker(abc.ABC):
             ``exact=False`` checks into no-ops).
         """
 
-    def is_consistent(self, history: History, **kwargs: object) -> bool:
-        """Convenience wrapper returning only the verdict."""
-        return self.check(history, **kwargs).consistent  # type: ignore[arg-type]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} criterion={self.name!r}>"
 
@@ -254,10 +250,3 @@ def run_global_check(
             result.serializations[-1] = witness
     return result
 
-
-def require_differentiated(history: History) -> None:
-    """Raise :class:`ConsistencyCheckError` when read-from cannot be inferred."""
-    if not history.is_differentiated():
-        raise ConsistencyCheckError(
-            "history is not differentiated; pass an explicit read_from mapping"
-        )

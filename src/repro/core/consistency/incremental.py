@@ -643,18 +643,6 @@ class WindowedChecker(IncrementalChecker):
             self._frontier[(process, variable)] = standin
         return standin
 
-    def eviction_report(self) -> Dict[str, Dict[str, Any]]:
-        """Per-variable relevance context behind the eviction proofs.
-
-        The share graph's Theorem 1 report (clique, hoop processes, relevant
-        and irrelevant sets per variable); empty when the checker runs
-        without a distribution, in which case only forced eviction is
-        available.
-        """
-        if self._share is None:
-            return {}
-        return self._share.relevance_report()
-
     # -- finite-window bookkeeping and eviction --------------------------------
     def _track(self, op: Operation, read_from: Optional[Operation]) -> None:
         if op.is_write:

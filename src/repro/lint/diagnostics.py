@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 #: The inline suppression marker.  ``# repro: noqa`` silences every rule on
 #: its line; ``# repro: noqa[RPR101]`` (comma-separated for several codes)
@@ -74,16 +74,6 @@ def parse_suppressions(source: str) -> Dict[int, Optional[FrozenSet[str]]]:
             )
             suppressions[lineno] = named or None
     return suppressions
-
-
-@dataclass
-class SuppressionLog:
-    """Which diagnostics were silenced, and by what (reported by ``--verbose``)."""
-
-    suppressed: List[Tuple[Diagnostic, str]] = field(default_factory=list)
-
-    def note(self, diagnostic: Diagnostic, why: str) -> None:
-        self.suppressed.append((diagnostic, why))
 
 
 def is_suppressed(

@@ -391,11 +391,6 @@ class NetworkSpec:
         params.setdefault("seed", seed)
         return NETWORK_MODEL_REGISTRY.create(self.model, **params)
 
-    @property
-    def is_default(self) -> bool:
-        """``True`` for the plain reliable network the legacy entry points use."""
-        return self.model == "reliable" and not self.params and self.fifo
-
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"model": self.model}
         if self.params:
@@ -506,20 +501,12 @@ class ScenarioSpec:
     seed: int = 0
     description: str = ""
     app: Optional[AppSpec] = None
-    #: History engine: ``"object"`` (per-op Operation objects) or ``"arena"``
-    #: (columnar OpArena recording + batch checking; same verdicts).
-    engine: str = "object"
 
     def validate(self) -> None:
         """Raise a typed :class:`ScenarioSpecError` on the first malformed field."""
         if not self.name or not self.name.replace("-", "").replace("_", "").isalnum():
             raise ScenarioSpecError(
                 f"scenario name must be a non-empty [-_a-zA-Z0-9] slug, got {self.name!r}"
-            )
-        if self.engine not in ("object", "arena"):
-            raise ScenarioSpecError(
-                f"scenario {self.name!r} engine must be 'object' or 'arena', "
-                f"got {self.engine!r}"
             )
         self.protocol.validate()
         if self.app is not None:
@@ -576,8 +563,6 @@ class ScenarioSpec:
             data["seed"] = self.seed
         if self.description:
             data["description"] = self.description
-        if self.engine != "object":
-            data["engine"] = self.engine
         return data
 
     @classmethod
@@ -612,5 +597,4 @@ class ScenarioSpec:
             seed=seed,
             description=data.get("description", ""),
             app=AppSpec.from_dict(data["app"]) if "app" in data else None,
-            engine=data.get("engine", "object"),
         )

@@ -91,10 +91,6 @@ class WeightedDigraph:
         """Processes ``node`` has an edge to."""
         return frozenset(self._succ.get(node, set()))
 
-    def has_negative_cycle(self) -> bool:
-        """Always ``False`` here (weights are constrained non-negative)."""
-        return False
-
     def is_connected_from(self, source: int) -> bool:
         """``True`` iff every node is reachable from ``source``."""
         seen = {source}

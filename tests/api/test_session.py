@@ -62,6 +62,18 @@ class TestSessionConstruction:
         assert report.operations_executed == 5
         assert report.operations_total > 5
 
+    def test_keep_history_chooses_the_recorder(self):
+        from repro.arena.recorder import ArenaRecorder
+        from repro.mcs.recorder import HistoryRecorder
+
+        assert isinstance(make_session().recorder, ArenaRecorder)
+        assert isinstance(make_session(keep_history=False).recorder, HistoryRecorder)
+        assert make_session(engine="arena").engine == "arena"
+        assert make_session(keep_history=False, engine="object").engine == "object"
+        for engine, keep_history in (("object", True), ("arena", False), ("columnar", True)):
+            with pytest.raises(SessionError, match="engine"):
+                make_session(engine=engine, keep_history=keep_history)
+
     def test_until_rejects_negatives(self):
         with pytest.raises(SessionError):
             make_session().run(until=-1)

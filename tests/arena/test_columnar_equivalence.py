@@ -7,7 +7,7 @@ engines emit witnesses by the one rule of :mod:`repro.core.serialization`,
 so on randomly generated arenas the columnar result must equal the object
 checker's over the materialised history — same verdict, same violation
 strings in the same order, and label-identical witnesses per view.  That is
-the equivalence guarantee the ``Session(engine="arena")`` axis is built on.
+the equivalence guarantee every history-keeping ``Session`` is built on.
 Where the stream monitors fire, both sides close with the polynomial sweep
 merged after the monitor hits, so the reference is the fed object stream.
 """
@@ -173,7 +173,7 @@ def test_first_stream_violation_positions_agree():
     assert agreed >= 3, "the generator produced too few monitor violations"
 
 
-def scale_session(engine, total_ops):
+def scale_session(total_ops):
     """One end-to-end scale run: simulate, record, exact causal check."""
     return Session(
         protocol="pram_partial",
@@ -184,23 +184,23 @@ def scale_session(engine, total_ops):
         seed=3,
         criteria=("causal",),
         exact=True,
-        engine=engine,
     )
 
 
-def test_engines_agree_at_the_object_engines_reference_size():
+def test_a_live_run_matches_the_object_checker_at_1000_ops():
     """1 000 operations of a live run: verdict, violations and every view's
-    witness labels agree between the engines."""
-    results = {engine: scale_session(engine, 1_000).run().results["causal"]
-               for engine in ("object", "arena")}
-    assert results["object"].consistent and results["object"].exact
-    assert result_key(results["object"]) == result_key(results["arena"])
+    witness labels agree with the object checker over the recorded history."""
+    session = scale_session(1_000)
+    columnar = session.run().results["causal"]
+    reference = object_check("causal", session.recorder.arena)
+    assert reference.consistent and reference.exact
+    assert result_key(columnar) == result_key(reference)
 
 
 def test_columnar_check_at_10k_rows():
     """At scale saturation still decides every view and emits its witness;
     the polynomial sweep alone stays a falsification check."""
-    session = scale_session("arena", 10_000)
+    session = scale_session(10_000)
     session.checkers = {}  # record only
     session.run()
     arena = session.recorder.arena

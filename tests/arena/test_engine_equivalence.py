@@ -1,48 +1,99 @@
-"""Cross-engine equivalence: ``engine="arena"`` must reproduce ``"object"``.
+"""Differential test: every history-keeping session against the object oracle.
 
-Every scenario of the committed paper/stress/faults suites, and sixty
-scenarios drawn by the hunt's :class:`~repro.hunt.SpecSampler` (random
-protocols, distributions, fault schedules and check policies), is run
-through both session engines and the reports compared.  For finalize-checked
-specs the guarantee is full equality — verdict, exactness, the violation
-strings in order, and every witness, label for label.  Fail-fast policies are
-the documented exception: the object engine's per-operation stream monitors
-can stop a run mid-operation, while the arena engine (which records
-integers, not objects, and therefore does not feed a per-op monitor) stops
-at the next geometric checkpoint — so there only the verdict and the first
-violation are required to agree, not how much of the workload ran before
-the stop.
+A history-keeping :class:`~repro.api.Session` records into the arena and is
+checked by :class:`~repro.arena.check.ArenaBatchChecker`.  The reference is
+the session's own recorded log (``session.recorder.log()``) replayed through
+the object pipeline — one :func:`~repro.core.consistency.incremental.incremental_checker`
+per criterion, driven by the session's
+:class:`~repro.core.consistency.incremental.CheckPolicy`: ``feed`` every
+operation, ``check_now`` when a check is due, stop at the first proven
+violation under fail-fast, then ``finalize``.  Per criterion the verdict,
+exactness, the violations in order and the witness labels must be equal;
+so must ``first_violation``, and the reference's stop position must equal
+``ops_checked`` and ``operations_executed`` (a session that stopped late
+recorded more than the reference fed; one that stopped early proved nothing
+the reference can confirm).
 
-The object run is also the input of two more verdict paths, which must not
-contradict the batch checkers (the ground truth): the batch checker on the
-session's own history, and — for scripted specs, through the exported
+Inputs: the 71 points of the paper, stress, faults, apps and hunted suites;
+sixty scenarios drawn by the hunt's :class:`~repro.hunt.SpecSampler`
+(random protocols, distributions, fault schedules and check policies); and
+finalize-policy runs of a criterion with no columnar path whose stream
+monitors hit, which pins the delegated ``first_stream_violation``.
+
+The recorded run is also the input of two more verdict paths, which must
+not contradict the batch checkers (the ground truth): the batch checker on
+the session's own history, and — for scripted specs, through the exported
 ``repro-trace-v1`` file — the bounded-memory windowed monitor.
 """
 
-from dataclasses import replace
+import dataclasses
 
 import pytest
 
 from repro.api import Session
 from repro.core.consistency import get_checker
-from repro.core.consistency.incremental import CheckPolicy
-from repro.experiments import builtin_scenarios
+from repro.core.consistency.incremental import incremental_checker
+from repro.experiments.registry import REGISTRY
 from repro.hunt import SpecSampler
 from repro.serve.replay import replay_trace, replay_windowed
+from repro.spec import CheckSpec
 
-SUITES = ("paper", "stress", "faults")
+SUITES = ("paper", "stress", "faults", "apps", "hunted")
 
-SPECS = [point.spec for experiment in builtin_scenarios()
-         if experiment.suite in SUITES for point in experiment.expand()]
-SPECS += [SpecSampler(0).sample(index) for index in range(60)]
+SPECS = [point.spec for suite in SUITES for experiment in REGISTRY.specs(suite)
+         for point in experiment.expand()]
+SAMPLED = [SpecSampler(0).sample(index) for index in range(60)]
+
+#: The scripted violations whose stream monitors fire (the hunted corpus and
+#: the duplicating best-effort run), checked finalize-only under a criterion
+#: the arena delegates to the object checker.
+MONITOR_HITS = [
+    dataclasses.replace(spec, check=CheckSpec(criteria=("slow",), policy="finalize",
+                                              exact=False))
+    for spec in SPECS if spec.name.startswith("hunted-") or spec.name == "faults-duplication"
+]
 
 
 def _spec_id(spec):
-    return f"{spec.name}-{spec.protocol.name}-s{spec.seed}"
+    checked = "+".join(spec.check.criteria)
+    return f"{spec.name}-{spec.protocol.name}-s{spec.seed}" + (f"-{checked}" if checked else "")
+
+
+def oracle(log, universe, criteria, exact, policy):
+    """The object replay of a recorded log under ``policy``: the results,
+    the first violation and how many operations were fed before the stop."""
+    checkers = {criterion: incremental_checker(criterion, exact=exact)
+                for criterion in criteria}
+    for checker in checkers.values():
+        checker.start(universe)
+    first = []
+
+    def note(result):
+        if result is not None and not result.consistent and result.violations and not first:
+            first.append(result.violations[0])
+
+    fed = 0
+    for op, source in log:
+        fed += 1
+        for checker in checkers.values():
+            note(checker.feed(op, source))
+        if policy.due(fed):
+            for checker in checkers.values():
+                note(checker.check_now())
+        if first and policy.fail_fast:
+            break
+    results = {criterion: checker.finalize() for criterion, checker in checkers.items()}
+    return results, (first[0] if first else None), fed
+
+
+def result_key(result):
+    return (result.consistent, result.exact, tuple(result.violations),
+            {pid: [op.label() for op in witness]
+             for pid, witness in result.serializations.items()})
 
 
 def assert_no_path_contradicts_batch(report, trace):
-    """The heuristic-checked object run against the batch checkers: on its own
+    """The heuristic-checked run against the batch checkers: on its own
     history, and (given a trace of it) through the windowed monitor."""
     if not report.stopped_early:
         for criterion, result in report.results.items():
@@ -62,34 +113,34 @@ def assert_no_path_contradicts_batch(report, trace):
             assert not (windowed.consistent and windowed.exact), (criterion, window)
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
-def test_engines_agree(spec, tmp_path):
+@pytest.mark.parametrize("spec", SPECS + SAMPLED + MONITOR_HITS, ids=_spec_id)
+def test_session_matches_the_object_oracle(spec, tmp_path):
     trace = str(tmp_path / "run.jsonl") if spec.app is None else None
-    obj = Session.from_spec(spec, trace_out=trace).run()
-    col = Session.from_spec(replace(spec, engine="arena")).run()
+    session = Session.from_spec(spec, trace_out=trace)
+    assert session.engine == "arena"
+    report = session.run()
 
-    assert obj.consistent == col.consistent
-    assert obj.first_violation == col.first_violation
-    assert sorted(obj.results) == sorted(col.results)
+    results, first, fed = oracle(session.recorder.log(), tuple(session.distribution.processes),
+                                 tuple(session.checkers), session.exact, session.policy)
+    assert sorted(report.results) == sorted(results)
+    for criterion, result in results.items():
+        assert result_key(report.results[criterion]) == result_key(result), criterion
+    assert report.first_violation == first
+    if results:
+        assert report.ops_checked == fed
+    assert report.operations_executed == fed
     if not spec.check.exact:
-        assert_no_path_contradicts_batch(obj, trace)
+        assert_no_path_contradicts_batch(report, trace)
 
-    # Fail-fast policies let a stream hit stop the run mid-workload;
-    # executed-operation counts (and anything downstream of them) may differ.
-    if CheckPolicy.parse(spec.check.policy).fail_fast:
-        assert obj.stopped_early == col.stopped_early
-        return
 
-    assert obj.exact == col.exact
-    assert obj.operations_executed == col.operations_executed
-    assert obj.stopped_early == col.stopped_early
-    for criterion, result_obj in obj.results.items():
-        result_col = col.results[criterion]
-        assert result_obj.consistent == result_col.consistent, criterion
-        assert result_obj.exact == result_col.exact, criterion
-        assert result_obj.violations == result_col.violations, criterion
-        assert sorted(result_obj.serializations) == \
-            sorted(result_col.serializations), criterion
-        for pid, witness in result_obj.serializations.items():
-            assert [op.label() for op in witness] == \
-                [op.label() for op in result_col.serializations[pid]], criterion
+def test_the_monitor_hit_inputs_are_delegated_and_hit():
+    """The last input group is not vacuous: each run's criterion has no
+    columnar path, checks finalize-only and its monitors fire."""
+    assert len(MONITOR_HITS) == 8
+    for spec in MONITOR_HITS:
+        session = Session.from_spec(spec)
+        report = session.run()
+        (checker,) = session.checkers.values()
+        assert checker._inner is not None
+        assert checker.first_stream_violation is not None
+        assert report.first_violation == checker.first_stream_violation[1]

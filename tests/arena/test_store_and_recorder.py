@@ -178,6 +178,39 @@ class TestArenaRecorderParity:
         second = col.history().operations
         assert all(a is b for a, b in zip(first, second))
 
+    def test_a_materialising_listener_costs_linear_cache_lookups(self):
+        """Each recorded row is materialised once, resuming where the cache
+        prefix ends — not by re-probing every earlier row."""
+
+        class CountingCache(dict):
+            lookups = 0
+
+            def __contains__(self, key):
+                self.lookups += 1
+                return super().__contains__(key)
+
+            def __getitem__(self, key):
+                self.lookups += 1
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
+
+        col = ArenaRecorder()
+        col.cache = cache = CountingCache()
+        seen = []
+        col.subscribe(lambda op, src: seen.append((op, src)))
+        _drive(col, ops=1_000)
+        assert len(seen) == 1_000
+        assert cache.lookups <= 3 * len(seen), cache.lookups
+        ops = [op for op, _ in seen]
+        assert all(op is cache[row] for row, op in enumerate(ops))
+        assert [op.uid for op in ops] == sorted(op.uid for op in ops)
+        history = col.history()
+        assert all(a is b for a, b in zip(sorted(history.operations, key=lambda op: op.uid),
+                                           ops))
+
 
 class TestAdapterRoundTrip:
     def test_history_to_arena_and_back(self):

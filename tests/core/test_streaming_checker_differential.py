@@ -277,8 +277,8 @@ def recorded_specs():
 
 
 def record(spec):
-    """The object engine's recording log of ``spec``, its universe and criteria."""
-    session = Session.from_spec(dataclasses.replace(spec, engine="object"))
+    """The recording log of ``spec``, its universe and criteria."""
+    session = Session.from_spec(spec)
     session.checkers = {}  # record only
     session.run()
     log = session.recorder.log()

@@ -22,6 +22,7 @@ from repro.dsm.runtime import DSMRuntime
 from repro.exceptions import LivelockError
 from repro.mcs.system import MCSystem
 from repro.netsim.models import FaultyNetworkModel
+from repro.spec import AppSpec
 
 
 def _partitioned_system(protocol, links, latency=0.1):
@@ -100,11 +101,10 @@ class TestSpinBarriersAcrossPartitions:
     def test_session_diagnoses_the_livelock_instead_of_raising(self):
         report = Session(
             protocol="pram_partial",
-            app=("bellman_ford", {"topology": "figure8"}),
+            app=AppSpec("bellman_ford", {"topology": "figure8"}, max_steps=1500),
             network=("faulty", {"latency": 0.1,
                                 "partitions": [{"start": 0.0, "end": 1e9,
                                                 "links": [[1, 2]]}]}),
-            max_steps_per_process=1500,
             exact=False,
         ).run()
         assert report.app_correct is False

@@ -190,7 +190,7 @@ class TestRuntimeGuards:
 
         with pytest.raises(LivelockError):
             run_programs(two_process_distribution(), "pram_partial",
-                         {0: spinner, 1: idle}, max_steps_per_process=50)
+                         {0: spinner, 1: idle})
 
     def test_retry_counts_reported(self):
         dist = two_process_distribution()

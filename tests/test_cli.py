@@ -35,6 +35,12 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_run_has_no_engine_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "--engine", "arena"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
     def test_reproduce_takes_no_flag(self):
         (reproduce,) = [leaf for path, leaf in leaf_parsers(build_parser())
                         if path == ("reproduce",)]
@@ -116,6 +122,26 @@ class TestCommands:
         assert main(["run", "--scenario", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "error" in err
+
+    def test_a_scenario_file_naming_an_engine_is_rejected(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import _load_scenario
+        from repro.exceptions import ScenarioSpecError
+
+        scenario = {
+            "name": "cli-engine",
+            "protocol": "pram_partial",
+            "distribution": {"family": "chain", "params": {"intermediates": 1}},
+            "workload": {"pattern": "hoop_relay", "params": {"rounds": 2}},
+            "engine": "arena",
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        with pytest.raises(ScenarioSpecError, match="unknown keys \\['engine'\\]"):
+            _load_scenario(str(path))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "unknown keys ['engine']" in capsys.readouterr().err
 
     def test_experiments_run_faults_suite_gate(self, capsys):
         assert main(["experiments", "run", "--suite", "faults",

@@ -10,31 +10,32 @@ about a variable it does not replicate.
 Run with ``python examples/bellman_ford_routing.py``.
 """
 
+from repro import Session
 from repro.analysis.report import render_table
-from repro.apps.bellman_ford import bellman_ford_distribution, run_distributed_bellman_ford
-from repro.apps.reference import bellman_ford, dijkstra
+from repro.apps.bellman_ford import bellman_ford_distribution, bellman_ford_instance
+from repro.apps.reference import dijkstra
 from repro.core.consistency import get_checker
 from repro.workloads.topology import figure8_network, random_network
 
 
 def run_on(graph, source, label):
     print(f"=== {label} (source node {source}) ===")
-    run = run_distributed_bellman_ford(graph, source=source)
-    reference = bellman_ford(graph, source)
+    report = Session("pram_partial", app=bellman_ford_instance(graph, source=source),
+                     check=False).run()
     dj = dijkstra(graph, source)
     rows = [
         {
             "node": node,
-            "distributed (PRAM DSM)": run.distances[node],
-            "Bellman-Ford (reference)": reference[node],
+            "distributed (PRAM DSM)": report.app_results[node],
+            "Bellman-Ford (reference)": report.app_expected[node],
             "Dijkstra (reference)": dj[node],
         }
         for node in graph.nodes
     ]
     print(render_table(rows, title="Least-cost routes"))
-    pram = get_checker("pram").check(run.report.history, read_from=run.report.read_from)
-    efficiency = run.report.efficiency
-    print(f"distributed run matches reference : {run.correct}")
+    pram = get_checker("pram").check(report.history, read_from=report.read_from)
+    efficiency = report.efficiency
+    print(f"distributed run matches reference : {report.app_correct}")
     print(f"recorded history is PRAM consistent: {pram.consistent}")
     print(f"messages exchanged                 : {efficiency.messages_sent}")
     print(f"control bytes                      : {efficiency.control_bytes}")
@@ -51,8 +52,6 @@ def show_distribution(graph):
 
 def run_spec_driven_under_faults() -> None:
     """The same case study as one spec-driven Session over a faulty network."""
-    from repro import Session
-
     report = Session(
         protocol="pram_partial",
         app=("bellman_ford", {"topology": "figure8", "source": 1}),

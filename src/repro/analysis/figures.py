@@ -440,20 +440,23 @@ def _headline_100p() -> Dict[str, Any]:
 # Stage "section6": the Bellman-Ford case study (Figures 7-9)
 # ---------------------------------------------------------------------------
 
-def _bellman_ford(graph=None, protocol: str = "pram_partial"):
-    from ..apps.bellman_ford import run_distributed_bellman_ford
+def _bellman_ford(graph=None, protocol: str = "pram_partial"
+                  ) -> Tuple[Any, Dict[int, List[Tuple[int, float]]]]:
+    """One unchecked Figure 7 run from node 1: its report and its per-round trace."""
+    from ..api import Session
+    from ..apps.bellman_ford import bellman_ford_instance
 
-    return run_distributed_bellman_ford(graph or figure8_network(), source=1,
-                                        protocol=protocol)
+    instance = bellman_ford_instance(graph or figure8_network(), source=1)
+    report = Session(protocol, app=instance, check=False).run()
+    return report, instance.details["trace"]
 
 
 def _figure8_routes() -> Dict[str, Any]:
-    run = _bellman_ford()
-    report = run.report
+    report, _ = _bellman_ford()
     pram = get_checker("pram").check(report.history, read_from=report.read_from)
     return {
-        "distances": tuple(sorted(run.distances.items())),
-        "matches centralised Bellman-Ford": run.correct,
+        "distances": tuple(sorted(report.app_results.items())),
+        "matches centralised Bellman-Ford": report.app_correct,
         "history is PRAM": pram.consistent,
         "irrelevant": report.efficiency.irrelevant_messages,
         "beyond Thm 1": report.relevance_violations,
@@ -467,37 +470,37 @@ def _figure9_trace() -> Dict[str, Any]:
     true distance), never increases from one round to the next, and after at
     most N rounds coincides with the centralised fixed point.
     """
-    run = _bellman_ford()
+    report, trace = _bellman_ford()
     monotone = valid = True
-    for node, entries in run.trace.items():
+    for node, entries in trace.items():
         previous = float("inf")
         for _, estimate in entries:
             monotone = monotone and estimate <= previous + 1e-9
-            valid = valid and estimate >= run.reference[node] - 1e-9
+            valid = valid and estimate >= report.app_expected[node] - 1e-9
             previous = estimate
-    return {"rounds": run.rounds,
-            "estimates": sum(len(entries) for entries in run.trace.values()),
+    return {"rounds": max(len(entries) for entries in trace.values()),
+            "estimates": sum(len(entries) for entries in trace.values()),
             "never increase": monotone,
             "never below the true distance": valid,
-            "final = reference": run.correct}
+            "final = reference": report.app_correct}
 
 
 def _random_network_routes() -> Dict[str, Any]:
-    run = _bellman_ford(random_network(nodes=10, extra_edges=8, seed=5))
-    return {"matches centralised Bellman-Ford": run.correct,
-            "irrelevant": run.report.efficiency.irrelevant_messages}
+    report, _ = _bellman_ford(random_network(nodes=10, extra_edges=8, seed=5))
+    return {"matches centralised Bellman-Ford": report.app_correct,
+            "irrelevant": report.efficiency.irrelevant_messages}
 
 
 def _causal_full_costlier() -> Dict[str, Any]:
-    full, pram = _bellman_ford(protocol="causal_full"), _bellman_ford()
+    (full, _), (pram, _) = _bellman_ford(protocol="causal_full"), _bellman_ford()
     return {
-        "causal_full correct": full.correct,
+        "causal_full correct": full.app_correct,
         "irrelevant (causal_full, pram_partial)": (
-            full.report.efficiency.irrelevant_messages,
-            pram.report.efficiency.irrelevant_messages),
+            full.efficiency.irrelevant_messages,
+            pram.efficiency.irrelevant_messages),
         "control B (causal_full, pram_partial)": (
-            full.report.efficiency.control_bytes,
-            pram.report.efficiency.control_bytes),
+            full.efficiency.control_bytes,
+            pram.efficiency.control_bytes),
     }
 
 

@@ -288,14 +288,10 @@ class Session:
         :class:`~repro.exceptions.AppCompatibilityError`.
         The runtime keeps its default scheduling; an
         :class:`~repro.spec.AppSpec` carrying ``max_steps`` sets the
-        per-process step budget.
-    diagnose_app_failures:
-        When ``True`` (default) a :class:`~repro.exceptions.LivelockError`
-        or other :class:`~repro.exceptions.SimulationError` raised while
-        running an application is *diagnosed* — the report carries
-        ``app_correct=False`` and the failure text in ``app_diagnosis`` —
-        instead of propagating; fault-injected application scenarios rely on
-        this to gate on the diagnosis.  ``False`` restores raising.
+        per-process step budget.  A :class:`~repro.exceptions.LivelockError`
+        or other :class:`~repro.exceptions.SimulationError` raised by the
+        runtime is *diagnosed*, not propagated: the report carries
+        ``app_correct=False`` and the failure text in ``app_diagnosis``.
     network:
         A :class:`~repro.spec.NetworkSpec`, a concrete
         :class:`~repro.netsim.models.NetworkModel`, a model name or a
@@ -365,7 +361,6 @@ class Session:
         engine: Optional[str] = None,
         network: Optional[NetworkLike] = None,
         protocol_options: Optional[Dict[str, Any]] = None,
-        diagnose_app_failures: bool = True,
         trace_out: Optional[str] = None,
         trace_scenario: str = "",
     ) -> None:
@@ -404,7 +399,6 @@ class Session:
             self.criteria = (criteria,)
         else:
             self.criteria = tuple(criteria)
-        self._diagnose_app_failures = diagnose_app_failures
         self._trace_out = trace_out
         self._trace_scenario = trace_scenario
 
@@ -660,6 +654,13 @@ class Session:
             ]
             if hits:
                 first_violation.append(min(hits)[1])
+        if not first_violation:
+            # A proof found only at finalize (a bad pattern, saturation):
+            # name the first violation of the first failing criterion.
+            first_violation.extend(
+                result.violations[0] for result in results.values()
+                if not result.consistent and result.violations
+            )
         stats = self.system.stats
         model = self.network_model
         report = RunReport(
@@ -747,8 +748,7 @@ class Session:
         Returns ``(operations_recorded, stopped_early, verdict)``.  A
         fail-fast policy aborts the simulation at the first proven violation
         (the run is then *unvalidatable*, not incorrect); a livelocked or
-        otherwise failed simulation is diagnosed in the verdict when
-        ``diagnose_app_failures`` is set, re-raised otherwise.
+        otherwise failed simulation is diagnosed in the verdict.
         """
         assert self.app is not None
         runtime = (DSMRuntime(self.system) if self._app_max_steps is None else
@@ -766,13 +766,9 @@ class Session:
         except _AbortAppRun:
             stopped_early = True
         except LivelockError as exc:
-            if not self._diagnose_app_failures:
-                raise
             stopped_early = True
             diagnosis = f"livelock: {exc}"
         except SimulationError as exc:
-            if not self._diagnose_app_failures:
-                raise
             stopped_early = True
             diagnosis = f"simulation aborted: {exc}"
         results = runtime.results()

@@ -8,32 +8,15 @@ lookup, so naming an app in a :class:`~repro.spec.ScenarioSpec`,
 """
 
 from .bellman_ford import (
-    BellmanFordRun,
     bellman_ford_distribution,
     bellman_ford_instance,
     distance_variable,
     minimum_path_program,
     round_variable,
-    run_distributed_bellman_ford,
 )
-from .jacobi import (
-    JacobiRun,
-    jacobi_distribution,
-    jacobi_instance,
-    run_distributed_jacobi,
-)
-from .matrix_product import (
-    MatrixProductRun,
-    matrix_product_distribution,
-    matrix_product_instance,
-    run_distributed_matrix_product,
-)
-from .pipeline import (
-    PipelineRun,
-    pipeline_distribution,
-    pipeline_instance,
-    run_producer_consumer,
-)
+from .jacobi import jacobi_distribution, jacobi_instance
+from .matrix_product import matrix_product_distribution, matrix_product_instance
+from .pipeline import pipeline_distribution, pipeline_instance
 from .reference import (
     bellman_ford,
     bellman_ford_steps,
@@ -45,10 +28,6 @@ from .reference import (
 )
 
 __all__ = [
-    "BellmanFordRun",
-    "JacobiRun",
-    "MatrixProductRun",
-    "PipelineRun",
     "bellman_ford",
     "bellman_ford_distribution",
     "bellman_ford_instance",
@@ -66,9 +45,5 @@ __all__ = [
     "pipeline_final_values",
     "pipeline_instance",
     "round_variable",
-    "run_distributed_bellman_ford",
-    "run_distributed_jacobi",
-    "run_distributed_matrix_product",
-    "run_producer_consumer",
     "shortest_path_tree",
 ]

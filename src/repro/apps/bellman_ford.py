@@ -14,16 +14,16 @@ line 6 of Figure 7, which is exactly the paper's argument for the usefulness
 of the PRAM + partial replication combination.
 
 The module provides the variable distribution builder, the per-process program
-implementing Figure 7, the registered ``bellman_ford`` application factory
+implementing Figure 7, and the registered ``bellman_ford`` application factory
 (``@register_app``, runnable from any :class:`~repro.spec.ScenarioSpec` over
-any network model), a convenience runner returning the computed distances
-together with the run's unified report, and the per-step trace used to
-reproduce Figure 9.
+any network model).  Run an instance with ``Session(app=instance)``: the
+report carries the computed distances (``app_results``) and the reference
+ones (``app_expected``), and ``instance.details["trace"]`` the per-step
+estimates used to reproduce Figure 9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.distribution import VariableDistribution
@@ -205,51 +205,3 @@ def bellman_ford_app(
         params.setdefault("seed", seed)
     graph = component.create(**params)
     return bellman_ford_instance(graph, source=source, rounds=rounds)
-
-
-@dataclass
-class BellmanFordRun:
-    """Outcome of a distributed Bellman-Ford execution."""
-
-    distances: Dict[int, float]
-    reference: Dict[int, float]
-    correct: bool
-    report: Any  # repro.api.RunReport (typed loosely: the facade builds on us)
-    trace: Dict[int, List[Tuple[int, float]]] = field(default_factory=dict)
-
-    @property
-    def rounds(self) -> int:
-        """Number of iterations executed by each process."""
-        return max((len(v) for v in self.trace.values()), default=0)
-
-
-def run_distributed_bellman_ford(
-    graph: WeightedDigraph,
-    source: int,
-    protocol: str = "pram_partial",
-    rounds: Optional[int] = None,
-    protocol_options: Optional[Dict[str, Any]] = None,
-) -> BellmanFordRun:
-    """Run the paper's distributed Bellman-Ford and validate it.
-
-    One :class:`repro.api.Session` drives the Figure 7 programs over the
-    chosen MCS protocol; the computed distances are compared with the
-    centralised reference algorithm.
-    """
-    from ..api.session import Session  # deferred: the facade builds on us
-
-    instance = bellman_ford_instance(graph, source=source, rounds=rounds)
-    report = Session(
-        protocol=protocol,
-        app=instance,
-        check=False,
-        protocol_options=protocol_options,
-        diagnose_app_failures=False,
-    ).run()
-    return BellmanFordRun(
-        distances={node: float(v) for node, v in report.app_results.items()},
-        reference=reference_bellman_ford(graph, source),
-        correct=report.app_correct is True,
-        report=report,
-        trace=instance.details["trace"],
-    )

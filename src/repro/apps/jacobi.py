@@ -19,8 +19,7 @@ system, so the whole computation is addressable from a JSON
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -178,48 +177,3 @@ def jacobi_app(
     b = rng.normal(size=unknowns)
     return jacobi_instance(a, b, workers=workers, iterations=iterations,
                            tolerance=tolerance)
-
-
-@dataclass
-class JacobiRun:
-    """Outcome of a distributed Jacobi solve."""
-
-    solution: np.ndarray
-    expected: np.ndarray
-    residual: float
-    converged: bool
-    report: Any  # repro.api.RunReport
-
-
-def run_distributed_jacobi(
-    a: np.ndarray,
-    b: np.ndarray,
-    workers: int = 4,
-    iterations: int = 40,
-    protocol: str = "pram_partial",
-    tolerance: float = 1e-6,
-) -> JacobiRun:
-    """Solve ``A·x = b`` with a distributed asynchronous Jacobi iteration."""
-    from ..api.session import Session  # deferred: the facade builds on us
-
-    instance = jacobi_instance(a, b, workers=workers, iterations=iterations,
-                               tolerance=tolerance)
-    report = Session(
-        protocol=protocol,
-        app=instance,
-        check=False,
-        diagnose_app_failures=False,
-    ).run()
-    workers = instance.details["workers"]
-    solution = np.concatenate(
-        [np.array(report.app_results[pid]) for pid in range(workers)]
-    )
-    a = instance.details["a"]
-    b = instance.details["b"]
-    return JacobiRun(
-        solution=solution,
-        expected=report.app_expected,
-        residual=float(np.linalg.norm(a @ solution - b, ord=np.inf)),
-        converged=report.app_correct is True,
-        report=report,
-    )

@@ -18,7 +18,6 @@ computation is addressable from a JSON :class:`~repro.spec.ScenarioSpec`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -140,41 +139,3 @@ def matrix_product_app(
     a = rng.normal(size=(rows, inner))
     b = rng.normal(size=(inner, cols))
     return matrix_product_instance(a, b, workers=workers)
-
-
-@dataclass
-class MatrixProductRun:
-    """Outcome of a distributed matrix product."""
-
-    result: np.ndarray
-    expected: np.ndarray
-    correct: bool
-    report: Any  # repro.api.RunReport
-
-
-def run_distributed_matrix_product(
-    a: np.ndarray,
-    b: np.ndarray,
-    workers: int = 4,
-    protocol: str = "pram_partial",
-) -> MatrixProductRun:
-    """Compute ``A @ B`` with ``workers`` DSM processes and validate the result."""
-    from ..api.session import Session  # deferred: the facade builds on us
-
-    instance = matrix_product_instance(a, b, workers=workers)
-    report = Session(
-        protocol=protocol,
-        app=instance,
-        check=False,
-        diagnose_app_failures=False,
-    ).run()
-    workers = instance.details["workers"]
-    result = np.vstack(
-        [_value_to_matrix(report.app_results[pid]) for pid in range(workers)]
-    )
-    return MatrixProductRun(
-        result=result,
-        expected=report.app_expected,
-        correct=report.app_correct is True,
-        report=report,
-    )

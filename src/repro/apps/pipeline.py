@@ -17,7 +17,6 @@ centralised :func:`repro.apps.reference.pipeline_final_values` ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict
 
 from ..core.distribution import VariableDistribution
@@ -129,36 +128,3 @@ def producer_consumer_app(
     """Registered app factory: deterministic pipeline (``seed`` unused)."""
     del seed  # the pipeline is fully deterministic
     return pipeline_instance(stages=stages, items=items)
-
-
-@dataclass
-class PipelineRun:
-    """Outcome of a producer/consumer pipeline run."""
-
-    finals: Dict[int, int]
-    expected: Dict[int, int]
-    correct: bool
-    report: Any  # repro.api.RunReport
-
-
-def run_producer_consumer(
-    stages: int = 3,
-    items: int = 4,
-    protocol: str = "pram_partial",
-) -> PipelineRun:
-    """Run the pipeline through one :class:`repro.api.Session` and validate."""
-    from ..api.session import Session  # deferred: the facade builds on us
-
-    instance = pipeline_instance(stages=stages, items=items)
-    report = Session(
-        protocol=protocol,
-        app=instance,
-        check=False,
-        diagnose_app_failures=False,
-    ).run()
-    return PipelineRun(
-        finals={pid: int(v) for pid, v in report.app_results.items()},
-        expected=report.app_expected,
-        correct=report.app_correct is True,
-        report=report,
-    )

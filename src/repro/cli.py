@@ -66,7 +66,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 
 def _parse_params(pairs: Optional[Sequence[str]], flag: str) -> dict:
@@ -105,6 +105,17 @@ def _resolve_exactness(args: argparse.Namespace, network) -> bool:
     return exact
 
 
+def _read_json(path: str, what: str) -> Any:
+    """Parse a JSON input file; an unreadable one is a typed error."""
+    from .exceptions import ScenarioSpecError
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ScenarioSpecError(f"cannot read {what} file {path}: {exc}") from None
+
+
 def _load_scenario(path: str):
     """Read a :class:`repro.spec.ScenarioSpec` JSON file.
 
@@ -112,14 +123,9 @@ def _load_scenario(path: str):
     reproducers replay directly (``repro run --scenario
     src/repro/experiments/hunted/<slug>.json``).
     """
-    from .exceptions import ScenarioSpecError
     from .spec import ScenarioSpec
 
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise ScenarioSpecError(f"cannot read scenario file {path}: {exc}") from None
+    data = _read_json(path, "scenario")
     if isinstance(data, dict) and "kind" in data and isinstance(data.get("spec"), dict):
         data = data["spec"]
     return ScenarioSpec.from_dict(data)
@@ -563,16 +569,17 @@ def _cmd_serve_smoke(args: argparse.Namespace) -> int:
 
 def _place_profile(args: argparse.Namespace):
     """Resolve the ``repro place`` input flags to an :class:`AccessProfile`."""
-    import json
-
-    from .exceptions import ScenarioSpecError
+    from .exceptions import ScenarioSpecError, TraceFormatError
     from .place import AccessProfile, synthetic_profile
 
     if args.profile:
-        with open(args.profile, "r", encoding="utf-8") as fh:
-            return AccessProfile.from_dict(json.load(fh))
+        return AccessProfile.from_dict(_read_json(args.profile, "profile"))
     if args.trace:
-        return AccessProfile.from_trace(args.trace)
+        try:
+            return AccessProfile.from_trace(args.trace)
+        except (OSError, TraceFormatError) as exc:
+            raise ScenarioSpecError(
+                f"cannot read trace file {args.trace}: {exc}") from None
     if not args.processes or not args.variables:
         raise ScenarioSpecError(
             "repro place needs --profile, --trace, or a synthetic profile "
@@ -587,8 +594,6 @@ def _place_profile(args: argparse.Namespace):
 
 
 def _cmd_place_optimize(args: argparse.Namespace) -> int:
-    import json
-
     from .place import build_report, measure_overhead, optimize_placement
 
     profile = _place_profile(args)
@@ -618,12 +623,9 @@ def _cmd_place_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_place_report(args: argparse.Namespace) -> int:
-    import json
-
     from .place import PlacementReport, measure_overhead
 
-    with open(args.file, "r", encoding="utf-8") as fh:
-        report = PlacementReport.from_dict(json.load(fh))
+    report = PlacementReport.from_dict(_read_json(args.file, "placement report"))
     if args.measure:
         report.measured = measure_overhead(report.distribution(), args.measure,
                                            seed=report.seed)

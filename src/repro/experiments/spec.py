@@ -51,8 +51,9 @@ from ..spec.scenario import ScenarioSpec as _RunSpec
 #: Bump when the record layout or run semantics change; part of every content
 #: hash, so stale cache entries are never reused across incompatible versions.
 #: (3: scenarios gained the application axis and records the app verdict;
-#: 4: records carry the control/payload overhead ratio.)
-CACHE_VERSION = 4
+#: 4: records carry the control/payload overhead ratio; 5: a violation proved
+#: only at finalize names itself in ``first_violation``.)
+CACHE_VERSION = 5
 
 
 # ---------------------------------------------------------------------------

@@ -344,7 +344,8 @@ class SpecSampler:
         # monitors-only checker (window 0): no bad-pattern pre-check runs and
         # ``exact`` is never consulted.  A reported violation is a stream
         # monitor's proof; a clean trial is heuristic, which the oracle
-        # treats accordingly.  Deciding trials exactly needs a window first.
+        # treats accordingly.  Deciding trials exactly is ROADMAP item 2:
+        # a history-keeping trial is an arena run and needs no window.
         policy = _weighted_choice(rng, (
             ("fail_fast", 3.0),
             ("finalize", 1.0),

@@ -134,7 +134,7 @@ class PlacementReport:
                     else {str(k): float(v) for k, v in data["measured"].items()}
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ScenarioSpecError(f"malformed placement report: {exc}") from exc
 
     def distribution(self) -> VariableDistribution:

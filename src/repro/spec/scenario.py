@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:  # concrete result types, imported lazily at runtime
-    from ..api.session import RunReport
     from ..core.distribution import VariableDistribution
     from ..dsm.app import AppInstance
     from ..netsim.models import NetworkModel
@@ -529,16 +528,9 @@ class ScenarioSpec:
         self.network.validate()
         self.check.validate()
 
-    # -- execution shortcuts ---------------------------------------------------
     def criteria(self) -> Tuple[str, ...]:
         """The criteria to check: explicit ones, else the protocol's claim."""
         return self.check.criteria or (self.protocol.criterion,)
-
-    def run(self, **session_kwargs: Any) -> "RunReport":
-        """Build and run a :class:`repro.api.Session` for this scenario."""
-        from ..api import Session  # local import: the facade builds on us
-
-        return Session.from_spec(self, **session_kwargs).run()
 
     # -- serialization ---------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

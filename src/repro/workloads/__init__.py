@@ -4,7 +4,6 @@ from .access_patterns import (
     Access,
     hoop_relay_script,
     run_script,
-    run_workload,
     single_writer_script,
     uniform_access_script,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "random_network",
     "ring_network",
     "run_script",
-    "run_workload",
     "serial_history",
     "single_writer_script",
     "star_network",

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.distribution import VariableDistribution
 from ..exceptions import RetryOperation, ScenarioSpecError
 from ..mcs.system import MCSystem
-from ..netsim.latency import LatencyModel
 from ..spec.registry import register_workload
 
 
@@ -275,20 +274,3 @@ def run_script(
         pass
     system.settle()
 
-
-def run_workload(
-    distribution: VariableDistribution,
-    protocol: str,
-    script: Sequence[Access],
-    latency: Optional[LatencyModel] = None,
-    protocol_options: Optional[Dict[str, object]] = None,
-) -> MCSystem:
-    """Build a system for ``protocol``, replay ``script`` on it and settle it."""
-    system = MCSystem(
-        distribution,
-        protocol=protocol,
-        latency=latency,
-        protocol_options=protocol_options,
-    )
-    run_script(system, script)
-    return system

@@ -11,6 +11,7 @@ from repro.exceptions import (
     UnknownCriterionError,
 )
 from repro.experiments.spec import DistributionSpec, ScenarioSpecError, WorkloadSpec
+from repro.hunt import SpecSampler
 from repro.workloads.access_patterns import Access
 
 RANDOM_DIST = ("random", {"processes": 5, "variables": 6, "replicas_per_variable": 3})
@@ -181,6 +182,16 @@ class TestChecking:
         assert report.consistent is False
         assert not report.stopped_early
         assert report.operations_executed == report.operations_total
+
+    @pytest.mark.parametrize("index", [35, 44])
+    def test_a_violation_proved_only_at_finalize_is_named(self, index):
+        # Two best_effort draws checked for pram: no stream monitor fires,
+        # the proof is a bad pattern found at finalize.
+        spec = SpecSampler(0).sample(index)
+        report = Session.from_spec(spec).run()
+        assert report.consistent is False
+        assert report.first_violation == report.results["pram"].violations[0]
+        assert "is forced between" in report.first_violation
 
     def test_policy_objects_accepted(self):
         report = make_session(

@@ -2,15 +2,15 @@
 
 import pytest
 
+from repro.api import Session
 from repro.apps.bellman_ford import (
     bellman_ford_distribution,
+    bellman_ford_instance,
     distance_variable,
     round_variable,
-    run_distributed_bellman_ford,
 )
 from repro.apps.reference import bellman_ford as reference
 from repro.core.consistency import get_checker
-from repro.core.share_graph import ShareGraph
 from repro.mcs.metrics import relevance_violations
 from repro.workloads.topology import figure8_network, line_network, random_network
 
@@ -33,49 +33,55 @@ class TestDistribution:
         assert round_variable(4) == "k4"
 
 
+def run_bellman_ford(graph, source=1, protocol="pram_partial"):
+    """One unchecked Figure 7 run: the report and the per-round trace."""
+    instance = bellman_ford_instance(graph, source=source)
+    report = Session(protocol, app=instance, check=False).run()
+    return report, instance.details["trace"]
+
+
 class TestDistributedRun:
     def test_figure8_run_matches_reference(self):
-        run = run_distributed_bellman_ford(figure8_network(), source=1)
-        assert run.correct
-        assert run.distances == reference(figure8_network(), source=1)
-        assert run.rounds == figure8_network().node_count
+        report, trace = run_bellman_ford(figure8_network())
+        assert report.app_correct is True
+        assert report.app_results == reference(figure8_network(), source=1)
+        assert report.app_expected == reference(figure8_network(), source=1)
+        assert max(len(entries) for entries in trace.values()) == figure8_network().node_count
 
     def test_history_is_pram_consistent_and_efficient(self):
-        run = run_distributed_bellman_ford(figure8_network(), source=1)
-        history = run.report.history
+        report, _ = run_bellman_ford(figure8_network())
         for criterion in ("pram", "slow"):
             checker = get_checker(criterion)
-            assert checker.check(history, read_from=run.report.read_from).consistent
-        assert run.report.efficiency.irrelevant_messages == 0
+            assert checker.check(report.history, read_from=report.read_from).consistent
+        assert report.efficiency.irrelevant_messages == 0
         dist = bellman_ford_distribution(figure8_network())
-        assert relevance_violations(run.report.efficiency, dist) == {}
+        assert relevance_violations(report.efficiency, dist) == {}
 
     def test_trace_records_every_round(self):
-        run = run_distributed_bellman_ford(figure8_network(), source=1)
-        for node, entries in run.trace.items():
+        _, trace = run_bellman_ford(figure8_network())
+        for node, entries in trace.items():
             assert [k for k, _ in entries] == list(range(1, len(entries) + 1))
-        assert set(run.trace) == set(figure8_network().nodes)
+        assert set(trace) == set(figure8_network().nodes)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):
-            run_distributed_bellman_ford(figure8_network(), source=77)
+            bellman_ford_instance(figure8_network(), source=77)
 
     def test_line_network(self):
         graph = line_network(4, weight=2.0)
-        run = run_distributed_bellman_ford(graph, source=1)
-        assert run.correct
-        assert run.distances[4] == pytest.approx(6.0)
+        report, _ = run_bellman_ford(graph)
+        assert report.app_correct is True
+        assert report.app_results[4] == pytest.approx(6.0)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_networks(self, seed):
         graph = random_network(nodes=6, extra_edges=3, seed=seed)
-        run = run_distributed_bellman_ford(graph, source=1)
-        assert run.correct, (run.distances, run.reference)
+        report, _ = run_bellman_ford(graph)
+        assert report.app_correct is True, (report.app_results, report.app_expected)
 
     def test_run_on_causal_full_protocol_also_correct_but_not_efficient(self):
         # The algorithm only needs PRAM, but of course still works on the
         # stronger (and more expensive) full-replication causal memory.
-        run = run_distributed_bellman_ford(figure8_network(), source=1,
-                                           protocol="causal_full")
-        assert run.correct
-        assert run.report.efficiency.irrelevant_messages > 0
+        report, _ = run_bellman_ford(figure8_network(), protocol="causal_full")
+        assert report.app_correct is True
+        assert report.efficiency.irrelevant_messages > 0

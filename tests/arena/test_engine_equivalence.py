@@ -83,6 +83,9 @@ def oracle(log, universe, criteria, exact, policy):
         if first and policy.fail_fast:
             break
     results = {criterion: checker.finalize() for criterion, checker in checkers.items()}
+    if not first:  # proved only at finalize: the first failing criterion's
+        first.extend(result.violations[0] for result in results.values()
+                     if not result.consistent and result.violations)
     return results, (first[0] if first else None), fed
 
 

@@ -15,13 +15,15 @@ def two_process_distribution():
     return VariableDistribution({0: {"flag", "data"}, 1: {"flag", "data"}})
 
 
-def run_programs(dist, protocol, programs, **session_kwargs):
-    """Run caller-owned programs through a check-free Session; runtime errors raise."""
+def run_programs(dist, protocol, programs):
+    """Run caller-owned programs through a check-free Session; a diagnosed
+    runtime failure fails the test."""
     instance = AppInstance(name="programs", distribution=dist,
                            programs=dict(programs), validate=None,
                            blocking_ok=True)
-    return Session(protocol=protocol, app=instance, check=False,
-                   diagnose_app_failures=False, **session_kwargs).run()
+    report = Session(protocol=protocol, app=instance, check=False).run()
+    assert report.app_correct is None, report.app_diagnosis
+    return report
 
 
 class TestDirectStylePrograms:
@@ -178,19 +180,6 @@ class TestRuntimeGuards:
         runtime.add_program(0, lambda ctx: iter(()))
         with pytest.raises(SimulationError):
             runtime.add_program(0, lambda ctx: iter(()))
-
-    def test_livelock_raises_through_an_undiagnosed_session(self):
-        def spinner(ctx):
-            while True:
-                yield
-
-        def idle(ctx):
-            yield
-            return None
-
-        with pytest.raises(LivelockError):
-            run_programs(two_process_distribution(), "pram_partial",
-                         {0: spinner, 1: idle})
 
     def test_retry_counts_reported(self):
         dist = two_process_distribution()

@@ -80,3 +80,33 @@ class TestReport:
                      "--measure", "sequencer_shard"]) == 0
         printed = capsys.readouterr().out
         assert "measured" in printed
+
+
+class TestUnreadableInputFiles:
+    """A missing or non-JSON input file is a typed error: exit 2 with
+    ``error: cannot read ...``, never a traceback."""
+
+    COMMANDS = {
+        "profile": ["place", "optimize", "--profile"],
+        "trace": ["place", "optimize", "--trace"],
+        "placement report": ["place", "report"],
+    }
+
+    @pytest.mark.parametrize("what", sorted(COMMANDS))
+    def test_missing_file(self, what, tmp_path, capsys):
+        path = str(tmp_path / "absent.json")
+        assert main(self.COMMANDS[what] + [path]) == 2
+        assert f"error: cannot read {what} file {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", sorted(COMMANDS))
+    def test_malformed_file(self, what, tmp_path, capsys):
+        path = tmp_path / "garbage.json"
+        path.write_text("not json {\n")
+        assert main(self.COMMANDS[what] + [str(path)]) == 2
+        assert f"error: cannot read {what} file {path}" in capsys.readouterr().err
+
+    def test_a_report_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]\n")
+        assert main(["place", "report", str(path)]) == 2
+        assert "malformed placement report" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from repro.mcs.system import MCSystem
 from repro.workloads.access_patterns import (
     Access,
     run_script,
-    run_workload,
     single_writer_script,
     uniform_access_script,
 )
@@ -68,15 +67,16 @@ class TestScripts:
     def test_run_script_and_workload(self):
         dist = random_distribution(processes=4, variables=4, replicas_per_variable=2, seed=3)
         script = uniform_access_script(dist, operations_per_process=5, seed=3)
-        system = run_workload(dist, "pram_partial", script)
-        assert isinstance(system, MCSystem)
+        system = MCSystem(dist, protocol="pram_partial")
+        run_script(system, script)
         assert len(system.history()) == len(script)
         assert system.stats.messages_sent > 0
 
     def test_run_script_handles_blocking_protocols(self):
         dist = random_distribution(processes=3, variables=3, replicas_per_variable=2, seed=4)
         script = uniform_access_script(dist, operations_per_process=4, seed=4)
-        system = run_workload(dist, "sequencer_sc", script)
+        system = MCSystem(dist, protocol="sequencer_sc")
+        run_script(system, script)
         assert len(system.history()) == len(script)
 
     def test_access_dataclass(self):

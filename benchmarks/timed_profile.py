@@ -8,6 +8,11 @@ smoke size takes), builds three full-size inputs unprofiled, and enables the
 profiler only around ``run(inputs)``.  It prints the top 30 rows by own time,
 then the top 30 by cumulative time.  Profiling a whole ``run.py`` process
 instead mixes those rows with ``builtins.compile`` and the warm-up's.
+
+Then it runs one more full-size timed section under ``tracemalloc`` (not under
+``cProfile``), tracing from after the set-up, and prints the section's peak
+and the memory it still holds at its end, both in MiB above the inputs, and
+the top 10 source lines of what it holds.
 """
 
 from __future__ import annotations
@@ -18,10 +23,13 @@ import gc
 import os
 import pstats
 import sys
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ITERATIONS = 3
 ROWS = 30
+MEMORY_ROWS = 10
+MIB = 1024 * 1024
 
 
 def main() -> int:
@@ -48,7 +56,31 @@ def main() -> int:
           f"{stats.total_tt:.2f} s profiled")  # type: ignore[attr-defined]
     stats.sort_stats("tottime").print_stats(ROWS)
     stats.sort_stats("cumulative").print_stats(ROWS)
+    traced_memory(args.workload, workload)
     return 0
+
+
+def traced_memory(name: str, workload) -> None:
+    """One full-size timed section under ``tracemalloc``: peak and retained
+    MiB above the inputs, and the lines that allocated what is retained."""
+    gc.collect()
+    inputs = workload.setup("full")
+    gc.collect()
+    tracemalloc.start()
+    workload.run(inputs)
+    retained, peak = tracemalloc.get_traced_memory()
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(False, tracemalloc.__file__)])
+    tracemalloc.stop()
+    print(f"{name}: one full-size timed section under tracemalloc: "
+          f"peak {peak / MIB:.1f} MiB, retained {retained / MIB:.1f} MiB above the inputs")
+    print(f"top {MEMORY_ROWS} lines by retained size:")
+    for stat in snapshot.statistics("lineno")[:MEMORY_ROWS]:
+        frame = stat.traceback[0]
+        where = frame.filename
+        if where.startswith(ROOT):
+            where = os.path.relpath(where, ROOT)
+        print(f"  {stat.size / MIB:8.2f} MiB {stat.count:8d} blocks  {where}:{frame.lineno}")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..arena.check import ArenaBatchChecker
 from ..arena.recorder import ArenaRecorder
-from ..core.consistency.base import CheckResult
+from ..core.consistency.base import CheckResult, ReadFrom
 from ..core.consistency.incremental import (
     CheckPolicy,
     IncrementalChecker,
@@ -96,11 +96,11 @@ class RunReport:
     ``operations_executed`` counts the operations actually performed — for
     scripted workloads the script operations driven (strictly less than
     ``operations_total`` when a fail-fast policy stopped the run early,
-    ``stopped_early``), for application runs the operations the history
-    recorder logged (its delivery log, so the count is correct even with
-    ``keep_history=False``).  ``ops_checked`` counts the operations the
-    checkers observed, the metric the streaming benchmark compares against
-    batch checking.
+    ``stopped_early``), for application runs the operations the recorder
+    logged.  ``ops_checked`` counts the operations the checkers observed,
+    the metric the streaming benchmark compares against batch checking.
+    ``history`` and ``read_from`` are computed from the run's arena on first
+    access (``None`` when the session kept no history).
 
     Application runs additionally fill the ``app*`` fields: ``app_results``
     maps each process to its program's return value, ``app_correct`` is the
@@ -127,8 +127,6 @@ class RunReport:
     events_processed: int = 0
     elapsed_s: float = 0.0
     sim_time: float = 0.0
-    history: Optional[History] = None
-    read_from: Optional[Dict[Operation, Optional[Operation]]] = None
     network_model: str = "reliable"
     messages_dropped: int = 0
     messages_duplicated: int = 0
@@ -141,6 +139,29 @@ class RunReport:
     app_diagnosis: str = ""
     program_steps: Dict[int, int] = field(default_factory=dict)
     program_retries: Dict[int, int] = field(default_factory=dict)
+    #: The recorder of a history-keeping run, which ``history`` and
+    #: ``read_from`` materialise from (``None`` for a bounded run).
+    _recorder: Optional[ArenaRecorder] = field(default=None, repr=False, compare=False)
+    _history: Optional[History] = field(default=None, init=False, repr=False, compare=False)
+    _read_from: Optional[ReadFrom] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def history(self) -> Optional[History]:
+        """The recorded :class:`~repro.core.history.History`, computed from
+        the arena on first access and memoised; ``None`` when the session
+        kept no history."""
+        if self._history is None and self._recorder is not None:
+            self._history = self._recorder.history()
+        return self._history
+
+    @property
+    def read_from(self) -> Optional[ReadFrom]:
+        """The run's exact read-from map (read -> source write or ``None``),
+        computed from the arena on first access over the same operations as
+        :attr:`history`; ``None`` when the session kept no history."""
+        if self._read_from is None and self._recorder is not None:
+            self._read_from = self._recorder.read_from()
+        return self._read_from
 
     def __bool__(self) -> bool:
         return self.consistent is not False and self.app_correct is not False
@@ -180,12 +201,8 @@ class RunReport:
         return "pass"
 
     def operations(self) -> int:
-        """Number of shared-memory operations performed during the run.
-
-        Counted from the recorder's delivery log, so the answer stays
-        correct when ``keep_history=False`` buffers no
-        :class:`~repro.core.history.History`.
-        """
+        """Number of shared-memory operations performed during the run:
+        :attr:`operations_executed`."""
         return self.operations_executed
 
     def app_summary(self) -> str:
@@ -314,13 +331,14 @@ class Session:
     keep_history:
         When ``True`` (default) the run is recorded into a columnar
         :class:`~repro.arena.store.OpArena` and checked by
-        :class:`~repro.arena.check.ArenaBatchChecker`; the report carries
-        the materialised :class:`~repro.core.history.History`.  A
-        finalize-only policy then builds no per-operation object until the
-        end of the run; a policy that checks mid-run (periodic, geometric or
-        fail-fast) subscribes the checker to the recorder, so every
-        operation is materialised as it is recorded and a fail-fast run
-        stops at the operation that proves the violation.  When ``False``
+        :class:`~repro.arena.check.ArenaBatchChecker`; the report's
+        ``history`` and ``read_from`` are computed from the arena on first
+        access.  A finalize-only policy then builds no per-operation object
+        unless one of them (or a witness) is read; a policy that checks
+        mid-run (periodic, geometric or fail-fast) subscribes the checker to
+        the recorder, so every operation is materialised as it is recorded
+        and a fail-fast run stops at the operation that proves the
+        violation.  When ``False``
         the run streams per-operation objects through the monitors-only
         checker (``WindowedChecker(window=0)``): nothing is buffered, the
         report carries no history, and memory no longer grows with the
@@ -686,6 +704,7 @@ class Session:
             drops_by_reason=dict(stats.drops_by_reason),
             partition_windows=(model.partition_windows()
                                if model is not None else ()),
+            _recorder=self.recorder if self.keep_history else None,
         )
         if app_mode:
             assert self.app is not None and verdict is not None
@@ -699,9 +718,6 @@ class Session:
         report.relevance_violations = sum(
             len(v) for v in relevance_violations(report.efficiency, self.distribution).values()
         )
-        if self.keep_history:
-            report.history = self.recorder.history()
-            report.read_from = self.recorder.read_from()
         if self._trace_out is not None:
             self._export_trace(self._trace_out, trace_log)
         return report

@@ -19,7 +19,7 @@ Layout:
 """
 
 from .adapter import arena_from_history, history_from_arena
-from .check import COLUMNAR_CRITERIA, WITNESS_MAX, ArenaBatchChecker
+from .check import COLUMNAR_CRITERIA, ArenaBatchChecker
 from .info import arena_info, format_info
 from .recorder import ArenaRecorder
 from .store import KIND_READ, KIND_WRITE, NO_SOURCE, OpArena
@@ -32,7 +32,6 @@ __all__ = [
     "KIND_WRITE",
     "NO_SOURCE",
     "OpArena",
-    "WITNESS_MAX",
     "arena_from_history",
     "arena_info",
     "format_info",

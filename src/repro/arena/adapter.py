@@ -4,7 +4,7 @@ This is the **only** module of :mod:`repro.arena` that builds
 :class:`~repro.core.operations.Operation` objects (lint rule RPR105 enforces
 it): everything else in the package works on row integers, and callers that
 need the object API — ``history()``, ``read_from()``, witnesses, listeners —
-go through the functions below.
+go through the functions below, or, for witnesses, :class:`Witnesses`.
 
 Materialisation is cached per arena consumer (a plain ``{row: Operation}``
 dict) so object identity stays consistent across calls, and it always
@@ -17,7 +17,8 @@ follows, so witnesses built from materialised rows are label-identical.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..core.history import History
 from ..core.operations import Operation, OpKind
@@ -108,6 +109,40 @@ def log_of(
 ) -> Tuple[Tuple[Operation, Optional[Operation]], ...]:
     """The ``(operation, source)`` stream in recording order, materialised."""
     return tuple(stream_of(arena, 0, cache))
+
+
+class Witnesses(Mapping[int, List[Operation]]):
+    """Read-only ``{pid: witness}`` of one arena check, materialised per view.
+
+    Each view's witness is kept as an ``array('i')`` of rows (4 bytes per
+    operation); the first ``[pid]`` materialises it through the shared cache
+    and memoises the list, so its entries are the same objects as the
+    history's.  Equal to a plain dict with the same items (``Mapping.__eq__``).
+    """
+
+    def __init__(self, arena: OpArena, schedules: Dict[int, array], cache: OpCache) -> None:
+        self._arena = arena
+        self._schedules = schedules
+        self._cache = cache
+        self._built: Dict[int, List[Operation]] = {}
+
+    def __getitem__(self, pid: int) -> List[Operation]:
+        built = self._built.get(pid)
+        if built is None:
+            schedule = self._schedules[pid]
+            materialize_prefix(self._arena, len(self._arena), self._cache)
+            cache = self._cache
+            built = self._built[pid] = [cache[row] for row in schedule]
+        return built
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._schedules)
+
+    def __len__(self) -> int:
+        return len(self._schedules)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<Witnesses views={sorted(self._schedules)}>"
 
 
 def arena_from_history(

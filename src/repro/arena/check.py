@@ -38,9 +38,9 @@ all precede their reads, is checked by one inner
 materialised and fed to it once, in recording order, and ``check_now``,
 ``finalize`` and ``first_stream_violation`` are the inner checker's.
 
-Witness serializations are materialised only when the history has at most
-:data:`WITNESS_MAX` operations — beyond that the verdict is still exact but
-the result carries no serializations (``CheckResult.witness`` then raises).
+A columnar check keeps each view's witness as an ``array('i')`` of rows: its
+``CheckResult.serializations`` is an :class:`~repro.arena.adapter.Witnesses`
+mapping that materialises a view's operations on its first access only.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ COLUMNAR_CRITERIA = frozenset({"causal", "pram"})
 #: :func:`~repro.core.orders.pram_generating_order`): the one an unsatisfiable
 #: view's verdict names.
 _RELATION_NAMES = {"causal": "causal", "pram": "pram-gen"}
-
-#: Above this many operations no witness serializations are materialised.
-WITNESS_MAX = 200_000
 
 #: The causal vector clocks ``(vc, wvc, pidx)`` of :meth:`ArenaBatchChecker._causal_vcs`.
 Clocks = Tuple[array, array, Dict[int, int]]
@@ -204,18 +201,10 @@ class ArenaBatchChecker(IncrementalChecker):
         """The closing check of a stream with no proven violation: every
         view's bad patterns, then (``exact``) its saturation and witness."""
         found, witnesses = self._views(self._exact)
-        serializations: Dict[int, List[Any]] = {}
-        if witnesses and len(self.arena) <= WITNESS_MAX:
-            adapter.materialize_prefix(self.arena, len(self.arena), self._cache)
-            cache = self._cache
-            serializations = {
-                pid: [cache[row] for row in schedule]
-                for pid, schedule in witnesses.items()
-            }
         return CheckResult(
             criterion=self.criterion, consistent=not found,
             exact=self._exact or bool(found), violations=found,
-            serializations=serializations,
+            serializations=adapter.Witnesses(self.arena, witnesses, self._cache),
         )
 
     def _advance_monitors(self) -> List[Tuple[int, str]]:
@@ -260,7 +249,7 @@ class ArenaBatchChecker(IncrementalChecker):
         return out
 
     # -- columnar views -------------------------------------------------------
-    def _views(self, solve: bool) -> Tuple[List[str], Dict[int, List[int]]]:
+    def _views(self, solve: bool) -> Tuple[List[str], Dict[int, array]]:
         """Every view's bad patterns, then — when it has none and ``solve`` is
         set — its saturation: the object checker's violation strings in its
         order, and the witness rows of every view that has one."""
@@ -275,7 +264,7 @@ class ArenaBatchChecker(IncrementalChecker):
                     chains.writers.setdefault(arena.var[row], []).append(q)
                 on.append(k)
         violations: List[str] = []
-        witnesses: Dict[int, List[int]] = {}
+        witnesses: Dict[int, array] = {}
         for p in pids:
             bound = self._bounds(p, chains, clocks)
             found = self._bad_patterns(p, bound, chains, clocks)
@@ -436,8 +425,8 @@ class ArenaBatchChecker(IncrementalChecker):
 
     def _witness(
         self, p: int, bound: Dict[int, List[int]], chains: _Chains, clocks: Optional[Clocks]
-    ) -> Optional[List[int]]:
-        """Saturate view p's batch index and emit its witness; ``None`` proves
+    ) -> Optional[array]:
+        """Saturate view p's batch index and emit its witness rows; ``None`` proves
         that no legal serialization of the view respects the relation.
 
         Own operation ``t`` has index ``t``.  An own read at ``t`` of ``s``
@@ -541,7 +530,7 @@ class ArenaBatchChecker(IncrementalChecker):
             if t < len(own):
                 schedule.append(own[t])
         self._verify(p, schedule, rows, clocks)
-        return schedule
+        return array("i", schedule)
 
     def _sorted_batch(
         self,

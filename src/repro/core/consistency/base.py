@@ -77,6 +77,9 @@ class CheckResult:
     serializations:
         For per-process criteria: a witness serialization of ``H_{i+w}`` per
         process.  For global criteria: a single witness under key ``-1``.
+        The object checkers fill a plain dict; an arena check returns a
+        read-only :class:`~repro.arena.adapter.Witnesses` mapping that keeps
+        each witness as rows and builds its operations on first access.
     violations:
         Human-readable descriptions of why the history is not consistent.
     """
@@ -84,7 +87,7 @@ class CheckResult:
     criterion: str
     consistent: bool
     exact: bool = True
-    serializations: Dict[int, List[Operation]] = field(default_factory=dict)
+    serializations: Mapping[int, List[Operation]] = field(default_factory=dict)
     violations: List[str] = field(default_factory=list)
 
     def __bool__(self) -> bool:
@@ -201,7 +204,9 @@ class PerProcessChecker(ConsistencyChecker):
         """Check every per-process view of ``history``."""
         rf = history.read_from() if read_from is None else read_from
         relation = self._builder(history, rf)
-        result = CheckResult(criterion=self.name, consistent=True, exact=exact)
+        serializations: Dict[int, List[Operation]] = {}
+        result = CheckResult(criterion=self.name, consistent=True, exact=exact,
+                             serializations=serializations)
         decided = True
         for pid in history.processes:
             violations, witness, view_exact = check_view(
@@ -217,7 +222,7 @@ class PerProcessChecker(ConsistencyChecker):
                     f"p{pid}: no legal serialization of H_{{{pid}+w}} respects {relation.name}"
                 )
             else:
-                result.serializations[pid] = witness
+                serializations[pid] = witness
         # a violation is always a proof; a clean verdict is exact only if
         # every view was decided
         result.exact = not result.consistent or decided
@@ -247,6 +252,6 @@ def run_global_check(
             result.consistent = False
             result.violations.append(failure_message)
         else:
-            result.serializations[-1] = witness
+            result.serializations = {-1: witness}
     return result
 

@@ -22,7 +22,7 @@ from .optimizer import PlacementResult
 from .profile import AccessProfile
 
 #: Bound on witness enumeration so reports stay cheap on dense graphs.
-WITNESS_MAX_LENGTH = 6
+HOOP_WITNESS_LENGTH = 6
 
 
 @dataclass
@@ -190,7 +190,7 @@ def build_report(
         hoops = share.hoop_processes(var)
         witness = None
         if hoops:
-            for hoop in share.hoops(var, max_length=WITNESS_MAX_LENGTH,
+            for hoop in share.hoops(var, max_length=HOOP_WITNESS_LENGTH,
                                     max_hoops=1):
                 witness = hoop.path
         rows.append(VariablePlacement(

@@ -243,6 +243,82 @@ class TestReportContents:
         assert not bool(violating)
 
 
+def count_materialised(monkeypatch):
+    """Every ``Operation`` the arena adapter builds from now on."""
+    from repro.arena import adapter
+
+    built = []
+    real = adapter.Operation
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(adapter, "Operation", counting)
+    return built
+
+
+class TestHistoryOnDemand:
+    """A history-keeping run builds no ``Operation`` until its report's
+    history, read-from map or witnesses are read."""
+
+    def test_finalize_only_run_builds_no_operation(self):
+        session = make_session(protocol="causal_partial")
+        report = session.run()
+        assert report.consistent is True and report.exact
+        assert len(session.recorder.cache) == 0
+
+    def test_app_run_builds_no_operation(self):
+        session = Session(protocol="pram_partial", app="producer_consumer")
+        report = session.run()
+        assert report.app_correct is True and report.consistent is True
+        assert len(session.recorder.cache) == 0
+        assert len(report.history) == report.operations_executed
+
+    def test_first_access_materialises_every_row_once(self, monkeypatch):
+        session = make_session(protocol="causal_partial")
+        report = session.run()
+        built = count_materialised(monkeypatch)
+        history = report.history
+        rows = len(session.recorder.arena)
+        assert len(built) == rows == len(history) > 0
+        assert history is report.history
+        assert report.read_from is report.read_from
+        result = report.result()
+        for pid in result.serializations:
+            result.witness(pid)
+        assert len(built) == rows
+
+    def test_witnesses_share_the_history_operations(self):
+        report = make_session(protocol="causal_partial").run()
+        history, read_from = report.history, report.read_from
+        ops = {id(op): op for op in history.operations}
+        reads = {id(op) for op in read_from}
+        assert reads == {id(op) for op in history.operations if op.is_read}
+        assert all(src is None or ops.get(id(src)) is src for src in read_from.values())
+        result = report.result()
+        assert sorted(result.serializations) == sorted(history.processes)
+        for pid in history.processes:
+            for op in result.witness(pid):
+                assert ops[id(op)] is op
+                assert op.is_write or id(op) in reads
+
+    @pytest.mark.parametrize("protocol", ["pram_partial", "causal_partial"])
+    def test_arena_result_equals_the_object_checker(self, protocol):
+        from repro.core.consistency.registry import get_checker
+
+        report = make_session(protocol=protocol).run()
+        criterion = report.criteria[0]
+        expected = get_checker(criterion).check(report.history, read_from=report.read_from)
+        assert report.result() == expected
+        assert expected == report.result()
+
+    def test_report_repr_omits_the_history(self):
+        report = make_session().run()
+        assert "history" not in repr(report)
+        assert "_recorder" not in repr(report)
+
+
 class TestAllProtocolsThroughFacade:
     @pytest.mark.parametrize(
         "protocol", ["pram_partial", "causal_partial", "causal_full", "sequencer_sc"]

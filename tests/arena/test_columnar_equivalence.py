@@ -144,7 +144,6 @@ def test_witnesses_are_legal_serializations():
         result = columnar.finalize()
         if not result.consistent or not result.serializations:
             continue
-        adapter.materialize_prefix(arena, len(arena), cache)
         history = adapter.history_from_arena(arena, cache)
         read_from = adapter.read_from_of(arena, cache)
         relation = causal_order(history, read_from)
@@ -156,6 +155,31 @@ def test_witnesses_are_legal_serializations():
             assert respects(witness, relation.restricted_to(witness))
             found += 1
     assert found >= 3, "the generator produced too few consistent cases"
+
+
+def test_witnesses_materialise_on_first_access():
+    """The check builds no Operation; a view's witness is built through the
+    shared cache on its first access, memoised, and the result equals the
+    object checker's over the history of the same cache."""
+    arena = next(a for a in (build_arena(seed, 3, 2, chaos=0) for seed in range(30))
+                 if ArenaBatchChecker("causal", a).finalize().consistent)
+    cache = {}
+    result = ArenaBatchChecker("causal", arena, exact=True, cache=cache).finalize()
+    assert isinstance(result.serializations, adapter.Witnesses)
+    assert not cache
+    pid = min(result.serializations)
+    witness = result.witness(pid)
+    assert len(cache) == len(arena)
+    assert result.witness(pid) is witness
+    assert {id(op) for op in witness} <= {id(op) for op in cache.values()}
+    with pytest.raises(KeyError):
+        result.witness(max(arena.processes) + 1)
+    with pytest.raises(TypeError):
+        result.serializations[pid] = []
+    history = adapter.history_from_arena(arena, cache)
+    read_from = adapter.read_from_of(arena, cache)
+    expected = get_checker("causal").check(history, read_from=read_from)
+    assert result == expected and expected == result
 
 
 def test_first_stream_violation_positions_agree():

@@ -3,12 +3,11 @@
 A session owns one end-to-end run: it builds the variable distribution and
 the scripted workload *or* application programs (from concrete objects or
 declarative specs), wires a :class:`~repro.mcs.system.MCSystem` over the
-discrete-event simulator, and checks the recorded run incrementally.  There
-is one recorder per kind of run: a history-keeping run records into a
-columnar :class:`~repro.arena.store.OpArena` checked by
-:class:`~repro.arena.check.ArenaBatchChecker`; a bounded
-(``keep_history=False``) run streams per-operation objects through the
-monitors-only checker.  The
+discrete-event simulator, and checks the recorded run incrementally.  Every
+run records into a columnar :class:`~repro.arena.store.OpArena` through one
+:class:`~repro.arena.recorder.ArenaRecorder` and is checked by
+:class:`~repro.arena.check.ArenaBatchChecker`; ``keep_history`` only decides
+whether the report keeps the recorded history.  The
 :class:`~repro.core.consistency.incremental.CheckPolicy` decides how eagerly
 the polynomial prefix checks run and whether a proven violation aborts the
 run (fail-fast) — the property that makes adversarial and long-horizon
@@ -33,20 +32,16 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..arena.check import ArenaBatchChecker
 from ..arena.recorder import ArenaRecorder
+from ..arena.store import NO_SOURCE
 from ..core.consistency.base import CheckResult, ReadFrom
-from ..core.consistency.incremental import (
-    CheckPolicy,
-    IncrementalChecker,
-    incremental_checker,
-)
+from ..core.consistency.incremental import CheckPolicy
 from ..core.distribution import VariableDistribution
 from ..core.history import History
-from ..core.operations import Operation
+from ..core.operations import OpKind
 from ..dsm.app import AppInstance, AppVerdict
 from ..dsm.runtime import DSMRuntime
 from ..exceptions import LivelockError, SessionError, SimulationError
 from ..mcs.metrics import EfficiencyReport, relevance_violations
-from ..mcs.recorder import HistoryRecorder
 from ..mcs.system import MCSystem
 from ..netsim.models import NetworkModel
 from ..spec.registry import resolve_protocol
@@ -140,7 +135,8 @@ class RunReport:
     program_steps: Dict[int, int] = field(default_factory=dict)
     program_retries: Dict[int, int] = field(default_factory=dict)
     #: The recorder of a history-keeping run, which ``history`` and
-    #: ``read_from`` materialise from (``None`` for a bounded run).
+    #: ``read_from`` materialise from (``None`` when the session kept no
+    #: history).
     _recorder: Optional[ArenaRecorder] = field(default=None, repr=False, compare=False)
     _history: Optional[History] = field(default=None, init=False, repr=False, compare=False)
     _read_from: Optional[ReadFrom] = field(default=None, init=False, repr=False, compare=False)
@@ -329,35 +325,27 @@ class Session:
         criteria — and records witnesses, or only runs the polynomial
         pre-check.
     keep_history:
-        When ``True`` (default) the run is recorded into a columnar
+        Every run is recorded into a columnar
         :class:`~repro.arena.store.OpArena` and checked by
-        :class:`~repro.arena.check.ArenaBatchChecker`; the report's
-        ``history`` and ``read_from`` are computed from the arena on first
-        access.  A finalize-only policy then builds no per-operation object
-        unless one of them (or a witness) is read; a policy that checks
-        mid-run (periodic, geometric or fail-fast) subscribes the checker to
-        the recorder, so every operation is materialised as it is recorded
-        and a fail-fast run stops at the operation that proves the
-        violation.  When ``False``
-        the run streams per-operation objects through the monitors-only
-        checker (``WindowedChecker(window=0)``): nothing is buffered, the
-        report carries no history, and memory no longer grows with the
-        length of the run's *read* stream (the recorder still keeps the
-        write table it needs to resolve read sources, so it grows with the
-        number of distinct writes only).
+        :class:`~repro.arena.check.ArenaBatchChecker`.  When ``True``
+        (default) the report's ``history`` and ``read_from`` are computed
+        from the arena on first access; when ``False`` they are ``None``.
+        No per-operation object is built unless one of them (or a witness)
+        is read: a policy that checks mid-run (periodic, geometric or
+        fail-fast) subscribes the checkers to the recorder's rows, so a
+        fail-fast run stops at the operation that proves the violation.
     engine:
-        Deprecated, checked only: ``"arena"`` with ``keep_history=True``,
-        ``"object"`` with ``keep_history=False``; any other value raises
-        :class:`~repro.exceptions.SessionError`.  :attr:`engine` reports the
-        derived value.  It stays for the callers that still pass it and
-        goes with the next ``benchmark`` change.
+        Deprecated, checked only: ``"arena"`` (what :attr:`engine` always
+        reports); any other value raises
+        :class:`~repro.exceptions.SessionError`.  It stays for the callers
+        that still pass it and goes with the next ``benchmark`` change.
     trace_out:
         Path of a ``repro-trace-v1`` JSONL file to export the run's delivery
-        log to (see :mod:`repro.serve.trace`).  The recorder's subscription
-        stream feeds the export directly, so it works with
-        ``keep_history=False`` too; the file carries the distribution, the
-        protocol and the seed, enough for ``repro trace replay`` and
-        ``repro serve`` to re-check the run without the simulator.
+        log to (see :mod:`repro.serve.trace`), written from the arena's rows
+        after the run, whatever ``check`` and ``keep_history`` say; the file
+        carries the distribution, the protocol and the seed, enough for
+        ``repro trace replay`` and ``repro serve`` to re-check the run
+        without the simulator.
     trace_scenario:
         Free-form scenario label stamped into the exported trace's meta
         record (e.g. the experiment point name).
@@ -397,13 +385,11 @@ class Session:
             raise SessionError(
                 "an app brings its own distribution; don't pass one"
             )
-        #: ``"arena"`` for a history-keeping run, else ``"object"``.
-        self.engine = "arena" if keep_history else "object"
+        #: Always ``"arena"``: every session records into the arena.
+        self.engine = "arena"
         if engine is not None and engine != self.engine:
             raise SessionError(
-                f"engine={engine!r} contradicts keep_history={keep_history}: "
-                "a history-keeping session records into the arena, a bounded "
-                "one streams per-operation objects"
+                f"engine={engine!r}: every session records into the arena"
             )
         self.protocol = component.name
         self.seed = seed
@@ -430,10 +416,7 @@ class Session:
             self.script = self._resolve_workload(workload)
         model, fifo = self._resolve_network(network)
         self.network_model = model
-        if keep_history:
-            self.recorder: Any = ArenaRecorder()
-        else:
-            self.recorder = HistoryRecorder(keep_history=False)
+        self.recorder: Any = ArenaRecorder()  # MCSystem's type names HistoryRecorder
         self.system = MCSystem(
             self.distribution,
             protocol=self.protocol,
@@ -442,18 +425,15 @@ class Session:
             recorder=self.recorder,
             network_model=model,
         )
-        self.checkers: Dict[str, IncrementalChecker] = {}
+        self.checkers: Dict[str, ArenaBatchChecker] = {}
         if check:
             for criterion in self.criteria:
-                if keep_history:
-                    checker: IncrementalChecker = ArenaBatchChecker(
-                        criterion,
-                        self.recorder.arena,
-                        exact=exact,
-                        cache=self.recorder.cache,
-                    )
-                else:
-                    checker = incremental_checker(criterion, exact=exact, bounded=True)
+                checker = ArenaBatchChecker(
+                    criterion,
+                    self.recorder.arena,
+                    exact=exact,
+                    cache=self.recorder.cache,
+                )
                 checker.start(universe=tuple(self.distribution.processes))
                 self.checkers[criterion] = checker
         self._ran = False
@@ -463,7 +443,6 @@ class Session:
         cls,
         spec: Union[ScenarioSpec, Mapping[str, Any]],
         *,
-        keep_history: bool = True,
         trace_out: Optional[str] = None,
         trace_scenario: str = "",
     ) -> "Session":
@@ -487,7 +466,6 @@ class Session:
             criteria=spec.check.criteria or None,
             check_policy=spec.check.policy,
             exact=spec.check.exact,
-            keep_history=keep_history,
             network=spec.network,
             trace_out=trace_out,
             trace_scenario=trace_scenario,
@@ -601,9 +579,9 @@ class Session:
 
         app_mode = self.app is not None
 
-        def feed(op: Operation, source: Optional[Operation]) -> None:
+        def feed(row: int, source_row: int) -> None:
             for checker in self.checkers.values():
-                note(checker.feed(op, source))
+                note(checker.feed())
             if app_mode:
                 # No per-script-op hook exists here: cadence and fail-fast
                 # are driven off the recorded-operation stream itself.
@@ -611,25 +589,14 @@ class Session:
                 if violated and self.policy.fail_fast:
                     raise _AbortAppRun()
 
-        trace_log: List[Tuple[Operation, Optional[Operation]]] = []
-
-        def collect_trace(op: Operation, source: Optional[Operation]) -> None:
-            trace_log.append((op, source))
-
-        # An arena checker reads its rows from the shared arena, so its feed
-        # listener (which forces per-op materialisation) is subscribed only
-        # when the policy checks mid-run; the bounded stream is fed always.
+        # The checkers read their rows from the shared arena, so the feed
+        # listener is subscribed only when the policy checks mid-run.
         policy = self.policy
         stream_checks = bool(self.checkers) and (
-            not self.keep_history
-            or policy.fail_fast or policy.every > 0 or policy.geometric
+            policy.fail_fast or policy.every > 0 or policy.geometric
         )
         if stream_checks:
             self.recorder.subscribe(feed)
-        if self._trace_out is not None:
-            # Separate listener: the export must see every recorded
-            # operation even when checking is disabled entirely.
-            self.recorder.subscribe(collect_trace)
         try:
             if app_mode:
                 if until is not None:
@@ -656,13 +623,11 @@ class Session:
         finally:
             if stream_checks:
                 self.recorder.unsubscribe(feed)
-            if self._trace_out is not None:
-                self.recorder.unsubscribe(collect_trace)
 
         simulator = self.system.simulator
         results = {name: checker.finalize() for name, checker in self.checkers.items()}
         if not first_violation:
-            # A finalize-only arena run subscribes no feed listener, so its
+            # A finalize-only run subscribes no feed listener, so its
             # stream monitors ran inside finalize; surface the earliest hit
             # they recorded, the violation a fed stream would have noted first.
             hits = [
@@ -719,15 +684,12 @@ class Session:
             len(v) for v in relevance_violations(report.efficiency, self.distribution).values()
         )
         if self._trace_out is not None:
-            self._export_trace(self._trace_out, trace_log)
+            self._export_trace(self._trace_out)
         return report
 
-    def _export_trace(
-        self,
-        path: str,
-        trace_log: Sequence[Tuple[Operation, Optional[Operation]]],
-    ) -> int:
-        """Write the run's delivery log as a ``repro-trace-v1`` file."""
+    def _export_trace(self, path: str) -> int:
+        """Write the arena's rows, in recording (delivery) order, as a
+        ``repro-trace-v1`` file."""
         # Local import: repro.api must stay importable without the serve
         # subsystem's asyncio machinery (and serve's smoke path imports us).
         from ..serve.trace import TraceMeta, TraceRecord, write_trace
@@ -742,20 +704,22 @@ class Session:
             criteria=self.criteria if self._check else (),
             seed=self.seed,
         )
-        records = [
+        arena = self.recorder.arena
+        proc, index, source = arena.proc, arena.index, arena.source
+        records = (
             TraceRecord(
-                kind=op.kind.value,
-                process=op.process,
-                variable=op.variable,
-                value=op.value,
-                index=op.index,
-                invoked_at=op.invoked_at,
-                completed_at=op.completed_at,
-                source=(None if source is None
-                        else (source.process, source.index)),
+                kind=(OpKind.WRITE if arena.is_write(row) else OpKind.READ).value,
+                process=proc[row],
+                variable=arena.var_name(arena.var[row]),
+                value=arena.value_of(row),
+                index=index[row],
+                invoked_at=arena.timestamp(arena.invoked, row),
+                completed_at=arena.timestamp(arena.completed, row),
+                source=(None if source[row] == NO_SOURCE
+                        else (proc[source[row]], index[source[row]])),
             )
-            for op, source in trace_log
-        ]
+            for row in range(len(arena))
+        )
         return write_trace(path, meta, records)
 
     def _drive_app(self) -> Tuple[int, bool, AppVerdict]:

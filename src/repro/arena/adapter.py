@@ -3,8 +3,9 @@
 This is the **only** module of :mod:`repro.arena` that builds
 :class:`~repro.core.operations.Operation` objects (lint rule RPR105 enforces
 it): everything else in the package works on row integers, and callers that
-need the object API — ``history()``, ``read_from()``, witnesses, listeners —
-go through the functions below, or, for witnesses, :class:`Witnesses`.
+need the object API — ``history()``, ``read_from()``, witnesses, the inner
+object checker of a non-columnar criterion — go through the functions below,
+or, for witnesses, :class:`Witnesses`.
 
 Materialisation is cached per arena consumer (a plain ``{row: Operation}``
 dict) so object identity stays consistent across calls, and it always
@@ -94,7 +95,7 @@ def stream_of(
     arena: OpArena, start: int, cache: OpCache
 ) -> Iterator[Tuple[Operation, Optional[Operation]]]:
     """The ``(operation, source)`` stream from row ``start`` on, in recording
-    order, materialised — what a listener subscribed from the first row saw."""
+    order, materialised."""
     materialize_prefix(arena, len(arena), cache)
     kind, source = arena.kind, arena.source
     for row in range(start, len(arena)):

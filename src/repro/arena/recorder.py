@@ -1,33 +1,34 @@
-"""Columnar history recorder: the arena engine's ``HistoryRecorder``.
+"""Columnar history recorder: the recorder of every :class:`repro.api.Session`.
 
 :class:`ArenaRecorder` mirrors :class:`repro.mcs.recorder.HistoryRecorder`'s
-interface — protocols call ``record_write`` / ``record_read`` /
+recording interface — protocols call ``record_write`` / ``record_read`` /
 ``declare_process`` and discard the return value, sessions call
 ``subscribe`` / ``history`` / ``read_from`` / ``log`` — but the hot path
 appends plain integers to an :class:`~repro.arena.store.OpArena` instead of
 allocating an :class:`~repro.core.operations.Operation` per call.
 
-Objects are materialised **lazily** through :mod:`repro.arena.adapter`, and
-only when somebody actually asks for them: subscribing a listener forces
-per-operation materialisation (the listener protocol hands out
-``(Operation, source)`` pairs), as do ``history()``/``read_from()``/``log()``.
-A run with no listeners therefore records 10^5–10^6 operations without
-creating a single per-op object.
-
-The arena buffers columns unconditionally (that is the point — ~58 bytes
-per operation instead of a few hundred), so there is no bounded mode: a
-session that keeps no history records with the object recorder instead.
+Listeners get rows, not objects: each is called with ``(row, source_row)``
+as the row is recorded (``source_row`` is the read's source write row, or
+:data:`~repro.arena.store.NO_SOURCE` for a write or a read of ⊥).  Objects
+are materialised **lazily** through :mod:`repro.arena.adapter`, and only when
+somebody actually asks for them — ``history()``/``read_from()``/``log()`` or
+a witness — so a run records 10^5–10^6 operations without creating a single
+per-op object.  The arena buffers columns unconditionally (that is the
+point — ~58 bytes per operation instead of a few hundred).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.history import History
 from ..core.operations import Operation
-from ..mcs.recorder import RecordListener, WriteId
+from ..mcs.recorder import WriteId
 from . import adapter
 from .store import NO_SOURCE, OpArena
+
+#: A row listener: ``(row, source_row)`` of each recorded operation.
+RowListener = Callable[[int, int], None]
 
 
 class ArenaRecorder:
@@ -36,35 +37,22 @@ class ArenaRecorder:
     def __init__(self) -> None:
         self.arena = OpArena()
         self._write_rows: Dict[WriteId, int] = {}
-        self._listeners: Tuple[RecordListener, ...] = ()
+        self._listeners: Tuple[RowListener, ...] = ()
         #: Shared materialisation cache — one Operation identity per row.
         self.cache: adapter.OpCache = {}
 
     # -- subscription --------------------------------------------------------
-    def subscribe(self, listener: RecordListener, replay: bool = False) -> None:
-        """Register ``listener``; with ``replay`` the recorded stream is
-        replayed to it first (the arena always buffers, so replay is always
-        available)."""
-        if replay:
-            for op, source in adapter.log_of(self.arena, self.cache):
-                listener(op, source)
+    def subscribe(self, listener: RowListener) -> None:
+        """Register ``listener`` for every subsequently recorded row."""
         self._listeners = self._listeners + (listener,)
 
-    def unsubscribe(self, listener: RecordListener) -> None:
+    def unsubscribe(self, listener: RowListener) -> None:
         """Remove ``listener``; unknown listeners are ignored."""
         self._listeners = tuple(l for l in self._listeners if l is not listener)
 
     def _notify(self, row: int, source_row: int) -> None:
-        if not self._listeners:
-            return
-        op = adapter.materialize_row(self.arena, row, self.cache)
-        source = (
-            adapter.materialize_row(self.arena, source_row, self.cache)
-            if source_row != NO_SOURCE
-            else None
-        )
         for listener in self._listeners:  # snapshot tuple: mutation-safe
-            listener(op, source)
+            listener(row, source_row)
 
     # -- recording -----------------------------------------------------------
     def record_write(

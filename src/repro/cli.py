@@ -151,7 +151,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         session = Session.from_spec(_load_scenario(args.scenario),
-                                    keep_history=not args.no_history,
                                     trace_out=args.trace_out,
                                     trace_scenario=args.scenario)
     else:
@@ -165,7 +164,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             criteria=args.criterion or None,
             check_policy=args.check_policy,
             exact=_resolve_exactness(args, network),
-            keep_history=not args.no_history,
             network=network,
             trace_out=args.trace_out,
         )
@@ -778,9 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "stall-heavy histories)")
         target.add_argument("--no-check", action="store_true",
                             help="execute without consistency checking")
-        target.add_argument("--no-history", action="store_true",
-                            help="bounded memory: keep no history, stream "
-                                 "monitors only")
         target.add_argument("--verbose", action="store_true",
                             help="also print the recorded history")
         target.add_argument("--network", default=None,

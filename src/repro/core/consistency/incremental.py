@@ -37,10 +37,9 @@ extension: early ``False`` verdicts are exact proofs.
     polynomial bad-pattern pre-check over the operations it retains.  Its
     ``window`` is the retention policy: ``None`` retains the whole stream
     (with ``exact=True`` a clean ``finalize`` is then the batch checker's
-    exact decision, witnesses included), ``0`` retains nothing (monitors
-    only, constant memory), and ``N >= 4`` retains a sliding window with
-    Theorem 1 eviction (``repro serve``).  :func:`incremental_checker`
-    builds the first two.
+    exact decision, witnesses included), and ``N >= 4`` retains a sliding
+    window with Theorem 1 eviction (``repro serve``).
+    :func:`incremental_checker` builds the first.
 
 :class:`CheckPolicy`
     When to spend how much: every-op / every-N / on-finalize cadence for the
@@ -164,8 +163,8 @@ class StreamMonitors:
     Every reported violation is a proof of inconsistency under slow memory —
     the weakest criterion of the lattice — and therefore under every
     registered criterion.  State is O(processes² x variables) worst case, independent of
-    the run length, which is what makes unbounded (``keep_history=False``)
-    sessions possible.
+    the run length, which is what lets a finite window keep monitoring
+    exactly across evictions.
     """
 
     def __init__(self, real_time: bool = False) -> None:
@@ -416,10 +415,7 @@ class WindowedChecker(IncrementalChecker):
     ``window`` is the retention policy:
 
     * ``None`` retains the whole stream — the mode behind
-      :func:`incremental_checker` and every history-keeping session;
-    * ``0`` retains nothing: only the O(1) :class:`StreamMonitors` run, the
-      state is independent of the run length and ``check_now`` proves
-      nothing new (``Session(keep_history=False)``, every hunt trial);
+      :func:`incremental_checker`;
     * ``N >= 4`` retains a sliding window and garbage-collects the prefix,
       which is what lets the ``repro serve`` monitors run forever.
 
@@ -482,12 +478,10 @@ class WindowedChecker(IncrementalChecker):
         distribution: Optional["VariableDistribution"] = None,
         exact: bool = False,
     ) -> None:
-        if window is not None and not (
-            isinstance(window, int) and (window == 0 or window >= 4)
-        ):
+        if window is not None and not (isinstance(window, int) and window >= 4):
             raise ConsistencyCheckError(
-                "the window must be None (retain everything), 0 (monitors only) "
-                f"or at least 4 operations, got {window!r}"
+                "the window must be None (retain everything) or at least 4 "
+                f"operations, got {window!r}"
             )
         self._checker = checker
         self.criterion = checker.name
@@ -518,19 +512,18 @@ class WindowedChecker(IncrementalChecker):
         self, op: Operation, read_from: Optional[Operation] = None
     ) -> Optional[CheckResult]:
         window = self._window
-        if window != 0:
-            ops = self._ops.setdefault(op.process, [])
-            if ops and op.index <= ops[-1].index:
-                raise ConsistencyCheckError(
-                    f"operation {op!r} does not extend h_{op.process} "
-                    f"(last retained index {ops[-1].index})"
-                )
-            ops.append(op)
-            self._retained += 1
-            if op.is_read:
-                self._read_from[op] = read_from
-            if window is not None:
-                self._track(op, read_from)
+        ops = self._ops.setdefault(op.process, [])
+        if ops and op.index <= ops[-1].index:
+            raise ConsistencyCheckError(
+                f"operation {op!r} does not extend h_{op.process} "
+                f"(last retained index {ops[-1].index})"
+            )
+        ops.append(op)
+        self._retained += 1
+        if op.is_read:
+            self._read_from[op] = read_from
+        if window is not None:
+            self._track(op, read_from)
         self._fed += 1
         found = self._monitors.observe(op, read_from)
         if found:
@@ -563,10 +556,9 @@ class WindowedChecker(IncrementalChecker):
 
     def _window_violations(self) -> List[str]:
         """Bad patterns of the retained operations: none, without checking,
-        when nothing is retained or nothing was fed or re-inserted since
-        they last checked clean."""
+        when nothing was fed or re-inserted since they last checked clean."""
         state = (self._fed, self._retained, self._metrics.standins)
-        if self._window == 0 or state == self._clean_at:
+        if state == self._clean_at:
             return []
         history, read_from = self.window_view()
         result = self._checker.check(history, read_from=read_from, exact=False)
@@ -576,7 +568,7 @@ class WindowedChecker(IncrementalChecker):
 
     def _holds_whole_stream(self) -> bool:
         metrics = self._metrics
-        return self._window != 0 and not (
+        return not (
             metrics.evicted_proved or metrics.evicted_forced or metrics.standins
         )
 
@@ -616,7 +608,7 @@ class WindowedChecker(IncrementalChecker):
         re-inserts it, so the ingestion layer never has to retain anything
         itself.  Only a finite window resolves references.
         """
-        if not self._window:
+        if self._window is None:
             raise ConsistencyCheckError(
                 f"source references resolve against a finite window, not window={self._window}"
             )
@@ -885,9 +877,15 @@ def incremental_checker(
 
     It retains the whole stream (``window=None``) and, with ``exact=True``,
     closes a clean stream with the batch checker's exact decision and
-    witnesses.  ``bounded=True`` retains nothing (``window=0``): the stream
-    monitors only, in constant memory.
+    witnesses.  ``bounded`` must be ``False``: a checker that retains
+    nothing is no longer offered (a finite-window
+    :class:`WindowedChecker` is the bounded-memory checker).  The keyword
+    stays for the callers that still pass ``bounded=False`` and goes with
+    the next ``benchmark`` change.
     """
-    return WindowedChecker(
-        get_checker(criterion), window=0 if bounded else None, exact=exact
-    )
+    if bounded:
+        raise ConsistencyCheckError(
+            "incremental_checker no longer builds a bounded checker that "
+            "retains nothing; use WindowedChecker(window=N) for bounded memory"
+        )
+    return WindowedChecker(get_checker(criterion), window=None, exact=exact)

@@ -182,10 +182,6 @@ class SessionError(ReproError):
     """A streaming :class:`repro.api.Session` was misused (re-run, bad input...)."""
 
 
-class RecorderStateError(ReproError):
-    """A :class:`repro.mcs.recorder.HistoryRecorder` was asked for state it does not keep."""
-
-
 class ServeError(ReproError):
     """Base class of every failure of the online monitoring service."""
 

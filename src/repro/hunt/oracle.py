@@ -111,7 +111,7 @@ class TrialOutcome:
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
-def execute_spec(spec: ScenarioSpec, **session_kwargs: Any) -> TrialOutcome:
+def execute_spec(spec: ScenarioSpec) -> TrialOutcome:
     """Run one spec end to end, absorbing every failure mode into data.
 
     Stalls (a blocking read retried past the budget, a livelocked or aborted
@@ -122,8 +122,7 @@ def execute_spec(spec: ScenarioSpec, **session_kwargs: Any) -> TrialOutcome:
     from ..api import Session  # deferred: the facade imports are heavy
 
     try:
-        report = Session.from_spec(spec, keep_history=False,
-                                   **session_kwargs).run()
+        report = Session.from_spec(spec).run()
     except (RetryOperation, SimulationError) as exc:
         return TrialOutcome(outcome="stall", detail=str(exc),
                             crash_type=type(exc).__name__)

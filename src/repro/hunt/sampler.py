@@ -340,12 +340,11 @@ class SpecSampler:
     # -- check axis ------------------------------------------------------------
     @staticmethod
     def _sample_check(rng: random.Random) -> CheckSpec:
-        # Trials run with keep_history=False (oracle.execute_spec), i.e. the
-        # monitors-only checker (window 0): no bad-pattern pre-check runs and
-        # ``exact`` is never consulted.  A reported violation is a stream
-        # monitor's proof; a clean trial is heuristic, which the oracle
-        # treats accordingly.  Deciding trials exactly is ROADMAP item 2:
-        # a history-keeping trial is an arena run and needs no window.
+        # Trials are arena runs (oracle.execute_spec): a reported violation
+        # is a proof from the stream monitors, a mid-run prefix check or the
+        # finalize bad-pattern sweep.  With exact=False a clean trial is
+        # heuristic, which the oracle treats accordingly, until trials are
+        # decided exactly (ROADMAP item 2).
         policy = _weighted_choice(rng, (
             ("fail_fast", 3.0),
             ("finalize", 1.0),

@@ -10,15 +10,16 @@ inference would be ambiguous).  The recorded :class:`~repro.core.History` and
 its read-from mapping are what the consistency checkers are applied to in the
 integration tests and benchmarks.
 
-Streaming consumers (the incremental checkers behind :class:`repro.api.Session`)
-do not want to wait for the run to finish: :meth:`HistoryRecorder.subscribe`
-registers a listener that observes every operation *as it is recorded*, in
-recording order (which extends every process' program order), together with
-the resolved source write of each read.  With ``keep_history=False`` the
-recorder stops buffering the per-process operation lists entirely — listeners
-are then the only consumers and memory no longer grows with the number of
-reads (only the write table needed to resolve read sources is kept), which is
-what long-horizon monitoring sessions rely on.
+Streaming consumers do not want to wait for the run to finish:
+:meth:`HistoryRecorder.subscribe` registers a listener that observes every
+operation *as it is recorded*, in recording order (which extends every
+process' program order), together with the resolved source write of each
+read.
+
+This is the object-per-operation reference recorder (the default of a bare
+:class:`~repro.mcs.system.MCSystem`); a :class:`repro.api.Session` records
+with the columnar :class:`~repro.arena.recorder.ArenaRecorder`, whose
+histories the tests compare against this one's.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.history import History
 from ..core.operations import BOTTOM, Operation, OpKind
-from ..exceptions import RecorderStateError
 
 WriteId = Tuple[int, int]
 
@@ -41,12 +41,9 @@ RecordListener = Callable[[Operation, Optional[Operation]], None]
 class HistoryRecorder:
     """Collects operations and read-from evidence from a protocol run."""
 
-    keep_history: bool = True
     _ops: Dict[int, List[Operation]] = field(default_factory=dict)
     _write_ops: Dict[WriteId, Operation] = field(default_factory=dict)
     _read_sources: Dict[int, Optional[WriteId]] = field(default_factory=dict)
-    _counts: Dict[int, int] = field(default_factory=dict)
-    _total: int = 0
     _log: List[Tuple[Operation, Optional[Operation]]] = field(default_factory=list)
     _listeners: Tuple[RecordListener, ...] = ()
 
@@ -60,18 +57,13 @@ class HistoryRecorder:
         sees only subsequent operations unless ``replay`` is ``True``, in
         which case the already-recorded stream is replayed to it first (in
         the same recording order), so late subscribers cannot observe a
-        permuted stream.  Replay requires ``keep_history=True``.
+        permuted stream.
 
         The listener tuple is replaced, not mutated, so subscribing from
         within a listener callback (or any notification in progress) can
         never disturb an ongoing iteration.
         """
         if replay:
-            if not self.keep_history:
-                raise RecorderStateError(
-                    "cannot replay past operations: recorder runs with "
-                    "keep_history=False and buffers nothing"
-                )
             for op, source in self._log:
                 listener(op, source)
         self._listeners = self._listeners + (listener,)
@@ -81,17 +73,13 @@ class HistoryRecorder:
         self._listeners = tuple(l for l in self._listeners if l is not listener)
 
     def _notify(self, op: Operation, source: Optional[Operation]) -> None:
-        if self.keep_history:
-            self._log.append((op, source))
+        self._log.append((op, source))
         for listener in self._listeners:  # snapshot tuple: mutation-safe
             listener(op, source)
 
     # -- recording ---------------------------------------------------------------
     def _next_index(self, process: int) -> int:
-        index = self._counts.get(process, 0)
-        self._counts[process] = index + 1
-        self._total += 1
-        return index
+        return len(self._ops.setdefault(process, []))
 
     def record_write(
         self,
@@ -112,8 +100,7 @@ class HistoryRecorder:
             invoked_at=invoked_at,
             completed_at=completed_at,
         )
-        if self.keep_history:
-            self._ops.setdefault(process, []).append(op)
+        self._ops[process].append(op)
         self._write_ops[write_id] = op
         self._notify(op, None)
         return op
@@ -137,9 +124,8 @@ class HistoryRecorder:
             invoked_at=invoked_at,
             completed_at=completed_at,
         )
-        if self.keep_history:
-            self._ops.setdefault(process, []).append(op)
-            self._read_sources[op.uid] = source
+        self._ops[process].append(op)
+        self._read_sources[op.uid] = source
         source_op = self._write_ops.get(source) if source is not None else None
         self._notify(op, source_op)
         return op
@@ -147,38 +133,27 @@ class HistoryRecorder:
     def declare_process(self, process: int) -> None:
         """Ensure ``process`` appears in the history even with no operations."""
         self._ops.setdefault(process, [])
-        self._counts.setdefault(process, 0)
 
     # -- extraction -----------------------------------------------------------------
-    def _require_history(self, what: str) -> None:
-        if not self.keep_history:
-            raise RecorderStateError(
-                f"recorder runs with keep_history=False and cannot produce "
-                f"{what}; subscribe a listener instead"
-            )
-
     def history(self) -> History:
         """The recorded history."""
-        self._require_history("a History")
         return History(self._ops)
 
     def log(self) -> Tuple[Tuple[Operation, Optional[Operation]], ...]:
         """The ``(operation, source)`` stream in recording (delivery) order."""
-        self._require_history("the recording log")
         return tuple(self._log)
 
     @property
     def processes(self) -> Tuple[int, ...]:
         """Every process that declared itself or recorded an operation."""
-        return tuple(sorted(self._counts))
+        return tuple(sorted(self._ops))
 
     def operation_count(self) -> int:
-        """Total number of recorded operations (kept even without history)."""
-        return self._total
+        """Total number of recorded operations."""
+        return len(self._log)
 
     def read_from(self) -> Dict[Operation, Optional[Operation]]:
         """The exact read-from mapping of the run (protocol ground truth)."""
-        self._require_history("the read-from mapping")
         mapping: Dict[Operation, Optional[Operation]] = {}
         for pid, ops in self._ops.items():
             for op in ops:

@@ -63,17 +63,18 @@ class TestSessionConstruction:
         assert report.operations_executed == 5
         assert report.operations_total > 5
 
-    def test_keep_history_chooses_the_recorder(self):
+    def test_every_session_records_into_the_arena(self):
+        from repro.arena.check import ArenaBatchChecker
         from repro.arena.recorder import ArenaRecorder
-        from repro.mcs.recorder import HistoryRecorder
 
-        assert isinstance(make_session().recorder, ArenaRecorder)
-        assert isinstance(make_session(keep_history=False).recorder, HistoryRecorder)
-        assert make_session(engine="arena").engine == "arena"
-        assert make_session(keep_history=False, engine="object").engine == "object"
-        for engine, keep_history in (("object", True), ("arena", False), ("columnar", True)):
+        for keep_history in (True, False):
+            session = make_session(keep_history=keep_history, engine="arena")
+            assert isinstance(session.recorder, ArenaRecorder)
+            assert session.engine == "arena"
+            assert all(type(c) is ArenaBatchChecker for c in session.checkers.values())
+        for engine in ("object", "columnar"):
             with pytest.raises(SessionError, match="engine"):
-                make_session(engine=engine, keep_history=keep_history)
+                make_session(engine=engine)
 
     def test_until_rejects_negatives(self):
         with pytest.raises(SessionError):
@@ -202,12 +203,31 @@ class TestChecking:
 
 
 class TestBoundedSessions:
-    def test_keep_history_false_keeps_no_history(self):
+    def test_keep_history_false_keeps_no_history_but_decides_the_same(self):
         report = make_session(keep_history=False).run()
         assert report.history is None
         assert report.read_from is None
-        # monitors found nothing, but that is only a heuristic certificate
-        assert report.consistent is True and not report.exact
+        # the same arena check as a history-keeping run: an exact verdict
+        kept = make_session().run()
+        assert report.consistent is kept.consistent is True
+        assert report.exact and kept.exact
+        labels = [{pid: [op.label() for op in witness]
+                   for pid, witness in r.result().serializations.items()}
+                  for r in (report, kept)]
+        assert labels[0] == labels[1] and labels[0]
+
+    @pytest.mark.parametrize("keep_history", [True, False])
+    def test_a_checking_listener_materialises_no_row(self, keep_history):
+        session = make_session(
+            workload=("uniform", {"operations_per_process": 40}),
+            check_policy="fail_fast",
+            keep_history=keep_history,
+        )
+        report = session.run()
+        assert report.operations_executed == 200 and not report.stopped_early
+        assert report.consistent is True
+        assert len(session.recorder.arena) == 200
+        assert not session.recorder.cache  # rows in, no Operation built
 
     def test_bounded_session_still_proves_violations(self):
         report = make_session(
@@ -326,3 +346,27 @@ class TestAllProtocolsThroughFacade:
     def test_protocols_run_and_check(self, protocol):
         report = make_session(protocol=protocol).run()
         assert report.consistent is True
+
+
+class TestTraceExport:
+    def test_a_fail_fast_abort_exports_the_operation_that_proved_it(self, tmp_path):
+        """The aborting operation is in the trace, so the replay convicts."""
+        from repro.serve.replay import replay_trace
+        from repro.serve.trace import read_trace
+
+        path = str(tmp_path / "aborted.jsonl")
+        session = Session(
+            protocol="best_effort",
+            app=("bellman_ford", {"topology": "figure8"}),
+            network=("faulty", {"latency": 0.1, "duplicate_rate": 0.6,
+                                "duplicate_lag": 4.0}),
+            check_policy="fail_fast",
+            exact=False,
+            trace_out=path,
+        )
+        report = session.run()
+        assert report.stopped_early and report.consistent is False
+        _meta, records = read_trace(path)
+        assert len(records) == session.recorder.operation_count()
+        replayed = replay_trace(path, criteria=("pram",), exact=False)
+        assert replayed.consistent is False

@@ -161,15 +161,20 @@ class TestArenaRecorderParity:
         per_op = sum(col.arena.column_bytes().values()) / len(col.arena)
         assert per_op * 4 <= OBJECT_OP_BYTES, (per_op, OBJECT_OP_BYTES)
 
-    def test_subscribe_replay_delivers_whole_stream(self):
+    def test_listeners_get_rows_and_materialise_nothing(self):
         col = ArenaRecorder()
         _drive(col, ops=25)
         seen = []
-        col.subscribe(lambda op, src: seen.append((op, src)), replay=True)
-        assert len(seen) == 25
-        live = col.record_write(0, "x0", "late", (0, 999), None, None)
-        assert len(seen) == 26
-        del live
+        listener = lambda row, source_row: seen.append((row, source_row))  # noqa: E731
+        col.subscribe(listener)
+        w = col.record_write(0, "x0", "late", (0, 999), None, None)
+        r = col.record_read(1, "x0", "late", (0, 999), None, None)
+        b = col.record_read(1, "x1", BOTTOM, None, None, None)
+        col.unsubscribe(listener)
+        col.record_write(0, "x0", "unseen", (0, 1000), None, None)
+        assert (w, r, b) == (25, 26, 27)
+        assert seen == [(w, NO_SOURCE), (r, w), (b, NO_SOURCE)]
+        assert not col.cache
 
     def test_materialisation_is_cached_by_identity(self):
         col = ArenaRecorder()
@@ -177,39 +182,6 @@ class TestArenaRecorderParity:
         first = col.history().operations
         second = col.history().operations
         assert all(a is b for a, b in zip(first, second))
-
-    def test_a_materialising_listener_costs_linear_cache_lookups(self):
-        """Each recorded row is materialised once, resuming where the cache
-        prefix ends — not by re-probing every earlier row."""
-
-        class CountingCache(dict):
-            lookups = 0
-
-            def __contains__(self, key):
-                self.lookups += 1
-                return super().__contains__(key)
-
-            def __getitem__(self, key):
-                self.lookups += 1
-                return super().__getitem__(key)
-
-            def get(self, key, default=None):
-                self.lookups += 1
-                return super().get(key, default)
-
-        col = ArenaRecorder()
-        col.cache = cache = CountingCache()
-        seen = []
-        col.subscribe(lambda op, src: seen.append((op, src)))
-        _drive(col, ops=1_000)
-        assert len(seen) == 1_000
-        assert cache.lookups <= 3 * len(seen), cache.lookups
-        ops = [op for op, _ in seen]
-        assert all(op is cache[row] for row, op in enumerate(ops))
-        assert [op.uid for op in ops] == sorted(op.uid for op in ops)
-        history = col.history()
-        assert all(a is b for a, b in zip(sorted(history.operations, key=lambda op: op.uid),
-                                           ops))
 
 
 class TestAdapterRoundTrip:

@@ -57,11 +57,17 @@ class TestFactory:
             incremental_checker("nope")
 
     def test_modes(self):
-        """One class; the retention window is the mode."""
-        for kwargs, window in (({"exact": True}, None), ({"exact": False}, None),
-                               ({"bounded": True}, 0)):
-            checker = incremental_checker("pram", **kwargs)
-            assert type(checker) is WindowedChecker and checker.window == window
+        """One class, retaining the whole stream in either exactness mode."""
+        for exact in (True, False):
+            checker = incremental_checker("pram", exact=exact)
+            assert type(checker) is WindowedChecker and checker.window is None
+
+    def test_a_checker_that_retains_nothing_is_refused(self):
+        with pytest.raises(ConsistencyCheckError, match="bounded"):
+            incremental_checker("pram", bounded=True)
+        for window in (0, 3, -1, 2.5, True):
+            with pytest.raises(ConsistencyCheckError, match="window"):
+                WindowedChecker(get_checker("pram"), window=window)
 
 
 def _feed_history(checker, history, read_from):
@@ -156,19 +162,6 @@ class TestRetainingChecker:
         assert result is not None and not result.consistent
         assert result.exact  # a prefix violation is a proof
 
-    def test_bounded_mode_buffers_nothing_but_monitors_still_prove(self):
-        b = HistoryBuilder()
-        b.write(0, "x", "a").write(0, "x", "b")
-        b.read(1, "x", "b").read(1, "x", "a")
-        history = b.build()
-        rf = history.read_from()
-        checker = incremental_checker("pram", bounded=True)
-        checker.start(universe=history.processes)
-        verdicts = _feed_history(checker, history, rf)
-        assert verdicts and not verdicts[0].consistent
-        final = checker.finalize()
-        assert not final.consistent and final.exact
-
     def test_collect_all_finalize_merges_monitor_and_full_check_violations(self):
         # Two independent violations: a monitor-visible monotone-read
         # regression on x by p1, and a transitivity anomaly on z invisible to
@@ -188,16 +181,6 @@ class TestRetainingChecker:
         text = "\n".join(final.violations)
         assert "already observed" in text        # the monitor's violation
         assert "⊥" in text and "z" in text       # the full-sweep violation
-
-    def test_bounded_mode_finalize_is_heuristic_when_clean(self):
-        b = HistoryBuilder()
-        b.write(0, "x", "a").read(1, "x", "a")
-        history = b.build()
-        checker = incremental_checker("pram", bounded=True)
-        checker.start(universe=history.processes)
-        _feed_history(checker, history, history.read_from())
-        result = checker.finalize()
-        assert result.consistent and not result.exact
 
 
 def violating_stream(system):

@@ -1,11 +1,11 @@
-"""Differential test: the one incremental checker against the three it replaced.
+"""Differential test: the one incremental checker against the two it replaced.
 
 :class:`PrefixChecker` and :class:`BatchAdapter` below are the streaming
 checkers that :class:`~repro.core.consistency.incremental.WindowedChecker`
-replaced, kept verbatim (apart from their imports) as the reference.  The
-merged class must reproduce them through its window policy: ``window=None``
-for ``exact`` ``True`` (``BatchAdapter``) and ``False`` (``PrefixChecker``),
-``window=0`` for ``PrefixChecker(bounded=True)``.
+replaced, kept verbatim (apart from their imports and the bounded mode,
+which left both sides) as the reference.  The merged class must reproduce
+them with ``window=None``: ``exact`` ``True`` is ``BatchAdapter``, ``False``
+is ``PrefixChecker``.
 
 Inputs: the recorded log of every paper, stress, faults and apps point, the
 sixty :class:`~repro.hunt.SpecSampler` runs, and one read-from mutation of
@@ -66,22 +66,15 @@ class PrefixChecker(IncrementalChecker):
     same over the whole stream, so the verdict is heuristic (``exact=False``)
     exactly like the batch pre-check's; use :class:`BatchAdapter` when the
     exact serialization search (and its witnesses) is wanted.
-
-    ``bounded=True`` drops the operation buffer entirely: only the O(1)
-    stream monitors run, the checker's state stays independent of the run
-    length, and ``check_now`` is a no-op.  This is the mode behind
-    ``Session(keep_history=False)``.
     """
 
     def __init__(
         self,
         checker: ConsistencyChecker,
-        bounded: bool = False,
         real_time: bool = False,
     ) -> None:
         self._checker = checker
         self.criterion = checker.name
-        self._bounded = bounded
         self._real_time = real_time
         self.start()
 
@@ -100,10 +93,9 @@ class PrefixChecker(IncrementalChecker):
         self, op: Operation, read_from: Optional[Operation] = None
     ) -> Optional[CheckResult]:
         self._fed += 1
-        if not self._bounded:
-            self._ops.setdefault(op.process, []).append(op)
-            if op.is_read:
-                self._read_from[op] = read_from
+        self._ops.setdefault(op.process, []).append(op)
+        if op.is_read:
+            self._read_from[op] = read_from
         found = self._monitors.observe(op, read_from)
         if found:
             self._violations.extend(f"p{op.process}: {v}" for v in found)
@@ -111,8 +103,6 @@ class PrefixChecker(IncrementalChecker):
         return None
 
     def check_now(self) -> Optional[CheckResult]:
-        if self._bounded:
-            return self._result_so_far() if self._violations else None
         result = self._prefix_check(exact=False)
         if not result.consistent:
             for violation in result.violations:
@@ -165,13 +155,6 @@ class PrefixChecker(IncrementalChecker):
         )
 
     def _final_check(self) -> CheckResult:
-        if self._bounded:
-            if self._violations:
-                return self._result_so_far()
-            # Nothing buffered: the monitors' silence is all we can certify.
-            return CheckResult(
-                criterion=self.criterion, consistent=True, exact=False
-            )
         if self._violations:
             return self._merged_full_violations()
         return self._prefix_check(exact=False)
@@ -194,7 +177,7 @@ class BatchAdapter(PrefixChecker):
         real_time: bool = False,
     ) -> None:
         self._exact = exact
-        super().__init__(checker, bounded=False, real_time=real_time)
+        super().__init__(checker, real_time=real_time)
 
     def _final_check(self) -> CheckResult:
         if self._violations:
@@ -235,22 +218,15 @@ def shared(monkeypatch):
     return lookup
 
 
-def reference_checker(
-    criterion: str, exact: bool, bounded: bool, lookup=get_checker
-) -> IncrementalChecker:
+def reference_checker(criterion: str, exact: bool, lookup=get_checker) -> IncrementalChecker:
     """What ``incremental_checker`` returned before the merge."""
     checker, real_time = lookup(criterion), criterion == "atomic"
-    if bounded:
-        return PrefixChecker(checker, bounded=True, real_time=real_time)
     if exact:
         return BatchAdapter(checker, exact=True, real_time=real_time)
-    return PrefixChecker(checker, bounded=False, real_time=real_time)
+    return PrefixChecker(checker, real_time=real_time)
 
 
 # -- inputs -------------------------------------------------------------------
-
-#: ``(exact, bounded)`` of the three modes.
-MODES = ((True, False), (False, False), (True, True))
 
 #: Cadence -> how many leading operations of each log it drives.
 PREFIX = {
@@ -369,17 +345,17 @@ def test_the_merged_checker_reproduces_the_replaced_ones(inputs, shared):
     compared = inconsistent = 0
     for label, log, universe, criteria in inputs:
         for criterion in criteria:
-            for exact, bounded in MODES:
+            for exact in (True, False):
                 for name, policy in POLICIES.items():
                     stream = log[:PREFIX[name]]
-                    reference = drive(reference_checker(criterion, exact, bounded, shared),
+                    reference = drive(reference_checker(criterion, exact, shared),
                                       stream, universe, policy)
-                    merged = incremental_checker(criterion, exact=exact, bounded=bounded)
+                    merged = incremental_checker(criterion, exact=exact)
                     assert drive(merged, stream, universe, policy) == reference, \
-                        (label, criterion, exact, bounded, name)
+                        (label, criterion, exact, name)
                     compared += 1
                     inconsistent += reference[-1][0] is False
-    assert compared >= 2_800
+    assert compared >= 1_900
     assert inconsistent >= 0.15 * compared
 
 

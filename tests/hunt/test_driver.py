@@ -94,3 +94,17 @@ class TestCorpusGuard:
         genuine = Finding(kind="violation", spec=spec)
         report = hunt(budget=0, known=[genuine])
         assert report.ok and not report.regressions
+
+
+class TestViolationDetails:
+    def test_every_violation_finding_names_its_reason(self):
+        """Trials keep history, so a violation proven only by the finalize
+        bad-pattern sweep (no stream monitor fired) is a finding too, and it
+        still carries the violation that proves it."""
+        report = hunt(budget=50, hunter_seed=0, shrink=False)
+        violations = [f for f in report.findings
+                      if f.kind in ("violation", "unexpected_violation")]
+        assert violations
+        assert all(f.detail for f in violations), \
+            [f.slug() for f in violations if not f.detail]
+        assert any("is forced between" in f.detail for f in violations)

@@ -5,7 +5,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.operations import BOTTOM
-from repro.exceptions import RecorderStateError
 from repro.mcs.recorder import HistoryRecorder
 from repro.mcs.system import PROTOCOLS, MCSystem
 from repro.workloads.access_patterns import run_script, uniform_access_script
@@ -110,30 +109,6 @@ class TestSubscription:
         rec.unsubscribe(listener)
         rec.record_write(0, "x", 2, (0, 2))
         assert len(seen) == 1
-
-
-class TestBoundedRecorder:
-    def test_keep_history_false_buffers_nothing_but_streams_everything(self):
-        rec = HistoryRecorder(keep_history=False)
-        seen = []
-        rec.subscribe(lambda op, src: seen.append((op, src)))
-        w = rec.record_write(0, "x", 1, (0, 1))
-        r = rec.record_read(1, "x", 1, (0, 1))
-        assert seen == [(w, None), (r, w)]
-        assert rec.operation_count() == 2
-        assert r.index == 0 and w.index == 0  # per-process indices still correct
-
-    def test_history_and_read_from_raise_typed_errors(self):
-        rec = HistoryRecorder(keep_history=False)
-        rec.record_write(0, "x", 1, (0, 1))
-        with pytest.raises(RecorderStateError):
-            rec.history()
-        with pytest.raises(RecorderStateError):
-            rec.read_from()
-        with pytest.raises(RecorderStateError):
-            rec.log()
-        with pytest.raises(RecorderStateError):
-            rec.subscribe(lambda op, src: None, replay=True)
 
 
 @settings(max_examples=12, deadline=None,

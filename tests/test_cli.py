@@ -41,6 +41,12 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
+    def test_run_has_no_no_history_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--no-history"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-history" in capsys.readouterr().err
+
     def test_reproduce_takes_no_flag(self):
         (reproduce,) = [leaf for path, leaf in leaf_parsers(build_parser())
                         if path == ("reproduce",)]

@@ -1,5 +1,6 @@
-"""Columnar struct-of-arrays history engine: how every history-keeping
-:class:`repro.api.Session` records and checks its run.
+"""Columnar struct-of-arrays history engine: how every
+:class:`repro.api.Session` records and checks its run, and how every batch
+causal and pram check of an object history is decided.
 
 The arena engine stores a run's operations as parallel int-typed columns
 (:class:`~repro.arena.store.OpArena`) shared by the recorder, the checkers

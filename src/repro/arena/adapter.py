@@ -19,6 +19,7 @@ follows, so witnesses built from materialised rows are label-identical.
 from __future__ import annotations
 
 from array import array
+from heapq import heappop, heappush
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..core.history import History
@@ -148,35 +149,70 @@ class Witnesses(Mapping[int, List[Operation]]):
 
 def arena_from_history(
     history: History,
-    read_from: Optional[Dict[Operation, Optional[Operation]]] = None,
-) -> OpArena:
-    """Columnarise an existing object :class:`History` (tests, ``arena info``).
+    read_from: Optional[Mapping[Operation, Optional[Operation]]] = None,
+    cache: Optional[OpCache] = None,
+) -> Optional[OpArena]:
+    """Columnarise an object :class:`History`, every source before its reads.
 
-    Operations are appended in history order (process-sorted, then program
-    order) so the per-process ``index`` column matches ``op.index``; read
-    sources resolve through ``read_from`` (inferred from values when omitted)
-    and are patched in afterwards, so they may point at *later* rows — unlike
-    a live-recorded arena, where sources always precede their reads.
+    Operations are appended in a topological order of program order ∪
+    read-from (Kahn's algorithm over per-process cursors, smallest ``uid``
+    first among the ready operations), so each process' rows keep program
+    order and the ``index`` column equals ``op.index``.  A history whose uid
+    order already extends both relations — every recorded, materialised or
+    replayed one — keeps that order.  Read sources come from ``read_from``
+    (inferred from values when omitted).  An empty ``cache``, when given, is
+    filled with ``{row: op}``, so consumers materialise the caller's own
+    operations.
+
+    Returns ``None`` when no such arena exists: program order ∪ read-from is
+    cyclic, or ``read_from`` maps a read to something that is not a write of
+    the history on the read's variable.
     """
     rf = history.read_from() if read_from is None else read_from
+    for read in history.reads:
+        writer = rf.get(read)
+        if writer is not None and (
+            not writer.is_write or writer.variable != read.variable or writer not in history
+        ):
+            return None
     arena = OpArena()
-    rows: Dict[Operation, int] = {}
+    lines = [history.local(pid).operations for pid in history.processes]
     for pid in history.processes:
         arena.declare_process(pid)
-    pending: List[Tuple[int, Operation]] = []
-    for op in history.operations:
+    cursor = [0] * len(lines)
+    rows: Dict[Operation, int] = {}
+    ready: List[Tuple[int, int]] = []
+    blocked: Dict[Operation, List[int]] = {}
+
+    def offer(line: int) -> None:
+        if cursor[line] < len(lines[line]):
+            op = lines[line][cursor[line]]
+            writer = rf.get(op) if op.is_read else None
+            if writer is None or writer in rows:
+                heappush(ready, (op.uid, line))
+            else:
+                blocked.setdefault(writer, []).append(line)
+
+    for line in range(len(lines)):
+        offer(line)
+    while ready:
+        _, line = heappop(ready)
+        op = lines[line][cursor[line]]
+        cursor[line] += 1
         if op.is_write:
-            rows[op] = arena.append_write(
+            row = rows[op] = arena.append_write(
                 op.process, op.variable, op.value, op.invoked_at, op.completed_at
             )
+            for waiting in blocked.pop(op, ()):
+                heappush(ready, (lines[waiting][cursor[waiting]].uid, waiting))
         else:
+            writer = rf.get(op)
             row = arena.append_read(
-                op.process, op.variable, op.value, NO_SOURCE,
+                op.process, op.variable, op.value,
+                NO_SOURCE if writer is None else rows[writer],
                 op.invoked_at, op.completed_at,
             )
-            pending.append((row, op))
-    for row, op in pending:
-        writer = rf.get(op)
-        if writer is not None:
-            arena.source[row] = rows[writer]
-    return arena
+        if cache is not None:
+            cache[row] = op
+        offer(line)
+    return arena if len(arena) == len(history) else None

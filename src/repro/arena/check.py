@@ -12,13 +12,19 @@ and no per-operation object is ever built.  A session whose policy checks
 mid-run subscribes ``feed``, so a stream-monitor hit is noted at the row that
 proves it and a fail-fast run stops where the object stream would.
 
+It also decides every batch causal and pram check of an object history
+(:class:`~repro.core.consistency.criteria.ColumnarChecker`), by
+:meth:`ArenaBatchChecker.solved`.
+
 Causal and pram are checked over the columns at every size.  Monitors, bad
 patterns and witnesses run over the int columns, with no per-view graph: the
 stream monitors of
 :class:`~repro.core.consistency.incremental.StreamMonitors` replicated over
 rows (same messages, same order, frontier state kept across calls), and for
 **causal** two vector-clock sweeps (operation and write counts per process)
-that answer ``a -> b`` in O(1).
+that answer ``a -> b`` in O(1).  Every read's source row precedes it
+(:meth:`~repro.arena.store.OpArena.append_read`), so row order is a
+topological order of program order ∪ read-from.
 Each view ``H_{p+w}`` gives every remote write a *batch index*, the first own
 operation it precedes — read off the clocks for causal, off the read-from
 pairs for pram (whose restricted
@@ -32,8 +38,7 @@ by the one rule stated in :mod:`repro.core.serialization`, so verdicts,
 violation strings and witnesses equal the object checker's over the
 materialised history.
 
-Every other criterion, and an adapter-built arena whose read sources do not
-all precede their reads, is checked by one inner
+Every other criterion is checked by one inner
 :func:`~repro.core.consistency.incremental.incremental_checker`: each row is
 materialised and fed to it once, in recording order, and ``check_now``,
 ``finalize`` and ``first_stream_violation`` are the inner checker's.
@@ -113,8 +118,8 @@ class ArenaBatchChecker(IncrementalChecker):
 
     # -- incremental protocol -------------------------------------------------
     def start(self, universe: Optional[Tuple[int, ...]] = None) -> None:
-        """Reset, and fix the path: columnar when the criterion has one and
-        every read source precedes its read, else the inner object checker."""
+        """Reset, and fix the path: columnar when the criterion has one, else
+        the inner object checker."""
         self._universe = tuple(universe or ())
         self._reset_findings()
         #: Rows the monitors (or the inner checker) have advanced over.
@@ -122,7 +127,7 @@ class ArenaBatchChecker(IncrementalChecker):
         #: Row-monitor frontiers: (reader, variable id) -> {writer: index}.
         self._observed: Dict[Tuple[int, int], Dict[int, int]] = {}
         self._inner: Optional[IncrementalChecker] = None
-        if self.criterion not in COLUMNAR_CRITERIA or not self._sources_forward():
+        if self.criterion not in COLUMNAR_CRITERIA:
             self._inner = incremental_checker(self.criterion, exact=self._exact)
             self._inner.start(self._universe)
 
@@ -156,7 +161,7 @@ class ArenaBatchChecker(IncrementalChecker):
                 # after them, like the object stream's collect-all close.
                 self._finalized = self._closing(self._views(solve=False)[0])
             else:
-                self._finalized = self._solved()
+                self._finalized = self.solved()
         return self._finalized
 
     @property
@@ -168,19 +173,6 @@ class ArenaBatchChecker(IncrementalChecker):
         if self._inner is not None:
             return self._inner.violations
         return list(self._violations)
-
-    # -- path selection -------------------------------------------------------
-    def _sources_forward(self) -> bool:
-        """``True`` iff every read's source row precedes the read (always the
-        case for live-recorded arenas; adapter-built ones may differ)."""
-        src = self.arena.numpy_view("source")
-        if src is not None:
-            import numpy as np  # arena.store resolved it already
-
-            n = len(src)
-            return bool(n == 0 or not (src > np.arange(n)).any())
-        source = self.arena.source
-        return all(source[row] <= row for row in range(len(source)))
 
     # -- the inner object checker ---------------------------------------------
     def _feed_inner(self) -> Optional[CheckResult]:
@@ -197,9 +189,12 @@ class ArenaBatchChecker(IncrementalChecker):
         return result
 
     # -- columnar path --------------------------------------------------------
-    def _solved(self) -> CheckResult:
-        """The closing check of a stream with no proven violation: every
-        view's bad patterns, then (``exact``) its saturation and witness."""
+    def solved(self) -> CheckResult:
+        """The batch close of the whole arena: every view's bad patterns,
+        then (``exact``) its saturation and witness.  The stream monitors do
+        not run, so the violations are those of the object per-view check
+        (:meth:`~repro.core.consistency.base.PerProcessChecker.check`).
+        ``finalize`` closes a stream with no proven violation by it."""
         found, witnesses = self._views(self._exact)
         return CheckResult(
             criterion=self.criterion, consistent=not found,

@@ -59,6 +59,5 @@ def format_info(stats: Dict[str, Any]) -> str:
         f"derived indexes:  {stats['derived_index_bytes']}",
         f"estimated total:  {stats['estimated_bytes']}"
         f" (object engine ≈ {stats['object_engine_estimated_bytes']})",
-        f"numpy views:      {'available' if stats['numpy'] else 'unavailable'}",
         f"causal edges:     {stats['causal_generating_edges']} generating",
     ])

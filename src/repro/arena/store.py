@@ -5,7 +5,7 @@ The object engine represents every recorded operation as an immutable
 operations the per-object overhead (allocation, attribute dictionaries, uid
 bookkeeping, hashing) dominates both time and memory.  :class:`OpArena`
 stores the same information as parallel *typed* arrays (stdlib
-:mod:`array`; zero-copy numpy views when numpy happens to be installed):
+:mod:`array`):
 
 ======== ========== =====================================================
 column   typecode   meaning
@@ -20,10 +20,12 @@ invoked  ``d``      invocation timestamp (``nan`` = unknown)
 completed``d``      response timestamp (``nan`` = unknown)
 ======== ========== =====================================================
 
-A *row* is the operation's position in recording (delivery) order, which by
-construction extends every process' program order — so per-process row
-lists are sorted by program order and a read's source row always precedes
-the read itself when the arena is filled by a live recorder.
+A *row* is the operation's position in recording order, which extends
+every process' program order and every read-from pair: per-process row
+lists are sorted by program order, and :meth:`OpArena.append_read` accepts
+only a source row that is an earlier write (a live recorder appends in
+delivery order; :func:`~repro.arena.adapter.arena_from_history` in a
+topological order of program order ∪ read-from).
 
 The arena never builds an :class:`~repro.core.operations.Operation`; the
 int↔object adapters live in :mod:`repro.arena.adapter` (the only module of
@@ -36,11 +38,7 @@ from array import array
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.operations import BOTTOM
-
-try:  # optional acceleration only — everything below runs on the stdlib
-    import numpy as _np  # type: ignore
-except Exception:  # pragma: no cover - numpy simply absent
-    _np = None
+from ..exceptions import InvalidHistoryError
 
 #: ``kind`` column values.
 KIND_WRITE = 0
@@ -50,9 +48,6 @@ KIND_READ = 1
 NO_SOURCE = -1
 
 _NAN = float("nan")
-
-#: numpy dtypes matching the array typecodes (used by :meth:`OpArena.numpy_view`).
-_NUMPY_DTYPES = {"b": "int8", "q": "int64", "d": "float64"}
 
 
 class OpArena:
@@ -181,7 +176,18 @@ class OpArena:
         invoked_at: Optional[float] = None,
         completed_at: Optional[float] = None,
     ) -> int:
-        """Append a read resolved to ``source_row`` (``NO_SOURCE`` for ⊥)."""
+        """Append a read resolved to ``source_row`` (``NO_SOURCE`` for ⊥).
+
+        Raises :class:`~repro.exceptions.InvalidHistoryError` unless
+        ``source_row`` is ``NO_SOURCE`` or an earlier write row.
+        """
+        if source_row != NO_SOURCE and not (
+            0 <= source_row < len(self.kind) and self.kind[source_row] == KIND_WRITE
+        ):
+            raise InvalidHistoryError(
+                f"read of {variable} by p{process} names source row {source_row}, "
+                f"which is not an earlier write row (the arena holds {len(self.kind)} rows)"
+            )
         return self._append(
             KIND_READ, process, variable, value, source_row, invoked_at, completed_at
         )
@@ -251,17 +257,8 @@ class OpArena:
         self._refresh()
         return self._writers_of.get(vid, ())
 
-    # -- numpy / accounting --------------------------------------------------
+    # -- accounting ----------------------------------------------------------
     _COLUMNS = ("kind", "proc", "var", "value", "index", "source", "invoked", "completed")
-
-    def numpy_view(self, column: str) -> Optional[Any]:
-        """Zero-copy numpy view of ``column`` (``None`` without numpy)."""
-        if _np is None:
-            return None
-        arr: array = getattr(self, column)
-        if not len(arr):
-            return _np.empty(0, dtype=_NUMPY_DTYPES[arr.typecode])
-        return _np.frombuffer(memoryview(arr), dtype=_NUMPY_DTYPES[arr.typecode])
 
     def column_bytes(self) -> Dict[str, int]:
         """Per-column payload size in bytes."""
@@ -291,7 +288,6 @@ class OpArena:
             "view_bytes": view_bytes,
             "derived_index_bytes": index_bytes,
             "estimated_bytes": sum(columns.values()) + view_bytes + index_bytes,
-            "numpy": _np is not None,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

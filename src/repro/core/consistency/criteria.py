@@ -10,6 +10,9 @@ with the relation of the corresponding criterion:
   Lipton & Sandberg [13]).
 * :class:`SlowChecker` — the slow-memory relation (Sinha [16]), weaker than PRAM.
 
+:class:`CausalChecker` and :class:`PRAMChecker` decide on the arena
+(:class:`ColumnarChecker`).
+
 The strength ordering (causal ⊃ lazy causal ⊃ lazy semi-causal ⊃ PRAM ⊃ slow,
 where "⊃" reads "admits fewer histories than") is verified by the property
 tests in ``tests/core/test_consistency_hierarchy.py``.
@@ -27,10 +30,41 @@ from ..orders import (
     pram_generating_order,
     slow_relation,
 )
-from .base import PerProcessChecker, ReadFrom
+from .base import CheckResult, PerProcessChecker, ReadFrom
 
 
-class CausalChecker(PerProcessChecker):
+class ColumnarChecker(PerProcessChecker):
+    """A per-process criterion that :class:`~repro.arena.check.ArenaBatchChecker`
+    decides over arena columns.
+
+    :meth:`check` appends the history to an arena in a topological order of
+    program order ∪ read-from (:func:`~repro.arena.adapter.arena_from_history`)
+    and closes it with the columnar batch check; the witnesses are the
+    caller's own operations.  Three inputs keep the object path of
+    :meth:`PerProcessChecker.check`: a program-order ∪ read-from cycle (a
+    PRAM history may have one), a read-from map naming a writer that is not
+    a write of the history on the read's variable, and a windowed history.
+    """
+
+    def check(
+        self,
+        history: History,
+        read_from: Optional[ReadFrom] = None,
+        exact: bool = True,
+    ) -> CheckResult:
+        """Check every per-process view of ``history``."""
+        from ...arena import adapter  # repro.arena.check imports this package
+        from ...arena.check import ArenaBatchChecker
+
+        rf = history.read_from() if read_from is None else read_from
+        cache: adapter.OpCache = {}
+        arena = None if history.windowed else adapter.arena_from_history(history, rf, cache)
+        if arena is None:
+            return super().check(history, rf, exact)
+        return ArenaBatchChecker(self.name, arena, exact=exact, cache=cache).solved()
+
+
+class CausalChecker(ColumnarChecker):
     """Causal consistency (paper, Definition 2)."""
 
     def __init__(self) -> None:
@@ -51,7 +85,7 @@ class LazySemiCausalChecker(PerProcessChecker):
         super().__init__(lazy_semi_causal_order, "lazy_semi_causal")
 
 
-class PRAMChecker(PerProcessChecker):
+class PRAMChecker(ColumnarChecker):
     """PRAM (pipelined RAM) consistency (paper, Definition 12).
 
     The checker constrains serializations with the covering edges of the PRAM

@@ -106,6 +106,8 @@ class History:
         local_histories: Mapping[int, Sequence[Operation]],
         windowed: bool = False,
     ):
+        #: Whether local histories may have index gaps (see above).
+        self.windowed = windowed
         locals_: Dict[int, LocalHistory] = {}
         for pid, ops in sorted(local_histories.items()):
             locals_[pid] = LocalHistory(pid, tuple(ops), windowed=windowed)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..core.consistency import CheckPolicy, CheckResult, WindowedChecker, get_checker
-from ..core.operations import BOTTOM
+from ..core.operations import BOTTOM, Operation
 from ..core.relevance import relevance_summary
 from ..exceptions import ConsistencyCheckError, TenantError, TraceFormatError
 from .spec import DEFAULT_WINDOW, TenantSpec
@@ -24,6 +24,16 @@ from .trace import TraceMeta, TraceRecord
 RUNNING = "running"
 VIOLATED = "violated"
 DONE = "done"
+
+
+def check_source(reader: str, source: Operation, variable: str, value: Any) -> None:
+    """Raise :class:`TraceFormatError` unless ``source`` is a write of
+    ``value`` on ``variable``, the read described by ``reader`` returns."""
+    if not source.is_write or source.variable != variable or source.value != value:
+        raise TraceFormatError(
+            f"read record {reader} names source [{source.process}, {source.index}], "
+            f"which is {source.label()}, not a write of {value!r} on {variable}"
+        )
 
 
 class TenantMonitor:
@@ -77,6 +87,11 @@ class TenantMonitor:
             if record.source is not None:
                 source = self._checker.resolve_source(
                     record.source[0], record.variable, record.value, record.source[1]
+                )
+                check_source(
+                    f"r{record.process}({record.variable}){record.value!r} "
+                    f"of tenant {self.name!r}",
+                    source, record.variable, record.value,
                 )
             elif record.value is not BOTTOM:
                 raise TraceFormatError(

@@ -2,8 +2,9 @@
 
 ``repro trace replay`` runs a captured ``repro-trace-v1`` file through the
 same ingestion parser the service uses and then through the *batch*
-checkers over the full history — no eviction, exact search available.  The
-equivalence tests pit this oracle against the bounded-memory
+checkers over the full history — no eviction, every view decided exactly
+(causal and pram on the arena, by saturation).  The equivalence tests pit
+this oracle against the bounded-memory
 :class:`~repro.serve.monitor.TenantMonitor` on the same traces.
 """
 
@@ -17,7 +18,7 @@ from ..core.consistency.incremental import WindowMetrics
 from ..core.history import History
 from ..core.operations import BOTTOM, Operation
 from ..exceptions import TraceFormatError
-from .monitor import TenantMonitor
+from .monitor import TenantMonitor, check_source
 from .spec import DEFAULT_WINDOW, TenantSpec
 from .trace import TraceMeta, TraceRecord, read_trace
 
@@ -58,7 +59,9 @@ def materialise(
     """Build the full :class:`History` and read-from mapping of a trace.
 
     Offline replay sees the whole stream, so every source reference must
-    resolve — a dangling one is a malformed trace, not an eviction.
+    resolve — a dangling one is a malformed trace, not an eviction — to a
+    write on the read's variable of the value the read returns: a corrupt
+    trace gets no verdict.
     """
     per_process: Dict[int, List[Operation]] = {}
     writers: Dict[Tuple[int, int], Operation] = {}
@@ -86,6 +89,7 @@ def materialise(
                 f"read record {operation.label()} references source "
                 f"[{source[0]}, {source[1]}] which is not a write of the trace"
             )
+        check_source(operation.label(), writer, operation.variable, operation.value)
         read_from[operation] = writer
     return History(per_process), read_from
 

@@ -10,6 +10,8 @@ strings in the same order, and label-identical witnesses per view.  That is
 the equivalence guarantee every history-keeping ``Session`` is built on.
 Where the stream monitors fire, both sides close with the polynomial sweep
 merged after the monitor hits, so the reference is the fed object stream.
+The object engine is :class:`PerProcessChecker` by name: ``get_checker``'s
+causal and pram checkers decide on the arena themselves.
 """
 
 import random
@@ -20,10 +22,9 @@ from repro.api import Session
 from repro.arena import adapter
 from repro.arena.check import ArenaBatchChecker
 from repro.arena.store import OpArena
-from repro.core.consistency import get_checker
-from repro.core.consistency.incremental import incremental_checker
+from repro.core.consistency import PerProcessChecker, WindowedChecker
 from repro.core.operations import BOTTOM
-from repro.core.orders import causal_order
+from repro.core.orders import causal_order, pram_generating_order
 from repro.core.serialization import respects
 
 
@@ -64,12 +65,18 @@ def result_key(result):
     )
 
 
+def object_checker(criterion):
+    """The object per-view checker of ``criterion``."""
+    builders = {"causal": causal_order, "pram": pram_generating_order}
+    return PerProcessChecker(builders[criterion], criterion)
+
+
 def object_check(criterion, arena, exact=True):
     """The object checker over the materialised history."""
     cache = {}
     history = adapter.history_from_arena(arena, cache)
     read_from = adapter.read_from_of(arena, cache)
-    return get_checker(criterion).check(history, read_from=read_from, exact=exact)
+    return object_checker(criterion).check(history, read_from=read_from, exact=exact)
 
 
 def object_stream(criterion, arena, exact=True):
@@ -77,7 +84,7 @@ def object_stream(criterion, arena, exact=True):
     rows in recording order, and its first monitor hit as ``(row, message)``."""
     cache = {}
     read_from = adapter.read_from_of(arena, cache)
-    stream = incremental_checker(criterion, exact=exact)
+    stream = WindowedChecker(object_checker(criterion), window=None, exact=exact)
     first = None
     for row in range(len(arena)):
         op = cache[row]
@@ -178,7 +185,7 @@ def test_witnesses_materialise_on_first_access():
         result.serializations[pid] = []
     history = adapter.history_from_arena(arena, cache)
     read_from = adapter.read_from_of(arena, cache)
-    expected = get_checker("causal").check(history, read_from=read_from)
+    expected = object_checker("causal").check(history, read_from=read_from)
     assert result == expected and expected == result
 
 

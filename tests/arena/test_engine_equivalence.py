@@ -3,8 +3,11 @@
 A history-keeping :class:`~repro.api.Session` records into the arena and is
 checked by :class:`~repro.arena.check.ArenaBatchChecker`.  The reference is
 the session's own recorded log (``session.recorder.log()``) replayed through
-the object pipeline — one :func:`~repro.core.consistency.incremental.incremental_checker`
-per criterion, driven by the session's
+the object pipeline — one retaining
+:class:`~repro.core.consistency.incremental.WindowedChecker` per criterion,
+wrapping :class:`~repro.core.consistency.base.PerProcessChecker` for causal
+and pram (whose ``get_checker`` checkers decide on the arena), driven by the
+session's
 :class:`~repro.core.consistency.incremental.CheckPolicy`: ``feed`` every
 operation, ``check_now`` when a check is due, stop at the first proven
 violation under fail-fast, then ``finalize``.  Per criterion the verdict,
@@ -31,8 +34,8 @@ import dataclasses
 import pytest
 
 from repro.api import Session
-from repro.core.consistency import get_checker
-from repro.core.consistency.incremental import incremental_checker
+from repro.core.consistency import PerProcessChecker, WindowedChecker, get_checker
+from repro.core.orders import causal_order, pram_generating_order
 from repro.experiments.registry import REGISTRY
 from repro.hunt import SpecSampler
 from repro.serve.replay import replay_trace, replay_windowed
@@ -59,10 +62,20 @@ def _spec_id(spec):
     return f"{spec.name}-{spec.protocol.name}-s{spec.seed}" + (f"-{checked}" if checked else "")
 
 
+#: The object relation of the criteria ``get_checker`` decides on the arena.
+OBJECT_BUILDERS = {"causal": causal_order, "pram": pram_generating_order}
+
+
+def object_checker(criterion):
+    """The object batch checker of ``criterion``."""
+    builder = OBJECT_BUILDERS.get(criterion)
+    return get_checker(criterion) if builder is None else PerProcessChecker(builder, criterion)
+
+
 def oracle(log, universe, criteria, exact, policy):
     """The object replay of a recorded log under ``policy``: the results,
     the first violation and how many operations were fed before the stop."""
-    checkers = {criterion: incremental_checker(criterion, exact=exact)
+    checkers = {criterion: WindowedChecker(object_checker(criterion), window=None, exact=exact)
                 for criterion in criteria}
     for checker in checkers.values():
         checker.start(universe)

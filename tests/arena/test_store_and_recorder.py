@@ -17,7 +17,9 @@ import pytest
 from repro.arena import adapter
 from repro.arena.recorder import ArenaRecorder
 from repro.arena.store import KIND_READ, KIND_WRITE, NO_SOURCE, OpArena
+from repro.core.history import HistoryBuilder
 from repro.core.operations import BOTTOM
+from repro.exceptions import InvalidHistoryError
 from repro.mcs.recorder import HistoryRecorder
 
 
@@ -45,6 +47,16 @@ class TestOpArena:
         r = arena.append_read(1, "x", "x#0", w, None, None)
         assert arena.kind[r] == KIND_READ
         assert arena.source[r] == w
+
+    @pytest.mark.parametrize("source", ["own", "later", "read"])
+    def test_a_read_source_must_be_an_earlier_write_row(self, source):
+        arena = OpArena()
+        w = arena.append_write(0, "x", "a", None, None)
+        r = arena.append_read(1, "x", "a", w, None, None)
+        row = {"own": len(arena), "later": len(arena) + 1, "read": r}[source]
+        with pytest.raises(InvalidHistoryError, match="not an earlier write row"):
+            arena.append_read(2, "x", "a", row, None, None)
+        assert len(arena) == 2
 
     def test_program_index_is_per_process(self):
         arena = OpArena()
@@ -198,3 +210,22 @@ class TestAdapterRoundTrip:
         rf_back = adapter.read_from_of(arena, cache)
         assert {r.label(): (w.label() if w else None) for r, w in read_from.items()} == \
                {r.label(): (w.label() if w else None) for r, w in rf_back.items()}
+
+    def test_sources_come_before_their_reads_and_seed_the_cache(self):
+        b = HistoryBuilder()
+        b.read(0, "x", "a").write(0, "y", "b")  # p0 reads p1's write, built later
+        b.write(1, "x", "a")
+        history = b.build()
+        cache = {}
+        arena = adapter.arena_from_history(history, cache=cache)
+        assert [arena.label(row) for row in range(len(arena))] == \
+            ["w1(x)'a'", "r0(x)'a'", "w0(y)'b'"]
+        assert arena.source[1] == 0 and list(arena.index) == [0, 0, 1]
+        assert [cache[row] for row in range(3)] == [
+            history.local(1).operations[0], *history.local(0).operations]
+
+    def test_no_arena_for_a_program_order_read_from_cycle(self):
+        b = HistoryBuilder()
+        b.read(1, "x", "w2").write(1, "y", "w1")
+        b.read(2, "y", "w1").write(2, "x", "w2")
+        assert adapter.arena_from_history(b.build()) is None

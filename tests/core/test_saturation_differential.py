@@ -13,9 +13,11 @@ sixty sampled scenarios, and on a read-from mutation of each (a read
 redirected to an older write, a concurrent write or ⊥, by turns).
 
 Arena engine: the same inputs appended in a topological order of program
-order plus read-from (sources before reads) must give the columnar checker
-the verdict, exactness, violation strings and witness labels of the object
-engine fed the same rows (both engines emit by one rule).
+order plus read-from (sources before reads,
+:func:`~repro.arena.adapter.arena_from_history`) must give the columnar
+checker the verdict, exactness, violation strings and witness labels of the
+object engine — :class:`PerProcessChecker` by name, in a retaining
+:class:`WindowedChecker` — fed the same rows (both engines emit by one rule).
 
 :func:`old_greedy` is the greedy witness construction that preceded
 saturation, kept as the reference that shows what saturation adds: views it
@@ -23,7 +25,6 @@ could not order although they are consistent.
 """
 
 import dataclasses
-import heapq
 import random
 
 import pytest
@@ -33,9 +34,7 @@ from hypothesis import strategies as st
 from repro.api import Session
 from repro.arena import adapter
 from repro.arena.check import ArenaBatchChecker
-from repro.arena.store import NO_SOURCE, OpArena
-from repro.core.consistency import all_checkers
-from repro.core.consistency.incremental import incremental_checker
+from repro.core.consistency import PerProcessChecker, WindowedChecker, all_checkers
 from repro.core.history import History
 from repro.core.orders import RELATION_BUILDERS, causal_order, pram_generating_order
 from repro.core.serialization import (
@@ -138,51 +137,17 @@ def compare(history, read_from, tally, builders=tuple(BUILDERS), greedy=False):
                     tally.skipped += 1
 
 
-def arena_in_topological_order(history, read_from):
-    """``history`` appended with every source before its reads; ``None`` when
-    program order plus read-from is cyclic."""
-    succ = {op: [] for op in history.operations}
-    waiting = dict.fromkeys(history.operations, 0)
-    for pid in history.processes:
-        local = history.local(pid).operations
-        for a, b in zip(local, local[1:]):
-            succ[a].append(b)
-            waiting[b] += 1
-    for read, writer in read_from.items():
-        if writer is not None and read in waiting:
-            succ[writer].append(read)
-            waiting[read] += 1
-    ready = [(op.uid, op) for op, count in waiting.items() if not count]
-    heapq.heapify(ready)
-    arena, row = OpArena(), {}
-    for pid in history.processes:
-        arena.declare_process(pid)
-    while ready:
-        _, op = heapq.heappop(ready)
-        if op.is_write:
-            row[op] = arena.append_write(op.process, op.variable, op.value)
-        else:
-            writer = read_from.get(op)
-            source = NO_SOURCE if writer is None else row[writer]
-            row[op] = arena.append_read(op.process, op.variable, op.value, source)
-        for after in succ[op]:
-            waiting[after] -= 1
-            if not waiting[after]:
-                heapq.heappush(ready, (after.uid, after))
-    return arena if len(row) == len(history) else None
-
-
 def compare_arena(history, read_from):
     """Columnar against the object engine fed the arena's rows; ``False``
     when no arena can be built."""
-    arena = arena_in_topological_order(history, read_from)
+    arena = adapter.arena_from_history(history, read_from)
     if arena is None:
         return False
-    cache = {}
+    cache = {}  # fresh operations, whose uid order is the row order
     rows_read_from = adapter.read_from_of(arena, cache)
-    for criterion in ("causal", "pram"):
+    for criterion, builder in (("causal", causal_order), ("pram", pram_generating_order)):
         columnar = ArenaBatchChecker(criterion, arena, exact=True)
-        stream = incremental_checker(criterion, exact=True)
+        stream = WindowedChecker(PerProcessChecker(builder, criterion), window=None, exact=True)
         for checker in (columnar, stream):
             checker.start(history.processes)
         for row in range(len(arena)):

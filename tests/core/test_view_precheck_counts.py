@@ -5,6 +5,11 @@ a restriction of it — no second SCC pass, no Kahn pass — and no causal or
 PRAM view ever reaches the backtracking search: saturation decides every one
 of them, whatever its size.  Only views whose reads are not a chain (here: a
 sequential check of two processes) still search.
+
+The causal and PRAM guards count the object per-view path,
+:meth:`PerProcessChecker.check`: ``CausalChecker`` and ``PRAMChecker`` decide
+these histories on the arena, which builds no relation and no
+:class:`SerializationProblem` at all.
 """
 
 from collections import Counter
@@ -12,16 +17,22 @@ from collections import Counter
 import pytest
 
 from repro.api import Session
-from repro.core.consistency.criteria import CausalChecker, PRAMChecker
+from repro.core.consistency import PerProcessChecker
 from repro.core.consistency.sequential import SequentialChecker
 from repro.core.history import History, HistoryBuilder
-from repro.core.orders import Relation
+from repro.core.orders import Relation, causal_order, pram_generating_order
 from repro.core.serialization import SerializationProblem
 from repro.experiments import builtin_scenarios
 from repro.hunt import SpecSampler
 from repro.mcs.system import MCSystem
 from repro.workloads.access_patterns import run_script, uniform_access_script
 from repro.workloads.distributions import random_distribution
+
+
+def object_checker(criterion):
+    """The object per-view path of the causal or PRAM check."""
+    builders = {"causal": causal_order, "pram": pram_generating_order}
+    return PerProcessChecker(builders[criterion], criterion)
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +93,14 @@ def work(monkeypatch):
 
 def test_heuristic_causal_check_closes_once_and_builds_no_search_structure(recorded, work):
     history, read_from = recorded
-    result = CausalChecker().check(history, read_from, exact=False)
+    result = object_checker("causal").check(history, read_from, exact=False)
     assert result.consistent and not result.exact
     assert len(work.problems) == 4
     assert (work.passes["scc"], work.passes["kahn"]) == (1, 0)  # the closure's own pass, nothing per view
     assert work.with_preds() == [] and work.solved == []
 
 
-@pytest.mark.parametrize("checker, passes", [(CausalChecker(), (1, 0)), (PRAMChecker(), (4, 4))],
+@pytest.mark.parametrize("checker, passes", [(object_checker("causal"), (1, 0)), (object_checker("pram"), (4, 4))],
                          ids=["causal", "pram"])
 def test_exact_check_of_a_recorded_run_never_searches(recorded, work, checker, passes):
     """Causal closes once; PRAM sorts and closes each restriction once, in the
@@ -107,7 +118,7 @@ def test_a_view_the_precheck_rejects_never_reaches_solve(work):
     b.read(2, "x", "b").read(2, "x", "a")  # p2 sees p1's writes against program order
     b.read(3, "x", "a").read(3, "x", "b")
     history = b.build()
-    result = CausalChecker().check(history, exact=True)
+    result = object_checker("causal").check(history, exact=True)
     assert not result.consistent and [v[:3] for v in result.violations] == ["p2:"]
     p1, p2, p3 = work.problems
     assert work.solved == [p1, p3]  # p2's view never reaches solve()
@@ -119,7 +130,7 @@ def test_pram_check_pays_one_scc_and_one_kahn_pass_per_view(recorded, work):
     """Its relation is not transitive (Definition 11), so each restriction is
     sorted and closed on its own — once."""
     history, read_from = recorded
-    result = PRAMChecker().check(history, read_from, exact=False)
+    result = object_checker("pram").check(history, read_from, exact=False)
     assert result.consistent
     assert (work.passes["scc"], work.passes["kahn"]) == (4, 4)
     assert work.with_preds() == []
@@ -136,7 +147,7 @@ def test_no_view_of_a_suite_point_or_sampled_run_searches(work):
         if not isinstance(report.history, History):
             continue
         solved, searched = len(work.solved), len(work.searched)
-        for checker in (CausalChecker(), PRAMChecker()):
+        for checker in (object_checker("causal"), object_checker("pram")):
             result = checker.check(report.history, read_from=report.read_from, exact=True)
             assert result.exact, (spec.name, checker.name)
             checked += 1
@@ -150,7 +161,7 @@ def test_the_1000_operation_scale_pram_shape_is_decided_exactly_without_search(w
     script = uniform_access_script(dist, 250, 0.4, seed=3)
     report = Session("pram_partial", dist, script, seed=3, check=False).run()
     assert len(report.history) == 1000
-    for checker in (CausalChecker(), PRAMChecker()):
+    for checker in (object_checker("causal"), object_checker("pram")):
         result = checker.check(report.history, report.read_from, exact=True)
         assert result.consistent and result.exact and len(result.serializations) == 4
     assert len(work.solved) == 8 and work.searched == []

@@ -20,11 +20,11 @@ import pytest
 from repro.core.consistency import get_checker
 from repro.core.operations import BOTTOM
 from repro.core.consistency.incremental import WindowedChecker
-from repro.exceptions import ConsistencyCheckError, UnknownCriterionError
+from repro.exceptions import ConsistencyCheckError, TraceFormatError, UnknownCriterionError
 from repro.serve.monitor import TenantMonitor, VIOLATED
 from repro.serve.replay import materialise, replay_trace, replay_windowed
 from repro.serve.spec import TenantSpec
-from repro.serve.trace import TraceMeta, TraceRecord, read_trace
+from repro.serve.trace import TraceMeta, TraceRecord, read_trace, write_trace
 
 #: (experiment scenario, point index, expected batch verdict) — the trace
 #: sources of the equivalence property, one per suite the ISSUE names.
@@ -355,3 +355,38 @@ class TestCheckpointRestore:
             read_from=stale)
         assert found is not None and found.consistent is False
         assert resumed.finalize().exact is True
+
+
+class TestCorruptSources:
+    """A read whose ``source`` names a write on another variable, or of
+    another value, makes the trace malformed: neither the offline oracle nor
+    a served tenant (whose window still retains that write) gives it a
+    verdict."""
+
+    @staticmethod
+    def _records(corruption):
+        # the source is w0(y)'b': read x instead, or read the value 'a'
+        read = {"variable": dict(variable="x", value="b"),
+                "value": dict(variable="y", value="a")}[corruption]
+        return [
+            TraceRecord(kind="write", process=0, variable="x", value="a", index=0),
+            TraceRecord(kind="write", process=0, variable="y", value="b", index=1),
+            TraceRecord(kind="read", process=1, index=0, source=(0, 1), **read),
+        ]
+
+    @pytest.mark.parametrize("corruption", ["variable", "value"])
+    def test_the_offline_oracle_refuses(self, tmp_path, corruption):
+        path = str(tmp_path / "corrupt.jsonl")
+        write_trace(path, _synthetic_meta(), self._records(corruption))
+        with pytest.raises(TraceFormatError, match=r"names source \[0, 1\]"):
+            replay_trace(path)
+
+    @pytest.mark.parametrize("corruption", ["variable", "value"])
+    def test_a_served_tenant_refuses(self, corruption):
+        monitor = TenantMonitor(TenantSpec(name="corrupt", window=16),
+                                meta=_synthetic_meta())
+        *writes, read = self._records(corruption)
+        for record in writes:
+            monitor.ingest(record)
+        with pytest.raises(TraceFormatError, match=r"names source \[0, 1\]"):
+            monitor.ingest(read)

@@ -51,8 +51,10 @@ bench-pairs:
 # The profile that motivates an optimisation (ROADMAP: none lands without
 # one): cProfile of three full-size timed sections of one benchmark workload
 # (imports, warm-up and set-up run unprofiled), top 30 rows by own time, then
-# top 30 by cumulative time; then one more timed section under tracemalloc:
-# peak and retained MiB above the inputs and the top 10 allocating lines.
+# top 30 by cumulative time, then the columnar checker's phase split (calls
+# and cumulative seconds of each phase); then one more timed section under
+# tracemalloc: peak and retained MiB above the inputs and the top 10
+# allocating lines.
 #   make profile W=partial_causal
 profile:
 	$(PYTHON) benchmarks/timed_profile.py --workload $(W)

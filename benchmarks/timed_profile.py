@@ -6,8 +6,11 @@ way ``benchmarks/e2e/run.py`` does, warms up at smoke size unprofiled (imports,
 registries, lazy caches - and, on the arena workloads, the object path only the
 smoke size takes), builds three full-size inputs unprofiled, and enables the
 profiler only around ``run(inputs)``.  It prints the top 30 rows by own time,
-then the top 30 by cumulative time.  Profiling a whole ``run.py`` process
-instead mixes those rows with ``builtins.compile`` and the warm-up's.
+then the top 30 by cumulative time, then the columnar checker's phase split:
+the calls and cumulative seconds of each of ``PHASES`` in
+``repro/arena/check.py``, read off the same stats.  Profiling a whole
+``run.py`` process instead mixes those rows with ``builtins.compile`` and the
+warm-up's.
 
 Then it runs one more full-size timed section under ``tracemalloc`` (not under
 ``cProfile``), tracing from after the set-up, and prints the section's peak
@@ -30,6 +33,9 @@ ITERATIONS = 3
 ROWS = 30
 MEMORY_ROWS = 10
 MIB = 1024 * 1024
+#: The phases of ``ArenaBatchChecker``'s columnar check
+#: (``_verify`` runs inside ``_witness``).
+PHASES = ("_causal_vcs", "_bounds", "_bad_patterns", "_witness", "_verify", "_advance_monitors")
 
 
 def main() -> int:
@@ -56,8 +62,24 @@ def main() -> int:
           f"{stats.total_tt:.2f} s profiled")  # type: ignore[attr-defined]
     stats.sort_stats("tottime").print_stats(ROWS)
     stats.sort_stats("cumulative").print_stats(ROWS)
+    print_phases(args.workload, stats)
     traced_memory(args.workload, workload)
     return 0
+
+
+def print_phases(name: str, stats: pstats.Stats) -> None:
+    """Calls and cumulative seconds of each checker phase in ``stats``."""
+    totals = {phase: [0, 0.0] for phase in PHASES}
+    checker = os.path.join("repro", "arena", "check.py")
+    rows = stats.stats  # type: ignore[attr-defined]
+    for (filename, _, function), (_, calls, _, cumulative, _) in rows.items():
+        if function in totals and filename.endswith(checker):
+            totals[function][0] += calls
+            totals[function][1] += cumulative
+    print(f"{name}: checker phases, cumulative over {ITERATIONS} timed sections "
+          f"(_verify runs inside _witness):")
+    for phase, (calls, seconds) in totals.items():
+        print(f"  {phase:<18} {seconds:8.3f} s {calls:8d} calls")
 
 
 def traced_memory(name: str, workload) -> None:

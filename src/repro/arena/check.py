@@ -29,14 +29,20 @@ Each view ``H_{p+w}`` gives every remote write a *batch index*, the first own
 operation it precedes — read off the clocks for causal, off the read-from
 pairs for pram (whose restricted
 :func:`~repro.core.orders.pram_generating_order` graph is p's chain, the
-write chains and read-from into p's reads).  The bad patterns are bisections
-over it, and saturation (:meth:`ArenaBatchChecker._witness`, the columnar
-form of :meth:`~repro.core.serialization.SerializationProblem.saturate`)
-lowers it to a fixpoint: a cycle proves the view inconsistent, otherwise the
-batches and own operations, interleaved, are the witness.  Both engines emit
-by the one rule stated in :mod:`repro.core.serialization`, so verdicts,
-violation strings and witnesses equal the object checker's over the
-materialised history.
+write chains and read-from into p's reads).  Saturation
+(:meth:`ArenaBatchChecker._witness`, the columnar form of
+:meth:`~repro.core.serialization.SerializationProblem.saturate`) lowers it
+to a fixpoint in one rewinding sweep: a cycle proves the view inconsistent,
+otherwise the batches and own operations, interleaved, are the witness.  The
+bad patterns are bisections over it.  An exact check saturates every view
+first and runs the bad patterns only on a view saturation rejects, to name
+its violations; ``check_now``, ``exact=False`` and the close after monitor
+hits run the bad patterns alone.  The object path
+(:func:`~repro.core.consistency.base.check_view`) keeps the gate-first order
+on purpose: it is the reference the differential tests hold this one to.
+Both engines emit by the one rule stated in :mod:`repro.core.serialization`,
+so verdicts, violation strings and witnesses equal the object checker's over
+the materialised history.
 
 Every other criterion is checked by one inner
 :func:`~repro.core.consistency.incremental.incremental_checker`: each row is
@@ -83,6 +89,18 @@ class _Chains(NamedTuple):
     rows: Dict[int, Sequence[int]]
     on: Dict[Tuple[int, int], List[int]]
     writers: Dict[int, List[int]]
+
+
+def _write_chains(arena: OpArena, pids: Sequence[int]) -> _Chains:
+    """The :class:`_Chains` of processes ``pids`` in ``arena``."""
+    chains = _Chains({q: arena.write_rows_of(q) for q in pids}, {}, {})
+    for q in pids:
+        for k, row in enumerate(chains.rows[q]):
+            on = chains.on.setdefault((q, arena.var[row]), [])
+            if not on:
+                chains.writers.setdefault(arena.var[row], []).append(q)
+            on.append(k)
+    return chains
 
 
 def _last_true(n: int, pred) -> int:
@@ -190,9 +208,10 @@ class ArenaBatchChecker(IncrementalChecker):
 
     # -- columnar path --------------------------------------------------------
     def solved(self) -> CheckResult:
-        """The batch close of the whole arena: every view's bad patterns,
-        then (``exact``) its saturation and witness.  The stream monitors do
-        not run, so the violations are those of the object per-view check
+        """The batch close of the whole arena: with ``exact``, every view's
+        saturation and witness, and the bad patterns of the views it rejects;
+        without, every view's bad patterns.  The stream monitors do not run,
+        so the violations are those of the object per-view check
         (:meth:`~repro.core.consistency.base.PerProcessChecker.check`).
         ``finalize`` closes a stream with no proven violation by it."""
         found, witnesses = self._views(self._exact)
@@ -245,35 +264,37 @@ class ArenaBatchChecker(IncrementalChecker):
 
     # -- columnar views -------------------------------------------------------
     def _views(self, solve: bool) -> Tuple[List[str], Dict[int, array]]:
-        """Every view's bad patterns, then — when it has none and ``solve`` is
-        set — its saturation: the object checker's violation strings in its
-        order, and the witness rows of every view that has one."""
+        """The object checker's violation strings in its order, and the
+        witness rows of every view that has one.
+
+        With ``solve`` each view is saturated first: a witness that passes
+        ``_verify`` proves the view consistent, so no bad pattern (each a
+        sound refutation) can exist there.  Only a rejected view runs the
+        bad-pattern pass, on its bounds recomputed (saturation lowers them in
+        place), to name the violation — the strings are those of the
+        object's gate-first order.  Without ``solve`` every view runs the
+        bad-pattern pass alone."""
         arena = self.arena
         pids = sorted(set(self._universe) | set(arena.processes))
         clocks = self._causal_vcs(pids) if self.criterion == "causal" else None
-        chains = _Chains({q: arena.write_rows_of(q) for q in pids}, {}, {})
-        for q in pids:
-            for k, row in enumerate(chains.rows[q]):
-                on = chains.on.setdefault((q, arena.var[row]), [])
-                if not on:
-                    chains.writers.setdefault(arena.var[row], []).append(q)
-                on.append(k)
+        chains = _write_chains(arena, pids)
         violations: List[str] = []
         witnesses: Dict[int, array] = {}
         for p in pids:
             bound = self._bounds(p, chains, clocks)
-            found = self._bad_patterns(p, bound, chains, clocks)
-            if found:
-                violations.extend(f"p{p}: {v}" for v in found)
-            elif solve:
+            if solve:
                 schedule = self._witness(p, bound, chains, clocks)
-                if schedule is None:
-                    violations.append(
-                        f"p{p}: no legal serialization of H_{{{p}+w}} respects "
-                        f"{_RELATION_NAMES[self.criterion]}"
-                    )
-                else:
+                if schedule is not None:
                     witnesses[p] = schedule
+                    continue
+                bound = self._bounds(p, chains, clocks)
+            found = self._bad_patterns(p, bound, chains, clocks)
+            violations.extend(f"p{p}: {v}" for v in found)
+            if solve and not found:
+                violations.append(
+                    f"p{p}: no legal serialization of H_{{{p}+w}} respects "
+                    f"{_RELATION_NAMES[self.criterion]}"
+                )
         return violations, witnesses
 
     def _causal_vcs(
@@ -422,7 +443,8 @@ class ArenaBatchChecker(IncrementalChecker):
         self, p: int, bound: Dict[int, List[int]], chains: _Chains, clocks: Optional[Clocks]
     ) -> Optional[array]:
         """Saturate view p's batch index and emit its witness rows; ``None`` proves
-        that no legal serialization of the view respects the relation.
+        that no legal serialization of the view respects the relation.  It
+        decides the view alone, with no bad-pattern gate before it.
 
         Own operation ``t`` has index ``t``.  An own read at ``t`` of ``s``
         needs every other write on its variable placed before it — per writer
@@ -431,10 +453,17 @@ class ArenaBatchChecker(IncrementalChecker):
         closes a cycle; one with a larger index is lowered to ``s``' index
         with its predecessors (for causal, below its own lower bound
         ``vc[row][p]`` is a cycle); one with the same index gets an edge to
-        ``s`` inside the batch.  Reads at or after the lowest lowered index
-        are revisited until nothing moves.  Emission: batch ``t`` in row order
-        (a topological order of the relation), sorted locally only when it
-        holds such an edge, then own operation ``t``.
+        ``s`` inside the batch.  A read of ⊥ with a write on its variable
+        before it (an own one, or one with index ``<= t``) rejects the view.
+        One sweep visits the own reads in order; after a read that lowers
+        writes to index ``at`` it rewinds to ``at`` — a lowering only sets
+        indices above ``at`` to ``at``, so no read before ``at`` is affected —
+        and once it passes the last read nothing can move: the fixpoint.
+        Each writer chain's pointer (its last write with index ``<= t``)
+        steps back on a rewind as well as forward: indices are non-decreasing
+        along a chain.  Emission: batch ``t`` in row order (a topological
+        order of the relation), sorted locally only when it holds such an
+        edge, then own operation ``t``.
         """
         arena = self.arena
         kind, proc, var, index, source = (
@@ -463,16 +492,18 @@ class ArenaBatchChecker(IncrementalChecker):
             return True
 
         edges = set()
+        before: Dict[Tuple[int, int], int] = {}
         start = 0
-        while start < len(own):
-            lowest = len(own)
-            before: Dict[Tuple[int, int], int] = {}
+        while True:
             for t in range(start, len(own)):
                 r = own[t]
                 if kind[r] == KIND_WRITE:
                     continue
                 v, s = var[r], source[r]
+                written = mine.get(v, ())
                 if s == NO_SOURCE:
+                    if written and written[0] < t:
+                        return None  # an own write on v before r
                     if any(bound[q][chains.on[(q, v)][0]] <= t
                            for q in chains.writers.get(v, ()) if q != p):
                         return None
@@ -480,14 +511,16 @@ class ArenaBatchChecker(IncrementalChecker):
                 sp = proc[s]
                 ks = index[s] if sp == p else bisect_left(chains.rows[sp], s)
                 at = ks if sp == p else bound[sp][ks]
-                written = mine.get(v, ())
                 if bisect_left(written, at + (sp == p)) < bisect_left(written, t):
                     return None  # an own write on v after s and before r
+                lowered = False
                 for q in chains.writers.get(v, ()):
                     if q == p:
                         continue
                     xs, bq = chains.on[(q, v)], bound[q]
                     i = before.get((q, v), 0)
+                    while i and bq[xs[i - 1]] > t:
+                        i -= 1
                     while i < len(xs) and bq[xs[i]] <= t:
                         i += 1
                     before[(q, v)] = i
@@ -499,10 +532,14 @@ class ArenaBatchChecker(IncrementalChecker):
                     if bq[last] > at:
                         if not lower(q, last, at):
                             return None
-                        lowest = min(lowest, at)
+                        lowered = True
                     if sp != p and q != sp:
                         edges.add((q, last, sp, ks))
-            start = lowest
+                if lowered:
+                    start = at
+                    break
+            else:
+                break  # the sweep passed the last read: the fixpoint
 
         n = len(arena)
         rows = chains.rows

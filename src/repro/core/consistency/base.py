@@ -45,7 +45,11 @@ def check_view(
     :meth:`SerializationProblem.solve` decides the view — by saturation when
     its reads form a chain (every causal and PRAM view), by the backtracking
     search otherwise; a search past its state budget leaves the pre-check's
-    verdict with ``exact`` ``False``.
+    verdict with ``exact`` ``False``.  The columnar check
+    (:class:`repro.arena.check.ArenaBatchChecker`) saturates first and runs
+    the bad patterns only on a view it rejects.  This gate-first order stays
+    on purpose: this path is the reference the differential tests compare
+    the columnar check against, so the two do not share an order.
     """
     problem = SerializationProblem(view, relation, read_from, owner=pid)
     violations = problem.quick_violations()

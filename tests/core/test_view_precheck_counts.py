@@ -10,14 +10,21 @@ The causal and PRAM guards count the object per-view path,
 :meth:`PerProcessChecker.check`: ``CausalChecker`` and ``PRAMChecker`` decide
 these histories on the arena, which builds no relation and no
 :class:`SerializationProblem` at all.
+
+The arena guards count its bad-pattern passes: an exact check saturates every
+view and names violations only on the views saturation rejects, so a
+consistent run makes none; ``exact=False`` and ``check_now`` make one per
+view.
 """
 
+import random
 from collections import Counter
 
 import pytest
 
 from repro.api import Session
-from repro.core.consistency import PerProcessChecker
+from repro.arena.check import ArenaBatchChecker
+from repro.core.consistency import PerProcessChecker, get_checker
 from repro.core.consistency.sequential import SequentialChecker
 from repro.core.history import History, HistoryBuilder
 from repro.core.orders import Relation, causal_order, pram_generating_order
@@ -27,6 +34,8 @@ from repro.hunt import SpecSampler
 from repro.mcs.system import MCSystem
 from repro.workloads.access_patterns import run_script, uniform_access_script
 from repro.workloads.distributions import random_distribution
+from repro.workloads.random_history import random_history
+from test_quick_violations_differential import tampered
 
 
 def object_checker(criterion):
@@ -174,3 +183,67 @@ def test_a_sequential_check_of_two_processes_still_searches(work):
     result = SequentialChecker().check(b.build(), exact=True)
     assert result.consistent and result.exact
     assert len(work.searched) == 1
+
+
+def scale_pram_session(**options):
+    """The 1 000-operation ``scale_pram`` shape of the test above."""
+    dist = random_distribution(processes=4, variables=8, replicas_per_variable=2, seed=3)
+    script = uniform_access_script(dist, 250, 0.4, seed=3)
+    return Session("pram_partial", dist, script, seed=3, **options)
+
+
+@pytest.fixture
+def bad_pattern_passes(monkeypatch):
+    """The view of every arena bad-pattern pass, in call order."""
+    views = []
+    bad_patterns = ArenaBatchChecker._bad_patterns
+
+    def counted(checker, p, *args):
+        views.append(p)
+        return bad_patterns(checker, p, *args)
+
+    monkeypatch.setattr(ArenaBatchChecker, "_bad_patterns", counted)
+    return views
+
+
+@pytest.mark.parametrize("criterion", ["causal", "pram"])
+def test_an_exact_check_of_a_consistent_run_runs_no_bad_pattern_pass(criterion, bad_pattern_passes):
+    report = scale_pram_session(criteria=(criterion,), exact=True).run()
+    assert report.consistent and report.exact
+    result = get_checker(criterion).check(report.history, report.read_from, exact=True)
+    assert result.consistent and result.exact and len(result.serializations) == 4
+    assert bad_pattern_passes == []
+
+
+def test_an_inconsistent_exact_check_runs_one_pass_per_rejected_view(bad_pattern_passes):
+    b = HistoryBuilder()
+    b.write(1, "x", "a").write(1, "x", "b")
+    b.read(2, "x", "b").read(2, "x", "a")  # p2 and p3 see p1's writes against program order
+    b.read(3, "x", "b").read(3, "x", "a")
+    b.read(4, "x", "a").read(4, "x", "b")
+    result = get_checker("causal").check(b.build(), exact=True)
+    assert result.exact and [v[:3] for v in result.violations] == ["p2:", "p3:"]
+    assert bad_pattern_passes == [2, 3]
+
+
+def test_a_view_only_saturation_rejects_still_runs_its_pass(bad_pattern_passes):
+    """p2's pass finds nothing, so its verdict names no operation; p1 has bad
+    patterns, and p0 and p3 are consistent."""
+    history = random_history(4, 2, 30, seed=94)
+    read_from = tampered(history, random.Random(94))
+    result = get_checker("causal").check(history, read_from, exact=True)
+    assert sorted(result.serializations) == [0, 3]
+    assert "p2: no legal serialization of H_{2+w} respects causal" in result.violations
+    assert bad_pattern_passes == [1, 2]
+
+
+@pytest.mark.parametrize("criterion", ["causal", "pram"])
+def test_heuristic_checks_and_check_now_run_one_pass_per_view(criterion, bad_pattern_passes):
+    session = scale_pram_session(check=False)
+    report = session.run()
+    result = get_checker(criterion).check(report.history, report.read_from, exact=False)
+    assert result.consistent and not result.exact
+    assert bad_pattern_passes == [0, 1, 2, 3]
+    del bad_pattern_passes[:]
+    assert ArenaBatchChecker(criterion, session.recorder.arena).check_now() is None
+    assert bad_pattern_passes == [0, 1, 2, 3]

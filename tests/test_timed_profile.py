@@ -1,5 +1,6 @@
 """Smoke test of ``make profile`` (``benchmarks/timed_profile.py``): both
-cProfile tables, then the tracemalloc section, on the smallest workload."""
+cProfile tables, the checker's phase split, then the tracemalloc section, on
+the smallest workload."""
 
 import re
 import subprocess
@@ -22,3 +23,21 @@ def test_profile_prints_both_tables_then_memory():
     lines = memory[memory.index("top 10 lines by retained size:"):].splitlines()[1:]
     assert len(lines) == 10
     assert all(re.match(r"\s+[\d.]+ MiB\s+\d+ blocks  \S+:\d+$", line) for line in lines)
+
+
+def test_profile_prints_the_checker_phases_between_the_tables_and_memory():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "timed_profile.py"), "--workload", "place_40p"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    start = out.index("place_40p: checker phases, cumulative over 3 timed sections")
+    assert out.index("Ordered by: cumulative time") < start < out.index("under tracemalloc")
+    rows = out[start:].splitlines()[1:7]
+    found = [re.match(r"  (\w+) +([\d.]+) s +(\d+) calls$", row) for row in rows]
+    assert all(found), rows
+    calls = {match.group(1): int(match.group(3)) for match in found}
+    assert list(calls) == ["_causal_vcs", "_bounds", "_bad_patterns", "_witness", "_verify",
+                           "_advance_monitors"]
+    # place_40p checks with exact=False: one bad-pattern pass per view, no saturation
+    assert calls["_bad_patterns"] == calls["_bounds"] > 0
+    assert calls["_witness"] == calls["_verify"] == 0

@@ -7,11 +7,11 @@ any Python:
     One streaming session through the :class:`repro.api.Session` facade:
     protocol x distribution x workload x network with incremental consistency
     checking (``--check-policy fail_fast`` aborts a violating run at the
-    first proven violation).  ``--scenario file.json`` runs a complete typed
-    :class:`repro.spec.ScenarioSpec`; ``--network faulty --net-param
-    drop_rate=0.1`` injects faults from the flags; ``--app bellman_ford``
-    runs a registered application instead of a scripted workload, its result
-    validated against the centralised reference ground truth.
+    first proven violation).  ``--network faulty --net-param drop_rate=0.1``
+    injects faults; ``--app bellman_ford`` runs a registered application
+    instead of a scripted workload, its result validated against the
+    centralised reference ground truth; ``--scenario file.json`` reads the
+    whole run from a :class:`repro.spec.ScenarioSpec` file instead.
 ``apps``
     The application plugin registry: ``list`` shows the registered apps with
     their capability metadata (blocking-protocol support, variables-per-
@@ -58,7 +58,13 @@ any Python:
 
 Every leaf sub-parser names its handler with ``set_defaults(func=...)`` and
 :func:`main` calls ``args.func(args)``; there is no dispatch table to keep in
-step with the parser.
+step with the parser.  The commands that start a run (``run``, ``apps run``,
+``arena info``) turn their flags, or their ``--scenario`` file, into one
+:class:`repro.spec.ScenarioSpec` (:func:`_spec_from_flags`) and start it with
+:meth:`repro.api.Session.from_spec`, so ``ScenarioSpec.validate`` alone judges
+the run.  JSON files are read by :func:`_read_json` and written by
+:func:`_write_json`: a file that cannot be read or written is an ``error:``
+line and exit status 2, never a traceback.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 
 def _parse_params(pairs: Optional[Sequence[str]], flag: str) -> dict:
@@ -90,30 +96,40 @@ def _parse_params(pairs: Optional[Sequence[str]], flag: str) -> dict:
     return params
 
 
-def _resolve_exactness(args: argparse.Namespace, network) -> bool:
-    """The CLI's exactness default: polynomial pre-check under fault injection."""
-    exact = not args.heuristic
-    if network is not None and args.network != "reliable" \
-            and not args.heuristic and not args.exact:
-        # Fault-injected histories are full of stale reads, the regime
-        # where the exact serialization search blows up; default to the
-        # polynomial pre-check unless the user insists with --exact.
-        exact = False
-        print("note: fault injection active, using the polynomial "
-              "pre-check (pass --exact to force the exact search)",
-              file=sys.stderr)
-    return exact
-
-
-def _read_json(path: str, what: str) -> Any:
-    """Parse a JSON input file; an unreadable one is a typed error."""
+def _read_json(path: str, what: str, parse: Callable[[Any], Any] = lambda data: data) -> Any:
+    """Parse a JSON input file through ``parse``; an unreadable or malformed
+    one is a typed error naming the file."""
     from .exceptions import ScenarioSpecError
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError) as exc:
+            return parse(json.load(handle))
+    except (OSError, ValueError, TypeError) as exc:
         raise ScenarioSpecError(f"cannot read {what} file {path}: {exc}") from None
+
+
+def _read_trace(path: str, read: Callable[[str], Any]) -> Any:
+    """``read(path)`` of a ``repro-trace-v1`` file; an unreadable or malformed
+    one is a typed error naming the file."""
+    from .exceptions import ScenarioSpecError, TraceFormatError
+
+    try:
+        return read(path)
+    except (OSError, TraceFormatError) as exc:
+        raise ScenarioSpecError(f"cannot read trace file {path}: {exc}") from None
+
+
+def _write_json(path: str, payload: Any, what: str) -> None:
+    """Write a JSON output file (sorted keys, trailing newline); an
+    unwritable path is a typed error naming the file."""
+    from .exceptions import ReproError
+
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except OSError as exc:
+        raise ReproError(f"cannot write {what} file {path}: {exc}") from None
 
 
 def _load_scenario(path: str):
@@ -131,67 +147,81 @@ def _load_scenario(path: str):
     return ScenarioSpec.from_dict(data)
 
 
-def _distribution_flags(args: argparse.Namespace):
-    """The ``(family, params)`` pair of ``--distribution`` / ``--dist-param``."""
-    params = _parse_params(args.dist_param, "--dist-param")
-    if args.distribution == "random" and not params:
-        # the canonical Section 3.3 comparison distribution
-        params = {"processes": 6, "variables": 8, "replicas_per_variable": 3}
-    return args.distribution, params
+def _spec_from_flags(args: argparse.Namespace):
+    """The one :class:`repro.spec.ScenarioSpec` a run command describes.
+
+    ``--scenario FILE`` reads it whole (:func:`_load_scenario`); otherwise
+    the flags build it.  A flag the command does not declare reads as ``None``
+    (``apps run`` has no component flags, ``arena info`` no check flags).
+    Either way only :meth:`~repro.spec.ScenarioSpec.validate` judges the
+    spec, when ``Session.from_spec`` starts the run.
+    """
+    from .exceptions import ScenarioSpecError
+    from .spec import (
+        AppSpec,
+        CheckSpec,
+        DistributionSpec,
+        NetworkSpec,
+        ProtocolSpec,
+        ScenarioSpec,
+        WorkloadSpec,
+    )
+
+    flag = vars(args).get
+    if flag("scenario"):
+        if flag("app") or flag("app_param") or flag("max_steps") is not None:
+            raise ScenarioSpecError(
+                "--scenario is a complete run specification; pass the app "
+                "inside the file, not as flags")
+        return _load_scenario(args.scenario)
+    app = distribution = workload = None
+    if flag("app"):
+        app = AppSpec(args.app, _parse_params(args.app_param, "--app-param"),
+                      max_steps=args.max_steps)
+    components = (flag("distribution") or "random", flag("dist_param"),
+                  flag("workload") or "uniform", flag("workload_param"))
+    # An app brings its own distribution: component flags that differ from
+    # their defaults still join its spec, for ScenarioSpec.validate to refuse.
+    if app is None or components != ("random", None, "uniform", None):
+        family, dist_params, pattern, workload_params = components
+        params = _parse_params(dist_params, "--dist-param")
+        if family == "random" and not params:
+            # the canonical Section 3.3 comparison distribution
+            params = {"processes": 6, "variables": 8, "replicas_per_variable": 3}
+        distribution = DistributionSpec(family, params)
+        workload = WorkloadSpec(pattern, _parse_params(workload_params, "--workload-param"))
+    network = NetworkSpec()
+    exact = not flag("heuristic")
+    if flag("network"):
+        network = NetworkSpec(args.network, _parse_params(args.net_param, "--net-param"))
+        if args.network != "reliable" and exact and not args.exact:
+            # Fault-injected histories are full of stale reads, the regime
+            # where the exact serialization search blows up; default to the
+            # polynomial pre-check unless the user insists with --exact.
+            exact = False
+            print("note: fault injection active, using the polynomial "
+                  "pre-check (pass --exact to force the exact search)",
+                  file=sys.stderr)
+    return ScenarioSpec(
+        name="cli",
+        protocol=ProtocolSpec(args.protocol),
+        distribution=distribution,
+        workload=workload,
+        app=app,
+        network=network,
+        check=CheckSpec(enabled=not flag("no_check"),
+                        criteria=tuple(flag("criterion") or ()),
+                        policy=flag("check_policy"),
+                        exact=exact),
+        seed=args.seed,
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from .api import Session
 
-    if args.scenario:
-        if getattr(args, "app", None) or getattr(args, "app_param", None) \
-                or getattr(args, "max_steps", None) is not None:
-            print("error: --scenario is a complete run specification; "
-                  "pass the app inside the file, not as flags",
-                  file=sys.stderr)
-            return 2
-        session = Session.from_spec(_load_scenario(args.scenario),
-                                    trace_out=args.trace_out,
-                                    trace_scenario=args.scenario)
-    else:
-        network = None
-        if args.network:
-            network = (args.network, _parse_params(args.net_param, "--net-param"))
-        session_kwargs = dict(
-            protocol=args.protocol,
-            seed=args.seed,
-            check=not args.no_check,
-            criteria=args.criterion or None,
-            check_policy=args.check_policy,
-            exact=_resolve_exactness(args, network),
-            network=network,
-            trace_out=args.trace_out,
-        )
-        if getattr(args, "app", None):
-            from .spec import AppSpec
-
-            # mirror Session's mutual-exclusion contract instead of silently
-            # dropping workload flags (the two defaults cannot be told apart
-            # from explicit values, but any parameter or non-default name can)
-            if getattr(args, "dist_param", None) or getattr(args, "workload_param", None) \
-                    or (getattr(args, "distribution", None) or "random") != "random" \
-                    or (getattr(args, "workload", None) or "uniform") != "uniform":
-                print("error: pass an app or a distribution/workload, not both",
-                      file=sys.stderr)
-                return 2
-            session = Session(
-                app=AppSpec(args.app,
-                            _parse_params(args.app_param, "--app-param"),
-                            max_steps=args.max_steps),
-                **session_kwargs,
-            )
-        else:
-            session = Session(
-                distribution=_distribution_flags(args),
-                workload=(args.workload,
-                          _parse_params(args.workload_param, "--workload-param")),
-                **session_kwargs,
-            )
+    session = Session.from_spec(_spec_from_flags(args), trace_out=args.trace_out,
+                                trace_scenario=args.scenario or "")
     report = session.run(until=args.until)
     print(report.summary())
     if args.trace_out:
@@ -272,13 +302,7 @@ def _cmd_experiments_run(args: argparse.Namespace) -> int:
     print(f"\n{len(result.records)} runs: {result.executed} executed, "
           f"{result.cached} cached, {result.elapsed_s:.2f}s total")
     if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump([r.to_dict() for r in result.records], handle, indent=2)
-        except OSError as exc:
-            print(f"error: cannot write record file {args.json}: {exc}",
-                  file=sys.stderr)
-            return 2
+        _write_json(args.json, [r.to_dict() for r in result.records], "record")
         print(f"records written to {args.json}")
     failures = result.failures
     if failures:
@@ -292,12 +316,8 @@ def _cmd_experiments_report(args: argparse.Namespace) -> int:
     from .analysis.report import render_records, render_table
     from .experiments import ScenarioRecord, aggregate_records
 
-    try:
-        with open(args.json, "r", encoding="utf-8") as handle:
-            records = [ScenarioRecord.from_dict(entry) for entry in json.load(handle)]
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"error: cannot read record file {args.json}: {exc}", file=sys.stderr)
-        return 2
+    records = _read_json(args.json, "record",
+                         lambda data: [ScenarioRecord.from_dict(entry) for entry in data])
     if args.per_run:
         print(render_records(records, title="Per-run records"))
         print()
@@ -346,8 +366,7 @@ def _cmd_hunt_run(args: argparse.Namespace) -> int:
             "findings": [f.to_dict() for f in report.findings],
             "regressions": [f.to_dict() for f in report.regressions],
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        _write_json(args.json, payload, "hunt report")
         print(f"report written to {args.json}")
     if report.regressions:
         print(f"\nCORPUS REGRESSIONS: "
@@ -441,12 +460,7 @@ def _cmd_hunt_smoke(args: argparse.Namespace) -> int:
 def _cmd_trace_info(args: argparse.Namespace) -> int:
     from .serve.trace import read_trace
 
-    try:
-        meta, records = read_trace(args.file)
-    except OSError as exc:
-        print(f"error: cannot read trace file {args.file}: {exc}",
-              file=sys.stderr)
-        return 2
+    meta, records = _read_trace(args.file, read_trace)
     reads = sum(1 for r in records if r.is_read)
     print(f"trace               : {args.file}")
     print(f"scenario            : {meta.scenario or '-'}")
@@ -467,13 +481,8 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
     from .serve.replay import replay_trace, replay_windowed
 
-    try:
-        report = replay_trace(args.file, criteria=args.criterion or (),
-                              exact=not args.heuristic)
-    except OSError as exc:
-        print(f"error: cannot read trace file {args.file}: {exc}",
-              file=sys.stderr)
-        return 2
+    report = _read_trace(args.file, lambda path: replay_trace(
+        path, criteria=args.criterion or (), exact=not args.heuristic))
     print(report.summary())
     status = 0 if report.consistent else 1
     if args.window:
@@ -506,13 +515,7 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     from .serve.spec import ServeSpec, TenantSpec, TraceSpec
 
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                spec = ServeSpec.from_dict(json.load(handle))
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read serve config {args.config}: {exc}",
-                  file=sys.stderr)
-            return 2
+        spec = _read_json(args.config, "serve config", ServeSpec.from_dict)
     else:
         tenants = []
         for entry in args.tenant or ():
@@ -567,17 +570,13 @@ def _cmd_serve_smoke(args: argparse.Namespace) -> int:
 
 def _place_profile(args: argparse.Namespace):
     """Resolve the ``repro place`` input flags to an :class:`AccessProfile`."""
-    from .exceptions import ScenarioSpecError, TraceFormatError
+    from .exceptions import ScenarioSpecError
     from .place import AccessProfile, synthetic_profile
 
     if args.profile:
         return AccessProfile.from_dict(_read_json(args.profile, "profile"))
     if args.trace:
-        try:
-            return AccessProfile.from_trace(args.trace)
-        except (OSError, TraceFormatError) as exc:
-            raise ScenarioSpecError(
-                f"cannot read trace file {args.trace}: {exc}") from None
+        return _read_trace(args.trace, AccessProfile.from_trace)
     if not args.processes or not args.variables:
         raise ScenarioSpecError(
             "repro place needs --profile, --trace, or a synthetic profile "
@@ -609,9 +608,7 @@ def _cmd_place_optimize(args: argparse.Namespace) -> int:
     report = build_report(result, profile, measured=measured)
     print(report.render())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, report.to_dict(), "placement report")
         print(f"report written to {args.out}")
     if measured is not None and measured.get("consistent") != 1.0:
         print(f"error: measured run on {args.measure!r} was not consistent",
@@ -641,19 +638,9 @@ def _cmd_arena_info(args: argparse.Namespace) -> int:
     from .api import Session
     from .arena import arena_info, format_info
 
-    if args.scenario:
-        spec = _load_scenario(args.scenario)
-        spec.check.enabled = False
-        session = Session.from_spec(spec)
-    else:
-        session = Session(
-            protocol=args.protocol,
-            distribution=_distribution_flags(args),
-            workload=(args.workload,
-                      _parse_params(args.workload_param, "--workload-param")),
-            seed=args.seed,
-            check=False,
-        )
+    spec = _spec_from_flags(args)
+    spec.check.enabled = False
+    session = Session.from_spec(spec)
     session.run()
     print(format_info(arena_info(session.recorder.arena)))
     return 0
@@ -711,41 +698,30 @@ def _cmd_apps_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_protocols_list(args: argparse.Namespace) -> int:
+    from . import spec
     from .analysis.report import render_table
-    from .spec import PROTOCOL_REGISTRY
 
     rows = [{
         "protocol": component.name,
         "criterion": component.metadata.get("criterion", ""),
         "replication": component.metadata.get("replication", ""),
         "options": ", ".join(component.params) or "-",
-    } for component in PROTOCOL_REGISTRY.components()]
+    } for component in spec.PROTOCOL_REGISTRY.components()]
     print(render_table(rows, title="Registered protocols"))
     if args.verbose:
         print()
-        for component in PROTOCOL_REGISTRY.components():
+        for component in spec.PROTOCOL_REGISTRY.components():
             description = component.metadata.get("description", "")
             print(f"{component.name}: {description}")
         print()
-        _print_component_registries()
+        for title, registry in (
+            ("distribution families", spec.DISTRIBUTION_REGISTRY),
+            ("workload patterns", spec.WORKLOAD_REGISTRY),
+            ("topologies", spec.TOPOLOGY_REGISTRY),
+            ("network models", spec.NETWORK_MODEL_REGISTRY),
+        ):
+            print(f"{title}: {', '.join(registry.names())}")
     return 0
-
-
-def _print_component_registries() -> None:
-    from .spec import (
-        DISTRIBUTION_REGISTRY,
-        NETWORK_MODEL_REGISTRY,
-        TOPOLOGY_REGISTRY,
-        WORKLOAD_REGISTRY,
-    )
-
-    for title, registry in (
-        ("distribution families", DISTRIBUTION_REGISTRY),
-        ("workload patterns", WORKLOAD_REGISTRY),
-        ("topologies", TOPOLOGY_REGISTRY),
-        ("network models", NETWORK_MODEL_REGISTRY),
-    ):
-        print(f"{title}: {', '.join(registry.names())}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -757,11 +733,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_session_flags(target: argparse.ArgumentParser) -> None:
-        """Flags shared by ``run`` and ``apps run`` (one Session each)."""
+    def add_spec_flags(target: argparse.ArgumentParser, *, scripted: bool,
+                       session: bool) -> None:
+        """Declare the flags :func:`_spec_from_flags` builds a ScenarioSpec
+        from: ``scripted`` adds the distribution/workload flags and
+        ``--scenario`` (``run``, ``arena info``), ``session`` the check,
+        network and application flags of a checked run (``run``,
+        ``apps run``)."""
         target.add_argument("--protocol", default="pram_partial",
-                            help="protocol name (see repro.mcs.PROTOCOLS)")
+                            help="protocol name (see 'repro protocols list')")
         target.add_argument("--seed", type=int, default=0)
+        if scripted:
+            target.add_argument("--distribution", default="random",
+                                help="distribution family (full_replication, "
+                                     "disjoint_blocks, chain, random, "
+                                     "neighbourhood)")
+            target.add_argument("--dist-param", action="append", default=None,
+                                metavar="K=V",
+                                help="distribution family parameter (repeatable)")
+            target.add_argument("--workload", default="uniform",
+                                help="workload pattern (uniform, single_writer)")
+            target.add_argument("--workload-param", action="append", default=None,
+                                metavar="K=V",
+                                help="workload pattern parameter (repeatable)")
+            target.add_argument("--scenario", default=None, metavar="FILE",
+                                help="read the whole run from a ScenarioSpec "
+                                     "JSON file instead of the flags")
+        if not session:
+            return
         target.add_argument("--criterion", action="append", default=None,
                             help="criterion to check incrementally (repeatable; "
                                  "default: the protocol's claimed criterion)")
@@ -798,25 +797,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  "'repro trace replay' and 'repro serve')")
 
     run = sub.add_parser("run", help="one streaming session with incremental checking")
-    add_session_flags(run)
-    run.set_defaults(func=_cmd_run)
-    run.add_argument("--distribution", default="random",
-                     help="distribution family (full_replication, disjoint_blocks, "
-                          "chain, random, neighbourhood)")
-    run.add_argument("--dist-param", action="append", default=None, metavar="K=V",
-                     help="distribution family parameter (repeatable)")
-    run.add_argument("--workload", default="uniform",
-                     help="workload pattern (uniform, single_writer)")
-    run.add_argument("--workload-param", action="append", default=None, metavar="K=V",
-                     help="workload pattern parameter (repeatable)")
+    add_spec_flags(run, scripted=True, session=True)
     run.add_argument("--until", type=int, default=None,
                      help="drive at most this many workload operations")
-    run.add_argument("--scenario", default=None, metavar="FILE",
-                     help="run a ScenarioSpec JSON file (overrides the "
-                          "component flags above)")
     run.add_argument("--app", default=None,
                      help="run a registered application instead of a scripted "
                           "workload (see 'repro apps list')")
+    run.set_defaults(func=_cmd_run)
 
     apps = sub.add_parser("apps",
                           help="application plugin registry (list/run)")
@@ -828,10 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
     apps_run = asub.add_parser("run", help="run one registered application")
     apps_run.add_argument("--app", required=True,
                           help="registered application name")
-    add_session_flags(apps_run)
-    # 'apps run' is 'run --app': one handler, the component flags absent
-    apps_run.set_defaults(func=_cmd_run, until=None, scenario=None,
-                          distribution=None, workload=None)
+    add_spec_flags(apps_run, scripted=False, session=True)
+    # 'apps run' is 'run --app': one handler, without --until and --scenario
+    apps_run.set_defaults(func=_cmd_run, until=None, scenario=None)
 
     reproduce = sub.add_parser(
         "reproduce", help="evaluate the ledger of paper claims, stage by stage")
@@ -1069,22 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
         "info",
         help="record a run into an OpArena (checking disabled) and print "
              "its sizes, causal generating edges and memory estimate")
-    ar_info.add_argument("--protocol", default="pram_partial")
-    ar_info.add_argument("--seed", type=int, default=0)
-    ar_info.add_argument("--distribution", default="random",
-                         help="distribution family (full_replication, "
-                              "disjoint_blocks, chain, random, neighbourhood)")
-    ar_info.add_argument("--dist-param", action="append", default=None,
-                         metavar="K=V",
-                         help="distribution family parameter (repeatable)")
-    ar_info.add_argument("--workload", default="uniform",
-                         help="workload pattern (uniform, single_writer)")
-    ar_info.add_argument("--workload-param", action="append", default=None,
-                         metavar="K=V",
-                         help="workload pattern parameter (repeatable)")
-    ar_info.add_argument("--scenario", default=None, metavar="FILE",
-                         help="inspect a ScenarioSpec JSON file's run instead "
-                              "of the component flags above")
+    add_spec_flags(ar_info, scripted=True, session=False)
     ar_info.set_defaults(func=_cmd_arena_info)
 
     lint = sub.add_parser(

@@ -190,25 +190,26 @@ def run_point(point: ScenarioPoint) -> ScenarioRecord:
     """
     from ..api import Session  # local import: repro.api builds on this package
 
+    spec = point.spec
     started = time.perf_counter()
-    session = Session.from_spec(point.spec)
+    session = Session.from_spec(spec)
     report = session.run()
     criterion = ",".join(report.criteria) if report.criteria else \
-        PROTOCOL_CRITERION[point.protocol]
+        PROTOCOL_CRITERION[spec.protocol.name]
     efficiency = report.efficiency
-    if point.app is not None:
+    if spec.app is not None:
         distribution_name, workload_name = "-", "-"
-        params: Dict[str, Any] = dict(point.app.params)
+        params: Dict[str, Any] = dict(spec.app.params)
     else:
-        distribution_name = point.distribution.family
-        workload_name = point.workload.pattern
-        params = {**point.distribution.params, **point.workload.params}
+        distribution_name = spec.distribution.family
+        workload_name = spec.workload.pattern
+        params = {**spec.distribution.params, **spec.workload.params}
     return ScenarioRecord(
-        scenario=point.scenario,
+        scenario=spec.name,
         suite=point.suite,
         paper_ref=point.paper_ref,
-        protocol=point.protocol,
-        seed=point.seed,
+        protocol=spec.protocol.name,
+        seed=spec.seed,
         distribution=distribution_name,
         workload=workload_name,
         params=params,
@@ -228,7 +229,7 @@ def run_point(point: ScenarioPoint) -> ScenarioRecord:
         relevance_violations=report.relevance_violations,
         elapsed_s=time.perf_counter() - started,
         cached=False,
-        network_model=point.network.model,
+        network_model=spec.network.model,
         messages_dropped=report.messages_dropped,
         messages_duplicated=report.messages_duplicated,
         expected_consistent=point.expect_consistent,

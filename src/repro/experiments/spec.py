@@ -2,12 +2,13 @@
 
 An :class:`ExperimentSpec` names a *family* of runs: a protocol line-up, a
 distribution family, a workload pattern, a network model, the seeds to
-replay and an optional parameter grid.  It is pure data, validated eagerly
-(:meth:`ExperimentSpec.validate`) and expanded lazily
+replay and an optional parameter grid.  It expands
 (:meth:`ExperimentSpec.expand`) into concrete :class:`ScenarioPoint` runs —
-one per ``protocol x seed x grid-cell`` — each of which wraps one canonical
+one per ``grid-cell x protocol x seed`` — each of which wraps one canonical
 :class:`repro.spec.ScenarioSpec` (the typed, JSON-round-trippable
-single-run spec the whole stack executes).
+single-run spec the whole stack executes).  The experiment validates only
+its own axes (protocols, seeds, grid axes and values); whether a run is
+valid is decided by :meth:`repro.spec.ScenarioSpec.validate` alone.
 
 The component specs themselves (:class:`~repro.spec.DistributionSpec`,
 :class:`~repro.spec.WorkloadSpec`, ...) live in :mod:`repro.spec` and are
@@ -27,7 +28,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from ..exceptions import ScenarioSpecError
 from ..spec.registry import (
@@ -35,7 +36,6 @@ from ..spec.registry import (
     DISTRIBUTION_REGISTRY,
     WORKLOAD_REGISTRY,
     build_topology,
-    resolve_protocol,
 )
 from ..spec.scenario import (
     AppSpec,
@@ -43,7 +43,6 @@ from ..spec.scenario import (
     DistributionSpec,
     NetworkSpec,
     ProtocolSpec,
-    TopologySpec,
     WorkloadSpec,
 )
 from ..spec.scenario import ScenarioSpec as _RunSpec
@@ -54,6 +53,8 @@ from ..spec.scenario import ScenarioSpec as _RunSpec
 #: 4: records carry the control/payload overhead ratio; 5: a violation proved
 #: only at finalize names itself in ``first_violation``.)
 CACHE_VERSION = 5
+
+_Component = TypeVar("_Component", DistributionSpec, WorkloadSpec, AppSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -103,150 +104,114 @@ class ExperimentSpec:
     app: Optional[AppSpec] = None
     expect_correct: Optional[bool] = None
 
-    def _check_spec(self) -> CheckSpec:
-        return CheckSpec(
-            enabled=self.check_consistency,
-            criteria=tuple(self.criteria),
-            policy=self.check_policy,
-            exact=self.exact,
-        )
-
     def validate(self) -> None:
-        """Raise :class:`ScenarioSpecError` on the first malformed field."""
-        if not self.name or not self.name.replace("-", "").replace("_", "").isalnum():
-            raise ScenarioSpecError(
-                f"scenario name must be a non-empty [-_a-zA-Z0-9] slug, got {self.name!r}"
-            )
+        """Raise a typed :class:`ScenarioSpecError` on the first malformed field.
+
+        The experiment checks only its own axes: protocols, seeds, grid axes
+        and grid values.  Every run is judged by
+        :meth:`repro.spec.ScenarioSpec.validate`, on one expanded run per
+        (grid cell, protocol), since the seed does not affect validity; so a
+        grid value that the base spec rejects (e.g. a parameter a chosen
+        topology refuses) fails here, at registration, with the error the
+        run itself would raise.
+        """
+        for runs in self._runs(self.seeds[:1]):
+            runs[0].validate()
+
+    def _check_axes(self) -> None:
         if not self.protocols:
             raise ScenarioSpecError(f"scenario {self.name!r} lists no protocols")
-        for protocol in self.protocols:
-            try:
-                component = resolve_protocol(protocol)
-                component.validate_params(self.protocol_options)
-            except ScenarioSpecError as exc:
-                raise ScenarioSpecError(
-                    f"scenario {self.name!r}: {exc}"
-                ) from None
         if not self.seeds:
             raise ScenarioSpecError(f"scenario {self.name!r} lists no seeds")
-        if self.app is not None:
-            if self.distribution is not None or self.workload is not None:
-                raise ScenarioSpecError(
-                    f"scenario {self.name!r} names an app and a "
-                    "distribution/workload; an app brings its own "
-                    "distribution and programs"
-                )
-            self.app.validate()
-            for protocol in self.protocols:
-                self.app.check_protocol(
-                    ProtocolSpec(protocol, dict(self.protocol_options))
-                )
-        else:
-            if self.distribution is None or self.workload is None:
-                raise ScenarioSpecError(
-                    f"scenario {self.name!r} needs either an app or a "
-                    "distribution plus a workload"
-                )
-            self.distribution.validate()
-            self.workload.validate()
-        self.network.validate()
-        self._check_spec().validate()
+        components = {
+            "app": self.app and (APP_REGISTRY, self.app.name),
+            "distribution": self.distribution and (DISTRIBUTION_REGISTRY,
+                                                   self.distribution.family),
+            "workload": self.workload and (WORKLOAD_REGISTRY, self.workload.pattern),
+        }
+        scopes = [scope for scope, named in components.items() if named] or list(components)
         for axis, values in self.grid.items():
             scope, _, param = axis.partition(".")
-            scopes = ("app",) if self.app is not None else ("distribution", "workload")
-            if scope not in scopes or not param:
+            if not components.get(scope) or not param:
                 wanted = " or ".join(f"'{s}.<param>'" for s in scopes)
                 raise ScenarioSpecError(
                     f"scenario {self.name!r}: grid axis {axis!r} must be {wanted}"
                 )
-            if scope == "app":
-                component = APP_REGISTRY.get(self.app.name)
-                allowed = component.params
-                if component.metadata.get("dynamic_params"):
-                    allowed = None  # the factory validates (topology params)
-            elif scope == "distribution":
-                allowed = DISTRIBUTION_REGISTRY.get(self.distribution.family).params
-            else:
-                allowed = WORKLOAD_REGISTRY.get(self.workload.pattern).params
-            if allowed is not None and param not in allowed:
+            registry, name = components[scope]
+            component = registry.get(name)
+            # a component that validates its own parameters (the neighbourhood
+            # topologies) takes any name; ScenarioSpec.validate judges the value
+            if not component.metadata.get("dynamic_params") and param not in component.params:
                 raise ScenarioSpecError(
                     f"scenario {self.name!r}: grid axis {axis!r} names no parameter of "
-                    f"the {scope} spec; allowed: {sorted(allowed)}"
+                    f"the {scope} spec; allowed: {sorted(component.params)}"
                 )
             if not values:
                 raise ScenarioSpecError(
                     f"scenario {self.name!r}: grid axis {axis!r} has no values"
                 )
-        # Re-validate every grid cell's merged specs, so a grid value that is
-        # incompatible with the base spec (e.g. a parameter a chosen topology
-        # rejects) fails here — at registration — not halfway through a run.
-        for dist, work, app in self._cells():
-            if app is not None:
-                app.validate()
-            else:
-                dist.validate()
-                work.validate()
 
-    def _cells(
-        self,
-    ) -> List[Tuple[Optional[DistributionSpec], Optional[WorkloadSpec], Optional[AppSpec]]]:
-        """The grid-merged (distribution, workload, app) specs of every cell."""
+    def _runs(self, seeds: Sequence[int]) -> Iterator[List[_RunSpec]]:
+        """The runs of each (grid cell, protocol), one per seed, in expansion
+        order, after the experiment's own checks."""
+        self._check_axes()
         axes = sorted(self.grid)
-        cells = itertools.product(*(self.grid[axis] for axis in axes)) if axes else [()]
-        merged: List[Tuple[Optional[DistributionSpec], Optional[WorkloadSpec],
-                           Optional[AppSpec]]] = []
-        for cell in cells:
-            dist = (replace(self.distribution, params=dict(self.distribution.params))
-                    if self.distribution is not None else None)
-            work = (replace(self.workload, params=dict(self.workload.params))
-                    if self.workload is not None else None)
-            app = (replace(self.app, params=dict(self.app.params))
-                   if self.app is not None else None)
+        for cell in itertools.product(*(self.grid[axis] for axis in axes)):
+            values: Dict[str, Dict[str, Any]] = {}
             for axis, value in zip(axes, cell):
                 scope, _, param = axis.partition(".")
-                target = {"distribution": dist, "workload": work, "app": app}[scope]
-                target.params[param] = value
-            merged.append((dist, work, app))
-        return merged
-
-    def expand(self) -> List["ScenarioPoint"]:
-        """All concrete runs of the experiment, in deterministic order."""
-        self.validate()
-        points: List[ScenarioPoint] = []
-        for dist, work, app in self._cells():
+                values.setdefault(scope, {})[param] = value
             for protocol in self.protocols:
-                for seed in self.seeds:
-                    scenario = _RunSpec(
+                yield [
+                    _RunSpec(
                         name=self.name,
                         protocol=ProtocolSpec(protocol, dict(self.protocol_options)),
-                        distribution=(replace(dist, params=dict(dist.params))
-                                      if dist is not None else None),
-                        workload=(replace(work, params=dict(work.params))
-                                  if work is not None else None),
-                        app=(replace(app, params=dict(app.params))
-                             if app is not None else None),
-                        network=replace(self.network,
-                                        params=dict(self.network.params)),
-                        check=self._check_spec(),
+                        distribution=_merged(self.distribution, values.get("distribution")),
+                        workload=_merged(self.workload, values.get("workload")),
+                        app=_merged(self.app, values.get("app")),
+                        network=replace(self.network, params=dict(self.network.params)),
+                        check=CheckSpec(self.check_consistency, tuple(self.criteria),
+                                        self.check_policy, self.exact),
                         seed=seed,
                     )
-                    points.append(
-                        ScenarioPoint(
-                            spec=scenario,
-                            suite=self.suite,
-                            paper_ref=self.paper_ref,
-                            expect_consistent=self.expect_consistent,
-                            expect_correct=self.expect_correct,
-                        )
-                    )
+                    for seed in seeds
+                ]
+
+    def expand(self) -> List["ScenarioPoint"]:
+        """All concrete runs of the experiment, in deterministic order
+        (grid cell, then protocol, then seed), validated as
+        :meth:`validate` does."""
+        points: List[ScenarioPoint] = []
+        for runs in self._runs(self.seeds):
+            runs[0].validate()
+            points.extend(
+                ScenarioPoint(
+                    spec=run,
+                    suite=self.suite,
+                    paper_ref=self.paper_ref,
+                    expect_consistent=self.expect_consistent,
+                    expect_correct=self.expect_correct,
+                )
+                for run in runs
+            )
         return points
+
+
+def _merged(
+    component: Optional[_Component], params: Optional[Dict[str, Any]]
+) -> Optional[_Component]:
+    """A copy of ``component`` with one grid cell's ``params`` laid over its own."""
+    if component is None:
+        return None
+    return replace(component, params={**component.params, **(params or {})})
 
 
 @dataclass
 class ScenarioPoint:
     """One concrete, cache-addressable run: a canonical spec plus filing.
 
-    ``spec`` is the :class:`repro.spec.ScenarioSpec` the run executes;
+    ``spec`` is the :class:`repro.spec.ScenarioSpec` the run executes; read
+    the run's fields there (``point.spec.protocol.name``, ``point.spec.seed``).
     ``suite``/``paper_ref``/``expect_consistent``/``expect_correct`` are
     presentation and gating data excluded from the run's identity.
     """
@@ -257,35 +222,7 @@ class ScenarioPoint:
     expect_consistent: Optional[bool] = True
     expect_correct: Optional[bool] = None
 
-    # -- delegating accessors (the historical flat field surface) -------------
-    @property
-    def scenario(self) -> str:
-        return self.spec.name
-
-    @property
-    def protocol(self) -> str:
-        return self.spec.protocol.name
-
-    @property
-    def seed(self) -> int:
-        return self.spec.seed
-
-    @property
-    def distribution(self) -> Optional[DistributionSpec]:
-        return self.spec.distribution
-
-    @property
-    def workload(self) -> Optional[WorkloadSpec]:
-        return self.spec.workload
-
-    @property
-    def app(self) -> Optional[AppSpec]:
-        return self.spec.app
-
-    @property
-    def network(self) -> NetworkSpec:
-        return self.spec.network
-
+    # -- read by benchmarks/e2e/workloads.py -----------------------------------
     @property
     def check_consistency(self) -> bool:
         return self.spec.check.enabled
@@ -315,17 +252,15 @@ class ScenarioPoint:
 
     def label(self) -> str:
         """Compact human-readable identifier used by logs and progress output."""
+        spec = self.spec
         params: Dict[str, Any] = {}
-        if self.app is not None:
-            params.update(self.app.params)
-        if self.distribution is not None:
-            params.update(self.distribution.params)
-        if self.workload is not None:
-            params.update(self.workload.params)
+        for component in (spec.app, spec.distribution, spec.workload):
+            if component is not None:
+                params.update(component.params)
         extras = "/".join(f"{k}={v}" for k, v in sorted(params.items()))
-        if self.app is not None:
-            extras = "/".join(filter(None, [f"app={self.app.name}", extras]))
-        if self.network.model != "reliable":
-            extras = "/".join(filter(None, [extras, f"net={self.network.model}"]))
+        if spec.app is not None:
+            extras = "/".join(filter(None, [f"app={spec.app.name}", extras]))
+        if spec.network.model != "reliable":
+            extras = "/".join(filter(None, [extras, f"net={spec.network.model}"]))
         suffix = f" [{extras}]" if extras else ""
-        return f"{self.scenario}:{self.protocol}:s{self.seed}{suffix}"
+        return f"{spec.name}:{spec.protocol.name}:s{spec.seed}{suffix}"

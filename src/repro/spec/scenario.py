@@ -428,14 +428,13 @@ class CheckSpec:
 
     def validate(self) -> None:
         from ..core.consistency.incremental import CheckPolicy
-        from ..core.consistency.registry import all_checkers
+        from ..core.consistency.registry import CRITERIA
 
-        known = all_checkers()
         for criterion in self.criteria:
-            if criterion not in known:
+            if criterion not in CRITERIA:
                 raise ScenarioSpecError(
                     f"unknown consistency criterion {criterion!r}; "
-                    f"known: {sorted(known)}"
+                    f"known: {sorted(CRITERIA)}"
                 )
         if self.policy is not None:
             try:
@@ -512,7 +511,7 @@ class ScenarioSpec:
             if self.distribution is not None or self.workload is not None:
                 raise ScenarioSpecError(
                     f"scenario {self.name!r} names an app and a "
-                    "distribution/workload; an app brings its own "
+                    "distribution/workload, not both: an app brings its own "
                     "distribution and programs"
                 )
             self.app.validate()

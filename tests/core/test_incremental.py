@@ -240,7 +240,7 @@ def _suite_points():
         # property is about checker behaviour, not about seed coverage.
         seen = set()
         for point in expanded:
-            key = (point.scenario, point.protocol)
+            key = (point.spec.name, point.spec.protocol.name)
             if key in seen:
                 continue
             seen.add(key)
@@ -249,17 +249,17 @@ def _suite_points():
 
 
 @pytest.mark.parametrize(
-    "point", _suite_points(), ids=lambda p: f"{p.scenario}-{p.protocol}"
+    "point", _suite_points(), ids=lambda p: f"{p.spec.name}-{p.spec.protocol.name}"
 )
 def test_incremental_equals_batch_on_builtin_suites(point):
     """Acceptance: identical verdicts (and witnesses) incremental vs batch."""
-    distribution = point.distribution.build(seed=point.seed)
-    script = point.workload.build(distribution, seed=point.seed)
-    system = MCSystem(distribution, protocol=point.protocol)
+    distribution = point.spec.distribution.build(seed=point.spec.seed)
+    script = point.spec.workload.build(distribution, seed=point.spec.seed)
+    system = MCSystem(distribution, protocol=point.spec.protocol.name)
     run_script(system, script)
     history = system.history()
     read_from = system.read_from()
-    criterion = PROTOCOL_CRITERION[point.protocol]
+    criterion = PROTOCOL_CRITERION[point.spec.protocol.name]
 
     batch = get_checker(criterion).check(history, read_from, exact=point.exact)
 

@@ -27,11 +27,11 @@ class TestAppsSuiteRegistration:
     def test_expansion_produces_app_points(self):
         for spec in apps_specs():
             for point in spec.expand():
-                assert point.app is not None
-                assert point.distribution is None and point.workload is None
-                assert f"app={point.app.name}" in point.label()
+                assert point.spec.app is not None
+                assert point.spec.distribution is None and point.spec.workload is None
+                assert f"app={point.spec.app.name}" in point.label()
                 # the app axis is part of the cache identity
-                assert point.key()["app"]["name"] == point.app.name
+                assert point.key()["app"]["name"] == point.spec.app.name
 
     def test_faulty_scenarios_gate_both_expectations(self):
         by_name = {spec.name: spec for spec in apps_specs()}
@@ -65,8 +65,8 @@ class TestExperimentSpecAppAxis:
             seeds=(0,),
         )
         points = spec.expand()
-        assert [p.app.params["items"] for p in points] == [2, 3, 4]
-        assert all(p.app.params["stages"] == 3 for p in points)
+        assert [p.spec.app.params["items"] for p in points] == [2, 3, 4]
+        assert all(p.spec.app.params["stages"] == 3 for p in points)
         # distinct cache identities per grid cell
         assert len({p.content_hash() for p in points}) == 3
 

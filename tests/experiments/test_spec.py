@@ -114,7 +114,7 @@ class TestExpansion:
     def test_grid_overrides_base_params(self):
         spec = make_spec(grid={"distribution.intermediates": (4,)})
         (point,) = spec.expand()
-        assert point.distribution.params["intermediates"] == 4
+        assert point.spec.distribution.params["intermediates"] == 4
         # the base spec is untouched by the expansion
         assert spec.distribution.params["intermediates"] == 1
 
@@ -128,8 +128,8 @@ class TestExpansion:
     def test_points_build_runnable_objects(self):
         spec = make_spec()
         (point,) = spec.expand()
-        distribution = point.distribution.build(seed=point.seed)
-        script = point.workload.build(distribution, seed=point.seed)
+        distribution = point.spec.distribution.build(seed=point.spec.seed)
+        script = point.spec.workload.build(distribution, seed=point.spec.seed)
         assert distribution.processes and script
 
 

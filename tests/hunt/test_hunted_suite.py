@@ -32,7 +32,7 @@ class TestRegistration:
             assert len(points) == 1
             point = points[0]
             assert point.expect_consistent is False  # current corpus: violations
-            assert point.seed == spec.seeds[0]
+            assert point.spec.seed == spec.seeds[0]
 
     def test_expansion_reproduces_the_finding_spec(self):
         pairs = load_findings_dir(HUNTED_DIR)

@@ -59,12 +59,12 @@ class TestSpecPathMatchesLegacyPath:
                              ids=lambda p: p.label())
     def test_identical_verdicts_and_witnesses(self, point):
         legacy = Session(
-            protocol=point.protocol,                      # plain string
-            distribution=(point.distribution.family,      # (family, params)
-                          dict(point.distribution.params)),
-            workload=(point.workload.pattern,             # (pattern, params)
-                      dict(point.workload.params)),
-            seed=point.seed,
+            protocol=point.spec.protocol.name,            # plain string
+            distribution=(point.spec.distribution.family,  # (family, params)
+                          dict(point.spec.distribution.params)),
+            workload=(point.spec.workload.pattern,        # (pattern, params)
+                      dict(point.spec.workload.params)),
+            seed=point.spec.seed,
             check=point.check_consistency,
             exact=point.exact,
         ).run()

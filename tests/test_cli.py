@@ -223,3 +223,101 @@ class TestCommands:
                      "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "validated" in out
+
+
+#: Every option (and positional) each command declares.  A change to the
+#: CLI's flags must change this list in the same commit.
+DECLARED_FLAGS = {
+    "run": ["--app", "--app-param", "--check-policy", "--criterion", "--dist-param",
+            "--distribution", "--exact", "--heuristic", "--max-steps", "--net-param",
+            "--network", "--no-check", "--protocol", "--scenario", "--seed",
+            "--trace-out", "--until", "--verbose", "--workload", "--workload-param"],
+    "apps list": ["--verbose"],
+    "apps run": ["--app", "--app-param", "--check-policy", "--criterion", "--exact",
+                 "--heuristic", "--max-steps", "--net-param", "--network", "--no-check",
+                 "--protocol", "--seed", "--trace-out", "--verbose"],
+    "reproduce": [],
+    "protocols list": ["--verbose"],
+    "experiments list": ["--suite", "--verbose"],
+    "experiments run": ["--cache-dir", "--json", "--no-cache", "--per-run", "--scenario",
+                        "--suite", "--verbose", "--workers"],
+    "experiments report": ["--json", "--per-run"],
+    "hunt run": ["--budget", "--jobs", "--json", "--no-shrink", "--out", "--seed",
+                 "--shrink-budget", "--skip-replay", "--verbose"],
+    "hunt shrink": ["--budget", "--out", "file"],
+    "hunt promote": ["file"],
+    "hunt smoke": ["--budget", "--jobs", "--seed"],
+    "trace info": ["file"],
+    "trace replay": ["--criterion", "--heuristic", "--policy", "--window", "file"],
+    "serve run": ["--config", "--criterion", "--follow", "--host", "--oneshot", "--port",
+                  "--status-interval", "--tenant", "--window"],
+    "serve smoke": [],
+    "place optimize": ["--accessors", "--budget", "--measure", "--mode", "--objective",
+                       "--out", "--processes", "--profile", "--profile-seed", "--seed",
+                       "--trace", "--variables"],
+    "place report": ["--measure", "file"],
+    "arena info": ["--dist-param", "--distribution", "--protocol", "--scenario", "--seed",
+                   "--workload", "--workload-param"],
+    "lint": ["--list-rules", "--select", "--third-party", "paths"],
+}
+
+
+class TestDeclaredFlags:
+    def test_no_flag_is_added_or_lost(self):
+        declared = {
+            " ".join(path): sorted(
+                option
+                for action in leaf._actions if not isinstance(action, argparse._HelpAction)
+                for option in action.option_strings or [action.dest]
+            )
+            for path, leaf in leaf_parsers(build_parser())
+        }
+        assert declared == DECLARED_FLAGS
+
+
+def _masked(out):
+    return [line for line in out.splitlines() if not line.startswith("elapsed ")]
+
+
+class TestFlagsAndSpecFiles:
+    """The flags and a ScenarioSpec file differ only in where the spec comes from."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["run", "--app", "bellman_ford"],
+        ["run", "--network", "faulty", "--net-param", "drop_rate=0.1"],
+        ["run", "--criterion", "causal", "--criterion", "pram",
+         "--check-policy", "fail_fast"],
+        ["run", "--no-check"],
+        ["run", "--heuristic"],
+        ["arena", "info"],
+        ["arena", "info", "--dist-param", "processes=4", "--dist-param", "variables=5",
+         "--workload-param", "operations_per_process=7"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_a_spec_file_runs_what_its_flags_run(self, argv, tmp_path, capsys):
+        import json
+
+        from repro.cli import _spec_from_flags
+
+        command = argv[:1] if argv[0] == "run" else argv[:2]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_spec_from_flags(build_parser().parse_args(argv)).to_dict()),
+                        encoding="utf-8")
+        capsys.readouterr()
+        by_flags = main(argv), _masked(capsys.readouterr().out)
+        by_file = main([*command, "--scenario", str(path)]), _masked(capsys.readouterr().out)
+        assert by_flags == by_file
+        assert by_flags[1]  # a summary was printed
+
+
+class TestJsonOutputs:
+    @pytest.mark.parametrize("argv", [
+        ["experiments", "run", "--scenario", "figure2-hoop", "--no-cache", "--json"],
+        ["hunt", "run", "--budget", "2", "--no-shrink", "--skip-replay", "--json"],
+        ["place", "optimize", "--processes", "6", "--variables", "4", "--out"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_an_unwritable_output_is_a_clean_error(self, argv, tmp_path, capsys):
+        assert main([*argv, str(tmp_path / "absent-dir" / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot write" in err
+        assert "Traceback" not in err

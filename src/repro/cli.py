@@ -532,8 +532,7 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
                          status_interval=args.status_interval,
                          tenants=tuple(tenants))
     spec.validate()
-    file_tenants = [t.name for t in spec.tenants if t.trace is not None]
-    if args.oneshot and not file_tenants:
+    if args.oneshot and all(t.trace is None for t in spec.tenants):
         print("error: --oneshot needs at least one file-backed tenant",
               file=sys.stderr)
         return 2
@@ -545,11 +544,7 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
                           "port": port}, sort_keys=True), flush=True)
         try:
             if args.oneshot:
-                while True:
-                    live = [service.tenants.get(name) for name in file_tenants]
-                    if all(t is not None and t.done.is_set() for t in live):
-                        break
-                    await asyncio.sleep(0.05)
+                await service.wait_files()
             else:
                 await asyncio.Event().wait()  # serve until interrupted
         finally:

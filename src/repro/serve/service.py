@@ -84,7 +84,8 @@ class MonitorService:
     """Long-running multi-tenant consistency monitor (``repro serve run``).
 
     Life cycle: :meth:`start` binds the listener and spawns the status loop
-    and one ingestion task per file-backed tenant of the spec;
+    and one ingestion task per file-backed tenant of the spec
+    (:meth:`wait_files` awaits them all);
     :meth:`wait_closed` blocks until :meth:`stop` (or cancellation) shuts
     everything down, finalising every still-running tenant and emitting the
     final status + verdicts on the status sink.
@@ -98,6 +99,7 @@ class MonitorService:
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: List["asyncio.Task[Any]"] = []
+        self._file_tasks: List["asyncio.Task[Any]"] = []
         self._started_at: Optional[float] = None
         self._stopping = False
 
@@ -113,14 +115,19 @@ class MonitorService:
         )
         sockets = self._server.sockets or ()
         self.port = sockets[0].getsockname()[1] if sockets else self.spec.port
-        for tenant_spec in self.spec.tenants:
-            if tenant_spec.trace is not None:
-                self._tasks.append(asyncio.ensure_future(
-                    self._ingest_file(tenant_spec, tenant_spec.trace)
-                ))
+        self._file_tasks = [
+            asyncio.ensure_future(self._ingest_file(tenant_spec, tenant_spec.trace))
+            for tenant_spec in self.spec.tenants if tenant_spec.trace is not None
+        ]
+        self._tasks.extend(self._file_tasks)
         if self.spec.status_interval > 0:
             self._tasks.append(asyncio.ensure_future(self._status_loop()))
         return self.port
+
+    async def wait_files(self) -> None:
+        """Wait until every file-backed tenant has closed; a tenant whose
+        trace file cannot be read raises its :class:`ServeError` here."""
+        await asyncio.gather(*self._file_tasks)
 
     async def wait_closed(self) -> None:
         if self._server is not None:
@@ -357,8 +364,14 @@ class MonitorService:
                     if tenant is None:
                         tenant = self._register(spec, TraceMeta())
                     await self._enqueue(tenant, parsed)
+            if tenant is None and not trace.follow:  # an empty file: 0 ops
+                tenant = self._register(spec, TraceMeta())
         except FileNotFoundError:
             raise ServeError(f"tenant {spec.name!r}: trace file {trace.path!r} not found")
+        except OSError as exc:
+            raise ServeError(
+                f"tenant {spec.name!r}: cannot read trace file {trace.path!r}: {exc}"
+            ) from None
         finally:
             if tenant is not None:
                 await self._enqueue(tenant, None)

@@ -1,32 +1,35 @@
 """Typed, JSON-round-trippable configuration of the monitoring service.
 
-Same contract as the scenario specs of :mod:`repro.spec.scenario` (and
-covered by the same ``repro lint`` RPR3xx round-trip rules): every ``*Spec``
-dataclass validates eagerly, serialises with :meth:`to_dict` omitting
-defaults, and :meth:`from_dict` rejects unknown keys so a typo in a config
-file fails loudly instead of silently monitoring nothing.
+Every ``*Spec`` here is a :class:`~repro.spec.scenario.Spec`, so it shares
+the scenario specs' one JSON codec: :meth:`to_dict` omits defaults and
+:meth:`from_dict` rejects unknown keys and mistyped values, so a typo in a
+config file fails loudly instead of silently monitoring nothing.  Unlike a
+scenario spec, a serve spec also validates on load.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.consistency import CheckPolicy, all_checkers
 from ..exceptions import ScenarioSpecError
-from ..spec.scenario import _reject_unknown_keys, _require_dict
+from ..spec.scenario import Spec
 
 #: Default eviction window of a tenant's bounded-memory checker.
 DEFAULT_WINDOW = 512
 
 
 @dataclass
-class TraceSpec:
+class TraceSpec(Spec):
     """One file-backed trace source (``repro-trace-v1`` JSONL).
 
     ``follow=True`` tails the file like ``tail -f`` — the service keeps the
     tenant open and monitors records as they are appended.
     """
+
+    _shorthand = "path"
+    _validate_on_load = True
 
     path: str
     follow: bool = False
@@ -39,28 +42,9 @@ class TraceSpec:
                 f"trace spec 'follow' must be a bool, got {self.follow!r}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"path": self.path}
-        if self.follow:
-            data["follow"] = self.follow
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "TraceSpec":
-        if isinstance(data, str):
-            return cls(path=data)
-        _require_dict(data, "trace spec")
-        _reject_unknown_keys(data, {"path", "follow"}, "trace spec")
-        spec = cls(
-            path=data.get("path", ""),
-            follow=bool(data.get("follow", False)),
-        )
-        spec.validate()
-        return spec
-
 
 @dataclass
-class TenantSpec:
+class TenantSpec(Spec):
     """One monitored stream: a name, a criterion and a check cadence.
 
     ``window`` bounds the tenant's retained operations (the
@@ -68,6 +52,9 @@ class TenantSpec:
     window); ``trace`` attaches a file source for tenants the service should
     ingest itself (socket tenants configure themselves in their hello line).
     """
+
+    _shorthand = "name"
+    _validate_on_load = True
 
     name: str
     criterion: str = "causal"
@@ -97,42 +84,9 @@ class TenantSpec:
         if self.trace is not None:
             self.trace.validate()
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name}
-        if self.criterion != "causal":
-            data["criterion"] = self.criterion
-        if self.policy != "fail_fast":
-            data["policy"] = self.policy
-        if self.window != DEFAULT_WINDOW:
-            data["window"] = self.window
-        if self.trace is not None:
-            data["trace"] = self.trace.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "TenantSpec":
-        if isinstance(data, str):
-            spec = cls(name=data)
-            spec.validate()
-            return spec
-        _require_dict(data, "tenant spec")
-        _reject_unknown_keys(
-            data, {"name", "criterion", "policy", "window", "trace"}, "tenant spec"
-        )
-        trace = data.get("trace")
-        spec = cls(
-            name=data.get("name", ""),
-            criterion=data.get("criterion", "causal"),
-            policy=data.get("policy", "fail_fast"),
-            window=data.get("window", DEFAULT_WINDOW),
-            trace=None if trace is None else TraceSpec.from_dict(trace),
-        )
-        spec.validate()
-        return spec
-
 
 @dataclass
-class ServeSpec:
+class ServeSpec(Spec):
     """The whole service: listen address, defaults and preconfigured tenants.
 
     ``queue_size`` bounds every tenant's ingest queue — the backpressure
@@ -141,6 +95,8 @@ class ServeSpec:
     unboundedly.  ``status_interval`` is the period, in wall seconds, of the
     service's status stream (0 disables it).
     """
+
+    _validate_on_load = True
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -174,40 +130,3 @@ class ServeSpec:
             if tenant.name in seen:
                 raise ScenarioSpecError(f"duplicate tenant name {tenant.name!r}")
             seen.add(tenant.name)
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {}
-        if self.host != "127.0.0.1":
-            data["host"] = self.host
-        if self.port:
-            data["port"] = self.port
-        if self.window != DEFAULT_WINDOW:
-            data["window"] = self.window
-        if self.queue_size != 1024:
-            data["queue_size"] = self.queue_size
-        if self.status_interval != 1.0:
-            data["status_interval"] = self.status_interval
-        if self.tenants:
-            data["tenants"] = [tenant.to_dict() for tenant in self.tenants]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "ServeSpec":
-        _require_dict(data, "serve spec")
-        _reject_unknown_keys(
-            data,
-            {"host", "port", "window", "queue_size", "status_interval", "tenants"},
-            "serve spec",
-        )
-        spec = cls(
-            host=data.get("host", "127.0.0.1"),
-            port=data.get("port", 0),
-            window=data.get("window", DEFAULT_WINDOW),
-            queue_size=data.get("queue_size", 1024),
-            status_interval=data.get("status_interval", 1.0),
-            tenants=tuple(
-                TenantSpec.from_dict(tenant) for tenant in data.get("tenants", ())
-            ),
-        )
-        spec.validate()
-        return spec

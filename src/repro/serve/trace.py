@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
-from ..exceptions import TraceFormatError
+from ..exceptions import ServeError, TraceFormatError
 from ..core.operations import Operation, OpKind, decode_value, encode_value
 
 #: Format tag carried by every meta record.
@@ -256,10 +256,16 @@ def write_trace(
     meta: TraceMeta,
     records: Iterable[TraceRecord],
 ) -> int:
-    """Write a trace (meta first, then ops); returns the op count."""
+    """Write a trace (meta first, then ops); returns the op count.
+
+    An unwritable path raises :class:`~repro.exceptions.ServeError`.
+    """
     if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            return write_trace(handle, meta, records)
+        try:
+            with open(target, "w", encoding="utf-8") as handle:
+                return write_trace(handle, meta, records)
+        except OSError as exc:
+            raise ServeError(f"cannot write trace file {target}: {exc}") from None
     target.write(dump_line(meta) + "\n")
     count = 0
     for record in records:

@@ -56,6 +56,7 @@ from .scenario import (
     NetworkSpec,
     ProtocolSpec,
     ScenarioSpec,
+    Spec,
     TopologySpec,
     WorkloadSpec,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "ProtocolSpec",
     "RegistryView",
     "ScenarioSpec",
+    "Spec",
     "TOPOLOGY_REGISTRY",
     "TopologySpec",
     "WORKLOAD_REGISTRY",

@@ -11,10 +11,12 @@ by which scripted workload (:class:`WorkloadSpec`), on which network
   :mod:`repro.spec.registry`, with typed errors
   (:class:`~repro.exceptions.ScenarioSpecError` and friends — never a bare
   ``KeyError``);
-* **JSON round-trippable** — ``spec == ScenarioSpec.from_dict(spec.to_dict())``
-  holds for every built-in suite point, and ``from_dict`` rejects unknown
-  keys, so a spec file survives `json.dump`/`json.load` and version drift is
-  reported instead of silently ignored;
+* **JSON round-trippable** through the one codec of :class:`Spec`, which
+  every ``*Spec`` here and in :mod:`repro.serve.spec` inherits —
+  ``spec == ScenarioSpec.from_dict(spec.to_dict())`` holds for every
+  built-in suite point, and ``from_dict`` rejects unknown keys and mistyped
+  values, so a spec file survives `json.dump`/`json.load` and version drift
+  is reported instead of silently ignored;
 * **buildable** — ``build_*`` methods materialise the concrete objects, and
   :meth:`repro.api.Session.from_spec` runs the whole scenario.
 
@@ -25,8 +27,10 @@ fault schedule), so one integer reproduces a run bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
+from typing import (TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping, Optional, Set, Tuple,
+                    Type, TypeVar, Union, get_args, get_origin, get_type_hints)
 
 if TYPE_CHECKING:  # concrete result types, imported lazily at runtime
     from ..core.distribution import VariableDistribution
@@ -51,20 +55,147 @@ from .registry import (
 )
 
 
-def _require_dict(data: Any, what: str) -> Dict[str, Any]:
-    if not isinstance(data, dict):
-        raise ScenarioSpecError(
-            f"{what} spec must be a mapping, got {type(data).__name__}"
-        )
-    return data
+#: Marks a field without a default: always written, required on load.
+_REQUIRED = object()
+
+#: Scalar field types checked on load: accepted types and their noun.
+_SCALARS: Dict[Any, Tuple[Tuple[type, ...], str]] = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+S = TypeVar("S", bound="Spec")
 
 
-def _reject_unknown_keys(data: Mapping[str, Any], allowed: Tuple[str, ...], what: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ScenarioSpecError(
-            f"{what} spec has unknown keys {unknown}; allowed: {sorted(allowed)}"
-        )
+class Spec:
+    """Base of every ``*Spec`` dataclass: one JSON codec read off its fields.
+
+    :meth:`to_dict` writes each field whose value differs from its default
+    (so a field without a default always, and the :attr:`_shorthand` field
+    too): nested specs through their own ``to_dict``, tuples as lists,
+    mappings as copies.  Defaults are omitted, so the canonical form the
+    experiment cache hashes does not move when a field is added.
+
+    :meth:`from_dict` inverts it.  A bare string sets the shorthand field; a
+    non-mapping, an unknown key, a missing required key or a value of the
+    wrong shape raises :class:`~repro.exceptions.ScenarioSpecError`.  Values
+    are decoded by the field's declared type: nested specs by their own
+    ``from_dict``, tuples element by element, ``bool`` fields coerced, and
+    ``int``/``float``/``str`` fields type-checked (a JSON ``true`` is not a
+    number).  Subclasses say only what a type cannot, through
+    ``_shorthand``, ``_validate_on_load`` and the :meth:`_normalize` and
+    :meth:`_required_keys` hooks.
+    """
+
+    #: The field a bare string sets, e.g. ``ProtocolSpec.from_dict("pram_partial")``.
+    _shorthand: ClassVar[Optional[str]] = None
+    #: Whether :meth:`from_dict` validates what it built.
+    _validate_on_load: ClassVar[bool] = False
+
+    def validate(self) -> None:
+        """Raise a typed error on the first malformed field."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Canonical JSON form: the fields that differ from their defaults."""
+        data: Dict[str, Any] = {}
+        for name, _, default in _codec(type(self)):
+            value = _encode(getattr(self, name))
+            if value != default or name == self._shorthand:
+                data[name] = value
+        return data
+
+    @classmethod
+    def from_dict(cls: Type[S], data: Any) -> S:
+        """Rebuild a spec from :meth:`to_dict` output (typed errors)."""
+        label = cls.__name__[: -len("Spec")].lower()
+        data = cls._normalize(data)
+        if not isinstance(data, dict):
+            raise ScenarioSpecError(
+                f"{label} spec must be a mapping, got {type(data).__name__}"
+            )
+        codec = _codec(cls)
+        allowed = [name for name, _, _ in codec]
+        unknown = sorted(set(data) - set(allowed))
+        if unknown:
+            raise ScenarioSpecError(
+                f"{label} spec has unknown keys {unknown}; allowed: {sorted(allowed)}"
+            )
+        missing = sorted(cls._required_keys(data) - set(data))
+        if missing:
+            raise ScenarioSpecError(f"{label} spec misses " + (
+                f"the {missing[0]!r} key" if len(missing) == 1 else f"keys {missing}"))
+        spec = cls(**{
+            name: _decode(data[name], hint, f"{label} {name}")
+            for name, hint, _ in codec if name in data
+        })
+        if cls._validate_on_load:
+            spec.validate()
+        return spec
+
+    @classmethod
+    def _normalize(cls, data: Any) -> Any:
+        """Map a shorthand input onto its mapping form."""
+        if isinstance(data, str) and cls._shorthand is not None:
+            return {cls._shorthand: data}
+        return data
+
+    @classmethod
+    def _required_keys(cls, data: Dict[str, Any]) -> Set[str]:
+        """The keys ``data`` must hold: the fields without a default."""
+        return {name for name, _, default in _codec(cls) if default is _REQUIRED}
+
+
+@lru_cache(maxsize=None)
+def _codec(cls: Any) -> Tuple[Tuple[str, Any, Any], ...]:
+    """``(name, declared type, encoded default)`` of each field of ``cls``."""
+    hints = get_type_hints(cls)
+    rows: List[Tuple[str, Any, Any]] = []
+    for spec_field in fields(cls):
+        default: Any = _REQUIRED
+        if spec_field.default is not MISSING:
+            default = _encode(spec_field.default)
+        elif spec_field.default_factory is not MISSING:
+            default = _encode(spec_field.default_factory())
+        rows.append((spec_field.name, hints[spec_field.name], default))
+    return tuple(rows)
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, Spec):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    if isinstance(value, Mapping):
+        return dict(value)
+    return value
+
+
+def _decode(value: Any, hint: Any, what: str) -> Any:
+    """Decode one JSON value by its declared type (``what`` names it in errors)."""
+    if get_origin(hint) is Union:  # Optional[X]
+        if value is None:
+            return None
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if isinstance(hint, type) and issubclass(hint, Spec):
+        return hint.from_dict(value)
+    if get_origin(hint) is dict:
+        if not isinstance(value, Mapping):
+            raise ScenarioSpecError(
+                f"{what} must be a mapping, got {type(value).__name__}"
+            )
+        return dict(value)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ScenarioSpecError(f"{what} must be a list, got {type(value).__name__}")
+        return tuple(_decode(item, get_args(hint)[0], what) for item in value)
+    if hint is bool:
+        return bool(value)
+    if hint in _SCALARS:
+        types, noun = _SCALARS[hint]
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ScenarioSpecError(f"{what} must be {noun}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +203,10 @@ def _reject_unknown_keys(data: Mapping[str, Any], allowed: Tuple[str, ...], what
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ProtocolSpec:
+class ProtocolSpec(Spec):
     """Which protocol runs: a registry name plus constructor options."""
+
+    _shorthand = "name"
 
     name: str
     options: Dict[str, Any] = field(default_factory=dict)
@@ -91,26 +224,12 @@ class ProtocolSpec:
         """The consistency criterion the protocol claims (registry metadata)."""
         return self.component.metadata["criterion"]
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name}
-        if self.options:
-            data["options"] = dict(self.options)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "ProtocolSpec":
-        if isinstance(data, str):
-            return cls(data)
-        data = _require_dict(data, "protocol")
-        _reject_unknown_keys(data, ("name", "options"), "protocol")
-        if "name" not in data:
-            raise ScenarioSpecError("protocol spec misses the 'name' key")
-        return cls(name=data["name"], options=dict(data.get("options", {})))
-
 
 @dataclass
-class TopologySpec:
+class TopologySpec(Spec):
     """Which topology to build: a registry name plus its parameters."""
+
+    _shorthand = "name"
 
     name: str
     params: Dict[str, Any] = field(default_factory=dict)
@@ -123,25 +242,9 @@ class TopologySpec:
         """Materialise the :class:`~repro.workloads.topology.WeightedDigraph`."""
         return TOPOLOGY_REGISTRY.create(self.name, **self.params)
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name}
-        if self.params:
-            data["params"] = dict(self.params)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "TopologySpec":
-        if isinstance(data, str):
-            return cls(data)
-        data = _require_dict(data, "topology")
-        _reject_unknown_keys(data, ("name", "params"), "topology")
-        if "name" not in data:
-            raise ScenarioSpecError("topology spec misses the 'name' key")
-        return cls(name=data["name"], params=dict(data.get("params", {})))
-
 
 @dataclass
-class DistributionSpec:
+class DistributionSpec(Spec):
     """Which variable distribution to build: a family name plus its parameters.
 
     The ``neighbourhood`` family composes a :class:`TopologySpec` by flat
@@ -149,6 +252,8 @@ class DistributionSpec:
     parameters belong to it (the shape the experiment grids sweep over).
     :meth:`topology_spec` exposes that nested view.
     """
+
+    _shorthand = "family"
 
     family: str
     params: Dict[str, Any] = field(default_factory=dict)
@@ -181,26 +286,12 @@ class DistributionSpec:
             params.setdefault("seed", seed)
         return component.factory(**params)
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"family": self.family}
-        if self.params:
-            data["params"] = dict(self.params)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "DistributionSpec":
-        if isinstance(data, str):
-            return cls(data)
-        data = _require_dict(data, "distribution")
-        _reject_unknown_keys(data, ("family", "params"), "distribution")
-        if "family" not in data:
-            raise ScenarioSpecError("distribution spec misses the 'family' key")
-        return cls(family=data["family"], params=dict(data.get("params", {})))
-
 
 @dataclass
-class WorkloadSpec:
+class WorkloadSpec(Spec):
     """Which scripted access pattern to replay: a pattern name plus parameters."""
+
+    _shorthand = "pattern"
 
     pattern: str
     params: Dict[str, Any] = field(default_factory=dict)
@@ -221,22 +312,6 @@ class WorkloadSpec:
             distribution, seed=seed, **self.params
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"pattern": self.pattern}
-        if self.params:
-            data["params"] = dict(self.params)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "WorkloadSpec":
-        if isinstance(data, str):
-            return cls(data)
-        data = _require_dict(data, "workload")
-        _reject_unknown_keys(data, ("pattern", "params"), "workload")
-        if "pattern" not in data:
-            raise ScenarioSpecError("workload spec misses the 'pattern' key")
-        return cls(pattern=data["pattern"], params=dict(data.get("params", {})))
-
 
 def ensure_app_protocol_compatible(
     app_name: str, blocking_ok: bool, protocol: Component
@@ -254,7 +329,7 @@ def ensure_app_protocol_compatible(
 
 
 @dataclass
-class AppSpec:
+class AppSpec(Spec):
     """Which application programs to run: a registry name plus parameters.
 
     An app spec replaces the ``distribution``/``workload`` pair of a
@@ -267,6 +342,8 @@ class AppSpec:
     :class:`~repro.exceptions.LivelockError` instead of spinning for the
     default 200k steps.
     """
+
+    _shorthand = "name"
 
     name: str
     params: Dict[str, Any] = field(default_factory=dict)
@@ -311,34 +388,9 @@ class AppSpec:
         instance.blocking_ok = bool(component.metadata.get("blocking_ok"))
         return instance
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name}
-        if self.params:
-            data["params"] = dict(self.params)
-        if self.max_steps is not None:
-            data["max_steps"] = self.max_steps
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "AppSpec":
-        if isinstance(data, str):
-            return cls(data)
-        data = _require_dict(data, "app")
-        _reject_unknown_keys(data, ("name", "params", "max_steps"), "app")
-        if "name" not in data:
-            raise ScenarioSpecError("app spec misses the 'name' key")
-        max_steps = data.get("max_steps")
-        if max_steps is not None and (not isinstance(max_steps, int)
-                                      or isinstance(max_steps, bool)):
-            raise ScenarioSpecError(
-                f"app max_steps must be an integer, got {max_steps!r}"
-            )
-        return cls(name=data["name"], params=dict(data.get("params", {})),
-                   max_steps=max_steps)
-
 
 @dataclass
-class NetworkSpec:
+class NetworkSpec(Spec):
     """Which network the messages cross: a model name plus its parameters.
 
     The default is the ``reliable`` model with the historical constant unit
@@ -350,6 +402,8 @@ class NetworkSpec:
     independently of the scenario seed.  ``fifo`` is network-level QoS and
     therefore lives here, not on the session.
     """
+
+    _shorthand = "model"
 
     model: str = "reliable"
     params: Dict[str, Any] = field(default_factory=dict)
@@ -390,29 +444,9 @@ class NetworkSpec:
         params.setdefault("seed", seed)
         return NETWORK_MODEL_REGISTRY.create(self.model, **params)
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"model": self.model}
-        if self.params:
-            data["params"] = dict(self.params)
-        if not self.fifo:
-            data["fifo"] = False
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "NetworkSpec":
-        if isinstance(data, str):
-            return cls(data)
-        data = _require_dict(data, "network")
-        _reject_unknown_keys(data, ("model", "params", "fifo"), "network")
-        return cls(
-            model=data.get("model", "reliable"),
-            params=dict(data.get("params", {})),
-            fifo=bool(data.get("fifo", True)),
-        )
-
 
 @dataclass
-class CheckSpec:
+class CheckSpec(Spec):
     """How the run is checked: criteria, cadence/policy, exactness.
 
     Empty ``criteria`` means "whatever criterion the protocol claims".
@@ -442,35 +476,17 @@ class CheckSpec:
             except ReproError as exc:
                 raise ScenarioSpecError(f"bad check policy: {exc}") from exc
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {}
-        if not self.enabled:
-            data["enabled"] = False
-        if self.criteria:
-            data["criteria"] = list(self.criteria)
-        if self.policy is not None:
-            data["policy"] = self.policy
-        if not self.exact:
-            data["exact"] = False
-        return data
-
     @classmethod
-    def from_dict(cls, data: Any) -> "CheckSpec":
+    def _normalize(cls, data: Any) -> Any:
+        """``None`` is the default check, a bool its ``enabled`` flag and a
+        bare-string ``criteria`` one criterion."""
         if data is None:
-            return cls()
+            return {}
         if isinstance(data, bool):
-            return cls(enabled=data)
-        data = _require_dict(data, "check")
-        _reject_unknown_keys(data, ("enabled", "criteria", "policy", "exact"), "check")
-        criteria = data.get("criteria", ())
-        if isinstance(criteria, str):
-            criteria = (criteria,)
-        return cls(
-            enabled=bool(data.get("enabled", True)),
-            criteria=tuple(criteria),
-            policy=data.get("policy"),
-            exact=bool(data.get("exact", True)),
-        )
+            return {"enabled": data}
+        if isinstance(data, dict) and isinstance(data.get("criteria"), str):
+            return {**data, "criteria": [data["criteria"]]}
+        return data
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +494,7 @@ class CheckSpec:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ScenarioSpec:
+class ScenarioSpec(Spec):
     """One complete, runnable scenario — the unit the whole stack composes.
 
     ``Session.from_spec(spec)`` executes it; ``spec.to_dict()`` is its
@@ -531,61 +547,18 @@ class ScenarioSpec:
         """The criteria to check: explicit ones, else the protocol's claim."""
         return self.check.criteria or (self.protocol.criterion,)
 
-    # -- serialization ---------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Canonical JSON form (defaults omitted, so hashes stay stable)."""
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "protocol": self.protocol.to_dict(),
-        }
-        if self.app is not None:
-            data["app"] = self.app.to_dict()
-        else:
-            assert self.distribution is not None and self.workload is not None
-            data["distribution"] = self.distribution.to_dict()
-            data["workload"] = self.workload.to_dict()
-        network = self.network.to_dict()
-        if network != {"model": "reliable"}:
-            data["network"] = network
-        check = self.check.to_dict()
-        if check:
-            data["check"] = check
-        if self.seed:
-            data["seed"] = self.seed
-        if self.description:
-            data["description"] = self.description
-        return data
-
     @classmethod
-    def from_dict(cls, data: Any) -> "ScenarioSpec":
-        """Rebuild a scenario from :meth:`to_dict` output (typed errors)."""
-        data = _require_dict(data, "scenario")
-        allowed = tuple(f.name for f in fields(cls))
-        _reject_unknown_keys(data, allowed, "scenario")
-        required = {"name", "protocol"}
+    def _required_keys(cls, data: Dict[str, Any]) -> Set[str]:
+        """An app replaces the distribution/workload pair; without one both
+        are required."""
+        required = super()._required_keys(data)
         if "app" not in data:
-            required |= {"distribution", "workload"}
-        missing = sorted(required - set(data))
-        if missing:
-            raise ScenarioSpecError(f"scenario spec misses keys {missing}")
-        if "app" in data and ({"distribution", "workload"} & set(data)):
+            return required | {"distribution", "workload"}
+        if {"distribution", "workload"} & set(data):
             raise ScenarioSpecError(
                 "scenario spec names an app and a distribution/workload; "
                 "an app brings its own distribution and programs"
             )
-        seed = data.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ScenarioSpecError(f"scenario seed must be an integer, got {seed!r}")
-        return cls(
-            name=data["name"],
-            protocol=ProtocolSpec.from_dict(data["protocol"]),
-            distribution=(DistributionSpec.from_dict(data["distribution"])
-                          if "distribution" in data else None),
-            workload=(WorkloadSpec.from_dict(data["workload"])
-                      if "workload" in data else None),
-            network=NetworkSpec.from_dict(data.get("network", {"model": "reliable"})),
-            check=CheckSpec.from_dict(data.get("check")),
-            seed=seed,
-            description=data.get("description", ""),
-            app=AppSpec.from_dict(data["app"]) if "app" in data else None,
-        )
+        return required
+
+    # -- serialization ---------------------------------------------------------

@@ -2,10 +2,26 @@
 ``repro trace info/replay`` and ``repro serve run/smoke``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def run_cli(*argv, timeout=60):
+    """``python -m repro *argv`` in a child process that must end in time."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "repro", *argv], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 @pytest.fixture()
@@ -142,3 +158,27 @@ class TestServeCommands:
     def test_serve_run_oneshot_needs_file_tenants(self, capsys):
         assert main(["serve", "run", "--oneshot"]) == 2
         assert "file-backed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,message", [
+        ("absent.jsonl", "error: tenant 'a': trace file '{path}' not found"),
+        (".", "error: tenant 'a': cannot read trace file '{path}'"),
+    ], ids=["missing", "directory"])
+    def test_serve_run_oneshot_unreadable_trace_file_exits(self, tmp_path, name,
+                                                           message):
+        path = tmp_path / name
+        done = run_cli("serve", "run", "--tenant", f"a={path}",
+                       "--status-interval", "0", "--oneshot")
+        assert done.returncode == 2
+        assert message.format(path=path) in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_serve_run_oneshot_empty_trace_file_closes_its_tenant(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        done = run_cli("serve", "run", "--tenant", f"a={empty}",
+                       "--status-interval", "0", "--oneshot")
+        assert done.returncode == 0, done.stderr
+        shutdown = json.loads(done.stdout.splitlines()[-1])
+        assert shutdown["type"] == "shutdown"
+        assert [(v["tenant"], v["ops"], v["consistent"])
+                for v in shutdown["verdicts"]] == [("a", 0, True)]

@@ -149,6 +149,20 @@ class TestCommands:
         assert main(["run", "--scenario", str(path)]) == 2
         assert "unknown keys ['engine']" in capsys.readouterr().err
 
+    def test_a_mistyped_scenario_file_is_a_clean_error(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "name": "x",
+            "protocol": {"name": "pram_partial", "options": 5},
+            "app": "bellman_ford",
+        }), encoding="utf-8")
+        assert main(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: protocol options must be a mapping, got int" in err
+        assert "Traceback" not in err
+
     def test_experiments_run_faults_suite_gate(self, capsys):
         assert main(["experiments", "run", "--suite", "faults",
                      "--no-cache"]) == 0
@@ -315,6 +329,7 @@ class TestJsonOutputs:
         ["experiments", "run", "--scenario", "figure2-hoop", "--no-cache", "--json"],
         ["hunt", "run", "--budget", "2", "--no-shrink", "--skip-replay", "--json"],
         ["place", "optimize", "--processes", "6", "--variables", "4", "--out"],
+        ["run", "--protocol", "pram_partial", "--until", "12", "--trace-out"],
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_an_unwritable_output_is_a_clean_error(self, argv, tmp_path, capsys):
         assert main([*argv, str(tmp_path / "absent-dir" / "out.json")]) == 2

@@ -58,9 +58,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush, merge
 from operator import le
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.consistency.base import CheckResult
 from ..core.consistency.incremental import IncrementalChecker, incremental_checker
@@ -281,13 +281,12 @@ class ArenaBatchChecker(IncrementalChecker):
         violations: List[str] = []
         witnesses: Dict[int, array] = {}
         for p in pids:
-            bound = self._bounds(p, chains, clocks)
             if solve:
-                schedule = self._witness(p, bound, chains, clocks)
+                schedule = self._witness(p, self._bounds(p, chains, clocks), chains, clocks)
                 if schedule is not None:
                     witnesses[p] = schedule
                     continue
-                bound = self._bounds(p, chains, clocks)
+            bound = self._bounds(p, chains, clocks, read_only=True)
             found = self._bad_patterns(p, bound, chains, clocks)
             violations.extend(f"p{p}: {v}" for v in found)
             if solve and not found:
@@ -329,8 +328,11 @@ class ArenaBatchChecker(IncrementalChecker):
                 wvc[base + pidx[p]] = w
             else:
                 s = source[row]
-                if s != NO_SOURCE:
-                    sb = s * P
+                sb = s * P
+                sj = pidx[proc[s]] if s != NO_SOURCE else 0
+                # A reader that already counts its source write holds the
+                # source's whole causal past: the merge would change nothing.
+                if s != NO_SOURCE and wvc[sb + sj] > wvc[base + sj]:
                     for j in range(P):
                         x = vc[sb + j]
                         if x > vc[base + j]:
@@ -342,17 +344,27 @@ class ArenaBatchChecker(IncrementalChecker):
             last[p] = row
         return vc, wvc, pidx
 
-    def _bounds(self, p: int, chains: _Chains, clocks: Optional[Clocks]) -> Dict[int, List[int]]:
-        """Batch index of every remote write of view p before saturation: the
-        first own position it precedes in the relation (``len(own)``: none),
-        non-decreasing along each write chain.  Causal reads it off the own
-        operations' write clocks; in the pram view the only paths from a
-        remote write to an own operation run down its chain to a write that
-        an own read reads."""
+    def _bounds(
+        self, p: int, chains: _Chains, clocks: Optional[Clocks], read_only: bool = False
+    ) -> Dict[int, List[int]]:
+        """Batch index of the remote writes of view p before saturation: the
+        first own position each precedes in the relation (``len(own)``:
+        none), non-decreasing along each write chain.  Causal reads it off
+        the own operations' write clocks; in the pram view the only paths
+        from a remote write to an own operation run down its chain to a write
+        that an own read reads.
+
+        Saturation needs every other process' chain.  The bad-pattern pass
+        reads only the chains of the writers of the variables the own reads
+        read, their sources among them: ``read_only`` builds just those."""
         arena = self.arena
-        kind, proc, source = arena.kind, arena.proc, arena.source
+        kind, proc, var, source = arena.kind, arena.proc, arena.var, arena.source
         own = arena.rows_of(p)
-        bound = {q: [len(own)] * len(rows) for q, rows in chains.rows.items() if q != p}
+        wanted: Iterable[int] = chains.rows
+        if read_only:
+            read = {var[row] for row in own if kind[row] != KIND_WRITE}
+            wanted = {q for v in read for q in chains.writers.get(v, ())}
+        bound = {q: [len(own)] * len(chains.rows[q]) for q in wanted if q != p}
         if clocks is not None:
             wvc, pidx = clocks[1], clocks[2]
             for q, bq in bound.items():
@@ -541,28 +553,42 @@ class ArenaBatchChecker(IncrementalChecker):
             else:
                 break  # the sweep passed the last read: the fixpoint
 
-        n = len(arena)
         rows = chains.rows
-        keyed = sorted(b * n + row for q, bq in bound.items() for b, row in zip(bq, rows[q]))
         tied: Dict[int, List[Tuple[int, int]]] = {}
         for q, k, sq, ks in sorted(edges):
             if bound[q][k] == bound[sq][ks]:
                 tied.setdefault(bound[q][k], []).append((rows[q][k], rows[sq][ks]))
-        schedule: List[int] = []
-        at = 0
-        for t in range(len(own) + 1):
-            end = bisect_left(keyed, (t + 1) * n, at)
-            batch = [key - t * n for key in keyed[at:end]]
-            at = end
+        # Batch t of each chain is a run of it (indices are non-decreasing
+        # along a chain): pop the chains whose next run is the lowest batch,
+        # merge their runs by row and emit them after the own operations
+        # before t.
+        witness = array("i")
+        done = 0
+        nxt = dict.fromkeys(bound, 0)
+        heads = [(bq[0], q) for q, bq in bound.items() if bq]
+        heapify(heads)
+        while heads:
+            t = heads[0][0]
+            runs = []
+            while heads and heads[0][0] == t:
+                q = heappop(heads)[1]
+                bq, k = bound[q], nxt[q]
+                end = nxt[q] = bisect_right(bq, t, k)
+                runs.append(iter(rows[q][k:end]))
+                if end < len(bq):
+                    heappush(heads, (bq[end], q))
+            witness.extend(iter(own[done:t]))
+            done = t
             if t in tied:
-                batch = self._sorted_batch(batch, tied[t], rows, clocks)
+                batch = self._sorted_batch(list(merge(*runs)), tied[t], rows, clocks)
                 if not batch:
                     return None
-            schedule.extend(batch)
-            if t < len(own):
-                schedule.append(own[t])
-        self._verify(p, schedule, rows, clocks)
-        return array("i", schedule)
+                witness.extend(batch)
+            else:
+                witness.extend(merge(*runs) if len(runs) > 1 else runs[0])
+        witness.extend(iter(own[done:]))
+        self._verify(p, witness, rows, clocks)
+        return witness
 
     def _sorted_batch(
         self,
@@ -612,7 +638,7 @@ class ArenaBatchChecker(IncrementalChecker):
     def _verify(
         self,
         p: int,
-        schedule: List[int],
+        schedule: Sequence[int],
         rows: Dict[int, Sequence[int]],
         clocks: Optional[Clocks],
     ) -> None:

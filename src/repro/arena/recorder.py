@@ -15,6 +15,13 @@ somebody actually asks for them — ``history()``/``read_from()``/``log()`` or
 a witness — so a run records 10^5–10^6 operations without creating a single
 per-op object.  The arena buffers columns unconditionally (that is the
 point — ~58 bytes per operation instead of a few hundred).
+
+Nor does it keep one per write to resolve read sources.  A protocol tags its
+``k``-th write ``(pid, k)`` (:meth:`repro.mcs.base.MCSProcess._next_write_id`),
+so while a process' write ids run densely from ``(pid, 1)`` the id of its
+``k``-th write *is* the arena's ``write_rows_of(pid)[k - 1]``: the recorder
+keeps only the length of that dense prefix per process.  Any other id (a
+hand-driven recorder may tag writes freely) goes to a dictionary.
 """
 
 from __future__ import annotations
@@ -36,7 +43,10 @@ class ArenaRecorder:
 
     def __init__(self) -> None:
         self.arena = OpArena()
-        self._write_rows: Dict[WriteId, int] = {}
+        #: Per process, how many of its first writes carried ids ``(pid, 1..k)``.
+        self._dense: Dict[int, int] = {}
+        #: Rows of the writes recorded under any other id.
+        self._sparse: Dict[WriteId, int] = {}
         self._listeners: Tuple[RowListener, ...] = ()
         #: Shared materialisation cache — one Operation identity per row.
         self.cache: adapter.OpCache = {}
@@ -65,10 +75,23 @@ class ArenaRecorder:
         completed_at: Optional[float] = None,
     ) -> int:
         """Record a write; returns its arena row."""
+        written = len(self.arena.write_rows_of(process))
         row = self.arena.append_write(process, variable, value, invoked_at, completed_at)
-        self._write_rows[write_id] = row
+        if self._dense.get(process, 0) == written and write_id == (process, written + 1):
+            self._dense[process] = written + 1
+        else:
+            self._sparse[write_id] = row
         self._notify(row, NO_SOURCE)
         return row
+
+    def _source_row(self, source: Optional[WriteId]) -> int:
+        """Row of the write recorded under id ``source`` (``NO_SOURCE``: none)."""
+        if source is None:
+            return NO_SOURCE
+        writer, k = source
+        if 0 < k <= self._dense.get(writer, 0):
+            return self.arena.write_rows_of(writer)[k - 1]
+        return self._sparse.get(source, NO_SOURCE)
 
     def record_read(
         self,
@@ -80,9 +103,7 @@ class ArenaRecorder:
         completed_at: Optional[float] = None,
     ) -> int:
         """Record a read together with the write it returned; returns its row."""
-        source_row = (
-            self._write_rows.get(source, NO_SOURCE) if source is not None else NO_SOURCE
-        )
+        source_row = self._source_row(source)
         row = self.arena.append_read(
             process, variable, value, source_row, invoked_at, completed_at
         )

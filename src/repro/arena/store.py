@@ -13,7 +13,7 @@ column   typecode   meaning
 kind     ``b``      ``KIND_WRITE`` (0) or ``KIND_READ`` (1)
 proc     ``q``      invoking process id
 var      ``q``      interned variable id (:meth:`OpArena.var_name`)
-value    ``q``      interned value id (:meth:`OpArena.value_of`)
+value    ``q``      value slot (:meth:`OpArena.value_of`)
 index    ``q``      position in the invoking process' local history
 source   ``q``      row of the write a read returned, ``NO_SOURCE`` for ⊥
 invoked  ``d``      invocation timestamp (``nan`` = unknown)
@@ -35,7 +35,7 @@ the package allowed to, enforced by lint rule RPR105).
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.operations import BOTTOM
 from ..exceptions import InvalidHistoryError
@@ -53,11 +53,14 @@ _NAN = float("nan")
 class OpArena:
     """Struct-of-arrays store for the operations of one run.
 
-    Appends are O(1); the derived per-variable / per-(process, variable)
-    write indices are rebuilt lazily the first time they are queried after
-    an append (:meth:`_refresh`).  Values are interned by ``(type, value)``
-    so equal values share one id without conflating ``0``/``False``/``0.0``;
-    unhashable values are stored without deduplication.
+    Appends are O(1) and keep two row indices live: each process' rows and
+    each process' write rows, both in program order.  The per-variable
+    write indices (:meth:`write_rows_on`, :meth:`writers_of`) are computed
+    on demand from the latter.  Values are kept in one list of slots: a
+    write takes a new slot, a read shares its source write's slot when it
+    returns an equal value of the same type (as every protocol's reads do),
+    ⊥ has slot 0, and any other read value takes a new slot.  No value is
+    looked up, so recording keeps no object per value beyond the list entry.
     """
 
     def __init__(self) -> None:
@@ -72,18 +75,12 @@ class OpArena:
         # interning tables
         self._var_ids: Dict[str, int] = {}
         self._var_names: List[str] = []
-        self._value_ids: Dict[Tuple[type, Any], int] = {}
-        self._values: List[Any] = []
-        #: interned id of ``BOTTOM`` (always present, always id 0).
-        self.bottom_id = self.intern_value(BOTTOM)
+        self._values: List[Any] = [BOTTOM]
+        #: slot of ``BOTTOM`` (always present, always slot 0).
+        self.bottom_id = 0
         # live per-process row lists (these *are* the zero-copy views)
         self._proc_rows: Dict[int, array] = {}
-        self._declared: Set[int] = set()
-        # lazily rebuilt derived indices
-        self._derived_at = 0
         self._write_rows: Dict[int, array] = {}
-        self._write_rows_on: Dict[Tuple[int, int], List[int]] = {}
-        self._writers_of: Dict[int, List[int]] = {}
 
     # -- interning -----------------------------------------------------------
     def intern_var(self, variable: str) -> int:
@@ -103,20 +100,9 @@ class OpArena:
         """Interned id of ``variable`` or ``None`` when never accessed."""
         return self._var_ids.get(variable)
 
-    def intern_value(self, value: Any) -> int:
-        """Interned id of ``value`` (``(type, value)``-keyed; see class doc)."""
-        try:
-            key = (type(value), value)
-            vid = self._value_ids.get(key)
-        except TypeError:  # unhashable value: store without deduplication
-            vid = len(self._values)
-            self._values.append(value)
-            return vid
-        if vid is None:
-            vid = len(self._values)
-            self._value_ids[key] = vid
-            self._values.append(value)
-        return vid
+    def _new_slot(self, value: Any) -> int:
+        self._values.append(value)
+        return len(self._values) - 1
 
     def value_of(self, row: int) -> Any:
         """The (decoded) value written/returned by the operation at ``row``."""
@@ -125,7 +111,6 @@ class OpArena:
     # -- appends -------------------------------------------------------------
     def declare_process(self, process: int) -> None:
         """Ensure ``process`` appears in the arena even with no operations."""
-        self._declared.add(process)
         self._proc_rows.setdefault(process, array("q"))
 
     def _append(
@@ -133,20 +118,19 @@ class OpArena:
         kind: int,
         process: int,
         variable: str,
-        value: Any,
+        slot: int,
         source_row: int,
         invoked_at: Optional[float],
         completed_at: Optional[float],
     ) -> int:
         rows = self._proc_rows.get(process)
         if rows is None:
-            rows = self._proc_rows.setdefault(process, array("q"))
-            self._declared.add(process)
+            rows = self._proc_rows[process] = array("q")
         row = len(self.kind)
         self.kind.append(kind)
         self.proc.append(process)
         self.var.append(self.intern_var(variable))
-        self.value.append(self.intern_value(value))
+        self.value.append(slot)
         self.index.append(len(rows))
         self.source.append(source_row)
         self.invoked.append(_NAN if invoked_at is None else invoked_at)
@@ -163,9 +147,15 @@ class OpArena:
         completed_at: Optional[float] = None,
     ) -> int:
         """Append a write; returns its row."""
-        return self._append(
-            KIND_WRITE, process, variable, value, NO_SOURCE, invoked_at, completed_at
+        row = self._append(
+            KIND_WRITE, process, variable, self._new_slot(value), NO_SOURCE,
+            invoked_at, completed_at,
         )
+        writes = self._write_rows.get(process)
+        if writes is None:
+            writes = self._write_rows[process] = array("q")
+        writes.append(row)
+        return row
 
     def append_read(
         self,
@@ -189,8 +179,19 @@ class OpArena:
                 f"which is not an earlier write row (the arena holds {len(self.kind)} rows)"
             )
         return self._append(
-            KIND_READ, process, variable, value, source_row, invoked_at, completed_at
+            KIND_READ, process, variable, self._read_slot(value, source_row), source_row,
+            invoked_at, completed_at,
         )
+
+    def _read_slot(self, value: Any, source_row: int) -> int:
+        """A read's value slot: its source write's when it returns an equal
+        value of the same type, ⊥'s for ⊥, else a new one."""
+        if source_row != NO_SOURCE:
+            slot = self.value[source_row]
+            written = self._values[slot]
+            if value is written or (type(value) is type(written) and value == written):
+                return slot
+        return self.bottom_id if value is BOTTOM else self._new_slot(value)
 
     # -- basic accessors -----------------------------------------------------
     def __len__(self) -> int:
@@ -221,41 +222,23 @@ class OpArena:
             f"{self._values[self.value[row]]!r}"
         )
 
-    # -- derived write indices (lazy) ----------------------------------------
-    def _refresh(self) -> None:
-        n = len(self.kind)
-        if self._derived_at == n and self._write_rows.keys() >= self._proc_rows.keys():
-            return
-        write_rows: Dict[int, array] = {pid: array("q") for pid in self._proc_rows}
-        write_rows_on: Dict[Tuple[int, int], List[int]] = {}
-        writers_of: Dict[int, Set[int]] = {}
-        kind, proc, var = self.kind, self.proc, self.var
-        for row in range(n):
-            if kind[row] == KIND_WRITE:
-                p = proc[row]
-                v = var[row]
-                write_rows[p].append(row)
-                write_rows_on.setdefault((p, v), []).append(row)
-                writers_of.setdefault(v, set()).add(p)
-        self._write_rows = write_rows
-        self._write_rows_on = write_rows_on
-        self._writers_of = {v: sorted(ps) for v, ps in writers_of.items()}
-        self._derived_at = n
-
+    # -- write indices -------------------------------------------------------
     def write_rows_of(self, process: int) -> Sequence[int]:
-        """Rows of ``process``' writes, in program order."""
-        self._refresh()
+        """Rows of ``process``' writes, in program order (zero-copy)."""
         return self._write_rows.get(process, ())
 
-    def write_rows_on(self, process: int, vid: int) -> Sequence[int]:
+    def write_rows_on(self, process: int, vid: int) -> List[int]:
         """Rows of ``process``' writes on variable id ``vid``, program order."""
-        self._refresh()
-        return self._write_rows_on.get((process, vid), ())
+        var = self.var
+        return [row for row in self.write_rows_of(process) if var[row] == vid]
 
-    def writers_of(self, vid: int) -> Sequence[int]:
+    def writers_of(self, vid: int) -> List[int]:
         """Sorted process ids that wrote variable id ``vid``."""
-        self._refresh()
-        return self._writers_of.get(vid, ())
+        var = self.var
+        return [
+            pid for pid, rows in sorted(self._write_rows.items())
+            if any(var[row] == vid for row in rows)
+        ]
 
     # -- accounting ----------------------------------------------------------
     _COLUMNS = ("kind", "proc", "var", "value", "index", "source", "invoked", "completed")
@@ -269,12 +252,9 @@ class OpArena:
 
     def stats(self) -> Dict[str, Any]:
         """Size/occupancy digest (the payload of ``repro arena info``)."""
-        self._refresh()
         columns = self.column_bytes()
         view_bytes = sum(len(rows) * rows.itemsize for rows in self._proc_rows.values())
-        index_bytes = sum(
-            len(rows) * rows.itemsize for rows in self._write_rows.values()
-        ) + sum(8 * len(rows) for rows in self._write_rows_on.values())
+        index_bytes = sum(len(rows) * rows.itemsize for rows in self._write_rows.values())
         writes = sum(len(rows) for rows in self._write_rows.values())
         return {
             "operations": len(self.kind),
@@ -282,13 +262,25 @@ class OpArena:
             "reads": len(self.kind) - writes,
             "processes": len(self._proc_rows),
             "variables": len(self._var_names),
-            "distinct_values": len(self._values),
+            "distinct_values": self._distinct_values(),
             "column_bytes": columns,
             "column_bytes_total": sum(columns.values()),
             "view_bytes": view_bytes,
             "derived_index_bytes": index_bytes,
             "estimated_bytes": sum(columns.values()) + view_bytes + index_bytes,
         }
+
+    def _distinct_values(self) -> int:
+        """Distinct stored values, told apart by ``(type, value)`` so that
+        ``0``/``False``/``0.0`` stay apart; each unhashable value counts once."""
+        keys = set()
+        unhashable = 0
+        for value in self._values:
+            try:
+                keys.add((type(value), value))
+            except TypeError:
+                unhashable += 1
+        return len(keys) + unhashable
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -27,6 +27,7 @@ fault schedule), so one integer reproduces a run bit for bit.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from typing import (TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping, Optional, Set, Tuple,
@@ -81,9 +82,10 @@ class Spec:
     non-mapping, an unknown key, a missing required key or a value of the
     wrong shape raises :class:`~repro.exceptions.ScenarioSpecError`.  Values
     are decoded by the field's declared type: nested specs by their own
-    ``from_dict``, tuples element by element, ``bool`` fields coerced, and
-    ``int``/``float``/``str`` fields type-checked (a JSON ``true`` is not a
-    number).  Subclasses say only what a type cannot, through
+    ``from_dict``, tuples element by element, and ``bool``, ``int``,
+    ``float`` and ``str`` fields type-checked (a JSON ``true`` is not a
+    number, a ``"false"`` not a boolean).  Subclasses say only what a type
+    cannot, through
     ``_shorthand``, ``_validate_on_load`` and the :meth:`_normalize` and
     :meth:`_required_keys` hooks.
     """
@@ -189,13 +191,45 @@ def _decode(value: Any, hint: Any, what: str) -> Any:
         if not isinstance(value, (list, tuple)):
             raise ScenarioSpecError(f"{what} must be a list, got {type(value).__name__}")
         return tuple(_decode(item, get_args(hint)[0], what) for item in value)
-    if hint is bool:
-        return bool(value)
+    if hint is bool and not isinstance(value, bool):
+        raise ScenarioSpecError(f"{what} must be a boolean, got {value!r}")
     if hint in _SCALARS:
         types, noun = _SCALARS[hint]
         if not isinstance(value, types) or isinstance(value, bool):
             raise ScenarioSpecError(f"{what} must be {noun}, got {value!r}")
     return value
+
+
+def _check_numbers(
+    component: Component, params: Mapping[str, Any], rates: Tuple[str, ...] = ()
+) -> None:
+    """Reject a ``rates`` parameter that is not a number in ``[0, 1]``, and a
+    non-number in any other parameter ``component``'s factory declares
+    ``int`` or ``float`` (a JSON ``true`` is not a number): ``params`` is a
+    free-form mapping, so the codec cannot type it."""
+    if not params:
+        return
+    for name in rates:
+        rate = params.get(name)
+        if rate is not None and not (_is_number(rate) and 0.0 <= rate <= 1.0):
+            raise ScenarioSpecError(f"{name} must be a number in [0, 1], got {rate!r}")
+    for name in _numeric_params(component.factory):
+        value = params.get(name)
+        if value is not None and not _is_number(value):
+            raise ScenarioSpecError(f"{name} must be a number, got {value!r}")
+
+
+@lru_cache(maxsize=None)
+def _numeric_params(factory: Any) -> Tuple[str, ...]:
+    """The parameters ``factory`` declares ``int`` or ``float``."""
+    return tuple(
+        parameter.name for parameter in inspect.signature(factory).parameters.values()
+        if parameter.annotation in ("int", "float", int, float)
+    )
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +271,7 @@ class TopologySpec(Spec):
     def validate(self) -> None:
         component = TOPOLOGY_REGISTRY.get(self.name)
         component.validate_params(self.params)
+        _check_numbers(component, self.params)
 
     def build(self) -> "WeightedDigraph":
         """Materialise the :class:`~repro.workloads.topology.WeightedDigraph`."""
@@ -276,6 +311,7 @@ class DistributionSpec(Spec):
             topology.validate()  # typed: unknown topology / foreign params
             return
         component.validate_params(self.params)
+        _check_numbers(component, self.params)
 
     def build(self, seed: int = 0) -> "VariableDistribution":
         """Materialise the distribution (``seed`` fills in a missing family seed)."""
@@ -299,11 +335,7 @@ class WorkloadSpec(Spec):
     def validate(self) -> None:
         component = WORKLOAD_REGISTRY.get(self.pattern)  # typed error
         component.validate_params(self.params)
-        fraction = self.params.get("write_fraction")
-        if fraction is not None and not 0.0 <= float(fraction) <= 1.0:
-            raise ScenarioSpecError(
-                f"write_fraction must be in [0, 1], got {fraction!r}"
-            )
+        _check_numbers(component, self.params, rates=("write_fraction",))
 
     def build(self, distribution: "VariableDistribution", seed: int = 0) -> List[Any]:
         """Generate the access script for ``distribution`` with the given seed."""
@@ -355,6 +387,7 @@ class AppSpec(Spec):
     def validate(self) -> None:
         component = self._component()  # typed UnknownAppError
         component.validate_params(self.params)
+        _check_numbers(component, self.params)
         if self.max_steps is not None and int(self.max_steps) < 1:
             raise ScenarioSpecError(
                 f"app max_steps must be >= 1, got {self.max_steps!r}"
@@ -412,12 +445,7 @@ class NetworkSpec(Spec):
     def validate(self) -> None:
         component = NETWORK_MODEL_REGISTRY.get(self.model)  # typed error
         component.validate_params(self.params)
-        for rate_key in ("drop_rate", "duplicate_rate"):
-            rate = self.params.get(rate_key)
-            if rate is not None and not 0.0 <= float(rate) <= 1.0:
-                raise ScenarioSpecError(
-                    f"{rate_key} must be in [0, 1], got {rate!r}"
-                )
+        _check_numbers(component, self.params, rates=("drop_rate", "duplicate_rate"))
         # Deep-check the declarative sub-specs (latency / partition / crash
         # dicts) without instantiating the model — building happens exactly
         # once, with the real scenario seed, when the session resolves us.

@@ -11,8 +11,8 @@ so that the message/byte accounting is an apples-to-apples comparison.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import FrozenInstanceError
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.distribution import VariableDistribution
 from ..exceptions import RetryOperation, ScenarioSpecError
@@ -20,14 +20,54 @@ from ..mcs.system import MCSystem
 from ..spec.registry import register_workload
 
 
-@dataclass(frozen=True)
 class Access:
-    """One scripted shared-memory access."""
+    """One scripted shared-memory access.
+
+    Immutable, and compared, hashed, pickled and printed like a frozen
+    dataclass of its four fields, but with ``__slots__`` instead of a
+    per-instance ``__dict__``: a script holds one per operation, so the
+    dictionary would nearly double its size.
+    """
+
+    __slots__ = ("process", "kind", "variable", "value")
 
     process: int
     kind: str  # "read" | "write"
     variable: str
-    value: Optional[str] = None
+    value: Optional[str]
+
+    def __init__(
+        self, process: int, kind: str, variable: str, value: Optional[str] = None
+    ) -> None:
+        init = object.__setattr__
+        init(self, "process", process)
+        init(self, "kind", kind)
+        init(self, "variable", variable)
+        init(self, "value", value)
+
+    def _astuple(self) -> Tuple[int, str, str, Optional[str]]:
+        return (self.process, self.kind, self.variable, self.value)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __reduce__(self) -> Tuple[type, Tuple[int, str, str, Optional[str]]]:
+        return (Access, self._astuple())
+
+    def __repr__(self) -> str:
+        return (f"Access(process={self.process!r}, kind={self.kind!r}, "
+                f"variable={self.variable!r}, value={self.value!r})")
 
 
 @register_workload(
@@ -46,11 +86,11 @@ def uniform_access_script(
     script: List[Access] = []
     counter = 0
     per_process: Dict[int, int] = {p: 0 for p in distribution.processes}
-    active = [p for p in distribution.processes if distribution.variables_of(p)]
+    variables = {p: sorted(distribution.variables_of(p)) for p in distribution.processes}
+    active = [p for p in distribution.processes if variables[p]]
     while active:
         pid = rng.choice(active)
-        variables = sorted(distribution.variables_of(pid))
-        var = rng.choice(variables)
+        var = rng.choice(variables[pid])
         if rng.random() < write_fraction:
             script.append(Access(pid, "write", var, f"{var}@{pid}#{counter}"))
             counter += 1

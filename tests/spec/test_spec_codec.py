@@ -10,7 +10,10 @@ existing cache entry) does not move.
 """
 
 import copy
+import dataclasses
+import inspect
 import json
+import typing
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,13 @@ import pytest
 from repro.exceptions import ScenarioSpecError
 from repro.hunt.sampler import SpecSampler
 from repro.serve.spec import ServeSpec, TenantSpec, TraceSpec
+from repro.spec.registry import (
+    APP_REGISTRY,
+    DISTRIBUTION_REGISTRY,
+    NETWORK_MODEL_REGISTRY,
+    TOPOLOGY_REGISTRY,
+    WORKLOAD_REGISTRY,
+)
 from repro.spec import (
     AppSpec,
     CheckSpec,
@@ -212,6 +222,72 @@ class TestServeNumbers:
                                     "tenants": [{"name": "t", "window": 8}]})
         assert spec.port == 8080 and spec.status_interval == 0
         assert spec.tenants[0].window == 8
+
+
+#: Every ``bool`` field of every spec class.
+BOOL_FIELDS = [(type(spec), spec_field.name) for spec in FULL
+               for spec_field in dataclasses.fields(spec)
+               if typing.get_type_hints(type(spec))[spec_field.name] is bool]
+
+#: ``(spec class, name, key)`` of every ``int``/``float`` parameter of every
+#: registered component a spec's free-form ``params`` reach.
+NUMERIC_PARAMS = [
+    (cls, name, parameter.name)
+    for cls, registry in ((WorkloadSpec, WORKLOAD_REGISTRY),
+                          (NetworkSpec, NETWORK_MODEL_REGISTRY),
+                          (DistributionSpec, DISTRIBUTION_REGISTRY),
+                          (TopologySpec, TOPOLOGY_REGISTRY),
+                          (AppSpec, APP_REGISTRY))
+    for name in registry.names()
+    for parameter in inspect.signature(registry.get(name).factory).parameters.values()
+    if parameter.name in registry.get(name).params
+    and parameter.annotation in ("int", "float", int, float)
+]
+
+
+class TestTypedValues:
+    """A quoted ``"false"`` is no boolean and a string no number."""
+
+    @pytest.mark.parametrize("cls,name", BOOL_FIELDS,
+                             ids=lambda value: getattr(value, "__name__", value))
+    def test_a_bool_field_takes_only_a_boolean(self, cls, name):
+        base = {"path": "/t.jsonl"} if cls is TraceSpec else {}
+        for value in (True, False):
+            assert getattr(cls.from_dict({**base, name: value}), name) is value
+        for garbage in ("false", "true", 0, 1, None, [], {}):
+            with pytest.raises(ScenarioSpecError, match=f"{name} must be a boolean"):
+                cls.from_dict({**base, name: garbage})
+
+    def test_there_are_bool_fields(self):
+        assert {(CheckSpec, "enabled"), (CheckSpec, "exact"), (NetworkSpec, "fifo"),
+                (TraceSpec, "follow")} <= set(BOOL_FIELDS)
+
+    @pytest.mark.parametrize("cls,name,key", NUMERIC_PARAMS,
+                             ids=lambda value: getattr(value, "__name__", value))
+    def test_a_numeric_param_rejects_a_non_number(self, cls, name, key):
+        for garbage in ("x", "0.5", True, [1], {"a": 1}):
+            spec = cls.from_dict({cls._shorthand: name, "params": {key: garbage}})
+            with pytest.raises(ScenarioSpecError, match=f"{key} must be a number"):
+                spec.validate()
+
+    def test_the_numeric_params_include_the_rates(self):
+        keys = {key for _, _, key in NUMERIC_PARAMS}
+        assert {"write_fraction", "drop_rate", "duplicate_rate", "duplicate_lag"} <= keys
+        assert {cls for cls, _, _ in NUMERIC_PARAMS} == {
+            WorkloadSpec, NetworkSpec, DistributionSpec, TopologySpec, AppSpec}
+
+    @pytest.mark.parametrize("cls,name,key", [
+        (WorkloadSpec, "uniform", "write_fraction"),
+        (NetworkSpec, "faulty", "drop_rate"),
+        (NetworkSpec, "faulty", "duplicate_rate"),
+    ])
+    def test_a_rate_is_a_number_in_the_unit_interval(self, cls, name, key):
+        for rate in (0, 0.5, 1):
+            cls(name, {key: rate}).validate()
+        for rate in (-0.1, 1.5, "x"):
+            with pytest.raises(ScenarioSpecError,
+                               match=f"{key} must be a number in \\[0, 1\\], got {rate!r}"):
+                cls(name, {key: rate}).validate()
 
 
 class TestCanonicalForm:

@@ -163,6 +163,33 @@ class TestCommands:
         assert "error: protocol options must be a mapping, got int" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section,message", [
+        ({"network": {"model": "faulty", "params": {"drop_rate": "x"}}},
+         "drop_rate must be a number in [0, 1], got 'x'"),
+        ({"network": {"model": "faulty", "fifo": "false"}},
+         "network fifo must be a boolean, got 'false'"),
+        ({"distribution": {"family": "random", "params": {
+            "processes": "4", "variables": 8, "replicas_per_variable": 2}}},
+         "processes must be a number, got '4'"),
+    ], ids=["string-rate", "string-bool", "string-count"])
+    def test_a_scenario_file_with_a_mistyped_value_is_a_clean_error(
+        self, tmp_path, capsys, section, message
+    ):
+        import json
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "name": "x",
+            "protocol": "pram_partial",
+            "distribution": {"family": "chain", "params": {"intermediates": 1}},
+            "workload": "uniform",
+            **section,
+        }), encoding="utf-8")
+        assert main(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
     def test_experiments_run_faults_suite_gate(self, capsys):
         assert main(["experiments", "run", "--suite", "faults",
                      "--no-cache"]) == 0

@@ -82,3 +82,21 @@ class TestScripts:
     def test_access_dataclass(self):
         access = Access(0, "write", "x", "v")
         assert access.process == 0 and access.value == "v"
+
+    def test_access_is_an_immutable_value_without_a_dict(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        access = Access(0, "write", "x", "v")
+        assert not hasattr(access, "__dict__")
+        assert access == Access(process=0, kind="write", variable="x", value="v")
+        assert hash(access) == hash(Access(0, "write", "x", "v"))
+        assert access != Access(0, "read", "x") and Access(0, "read", "x").value is None
+        assert access != (0, "write", "x", "v")
+        assert pickle.loads(pickle.dumps(access)) == access == copy.deepcopy(access)
+        assert repr(access) == "Access(process=0, kind='write', variable='x', value='v')"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            access.value = "w"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del access.kind

@@ -11,13 +11,12 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # One static-analysis gate, run ahead of the tests in CI: the repo's own
-# determinism & plugin-contract analyzer (src/repro/lint/: seeded-RNG and
-# wall-clock discipline, registry capability metadata, *Spec round-trip
-# symmetry, multiprocessing picklability, typed exceptions, hunted-corpus
-# schema; see docs/API.md "Static analysis" for the rule codes), plus ruff
-# and mypy when installed — both are pinned in the dev extra and present in
-# CI; in a bare environment they are reported as SKIPPED so the custom
-# rules still gate.
+# determinism & plugin-contract analyzer of Python source (src/repro/lint/:
+# seeded-RNG and wall-clock discipline, arena discipline, registry capability
+# metadata, multiprocessing picklability, typed exceptions; see docs/API.md
+# "Static analysis" for the rule codes), plus ruff and mypy when installed —
+# both are pinned in the dev extra and present in CI; in a bare environment
+# they are reported as SKIPPED so the custom rules still gate.
 lint:
 	$(PYTHON) -m repro lint --third-party
 

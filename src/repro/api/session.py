@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..arena.check import ArenaBatchChecker
@@ -517,7 +518,9 @@ class Session:
             workload = WorkloadSpec(pattern, dict(params))
         if isinstance(workload, WorkloadSpec):
             return workload.build(self.distribution, seed=self.seed)
-        script = list(workload)
+        # A list is kept as given (no per-session copy); any other iterable
+        # is materialised once.
+        script = workload if isinstance(workload, list) else list(workload)
         if any(not isinstance(access, Access) for access in script):
             raise SessionError(
                 "workload must be a WorkloadSpec, a pattern name, a "
@@ -612,7 +615,7 @@ class Session:
                           else min(until, len(self.script)))
                 executed = 0
                 stopped_early = False
-                for _idx, _access in drive_script(self.system, self.script[:budget]):
+                for _idx, _access in drive_script(self.system, islice(self.script, budget)):
                     executed += 1
                     check_due(executed)
                     if violated and self.policy.fail_fast:

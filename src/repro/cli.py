@@ -428,12 +428,12 @@ def _cmd_hunt_promote(args: argparse.Namespace) -> int:
                   f"now classifies as {seen!r}", file=sys.stderr)
             status = 1
             continue
-        stem = os.path.splitext(os.path.basename(file))[0]
+        slug = finding.slug()
         # lift into an experiment spec now so a malformed finding is
         # rejected at promotion, not at the next import of the suite
-        experiment_from_finding(f"hunted-{stem}", finding)
-        path = write_finding(finding, os.path.join(HUNTED_DIR, f"{stem}.json"))
-        print(f"promoted {path} (runs in the 'hunted' suite as hunted-{stem})")
+        experiment_from_finding(f"hunted-{slug}", finding)
+        path = write_finding(finding, os.path.join(HUNTED_DIR, f"{slug}.json"))
+        print(f"promoted {path} (runs in the 'hunted' suite as hunted-{slug})")
     return status
 
 

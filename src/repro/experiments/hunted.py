@@ -11,7 +11,11 @@ replays the whole corpus and :attr:`SuiteResult.failures` reports any
 reproducer that stopped reproducing.
 
 The suite grows automatically: ``repro hunt promote <finding.json>``
-re-validates a finding and copies it here; the next import picks it up.
+re-validates a finding and writes it here as ``<finding.slug()>.json``; the
+next import picks it up.  The loader rejects, with a typed
+:class:`~repro.exceptions.ScenarioSpecError`, a file that is not JSON, a
+finding or embedded spec that fails its schema, a non-promotable kind, and a
+file not named after its finding's slug (so name and content cannot drift).
 Crash findings are not loadable as suite entries (the runner would abort on
 the exception) — ``repro hunt smoke`` replays those directly through the
 hunt oracle instead.
@@ -22,6 +26,7 @@ from __future__ import annotations
 import os
 from typing import List, Optional, Tuple
 
+from ..exceptions import ScenarioSpecError
 from ..hunt.findings import PROMOTABLE_KINDS, Finding, load_findings_dir
 from ..spec.scenario import ScenarioSpec as RunSpec
 from .registry import REGISTRY
@@ -40,7 +45,7 @@ def experiment_from_finding(name: str, finding: Finding) -> ExperimentSpec:
     suite gate.
     """
     if finding.kind not in PROMOTABLE_KINDS:
-        raise ValueError(
+        raise ScenarioSpecError(
             f"finding kind {finding.kind!r} cannot join the hunted suite "
             f"(promotable: {list(PROMOTABLE_KINDS)})"
         )
@@ -70,12 +75,17 @@ def experiment_from_finding(name: str, finding: Finding) -> ExperimentSpec:
 
 
 def hunted_scenarios(directory: Optional[str] = None) -> List[ExperimentSpec]:
-    """All committed reproducers as experiment specs (``hunted-<stem>``)."""
+    """All committed reproducers as experiment specs (``hunted-<slug>``)."""
     pairs: List[Tuple[str, Finding]] = load_findings_dir(directory or HUNTED_DIR)
     specs: List[ExperimentSpec] = []
     for path, finding in pairs:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        specs.append(experiment_from_finding(f"hunted-{stem}", finding))
+        slug = finding.slug()
+        if os.path.basename(path) != f"{slug}.json":
+            raise ScenarioSpecError(
+                f"hunted reproducer {path} must be named {slug}.json, "
+                "after its finding's slug"
+            )
+        specs.append(experiment_from_finding(f"hunted-{slug}", finding))
     return specs
 
 

@@ -26,13 +26,6 @@ EXCLUDED_DIRS = frozenset(
      ".pytest_cache", ".mypy_cache", ".ruff_cache", "fixtures"}
 )
 
-#: The one non-Python glob the linter validates: committed hunt reproducers.
-#: Everything else that is not ``*.py`` — ``EXPERIMENTS.md``, the JSON tables
-#: embedded in docs, baselines — is deliberately outside every lint glob, so
-#: the reproducer corpus is checked by schema (rule RPR601) instead of being
-#: skipped silently along with the documentation.
-HUNTED_JSON_SUFFIX = os.path.join("experiments", "hunted")
-
 #: Project allowlist: ``(path glob, rule code, reason)`` triples.  This is
 #: the *only* sanctioned way to exempt shipped code from a rule besides an
 #: inline ``# repro: noqa[CODE]`` marker, and it is documented in
@@ -62,9 +55,7 @@ class FileContext:
     """Everything the rules need to know about one discovered file."""
 
     path: str                      # as displayed in diagnostics (relative)
-    source: str = ""
-    tree: Optional[ast.AST] = None  # None for JSON files / unparsable Python
-    kind: str = "python"            # "python" | "json"
+    tree: Optional[ast.AST] = None  # None for an unparsable file
     parse_error: Optional[SyntaxError] = None
     suppressions: Dict[int, Optional[FrozenSet[str]]] = field(default_factory=dict)
 
@@ -100,23 +91,16 @@ def _norm_parts(path: str) -> Tuple[str, ...]:
     return tuple(os.path.normpath(path).replace(os.sep, "/").split("/"))
 
 
-def _is_hunted_json(path: str) -> bool:
-    normalized = os.path.normpath(path)
-    return normalized.endswith(".json") and HUNTED_JSON_SUFFIX in normalized
-
-
 def discover_files(paths: Sequence[str]) -> List[str]:
     """Expand the command-line paths into the lintable file list.
 
-    Globbed: every ``*.py`` under each directory, plus the hunt-reproducer
-    corpus ``**/experiments/hunted/*.json``.  Never globbed: markdown and
-    every other documentation/data format — see :data:`HUNTED_JSON_SUFFIX`.
+    Globbed: every ``*.py`` under each directory; no other file kind.
     Hidden directories, caches and rule-fixture directories are skipped.
     """
     found: List[str] = []
     for path in paths:
         if os.path.isfile(path):
-            if path.endswith(".py") or _is_hunted_json(path):
+            if path.endswith(".py"):
                 found.append(path)
             continue
         for dirpath, dirnames, filenames in os.walk(path):
@@ -125,9 +109,8 @@ def discover_files(paths: Sequence[str]) -> List[str]:
                 if d not in EXCLUDED_DIRS and not d.startswith(".")
             )
             for filename in sorted(filenames):
-                full = os.path.join(dirpath, filename)
-                if filename.endswith(".py") or _is_hunted_json(full):
-                    found.append(full)
+                if filename.endswith(".py"):
+                    found.append(os.path.join(dirpath, filename))
     unique = sorted(set(os.path.normpath(p) for p in found))
     return unique
 
@@ -137,13 +120,7 @@ def load_context(path: str) -> FileContext:
     display = os.path.relpath(path) if os.path.isabs(path) else os.path.normpath(path)
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
-    if path.endswith(".json"):
-        return FileContext(path=display, source=source, kind="json")
-    context = FileContext(
-        path=display,
-        source=source,
-        suppressions=parse_suppressions(source),
-    )
+    context = FileContext(path=display, suppressions=parse_suppressions(source))
     try:
         context.tree = ast.parse(source, filename=display)
     except SyntaxError as exc:
@@ -177,8 +154,8 @@ def run_lint(
         rule for rule in all_rules()
         if selected is None or rule.code in selected
     ]
-    # Rule families share one checker across several codes (e.g. RPR301-303
-    # all come from the round-trip walker): run each checker exactly once.
+    # Rule families share one checker across several codes (e.g. RPR401-402
+    # both come from the pool-callable walker): run each checker exactly once.
     seen_checks = set()
     unique_rules = []
     for rule in rules:
@@ -204,7 +181,7 @@ def run_lint(
             raw.extend(rule.check(list(contexts)))
             continue
         for context in contexts:
-            if context.kind != "python" or context.tree is None:
+            if context.tree is None:
                 continue
             raw.extend(rule.check(context))
     by_path = {context.path: context for context in contexts}

@@ -9,20 +9,16 @@ from . import (
     arena_discipline,
     determinism,
     exception_discipline,
-    hunted_data,
     mp_hygiene,
     registry_contracts,
-    spec_roundtrip,
 )
 
 _MODULES = (
     determinism,
     arena_discipline,
     registry_contracts,
-    spec_roundtrip,
     mp_hygiene,
     exception_discipline,
-    hunted_data,
 )
 
 

@@ -173,7 +173,7 @@ def check_unique_names(contexts: Sequence) -> List[Diagnostic]:
     seen: Dict[Tuple[str, str], Tuple[str, int]] = {}
     findings: List[Diagnostic] = []
     for context in contexts:
-        if context.kind != "python" or context.tree is None:
+        if context.tree is None:
             continue
         if not context.in_repro():
             continue

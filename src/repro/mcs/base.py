@@ -17,6 +17,7 @@ delivery of :meth:`MCSProcess._receive`.  Each concrete protocol implements
 from __future__ import annotations
 
 import abc
+import weakref
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.distribution import VariableDistribution
@@ -45,7 +46,9 @@ class MCSProcess(abc.ABC):
         self.network = network
         self.recorder = recorder
         recorder.declare_process(pid)
-        network.register(pid, self)
+        # The system owns its processes: the network reaches each one through
+        # a weak proxy, so no process <-> network cycle outlives a run.
+        network.register(pid, weakref.proxy(self))
         #: Local replicas: variable -> (value, write-id of the writer, or None).
         self._store: Dict[str, Tuple[Any, Optional[WriteId]]] = {
             var: (BOTTOM, None) for var in self.replicated_variables

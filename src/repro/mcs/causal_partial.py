@@ -32,18 +32,22 @@ the phenomenon measurable and testable:
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from ..core.distribution import VariableDistribution
 from ..exceptions import ProtocolConfigError, ProtocolError
 from ..netsim.message import Message
 from ..netsim.network import Network
 from ..spec.registry import register_protocol
-from .causal_past import CausalBarrierProcess
+from .causal_past import CausalBarrierProcess, relevant_variables
 from .recorder import HistoryRecorder, WriteId
 
 #: relay scopes accepted by :class:`CausalPartialReplication`.
 RELAY_SCOPES = ("all", "relevant", "own")
+
+
+def _relay_all(variable: str) -> bool:
+    return True
 
 
 @register_protocol(
@@ -70,20 +74,18 @@ class CausalPartialReplication(CausalBarrierProcess):
         recorder: HistoryRecorder,
         relay_scope: str = "all",
     ):
-        super().__init__(pid, distribution, network, recorder, self._should_relay)
         if relay_scope not in RELAY_SCOPES:
             raise ProtocolConfigError(
                 f"relay_scope must be one of {RELAY_SCOPES}, got {relay_scope!r}"
             )
+        #: The relay-scope policy: may a dependency on this variable be relayed?
+        self._should_relay: Callable[[str], bool] = (
+            _relay_all if relay_scope == "all"
+            else distribution.variables_of(pid).__contains__ if relay_scope == "own"
+            else relevant_variables(pid, distribution).__contains__
+        )
+        super().__init__(pid, distribution, network, recorder, self._should_relay)
         self.relay_scope = relay_scope
-
-    # -- relay-scope policy -------------------------------------------------------
-    def _should_relay(self, variable: str) -> bool:
-        if self.relay_scope == "all":
-            return True
-        if self.relay_scope == "own":
-            return self.holds(variable)
-        return self._is_relevant(variable)
 
     # -- write propagation ----------------------------------------------------------
     def _propagate_write(self, variable: str, value: Any, write_id: WriteId) -> None:

@@ -28,7 +28,7 @@ so its own write, on a held variable and not applied before, was not known.
 from __future__ import annotations
 
 from itertools import filterfalse
-from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, List, Sequence, Set, Tuple
 
 from ..core.distribution import VariableDistribution
 from ..core.share_graph import ShareGraph
@@ -96,11 +96,21 @@ class CausalPast:
         self.variables_seen.add(variable)
 
 
+def relevant_variables(pid: int, distribution: VariableDistribution) -> FrozenSet[str]:
+    """The variables ``pid`` is relevant to (Theorem 1: in ``C(x)`` or an x-hoop)."""
+    share = ShareGraph.of(distribution)
+    return frozenset(var for var in distribution.variables
+                     if pid in share.relevant_processes(var))
+
+
 class CausalBarrierProcess(MCSProcess):
     """A process whose updates carry ``{"wid": ..., "deps": CausalPast.write(...)}``.
 
     Subclasses route the updates; an arrival on a held variable, seen for the
-    first time, goes to ``self._receive(message, self._pending)``.
+    first time, goes to ``self._receive(message, self._pending)``.  The
+    ``relays`` predicate the :class:`CausalPast` keeps must not refer to the
+    process (no bound method), or process and past form a cycle that only
+    the cyclic collector frees.
     """
 
     def __init__(self, pid: int, distribution: VariableDistribution, network: Network,
@@ -112,15 +122,6 @@ class CausalBarrierProcess(MCSProcess):
         self._pending: List[Message] = []
         #: Every write id received (applied, buffered or forwarded) — dedup.
         self._seen: Set[WriteId] = set()
-        self._relevant: Optional[Set[str]] = None
-
-    def _is_relevant(self, variable: str) -> bool:
-        """Whether this process is ``variable``-relevant (Theorem 1: ``C(x)`` or an x-hoop)."""
-        if self._relevant is None:
-            share = ShareGraph.of(self.distribution)
-            self._relevant = {var for var in self.distribution.variables
-                              if self.pid in share.relevant_processes(var)}
-        return variable in self._relevant
 
     def _deliverable(self, message: Message) -> bool:
         return self._past.admits(message.control["deps"])

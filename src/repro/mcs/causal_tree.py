@@ -34,7 +34,7 @@ from ..exceptions import ProtocolError
 from ..netsim.message import Message
 from ..netsim.network import Network
 from ..spec.registry import register_protocol
-from .causal_past import CausalBarrierProcess
+from .causal_past import CausalBarrierProcess, relevant_variables
 from .recorder import HistoryRecorder, WriteId
 
 
@@ -61,6 +61,8 @@ class CausalTreeReplication(CausalBarrierProcess):
         network: Network,
         recorder: HistoryRecorder,
     ):
+        #: Whether this process is ``x``-relevant (Theorem 1: ``C(x)`` or an x-hoop).
+        self._is_relevant = relevant_variables(pid, distribution).__contains__
         super().__init__(pid, distribution, network, recorder, self._is_relevant)
         self._share_graph = ShareGraph.of(distribution)
 

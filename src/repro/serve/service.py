@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..exceptions import ReproError, ServeError, TenantError, TraceFormatError
 from .monitor import RUNNING, TenantMonitor
 from .spec import ServeSpec, TenantSpec, TraceSpec
-from .trace import TraceMeta, TraceRecord, parse_line
+from .trace import TRACE_FORMAT, TraceMeta, TraceRecord, parse_line
 
 #: Maximum wire-line length accepted by the readers (1 MiB).
 LINE_LIMIT = 2 ** 20
@@ -231,14 +231,10 @@ class MonitorService:
     ) -> None:
         tenant: Optional[_Tenant] = None
         try:
-            hello = await self._read_json(reader)
-            if hello is None or hello.get("type") != "hello":
-                await self._send(writer, {
-                    "type": "error",
-                    "error": "first line must be a 'hello' record",
-                })
-                return
             try:
+                hello = await self._read_json(reader)
+                if hello is None or hello.get("type") != "hello":
+                    raise TenantError("first line must be a 'hello' record")
                 spec, meta = self._parse_hello(hello)
                 tenant = self._register(spec, meta)
             except ReproError as exc:
@@ -314,24 +310,16 @@ class MonitorService:
         return data
 
     def _parse_hello(self, hello: Dict[str, Any]) -> Tuple[TenantSpec, TraceMeta]:
+        """The tenant and stream a hello declares, through the tenant-spec
+        and trace-meta decoders (a mistyped field is a typed error)."""
         name = hello.get("tenant")
         if not name or not isinstance(name, str):
             raise TenantError("hello record needs a non-empty 'tenant' name")
-        spec = TenantSpec(
-            name=name,
-            criterion=hello.get("criterion", "causal"),
-            policy=hello.get("policy", "fail_fast"),
-            window=hello.get("window", self.spec.window),
-        )
-        spec.validate()
-        meta = TraceMeta(
-            scenario=str(hello.get("scenario", "")),
-            protocol=str(hello.get("protocol", "")),
-            distribution={
-                str(var): [int(p) for p in holders]
-                for var, holders in (hello.get("distribution") or {}).items()
-            },
-        )
+        spec = TenantSpec.from_dict({"name": name, "window": self.spec.window, **{
+            key: hello[key] for key in ("criterion", "policy", "window") if key in hello}})
+        meta = TraceMeta.from_dict({"format": TRACE_FORMAT, **{
+            key: hello[key] for key in ("scenario", "protocol", "distribution")
+            if hello.get(key) is not None}})
         return spec, meta
 
     async def _send(self, writer: asyncio.StreamWriter, record: Dict[str, Any]) -> None:

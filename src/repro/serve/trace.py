@@ -78,6 +78,8 @@ class TraceMeta:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TraceMeta":
+        """Decode a meta record; a field of the wrong type is a
+        :class:`TraceFormatError`, as is any format tag but this build's."""
         if not isinstance(data, dict):
             raise TraceFormatError(f"trace meta must be an object, got {type(data).__name__}")
         fmt = data.get("format")
@@ -85,16 +87,15 @@ class TraceMeta:
             raise TraceFormatError(
                 f"unsupported trace format {fmt!r}; this build reads {TRACE_FORMAT!r}"
             )
-        distribution = data.get("distribution", {})
-        if not isinstance(distribution, dict):
-            raise TraceFormatError("trace meta 'distribution' must map variable -> holders")
+        for key, ok, want in _META_FIELDS:
+            if key in data and not ok(data[key]):
+                raise TraceFormatError(
+                    f"trace meta {key!r} must be {want}, got {data[key]!r:.120}")
         return cls(
-            scenario=str(data.get("scenario", "")),
-            protocol=str(data.get("protocol", "")),
-            distribution={
-                str(var): [int(p) for p in holders]
-                for var, holders in distribution.items()
-            },
+            scenario=data.get("scenario", ""),
+            protocol=data.get("protocol", ""),
+            distribution={var: list(holders)
+                          for var, holders in data.get("distribution", {}).items()},
             criteria=tuple(data.get("criteria", ())),
             seed=data.get("seed"),
         )
@@ -164,36 +165,85 @@ class TraceRecord:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TraceRecord":
+        """Decode an op record; a missing key or a field of the wrong type
+        is a :class:`TraceFormatError`."""
         try:
-            kind = str(data["kind"])
-            process = int(data["process"])
-            variable = str(data["variable"])
+            kind = data["kind"]
+            process = data["process"]
+            variable = data["variable"]
             value = decode_value(data["value"])
-            index = int(data["index"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"malformed op record {data!r}: {exc}") from None
-        if kind not in (OpKind.READ.value, OpKind.WRITE.value):
+            index = data["index"]
+        except KeyError as exc:
+            raise TraceFormatError(f"op record misses the {exc.args[0]!r} key: {data!r}") from None
+        invoked_at = data.get("invoked_at")
+        completed_at = data.get("completed_at")
+        # One test on the fast path; the field table names the culprit.
+        if not (type(process) is int and process >= 0 and type(index) is int
+                and index >= 0 and type(variable) is str
+                and type(value) is not list and type(value) is not dict
+                and (invoked_at is None or type(invoked_at) in _NUMBER)
+                and (completed_at is None or type(completed_at) in _NUMBER)):
+            for key, ok, want in _OP_FIELDS:
+                if not ok(data.get(key)):
+                    raise TraceFormatError(
+                        f"op record {key!r} must be {want}, got {data.get(key)!r:.120}")
+        if kind not in _KINDS:
             raise TraceFormatError(f"op record has unknown kind {kind!r}")
         source = data.get("source")
         if source is not None:
-            try:
-                source = (int(source[0]), int(source[1]))
-            except (TypeError, ValueError, IndexError):
+            if not (isinstance(source, (list, tuple)) and len(source) == 2
+                    and _is_id(source[0]) and _is_id(source[1])):
                 raise TraceFormatError(
                     f"op record 'source' must be [process, index], got {source!r}"
-                ) from None
+                )
             if kind != OpKind.READ.value:
                 raise TraceFormatError("only read records may carry a 'source'")
+            source = (source[0], source[1])
         return cls(
             kind=kind,
             process=process,
             variable=variable,
             value=value,
             index=index,
-            invoked_at=data.get("invoked_at"),
-            completed_at=data.get("completed_at"),
+            invoked_at=invoked_at,
+            completed_at=completed_at,
             source=source,
         )
+
+
+_KINDS = (OpKind.READ.value, OpKind.WRITE.value)
+#: The JSON number types (``bool`` is not one).
+_NUMBER = (int, float)
+
+
+def _is_id(value: Any) -> bool:
+    """A process id or index: a non-negative integer, not a ``bool``."""
+    return type(value) is int and value >= 0
+
+
+def _is_time(value: Any) -> bool:
+    return value is None or type(value) in _NUMBER
+
+
+#: ``(key, test, wanted)`` per typed field of an op record and a meta record.
+_OP_FIELDS = (
+    ("process", _is_id, "a non-negative integer"),
+    ("index", _is_id, "a non-negative integer"),
+    ("variable", lambda value: type(value) is str, "a string"),
+    ("value", lambda value: type(decode_value(value)) not in (list, dict), "a JSON scalar"),
+    ("invoked_at", _is_time, "a number or null"),
+    ("completed_at", _is_time, "a number or null"),
+)
+_META_FIELDS = (
+    ("scenario", lambda value: type(value) is str, "a string"),
+    ("protocol", lambda value: type(value) is str, "a string"),
+    ("distribution", lambda value: isinstance(value, dict) and all(
+        isinstance(holders, list) and all(_is_id(pid) for pid in holders)
+        for holders in value.values()), "a mapping of variable to process ids"),
+    ("criteria", lambda value: isinstance(value, list)
+     and all(type(name) is str for name in value), "a list of strings"),
+    ("seed", lambda value: value is None or type(value) is int, "an integer or null"),
+)
 
 
 #: A parsed trace line: the meta record or one op record.

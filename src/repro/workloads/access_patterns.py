@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import FrozenInstanceError
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.distribution import VariableDistribution
 from ..exceptions import RetryOperation, ScenarioSpecError
@@ -268,7 +268,7 @@ def hoop_relay_script(
 
 def drive_script(
     system: MCSystem,
-    script: Sequence[Access],
+    script: Iterable[Access],
     settle_every: int = 1,
     max_retries: int = 1_000,
 ):
@@ -304,7 +304,7 @@ def drive_script(
 
 def run_script(
     system: MCSystem,
-    script: Sequence[Access],
+    script: Iterable[Access],
     settle_every: int = 1,
     max_retries: int = 1_000,
 ) -> None:

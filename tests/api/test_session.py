@@ -1,5 +1,8 @@
 """Tests for the streaming Session facade (repro.api)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.api import CheckPolicy, Session
@@ -12,6 +15,7 @@ from repro.exceptions import (
 )
 from repro.experiments.spec import DistributionSpec, ScenarioSpecError, WorkloadSpec
 from repro.hunt import SpecSampler
+from repro.spec.registry import PROTOCOL_REGISTRY
 from repro.workloads.access_patterns import Access
 
 RANDOM_DIST = ("random", {"processes": 5, "variables": 6, "replicas_per_variable": 3})
@@ -346,6 +350,53 @@ class TestAllProtocolsThroughFacade:
     def test_protocols_run_and_check(self, protocol):
         report = make_session(protocol=protocol).run()
         assert report.consistent is True
+
+
+class TestLifetime:
+    """A finished session is freed by reference counting: no cycle keeps
+    its processes, recorder and arena columns alive until a collection."""
+
+    @staticmethod
+    def arena_dies_at_del(build):
+        # built here: a session passed as an argument stays referenced by the
+        # caller until the call returns
+        gc.disable()
+        try:
+            session = build()
+            report = session.run()
+            arena = weakref.ref(session.recorder.arena)
+            del session, report
+            return arena() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_REGISTRY.names())
+    def test_a_scripted_run_is_freed_at_del(self, protocol):
+        assert self.arena_dies_at_del(lambda: make_session(protocol=protocol))
+
+    def test_an_app_run_is_freed_at_del(self):
+        assert self.arena_dies_at_del(
+            lambda: Session(protocol="pram_partial", app="producer_consumer"))
+
+
+class TestScript:
+    def test_a_session_holds_the_callers_script(self):
+        script = make_session().script
+        session = make_session(workload=script)
+        assert session.script is script
+
+    @pytest.mark.parametrize("until", [0, 1, 7, 10_000])
+    def test_until_drives_exactly_that_many_operations(self, until):
+        script = make_session().script
+        report = make_session(workload=script).run(until=until)
+        assert report.operations_executed == min(until, len(script))
+        assert report.operations_total == len(script)
+
+    def test_a_generator_workload_is_materialised_once(self):
+        script = make_session().script
+        session = make_session(workload=(access for access in script))
+        assert session.script == script
+        assert session.run().operations_executed == len(script)
 
 
 class TestTraceExport:

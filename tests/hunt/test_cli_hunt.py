@@ -7,7 +7,8 @@ import pytest
 
 from hunt_helpers import build_spec
 from repro.cli import build_parser, main
-from repro.hunt import Finding, write_finding
+from repro.experiments import hunted
+from repro.hunt import Finding, load_findings_dir, write_finding
 
 
 class TestParser:
@@ -129,3 +130,17 @@ class TestHuntPromote:
         rc = main(["hunt", "promote", path])
         assert rc == 1
         assert "refused" in capsys.readouterr().err
+
+    def test_promote_names_the_file_after_the_slug(self, tmp_path, monkeypatch,
+                                                   capsys):
+        (_, finding), *_ = load_findings_dir(hunted.HUNTED_DIR)
+        path = write_finding(finding, str(tmp_path / "misnamed.json"))
+        corpus = tmp_path / "corpus"
+        monkeypatch.setattr(hunted, "HUNTED_DIR", str(corpus))
+        rc = main(["hunt", "promote", path])
+        assert rc == 0
+        slug = finding.slug()
+        assert os.listdir(corpus) == [f"{slug}.json"]
+        assert f"as hunted-{slug}" in capsys.readouterr().out
+        assert [spec.name for spec in hunted.hunted_scenarios(str(corpus))] == \
+            [f"hunted-{slug}"]

@@ -1,8 +1,13 @@
 """The committed 'hunted' suite: registration, expansion, replay gating."""
 
+import json
+import os
+import shutil
+
 import pytest
 
 from hunt_helpers import build_spec
+from repro.exceptions import ScenarioSpecError
 from repro.experiments import REGISTRY
 from repro.experiments.hunted import (
     HUNTED_DIR,
@@ -11,7 +16,7 @@ from repro.experiments.hunted import (
     register_hunted_scenarios,
 )
 from repro.experiments.runner import run_point
-from repro.hunt import Finding, load_findings_dir
+from repro.hunt import Finding, load_findings_dir, write_finding
 
 
 class TestRegistration:
@@ -61,12 +66,12 @@ class TestPromotionGuard:
     def test_crash_findings_cannot_join_the_suite(self):
         crash = Finding(kind="crash", spec=build_spec(),
                         crash_type="KeyError")
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioSpecError):
             experiment_from_finding("hunted-crash", crash)
 
     def test_unexpected_pass_cannot_join_the_suite(self):
         regression = Finding(kind="unexpected_pass", spec=build_spec())
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioSpecError):
             experiment_from_finding("hunted-regression", regression)
 
     def test_livelock_findings_gate_on_liveness(self):
@@ -74,3 +79,44 @@ class TestPromotionGuard:
         spec = experiment_from_finding("hunted-livelock", livelock)
         assert spec.expect_consistent is True
         assert spec.expect_correct is False
+
+
+class TestCorpusLoader:
+    """What ``hunted_scenarios`` refuses: each a typed error at import."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        shutil.copytree(HUNTED_DIR, tmp_path / "hunted")
+        return tmp_path / "hunted"
+
+    def test_the_committed_corpus_loads(self, corpus):
+        names = [spec.name for spec in hunted_scenarios(str(corpus))]
+        assert names == [spec.name for spec in hunted_scenarios()]
+        assert names == sorted(f"hunted-{name[:-len('.json')]}"
+                               for name in os.listdir(HUNTED_DIR))
+
+    def test_a_misnamed_file_is_rejected(self, corpus):
+        first = sorted(corpus.iterdir())[0]
+        first.rename(corpus / "misnamed.json")
+        with pytest.raises(ScenarioSpecError,
+                           match=f"must be named {first.name}"):
+            hunted_scenarios(str(corpus))
+
+    def test_a_non_json_file_is_rejected(self, corpus):
+        (corpus / "broken.json").write_text("{not json\n")
+        with pytest.raises(ScenarioSpecError, match="cannot read finding file"):
+            hunted_scenarios(str(corpus))
+
+    def test_a_finding_without_spec_is_rejected(self, corpus):
+        first = sorted(corpus.iterdir())[0]
+        data = json.loads(first.read_text())
+        del data["spec"]
+        first.write_text(json.dumps(data))
+        with pytest.raises(ScenarioSpecError, match="spec"):
+            hunted_scenarios(str(corpus))
+
+    def test_a_non_promotable_kind_is_rejected(self, corpus):
+        crash = Finding(kind="crash", spec=build_spec(), crash_type="KeyError")
+        write_finding(crash, str(corpus / f"{crash.slug()}.json"))
+        with pytest.raises(ScenarioSpecError, match="cannot join the hunted suite"):
+            hunted_scenarios(str(corpus))

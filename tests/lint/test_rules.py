@@ -1,7 +1,7 @@
 """Fixture-driven rule tests: each code fires on its bad snippet, stays
 quiet on its good one.
 
-The committed fixtures live in ``tests/lint/fixtures/{bad,good}/<CODE>.*``
+The committed fixtures live in ``tests/lint/fixtures/{bad,good}/<CODE>.py``
 (the engine's discovery deliberately skips ``fixtures`` directories, so the
 self-host lint never trips over them).  Because most rules are scoped by
 package, the harness plants each fixture inside a throwaway fake tree
@@ -14,14 +14,12 @@ import shutil
 
 import pytest
 
-from repro.lint import lint_paths
+from repro.lint import discover_files, lint_paths
 from repro.lint.engine import load_context, run_lint
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
-#: Where each rule's fixture must sit for the rule to be in scope, and the
-#: filename it must carry there.  RPR601's good fixture keeps its original
-#: corpus filename because the rule checks filename == finding slug.
+#: Where each rule's fixture must sit for the rule to be in scope.
 DESTINATIONS = {
     "RPR101": "src/repro/netsim/snippet.py",
     "RPR102": "src/repro/analysis/snippet.py",
@@ -32,31 +30,20 @@ DESTINATIONS = {
     "RPR202": "src/repro/workloads/snippet.py",
     "RPR203": "src/repro/mcs/snippet.py",
     "RPR204": "src/repro/workloads/snippet.py",
-    "RPR301": "src/repro/spec/snippet.py",
-    "RPR302": "src/repro/spec/snippet.py",
-    "RPR303": "src/repro/spec/snippet.py",
     "RPR401": "src/repro/experiments/snippet.py",
     "RPR402": "src/repro/experiments/snippet.py",
     "RPR501": "src/repro/core/snippet.py",
-    "RPR601": {
-        "bad": "src/repro/experiments/hunted/violation-zzz-t0.json",
-        "good": "src/repro/experiments/hunted/violation-best_effort-nofifo-t28.json",
-    },
 }
 
 ALL_CODES = sorted(DESTINATIONS)
 
 
 def _fixture_path(kind, code):
-    suffix = ".json" if code == "RPR601" else ".py"
-    return os.path.join(FIXTURES, kind, code + suffix)
+    return os.path.join(FIXTURES, kind, code + ".py")
 
 
 def _plant_and_lint(tmp_path, kind, code):
-    destination = DESTINATIONS[code]
-    if isinstance(destination, dict):
-        destination = destination[kind]
-    target = tmp_path / destination
+    target = tmp_path / DESTINATIONS[code]
     target.parent.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(_fixture_path(kind, code), target)
     return lint_paths([str(tmp_path)])
@@ -207,3 +194,16 @@ def test_run_lint_accepts_prebuilt_contexts(tmp_path):
     context = load_context(str(target))
     diagnostics = run_lint([context])
     assert {d.code for d in diagnostics} == {"RPR201"}
+
+
+def test_discovery_globs_only_python(tmp_path):
+    """The linter lints Python: a JSON file anywhere, the hunt corpus
+    included, is neither discovered nor reported (the corpus loader checks
+    it at import)."""
+    corpus = tmp_path / "src/repro/experiments/hunted"
+    corpus.mkdir(parents=True)
+    (corpus / "misnamed.json").write_text("not json\n")
+    (corpus / "snippet.py").write_text("VALUE = 1\n")
+    assert discover_files([str(tmp_path)]) == [str(corpus / "snippet.py")]
+    assert discover_files([str(corpus / "misnamed.json")]) == []
+    assert lint_paths([str(tmp_path)]) == []

@@ -72,6 +72,23 @@ def test_cli_list_rules_names_every_code():
         assert rule.code in result.stdout
 
 
+#: The rule menu, in family order.  A rule that drops out of ``all_rules``
+#: (or a family added without a decision here) fails this, not silently.
+RULE_MENU = [
+    "RPR101", "RPR102", "RPR103", "RPR104", "RPR105",
+    "RPR201", "RPR202", "RPR203", "RPR204",
+    "RPR401", "RPR402",
+    "RPR501",
+]
+
+
+def test_cli_list_rules_prints_exactly_the_menu():
+    result = _run_cli("lint", "--list-rules")
+    assert result.returncode == 0
+    codes = [line.split()[0] for line in result.stdout.splitlines() if line.strip()]
+    assert codes == RULE_MENU
+
+
 def test_rule_codes_are_unique_and_well_formed():
     codes = [rule.code for rule in all_rules()]
     assert len(codes) == len(set(codes))

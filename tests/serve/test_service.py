@@ -102,6 +102,45 @@ class TestWireProtocol:
         assert "hello" in reply["error"]
         assert verdicts == []
 
+    def test_a_non_json_hello_gets_an_error_record(self):
+        async def body(service, port):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port, limit=LINE_LIMIT)
+            writer.write(b'{"type": "hello", "tenant"\n')
+            await writer.drain()
+            line = await asyncio.wait_for(reader.readline(), 10)
+            writer.close()
+            return json.loads(line)
+
+        reply, verdicts, _ = _run(
+            _with_service(ServeSpec(status_interval=0), body))
+        assert reply["type"] == "error"
+        assert "not JSON" in reply["error"]
+        assert verdicts == []
+
+    @pytest.mark.parametrize("field", [
+        {"distribution": {"x": [0, "a"]}},
+        {"distribution": {"x": 5}},
+        {"distribution": ["x"]},
+        {"window": "x"},
+    ], ids=repr)
+    def test_a_mistyped_hello_gets_an_error_record(self, field):
+        async def body(service, port):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port, limit=LINE_LIMIT)
+            hello = {"type": "hello", "tenant": "t", **field}
+            writer.write((json.dumps(hello) + "\n").encode())
+            await writer.drain()
+            line = await asyncio.wait_for(reader.readline(), 10)
+            writer.close()
+            return json.loads(line)
+
+        reply, verdicts, _ = _run(
+            _with_service(ServeSpec(status_interval=0), body))
+        assert reply["type"] == "error"
+        assert next(iter(field)) in reply["error"]
+        assert verdicts == []
+
     def test_unknown_criterion_in_hello_is_refused(self):
         async def body(service, port):
             with pytest.raises(ServeError, match="refused"):

@@ -1,5 +1,6 @@
 """The ``repro-trace-v1`` wire format and the serve spec layer."""
 
+import copy
 import json
 
 import pytest
@@ -118,6 +119,85 @@ class TestTraceErrors:
 
     def test_format_tag_is_versioned(self):
         assert TRACE_FORMAT == "repro-trace-v1"
+
+
+#: Values a hand-edited or truncated trace line may hold anywhere.
+GARBAGE = [None, True, False, 0, -1, 2.5, "", "x", [], [1], ["x"], {}, {"x": 5},
+           {"x": [0, "a"]}]
+
+
+def corruptions(data):
+    """Every copy of ``data`` with one value, at any depth, replaced by a
+    garbage value."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in list(items):
+        for garbage in GARBAGE:
+            corrupted = copy.deepcopy(data)
+            corrupted[key] = copy.deepcopy(garbage)
+            yield corrupted
+        if isinstance(value, (dict, list)):
+            for inner in corruptions(value):
+                corrupted = copy.deepcopy(data)
+                corrupted[key] = inner
+                yield corrupted
+
+
+#: ``(record, key, value)``: the malformed fields ``repro trace`` must
+#: refuse with an ``error:`` line (record 0 is the meta, 1 the first op).
+MALFORMED = [
+    (1, "invoked_at", "abc"),
+    (1, "variable", ["x"]),
+    (1, "process", True),
+    (0, "criteria", "causal"),
+    (0, "distribution", {"x": [0, "a"]}),
+    (0, "distribution", {"x": 5}),
+]
+
+
+class TestCorruptFields:
+    """A mistyped field is a :class:`TraceFormatError`, never a traceback
+    from deep inside a checker and never a verdict."""
+
+    @pytest.mark.parametrize("line", [_meta().to_dict(), _records()[1].to_dict()],
+                             ids=["meta", "op"])
+    def test_every_single_corruption_loads_or_is_typed(self, line):
+        count = 0
+        for data in corruptions(line):
+            try:
+                parsed = parse_line(json.dumps(data))
+            except TraceFormatError:
+                continue
+            count += 1
+            assert isinstance(parsed, (TraceMeta, TraceRecord))
+        assert count  # e.g. another string value still loads
+
+    @pytest.mark.parametrize("record,key,value", MALFORMED,
+                             ids=[f"{key}={value!r}" for _, key, value in MALFORMED])
+    @pytest.mark.parametrize("command", ["replay", "info"])
+    def test_the_cli_refuses_a_mistyped_field(self, tmp_path, capsys, command,
+                                              record, key, value):
+        from repro.cli import main
+
+        lines = [_meta().to_dict()] + [r.to_dict() for r in _records()]
+        lines[record][key] = value
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert main(["trace", command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read trace file {path}: " in err
+        assert repr(key) in err and "Traceback" not in err
+
+    def test_well_typed_fields_still_load(self):
+        data = {"type": "op", "kind": "read", "process": 0, "variable": "x",
+                "value": None, "index": 3, "invoked_at": 1, "completed_at": None,
+                "source": [1, 0]}
+        record = parse_line(json.dumps(data))
+        assert (record.process, record.index, record.source) == (0, 3, (1, 0))
+        assert record.invoked_at == 1 and record.value is None
+        meta = parse_line(json.dumps({"type": "meta", "format": TRACE_FORMAT,
+                                      "distribution": {}, "criteria": [],
+                                      "seed": None}))
+        assert meta == TraceMeta()
 
 
 class TestServeSpecs:

@@ -1,6 +1,9 @@
 """The one JSON codec every ``*Spec`` shares (:class:`repro.spec.scenario.Spec`).
 
-Two guards.  Hostile input: every single-value corruption of a valid spec's
+Three guards.  Coverage: ``FULL`` holds an instance of every ``Spec``
+subclass of the package, every field is off its default in one of them, and
+no subclass hand-writes ``to_dict``/``from_dict``, so the full-form round
+trip fails for any field a codec drops.  Hostile input: every single-value corruption of a valid spec's
 JSON form, at every depth, either loads or raises
 :class:`~repro.exceptions.ScenarioSpecError` — never a ``TypeError`` or
 ``AttributeError`` from deep inside a constructor.  Canonical form: the
@@ -35,6 +38,7 @@ from repro.spec import (
     NetworkSpec,
     ProtocolSpec,
     ScenarioSpec,
+    Spec,
     TopologySpec,
     WorkloadSpec,
 )
@@ -120,6 +124,50 @@ def corruptions(data):
             corrupted = copy.deepcopy(data)
             corrupted[key] = inner
             yield corrupted
+
+
+def spec_subclasses():
+    """Every subclass of :class:`Spec` the package defines, at any depth
+    (``repro.spec`` and ``repro.serve.spec`` are imported above)."""
+    found, stack = set(), [Spec]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            if cls.__module__.startswith("repro.") and cls not in found:
+                found.add(cls)
+                stack.append(cls)
+    return found
+
+
+def off_default(spec, spec_field):
+    """Whether ``spec``'s value for ``spec_field`` differs from its default."""
+    if spec_field.default is not dataclasses.MISSING:
+        default = spec_field.default
+    elif spec_field.default_factory is not dataclasses.MISSING:
+        default = spec_field.default_factory()
+    else:
+        return True  # a required field is always written
+    return getattr(spec, spec_field.name) != default
+
+
+class TestCoverage:
+    def test_full_holds_every_spec_subclass(self):
+        assert {type(spec) for spec in FULL} == spec_subclasses()
+        assert len(spec_subclasses()) == 11
+
+    @pytest.mark.parametrize("cls", sorted(spec_subclasses(), key=lambda c: c.__name__),
+                             ids=lambda cls: cls.__name__)
+    def test_every_field_is_off_its_default_in_full(self, cls):
+        # ScenarioSpec's app excludes its distribution and workload, so a
+        # field counts as covered when one FULL instance of its class sets it
+        instances = [spec for spec in FULL if type(spec) is cls]
+        for spec_field in dataclasses.fields(cls):
+            assert any(off_default(spec, spec_field) for spec in instances), \
+                f"no FULL {cls.__name__} sets {spec_field.name!r}"
+
+    @pytest.mark.parametrize("cls", sorted(spec_subclasses(), key=lambda c: c.__name__),
+                             ids=lambda cls: cls.__name__)
+    def test_no_subclass_writes_its_own_codec(self, cls):
+        assert "to_dict" not in vars(cls) and "from_dict" not in vars(cls)
 
 
 class TestHostileInput:

@@ -7,8 +7,11 @@ registries, lazy caches - and, on the arena workloads, the object path only the
 smoke size takes), builds three full-size inputs unprofiled, and enables the
 profiler only around ``run(inputs)``.  It prints the top 30 rows by own time,
 then the top 30 by cumulative time, then the columnar checker's phase split:
-the calls and cumulative seconds of each of ``PHASES`` in
-``repro/arena/check.py``, read off the same stats.  Profiling a whole
+the calls and cumulative seconds of each of ``PHASES``, read off the same
+stats - the phases of ``repro/arena/check.py`` and, for a windowed check, the
+two steps that hand it its input: the retained window's ``History``
+(``WindowedChecker.window_view``) and its arena
+(``adapter.arena_from_history``).  Profiling a whole
 ``run.py`` process instead mixes those rows with ``builtins.compile`` and the
 warm-up's.
 
@@ -33,9 +36,20 @@ ITERATIONS = 3
 ROWS = 30
 MEMORY_ROWS = 10
 MIB = 1024 * 1024
-#: The phases of ``ArenaBatchChecker``'s columnar check
+#: ``(module, function)`` of each phase of a columnar check: the windowed
+#: checker's view, its arena, then ``ArenaBatchChecker``'s own phases
 #: (``_verify`` runs inside ``_witness``).
-PHASES = ("_causal_vcs", "_bounds", "_bad_patterns", "_witness", "_verify", "_advance_monitors")
+_CHECK = os.path.join("repro", "arena", "check.py")
+PHASES = (
+    (os.path.join("repro", "core", "consistency", "incremental.py"), "window_view"),
+    (os.path.join("repro", "arena", "adapter.py"), "arena_from_history"),
+    (_CHECK, "_causal_vcs"),
+    (_CHECK, "_bounds"),
+    (_CHECK, "_bad_patterns"),
+    (_CHECK, "_witness"),
+    (_CHECK, "_verify"),
+    (_CHECK, "_advance_monitors"),
+)
 
 
 def main() -> int:
@@ -70,15 +84,15 @@ def main() -> int:
 def print_phases(name: str, stats: pstats.Stats) -> None:
     """Calls and cumulative seconds of each checker phase in ``stats``."""
     totals = {phase: [0, 0.0] for phase in PHASES}
-    checker = os.path.join("repro", "arena", "check.py")
     rows = stats.stats  # type: ignore[attr-defined]
     for (filename, _, function), (_, calls, _, cumulative, _) in rows.items():
-        if function in totals and filename.endswith(checker):
-            totals[function][0] += calls
-            totals[function][1] += cumulative
+        for module, phase in PHASES:
+            if function == phase and filename.endswith(module):
+                totals[module, phase][0] += calls
+                totals[module, phase][1] += cumulative
     print(f"{name}: checker phases, cumulative over {ITERATIONS} timed sections "
           f"(_verify runs inside _witness):")
-    for phase, (calls, seconds) in totals.items():
+    for (_, phase), (calls, seconds) in totals.items():
         print(f"  {phase:<18} {seconds:8.3f} s {calls:8d} calls")
 
 

@@ -19,9 +19,7 @@ system, so the whole computation is addressable from a JSON
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from ..core.distribution import VariableDistribution
 from ..core.operations import BOTTOM
@@ -29,6 +27,9 @@ from ..dsm.app import AppInstance, AppVerdict
 from ..dsm.program import ProcessContext, ProgramFn
 from ..spec.registry import register_app
 from .reference import linear_system_solution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _block_indices(pid: int, unknowns: int, workers: int) -> range:
@@ -52,6 +53,8 @@ def jacobi_distribution(workers: int) -> VariableDistribution:
 
 
 def _vector_to_value(vector: np.ndarray) -> Tuple[float, ...]:
+    import numpy as np
+
     return tuple(float(v) for v in np.atleast_1d(vector))
 
 
@@ -63,6 +66,8 @@ def jacobi_program(
     iterations: int,
 ) -> ProgramFn:
     """One worker of the asynchronous block-Jacobi iteration."""
+    import numpy as np
+
     unknowns = a.shape[0]
     mine = _block_indices(pid, unknowns, workers)
 
@@ -97,6 +102,8 @@ def jacobi_program(
 
 
 def _check_jacobi_inputs(a: np.ndarray, b: np.ndarray) -> None:
+    import numpy as np
+
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
         raise ValueError("A must be square and compatible with b")
     diag = np.abs(np.diag(a))
@@ -113,6 +120,8 @@ def jacobi_instance(
     tolerance: float = 1e-6,
 ) -> AppInstance:
     """The distributed Jacobi app over a concrete system ``A·x = b``."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_jacobi_inputs(a, b)
@@ -171,6 +180,8 @@ def jacobi_app(
     seed: int = 0,
 ) -> AppInstance:
     """Registered app factory: Jacobi on a seeded diagonally dominant system."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(unknowns, unknowns))
     a += np.diag(np.abs(a).sum(axis=1) + 1.0)  # strictly diagonally dominant

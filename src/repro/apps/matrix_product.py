@@ -18,9 +18,7 @@ computation is addressable from a JSON :class:`~repro.spec.ScenarioSpec`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..core.distribution import VariableDistribution
 from ..core.operations import BOTTOM
@@ -28,6 +26,9 @@ from ..dsm.app import AppInstance, AppVerdict
 from ..dsm.program import ProcessContext, ProgramFn
 from ..spec.registry import register_app
 from .reference import matrix_product as reference_matrix_product
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _rows_of(process: int, rows: int, workers: int) -> range:
@@ -49,10 +50,14 @@ def matrix_product_distribution(workers: int) -> VariableDistribution:
 
 def _matrix_to_value(matrix: np.ndarray):
     """Encode a matrix block as a hashable nested tuple (shared-memory value)."""
+    import numpy as np
+
     return tuple(tuple(float(x) for x in row) for row in np.atleast_2d(matrix))
 
 
 def _value_to_matrix(value) -> np.ndarray:
+    import numpy as np
+
     return np.array(value, dtype=float)
 
 
@@ -79,6 +84,8 @@ def matrix_product_instance(
     workers: int = 4,
 ) -> AppInstance:
     """The distributed matrix-product app over concrete operand matrices."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -135,6 +142,8 @@ def matrix_product_app(
     seed: int = 0,
 ) -> AppInstance:
     """Registered app factory: ``A @ B`` over seeded normal matrices."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(rows, inner))
     b = rng.normal(size=(inner, cols))

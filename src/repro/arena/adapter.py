@@ -157,7 +157,9 @@ def arena_from_history(
     Operations are appended in a topological order of program order ∪
     read-from (Kahn's algorithm over per-process cursors, smallest ``uid``
     first among the ready operations), so each process' rows keep program
-    order and the ``index`` column equals ``op.index``.  A history whose uid
+    order and the ``index`` column equals ``op.index`` — for a windowed
+    history (gap indices) it is the dense position, which keeps the order
+    the columnar check needs.  A history whose uid
     order already extends both relations — every recorded, materialised or
     replayed one — keeps that order.  Read sources come from ``read_from``
     (inferred from values when omitted).  An empty ``cache``, when given, is

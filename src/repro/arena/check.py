@@ -13,8 +13,9 @@ mid-run subscribes ``feed``, so a stream-monitor hit is noted at the row that
 proves it and a fail-fast run stops where the object stream would.
 
 It also decides every batch causal and pram check of an object history
-(:class:`~repro.core.consistency.criteria.ColumnarChecker`), by
-:meth:`ArenaBatchChecker.solved`.
+(:class:`~repro.core.consistency.criteria.ColumnarChecker`), the windows of
+a finite :class:`~repro.core.consistency.incremental.WindowedChecker`
+included, by :meth:`ArenaBatchChecker.solved`.
 
 Causal and pram are checked over the columns at every size.  Monitors, bad
 patterns and witnesses run over the int columns, with no per-view graph: the

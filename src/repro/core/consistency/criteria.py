@@ -11,7 +11,8 @@ with the relation of the corresponding criterion:
 * :class:`SlowChecker` — the slow-memory relation (Sinha [16]), weaker than PRAM.
 
 :class:`CausalChecker` and :class:`PRAMChecker` decide on the arena
-(:class:`ColumnarChecker`).
+(:class:`ColumnarChecker`), the windows of ``repro serve``'s windowed
+checkers included.
 
 The strength ordering (causal ⊃ lazy causal ⊃ lazy semi-causal ⊃ PRAM ⊃ slow,
 where "⊃" reads "admits fewer histories than") is verified by the property
@@ -39,11 +40,14 @@ class ColumnarChecker(PerProcessChecker):
 
     :meth:`check` appends the history to an arena in a topological order of
     program order ∪ read-from (:func:`~repro.arena.adapter.arena_from_history`)
-    and closes it with the columnar batch check; the witnesses are the
-    caller's own operations.  Three inputs keep the object path of
+    and closes it with the columnar batch check; the witnesses and the
+    violation strings are the caller's own operations.  A windowed history
+    (gap indices, stand-ins) takes the same path: per-process cursors keep
+    program order, and the check needs only that order, not dense
+    positions.  Two inputs keep the object path of
     :meth:`PerProcessChecker.check`: a program-order ∪ read-from cycle (a
-    PRAM history may have one), a read-from map naming a writer that is not
-    a write of the history on the read's variable, and a windowed history.
+    PRAM history may have one) and a read-from map naming a writer that is
+    not a write of the history on the read's variable.
     """
 
     def check(
@@ -58,7 +62,7 @@ class ColumnarChecker(PerProcessChecker):
 
         rf = history.read_from() if read_from is None else read_from
         cache: adapter.OpCache = {}
-        arena = None if history.windowed else adapter.arena_from_history(history, rf, cache)
+        arena = adapter.arena_from_history(history, rf, cache)
         if arena is None:
             return super().check(history, rf, exact)
         return ArenaBatchChecker(self.name, arena, exact=exact, cache=cache).solved()

@@ -38,7 +38,8 @@ extension: early ``False`` verdicts are exact proofs.
     ``window`` is the retention policy: ``None`` retains the whole stream
     (with ``exact=True`` a clean ``finalize`` is then the batch checker's
     exact decision, witnesses included), and ``N >= 4`` retains a sliding
-    window with Theorem 1 eviction (``repro serve``).
+    window with Theorem 1 eviction (``repro serve``).  Causal and pram
+    windows are decided on the arena, like every batch check of theirs.
     :func:`incremental_checker` builds the first.
 
 :class:`CheckPolicy`
@@ -465,6 +466,15 @@ class WindowedChecker(IncrementalChecker):
     accumulated findings.  The clean-window memo only ever skips that
     sweep, never an exact decision.  ``real_time`` monitoring is on exactly
     for the atomic criterion.
+
+    **Where a window is decided.**  Each check hands the wrapped checker the
+    retained operations as one windowed :class:`History`
+    (:meth:`window_view`).  For causal and pram that checker is a
+    :class:`~repro.core.consistency.criteria.ColumnarChecker`: the window is
+    appended to an arena (:func:`~repro.arena.adapter.arena_from_history`)
+    and closed by :meth:`~repro.arena.check.ArenaBatchChecker.solved`, the
+    batch check's own code, so its violations are the object per-view
+    check's, in its order.  The other criteria decide on the object stack.
 
     The full state round-trips through JSON (:meth:`checkpoint` /
     :meth:`restore`), so a serving process can be stopped and resumed

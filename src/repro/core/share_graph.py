@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from ..exceptions import RelationDomainError
+from ..exceptions import DistributionError, RelationDomainError
 from .distribution import VariableDistribution
 from .graphlib import LabelledGraph
 
@@ -85,7 +85,11 @@ class ShareGraph:
     """The share graph of a variable distribution."""
 
     def __init__(self, distribution: VariableDistribution):
-        self._distribution = distribution
+        # The graph keeps the distribution's tables, never the distribution:
+        # :meth:`of` memoises the graph on the distribution, and a reference
+        # back would make the pair a cycle only the cyclic collector frees.
+        self._per_process = distribution._per_process
+        self._holders = distribution._holders
         self._processes = distribution.processes
         # Everything derived is lazy and memoised (the distribution is
         # immutable); the adjacency too (``graph``), so a fully replicated
@@ -106,11 +110,6 @@ class ShareGraph:
         return share
 
     # -- basic structure --------------------------------------------------------
-    @property
-    def distribution(self) -> VariableDistribution:
-        """The distribution the graph was built from."""
-        return self._distribution
-
     @cached_property
     def graph(self) -> LabelledGraph:
         """The underlying labelled graph (built on first use)."""
@@ -128,11 +127,14 @@ class ShareGraph:
 
     @property
     def variables(self) -> Tuple[str, ...]:
-        return self._distribution.variables
+        return tuple(sorted(self._holders))
 
     def clique(self, variable: str) -> FrozenSet[int]:
         """Vertex set of ``C(variable)``."""
-        return self._distribution.holders(variable)
+        try:
+            return self._holders[variable]
+        except KeyError:
+            raise DistributionError(f"unknown variable {variable!r}") from None
 
     def clique_edges(self, variable: str) -> List[Tuple[int, int]]:
         """Edges of ``C(variable)`` (every pair of holders)."""
@@ -156,7 +158,7 @@ class ShareGraph:
         sorted by their smallest process id (deterministic).
         """
         if self._component_cache is None:
-            active = [p for p in self.processes if self._distribution.variables_of(p)]
+            active = [p for p in self.processes if self._per_process[p]]
             comps = self.graph.connected_components(active)
             self._component_cache = tuple(
                 sorted((frozenset(c) for c in comps), key=min)

@@ -43,7 +43,8 @@ class TenantMonitor:
     resolves read-from source references against the retained window
     (reconstructing evicted writers as stand-ins), runs the O(1) stream
     monitors on every record and the polynomial windowed check at the
-    cadence the tenant's :class:`CheckPolicy` asks for.  A proven violation
+    cadence the tenant's :class:`CheckPolicy` asks for (for causal and pram,
+    the columnar check of the window's arena).  A proven violation
     flips the state to ``violated``; with a fail-fast policy further
     records are drained without checking (the verdict is already exact).
     """

@@ -12,10 +12,12 @@ follow the read-from map and respect the criterion's relation.
 
 Inputs: the saturation differential's generator (half of the read-from maps
 lie, which draws cycles and reads forced before their writer), the sixty
-:class:`~repro.hunt.SpecSampler` runs with one read-from mutation each, and
-pinned inputs for the three cases the route hands to the object path: a
-program-order ∪ read-from cycle, a writer that is not a write of the history
-on the read's variable, and a windowed history.
+:class:`~repro.hunt.SpecSampler` runs with one read-from mutation each,
+pinned inputs for the two cases the route hands to the object path — a
+program-order ∪ read-from cycle and a writer that is not a write of the
+history on the read's variable — and a windowed history, which reaches the
+arena (``test_windowed_differential.py`` holds every window ``repro serve``
+checks to the same reference).
 """
 
 import random
@@ -159,14 +161,29 @@ def test_a_writer_that_is_no_write_of_the_history_on_the_variable_keeps_the_obje
     assert arena_closes == []
 
 
-def test_a_windowed_history_keeps_the_object_path(arena_closes):
-    writes = [Operation.write(0, "x", value, index=index) for index, value in ((0, "a"), (2, "b"))]
-    read = Operation.read(1, "x", "b", index=5)
-    history = History({0: writes, 1: [read]}, windowed=True)
-    for criterion in BUILDERS:
-        result = get_checker(criterion).check(history, read_from={read: writes[1]})
-        assert result.consistent and result.exact
-    assert arena_closes == []
+def test_a_windowed_history_reaches_the_arena(arena_closes):
+    """Gap indices and a stand-in built after the operations that follow it
+    (so uid order does not extend program order), as a finite window of
+    ``repro serve`` holds them; one read of the stand-in, then a read of an
+    older write, which the stand-in is forced between."""
+    first, last = (Operation.write(0, "x", value, index=index)
+                   for index, value in ((0, "a"), (4, "b")))
+    reads = [Operation.read(1, "x", "c", index=5), Operation.read(1, "x", "a", index=9)]
+    standin = Operation.write(0, "x", "c", index=2)
+    for held, consistent in ((1, True), (2, False)):
+        history = History({0: [first, standin, last], 1: reads[:held]}, windowed=True)
+        read_from = dict(zip(reads[:held], (standin, first)))
+        for criterion, builder in BUILDERS.items():
+            before = len(arena_closes)
+            routed = get_checker(criterion).check(history, read_from=read_from)
+            assert len(arena_closes) == before + 1
+            expected = PerProcessChecker(builder, criterion).check(history, read_from=read_from)
+            assert (routed.consistent, routed.exact, routed.violations) == \
+                (expected.consistent, expected.exact, expected.violations)
+            assert routed.consistent is consistent and routed.exact
+            assert labels(routed) == labels(expected)
+        compare(history, read_from)
+    assert all(inner is None for inner in arena_closes)
 
 
 def test_witnesses_are_the_callers_operations():

@@ -6,12 +6,16 @@ read the same results.  These tests count the work — exact block passes and
 adjacency builds — instead of timing it.
 """
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
 from repro.api import Session
 from repro.core import share_graph as share_graph_module
+from repro.core.consistency import get_checker
+from repro.core.consistency.incremental import WindowedChecker
 from repro.core.distribution import VariableDistribution
 from repro.core.share_graph import ShareGraph
 from repro.exceptions import RelationDomainError
@@ -93,6 +97,23 @@ def test_graph_is_memoised_on_the_instance_and_outside_its_value():
     assert restored._share_graph is None
     assert len(pickle.dumps(distribution)) == len(pickle.dumps(twin))
     assert ShareGraph.of(distribution) is share
+
+
+def test_a_distribution_and_its_graph_are_freed_by_reference_counting():
+    """The graph keeps its distribution's tables, not the distribution: with
+    the cyclic collector off, the pair dies with its last outside reference,
+    also once a windowed checker (a served tenant's) has asked for it."""
+    gc.disable()
+    try:
+        distribution = placed_distribution()
+        share = ShareGraph.of(distribution)
+        share.relevance_report()
+        checker = WindowedChecker(get_checker("causal"), window=8, distribution=distribution)
+        alive = weakref.ref(distribution), weakref.ref(share)
+        del distribution, share, checker
+        assert [ref() for ref in alive] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_group_of_is_answered_from_the_memoised_groups():

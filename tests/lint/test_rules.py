@@ -75,6 +75,26 @@ def test_good_fixture_stays_quiet(tmp_path, code):
     )
 
 
+def test_rpr102_resolves_a_function_scope_numpy_import(tmp_path):
+    """The numeric apps import numpy inside the functions that compute (only
+    their annotations see a module-level name, under ``TYPE_CHECKING``)."""
+    target = tmp_path / "src/repro/apps/snippet.py"
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"
+        "def sample(seed: int) -> np.ndarray:\n"
+        "    import numpy as np\n"
+        "    return np.random.default_rng(seed).random(3) + np.random.rand(3)\n"
+        "def entropy() -> np.ndarray:\n"
+        "    import numpy as np\n"
+        "    return np.random.default_rng().random(3)\n"
+    )
+    diagnostics = lint_paths([str(tmp_path)])
+    assert [(d.code, d.line) for d in diagnostics] == [("RPR102", 6), ("RPR102", 9)]
+
+
 def test_noqa_suppresses_named_code(tmp_path):
     target = tmp_path / "src/repro/netsim/snippet.py"
     target.parent.mkdir(parents=True, exist_ok=True)

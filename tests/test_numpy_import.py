@@ -1,0 +1,31 @@
+"""numpy is imported by the numeric apps that compute with it, and nowhere
+else: a process that imports the package surface (the API, the experiment
+registry with every app, the service, the CLI) and runs no numeric app never
+loads it.  It is checked in a fresh interpreter, since the test session
+itself has long loaded numpy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PROBE = """
+import sys
+import repro.api, repro.experiments, repro.serve, repro.cli
+print("numpy" in sys.modules)
+from repro.api import Session
+report = Session(app="jacobi").run()
+print("numpy" in sys.modules, report.app_correct, report.consistent)
+"""
+
+
+def test_numpy_loads_with_the_first_numeric_app():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", PROBE], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split("\n") == ["False", "True True True", ""]

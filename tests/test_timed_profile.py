@@ -1,6 +1,6 @@
 """Smoke test of ``make profile`` (``benchmarks/timed_profile.py``): both
 cProfile tables, the checker's phase split, then the tracemalloc section, on
-the smallest workload."""
+the smallest workload; and the windowed phases on ``monitor_stream``."""
 
 import re
 import subprocess
@@ -25,19 +25,37 @@ def test_profile_prints_both_tables_then_memory():
     assert all(re.match(r"\s+[\d.]+ MiB\s+\d+ blocks  \S+:\d+$", line) for line in lines)
 
 
-def test_profile_prints_the_checker_phases_between_the_tables_and_memory():
+def phase_calls(workload):
+    """The calls column of the checker-phase block ``workload``'s profile
+    prints between the cProfile tables and the tracemalloc section."""
     out = subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / "timed_profile.py"), "--workload", "place_40p"],
+        [sys.executable, str(ROOT / "benchmarks" / "timed_profile.py"), "--workload", workload],
         cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
     ).stdout
-    start = out.index("place_40p: checker phases, cumulative over 3 timed sections")
+    start = out.index(f"{workload}: checker phases, cumulative over 3 timed sections")
     assert out.index("Ordered by: cumulative time") < start < out.index("under tracemalloc")
-    rows = out[start:].splitlines()[1:7]
+    rows = out[start:].splitlines()[1:9]
     found = [re.match(r"  (\w+) +([\d.]+) s +(\d+) calls$", row) for row in rows]
     assert all(found), rows
     calls = {match.group(1): int(match.group(3)) for match in found}
-    assert list(calls) == ["_causal_vcs", "_bounds", "_bad_patterns", "_witness", "_verify",
-                           "_advance_monitors"]
+    assert list(calls) == ["window_view", "arena_from_history", "_causal_vcs", "_bounds",
+                           "_bad_patterns", "_witness", "_verify", "_advance_monitors"]
+    return calls
+
+
+def test_profile_prints_the_checker_phases_between_the_tables_and_memory():
+    calls = phase_calls("place_40p")
     # place_40p checks with exact=False: one bad-pattern pass per view, no saturation
     assert calls["_bad_patterns"] == calls["_bounds"] > 0
     assert calls["_witness"] == calls["_verify"] == 0
+    # its sessions record into an arena: no window, no columnarised history
+    assert calls["window_view"] == calls["arena_from_history"] == 0
+
+
+def test_profile_counts_each_windowed_check_once_per_step():
+    """monitor_stream's due checks: each builds its window's History, turns
+    it into an arena and closes that with a causal bad-pattern sweep."""
+    calls = phase_calls("monitor_stream")
+    assert calls["window_view"] == calls["arena_from_history"] == calls["_causal_vcs"] > 0
+    assert calls["_bad_patterns"] == calls["_bounds"] >= calls["_causal_vcs"]
+    assert calls["_witness"] == calls["_advance_monitors"] == 0

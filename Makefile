@@ -51,9 +51,8 @@ bench-pairs:
 # one): cProfile of three full-size timed sections of one benchmark workload
 # (imports, warm-up and set-up run unprofiled), top 30 rows by own time, then
 # top 30 by cumulative time, then the columnar checker's phase split (calls
-# and cumulative seconds of each phase, after the two steps that hand a
-# windowed check its input: WindowedChecker.window_view and
-# adapter.arena_from_history); then one more timed section under
+# and cumulative seconds of each phase, after a served window's compaction
+# of its rows: WindowedChecker._reorder); then one more timed section under
 # tracemalloc: peak and retained MiB above the inputs and the top 10
 # allocating lines.
 #   make profile W=partial_causal

@@ -8,10 +8,9 @@ smoke size takes), builds three full-size inputs unprofiled, and enables the
 profiler only around ``run(inputs)``.  It prints the top 30 rows by own time,
 then the top 30 by cumulative time, then the columnar checker's phase split:
 the calls and cumulative seconds of each of ``PHASES``, read off the same
-stats - the phases of ``repro/arena/check.py`` and, for a windowed check, the
-two steps that hand it its input: the retained window's ``History``
-(``WindowedChecker.window_view``) and its arena
-(``adapter.arena_from_history``).  Profiling a whole
+stats - the phases of ``repro/arena/check.py`` and, for a served window, the
+one step it spends on its rows outside the checker: the compaction of its
+arena on eviction (``WindowedChecker._reorder``).  Profiling a whole
 ``run.py`` process instead mixes those rows with ``builtins.compile`` and the
 warm-up's.
 
@@ -36,19 +35,18 @@ ITERATIONS = 3
 ROWS = 30
 MEMORY_ROWS = 10
 MIB = 1024 * 1024
-#: ``(module, function)`` of each phase of a columnar check: the windowed
-#: checker's view, its arena, then ``ArenaBatchChecker``'s own phases
-#: (``_verify`` runs inside ``_witness``).
+#: ``(module, function)`` of each phase of a columnar check: a served
+#: window's compaction, then ``ArenaBatchChecker``'s own phases (``_verify``
+#: runs inside ``_witness``), then the stream monitors (``RowMonitor``).
 _CHECK = os.path.join("repro", "arena", "check.py")
 PHASES = (
-    (os.path.join("repro", "core", "consistency", "incremental.py"), "window_view"),
-    (os.path.join("repro", "arena", "adapter.py"), "arena_from_history"),
+    (os.path.join("repro", "core", "consistency", "incremental.py"), "_reorder"),
     (_CHECK, "_causal_vcs"),
     (_CHECK, "_bounds"),
     (_CHECK, "_bad_patterns"),
     (_CHECK, "_witness"),
     (_CHECK, "_verify"),
-    (_CHECK, "_advance_monitors"),
+    (_CHECK, "observe"),
 )
 
 

@@ -25,7 +25,6 @@ of this facade.
 from ..core.consistency.incremental import (
     CheckPolicy,
     IncrementalChecker,
-    StreamMonitors,
     WindowedChecker,
     incremental_checker,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "IncrementalChecker",
     "RunReport",
     "Session",
-    "StreamMonitors",
     "WindowedChecker",
     "incremental_checker",
 ]

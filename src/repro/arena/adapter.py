@@ -3,8 +3,8 @@
 This is the **only** module of :mod:`repro.arena` that builds
 :class:`~repro.core.operations.Operation` objects (lint rule RPR105 enforces
 it): everything else in the package works on row integers, and callers that
-need the object API — ``history()``, ``read_from()``, witnesses, the inner
-object checker of a non-columnar criterion — go through the functions below,
+need the object API — ``history()``, ``read_from()``, witnesses, the object
+checker of a non-columnar criterion — go through the functions below,
 or, for witnesses, :class:`Witnesses`.
 
 Materialisation is cached per arena consumer (a plain ``{row: Operation}``
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from array import array
 from heapq import heappop, heappush
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.history import History
 from ..core.operations import Operation, OpKind
@@ -66,16 +67,25 @@ def materialize_row(arena: OpArena, row: int, cache: OpCache) -> Operation:
     return op
 
 
-def history_from_arena(arena: OpArena, cache: OpCache) -> History:
+def history_from_arena(
+    arena: OpArena, cache: OpCache, universe: Iterable[int] = ()
+) -> History:
     """Materialise the whole arena as a :class:`History`.
 
-    Declared-but-silent processes get empty local histories, mirroring
-    :meth:`repro.mcs.recorder.HistoryRecorder.history`.
+    Declared-but-silent processes, and those of ``universe``, get empty
+    local histories, mirroring :meth:`repro.mcs.recorder.HistoryRecorder.history`.
+    A cached operation whose ``index`` is not its row's (a served window
+    evicted part of its process) enters as a copy at the row's index: same
+    ``uid``, so equal to the original.
     """
     materialize_prefix(arena, len(arena), cache)
-    ops: Dict[int, List[Operation]] = {pid: [] for pid in arena.processes}
+    ops: Dict[int, List[Operation]] = {pid: [] for pid in (*arena.processes, *universe)}
+    index = arena.index
     for row in range(len(arena)):
-        ops[arena.proc[row]].append(cache[row])
+        op = cache[row]
+        if op.index != index[row]:
+            op = replace(op, index=index[row])
+        ops[arena.proc[row]].append(op)
     return History(ops)
 
 
@@ -92,25 +102,16 @@ def read_from_of(arena: OpArena, cache: OpCache) -> Dict[Operation, Optional[Ope
     return mapping
 
 
-def stream_of(
-    arena: OpArena, start: int, cache: OpCache
-) -> Iterator[Tuple[Operation, Optional[Operation]]]:
-    """The ``(operation, source)`` stream from row ``start`` on, in recording
-    order, materialised."""
-    materialize_prefix(arena, len(arena), cache)
-    kind, source = arena.kind, arena.source
-    for row in range(start, len(arena)):
-        src = source[row]
-        yield cache[row], (
-            cache[src] if kind[row] != KIND_WRITE and src != NO_SOURCE else None
-        )
-
-
 def log_of(
     arena: OpArena, cache: OpCache
 ) -> Tuple[Tuple[Operation, Optional[Operation]], ...]:
     """The ``(operation, source)`` stream in recording order, materialised."""
-    return tuple(stream_of(arena, 0, cache))
+    materialize_prefix(arena, len(arena), cache)
+    kind, source = arena.kind, arena.source
+    return tuple(
+        (cache[row], None if kind[row] == KIND_WRITE or src == NO_SOURCE else cache[src])
+        for row, src in enumerate(source)
+    )
 
 
 class Witnesses(Mapping[int, List[Operation]]):
@@ -155,13 +156,10 @@ def arena_from_history(
     """Columnarise an object :class:`History`, every source before its reads.
 
     Operations are appended in a topological order of program order ∪
-    read-from (Kahn's algorithm over per-process cursors, smallest ``uid``
-    first among the ready operations), so each process' rows keep program
-    order and the ``index`` column equals ``op.index`` — for a windowed
-    history (gap indices) it is the dense position, which keeps the order
-    the columnar check needs.  A history whose uid
-    order already extends both relations — every recorded, materialised or
-    replayed one — keeps that order.  Read sources come from ``read_from``
+    read-from (:func:`topological_order`), so each process' rows keep
+    program order and the ``index`` column equals ``op.index``.  A history
+    whose uid order already extends both relations — every recorded,
+    materialised or replayed one — keeps that order.  Read sources come from ``read_from``
     (inferred from values when omitted).  An empty ``cache``, when given, is
     filled with ``{row: op}``, so consumers materialise the caller's own
     operations.
@@ -178,19 +176,49 @@ def arena_from_history(
         ):
             return None
     arena = OpArena()
-    lines = [history.local(pid).operations for pid in history.processes]
     for pid in history.processes:
         arena.declare_process(pid)
-    cursor = [0] * len(lines)
+    order = topological_order([history.local(pid).operations for pid in history.processes], rf)
+    if order is None:
+        return None
     rows: Dict[Operation, int] = {}
+    for op in order:
+        if op.is_write:
+            row = rows[op] = arena.append_write(
+                op.process, op.variable, op.value, op.invoked_at, op.completed_at
+            )
+        else:
+            writer = rf.get(op)
+            row = arena.append_read(
+                op.process, op.variable, op.value,
+                NO_SOURCE if writer is None else rows[writer],
+                op.invoked_at, op.completed_at,
+            )
+        if cache is not None:
+            cache[row] = op
+    return arena
+
+
+def topological_order(
+    lines: Sequence[Sequence[Operation]],
+    read_from: Mapping[Operation, Optional[Operation]],
+) -> Optional[List[Operation]]:
+    """The operations of ``lines`` (one per process, in program order) in a
+    topological order of program order ∪ read-from: Kahn's algorithm over
+    per-process cursors, smallest ``uid`` first among the ready operations.
+    ``None`` when there is none: a cycle, or a read whose writer is in no
+    line."""
+    cursor = [0] * len(lines)
+    placed: Set[Operation] = set()
+    order: List[Operation] = []
     ready: List[Tuple[int, int]] = []
     blocked: Dict[Operation, List[int]] = {}
 
     def offer(line: int) -> None:
         if cursor[line] < len(lines[line]):
             op = lines[line][cursor[line]]
-            writer = rf.get(op) if op.is_read else None
-            if writer is None or writer in rows:
+            writer = read_from.get(op) if op.is_read else None
+            if writer is None or writer in placed:
                 heappush(ready, (op.uid, line))
             else:
                 blocked.setdefault(writer, []).append(line)
@@ -201,20 +229,10 @@ def arena_from_history(
         _, line = heappop(ready)
         op = lines[line][cursor[line]]
         cursor[line] += 1
+        order.append(op)
         if op.is_write:
-            row = rows[op] = arena.append_write(
-                op.process, op.variable, op.value, op.invoked_at, op.completed_at
-            )
+            placed.add(op)
             for waiting in blocked.pop(op, ()):
                 heappush(ready, (lines[waiting][cursor[waiting]].uid, waiting))
-        else:
-            writer = rf.get(op)
-            row = arena.append_read(
-                op.process, op.variable, op.value,
-                NO_SOURCE if writer is None else rows[writer],
-                op.invoked_at, op.completed_at,
-            )
-        if cache is not None:
-            cache[row] = op
         offer(line)
-    return arena if len(arena) == len(history) else None
+    return order if len(order) == sum(map(len, lines)) else None

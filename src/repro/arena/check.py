@@ -1,29 +1,25 @@
 """Consistency checking directly over arena columns.
 
-:class:`ArenaBatchChecker` checks every history-keeping
-:class:`repro.api.Session` run: the session records into an
-:class:`~repro.arena.store.OpArena` (:class:`~repro.arena.recorder.ArenaRecorder`)
-and the checker reads the rows from that shared arena, so the operation
-arguments of the :class:`~repro.core.consistency.incremental.IncrementalChecker`
-protocol are ignored — ``feed``, ``check_now`` and ``finalize`` each first
-advance over the rows appended since the last call.  A finalize-only session
-subscribes no listener at all: ``finalize`` then advances over the whole run
-and no per-operation object is ever built.  A session whose policy checks
-mid-run subscribes ``feed``, so a stream-monitor hit is noted at the row that
-proves it and a fail-fast run stops where the object stream would.
+:class:`ArenaBatchChecker` decides every check that has an arena: each
+history-keeping :class:`repro.api.Session` run, each batch causal and pram
+check of an object history
+(:class:`~repro.core.consistency.criteria.ColumnarChecker`), and each due
+check and close of a :class:`~repro.core.consistency.incremental.WindowedChecker`,
+whose window is rows of its own arena.  A session's checker reads the rows
+of the arena its :class:`~repro.arena.recorder.ArenaRecorder` shares, so the
+operation arguments of the
+:class:`~repro.core.consistency.incremental.IncrementalChecker` protocol are
+ignored: ``feed``, ``check_now`` and ``finalize`` each first advance over
+the rows appended since the last call.  A finalize-only session subscribes
+no listener and builds no per-operation object; one whose policy checks
+mid-run subscribes ``feed``, so a monitor hit is noted at the row that
+proves it.  :class:`RowMonitor` is the one implementation of the O(1)
+stream monitors, for sessions and served windows alike.
 
-It also decides every batch causal and pram check of an object history
-(:class:`~repro.core.consistency.criteria.ColumnarChecker`), the windows of
-a finite :class:`~repro.core.consistency.incremental.WindowedChecker`
-included, by :meth:`ArenaBatchChecker.solved`.
-
-Causal and pram are checked over the columns at every size.  Monitors, bad
-patterns and witnesses run over the int columns, with no per-view graph: the
-stream monitors of
-:class:`~repro.core.consistency.incremental.StreamMonitors` replicated over
-rows (same messages, same order, frontier state kept across calls), and for
+Causal and pram are checked over the columns at every size.  Bad patterns
+and witnesses run over the int columns, with no per-view graph: for
 **causal** two vector-clock sweeps (operation and write counts per process)
-that answer ``a -> b`` in O(1).  Every read's source row precedes it
+answer ``a -> b`` in O(1).  Every read's source row precedes it
 (:meth:`~repro.arena.store.OpArena.append_read`), so row order is a
 topological order of program order ∪ read-from.
 Each view ``H_{p+w}`` gives every remote write a *batch index*, the first own
@@ -45,10 +41,9 @@ Both engines emit by the one rule stated in :mod:`repro.core.serialization`,
 so verdicts, violation strings and witnesses equal the object checker's over
 the materialised history.
 
-Every other criterion is checked by one inner
-:func:`~repro.core.consistency.incremental.incremental_checker`: each row is
-materialised and fed to it once, in recording order, and ``check_now``,
-``finalize`` and ``first_stream_violation`` are the inner checker's.
+Every other criterion runs its object checker on the rows materialised
+(:func:`~repro.arena.adapter.history_from_arena`,
+:func:`~repro.arena.adapter.read_from_of`) at each check and at the close.
 
 A columnar check keeps each view's witness as an ``array('i')`` of rows: its
 ``CheckResult.serializations`` is an :class:`~repro.arena.adapter.Witnesses`
@@ -64,12 +59,13 @@ from operator import le
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.consistency.base import CheckResult
-from ..core.consistency.incremental import IncrementalChecker, incremental_checker
+from ..core.consistency.incremental import IncrementalChecker
 from ..core.consistency.registry import get_checker
+from ..core.operations import decode_value, encode_value
 from . import adapter
 from .store import KIND_WRITE, NO_SOURCE, OpArena
 
-#: Criteria with a columnar path; everything else materialises.
+#: Criteria with a columnar path; every other one is checked materialised.
 COLUMNAR_CRITERIA = frozenset({"causal", "pram"})
 
 #: The relation each columnar criterion's object checker builds
@@ -117,6 +113,120 @@ def _last_true(n: int, pred) -> int:
     return lo
 
 
+class RowMonitor:
+    """The O(1)-per-operation stream monitors, over arena rows: per-reader
+    per-variable writer monotonicity (a process that observed the ``i``-th
+    write of a writer on ``x`` never reads an older one), freshness of ``⊥``
+    reads, and with ``real_time`` (atomic) staleness in real time.  The
+    first two prove inconsistency under slow memory, hence under every
+    criterion.  The state, O(processes² × variables), names no row: write
+    positions come from the ``index`` column the caller passes (a session's
+    :attr:`OpArena.index`, a served window's stream indices), so it survives
+    a window's compaction, and it round-trips through JSON."""
+
+    def __init__(self, arena: OpArena, real_time: bool = False) -> None:
+        self.arena = arena
+        self.real_time = real_time
+        #: (reader, variable id) -> {writer: highest write index observed}
+        self._observed: Dict[Tuple[int, int], Dict[int, int]] = {}
+        #: variable id -> (writer, index, value, invoked, completed) of the
+        #: write with the latest completion seen so far
+        self._last: Dict[int, Tuple[int, int, Any, Optional[float], float]] = {}
+
+    def observe(self, start: int, index: Sequence[int]) -> List[Tuple[int, str]]:
+        """Account for rows ``start`` on; their hits as ``(row, message)``."""
+        arena = self.arena
+        kind, proc, var, source = arena.kind, arena.proc, arena.var, arena.source
+        observed = self._observed
+        out: List[Tuple[int, str]] = []
+        for row in range(start, len(kind)):
+            p = proc[row]
+            v = var[row]
+            frontier = observed.setdefault((p, v), {})
+            if kind[row] == KIND_WRITE:
+                if index[row] > frontier.get(p, -1):
+                    frontier[p] = index[row]
+                if self.real_time:
+                    self._complete(row, index)
+                continue
+            src = source[row]
+            if src == NO_SOURCE:
+                if frontier:
+                    out.append((row, f"p{p}: {arena.label(row)} returns ⊥ after p{p} "
+                                     f"already observed a write on {arena.var_name(v)}"))
+            else:
+                sp = proc[src]
+                si = index[src]
+                seen = frontier.get(sp, -1)
+                if si < seen:
+                    out.append((row, f"p{p}: {arena.label(row)} reads write #{si} of p{sp} on "
+                                     f"{arena.var_name(v)} after p{p} already observed "
+                                     f"write #{seen} of the same process"))
+                if si > seen:
+                    frontier[sp] = si
+            if self.real_time:
+                stale = self._stale(row, index)
+                if stale is not None:
+                    out.append((row, f"p{p}: {stale}"))
+        return out
+
+    def _complete(self, row: int, index: Sequence[int]) -> None:
+        arena, completed = self.arena, self.arena.completed[row]
+        last = self._last.get(arena.var[row])
+        if completed == completed and (last is None or last[4] < completed):  # not nan
+            self._last[arena.var[row]] = (arena.proc[row], index[row], arena.value_of(row),
+                                          arena.timestamp(arena.invoked, row), completed)
+
+    def _stale(self, row: int, index: Sequence[int]) -> Optional[str]:
+        """The real-time violation read ``row`` proves, if any (an unknown
+        time is ``nan``, which compares false: it proves nothing)."""
+        arena, src = self.arena, self.arena.source[row]
+        last = self._last.get(arena.var[row])
+        if last is None or not last[4] < arena.invoked[row]:
+            return None
+        writer, at, value, invoked, _ = last
+        if src != NO_SOURCE and ((arena.proc[src], index[src]) == (writer, at)
+                                 or invoked is None or not arena.completed[src] < invoked):
+            return None
+        got = "⊥" if src == NO_SOURCE else arena.label(src)
+        return (f"{arena.label(row)} returns {got} although "
+                f"w{writer}({arena.var_name(arena.var[row])}){value!r} "
+                f"completed before the read was invoked (real time)")
+
+    def observed_index(self, reader: int, vid: int, writer: int) -> int:
+        """Highest write index of ``writer`` on variable id ``vid`` that
+        ``reader`` has observed so far (``-1`` when nothing was)."""
+        return self._observed.get((reader, vid), {}).get(writer, -1)
+
+    # -- checkpointing ---------------------------------------------------------
+    def export_state(self) -> Dict[str, Any]:
+        """JSON-able snapshot of the monitor state (see :meth:`load_state`)."""
+        name = self.arena.var_name
+        observed = sorted(
+            [reader, name(vid), writer, index]
+            for (reader, vid), frontier in self._observed.items()
+            for writer, index in frontier.items()
+        )
+        last = sorted(  # one entry per variable: the names alone order them
+            [name(vid), writer, index, encode_value(value), invoked, completed]
+            for vid, (writer, index, value, invoked, completed) in self._last.items()
+        )
+        return {"real_time": self.real_time, "observed": observed, "last": last}
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Restore a snapshot produced by :meth:`export_state`."""
+        intern = self.arena.intern_var
+        self.real_time = bool(state.get("real_time", self.real_time))
+        self._observed = {}
+        for reader, variable, writer, index in state.get("observed", ()):
+            frontier = self._observed.setdefault((reader, intern(variable)), {})
+            frontier[writer] = max(frontier.get(writer, -1), index)
+        self._last = {
+            intern(variable): (process, index, decode_value(value), invoked, completed)
+            for variable, process, index, value, invoked, completed in state.get("last", ())
+        }
+
+
 class ArenaBatchChecker(IncrementalChecker):
     """Incremental checker reading its stream from an :class:`OpArena`."""
 
@@ -128,7 +238,7 @@ class ArenaBatchChecker(IncrementalChecker):
         exact: bool = True,
         cache: Optional[adapter.OpCache] = None,
     ) -> None:
-        get_checker(criterion)  # an unknown name fails here, not at finalize
+        self._checker = get_checker(criterion)  # an unknown name fails here
         self.criterion = criterion
         self.arena = arena
         self._exact = exact
@@ -137,48 +247,34 @@ class ArenaBatchChecker(IncrementalChecker):
 
     # -- incremental protocol -------------------------------------------------
     def start(self, universe: Optional[Tuple[int, ...]] = None) -> None:
-        """Reset, and fix the path: columnar when the criterion has one, else
-        the inner object checker."""
         self._universe = tuple(universe or ())
         self._reset_findings()
-        #: Rows the monitors (or the inner checker) have advanced over.
+        #: Rows the monitors have advanced over.
         self._fed = 0
-        #: Row-monitor frontiers: (reader, variable id) -> {writer: index}.
-        self._observed: Dict[Tuple[int, int], Dict[int, int]] = {}
-        self._inner: Optional[IncrementalChecker] = None
-        if self.criterion not in COLUMNAR_CRITERIA:
-            self._inner = incremental_checker(self.criterion, exact=self._exact)
-            self._inner.start(self._universe)
+        self._monitor = RowMonitor(self.arena, real_time=self.criterion == "atomic")
 
     def feed(self, op: Any = None, read_from: Any = None) -> Optional[CheckResult]:
         """Advance over the rows appended since the last call (the arguments
         are ignored: the shared arena already holds them); the result so far
         when they prove a violation."""
-        if self._inner is not None:
-            return self._feed_inner()
-        hits = self._advance_monitors()
+        hits = self._monitor.observe(self._fed, self.arena.index)
+        self._fed = len(self.arena)
         self._note_monitor_hits(hits)
         return self._result_so_far() if hits else None
 
     def check_now(self) -> Optional[CheckResult]:
         """Bad-pattern sweep over the current arena prefix, after the rows
         not yet fed — accumulated by the object stream's rule."""
-        if self._inner is not None:
-            self._feed_inner()
-            return self._inner.check_now()
         self.feed()
-        return self._note_findings(self._views(solve=False)[0])
+        return self._note_findings(self._sweep())
 
     def finalize(self) -> CheckResult:
-        if self._inner is not None:
-            self._feed_inner()
-            return self._inner.finalize()
         if self._finalized is None:
             self.feed()
             if self._violations:
                 # Proven violations exist: close with a polynomial sweep merged
                 # after them, like the object stream's collect-all close.
-                self._finalized = self._closing(self._views(solve=False)[0])
+                self._finalized = self._closing(self._sweep())
             else:
                 self._finalized = self.solved()
         return self._finalized
@@ -187,34 +283,14 @@ class ArenaBatchChecker(IncrementalChecker):
     def ops_fed(self) -> int:
         return len(self.arena)
 
-    @property
-    def violations(self) -> List[str]:
-        if self._inner is not None:
-            return self._inner.violations
-        return list(self._violations)
-
-    # -- the inner object checker ---------------------------------------------
-    def _feed_inner(self) -> Optional[CheckResult]:
-        """Feed the rows not yet fed to the inner checker, materialised; its
-        result so far when they prove a violation."""
-        assert self._inner is not None
-        result = None
-        for op, source in adapter.stream_of(self.arena, self._fed, self._cache):
-            hit = self._inner.feed(op, source)
-            if hit is not None:
-                result = hit
-        self._fed = len(self.arena)
-        self.first_stream_violation = self._inner.first_stream_violation
-        return result
-
-    # -- columnar path --------------------------------------------------------
     def solved(self) -> CheckResult:
-        """The batch close of the whole arena: with ``exact``, every view's
-        saturation and witness, and the bad patterns of the views it rejects;
-        without, every view's bad patterns.  The stream monitors do not run,
-        so the violations are those of the object per-view check
-        (:meth:`~repro.core.consistency.base.PerProcessChecker.check`).
-        ``finalize`` closes a stream with no proven violation by it."""
+        """The batch close of the whole arena, without the stream monitors: its
+        violations are the object check's.  Causal and pram: with ``exact``,
+        every view's saturation and witness, and the bad patterns of the
+        views it rejects; without, every view's bad patterns.  Any other
+        criterion: its object checker on the materialised rows."""
+        if self.criterion not in COLUMNAR_CRITERIA:
+            return self._object_check(self._exact)
         found, witnesses = self._views(self._exact)
         return CheckResult(
             criterion=self.criterion, consistent=not found,
@@ -222,46 +298,16 @@ class ArenaBatchChecker(IncrementalChecker):
             serializations=adapter.Witnesses(self.arena, witnesses, self._cache),
         )
 
-    def _advance_monitors(self) -> List[Tuple[int, str]]:
-        """Row-level replica of ``StreamMonitors.observe`` + the ``p{pid}:``
-        prefix of ``WindowedChecker.feed`` over the rows appended since the
-        last call: their hits as ``(row, message)`` (real-time monitoring is
-        only used by the atomic criterion, which has no columnar path)."""
-        arena = self.arena
-        kind, proc, var, index, source = (
-            arena.kind, arena.proc, arena.var, arena.index, arena.source,
-        )
-        observed = self._observed
-        out: List[Tuple[int, str]] = []
-        for row in range(self._fed, len(kind)):
-            p = proc[row]
-            v = var[row]
-            frontier = observed.setdefault((p, v), {})
-            if kind[row] == KIND_WRITE:
-                if index[row] > frontier.get(p, -1):
-                    frontier[p] = index[row]
-                continue
-            src = source[row]
-            if src == NO_SOURCE:
-                if frontier:
-                    out.append((row, (
-                        f"p{p}: {arena.label(row)} returns ⊥ after p{p} already "
-                        f"observed a write on {arena.var_name(v)}"
-                    )))
-                continue
-            sp = proc[src]
-            si = index[src]
-            seen = frontier.get(sp, -1)
-            if si < seen:
-                out.append((row, (
-                    f"p{p}: {arena.label(row)} reads write #{si} of "
-                    f"p{sp} on {arena.var_name(v)} after p{p} "
-                    f"already observed write #{seen} of the same process"
-                )))
-            if si > seen:
-                frontier[sp] = si
-        self._fed = len(kind)
-        return out
+    def _sweep(self) -> List[str]:
+        """The polynomial bad-pattern findings over the whole arena."""
+        if self.criterion not in COLUMNAR_CRITERIA:
+            return self._object_check(exact=False).violations
+        return self._views(solve=False)[0]
+
+    def _object_check(self, exact: bool) -> CheckResult:
+        history = adapter.history_from_arena(self.arena, self._cache, self._universe)
+        read_from = adapter.read_from_of(self.arena, self._cache)
+        return self._checker.check(history, read_from=read_from, exact=exact)
 
     # -- columnar views -------------------------------------------------------
     def _views(self, solve: bool) -> Tuple[List[str], Dict[int, array]]:

@@ -25,7 +25,9 @@ every process' program order and every read-from pair: per-process row
 lists are sorted by program order, and :meth:`OpArena.append_read` accepts
 only a source row that is an earlier write (a live recorder appends in
 delivery order; :func:`~repro.arena.adapter.arena_from_history` in a
-topological order of program order ∪ read-from).
+topological order of program order ∪ read-from).  :meth:`OpArena.keep`
+drops and reorders rows under the same rule: a served window compacts its
+arena with it.
 
 The arena never builds an :class:`~repro.core.operations.Operation`; the
 int↔object adapters live in :mod:`repro.arena.adapter` (the only module of
@@ -192,6 +194,39 @@ class OpArena:
             if value is written or (type(value) is type(written) and value == written):
                 return slot
         return self.bottom_id if value is BOTTOM else self._new_slot(value)
+
+    def keep(self, rows: Sequence[int]) -> None:
+        """Keep only ``rows``, in that order, with one copy per column.
+
+        The order must keep each process' rows in program order and put every
+        read's source before it.  ``index`` is renumbered, value slots are
+        packed, and every process stays declared.
+        """
+        # moved[old row] = new row; moved[NO_SOURCE] is the spare last slot
+        moved = array("q", [NO_SOURCE]) * (len(self.kind) + 1)
+        for new, old in enumerate(rows):
+            moved[old] = new
+        slots = {self.bottom_id: self.bottom_id}
+        for row in rows:
+            slots.setdefault(self.value[row], len(slots))
+        self._values = [self._values[slot] for slot in slots]
+        kind = [self.kind[row] for row in rows]
+        proc = [self.proc[row] for row in rows]
+        self.kind, self.proc = array("b", kind), array("q", proc)
+        self.var = array("q", [self.var[row] for row in rows])
+        self.value = array("q", [slots[self.value[row]] for row in rows])
+        self.source = array("q", [moved[self.source[row]] for row in rows])
+        self.invoked = array("d", [self.invoked[row] for row in rows])
+        self.completed = array("d", [self.completed[row] for row in rows])
+        self._proc_rows = {pid: array("q") for pid in self._proc_rows}
+        self._write_rows = {pid: array("q") for pid in self._write_rows}
+        self.index = array("q")
+        for row, pid in enumerate(proc):
+            own = self._proc_rows[pid]
+            self.index.append(len(own))
+            own.append(row)
+            if kind[row] == KIND_WRITE:
+                self._write_rows[pid].append(row)
 
     # -- basic accessors -----------------------------------------------------
     def __len__(self) -> int:

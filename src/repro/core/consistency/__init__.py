@@ -12,7 +12,6 @@ from .criteria import (
 from .incremental import (
     CheckPolicy,
     IncrementalChecker,
-    StreamMonitors,
     WindowedChecker,
     WindowMetrics,
     incremental_checker,
@@ -29,7 +28,6 @@ __all__ = [
     "ConsistencyChecker",
     "IMPLIES",
     "IncrementalChecker",
-    "StreamMonitors",
     "WindowedChecker",
     "WindowMetrics",
     "incremental_checker",

@@ -10,9 +10,11 @@ with the relation of the corresponding criterion:
   Lipton & Sandberg [13]).
 * :class:`SlowChecker` — the slow-memory relation (Sinha [16]), weaker than PRAM.
 
-:class:`CausalChecker` and :class:`PRAMChecker` decide on the arena
-(:class:`ColumnarChecker`), the windows of ``repro serve``'s windowed
-checkers included.
+:class:`CausalChecker` and :class:`PRAMChecker` decide an object history on
+the arena (:class:`ColumnarChecker`).  Every check that already has an arena
+— a session's, a served window's — is
+:class:`~repro.arena.check.ArenaBatchChecker`'s, which runs these checkers
+on the materialised rows for every other criterion.
 
 The strength ordering (causal ⊃ lazy causal ⊃ lazy semi-causal ⊃ PRAM ⊃ slow,
 where "⊃" reads "admits fewer histories than") is verified by the property
@@ -41,10 +43,8 @@ class ColumnarChecker(PerProcessChecker):
     :meth:`check` appends the history to an arena in a topological order of
     program order ∪ read-from (:func:`~repro.arena.adapter.arena_from_history`)
     and closes it with the columnar batch check; the witnesses and the
-    violation strings are the caller's own operations.  A windowed history
-    (gap indices, stand-ins) takes the same path: per-process cursors keep
-    program order, and the check needs only that order, not dense
-    positions.  Two inputs keep the object path of
+    violation strings are the caller's own operations.  Two inputs keep the
+    object path of
     :meth:`PerProcessChecker.check`: a program-order ∪ read-from cycle (a
     PRAM history may have one) and a read-from map naming a writer that is
     not a write of the history on the read's variable.

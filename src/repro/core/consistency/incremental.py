@@ -22,25 +22,18 @@ extension: early ``False`` verdicts are exact proofs.
     it proves: monitor hits in feed order, prefix findings with string
     dedup, the collect-all closing merge and ``first_stream_violation``.
 
-:class:`StreamMonitors`
-    O(1)-per-operation necessary conditions maintained natively (no relation
-    is built): per-reader per-variable writer monotonicity (a process that
-    observed the ``i``-th write of a writer on ``x`` can never read an older
-    write of that writer on ``x``), freshness of ``⊥`` reads, and — for the
-    atomic criterion — a real-time staleness monitor.  All are sound for the
-    *weakest* criterion of the lattice (slow memory), hence for every
-    criterion above it.
-
 :class:`WindowedChecker`
-    The incremental checker: the stream monitors on every operation plus, on
-    demand (:meth:`~IncrementalChecker.check_now`) and at ``finalize``, the
-    polynomial bad-pattern pre-check over the operations it retains.  Its
-    ``window`` is the retention policy: ``None`` retains the whole stream
-    (with ``exact=True`` a clean ``finalize`` is then the batch checker's
-    exact decision, witnesses included), and ``N >= 4`` retains a sliding
-    window with Theorem 1 eviction (``repro serve``).  Causal and pram
-    windows are decided on the arena, like every batch check of theirs.
-    :func:`incremental_checker` builds the first.
+    The incremental checker of a stream of operations: O(1)-per-operation
+    stream monitors (:class:`~repro.arena.check.RowMonitor`) on every
+    operation plus, on demand (:meth:`~IncrementalChecker.check_now`) and at
+    ``finalize``, the batch check of the operations it retains — which are
+    rows of its own arena, decided by
+    :meth:`~repro.arena.check.ArenaBatchChecker.solved`.  Its ``window`` is
+    the retention policy: ``None`` retains the whole stream (with
+    ``exact=True`` a clean ``finalize`` is then the batch checker's exact
+    decision, witnesses included), and ``N >= 4`` retains a sliding window
+    with Theorem 1 eviction (``repro serve``).  :func:`incremental_checker`
+    builds the first.
 
 :class:`CheckPolicy`
     When to spend how much: every-op / every-N / on-finalize cadence for the
@@ -51,8 +44,9 @@ from __future__ import annotations
 
 import abc
 import bisect
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from array import array
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...exceptions import (
     ConsistencyCheckError,
@@ -60,7 +54,6 @@ from ...exceptions import (
     UnknownCriterionError,
 )
 from ..distribution import VariableDistribution
-from ..history import History
 from ..operations import Operation, OpKind, decode_value, encode_value
 from ..share_graph import ShareGraph
 from .base import CheckResult, ConsistencyChecker
@@ -152,129 +145,6 @@ class CheckPolicy:
         if self.geometric and ops_fed >= self.GEOMETRIC_START:
             return ops_fed & (ops_fed - 1) == 0  # powers of two
         return False
-
-
-# ---------------------------------------------------------------------------
-# O(1) stream monitors
-# ---------------------------------------------------------------------------
-
-class StreamMonitors:
-    """Constant-time-per-op necessary conditions over the operation stream.
-
-    Every reported violation is a proof of inconsistency under slow memory —
-    the weakest criterion of the lattice — and therefore under every
-    registered criterion.  State is O(processes² x variables) worst case, independent of
-    the run length, which is what lets a finite window keep monitoring
-    exactly across evictions.
-    """
-
-    def __init__(self, real_time: bool = False) -> None:
-        self._real_time = real_time
-        # (reader, variable) -> {writer process -> highest write index observed}
-        self._observed: Dict[Tuple[int, str], Dict[int, int]] = {}
-        # variable -> write with the latest completion time seen so far
-        self._last_completed_write: Dict[str, Operation] = {}
-
-    def observe(self, op: Operation, source: Optional[Operation]) -> List[str]:
-        """Account for ``op``; return the violations it proves (usually none)."""
-        violations: List[str] = []
-        if op.is_write:
-            frontier = self._observed.setdefault((op.process, op.variable), {})
-            prev = frontier.get(op.process, -1)
-            frontier[op.process] = max(prev, op.index)
-            if self._real_time and op.completed_at is not None:
-                last = self._last_completed_write.get(op.variable)
-                if last is None or last.completed_at < op.completed_at:
-                    self._last_completed_write[op.variable] = op
-            return violations
-
-        frontier = self._observed.setdefault((op.process, op.variable), {})
-        if source is None:
-            if frontier:
-                violations.append(
-                    f"{op.label()} returns ⊥ after p{op.process} already "
-                    f"observed a write on {op.variable}"
-                )
-        else:
-            seen = frontier.get(source.process, -1)
-            if source.index < seen:
-                violations.append(
-                    f"{op.label()} reads write #{source.index} of "
-                    f"p{source.process} on {op.variable} after p{op.process} "
-                    f"already observed write #{seen} of the same process"
-                )
-            frontier[source.process] = max(seen, source.index)
-        if self._real_time and op.invoked_at is not None:
-            last = self._last_completed_write.get(op.variable)
-            stale = (
-                last is not None
-                and last.completed_at < op.invoked_at
-                and last is not source
-                and (source is None
-                     or (source.completed_at is not None
-                         and last.invoked_at is not None
-                         and source.completed_at < last.invoked_at))
-            )
-            if stale:
-                got = "⊥" if source is None else source.label()
-                violations.append(
-                    f"{op.label()} returns {got} although {last.label()} "
-                    f"completed before the read was invoked (real time)"
-                )
-        return violations
-
-    def observed_index(self, reader: int, variable: str, writer: int) -> int:
-        """Highest write index of ``writer`` on ``variable`` that ``reader``
-        has observed so far (``-1`` when nothing was observed).
-
-        This is the eviction proof obligation of
-        :class:`WindowedChecker`: once every potential reader of a variable
-        has advanced past a write, any *future* read of that write is itself
-        a monitor-provable violation, so retaining the write adds nothing.
-        """
-        return self._observed.get((reader, variable), {}).get(writer, -1)
-
-    # -- checkpointing ---------------------------------------------------------
-    def export_state(self) -> Dict[str, Any]:
-        """JSON-able snapshot of the monitor state (see ``load_state``)."""
-        observed = [
-            [reader, variable, writer, index]
-            for (reader, variable), frontier in sorted(self._observed.items())
-            for writer, index in sorted(frontier.items())
-        ]
-        last = [
-            [variable, op.process, op.index, encode_value(op.value),
-             op.invoked_at, op.completed_at]
-            for variable, op in sorted(self._last_completed_write.items())
-        ]
-        return {"real_time": self._real_time, "observed": observed, "last": last}
-
-    def load_state(
-        self,
-        state: Dict[str, Any],
-        resolve: Optional[Callable[[int, int], Optional[Operation]]] = None,
-    ) -> None:
-        """Restore a snapshot produced by :meth:`export_state`.
-
-        ``resolve`` maps a ``(process, index)`` write reference to a retained
-        :class:`Operation`, so the staleness monitor's identity comparison
-        keeps working after a restore; unresolved references are rebuilt as
-        equivalent stand-in writes.
-        """
-        self._real_time = bool(state.get("real_time", self._real_time))
-        self._observed = {}
-        for reader, variable, writer, index in state.get("observed", ()):
-            frontier = self._observed.setdefault((reader, variable), {})
-            frontier[writer] = max(frontier.get(writer, -1), index)
-        self._last_completed_write = {}
-        for variable, process, index, value, invoked, completed in state.get("last", ()):
-            op = resolve(process, index) if resolve is not None else None
-            if op is None:
-                op = Operation.write(
-                    process, variable, decode_value(value), index=index,
-                    invoked_at=invoked, completed_at=completed,
-                )
-            self._last_completed_write[variable] = op
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +269,7 @@ class WindowMetrics:
     standins: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "ops_fed": self.ops_fed,
-            "retained": self.retained,
-            "peak_retained": self.peak_retained,
-            "evicted_proved": self.evicted_proved,
-            "evicted_forced": self.evicted_forced,
-            "standins": self.standins,
-        }
+        return asdict(self)
 
 
 class WindowedChecker(IncrementalChecker):
@@ -420,15 +283,27 @@ class WindowedChecker(IncrementalChecker):
     * ``N >= 4`` retains a sliding window and garbage-collects the prefix,
       which is what lets the ``repro serve`` monitors run forever.
 
+    **The window is arena rows** of the checker's own
+    :class:`~repro.arena.store.OpArena`, in a topological order of program
+    order ∪ read-from: ``feed`` appends one row, once a read's ``read_from``
+    is known to be a retained, fed write on its variable
+    (:class:`~repro.exceptions.ConsistencyCheckError` otherwise).  Per row it
+    also keeps the caller's :class:`Operation` (results name the caller's
+    objects) and the stream index, which the monitors
+    (:class:`~repro.arena.check.RowMonitor`), pins and checkpoints speak of;
+    the arena's ``index`` is the dense position the columnar check needs.
+    Every due check and close is
+    :meth:`~repro.arena.check.ArenaBatchChecker.solved` on that arena.
+
     Soundness rests on two pillars:
 
-    * **Monotone subset.**  Every retained view is a sub-history of the full
-      stream whose program order, read-from and derived closures are subsets
-      of the full relations, so every bad pattern found over the window is a
-      bad pattern of the full history — windowed violations are *exact*
-      proofs.  The O(1) monitors keep running — exactly — across evictions
-      because their state (per-reader writer frontiers) never references
-      retained operations.
+    * **Monotone subset.**  Every retained window is a sub-history of the
+      full stream whose program order, read-from and derived closures are
+      subsets of the full relations, so every bad pattern found over the
+      window is a bad pattern of the full history — windowed violations are
+      *exact* proofs.  The O(1) monitors keep running — exactly — across
+      evictions because their state (per-reader writer frontiers, in stream
+      indices) never references retained rows.
 
     * **Proved eviction (paper, Theorem 1).**  A write ``w_p(x)#k`` can stop
       participating in *new* bad patterns once every process that can ever
@@ -441,40 +316,32 @@ class WindowedChecker(IncrementalChecker):
       evictions are counted ``evicted_proved``.  When the window overflows
       anyway, the oldest unpinned operations are evicted *forced* (counted
       separately): that only weakens the windowed check's completeness,
-      never its soundness.
+      never its soundness.  An eviction is one compaction of the arena
+      (:meth:`~repro.arena.store.OpArena.keep`).
 
-    Under a finite window two invariants keep the retained views free of
+    Under a finite window two invariants keep the retained windows free of
     spurious bad patterns: the read-from source of every retained read stays
-    pinned (a read whose writer is missing from the view would be reported
-    as a violation by the serialization pre-check), and the newest retained
-    write per ``(process, variable)`` is never evicted (it resolves future
-    source references without reconstruction).  A source reference to an
-    evicted write is rebuilt by :meth:`resolve_source` as an equivalent
-    stand-in, re-inserted at its original index — the windowed
-    :class:`History` accepts gap-tolerant, strictly-increasing indices.  This
-    pin, frontier and stand-in bookkeeping runs only under a finite window.
+    pinned (a read whose writer is missing from the window would be
+    reported as a violation), and the newest retained write per ``(process,
+    variable)`` is never evicted (it resolves future source references
+    without reconstruction).  A source reference to an evicted write is
+    rebuilt by :meth:`resolve_source` as an equivalent stand-in, spliced in
+    just before the first retained row of its process with a larger stream
+    index, so row order stays topological.  This pin, frontier and stand-in
+    bookkeeping runs only under a finite window.
 
-    **Exactness.**  A stream with no proven violation closes with the
-    wrapped batch checker's ``check(..., exact=exact)`` over the retained
-    operations when they are the whole stream: always under ``window=None``,
-    and under a finite window with ``exact=True`` while nothing has been
-    evicted and no stand-in inserted.  With ``exact=True`` the verdict *and*
-    the witnesses then equal the offline check's.  Otherwise the close is
-    the polynomial sweep with its findings deduplicated, and a clean verdict
-    is heuristic (``exact=False``), as served tenants have always reported.
-    Once a violation is proven the close is that sweep merged after the
-    accumulated findings.  The clean-window memo only ever skips that
-    sweep, never an exact decision.  ``real_time`` monitoring is on exactly
-    for the atomic criterion.
-
-    **Where a window is decided.**  Each check hands the wrapped checker the
-    retained operations as one windowed :class:`History`
-    (:meth:`window_view`).  For causal and pram that checker is a
-    :class:`~repro.core.consistency.criteria.ColumnarChecker`: the window is
-    appended to an arena (:func:`~repro.arena.adapter.arena_from_history`)
-    and closed by :meth:`~repro.arena.check.ArenaBatchChecker.solved`, the
-    batch check's own code, so its violations are the object per-view
-    check's, in its order.  The other criteria decide on the object stack.
+    **Exactness.**  A stream with no proven violation closes with the batch
+    check (``exact=exact``) of the retained operations when they are the
+    whole stream: always under ``window=None``, and under a finite window
+    with ``exact=True`` while nothing has been evicted and no stand-in
+    inserted.  With ``exact=True`` the verdict *and* the witnesses then
+    equal the offline check's.  Otherwise the close is the polynomial sweep
+    with its findings deduplicated, and a clean verdict is heuristic
+    (``exact=False``), as served tenants have always reported.  Once a
+    violation is proven the close is that sweep merged after the accumulated
+    findings.  The clean-window memo only ever skips that sweep, never an
+    exact decision.  ``real_time`` monitoring is on exactly for the atomic
+    criterion.
 
     The full state round-trips through JSON (:meth:`checkpoint` /
     :meth:`restore`), so a serving process can be stopped and resumed
@@ -493,7 +360,6 @@ class WindowedChecker(IncrementalChecker):
                 "the window must be None (retain everything) or at least 4 "
                 f"operations, got {window!r}"
             )
-        self._checker = checker
         self.criterion = checker.name
         self._window = window
         self._exact = exact
@@ -503,16 +369,23 @@ class WindowedChecker(IncrementalChecker):
 
     # -- protocol --------------------------------------------------------------
     def start(self, universe: Optional[Tuple[int, ...]] = None) -> None:
+        # repro.arena.check imports this module
+        from ...arena.check import RowMonitor
+        from ...arena.store import OpArena
+
         self._reset_findings()
-        self._monitors = StreamMonitors(real_time=self._real_time)
-        self._ops: Dict[int, List[Operation]] = {
-            pid: [] for pid in (universe or ())
-        }
-        self._read_from: Dict[Operation, Optional[Operation]] = {}
+        self._arena = OpArena()
+        for pid in universe or ():
+            self._arena.declare_process(pid)
+        #: Per row: the caller's operation and its stream index.
+        self._cache: Dict[int, Operation] = {}
+        self._stream = array("q")
+        #: Row of every retained write.
+        self._write_row: Dict[Operation, int] = {}
+        self._monitor = RowMonitor(self._arena, real_time=self._real_time)
         self._pins: Dict[Operation, int] = {}
         self._frontier: Dict[Tuple[int, str], Operation] = {}
         self._by_writer: Dict[Tuple[int, int], Operation] = {}
-        self._retained = 0
         self._fed = 0
         self._metrics = WindowMetrics()
         #: ``(ops_fed, retained, standins)`` of the last window that checked clean
@@ -521,28 +394,31 @@ class WindowedChecker(IncrementalChecker):
     def feed(
         self, op: Operation, read_from: Optional[Operation] = None
     ) -> Optional[CheckResult]:
-        window = self._window
-        ops = self._ops.setdefault(op.process, [])
-        if ops and op.index <= ops[-1].index:
+        rows = self._arena.rows_of(op.process)
+        if rows and op.index <= self._stream[rows[-1]]:
             raise ConsistencyCheckError(
                 f"operation {op!r} does not extend h_{op.process} "
-                f"(last retained index {ops[-1].index})"
+                f"(last retained index {self._stream[rows[-1]]})"
             )
-        ops.append(op)
-        self._retained += 1
-        if op.is_read:
-            self._read_from[op] = read_from
-        if window is not None:
+        if not op.is_read:
+            read_from = None
+        elif read_from is not None and (
+            read_from not in self._write_row or read_from.variable != op.variable
+        ):
+            raise ConsistencyCheckError(
+                f"{op!r} reads from {read_from!r}, which is not a retained, "
+                f"fed write on {op.variable}"
+            )
+        row = self._append(op, read_from)
+        if self._window is not None:
             self._track(op, read_from)
         self._fed += 1
-        found = self._monitors.observe(op, read_from)
-        if found:
-            self._note_monitor_hits(
-                [(self._fed - 1, f"p{op.process}: {v}") for v in found]
-            )
-        if window and self._retained > window:
+        hits = self._monitor.observe(row, self._stream)
+        if hits:
+            self._note_monitor_hits([(self._fed - 1, message) for _, message in hits])
+        if self._window and len(self._arena) > self._window:
             self._evict()
-        return self._result_so_far() if found else None
+        return self._result_so_far() if hits else None
 
     def check_now(self) -> Optional[CheckResult]:
         return self._note_findings(self._window_violations())
@@ -552,10 +428,7 @@ class WindowedChecker(IncrementalChecker):
             if not self._violations and (
                 self._window is None or self._exact and self._holds_whole_stream()
             ):
-                history, read_from = self.window_view()
-                self._finalized = self._checker.check(
-                    history, read_from=read_from, exact=self._exact
-                )
+                self._finalized = self._decide(self._exact)
             else:
                 self._finalized = self._closing(self._window_violations())
         return self._finalized
@@ -564,14 +437,21 @@ class WindowedChecker(IncrementalChecker):
     def ops_fed(self) -> int:
         return self._fed
 
+    def _decide(self, exact: bool) -> CheckResult:
+        """The batch check of the retained rows."""
+        from ...arena.check import ArenaBatchChecker
+
+        return ArenaBatchChecker(
+            self.criterion, self._arena, exact=exact, cache=self._cache
+        ).solved()
+
     def _window_violations(self) -> List[str]:
         """Bad patterns of the retained operations: none, without checking,
         when nothing was fed or re-inserted since they last checked clean."""
-        state = (self._fed, self._retained, self._metrics.standins)
+        state = (self._fed, len(self._arena), self._metrics.standins)
         if state == self._clean_at:
             return []
-        history, read_from = self.window_view()
-        result = self._checker.check(history, read_from=read_from, exact=False)
+        result = self._decide(exact=False)
         if result.consistent:
             self._clean_at = state
         return result.violations
@@ -582,7 +462,7 @@ class WindowedChecker(IncrementalChecker):
             metrics.evicted_proved or metrics.evicted_forced or metrics.standins
         )
 
-    # -- windowed views --------------------------------------------------------
+    # -- the retained rows -----------------------------------------------------
     @property
     def window(self) -> Optional[int]:
         return self._window
@@ -591,17 +471,37 @@ class WindowedChecker(IncrementalChecker):
     def metrics(self) -> WindowMetrics:
         metrics = self._metrics
         metrics.ops_fed = self._fed
-        metrics.retained = self._retained
-        metrics.peak_retained = max(metrics.peak_retained, self._retained)
+        metrics.retained = len(self._arena)
+        metrics.peak_retained = max(metrics.peak_retained, metrics.retained)
         return metrics
 
     @property
     def retained_operations(self) -> int:
-        return self._retained
+        return len(self._arena)
 
-    def window_view(self) -> Tuple[History, Dict[Operation, Optional[Operation]]]:
-        """The retained sub-history and its read-from restriction."""
-        return History(self._ops, windowed=self._window is not None), dict(self._read_from)
+    def _append(self, op: Operation, source: Optional[Operation]) -> int:
+        """Append ``op`` as a row (``source``: a read's retained writer)."""
+        arena = self._arena
+        if op.is_write:
+            row = self._write_row[op] = arena.append_write(op.process, op.variable, op.value,
+                                                           op.invoked_at, op.completed_at)
+        elif source is None:
+            row = arena.append_read(op.process, op.variable, op.value,
+                                    invoked_at=op.invoked_at, completed_at=op.completed_at)
+        else:
+            row = arena.append_read(op.process, op.variable, op.value, self._write_row[source],
+                                    op.invoked_at, op.completed_at)
+        self._cache[row] = op
+        self._stream.append(op.index)
+        return row
+
+    def _reorder(self, rows: Sequence[int]) -> None:
+        """Keep ``rows``, in that order (one copy of each column)."""
+        self._arena.keep(rows)
+        ops = [self._cache[row] for row in rows]
+        self._cache = dict(enumerate(ops))
+        self._stream = array("q", [op.index for op in ops])
+        self._write_row = {op: row for row, op in enumerate(ops) if op.is_write}
 
     def lookup_write(self, process: int, index: int) -> Optional[Operation]:
         """The retained write ``(process, index)`` of a finite window, or
@@ -615,8 +515,9 @@ class WindowedChecker(IncrementalChecker):
 
         Returns the retained write when it survives in the window; otherwise
         reconstructs an equivalent stand-in write at its original index and
-        re-inserts it, so the ingestion layer never has to retain anything
-        itself.  Only a finite window resolves references.
+        splices it in before the first retained row of ``process`` with a
+        larger stream index, so the ingestion layer never has to retain
+        anything itself.  Only a finite window resolves references.
         """
         if self._window is None:
             raise ConsistencyCheckError(
@@ -625,71 +526,89 @@ class WindowedChecker(IncrementalChecker):
         op = self._by_writer.get((process, index))
         if op is not None:
             return op
-        standin = Operation.write(process, variable, value, index=index)
-        ops = self._ops.setdefault(process, [])
-        indices = [o.index for o in ops]
+        rows = list(self._arena.rows_of(process))
+        indices = [self._stream[row] for row in rows]
         pos = bisect.bisect_left(indices, index)
         if pos < len(indices) and indices[pos] == index:
             raise ConsistencyCheckError(
                 f"source reference (p{process}, #{index}) collides with the "
-                f"retained non-write operation {ops[pos]!r}"
+                f"retained non-write operation {self._cache[rows[pos]]!r}"
             )
-        ops.insert(pos, standin)
-        self._by_writer[(process, index)] = standin
-        self._retained += 1
+        standin = Operation.write(process, variable, value, index=index)
+        row = self._append(standin, None)
+        if pos < len(rows):
+            self._reorder([*range(rows[pos]), row, *range(rows[pos], row)])
+        self._track(standin, None)
         self._metrics.standins += 1
-        if self._retained > self._metrics.peak_retained:
-            self._metrics.peak_retained = self._retained
-        frontier = self._frontier.get((process, variable))
-        if frontier is None or frontier.index < index:
-            self._frontier[(process, variable)] = standin
         return standin
 
     # -- finite-window bookkeeping and eviction --------------------------------
     def _track(self, op: Operation, read_from: Optional[Operation]) -> None:
         if op.is_write:
             self._by_writer[(op.process, op.index)] = op
-            self._frontier[(op.process, op.variable)] = op
+            newest = self._frontier.get((op.process, op.variable))
+            if newest is None or newest.index < op.index:  # a stand-in may be older
+                self._frontier[(op.process, op.variable)] = op
         elif read_from is not None:
             self._pins[read_from] = self._pins.get(read_from, 0) + 1
-        if self._retained > self._metrics.peak_retained:
-            self._metrics.peak_retained = self._retained
+        if len(self._arena) > self._metrics.peak_retained:
+            self._metrics.peak_retained = len(self._arena)
 
     def _evict(self) -> None:
+        from ...arena.store import NO_SOURCE
+
+        arena, cache, metrics = self._arena, self._cache, self._metrics
+        dropped = bytearray(len(arena))
+        retained = len(arena)
+
+        def drop(row: int, proved: bool) -> None:
+            nonlocal retained
+            retained -= 1
+            dropped[row] = 1
+            if proved:
+                metrics.evicted_proved += 1
+            else:
+                metrics.evicted_forced += 1
+            op = cache[row]
+            if op.is_write:
+                self._by_writer.pop((op.process, op.index), None)
+            elif arena.source[row] != NO_SOURCE:
+                source = cache[arena.source[row]]
+                pins = self._pins.get(source, 0) - 1
+                if pins <= 0:
+                    self._pins.pop(source, None)
+                else:
+                    self._pins[source] = pins
+
         # Proved pass: drop every write the monitors' reader frontiers prove
         # dead (Theorem 1 bounds the candidate readers to the clique).
-        for pid in sorted(self._ops):
-            kept: List[Operation] = []
-            for op in self._ops[pid]:
-                if self._provably_dead(op):
-                    self._drop(op, proved=True)
-                else:
-                    kept.append(op)
-            self._ops[pid] = kept
-        if self._retained <= self._window:
-            return
-        # Forced pass: evict the oldest unpinned operations down to the low
-        # watermark.  Evicting a read releases the pin on its source, so a
-        # second sweep may free writes the first could not touch.
-        low = max(self._window // 2, 1)
-        while self._retained > low:
-            evicted = False
-            for pid in sorted(self._ops):
-                if self._retained <= low:
+        for pid in arena.processes:
+            for row in arena.write_rows_of(pid):
+                if self._provably_dead(row):
+                    drop(row, proved=True)
+        assert self._window is not None
+        if retained > self._window:
+            # Forced pass: evict the oldest unpinned operations down to the
+            # low watermark.  Evicting a read releases the pin on its source,
+            # so a second sweep may free writes the first could not touch.
+            low = max(self._window // 2, 1)
+            while retained > low:
+                evicted = False
+                for pid in arena.processes:
+                    if retained <= low:
+                        break
+                    for row in arena.rows_of(pid):
+                        if retained > low and not dropped[row] and self._forced_evictable(row):
+                            drop(row, proved=False)
+                            evicted = True
+                if not evicted:
                     break
-                kept = []
-                for op in self._ops[pid]:
-                    if self._retained > low and self._forced_evictable(op):
-                        self._drop(op, proved=False)
-                        evicted = True
-                    else:
-                        kept.append(op)
-                self._ops[pid] = kept
-            if not evicted:
-                break
+        if retained < len(arena):
+            self._reorder([row for row in range(len(arena)) if not dropped[row]])
 
-    def _provably_dead(self, op: Operation) -> bool:
-        if not op.is_write or self._share is None:
+    def _provably_dead(self, row: int) -> bool:
+        op = self._cache[row]
+        if self._share is None:
             return False
         if self._pins.get(op, 0):
             return False
@@ -699,44 +618,33 @@ class WindowedChecker(IncrementalChecker):
             clique = self._share.clique(op.variable)
         except DistributionError:
             return False
+        vid = self._arena.var[row]
         for reader in sorted(clique):
             if reader == op.process:
                 continue  # the writer observed its own write when it was fed
-            if self._monitors.observed_index(reader, op.variable, op.process) < op.index:
+            if self._monitor.observed_index(reader, vid, op.process) < op.index:
                 return False
         return True
 
-    def _forced_evictable(self, op: Operation) -> bool:
+    def _forced_evictable(self, row: int) -> bool:
+        op = self._cache[row]
         if op.is_read:
             return True
         if self._pins.get(op, 0):
             return False
         return self._frontier.get((op.process, op.variable)) is not op
 
-    def _drop(self, op: Operation, proved: bool) -> None:
-        self._retained -= 1
-        if proved:
-            self._metrics.evicted_proved += 1
-        else:
-            self._metrics.evicted_forced += 1
-        if op.is_write:
-            self._by_writer.pop((op.process, op.index), None)
-        else:
-            source = self._read_from.pop(op, None)
-            if source is not None:
-                pins = self._pins.get(source, 0) - 1
-                if pins <= 0:
-                    self._pins.pop(source, None)
-                else:
-                    self._pins[source] = pins
-
     # -- checkpointing ---------------------------------------------------------
     def checkpoint(self) -> Dict[str, Any]:
         """JSON-able snapshot of the full checker state (see :meth:`restore`)."""
+        from ...arena.adapter import read_from_of
+
+        sources = read_from_of(self._arena, self._cache)
         operations = []
         read_from = []
-        for pid in sorted(self._ops):
-            for op in self._ops[pid]:
+        for pid in self._arena.processes:
+            for row in self._arena.rows_of(pid):
+                op = self._cache[row]
                 operations.append({
                     "kind": op.kind.value,
                     "process": op.process,
@@ -746,8 +654,8 @@ class WindowedChecker(IncrementalChecker):
                     "invoked_at": op.invoked_at,
                     "completed_at": op.completed_at,
                 })
-                if op.is_read and op in self._read_from:
-                    source = self._read_from[op]
+                if op.is_read:
+                    source = sources[op]
                     read_from.append([
                         [op.process, op.index],
                         None if source is None else [source.process, source.index],
@@ -759,12 +667,12 @@ class WindowedChecker(IncrementalChecker):
             "exact": self._exact,
             "real_time": self._real_time,
             "fed": self._fed,
-            "universe": sorted(self._ops),
+            "universe": list(self._arena.processes),
             "violations": list(self._violations),
             "metrics": self.metrics.as_dict(),
             "operations": operations,
             "read_from": read_from,
-            "monitors": self._monitors.export_state(),
+            "monitors": self._monitor.export_state(),
         }
 
     @classmethod
@@ -778,9 +686,10 @@ class WindowedChecker(IncrementalChecker):
         The restored checker continues exactly where the snapshot left off:
         same retained window, pins, monitor frontiers, metrics and verdict
         state.  Operations get fresh ``uid``\\ s — identity only has to be
-        consistent *within* one checker.  A malformed payload raises
-        :class:`~repro.exceptions.ConsistencyCheckError` here, never later
-        inside a check; an unknown criterion raises
+        consistent *within* one checker — and are appended as rows in
+        :func:`~repro.arena.adapter.topological_order`.  A malformed payload
+        raises :class:`~repro.exceptions.ConsistencyCheckError` here, never
+        later inside a check; an unknown criterion raises
         :class:`~repro.exceptions.UnknownCriterionError`.
         """
         if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
@@ -806,6 +715,8 @@ class WindowedChecker(IncrementalChecker):
         data: Dict[str, Any],
         distribution: Optional["VariableDistribution"],
     ) -> "WindowedChecker":
+        from ...arena.adapter import topological_order
+
         checker = cls(
             get_checker(data["criterion"]),
             window=data["window"],
@@ -813,6 +724,7 @@ class WindowedChecker(IncrementalChecker):
             exact=bool(data.get("exact", False)),
         )
         checker.start(tuple(data.get("universe", ())))
+        lines: Dict[int, List[Operation]] = {}
         by_ref: Dict[Tuple[int, int], Operation] = {}
         for record in data["operations"]:
             op = Operation(
@@ -824,7 +736,7 @@ class WindowedChecker(IncrementalChecker):
                 invoked_at=record.get("invoked_at"),
                 completed_at=record.get("completed_at"),
             )
-            ops = checker._ops.setdefault(op.process, [])
+            ops = lines.setdefault(op.process, [])
             if ops and op.index <= ops[-1].index:
                 raise ConsistencyCheckError(
                     f"checkpoint operation {op!r} does not extend h_{op.process} "
@@ -832,10 +744,7 @@ class WindowedChecker(IncrementalChecker):
                 )
             ops.append(op)
             by_ref[(op.process, op.index)] = op
-            checker._retained += 1
-            if op.is_write and checker._window:
-                checker._by_writer[(op.process, op.index)] = op
-                checker._frontier[(op.process, op.variable)] = op
+        read_from: Dict[Operation, Optional[Operation]] = {}
         for read_ref, source_ref in data.get("read_from", ()):
             read = by_ref.get(tuple(read_ref))
             if read is None or not read.is_read:
@@ -849,28 +758,34 @@ class WindowedChecker(IncrementalChecker):
                     raise ConsistencyCheckError(
                         f"checkpoint read-from references evicted source {source_ref!r}"
                     )
-                if checker._window:
-                    checker._pins[source] = checker._pins.get(source, 0) + 1
-            checker._read_from[read] = source
+            read_from[read] = source
+        order = topological_order([lines[pid] for pid in sorted(lines)], read_from)
+        if order is None:
+            raise ConsistencyCheckError(
+                "checkpoint read-from has no order with program order: a cycle, "
+                "or a source that is no write"
+            )
+        for op in order:
+            source = read_from.get(op)
+            checker._append(op, source)
+            if checker._window is not None:
+                checker._track(op, source)
         checker._fed = int(data.get("fed", 0))
         checker._violations = list(data.get("violations", ()))
         metrics = dict(data.get("metrics", ()))
         checker._metrics = WindowMetrics(
-            peak_retained=int(metrics.get("peak_retained", checker._retained)),
+            peak_retained=int(metrics.get("peak_retained", len(checker._arena))),
             evicted_proved=int(metrics.get("evicted_proved", 0)),
             evicted_forced=int(metrics.get("evicted_forced", 0)),
             standins=int(metrics.get("standins", 0)),
         )
-        checker._monitors.load_state(
-            data.get("monitors", {}),
-            resolve=lambda process, index: by_ref.get((process, index)),
-        )
+        checker._monitor.load_state(data.get("monitors", {}))
         return checker
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<WindowedChecker criterion={self.criterion!r} "
-            f"window={self._window} retained={self._retained} fed={self._fed}>"
+            f"window={self._window} retained={len(self._arena)} fed={self._fed}>"
         )
 
 

@@ -22,38 +22,20 @@ from .operations import BOTTOM, Operation, OpKind
 
 @dataclass(frozen=True)
 class LocalHistory:
-    """The sequence of operations invoked by a single application process.
-
-    ``windowed=True`` relaxes the dense-index invariant to *strictly
-    increasing* indices: the sequence is then a suffix-with-gaps of a longer
-    local history, as produced by the windowed checkers after evicting proved
-    prefix operations (see
-    :class:`repro.core.consistency.incremental.WindowedChecker`).  Program
-    order is positional either way, so every relation builder and the
-    serialization search work unchanged on windowed views.
-    """
+    """The sequence of operations invoked by a single application process;
+    each operation's ``index`` is its position (program order)."""
 
     process: int
     operations: Tuple[Operation, ...]
-    windowed: bool = False
 
     def __post_init__(self) -> None:
-        previous = -1
         for pos, op in enumerate(self.operations):
             if op.process != self.process:
                 raise InvalidHistoryError(
                     f"operation {op!r} belongs to process {op.process}, "
                     f"not {self.process}"
                 )
-            if self.windowed:
-                if op.index <= previous:
-                    raise InvalidHistoryError(
-                        f"operation {op!r} has index {op.index} but the "
-                        f"windowed h_{self.process} already reached "
-                        f"index {previous}"
-                    )
-                previous = op.index
-            elif op.index != pos:
+            if op.index != pos:
                 raise InvalidHistoryError(
                     f"operation {op!r} has index {op.index} but sits at "
                     f"position {pos} of h_{self.process}"
@@ -95,22 +77,12 @@ class History:
     local_histories:
         Mapping from process identifier to the ordered sequence of operations
         invoked by that process.
-    windowed:
-        Accept gap-tolerant local histories (strictly increasing indices
-        instead of dense positions) — the shape the windowed checkers produce
-        after evicting proved prefix operations.
     """
 
-    def __init__(
-        self,
-        local_histories: Mapping[int, Sequence[Operation]],
-        windowed: bool = False,
-    ):
-        #: Whether local histories may have index gaps (see above).
-        self.windowed = windowed
+    def __init__(self, local_histories: Mapping[int, Sequence[Operation]]):
         locals_: Dict[int, LocalHistory] = {}
         for pid, ops in sorted(local_histories.items()):
-            locals_[pid] = LocalHistory(pid, tuple(ops), windowed=windowed)
+            locals_[pid] = LocalHistory(pid, tuple(ops))
         self._locals: Dict[int, LocalHistory] = locals_
         self._ops: Tuple[Operation, ...] = tuple(
             op for pid in sorted(locals_) for op in locals_[pid]

@@ -16,8 +16,9 @@ of spinning forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+import weakref
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Generator, Optional
 
 from ..exceptions import LivelockError, RetryOperation, SimulationError
 from ..mcs.system import MCSystem
@@ -56,6 +57,9 @@ class DSMRuntime:
         self.max_steps_per_process = max_steps_per_process
         self.max_events = max_events
         self._programs: Dict[int, ProgramState] = {}
+        # A queued step holds a weak proxy and a process id: the system's
+        # simulator owns the queue, so a strong reference would be a cycle.
+        self._weak = weakref.proxy(self)
 
     # -- setup -------------------------------------------------------------------------
     def add_program(self, pid: int, program: ProgramFn) -> None:
@@ -75,8 +79,7 @@ class DSMRuntime:
         """Run every program to completion; returns ``pid -> program result``."""
         simulator = self.system.simulator
         for offset, pid in enumerate(sorted(self._programs)):
-            state = self._programs[pid]
-            simulator.schedule(offset * 1e-6, lambda s=state: self._step(s))
+            simulator.schedule(offset * 1e-6, self._stepper(pid))
         simulator.run(max_events=self.max_events)
         unfinished = [pid for pid, s in self._programs.items() if not s.finished]
         if unfinished:  # pragma: no cover - defensive, programs reschedule themselves
@@ -131,7 +134,11 @@ class DSMRuntime:
         self._reschedule(state, self.step_delay)
 
     def _reschedule(self, state: ProgramState, delay: float) -> None:
-        self.system.simulator.schedule(delay, lambda s=state: self._step(s))
+        self.system.simulator.schedule(delay, self._stepper(state.pid))
+
+    def _stepper(self, pid: int) -> Callable[[], None]:
+        runtime = self._weak
+        return lambda: runtime._step(runtime._programs[pid])
 
     # -- reporting ------------------------------------------------------------------------
     def step_counts(self) -> Dict[int, int]:

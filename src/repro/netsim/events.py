@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 
@@ -65,11 +67,13 @@ class EventQueue:
         self._heap: List[_Entry] = []
         self._counter = itertools.count()
         self._cancelled = 0  # cancelled events still sitting in the heap
+        # a queued event holds the queue weakly: the two are no cycle
+        self._note = partial(EventQueue._note_cancel, weakref.proxy(self))
 
     def push(self, time: float, callback: Callable[[], None], priority: int = 0) -> Event:
         """Schedule ``callback`` at ``time``; lower ``priority`` runs first on ties."""
         sequence = next(self._counter)
-        event = Event(time, priority, sequence, callback, False, self._note_cancel)
+        event = Event(time, priority, sequence, callback, False, self._note)
         heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 

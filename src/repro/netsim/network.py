@@ -15,6 +15,8 @@ packet arrives whenever it arrives.
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from ..exceptions import SimulationError
@@ -54,6 +56,9 @@ class Network:
         self.trace: List[Message] = []
         self._nodes: Dict[int, Receiver] = {}
         self._last_delivery: Dict[Tuple[int, int], float] = {}
+        # A queued delivery holds only a weak proxy of the network: the
+        # simulator owns the queue, so a strong reference would be a cycle.
+        self._weak = weakref.proxy(self)
 
     # -- membership -------------------------------------------------------------
     def register(self, node_id: int, node: Receiver) -> None:
@@ -111,13 +116,7 @@ class Network:
                 return
             delays = plan.delays
 
-        def deliver() -> None:
-            message.delivered_at = self.simulator.now
-            self.stats.record_delivery(message)
-            if self.record_trace:
-                self.trace.append(message)
-            self._nodes[dst].on_message(message)
-
+        deliver = partial(Network._deliver, self._weak, message)
         for copy, copy_delay in enumerate(delays):
             delivery_time = now + copy_delay
             if copy == 0:
@@ -131,3 +130,10 @@ class Network:
             else:
                 self.stats.record_duplicate(message)
             self.simulator.schedule_at(delivery_time, deliver)
+
+    def _deliver(self, message: Message) -> None:
+        message.delivered_at = self.simulator.now
+        self.stats.record_delivery(message)
+        if self.record_trace:
+            self.trace.append(message)
+        self._nodes[message.dst].on_message(message)

@@ -8,9 +8,9 @@ service that ingests JSONL operation traces over TCP (or tails trace
 files), multiplexes many concurrent tenants — one bounded-memory
 :class:`~repro.core.consistency.incremental.WindowedChecker` per tenant —
 and reports verdicts, ingest lag, retained-operation counts and
-backpressure metrics on a periodic status stream and at shutdown.  A causal
-or pram tenant's due checks are decided on the arena, by the same columnar
-check as a batch run (:class:`~repro.core.consistency.criteria.ColumnarChecker`).
+backpressure metrics on a periodic status stream and at shutdown.  A
+tenant's window is rows of its checker's own arena, and each due check is
+the batch check's code on them (:class:`~repro.arena.check.ArenaBatchChecker`).
 
 Layering: :mod:`repro.serve.trace` defines the ``repro-trace-v1`` record
 format (shared with ``repro run --trace-out``), :mod:`repro.serve.spec`

@@ -1,5 +1,6 @@
 """Tests for the streaming Session facade (repro.api)."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -13,10 +14,12 @@ from repro.exceptions import (
     SessionError,
     UnknownCriterionError,
 )
+from repro.experiments.registry import REGISTRY
 from repro.experiments.spec import DistributionSpec, ScenarioSpecError, WorkloadSpec
 from repro.hunt import SpecSampler
+from repro.spec import CheckSpec
 from repro.spec.registry import PROTOCOL_REGISTRY
-from repro.workloads.access_patterns import Access
+from repro.workloads.access_patterns import Access, drive_script
 
 RANDOM_DIST = ("random", {"processes": 5, "variables": 6, "replicas_per_variable": 3})
 SMALL_WORKLOAD = ("uniform", {"operations_per_process": 6, "write_fraction": 0.5})
@@ -377,6 +380,41 @@ class TestLifetime:
     def test_an_app_run_is_freed_at_del(self):
         assert self.arena_dies_at_del(
             lambda: Session(protocol="pram_partial", app="producer_consumer"))
+
+    @pytest.mark.parametrize("build", [
+        lambda: Session(protocol="best_effort", app=("bellman_ford", {"topology": "figure8"}),
+                        network=("faulty", {"latency": 0.1, "duplicate_rate": 0.6,
+                                            "duplicate_lag": 4.0}),
+                        check_policy="fail_fast", exact=False),
+        lambda: Session.from_spec(dataclasses.replace(
+            REGISTRY.get("faults-duplication").expand()[0].spec,
+            check=CheckSpec(policy="fail_fast", exact=False))),
+    ], ids=["app", "script"])
+    def test_a_run_that_stops_with_events_queued_is_freed_at_del(self, build):
+        """A fail-fast stop leaves deliveries (and program steps) queued:
+        neither they nor the network and simulator they name form a cycle."""
+        gc.disable()
+        try:
+            session = build()
+            assert session.run().stopped_early
+            simulator = session.system.simulator
+            assert simulator.pending_events > 0
+            freed = [weakref.ref(session.system.network), weakref.ref(simulator)]
+            del session, simulator
+            assert [ref() for ref in freed] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_a_run_driven_in_parts_delivers_every_message(self):
+        system = make_session().system
+        script = make_session().script
+        for part in (script[:len(script) // 2], script[len(script) // 2:]):
+            for _ in drive_script(system, part, settle_every=0):
+                pass
+            assert system.simulator.pending_events > 0
+        system.settle()
+        assert system.simulator.pending_events == 0
+        assert system.stats.messages_delivered == system.stats.messages_sent > 0
 
 
 class TestScript:

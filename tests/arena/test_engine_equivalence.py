@@ -3,11 +3,11 @@
 A history-keeping :class:`~repro.api.Session` records into the arena and is
 checked by :class:`~repro.arena.check.ArenaBatchChecker`.  The reference is
 the session's own recorded log (``session.recorder.log()``) replayed through
-the object pipeline — one retaining
-:class:`~repro.core.consistency.incremental.WindowedChecker` per criterion,
-wrapping :class:`~repro.core.consistency.base.PerProcessChecker` for causal
-and pram (whose ``get_checker`` checkers decide on the arena), driven by the
-session's
+one retaining :class:`~repro.core.consistency.incremental.WindowedChecker`
+per criterion whose every decision is the object checker's on the
+materialised rows — :class:`~repro.core.consistency.base.PerProcessChecker`
+for causal and pram (whose ``get_checker`` checkers decide on the arena) —
+driven by the session's
 :class:`~repro.core.consistency.incremental.CheckPolicy`: ``feed`` every
 operation, ``check_now`` when a check is due, stop at the first proven
 violation under fail-fast, then ``finalize``.  Per criterion the verdict,
@@ -21,7 +21,7 @@ Inputs: the 71 points of the paper, stress, faults, apps and hunted suites;
 sixty scenarios drawn by the hunt's :class:`~repro.hunt.SpecSampler`
 (random protocols, distributions, fault schedules and check policies); and
 finalize-policy runs of a criterion with no columnar path whose stream
-monitors hit, which pins the delegated ``first_stream_violation``.
+monitors hit, which pins ``first_stream_violation``.
 
 The recorded run is also the input of two more verdict paths, which must
 not contradict the batch checkers (the ground truth): the batch checker on
@@ -34,6 +34,8 @@ import dataclasses
 import pytest
 
 from repro.api import Session
+from repro.arena import adapter
+from repro.arena.check import COLUMNAR_CRITERIA, ArenaBatchChecker
 from repro.core.consistency import PerProcessChecker, WindowedChecker, get_checker
 from repro.core.orders import causal_order, pram_generating_order
 from repro.experiments.registry import REGISTRY
@@ -49,7 +51,7 @@ SAMPLED = [SpecSampler(0).sample(index) for index in range(60)]
 
 #: The scripted violations whose stream monitors fire (the hunted corpus and
 #: the duplicating best-effort run), checked finalize-only under a criterion
-#: the arena delegates to the object checker.
+#: with no columnar path.
 MONITOR_HITS = [
     dataclasses.replace(spec, check=CheckSpec(criteria=("slow",), policy="finalize",
                                               exact=False))
@@ -72,10 +74,25 @@ def object_checker(criterion):
     return get_checker(criterion) if builder is None else PerProcessChecker(builder, criterion)
 
 
-def oracle(log, universe, criteria, exact, policy):
+def object_decision(checker):
+    """What ``ArenaBatchChecker.solved`` returns, decided by the object checker
+    on the materialised rows."""
+    history = adapter.history_from_arena(checker.arena, checker._cache, checker._universe)
+    return object_checker(checker.criterion).check(
+        history, read_from=adapter.read_from_of(checker.arena, checker._cache),
+        exact=checker._exact)
+
+
+def oracle(log, universe, criteria, exact, policy, monkeypatch):
     """The object replay of a recorded log under ``policy``: the results,
     the first violation and how many operations were fed before the stop."""
-    checkers = {criterion: WindowedChecker(object_checker(criterion), window=None, exact=exact)
+    with monkeypatch.context() as patch:
+        patch.setattr(ArenaBatchChecker, "solved", object_decision)
+        return _replay(log, universe, criteria, exact, policy)
+
+
+def _replay(log, universe, criteria, exact, policy):
+    checkers = {criterion: WindowedChecker(get_checker(criterion), window=None, exact=exact)
                 for criterion in criteria}
     for checker in checkers.values():
         checker.start(universe)
@@ -130,14 +147,15 @@ def assert_no_path_contradicts_batch(report, trace):
 
 
 @pytest.mark.parametrize("spec", SPECS + SAMPLED + MONITOR_HITS, ids=_spec_id)
-def test_session_matches_the_object_oracle(spec, tmp_path):
+def test_session_matches_the_object_oracle(spec, tmp_path, monkeypatch):
     trace = str(tmp_path / "run.jsonl") if spec.app is None else None
     session = Session.from_spec(spec, trace_out=trace)
     assert session.engine == "arena"
     report = session.run()
 
     results, first, fed = oracle(session.recorder.log(), tuple(session.distribution.processes),
-                                 tuple(session.checkers), session.exact, session.policy)
+                                 tuple(session.checkers), session.exact, session.policy,
+                                 monkeypatch)
     assert sorted(report.results) == sorted(results)
     for criterion, result in results.items():
         assert result_key(report.results[criterion]) == result_key(result), criterion
@@ -157,6 +175,6 @@ def test_the_monitor_hit_inputs_are_delegated_and_hit():
         session = Session.from_spec(spec)
         report = session.run()
         (checker,) = session.checkers.values()
-        assert checker._inner is not None
+        assert checker.criterion not in COLUMNAR_CRITERIA
         assert checker.first_stream_violation is not None
         assert report.first_violation == checker.first_stream_violation[1]

@@ -5,7 +5,6 @@ import pytest
 from repro.core.consistency import get_checker
 from repro.core.consistency.incremental import (
     CheckPolicy,
-    StreamMonitors,
     WindowedChecker,
     incremental_checker,
 )
@@ -71,8 +70,9 @@ class TestFactory:
 
 
 def _feed_history(checker, history, read_from):
-    """Feed a finished history in a recording-compatible order (by index)."""
-    order = sorted(history.operations, key=lambda op: (op.index, op.process))
+    """Feed a finished history in a recording-compatible order: the builder's
+    (uid) order, in which every source precedes its reads."""
+    order = sorted(history.operations, key=lambda op: op.uid)
     verdicts = []
     for op in order:
         result = checker.feed(op, read_from.get(op) if op.is_read else None)
@@ -115,10 +115,10 @@ class TestStreamMonitors:
         b.write(0, "x", "a").write(0, "x", "b")
         b.read(1, "x", "a").read(1, "x", "b")
         history = b.build()
-        rf = history.read_from()
-        monitors = StreamMonitors()
-        for op in sorted(history.operations, key=lambda o: (o.index, o.process)):
-            assert monitors.observe(op, rf.get(op) if op.is_read else None) == []
+        checker = incremental_checker("slow")
+        checker.start(universe=history.processes)
+        assert _feed_history(checker, history, history.read_from()) == []
+        assert checker.violations == []
 
 
 class TestRetainingChecker:

@@ -12,9 +12,10 @@ relation builder (closed and not), on hostile views drawn on purpose, and on
 every view the checkers themselves present while sixty sampled scenarios are
 run, batch-checked under every criterion and replayed through windowed
 monitors.  A causal window is decided on the arena, which has no
-``quick_violations`` call; the replays send it through the object path by
-name, :meth:`PerProcessChecker.check`, so the gap-index views of a finite
-window stay among the inputs.
+``quick_violations`` call; each of the replays' window decisions is also
+made by the object path by name, :meth:`PerProcessChecker.check`, on the
+window materialised, and must agree with it, so the views of a finite window
+stay among the inputs.
 """
 
 import random
@@ -24,8 +25,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
+from repro.arena import adapter
 from repro.core.consistency import PerProcessChecker, all_checkers
-from repro.core.consistency.criteria import ColumnarChecker
+from repro.core.consistency.incremental import WindowedChecker
 from repro.core.history import History, HistoryBuilder
 from repro.core.operations import BOTTOM, Operation
 from repro.core.orders import RELATION_BUILDERS, Relation, pram_generating_order
@@ -230,7 +232,19 @@ def test_sampled_scenarios_and_their_windows(index, tmp_path, compared, monkeypa
             checker.check(report.history, read_from=report.read_from, exact=False)
         assert len(compared) >= len(all_checkers())
     if trace is not None:
-        monkeypatch.setattr(ColumnarChecker, "check", PerProcessChecker.check)
+        decide = WindowedChecker._decide
+
+        def both(window, exact):
+            result = decide(window, exact)
+            history = adapter.history_from_arena(window._arena, window._cache)
+            read_from = adapter.read_from_of(window._arena, window._cache)
+            expected = PerProcessChecker(BUILDERS["causal"], "causal").check(
+                history, read_from, exact)
+            assert (result.consistent, result.exact, result.violations) == \
+                (expected.consistent, expected.exact, expected.violations)
+            return result
+
+        monkeypatch.setattr(WindowedChecker, "_decide", both)
         for window in (8, 64):
             before = len(compared)
             _, metrics = replay_windowed(trace, criterion="causal", window=window,

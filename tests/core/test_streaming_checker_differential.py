@@ -39,7 +39,6 @@ from repro.core.consistency import incremental
 from repro.core.consistency.incremental import (
     CheckPolicy,
     IncrementalChecker,
-    StreamMonitors,
     WindowedChecker,
     incremental_checker,
 )
@@ -51,6 +50,7 @@ from repro.hunt import SpecSampler
 from repro.serve.monitor import TenantMonitor
 from repro.serve.spec import TenantSpec
 from repro.serve.trace import TraceMeta, TraceRecord
+from stream_monitors import StreamMonitors
 from test_saturation_differential import MUTATIONS, mutated
 
 

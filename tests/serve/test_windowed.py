@@ -124,17 +124,13 @@ class TestCleanWindowIsCheckedOnce:
             TenantSpec(name="count", policy=policy, window=window),
             meta=TraceMeta(distribution={"x": [0, 1, 2, 3], "y": [1, 2]}))
         windowed = monitor._checker
-        inner = windowed._checker.check
+        decide = windowed._decide
 
-        class Counting:
-            name = windowed._checker.name
+        def counting(exact):
+            calls.append(windowed.retained_operations)
+            return decide(exact)
 
-            @staticmethod
-            def check(history, read_from=None, exact=True):
-                calls.append(len(history))
-                return inner(history, read_from=read_from, exact=exact)
-
-        windowed._checker = Counting()
+        windowed._decide = counting
         return monitor
 
     @pytest.mark.parametrize("records,checks", [(128, 2), (130, 3)])

@@ -2,9 +2,11 @@
 else: a process that imports the package surface (the API, the experiment
 registry with every app, the service, the CLI) and runs no numeric app never
 loads it.  It is checked in a fresh interpreter, since the test session
-itself has long loaded numpy."""
+itself has long loaded numpy.  The dependency is declared, as the ``apps``
+extra, and CI installs it."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,11 @@ def test_numpy_loads_with_the_first_numeric_app():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.split("\n") == ["False", "True True True", ""]
+
+
+def test_numpy_is_the_apps_extra_and_ci_installs_it():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^apps = \["numpy"\]$', pyproject, re.MULTILINE)
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    installs = re.findall(r"pip install -e (\S+)", ci)
+    assert installs and set(installs) == {".[dev,apps]"}

@@ -34,12 +34,12 @@ def phase_calls(workload):
     ).stdout
     start = out.index(f"{workload}: checker phases, cumulative over 3 timed sections")
     assert out.index("Ordered by: cumulative time") < start < out.index("under tracemalloc")
-    rows = out[start:].splitlines()[1:9]
+    rows = out[start:].splitlines()[1:8]
     found = [re.match(r"  (\w+) +([\d.]+) s +(\d+) calls$", row) for row in rows]
     assert all(found), rows
     calls = {match.group(1): int(match.group(3)) for match in found}
-    assert list(calls) == ["window_view", "arena_from_history", "_causal_vcs", "_bounds",
-                           "_bad_patterns", "_witness", "_verify", "_advance_monitors"]
+    assert list(calls) == ["_reorder", "_causal_vcs", "_bounds", "_bad_patterns",
+                           "_witness", "_verify", "observe"]
     return calls
 
 
@@ -48,14 +48,16 @@ def test_profile_prints_the_checker_phases_between_the_tables_and_memory():
     # place_40p checks with exact=False: one bad-pattern pass per view, no saturation
     assert calls["_bad_patterns"] == calls["_bounds"] > 0
     assert calls["_witness"] == calls["_verify"] == 0
-    # its sessions record into an arena: no window, no columnarised history
-    assert calls["window_view"] == calls["arena_from_history"] == 0
+    # its sessions record into an arena: no window to compact
+    assert calls["_reorder"] == 0
 
 
 def test_profile_counts_each_windowed_check_once_per_step():
-    """monitor_stream's due checks: each builds its window's History, turns
-    it into an arena and closes that with a causal bad-pattern sweep."""
+    """monitor_stream's due checks: each is one causal bad-pattern sweep of
+    the window's own arena, which its evictions compact; the monitors run
+    once per record."""
     calls = phase_calls("monitor_stream")
-    assert calls["window_view"] == calls["arena_from_history"] == calls["_causal_vcs"] > 0
+    assert calls["_reorder"] > 0 and calls["_causal_vcs"] > 0
     assert calls["_bad_patterns"] == calls["_bounds"] >= calls["_causal_vcs"]
-    assert calls["_witness"] == calls["_advance_monitors"] == 0
+    assert calls["_witness"] == 0
+    assert calls["observe"] == 3 * 2000

@@ -52,9 +52,10 @@ bench-pairs:
 # (imports, warm-up and set-up run unprofiled), top 30 rows by own time, then
 # top 30 by cumulative time, then the columnar checker's phase split (calls
 # and cumulative seconds of each phase, after a served window's compaction
-# of its rows: WindowedChecker._reorder); then one more timed section under
-# tracemalloc: peak and retained MiB above the inputs and the top 10
-# allocating lines.
+# of its rows: WindowedChecker._reorder), then the simulation's (transmit,
+# the per-copy delivery call, on_message, the arena recorder's writes and
+# reads); then one more timed section under tracemalloc: peak and retained
+# MiB above the inputs and the top 10 allocating lines.
 #   make profile W=partial_causal
 profile:
 	$(PYTHON) benchmarks/timed_profile.py --workload $(W)

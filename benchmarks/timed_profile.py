@@ -10,9 +10,12 @@ then the top 30 by cumulative time, then the columnar checker's phase split:
 the calls and cumulative seconds of each of ``PHASES``, read off the same
 stats - the phases of ``repro/arena/check.py`` and, for a served window, the
 one step it spends on its rows outside the checker: the compaction of its
-arena on eviction (``WindowedChecker._reorder``).  Profiling a whole
-``run.py`` process instead mixes those rows with ``builtins.compile`` and the
-warm-up's.
+arena on eviction (``WindowedChecker._reorder``).  Then the simulation's
+phases, ``SIMULATION``, the same way: the network's one transmit body, the
+delivery call each queued copy makes, the protocols' ``on_message`` (all of
+``repro/mcs/``) and the arena recorder's ``record_write``/``record_read``.
+Profiling a whole ``run.py`` process instead mixes those rows with
+``builtins.compile`` and the warm-up's.
 
 Then it runs one more full-size timed section under ``tracemalloc`` (not under
 ``cProfile``), tracing from after the set-up, and prints the section's peak
@@ -48,6 +51,16 @@ PHASES = (
     (_CHECK, "_verify"),
     (_CHECK, "observe"),
 )
+#: ``(module or package, function)`` of each phase of a simulated run.
+_NETWORK = os.path.join("repro", "netsim", "network.py")
+_RECORDER = os.path.join("repro", "arena", "recorder.py")
+SIMULATION = (
+    (_NETWORK, "_transmit"),
+    (_NETWORK, "_deliver"),
+    (os.path.join("repro", "mcs", ""), "on_message"),
+    (_RECORDER, "record_write"),
+    (_RECORDER, "record_read"),
+)
 
 
 def main() -> int:
@@ -74,22 +87,26 @@ def main() -> int:
           f"{stats.total_tt:.2f} s profiled")  # type: ignore[attr-defined]
     stats.sort_stats("tottime").print_stats(ROWS)
     stats.sort_stats("cumulative").print_stats(ROWS)
-    print_phases(args.workload, stats)
+    print_phases(f"{args.workload}: checker phases, cumulative over {ITERATIONS} timed "
+                 f"sections (_verify runs inside _witness):", PHASES, stats)
+    print_phases(f"{args.workload}: simulation phases, cumulative over {ITERATIONS} timed "
+                 f"sections (on_message runs inside _deliver):", SIMULATION, stats)
     traced_memory(args.workload, workload)
     return 0
 
 
-def print_phases(name: str, stats: pstats.Stats) -> None:
-    """Calls and cumulative seconds of each checker phase in ``stats``."""
-    totals = {phase: [0, 0.0] for phase in PHASES}
+def print_phases(title: str, phases, stats: pstats.Stats) -> None:
+    """Calls and cumulative seconds of each ``(module, function)`` of
+    ``phases`` in ``stats``; a module ending in a separator is a package."""
+    totals = {phase: [0, 0.0] for phase in phases}
     rows = stats.stats  # type: ignore[attr-defined]
     for (filename, _, function), (_, calls, _, cumulative, _) in rows.items():
-        for module, phase in PHASES:
-            if function == phase and filename.endswith(module):
+        for module, phase in phases:
+            if function == phase and (module in filename if module.endswith(os.sep)
+                                      else filename.endswith(module)):
                 totals[module, phase][0] += calls
                 totals[module, phase][1] += cumulative
-    print(f"{name}: checker phases, cumulative over {ITERATIONS} timed sections "
-          f"(_verify runs inside _witness):")
+    print(title)
     for (_, phase), (calls, seconds) in totals.items():
         print(f"  {phase:<18} {seconds:8.3f} s {calls:8d} calls")
 

@@ -375,10 +375,15 @@ class SerializationProblem:
         if not ops:
             return []
         read_from = self.read_from
-        preds = self._preds
+        # An operation is enabled when none of its predecessors is waiting to
+        # be scheduled; the count is kept up to date by schedule/unschedule.
+        waiting = {op: len(before) for op, before in self._preds.items()}
+        successors: Dict[Operation, List[Operation]] = {op: [] for op in ops}
+        for op, before in self._preds.items():
+            for p in before:
+                successors[p].append(op)
         failed: Set[Tuple[FrozenSet[Operation], Tuple[Tuple[str, int], ...]]] = set()
         states = 0
-
         scheduled: List[Operation] = []
         scheduled_set: Set[Operation] = set()
         last_write: Dict[str, Optional[Operation]] = {}
@@ -413,9 +418,7 @@ class SerializationProblem:
         def candidates() -> List[Operation]:
             out = []
             for op in ops:
-                if op in scheduled_set:
-                    continue
-                if any(p not in scheduled_set for p in preds[op]):
+                if waiting[op] or op in scheduled_set:
                     continue
                 if op.is_read:
                     writer = read_from.get(op)
@@ -428,51 +431,65 @@ class SerializationProblem:
                 out.append(op)
             return out
 
-        def backtrack() -> bool:
-            nonlocal states
-            if len(scheduled) == len(ops):
-                return True
-            key = state_key()
-            if key in failed:
-                return False
-            states += 1
-            if states > self.max_states:
-                raise SearchBudgetError(
-                    f"serialization search exceeded {self.max_states} states"
-                )
-            # Scheduling an enabled read never disables any other operation
-            # (reads do not change the last-write state), so enabled reads are
-            # committed eagerly without exploring alternatives.
-            cands = candidates()
-            reads = [c for c in cands if c.is_read]
-            if reads:
-                chosen = reads[0]
-                scheduled.append(chosen)
-                scheduled_set.add(chosen)
+        def schedule(chosen: Operation) -> Optional[Operation]:
+            """Schedule ``chosen``; returns the write it hides, for :func:`unschedule`."""
+            scheduled.append(chosen)
+            scheduled_set.add(chosen)
+            for op in successors[chosen]:
+                waiting[op] -= 1
+            if chosen.is_read:
                 pending_reads_by_var[chosen.variable].discard(chosen)
-                if backtrack():
-                    return True
-                scheduled.pop()
-                scheduled_set.remove(chosen)
-                pending_reads_by_var[chosen.variable].add(chosen)
-                failed.add(key)
-                return False
-            for chosen in sorted(cands, key=write_priority):
-                scheduled.append(chosen)
-                scheduled_set.add(chosen)
-                previous = last_write.get(chosen.variable)
-                last_write[chosen.variable] = chosen
-                if backtrack():
-                    return True
-                scheduled.pop()
-                scheduled_set.remove(chosen)
-                last_write[chosen.variable] = previous
-            failed.add(key)
-            return False
+                return None
+            previous = last_write.get(chosen.variable)
+            last_write[chosen.variable] = chosen
+            return previous
 
-        if backtrack():
-            return list(scheduled)
-        return None
+        def unschedule(chosen: Operation, previous: Optional[Operation]) -> None:
+            scheduled.pop()
+            scheduled_set.remove(chosen)
+            for op in successors[chosen]:
+                waiting[op] += 1
+            if chosen.is_read:
+                pending_reads_by_var[chosen.variable].add(chosen)
+            else:
+                last_write[chosen.variable] = previous
+
+        # Depth-first over an explicit stack (one frame per scheduled
+        # operation would overflow Python's recursion limit): a frame is a
+        # state's memo key, its choices in exploration order, the index of
+        # the next one and the write the current one hid.
+        frames: List[list] = []
+        while True:
+            if len(scheduled) == len(ops):
+                return list(scheduled)
+            key = state_key()
+            if key not in failed:
+                states += 1
+                if states > self.max_states:
+                    raise SearchBudgetError(
+                        f"serialization search exceeded {self.max_states} states"
+                    )
+                # Scheduling an enabled read never disables any other operation
+                # (reads do not change the last-write state), so an enabled read
+                # is committed eagerly without exploring alternatives.
+                cands = candidates()
+                reads = [c for c in cands if c.is_read]
+                choices = reads[:1] if reads else sorted(cands, key=write_priority)
+                frames.append([key, choices, 0, None])
+            # Back up to the deepest frame with a choice left and take it.
+            while True:
+                if not frames:
+                    return None
+                frame = frames[-1]
+                key, choices, index, previous = frame
+                if index:
+                    unschedule(choices[index - 1], previous)
+                if index < len(choices):
+                    frame[2] = index + 1
+                    frame[3] = schedule(choices[index])
+                    break
+                frames.pop()
+                failed.add(key)
 
 
 def find_serialization(

@@ -3,9 +3,10 @@
 The runtime couples each application program (a generator, see
 :mod:`repro.dsm.program`) with the MCS process of the same identifier and
 drives everything through the discrete-event simulator: a program step is a
-simulator event; between two steps of the same program, in-flight messages are
-delivered, which is what lets spin-waiting programs (the Bellman-Ford barrier
-of Figure 7) observe remote writes.
+handle-free simulator call (one processed event); between two steps of the
+same program, in-flight messages are delivered, which is what lets
+spin-waiting programs (the Bellman-Ford barrier of Figure 7) observe remote
+writes.
 
 Blocking operations (command-style ``yield Read(...)`` on protocols that may
 raise :class:`~repro.exceptions.RetryOperation`) are retried by the runtime
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional
+from functools import partial
+from typing import Any, Dict, Generator, Optional
 
 from ..exceptions import LivelockError, RetryOperation, SimulationError
 from ..mcs.system import MCSystem
@@ -57,9 +59,10 @@ class DSMRuntime:
         self.max_steps_per_process = max_steps_per_process
         self.max_events = max_events
         self._programs: Dict[int, ProgramState] = {}
-        # A queued step holds a weak proxy and a process id: the system's
-        # simulator owns the queue, so a strong reference would be a cycle.
-        self._weak = weakref.proxy(self)
+        # A queued step is a handle-free call of one callback on a process
+        # id.  The callback holds a weak proxy: the system's simulator owns
+        # the queue, so a strong reference would be a cycle.
+        self._step_call = partial(DSMRuntime._step_pid, weakref.proxy(self))
 
     # -- setup -------------------------------------------------------------------------
     def add_program(self, pid: int, program: ProgramFn) -> None:
@@ -79,7 +82,7 @@ class DSMRuntime:
         """Run every program to completion; returns ``pid -> program result``."""
         simulator = self.system.simulator
         for offset, pid in enumerate(sorted(self._programs)):
-            simulator.schedule(offset * 1e-6, self._stepper(pid))
+            simulator.call_at(simulator.now + offset * 1e-6, self._step_call, [pid])
         simulator.run(max_events=self.max_events)
         unfinished = [pid for pid, s in self._programs.items() if not s.finished]
         if unfinished:  # pragma: no cover - defensive, programs reschedule themselves
@@ -134,11 +137,11 @@ class DSMRuntime:
         self._reschedule(state, self.step_delay)
 
     def _reschedule(self, state: ProgramState, delay: float) -> None:
-        self.system.simulator.schedule(delay, self._stepper(state.pid))
+        simulator = self.system.simulator
+        simulator.call_at(simulator.now + delay, self._step_call, [state.pid])
 
-    def _stepper(self, pid: int) -> Callable[[], None]:
-        runtime = self._weak
-        return lambda: runtime._step(runtime._programs[pid])
+    def _step_pid(self, pid: int) -> None:
+        self._step(self._programs[pid])
 
     # -- reporting ------------------------------------------------------------------------
     def step_counts(self) -> Dict[int, int]:

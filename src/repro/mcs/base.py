@@ -88,8 +88,10 @@ class MCSProcess(abc.ABC):
     # -- local store ----------------------------------------------------------------
     def _apply(self, variable: str, value: Any, write_id: Optional[WriteId]) -> None:
         """Install ``value`` as the current local value of ``variable``."""
-        self._require_replica(variable)
-        self._store[variable] = (value, write_id)
+        store = self._store
+        if variable not in store:
+            self._require_replica(variable)
+        store[variable] = (value, write_id)
 
     def local_value(self, variable: str) -> Any:
         """Current local value of a replicated variable (no recording)."""

@@ -82,6 +82,13 @@ class CausalFullReplication(MCSProcess):
             raise ProtocolError(f"unexpected message kind {message.kind!r}")
         control = message.control
         sender = control["sender"]
+        pending = self._pending
+        if not pending and self._vc.accept(sender, control["vc"]):
+            # ``_receive`` on an empty buffer: one test (which also counted the
+            # update in the clock), then nothing to drain.  An update that
+            # passes it is the sender's next one, so no duplicate.
+            self._apply(message.variable, message.payload["value"], tuple(control["_wid"]))
+            return
         seq = control["vc"][sender]
         if seq <= self._vc[sender] or (sender, seq) in self._buffered:
             # Duplicate copy (faulty network).  Either the sender entry was
@@ -89,7 +96,10 @@ class CausalFullReplication(MCSProcess):
             # a first copy is still buffered and will advance the clock past
             # this one.  Discard instead of letting it pin the pending buffer.
             return
-        if self._receive(message, self._pending):
+        if not pending:
+            pending.append(message)  # blocked: the test above failed
+            self._buffered.add((sender, seq))
+        elif self._receive(message, pending):
             self._buffered.add((sender, seq))
 
     def _deliverable(self, message: Message) -> bool:

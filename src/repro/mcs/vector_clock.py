@@ -82,6 +82,14 @@ class VectorClock:
             return False
         return sum(map(gt, stamp.values(), map(clock.get, stamp, repeat(0)))) == 1
 
+    def accept(self, sender: int, stamp: Mapping[int, int]) -> bool:
+        """:meth:`admits`, and on ``True`` count the update: the sender's entry
+        becomes its stamp's (the clock step of the update's delivery)."""
+        if not self.admits(sender, stamp):
+            return False
+        self._clock[sender] = stamp[sender]
+        return True
+
     def dominates(self, other: "VectorClock") -> bool:
         """``True`` iff every entry of ``self`` is ``>=`` the matching entry of ``other``."""
         keys = set(self._clock) | set(other._clock)

@@ -140,11 +140,12 @@ class Message:
     def to(self, dst: int) -> "Message":
         """An unsent sibling for another destination: fresh ``uid``, the same
         ``payload`` and ``control`` objects, sizes inherited (not re-measured)."""
+        fields = self.__dict__.copy()
+        fields["dst"] = dst
+        fields["uid"] = next(_message_counter)
+        fields["sent_at"] = fields["delivered_at"] = None
         sibling = object.__new__(Message)
-        sibling.__dict__.update(self.__dict__)
-        sibling.dst = dst
-        sibling.uid = next(_message_counter)
-        sibling.sent_at = sibling.delivered_at = None
+        sibling.__dict__ = fields
         return sibling
 
     @property

@@ -11,6 +11,13 @@ available for the ablation benchmarks (the PRAM protocol then has to buffer
 and reorder on per-sender sequence numbers).  Duplicate copies injected by a
 faulty model are deliberately *exempt* from the FIFO floor — a retransmitted
 packet arrives whenever it arrives.
+
+:meth:`Network.send` and :meth:`Network.multicast` share one transmit body,
+which accounts a fan-out's sends once and schedules its copies as
+handle-free simulator calls: the consecutive copies due at one instant — a
+whole broadcast under constant latency — are one queue record, and each copy
+is delivered by one call that stamps, accounts and hands it to its
+destination's ``on_message``.
 """
 
 from __future__ import annotations
@@ -52,13 +59,24 @@ class Network:
         self.model = model
         self.fifo = fifo
         self.stats = NetworkStats()
-        self.record_trace = record_trace
+        self._record_trace = record_trace
         self.trace: List[Message] = []
         self._nodes: Dict[int, Receiver] = {}
         self._last_delivery: Dict[Tuple[int, int], float] = {}
-        # A queued delivery holds only a weak proxy of the network: the
-        # simulator owns the queue, so a strong reference would be a cycle.
-        self._weak = weakref.proxy(self)
+        # One callback for every delivery lets a fan-out share a record.  It
+        # holds what a delivery touches but not the network, and the
+        # simulator only weakly: the simulator owns the queue, so a strong
+        # reference would be a cycle.
+        self._deliver_call = partial(
+            _deliver, weakref.proxy(simulator), self.stats, self._nodes,
+            self.trace if record_trace else None,
+        )
+
+    @property
+    def record_trace(self) -> bool:
+        """Whether delivered messages are appended to :attr:`trace` (fixed
+        at construction)."""
+        return self._record_trace
 
     # -- membership -------------------------------------------------------------
     def register(self, node_id: int, node: Receiver) -> None:
@@ -70,7 +88,7 @@ class Network:
     # -- transmission --------------------------------------------------------------
     def send(self, message: Message) -> None:
         """Send ``message``; delivery is scheduled on the simulator."""
-        self._transmit(message, None)
+        self._transmit(message, (message.dst,), None)
 
     def multicast(self, message: Message, destinations: Iterable[int]) -> int:
         """Send one logical message to every destination; returns the count.
@@ -83,57 +101,85 @@ class Network:
         """
         src = message.src
         targets = [dst for dst in sorted(set(destinations)) if dst != src]
-        delays: Sequence[Optional[float]] = (
-            self.latency.sample_many(src, targets) if self.model is None
-            else [None] * len(targets)
-        )
-        for dst, delay in zip(targets, delays):
-            self._transmit(message if dst == message.dst else message.to(dst), delay)
+        latencies = self.latency.sample_many(src, targets) if self.model is None else None
+        self._transmit(message, targets, latencies)
         return len(targets)
 
-    def _transmit(self, message: Message, delay: Optional[float]) -> None:
-        """The one transmit body; ``delay`` is a latency already drawn, if any."""
-        src, dst = message.src, message.dst
-        if dst not in self._nodes:
-            raise SimulationError(f"unknown destination {dst}")
-        if src == dst:
-            raise SimulationError("a process does not send messages to itself")
-        if message.sent_at is not None:
+    def _transmit(
+        self, message: Message, targets: Sequence[int], latencies: Optional[Sequence[float]]
+    ) -> None:
+        """The one transmit body: ``message`` to each of ``targets``, in order.
+
+        ``message`` goes to its own ``dst`` and a sibling to every other
+        target; ``latencies`` are theirs when already drawn.  Every target is
+        checked before anything is sent, and the send is accounted once for
+        the fan-out.  Each copy's delivery is a handle-free call on the
+        simulator: copies due at the same instant, one after the other, share
+        one queue record.
+        """
+        src = message.src
+        for dst in targets:
+            if dst not in self._nodes:
+                raise SimulationError(f"unknown destination {dst}")
+            if src == dst:
+                raise SimulationError("a process does not send messages to itself")
+        if message.sent_at is not None and message.dst in targets:
             # Sizes are measured once per message, so an object that went out
             # (and may have been mutated since) must not go out again.
             raise SimulationError(f"{message!r} was already sent; build a new message")
-        now = self.simulator.now
-        message.sent_at = now
-        self.stats.record_send(message)
-        if self.model is None:
-            delays: Tuple[float, ...] = (
-                self.latency.sample(src, dst) if delay is None else delay,
-            )
-        else:
-            plan = self.model.plan(src, dst, now)
-            if plan.dropped:
-                self.stats.record_drop(message, plan.drop_reason or "dropped")
-                return
-            delays = plan.delays
-
-        deliver = partial(Network._deliver, self._weak, message)
-        for copy, copy_delay in enumerate(delays):
-            delivery_time = now + copy_delay
-            if copy == 0:
-                # The FIFO floor orders the primary copies of a channel; a
-                # duplicate is a retransmission and lands whenever it lands.
-                if self.fifo:
-                    channel = (src, dst)
-                    floor = self._last_delivery.get(channel, 0.0)
-                    delivery_time = max(delivery_time, floor + 1e-9)
-                    self._last_delivery[channel] = delivery_time
+        simulator, stats, model = self.simulator, self.stats, self.model
+        primary, fifo, floors = message.dst, self.fifo, self._last_delivery
+        now = simulator.now
+        stats.record_send(message, targets)
+        # Consecutive copies due at one instant form one group: as records of
+        # their own they would have had consecutive sequence numbers under one
+        # key, so nothing could have run between them.
+        group: List[Message] = []
+        group_time = now
+        for index, dst in enumerate(targets):
+            out = message if dst == primary else message.to(dst)
+            out.sent_at = now
+            if model is None:
+                delays: Sequence[float] = (
+                    self.latency.sample(src, dst) if latencies is None else latencies[index],
+                )
             else:
-                self.stats.record_duplicate(message)
-            self.simulator.schedule_at(delivery_time, deliver)
+                plan = model.plan(src, dst, now)
+                if plan.dropped:
+                    stats.record_drop(out, plan.drop_reason or "dropped")
+                    continue
+                delays = plan.delays
+            for copy, delay in enumerate(delays):
+                delivery_time = now + delay
+                if copy:
+                    stats.record_duplicate(out)
+                elif fifo:
+                    # The FIFO floor orders the primary copies of a channel; a
+                    # duplicate is a retransmission and lands whenever it lands.
+                    channel = (src, dst)
+                    floor = floors.get(channel, 0.0) + 1e-9
+                    if floor > delivery_time:
+                        delivery_time = floor
+                    floors[channel] = delivery_time
+                if delivery_time != group_time or not group:
+                    if group:
+                        simulator.call_at(group_time, self._deliver_call, group)
+                    group, group_time = [], delivery_time
+                group.append(out)
+        if group:
+            simulator.call_at(group_time, self._deliver_call, group)
 
-    def _deliver(self, message: Message) -> None:
-        message.delivered_at = self.simulator.now
-        self.stats.record_delivery(message)
-        if self.record_trace:
-            self.trace.append(message)
-        self._nodes[message.dst].on_message(message)
+
+def _deliver(
+    simulator: Simulator,
+    stats: NetworkStats,
+    nodes: Dict[int, Receiver],
+    trace: Optional[List[Message]],
+    message: Message,
+) -> None:
+    """Deliver ``message`` to its destination: the one call a queued copy makes."""
+    message.delivered_at = simulator.now
+    stats.record_delivery(message)
+    if trace is not None:
+        trace.append(message)
+    nodes[message.dst].on_message(message)

@@ -1,14 +1,20 @@
 """Discrete-event simulator driving the message-passing substrate.
 
-The simulator owns the virtual clock and the event queue.  Network channels
-and the DSM runtime schedule callbacks on it (message deliveries, application
-steps); :meth:`Simulator.run` processes events in timestamp order until the
-queue drains, a time horizon is reached or an event budget is exhausted.
+The simulator owns the virtual clock and the event queue.  Callers that need
+a handle schedule a cancellable :class:`~repro.netsim.events.Event`
+(:meth:`Simulator.schedule`, :meth:`Simulator.schedule_at`); the network's
+message deliveries and the DSM runtime's program steps are handle-free calls
+(:meth:`Simulator.call_at`), which the queue groups without building an event
+per call.  :meth:`Simulator.run` processes both kinds, one call at a time, in
+``(time, priority, sequence)`` order until the queue drains, a time horizon
+is reached or an event budget is exhausted; every call — each delivered
+message, each program step, each handle — is one processed event.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..exceptions import SimulationError
 from .events import Event, EventQueue
@@ -32,8 +38,10 @@ class Simulator:
     def subscribe(self, listener: EventListener) -> None:
         """Observe every event *after* its callback executed.
 
-        The listener tuple is replaced, never mutated, so a listener may be
-        registered mid-run — even from inside an executing event callback or
+        A handle-free call is observed as a new :class:`Event` under its
+        group's key whose ``callback`` re-runs it, one per call.  The
+        listener tuple is replaced, never mutated, so a listener may be
+        registered mid-run — even from inside an executing callback or
         another listener — without perturbing the notification in progress:
         it only starts receiving *subsequent* events, in execution (delivery)
         order.
@@ -52,12 +60,12 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Number of events executed so far."""
+        """Number of events (handles and calls) executed so far."""
         return self._processed
 
     @property
     def pending_events(self) -> int:
-        """Number of events still scheduled."""
+        """Number of events (handles and calls) still scheduled."""
         return len(self._queue)
 
     # -- scheduling --------------------------------------------------------------
@@ -77,12 +85,22 @@ class Simulator:
         """Schedule ``callback`` at absolute virtual time ``time`` (finite, not
         before :attr:`now`)."""
         if not self._now <= time < _INF:
-            if time < self._now:
-                raise SimulationError(
-                    f"cannot schedule in the past (time={time}, now={self._now})"
-                )
-            raise SimulationError(f"event time must be finite (time={time})")
+            self._reject_time(time)
         return self._queue.push(time, callback, priority)
+
+    def call_at(self, time: float, callback: Callable[[Any], None], args: List[Any]) -> None:
+        """Schedule ``callback(arg)`` for each ``arg`` of the non-empty list
+        ``args``, in order, at absolute virtual time ``time`` (priority 0):
+        one queue record with no handle to cancel it, each call one processed
+        event.  ``time`` is checked as by :meth:`schedule_at`."""
+        if not self._now <= time < _INF:
+            self._reject_time(time)
+        self._queue.push_call(time, callback, args)
+
+    def _reject_time(self, time: float) -> None:
+        if time < self._now:
+            raise SimulationError(f"cannot schedule in the past (time={time}, now={self._now})")
+        raise SimulationError(f"event time must be finite (time={time})")
 
     # -- execution ------------------------------------------------------------------
     def step(self) -> bool:
@@ -116,42 +134,58 @@ class Simulator:
             Stop (without executing) at the first event strictly later than
             this virtual time.  The clock is advanced to ``until`` whether
             the run stops on a later event or because the queue drained, so
-            ``sim.now`` reflects the requested horizon either way.
+            ``sim.now`` reflects the requested horizon either way; a horizon
+            in the past never moves it back.
         max_events:
             Budget of events for this call; a :class:`SimulationError` is
             raised when it is exhausted while events remain (a guard against
             livelocked protocols or programs).
         """
+        queue = self._queue
+        heap = queue._heap
+        horizon = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         processed = 0
         while True:
-            next_time = self._queue.peek_time()
-            if next_time is None:
+            record = queue.pop_record(horizon)
+            if record is None:  # drained, or the earliest record is later
                 if until is not None and until > self._now:
                     self._now = until
                 return processed
-            if until is not None and next_time > until:
-                self._now = until
-                return processed
-            if max_events is not None and processed >= max_events:
+            if processed >= budget:
+                queue.push_back(record)
                 raise SimulationError(
                     f"event budget exhausted ({max_events} events) at t={self._now}"
                 )
-            # Drain the whole timestamp cohort in one queue operation.  The
-            # batch is capped by the remaining budget so the exhaustion check
-            # above still fires at exactly the same event count, and events
-            # cancelled by an earlier callback of the same cohort are skipped
-            # exactly as a sequential pop would have skipped them.
-            cap = None if max_events is None else max_events - processed
-            batch = self._queue.pop_batch(cap)
-            if not batch:
-                continue
-            self._now = batch[0].time
-            for event in batch:
-                if event.cancelled:
-                    continue
+            time, priority, sequence, callback, arg = record
+            self._now = time
+            if callback is None:
+                # The event has left the queue; a later cancel() must not
+                # touch the queue's accounting.
+                arg._on_cancel = None
                 self._processed += 1
                 processed += 1
                 listeners = self._listeners
-                event.callback()
+                arg.callback()
                 for listener in listeners:
-                    listener(event)
+                    listener(arg)
+                continue
+            # A group runs its calls in order, one event each.  It stops early
+            # (the rest keeping the group's key) when the budget runs out, or
+            # when a callback scheduled something that sorts before the rest
+            # (same instant, lower priority number), so the order is the one
+            # of one record per call.
+            for index, item in enumerate(arg):
+                if index and (processed >= budget or (heap and heap[0] < record)):
+                    queue.push_back((time, priority, sequence, callback, arg[index:]))
+                    break
+                self._processed += 1
+                processed += 1
+                # Snapshot before the callback: a listener registered during
+                # this call only observes subsequent ones.
+                listeners = self._listeners
+                callback(item)
+                if listeners:
+                    event = Event(time, priority, sequence, partial(callback, item))
+                    for listener in listeners:
+                        listener(event)

@@ -1,17 +1,18 @@
 """Network-level statistics: message and byte accounting.
 
 :class:`NetworkStats` is filled in by :class:`~repro.netsim.network.Network`
-on every send/delivery; the MCS metric layer (:mod:`repro.mcs.metrics`)
-post-processes it against a variable distribution to derive the
-paper-specific efficiency measures (control bytes received about variables a
-process does not replicate, observed x-relevance sets, ...).
+once per fan-out sent and once per message delivered; the MCS metric layer
+(:mod:`repro.mcs.metrics`) post-processes it against a variable distribution
+to derive the paper-specific efficiency measures (control bytes received
+about variables a process does not replicate, observed x-relevance sets,
+...).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .message import Message
 
@@ -38,14 +39,21 @@ class NetworkStats:
         default_factory=lambda: defaultdict(int)
     )
 
-    def record_send(self, message: Message) -> None:
-        """Account for a message handed to the network."""
-        self.messages_sent += 1
-        self.payload_bytes += message.payload_bytes
-        self.control_bytes += message.control_bytes
-        self.by_kind[message.kind] += 1
-        self.by_pair[(message.src, message.dst)] += 1
-        self.control_bytes_by_kind[message.kind] += message.control_bytes
+    def record_send(self, message: Message, destinations: Optional[Sequence[int]] = None) -> None:
+        """Account for ``message`` handed to the network once per destination
+        (a fan-out: ``message`` and its siblings; default its own ``dst``)."""
+        src = message.src
+        if destinations is None:
+            destinations = (message.dst,)
+        count = len(destinations)
+        self.messages_sent += count
+        self.payload_bytes += count * message.payload_bytes
+        self.control_bytes += count * message.control_bytes
+        self.by_kind[message.kind] += count
+        by_pair = self.by_pair
+        for dst in destinations:
+            by_pair[src, dst] += 1
+        self.control_bytes_by_kind[message.kind] += count * message.control_bytes
 
     def record_drop(self, message: Message, reason: str) -> None:
         """Account for a message the network model decided to lose."""
@@ -58,10 +66,11 @@ class NetworkStats:
 
     def record_delivery(self, message: Message) -> None:
         """Account for a message delivered to its destination."""
+        dst, variable = message.dst, message.variable
         self.messages_delivered += 1
-        self.received_by_process[message.dst] += 1
-        if message.variable is not None:
-            key = (message.dst, message.variable)
+        self.received_by_process[dst] += 1
+        if variable is not None:
+            key = (dst, variable)
             self.received_variable_messages[key] += 1
             self.received_variable_control_bytes[key] += message.control_bytes
 

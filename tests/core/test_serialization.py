@@ -1,9 +1,13 @@
 """Unit tests for :mod:`repro.core.serialization`."""
 
 import dataclasses
+import gc
+import random
+import weakref
 
 import pytest
 
+from repro import get_checker
 from repro.core.consistency.criteria import SlowChecker
 from repro.core.consistency.sequential import SequentialChecker
 from repro.core.history import HistoryBuilder
@@ -198,3 +202,140 @@ class TestSearchBudget:
         result = SlowChecker().check(b.build(), exact=True)
         assert not result.consistent and result.exact
         assert [v[:3] for v in result.violations] == ["p4:"]
+
+
+def recursive_search(problem):
+    """The recursive search the explicit stack replaced: ``(result, states)``."""
+    ops, read_from, preds = problem.ops, problem.read_from, problem._preds
+    failed, scheduled, scheduled_set, last_write = set(), [], set(), {}
+    pending_reads_by_var = {}
+    for op in ops:
+        if op.is_read:
+            pending_reads_by_var.setdefault(op.variable, set()).add(op)
+    states = 0
+
+    def state_key():
+        visible = tuple(sorted((var, op.uid) for var, op in last_write.items() if op is not None))
+        return frozenset(scheduled_set), visible
+
+    def write_priority(op):
+        pending = pending_reads_by_var.get(op.variable, ())
+        clobbers = any(read_from.get(r) is not op for r in pending)
+        timestamp = op.invoked_at if op.invoked_at is not None else float(op.uid)
+        return (1 if clobbers else 0, timestamp, op.uid)
+
+    def candidates():
+        out = []
+        for op in ops:
+            if op in scheduled_set or any(p not in scheduled_set for p in preds[op]):
+                continue
+            if op.is_read:
+                writer, current = read_from.get(op), last_write.get(op.variable)
+                if (current is not None) if writer is None else (current is not writer):
+                    continue
+            out.append(op)
+        return out
+
+    def backtrack():
+        nonlocal states
+        if len(scheduled) == len(ops):
+            return True
+        key = state_key()
+        if key in failed:
+            return False
+        states += 1
+        cands = candidates()
+        reads = [c for c in cands if c.is_read]
+        if reads:
+            chosen = reads[0]
+            scheduled.append(chosen)
+            scheduled_set.add(chosen)
+            pending_reads_by_var[chosen.variable].discard(chosen)
+            if backtrack():
+                return True
+            scheduled.pop()
+            scheduled_set.remove(chosen)
+            pending_reads_by_var[chosen.variable].add(chosen)
+            failed.add(key)
+            return False
+        for chosen in sorted(cands, key=write_priority):
+            scheduled.append(chosen)
+            scheduled_set.add(chosen)
+            previous = last_write.get(chosen.variable)
+            last_write[chosen.variable] = chosen
+            if backtrack():
+                return True
+            scheduled.pop()
+            scheduled_set.remove(chosen)
+            last_write[chosen.variable] = previous
+        failed.add(key)
+        return False
+
+    return (list(scheduled) if backtrack() else None), states
+
+
+def random_history(seed):
+    """A small history whose reads return a random earlier-or-later write (or ⊥)."""
+    rng = random.Random(seed)
+    b, written = HistoryBuilder(), []
+    for n in range(rng.randrange(4, 10)):
+        process, variable = rng.randrange(3), rng.choice("xy")
+        if rng.random() < 0.5 or not written:
+            b.write(process, variable, f"{variable}{n}")
+            written.append((variable, f"{variable}{n}"))
+        else:
+            choices = [value for var, value in written if var == variable]
+            b.read(process, variable, rng.choice(choices + [BOTTOM]))
+    return b.build()
+
+
+class TestExplicitStackSearch:
+    def test_a_long_history_is_checked_without_recursion(self):
+        """One operation per stack frame: 1 202 scheduled operations used to
+        overflow Python's recursion limit with a ``RecursionError``."""
+        b = HistoryBuilder()
+        for i in range(600):
+            b.write(1, "x", f"a{i}")
+            b.write(2, "x", f"b{i}")
+        b.read(3, "x", "b599")
+        b.read(4, "x", "b599")
+        history = b.build()
+        assert len(history.operations) == 1_202
+        result = get_checker("sequential").check(history, exact=True)
+        assert result.consistent and result.exact
+
+    @pytest.mark.parametrize("relation", [Relation, full_program_order, causal_order])
+    def test_states_explored_equal_the_recursive_search(self, relation):
+        compared = solved = 0
+        for seed in range(150):
+            history = random_history(seed)
+            problem = SerializationProblem(history.operations, relation(history.operations)
+                                           if relation is Relation else relation(history),
+                                           history.read_from())
+            expected, states = recursive_search(problem)
+            assert states >= 1
+            budgeted = dataclasses.replace(problem, max_states=states)
+            assert budgeted.search() == expected, seed
+            with pytest.raises(SearchBudgetError):
+                dataclasses.replace(problem, max_states=states - 1).search()
+            compared += 1
+            solved += expected is not None
+        # an empty relation admits every history; program order rejects some
+        assert 0 < solved <= compared
+        assert relation is Relation or solved < compared
+
+    def test_a_search_leaves_no_cycle(self):
+        b = HistoryBuilder()
+        b.write(1, "x", "a").write(2, "x", "b")
+        b.read(3, "x", "b").read(3, "x", "a")
+        history = b.build()
+        gc.disable()
+        try:
+            problem = SerializationProblem(history.operations, full_program_order(history),
+                                           history.read_from())
+            assert problem.search() is not None
+            alive = weakref.ref(problem)
+            del problem
+            assert alive() is None
+        finally:
+            gc.enable()

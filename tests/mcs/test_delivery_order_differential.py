@@ -1,13 +1,16 @@
 """Differential test of the causal protocols' delivery path.
 
 ``MCSProcess._receive`` tests an arrival once and runs the pass loop only when
-something is buffered; ``VectorClock.admits`` decides a clock in one C-level
-pass.  The reference below is the loop they replace: append every arrival to
-the buffer, then pass over the whole buffer until a pass delivers nothing,
-with the vector-clock test written entry by entry.  Both sides run the same
-generated workloads over networks that reorder, duplicate and lose messages,
-and must agree on every process' delivery sequence, the recorded history, the
-read-from map and the network statistics.
+something is buffered; ``causal_full`` decides an arrival at an empty buffer
+with that one test itself (``VectorClock.accept``, which also steps the
+clock), without ``_receive``; ``VectorClock.admits`` decides a clock in one
+C-level pass.  The reference below is the loop they
+replace: every arrival goes to the buffer, then passes over the whole buffer
+run until one delivers nothing, with the vector-clock test written entry by
+entry.  Both sides run the same generated workloads over networks that
+reorder, duplicate and lose messages, and must agree on every process'
+delivery sequence, the recorded history, the read-from map and the network
+statistics.
 """
 
 import pytest
@@ -42,6 +45,17 @@ def reference_receive(self, message, pending):
                 self._deliver(buffered)
                 progress = True
     return any(buffered is message for buffered in pending)
+
+
+def reference_full_on_message(self, message):
+    """``causal_full``'s arrival as it was: the duplicate check, then ``_receive``."""
+    control = message.control
+    sender = control["sender"]
+    seq = control["vc"][sender]
+    if seq <= self._vc[sender] or (sender, seq) in self._buffered:
+        return
+    if self._receive(message, self._pending):
+        self._buffered.add((sender, seq))
 
 
 def reference_clock_test(self, message):
@@ -84,23 +98,27 @@ def run(protocol, network, seed, monkeypatch, reference):
     """One run; returns its observable outcome and whether anything was buffered."""
     deliveries, buffered = [], []
     cls = PROTOCOLS[protocol]
-    deliver, receive = cls._deliver, (reference_receive if reference else MCSProcess._receive)
+    apply = cls._apply
+    on_message = (reference_full_on_message if reference and protocol == "causal_full"
+                  else cls.on_message)
 
-    def logged_deliver(self, message):
-        control = message.control
-        deliveries.append((self.pid, message.src, tuple(control.get("wid") or control["_wid"])))
-        deliver(self, message)
+    def logged_apply(self, variable, value, write_id):
+        # every delivery applies its update; a local write applies its own
+        if write_id[0] != self.pid:
+            deliveries.append((self.pid, write_id[0], tuple(write_id)))
+        apply(self, variable, value, write_id)
 
-    def logged_receive(self, message, pending):
-        was_buffered = receive(self, message, pending)
-        buffered.append(was_buffered)
-        return was_buffered
+    def logged_on_message(self, message):
+        on_message(self, message)
+        buffered.append(self.pending_updates() > 0)
 
     with monkeypatch.context() as patch:
-        patch.setattr(cls, "_deliver", logged_deliver)
-        patch.setattr(MCSProcess, "_receive", logged_receive)
-        if reference and protocol == "causal_full":
-            patch.setattr(cls, "_deliverable", reference_clock_test)
+        patch.setattr(cls, "_apply", logged_apply)
+        patch.setattr(cls, "on_message", logged_on_message)
+        if reference:
+            patch.setattr(MCSProcess, "_receive", reference_receive)
+            if protocol == "causal_full":
+                patch.setattr(cls, "_deliverable", reference_clock_test)
         dist = random_distribution(processes=5, variables=6, replicas_per_variable=3, seed=seed)
         script = uniform_access_script(dist, operations_per_process=14, write_fraction=0.6,
                                        seed=seed)

@@ -72,6 +72,14 @@ class TestVectorClock:
         assert not local.admits(1, {0: 2, 1: 2, 2: 1})
         assert VectorClock([0, 1]).admits(2, {2: 1, 5: 0})  # absent entries read as zero
 
+    def test_accept_counts_what_admits_lets_through_and_nothing_else(self):
+        local = VectorClock(values={0: 2, 1: 1, 2: 0})
+        assert not local.accept(1, {0: 3, 1: 2, 2: 0})  # depends on an unseen write
+        assert local.as_dict() == {0: 2, 1: 1, 2: 0}
+        assert local.accept(1, {0: 1, 1: 2, 2: 0})
+        assert local.as_dict() == {0: 2, 1: 2, 2: 0}  # only the sender's entry moves
+        assert not local.accept(1, {0: 1, 1: 2, 2: 0})  # the same update again
+
 
 def test_full_broadcast_update_costs_274_control_bytes():
     """16 clock entries of 16 B, ``"sender"`` plus its 8-B number, the

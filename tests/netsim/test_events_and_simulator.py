@@ -176,6 +176,15 @@ class TestSimulator:
         assert sim.run(until=1.0) == 0
         assert sim.now == 3.0
 
+    def test_a_past_horizon_never_moves_the_clock_back(self):
+        """It used to, when an event later than the horizon was pending."""
+        sim = Simulator()
+        sim.schedule(3.0, lambda: None)
+        sim.run(until=3.0)
+        sim.schedule(5.0, lambda: None)
+        assert sim.run(until=1.0) == 0
+        assert sim.now == 3.0 and sim.pending_events == 1
+
     def test_event_budget_guard(self):
         sim = Simulator()
 
@@ -281,3 +290,94 @@ class TestRecordingCallbacksUnderReordering:
         replayed = []
         system.recorder.subscribe(lambda op, src: replayed.append(op), replay=True)
         assert replayed == from_start
+
+
+class TestHandleFreeCalls:
+    """``call_at`` queues a group of calls as one record with no handle; every
+    call still runs, counts and is observed as one event, in the order of one
+    record per call."""
+
+    def test_a_group_runs_its_calls_in_order_one_event_each(self):
+        sim = Simulator()
+        ran = []
+        sim.call_at(2.0, ran.append, ["c", "d"])
+        sim.call_at(1.0, ran.append, ["a", "b"])
+        assert sim.pending_events == 4
+        assert sim.run() == 4
+        assert ran == ["a", "b", "c", "d"]
+        assert sim.processed_events == 4 and sim.pending_events == 0
+        assert sim.now == 2.0
+
+    def test_a_group_keeps_its_place_among_records_at_its_instant(self):
+        sim = Simulator()
+        ran = []
+        sim.schedule_at(1.0, lambda: ran.append("before"))
+        sim.call_at(1.0, ran.append, ["a", "b"])
+        sim.schedule_at(1.0, lambda: ran.append("after"))
+        sim.run()
+        assert ran == ["before", "a", "b", "after"]
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_a_budget_stops_inside_a_group(self, budget):
+        sim = Simulator()
+        ran = []
+        sim.call_at(1.0, ran.append, [0, 1, 2])
+        sim.call_at(1.0, ran.append, [3])
+        with pytest.raises(SimulationError, match="budget"):
+            sim.run(max_events=budget)
+        assert ran == list(range(budget))
+        assert sim.processed_events == budget
+        assert sim.pending_events == 4 - budget
+        sim.run()
+        assert ran == [0, 1, 2, 3]
+
+    def test_a_call_scheduling_a_lower_priority_number_at_its_instant_runs_it_next(self):
+        sim = Simulator()
+        ran = []
+
+        def call(name):
+            ran.append(name)
+            if name == "a":
+                sim.schedule(0.0, lambda: ran.append("urgent"), priority=-1)
+                sim.schedule(0.0, lambda: ran.append("later"))
+
+        sim.call_at(1.0, call, ["a", "b"])
+        sim.run()
+        assert ran == ["a", "urgent", "b", "later"]
+
+    def test_step_pops_one_call_of_a_group(self):
+        sim = Simulator()
+        ran = []
+        sim.call_at(1.0, ran.append, ["a", "b"])
+        assert sim.step() and ran == ["a"] and sim.pending_events == 1
+        assert sim.step() and ran == ["a", "b"] and sim.pending_events == 0
+        assert not sim.step()
+
+    def test_a_listener_sees_one_event_per_call(self):
+        sim = Simulator()
+        ran, seen = [], []
+        sim.call_at(1.0, ran.append, ["a", "b"])
+        sim.subscribe(seen.append)
+        sim.run()
+        assert [event.time for event in seen] == [1.0, 1.0]
+        seen[1].callback()  # an observed call re-runs as its event's callback
+        assert ran == ["a", "b", "b"]
+
+    def test_a_listener_subscribed_by_a_call_sees_only_the_later_calls(self):
+        sim = Simulator()
+        seen = []
+
+        def call(name):
+            if name == "a":
+                sim.subscribe(lambda event: seen.append(event.time))
+
+        sim.call_at(1.0, call, ["a", "b", "c"])
+        sim.run()
+        assert seen == [1.0, 1.0]
+
+    @pytest.mark.parametrize("time", [-1.0, float("nan"), float("inf")])
+    def test_call_times_are_checked(self, time):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.call_at(time, print, [1])
+        assert sim.pending_events == 0

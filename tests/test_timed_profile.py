@@ -1,6 +1,7 @@
 """Smoke test of ``make profile`` (``benchmarks/timed_profile.py``): both
-cProfile tables, the checker's phase split, then the tracemalloc section, on
-the smallest workload; and the windowed phases on ``monitor_stream``."""
+cProfile tables, the checker's and the simulation's phase splits, then the
+tracemalloc section, on the smallest workload; and the windowed phases on
+``monitor_stream``."""
 
 import re
 import subprocess
@@ -25,22 +26,37 @@ def test_profile_prints_both_tables_then_memory():
     assert all(re.match(r"\s+[\d.]+ MiB\s+\d+ blocks  \S+:\d+$", line) for line in lines)
 
 
-def phase_calls(workload):
-    """The calls column of the checker-phase block ``workload``'s profile
-    prints between the cProfile tables and the tracemalloc section."""
+CHECKER = ["_reorder", "_causal_vcs", "_bounds", "_bad_patterns", "_witness", "_verify",
+           "observe"]
+SIMULATION = ["_transmit", "_deliver", "on_message", "record_write", "record_read"]
+
+
+def phase_blocks(workload):
+    """The calls column of the checker-phase and simulation-phase blocks
+    ``workload``'s profile prints, in that order, between the cProfile tables
+    and the tracemalloc section."""
     out = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "timed_profile.py"), "--workload", workload],
         cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
     ).stdout
-    start = out.index(f"{workload}: checker phases, cumulative over 3 timed sections")
-    assert out.index("Ordered by: cumulative time") < start < out.index("under tracemalloc")
-    rows = out[start:].splitlines()[1:8]
-    found = [re.match(r"  (\w+) +([\d.]+) s +(\d+) calls$", row) for row in rows]
-    assert all(found), rows
-    calls = {match.group(1): int(match.group(3)) for match in found}
-    assert list(calls) == ["_reorder", "_causal_vcs", "_bounds", "_bad_patterns",
-                           "_witness", "_verify", "observe"]
-    return calls
+    blocks = []
+    after = out.index("Ordered by: cumulative time")
+    for title, names in (("checker", CHECKER), ("simulation", SIMULATION)):
+        start = out.index(f"{workload}: {title} phases, cumulative over 3 timed sections")
+        assert after < start < out.index("under tracemalloc")
+        rows = out[start:].splitlines()[1:1 + len(names)]
+        found = [re.match(r"  (\w+) +([\d.]+) s +(\d+) calls$", row) for row in rows]
+        assert all(found), rows
+        calls = {match.group(1): int(match.group(3)) for match in found}
+        assert list(calls) == names
+        blocks.append(calls)
+        after = start
+    return blocks
+
+
+def phase_calls(workload):
+    """The calls column of the checker-phase block."""
+    return phase_blocks(workload)[0]
 
 
 def test_profile_prints_the_checker_phases_between_the_tables_and_memory():
@@ -50,6 +66,13 @@ def test_profile_prints_the_checker_phases_between_the_tables_and_memory():
     assert calls["_witness"] == calls["_verify"] == 0
     # its sessions record into an arena: no window to compact
     assert calls["_reorder"] == 0
+
+
+def test_profile_prints_the_simulation_phases_after_the_checker_phases():
+    calls = phase_blocks("place_40p")[1]
+    # every queued copy is one delivery call, which hands it to one on_message
+    assert calls["_deliver"] == calls["on_message"] > calls["_transmit"] > 0
+    assert calls["record_write"] > 0 and calls["record_read"] > 0
 
 
 def test_profile_counts_each_windowed_check_once_per_step():

@@ -417,7 +417,7 @@ class Session:
             self.script = self._resolve_workload(workload)
         model, fifo = self._resolve_network(network)
         self.network_model = model
-        self.recorder: Any = ArenaRecorder()  # MCSystem's type names HistoryRecorder
+        self.recorder: ArenaRecorder = ArenaRecorder()
         self.system = MCSystem(
             self.distribution,
             protocol=self.protocol,

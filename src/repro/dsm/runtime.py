@@ -3,10 +3,10 @@
 The runtime couples each application program (a generator, see
 :mod:`repro.dsm.program`) with the MCS process of the same identifier and
 drives everything through the discrete-event simulator: a program step is a
-handle-free simulator call (one processed event); between two steps of the
-same program, in-flight messages are delivered, which is what lets
-spin-waiting programs (the Bellman-Ford barrier of Figure 7) observe remote
-writes.
+one-call group on it (:meth:`~repro.netsim.simulator.Simulator.call_at`, one
+processed event); between two steps of the same program, in-flight messages
+are delivered, which is what lets spin-waiting programs (the Bellman-Ford
+barrier of Figure 7) observe remote writes.
 
 Blocking operations (command-style ``yield Read(...)`` on protocols that may
 raise :class:`~repro.exceptions.RetryOperation`) are retried by the runtime
@@ -59,9 +59,9 @@ class DSMRuntime:
         self.max_steps_per_process = max_steps_per_process
         self.max_events = max_events
         self._programs: Dict[int, ProgramState] = {}
-        # A queued step is a handle-free call of one callback on a process
-        # id.  The callback holds a weak proxy: the system's simulator owns
-        # the queue, so a strong reference would be a cycle.
+        # A queued step is a one-call group: one callback on a process id.
+        # The callback holds a weak proxy: the system's simulator owns the
+        # heap, so a strong reference would be a cycle.
         self._step_call = partial(DSMRuntime._step_pid, weakref.proxy(self))
 
     # -- setup -------------------------------------------------------------------------

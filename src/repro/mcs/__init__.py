@@ -12,7 +12,7 @@ from .metrics import (
     relevance_violations,
 )
 from .pram_partial import PRAMPartialReplication
-from .recorder import HistoryRecorder, WriteId
+from .recorder import HistoryRecorder, Recorder, WriteId
 from .sequencer_sc import SequencerSC
 from .system import PROTOCOL_CRITERION, PROTOCOLS, MCSystem
 from .vector_clock import VectorClock
@@ -29,6 +29,7 @@ __all__ = [
     "PROTOCOLS",
     "PROTOCOL_CRITERION",
     "RELAY_SCOPES",
+    "Recorder",
     "SequencerSC",
     "VectorClock",
     "WriteId",

@@ -25,7 +25,7 @@ from ..core.operations import BOTTOM
 from ..exceptions import ProtocolError, ReplicaMissingError
 from ..netsim.message import Message
 from ..netsim.network import Network
-from .recorder import HistoryRecorder, WriteId
+from .recorder import Recorder, WriteId
 
 
 class MCSProcess(abc.ABC):
@@ -39,7 +39,7 @@ class MCSProcess(abc.ABC):
         pid: int,
         distribution: VariableDistribution,
         network: Network,
-        recorder: HistoryRecorder,
+        recorder: Recorder,
     ):
         self.pid = pid
         self.distribution = distribution

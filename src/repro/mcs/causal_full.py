@@ -23,7 +23,7 @@ from ..netsim.message import Message
 from ..netsim.network import Network
 from ..spec.registry import register_protocol
 from .base import MCSProcess
-from .recorder import HistoryRecorder, WriteId
+from .recorder import Recorder, WriteId
 from .vector_clock import VectorClock
 
 
@@ -47,7 +47,7 @@ class CausalFullReplication(MCSProcess):
         pid: int,
         distribution: VariableDistribution,
         network: Network,
-        recorder: HistoryRecorder,
+        recorder: Recorder,
     ):
         super().__init__(pid, distribution, network, recorder)
         # Complete replication: manage a copy of every variable, whatever the

@@ -40,7 +40,7 @@ from ..netsim.message import Message
 from ..netsim.network import Network
 from ..spec.registry import register_protocol
 from .causal_past import CausalBarrierProcess, relevant_variables
-from .recorder import HistoryRecorder, WriteId
+from .recorder import Recorder, WriteId
 
 #: relay scopes accepted by :class:`CausalPartialReplication`.
 RELAY_SCOPES = ("all", "relevant", "own")
@@ -71,7 +71,7 @@ class CausalPartialReplication(CausalBarrierProcess):
         pid: int,
         distribution: VariableDistribution,
         network: Network,
-        recorder: HistoryRecorder,
+        recorder: Recorder,
         relay_scope: str = "all",
     ):
         if relay_scope not in RELAY_SCOPES:

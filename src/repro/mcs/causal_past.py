@@ -35,7 +35,7 @@ from ..core.share_graph import ShareGraph
 from ..netsim.message import Message, SizedTuple
 from ..netsim.network import Network
 from .base import MCSProcess
-from .recorder import HistoryRecorder, WriteId
+from .recorder import Recorder, WriteId
 
 #: One dependency: the write ``(writer, seq)`` and the variable it wrote.
 Entry = Tuple[int, int, str]
@@ -114,7 +114,7 @@ class CausalBarrierProcess(MCSProcess):
     """
 
     def __init__(self, pid: int, distribution: VariableDistribution, network: Network,
-                 recorder: HistoryRecorder, relays: Callable[[str], bool]):
+                 recorder: Recorder, relays: Callable[[str], bool]):
         super().__init__(pid, distribution, network, recorder)
         #: Causal past to piggyback on the next writes, and the writes applied.
         self._past = CausalPast(self.replicated_variables, relays)

@@ -35,7 +35,7 @@ from ..netsim.message import Message
 from ..netsim.network import Network
 from ..spec.registry import register_protocol
 from .causal_past import CausalBarrierProcess, relevant_variables
-from .recorder import HistoryRecorder, WriteId
+from .recorder import Recorder, WriteId
 
 
 @register_protocol(
@@ -59,7 +59,7 @@ class CausalTreeReplication(CausalBarrierProcess):
         pid: int,
         distribution: VariableDistribution,
         network: Network,
-        recorder: HistoryRecorder,
+        recorder: Recorder,
     ):
         #: Whether this process is ``x``-relevant (Theorem 1: ``C(x)`` or an x-hoop).
         self._is_relevant = relevant_variables(pid, distribution).__contains__

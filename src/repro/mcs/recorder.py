@@ -19,13 +19,15 @@ read.
 This is the object-per-operation reference recorder (the default of a bare
 :class:`~repro.mcs.system.MCSystem`); a :class:`repro.api.Session` records
 with the columnar :class:`~repro.arena.recorder.ArenaRecorder`, whose
-histories the tests compare against this one's.
+histories the tests compare against this one's.  Protocols and
+:class:`~repro.mcs.system.MCSystem` are typed against :class:`Recorder`,
+what both provide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..core.history import History
 from ..core.operations import BOTTOM, Operation, OpKind
@@ -35,6 +37,28 @@ WriteId = Tuple[int, int]
 #: A recording listener: ``(operation, source write or None)``.  For writes the
 #: source is always ``None``; for reads it is the resolved writer operation.
 RecordListener = Callable[[Operation, Optional[Operation]], None]
+
+
+class Recorder(Protocol):
+    """What protocols and :class:`~repro.mcs.system.MCSystem` call on a
+    recorder; :class:`HistoryRecorder` and
+    :class:`~repro.arena.recorder.ArenaRecorder` are both one.  What
+    ``record_write`` / ``record_read`` return (an operation, a row) is the
+    recorder's own; callers discard it."""
+
+    def record_write(self, process: int, variable: str, value: Any, write_id: WriteId,
+                     invoked_at: Optional[float] = None,
+                     completed_at: Optional[float] = None) -> Any: ...
+
+    def record_read(self, process: int, variable: str, value: Any, source: Optional[WriteId],
+                    invoked_at: Optional[float] = None,
+                    completed_at: Optional[float] = None) -> Any: ...
+
+    def declare_process(self, process: int) -> None: ...
+
+    def history(self) -> History: ...
+
+    def read_from(self) -> Dict[Operation, Optional[Operation]]: ...
 
 
 @dataclass

@@ -26,7 +26,7 @@ from ..netsim.message import Message
 from ..netsim.network import Network
 from ..spec.registry import register_protocol
 from .base import MCSProcess
-from .recorder import HistoryRecorder, WriteId
+from .recorder import Recorder, WriteId
 
 
 @register_protocol(
@@ -54,7 +54,7 @@ class SequencerSC(MCSProcess):
         pid: int,
         distribution: VariableDistribution,
         network: Network,
-        recorder: HistoryRecorder,
+        recorder: Recorder,
         sequencer: Optional[int] = None,
     ):
         super().__init__(pid, distribution, network, recorder)

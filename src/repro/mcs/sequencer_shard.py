@@ -34,7 +34,7 @@ from ..netsim.message import Message
 from ..netsim.network import Network
 from ..spec.registry import register_protocol
 from .base import MCSProcess
-from .recorder import HistoryRecorder, WriteId
+from .recorder import Recorder, WriteId
 
 
 @register_protocol(
@@ -62,7 +62,7 @@ class SequencerShard(MCSProcess):
         pid: int,
         distribution: VariableDistribution,
         network: Network,
-        recorder: HistoryRecorder,
+        recorder: Recorder,
     ):
         super().__init__(pid, distribution, network, recorder)
         self.group_variables: FrozenSet[str] = frozenset()

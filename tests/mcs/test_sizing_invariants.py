@@ -7,9 +7,10 @@ registered protocol the sizes cached on the traced messages — and every byte
 counter derived from them — are compared with a *fresh* measurement taken
 after the run: a protocol that mutates a message it sent or received (or a
 dependency list it shares between siblings) shows up as a mismatch.  The
-causal protocols' dependency tuples carry their size as a running sum, so that
-number is checked against the tuple it describes, and the sizing work per
-message is pinned not to grow with the causal past.
+causal protocols' dependency tuples carry their size as a running sum, and a
+vector-clock stamp carries its own, so those numbers are checked against what
+they describe, and the sizing work per message is pinned not to grow with the
+causal past.
 """
 
 from collections import defaultdict
@@ -19,10 +20,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mcs.causal_past import CausalPast
+from repro.mcs.vector_clock import VectorClock
 from repro.mcs.system import PROTOCOL_CRITERION, MCSystem
 from repro.netsim import message as message_module
 from repro.netsim.latency import UniformLatency
-from repro.netsim.message import Message, SizedTuple, estimate_size
+from repro.netsim.message import Message, SizedDict, SizedTuple, estimate_size
 from repro.netsim.models import FaultyNetworkModel
 from repro.workloads.access_patterns import run_script, uniform_access_script
 from repro.workloads.distributions import random_distribution
@@ -31,9 +33,9 @@ from repro.workloads.distributions import random_distribution
 def fresh_sizes(message):
     """``(payload_bytes, control_bytes)`` measured from the fields, now.
 
-    A :class:`SizedTuple` is measured as a plain-tuple copy, so the size it
-    carries is checked here, not trusted."""
-    accounted = {k: tuple(v) if isinstance(v, SizedTuple) else v
+    A :class:`SizedTuple` or :class:`SizedDict` is measured as a plain copy,
+    so the size it carries is checked here, not trusted."""
+    accounted = {k: tuple(v) if type(v) is SizedTuple else dict(v) if type(v) is SizedDict else v
                  for k, v in message.control.items() if not k.startswith("_")}
     control = estimate_size(accounted)
     if message.variable is not None:
@@ -142,6 +144,29 @@ def test_a_dependency_snapshot_carries_its_own_size(steps):
     snapshot = past.write((9, 0), "x0")
     assert estimate_size(snapshot) == estimate_size(tuple(snapshot))
     assert len(snapshot) == len(past.entries) - 1
+
+
+@given(st.dictionaries(st.integers(0, 40), st.integers(0, 2**40), max_size=20),
+       st.lists(st.integers(0, 45), max_size=10))
+def test_a_vector_clock_stamp_carries_its_own_size(values, increments):
+    clock = VectorClock(range(4), values)
+    for process in increments:  # a process the clock did not know adds an entry
+        clock.increment(process)
+    stamp = clock.as_dict()
+    assert type(stamp) is SizedDict and stamp == clock._clock
+    assert estimate_size(stamp) == estimate_size(dict(stamp)) == clock.size_bytes()
+    assert stamp.size == 16 * len(clock)
+
+
+def test_causal_full_ships_sized_stamps():
+    distribution = random_distribution(processes=5, variables=4, replicas_per_variable=5, seed=2)
+    script = uniform_access_script(distribution, operations_per_process=6, write_fraction=0.7,
+                                   seed=2)
+    system = MCSystem(distribution, protocol="causal_full", record_trace=True)
+    run_script(system, script)
+    stamps = [message.control["vc"] for message in system.network.trace]
+    assert stamps and all(type(stamp) is SizedDict and stamp.size == 16 * 5
+                          for stamp in stamps)
 
 
 def sizing_calls_per_message(monkeypatch, operations_per_process):

@@ -202,3 +202,38 @@ def run_script_unsettled(system, script):
         else:
             process.read(access.variable)
 
+
+
+@pytest.mark.parametrize("network", ["constant", "two-valued"])
+@pytest.mark.parametrize("at", [1, 2, 4, 9])
+def test_a_call_queued_mid_group_runs_after_the_rest_of_its_instant(network, at, monkeypatch):
+    """A delivery that queues a call at its own instant sees it run after the
+    copies queued before it — the rest of its group included — as with one
+    record per message."""
+    def drive():
+        system, script = build("causal_full", network, 2)
+        log = log_deliveries(system)
+        simulator, seen, delivered = system.simulator, [], []
+
+        def probe(instant):
+            seen.append((instant, simulator.now, len(delivered)))
+
+        for pid, process in system.processes.items():
+            def counting(message, on_message=process.on_message):
+                on_message(message)
+                delivered.append((message.dst, message.src))
+                if len(delivered) == at:
+                    simulator.call_at(simulator.now, probe, [simulator.now])
+            process.on_message = counting
+        run_script(system, script)
+        return seen, outcome(system, log)
+
+    grouped, reference = both(monkeypatch, drive)
+    assert grouped == reference
+    (seen, result), _ = grouped, reference
+    [(instant, ran_at, count)] = seen
+    assert ran_at == instant
+    assert at <= count <= result["processed_events"] - 1
+    if network == "constant":
+        # the probe's whole fan-out group (five copies) ran before it
+        assert count >= 5 * -(-at // 5)

@@ -55,7 +55,10 @@ bench-pairs:
 # of its rows: WindowedChecker._reorder), then the simulation's (transmit,
 # the per-copy delivery call, on_message, the arena recorder's writes and
 # reads); then one more timed section under tracemalloc: peak and retained
-# MiB above the inputs and the top 10 allocating lines.
+# MiB above the inputs and the top 10 allocating lines; then three more
+# timed sections under a SIGPROF stack sampler of the script's own CPU time
+# (cProfile charges per call, so it under-weights loop-heavy phases): the
+# top 30 functions by sampled self and cumulative share, then each phase's.
 #   make profile W=partial_causal
 profile:
 	$(PYTHON) benchmarks/timed_profile.py --workload $(W)

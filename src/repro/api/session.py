@@ -615,9 +615,11 @@ class Session:
                           else min(until, len(self.script)))
                 executed = 0
                 stopped_early = False
+                periodic = policy.every > 0 or policy.geometric
                 for _idx, _access in drive_script(self.system, islice(self.script, budget)):
                     executed += 1
-                    check_due(executed)
+                    if periodic:
+                        check_due(executed)
                     if violated and self.policy.fail_fast:
                         stopped_early = True
                         break

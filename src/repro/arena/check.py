@@ -41,6 +41,15 @@ Both engines emit by the one rule stated in :mod:`repro.core.serialization`,
 so verdicts, violation strings and witnesses equal the object checker's over
 the materialised history.
 
+Every witness passes a self-check (:meth:`ArenaBatchChecker._verify`) before
+it is returned; for causal it reads a row's whole clock only where the row's
+process merged a source clock since its previous view row
+(:meth:`ArenaBatchChecker._causal_vcs` marks those rows), and the docstring
+proves that it fails where the check of every row fails, with the same
+message.  A finalize-only exact close decides before it runs the stream
+monitors, and runs them only when the decision rejects: a consistent verdict
+leaves them nothing to find (:meth:`ArenaBatchChecker.finalize`).
+
 Every other criterion runs its object checker on the rows materialised
 (:func:`~repro.arena.adapter.history_from_arena`,
 :func:`~repro.arena.adapter.read_from_of`) at each check and at the close.
@@ -54,7 +63,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from heapq import heapify, heappop, heappush, merge
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import le
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -74,8 +84,9 @@ COLUMNAR_CRITERIA = frozenset({"causal", "pram"})
 #: view's verdict names.
 _RELATION_NAMES = {"causal": "causal", "pram": "pram-gen"}
 
-#: The causal vector clocks ``(vc, wvc, pidx)`` of :meth:`ArenaBatchChecker._causal_vcs`.
-Clocks = Tuple[array, array, Dict[int, int]]
+#: The causal vector clocks ``(vc, wvc, pidx, merged)`` of
+#: :meth:`ArenaBatchChecker._causal_vcs`.
+Clocks = Tuple[array, array, Dict[int, int], array]
 
 
 class _Chains(NamedTuple):
@@ -269,14 +280,32 @@ class ArenaBatchChecker(IncrementalChecker):
         return self._note_findings(self._sweep())
 
     def finalize(self) -> CheckResult:
+        """The close: the stream monitors over the rows not yet fed, then,
+        with no proven violation, :meth:`solved`; otherwise the accumulated
+        violations and a polynomial sweep merged after them, like the object
+        stream's collect-all close.
+
+        An exact causal or pram close with nothing fed yet (a finalize-only
+        session) decides first and runs the monitors only when the decision
+        rejects.  A monitor hit proves the stream not even slow-memory
+        consistent, and slow memory is weaker than causal and pram memory,
+        so a consistent decision leaves no hit to find: the result, and
+        ``first_stream_violation`` (``None``), are what the monitors-first
+        close returns.  After such a close the monitors have observed no
+        row (``ops_fed``, the arena's length, is unchanged).  A rejecting
+        decision is kept, and is the close when the monitors hit nothing."""
         if self._finalized is None:
+            decided = None
+            if self._exact and not self._fed and self.criterion in COLUMNAR_CRITERIA:
+                decided = self.solved()
+                if decided.consistent:
+                    self._finalized = decided
+                    return decided
             self.feed()
             if self._violations:
-                # Proven violations exist: close with a polynomial sweep merged
-                # after them, like the object stream's collect-all close.
                 self._finalized = self._closing(self._sweep())
             else:
-                self._finalized = self.solved()
+                self._finalized = self.solved() if decided is None else decided
         return self._finalized
 
     @property
@@ -343,14 +372,26 @@ class ArenaBatchChecker(IncrementalChecker):
                 )
         return violations, witnesses
 
-    def _causal_vcs(
-        self, pids: List[int]
-    ) -> Tuple[array, array, Dict[int, int]]:
+    def _causal_vcs(self, pids: List[int]) -> Clocks:
         """Two vector-clock sweeps over the generating DAG (row order is a
         topological order because sources precede their reads).
 
         ``vc[row*P + j]``  = number of ``pids[j]``-operations causally ≤ row.
         ``wvc[row*P + j]`` = number of ``pids[j]``-writes causally ≤ row.
+        ``merged[row]``    = the last row, at or before ``row``, where
+        ``row``'s process merged a source clock into its own (its first row
+        counts as one).
+
+        A row's clocks are its process' previous row's, with the process' own
+        entries advanced, and with a source clock merged in only where the
+        reader does not count the source write yet (where it does, it holds
+        the source's whole past and the merge would change nothing).  So
+        between two rows of a process that no merge separates, the clocks
+        differ in the process' own entries only: :meth:`_bounds` reads the
+        own operations' clocks only at merges, and :meth:`_verify` tests the
+        rest of a row's clock only where it moved.  ``merged`` is a row, not
+        an own index, so both compare it with the rows they hold; like the
+        clocks it lives for one check only.
         """
         arena = self.arena
         kind, proc, index, source = arena.kind, arena.proc, arena.index, arena.source
@@ -359,6 +400,7 @@ class ArenaBatchChecker(IncrementalChecker):
         pidx = {pid: j for j, pid in enumerate(pids)}
         vc = array("i", bytes(4 * n * P))
         wvc = array("i", bytes(4 * n * P))
+        merged = array("i", bytes(4 * n))
         last: Dict[int, int] = {}
         wcount: Dict[int, int] = {}
         for row in range(n):
@@ -369,6 +411,9 @@ class ArenaBatchChecker(IncrementalChecker):
                 pb = prev * P
                 vc[base:base + P] = vc[pb:pb + P]
                 wvc[base:base + P] = wvc[pb:pb + P]
+                merged[row] = merged[prev]
+            else:
+                merged[row] = row
             if kind[row] == KIND_WRITE:
                 w = wcount.get(p, 0) + 1
                 wcount[p] = w
@@ -380,6 +425,7 @@ class ArenaBatchChecker(IncrementalChecker):
                 # A reader that already counts its source write holds the
                 # source's whole causal past: the merge would change nothing.
                 if s != NO_SOURCE and wvc[sb + sj] > wvc[base + sj]:
+                    merged[row] = row
                     for j in range(P):
                         x = vc[sb + j]
                         if x > vc[base + j]:
@@ -389,7 +435,7 @@ class ArenaBatchChecker(IncrementalChecker):
                             wvc[base + j] = x
             vc[base + pidx[p]] = index[row] + 1
             last[p] = row
-        return vc, wvc, pidx
+        return vc, wvc, pidx, merged
 
     def _bounds(
         self, p: int, chains: _Chains, clocks: Optional[Clocks], read_only: bool = False
@@ -413,11 +459,16 @@ class ArenaBatchChecker(IncrementalChecker):
             wanted = {q for v in read for q in chains.writers.get(v, ())}
         bound = {q: [len(own)] * len(chains.rows[q]) for q in wanted if q != p}
         if clocks is not None:
-            wvc, pidx = clocks[1], clocks[2]
+            # An own operation's write clock differs from its predecessor's
+            # in q's entry only where p merged a source clock (``merged`` of
+            # _causal_vcs; p's first row counts): the index moves there alone.
+            wvc, pidx, merged = clocks[1], clocks[2], clocks[3]
+            P = len(pidx)
+            moves = [(t, row * P) for t, row in enumerate(own) if merged[row] == row]
             for q, bq in bound.items():
                 filled, j = 0, pidx[q]
-                for t, row in enumerate(own):
-                    need = wvc[row * len(pidx) + j]
+                for t, base in moves:
+                    need = wvc[base + j]
                     if need > filled:
                         bq[filled:need] = [t] * (need - filled)
                         filled = need
@@ -538,7 +589,7 @@ class ArenaBatchChecker(IncrementalChecker):
             if clocks is None:
                 preds = {q: k + 1}
             else:
-                vc, wvc, pidx = clocks
+                vc, wvc, pidx, _ = clocks
                 base = chains.rows[q][k] * len(pidx)
                 if vc[base + pidx[p]] > to:
                     return False
@@ -608,7 +659,8 @@ class ArenaBatchChecker(IncrementalChecker):
         # Batch t of each chain is a run of it (indices are non-decreasing
         # along a chain): pop the chains whose next run is the lowest batch,
         # merge their runs by row and emit them after the own operations
-        # before t.
+        # before t.  The runs are ascending and disjoint, so one sort of
+        # their concatenation (linear in timsort) is their merge.
         witness = array("i")
         done = 0
         nxt = dict.fromkeys(bound, 0)
@@ -621,18 +673,17 @@ class ArenaBatchChecker(IncrementalChecker):
                 q = heappop(heads)[1]
                 bq, k = bound[q], nxt[q]
                 end = nxt[q] = bisect_right(bq, t, k)
-                runs.append(iter(rows[q][k:end]))
+                runs.append(rows[q][k:end])
                 if end < len(bq):
                     heappush(heads, (bq[end], q))
             witness.extend(iter(own[done:t]))
             done = t
+            batch = sorted(chain(*runs)) if len(runs) > 1 else runs[0]
             if t in tied:
-                batch = self._sorted_batch(list(merge(*runs)), tied[t], rows, clocks)
+                batch = self._sorted_batch(list(batch), tied[t], rows, clocks)
                 if not batch:
                     return None
-                witness.extend(batch)
-            else:
-                witness.extend(merge(*runs) if len(runs) > 1 else runs[0])
+            witness.extend(iter(batch))
         witness.extend(iter(own[done:]))
         self._verify(p, witness, rows, clocks)
         return witness
@@ -692,32 +743,55 @@ class ArenaBatchChecker(IncrementalChecker):
         """Self-check of view p's witness — every process' view operations in
         chain order, each read preceded last on its variable by its source
         row, and for causal every row after all it is counted to follow.  A
-        failure is an internal error, never a verdict."""
+        failure is an internal error, never a verdict.
+
+        The causal test (``vc[row]`` counts no own operation not yet done,
+        ``wvc[row]`` no more writes of a process than its view rows done)
+        reads a row's clock only where it moved: at a process' first view
+        row, and where the process merged a source clock (``merged`` of
+        :meth:`_causal_vcs`) after its previous view row.  A row it skips would pass, by induction along the
+        process' view rows.  The previous one passed, tested or skipped; the
+        row's clock equals its clock outside the process' own entries (no
+        merge came between them), and the done counts only grew since; the
+        own entries pass whenever the chain position does, which every row
+        checks: the ``k``-th view row of ``q`` (from 0) counts ``k + 1`` of
+        ``q``'s writes when ``q != p``, and ``k + 1`` of p's operations, so
+        at most as many of its writes, when ``q = p``, against ``k + 1``
+        done.  So the first row the test of every row refuses is tested, and
+        the check raises there, with the same message."""
         arena = self.arena
         kind, proc, var, source = arena.kind, arena.proc, arena.var, arena.source
-        lines = dict(rows)
-        lines[p] = arena.rows_of(p)
-        done = dict.fromkeys(lines, 0)
+        # Process q's view rows in slot pidx[q]; done[j]: how many of slot
+        # j's are done — for causal, the counts no row's clock may exceed.
+        slot = {q: j for j, q in enumerate(rows)} if clocks is None else clocks[2]
+        lines: List[Sequence[int]] = [()] * len(slot)
+        for q, j in slot.items():
+            lines[j] = arena.rows_of(p) if q == p else rows[q]
+        done = [0] * len(slot)
+        jp = slot[p]
         if clocks is not None:
-            vc, wvc, pidx = clocks
-            counts, P = [0] * len(pidx), len(pidx)
+            vc, wvc, _, merged = clocks
+            P = len(slot)
         last: Dict[int, int] = {}
         for row in schedule:
-            q = proc[row]
-            k = done[q]
-            ok = k < len(lines[q]) and lines[q][k] == row
-            done[q] = k + 1
+            j = slot[proc[row]]
+            k = done[j]
+            line = lines[j]
+            try:
+                ok = line[k] == row
+            except IndexError:  # the process has no view row left
+                ok = False
+            done[j] = k + 1
             if kind[row] == KIND_WRITE:
                 last[var[row]] = row
             elif last.get(var[row], NO_SOURCE) != source[row]:
                 ok = False
-            if clocks is not None and ok:
-                counts[pidx[q]] = k + 1
+            if clocks is not None and ok and (not k or merged[row] > line[k - 1]):
                 base = row * P
-                ok = vc[base + pidx[p]] <= done[p] and all(map(le, wvc[base:base + P], counts))
+                ok = vc[base + jp] <= done[jp] and all(map(le, wvc[base:base + P], done))
             if not ok:
                 raise AssertionError(f"p{p}: the columnar witness fails its self-check at row {row}")
-        if any(done[q] != len(line) for q, line in lines.items()):
+        if any(k != len(line) for k, line in zip(done, lines)):
             raise AssertionError(f"p{p}: the columnar witness misses view operations")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -53,12 +53,13 @@ def estimate_size(obj: Any) -> int:
     # isinstance ladder below takes everything else and defines the model.
     # A dict is the flat run of its keys and values.  The loop sizes numbers
     # and strings inline (vector clocks and dependency lists are made of
-    # them) and recurses only for the rest.
+    # them) and recurses only for the rest.  An ASCII string's UTF-8 length
+    # is its length, so only other strings are encoded.
     kind = type(obj)
     if kind is int or kind is float:
         return 8
     if kind is str:
-        return len(obj.encode("utf-8"))
+        return len(obj) if obj.isascii() else len(obj.encode("utf-8"))
     if kind is list or kind is tuple or kind is dict:
         total = 0
         for item in chain.from_iterable(obj.items()) if kind is dict else obj:
@@ -66,7 +67,7 @@ def estimate_size(obj: Any) -> int:
             if kind is int or kind is float:
                 total += 8
             elif kind is str:
-                total += len(item.encode("utf-8"))
+                total += len(item) if item.isascii() else len(item.encode("utf-8"))
             else:
                 total += estimate_size(item)
         return total

@@ -85,7 +85,7 @@ class Partition:
     symmetric: bool = True
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
+        if not 0 <= self.start <= self.end:  # a nan bound fails too
             raise NetworkModelError(
                 f"partition window must satisfy 0 <= start <= end, "
                 f"got [{self.start}, {self.end})"
@@ -132,16 +132,25 @@ class Partition:
         unknown = sorted(set(data) - {"start", "end", "groups", "links", "symmetric"})
         if unknown:
             raise NetworkModelError(f"partition spec has unknown keys {unknown}")
+        symmetric = data.get("symmetric", True)
+        if not isinstance(symmetric, bool):  # bool("false") would be True
+            raise NetworkModelError(
+                f"partition spec 'symmetric' must be true or false, got {symmetric!r}"
+            )
         try:
-            return cls(
+            fields = dict(
                 start=float(data["start"]),
                 end=float(data["end"]),
                 groups=tuple(tuple(int(p) for p in g) for g in data.get("groups", ())),
                 links=tuple(tuple(int(p) for p in l) for l in data.get("links", ())),
-                symmetric=bool(data.get("symmetric", True)),
             )
+            if any(len(link) != 2 for link in fields["links"]):
+                raise ValueError("a link is a [src, dst] pair")
         except KeyError as exc:
             raise NetworkModelError(f"partition spec misses key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise NetworkModelError(f"malformed partition spec {data!r}: {exc}") from None
+        return cls(symmetric=symmetric, **fields)
 
 
 @dataclass(frozen=True)
@@ -162,7 +171,7 @@ class CrashWindow:
     end: float
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
+        if not 0 <= self.start <= self.end:  # a nan bound fails too
             raise NetworkModelError(
                 f"crash window must satisfy 0 <= start <= end, "
                 f"got [{self.start}, {self.end})"
@@ -184,13 +193,16 @@ class CrashWindow:
         if unknown:
             raise NetworkModelError(f"crash spec has unknown keys {unknown}")
         try:
-            return cls(
+            fields = dict(
                 process=int(data["process"]),
                 start=float(data["start"]),
                 end=float(data["end"]),
             )
         except KeyError as exc:
             raise NetworkModelError(f"crash spec misses key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise NetworkModelError(f"malformed crash spec {data!r}: {exc}") from None
+        return cls(**fields)
 
 
 class NetworkModel(abc.ABC):

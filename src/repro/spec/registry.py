@@ -39,6 +39,7 @@ protocols registered later appear in them automatically.
 from __future__ import annotations
 
 import importlib
+import inspect
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from typing import (
@@ -78,6 +79,9 @@ class Component:
     factory: Callable[..., Any]
     params: Tuple[str, ...] = ()
     metadata: Mapping[str, Any] = field(default_factory=dict)
+    #: The declared parameters the factory has no default for (none for a
+    #: component with ``dynamic_params``).
+    required: Tuple[str, ...] = ()
 
     def validate_params(self, params: Mapping[str, Any]) -> None:
         """Raise :class:`ComponentParamError` on parameter names not declared.
@@ -95,10 +99,34 @@ class Component:
                 f"{unknown}; allowed: {sorted(self.params)}"
             )
 
+    def require_params(self, params: Mapping[str, Any]) -> None:
+        """Raise :class:`ComponentParamError` when ``params`` misses one of
+        the :attr:`required` parameters (the factory would fail on it)."""
+        missing = [name for name in self.required if name not in params]
+        if missing:
+            raise ComponentParamError(
+                f"{self.kind} {self.name!r} needs parameters {missing}"
+            )
+
     def create(self, **params: Any) -> Any:
-        """Validate parameter names and call the factory."""
+        """Validate parameter names, require the needed ones and call the factory."""
         self.validate_params(params)
+        self.require_params(params)
         return self.factory(**params)
+
+
+def _required(factory: Callable[..., Any], params: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The names of ``params`` that ``factory`` takes with no default, but
+    ``seed``: the seeded builds fill it in from the scenario seed."""
+    try:
+        signature = inspect.signature(factory).parameters
+    except (TypeError, ValueError):  # a callable with no inspectable signature
+        return ()
+    return tuple(
+        name for name in params
+        if name != "seed" and name in signature
+        and signature[name].default is inspect.Parameter.empty
+    )
 
 
 class ComponentRegistry:
@@ -154,6 +182,7 @@ class ComponentRegistry:
                 factory=fn,
                 params=tuple(params),
                 metadata=dict(metadata),
+                required=() if metadata.get("dynamic_params") else _required(fn, params),
             )
             return fn
 

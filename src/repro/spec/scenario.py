@@ -272,6 +272,7 @@ class TopologySpec(Spec):
         component = TOPOLOGY_REGISTRY.get(self.name)
         component.validate_params(self.params)
         _check_numbers(component, self.params)
+        component.require_params(self.params)
 
     def build(self) -> "WeightedDigraph":
         """Materialise the :class:`~repro.workloads.topology.WeightedDigraph`."""
@@ -312,6 +313,7 @@ class DistributionSpec(Spec):
             return
         component.validate_params(self.params)
         _check_numbers(component, self.params)
+        component.require_params(self.params)
 
     def build(self, seed: int = 0) -> "VariableDistribution":
         """Materialise the distribution (``seed`` fills in a missing family seed)."""
@@ -336,6 +338,7 @@ class WorkloadSpec(Spec):
         component = WORKLOAD_REGISTRY.get(self.pattern)  # typed error
         component.validate_params(self.params)
         _check_numbers(component, self.params, rates=("write_fraction",))
+        component.require_params(self.params)
 
     def build(self, distribution: "VariableDistribution", seed: int = 0) -> List[Any]:
         """Generate the access script for ``distribution`` with the given seed."""
@@ -388,6 +391,7 @@ class AppSpec(Spec):
         component = self._component()  # typed UnknownAppError
         component.validate_params(self.params)
         _check_numbers(component, self.params)
+        component.require_params(self.params)
         if self.max_steps is not None and int(self.max_steps) < 1:
             raise ScenarioSpecError(
                 f"app max_steps must be >= 1, got {self.max_steps!r}"
@@ -446,6 +450,7 @@ class NetworkSpec(Spec):
         component = NETWORK_MODEL_REGISTRY.get(self.model)  # typed error
         component.validate_params(self.params)
         _check_numbers(component, self.params, rates=("drop_rate", "duplicate_rate"))
+        component.require_params(self.params)
         # Deep-check the declarative sub-specs (latency / partition / crash
         # dicts) without instantiating the model — building happens exactly
         # once, with the real scenario seed, when the session resolves us.

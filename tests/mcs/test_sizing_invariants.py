@@ -201,3 +201,16 @@ def test_sizing_work_per_message_does_not_grow_with_the_causal_past(monkeypatch)
     assert long_context > 3 * short_context
     # payload, variable, and the key and value of "wid" and of "deps"
     assert short == long == 6
+
+
+@given(st.lists(st.text(max_size=12), max_size=6))
+def test_a_string_counts_its_utf8_bytes_ascii_or_not(strings):
+    # ASCII strings are counted without encoding them; every string, bare or
+    # inside a container, must still count its UTF-8 length.
+    strings += ["x0", "ü3", "変数", "", "\x00\x7f"]
+    utf8 = [len(s.encode("utf-8")) for s in strings]
+    assert [estimate_size(s) for s in strings] == utf8
+    assert estimate_size(strings) == estimate_size(tuple(strings)) == sum(utf8)
+    assert estimate_size(dict.fromkeys(strings, "é")) == sum(
+        len(s.encode("utf-8")) + 2 for s in dict.fromkeys(strings))
+    assert estimate_size([("w", strings)]) == 1 + sum(utf8)

@@ -127,6 +127,39 @@ class TestPartition:
             Partition.from_dict({"start": 0, "end": 1, "groups": [[0]],
                                  "bogus": 2})
 
+    @pytest.mark.parametrize("spec", [
+        {"start": "x", "end": 1, "groups": [[0], [1]]},
+        {"start": None, "end": 1, "groups": [[0], [1]]},
+        {"start": 0, "end": [1], "groups": [[0], [1]]},
+        {"start": 0, "end": 1, "groups": [0, 1]},
+        {"start": 0, "end": 1, "links": [[0, "b"]]},
+        {"start": 0, "end": 1, "links": [[0, 1, 2]]},
+        {"start": 0, "end": 1, "links": [[0]]},
+    ], ids=["string-start", "null-start", "list-end", "flat-groups", "string-link", "three-link",
+            "one-link"])
+    def test_a_mistyped_field_is_typed(self, spec):
+        with pytest.raises(NetworkModelError, match="malformed partition spec"):
+            Partition.from_dict(spec)
+
+    @pytest.mark.parametrize("start,end", [(float("nan"), 1.0), (0.0, float("nan"))])
+    def test_a_nan_bound_is_refused(self, start, end):
+        with pytest.raises(NetworkModelError, match="start <= end"):
+            Partition(start=start, end=end, groups=((0,), (1,)))
+        with pytest.raises(NetworkModelError, match="start <= end"):
+            CrashWindow(process=0, start=start, end=end)
+
+    @pytest.mark.parametrize("symmetric", ["false", "true", 0, 1, None])
+    def test_symmetric_must_be_a_json_bool(self, symmetric):
+        with pytest.raises(NetworkModelError, match="'symmetric' must be true or false"):
+            Partition.from_dict({"start": 0, "end": 1, "links": [[0, 2]],
+                                 "symmetric": symmetric})
+
+    def test_a_one_way_cut_stays_one_way(self):
+        oneway = Partition.from_dict({"start": 0, "end": 1, "links": [[0, 2]],
+                                      "symmetric": False})
+        assert oneway.severs(0, 2, 0.5) and not oneway.severs(2, 0, 0.5)
+        assert Partition.from_dict(oneway.to_dict()) == oneway
+
 
 class TestCrashWindow:
     def test_covers_only_the_window(self):
@@ -138,6 +171,16 @@ class TestCrashWindow:
     def test_round_trip(self):
         crash = CrashWindow(process=1, start=1.0, end=3.0)
         assert CrashWindow.from_dict(crash.to_dict()) == crash
+
+    @pytest.mark.parametrize("spec", [
+        {"process": None, "start": 0, "end": 1},
+        {"process": 1, "start": None, "end": 1},
+        {"process": "one", "start": 0, "end": 1},
+        {"process": 1, "start": 0, "end": "later"},
+    ], ids=["null-process", "null-start", "string-process", "string-end"])
+    def test_a_mistyped_field_is_typed(self, spec):
+        with pytest.raises(NetworkModelError, match="malformed crash spec"):
+            CrashWindow.from_dict(spec)
 
 
 class TestFaultyModelPlans:

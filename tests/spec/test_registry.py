@@ -51,6 +51,26 @@ class TestLookup:
         with pytest.raises(ComponentParamError, match="does not accept"):
             component.validate_params({"bogus": 1})
 
+    def test_a_missing_required_param_is_typed(self):
+        component = DISTRIBUTION_REGISTRY.get("random")
+        assert component.required == ("processes", "variables")
+        with pytest.raises(ComponentParamError,
+                           match=r"'random' needs parameters \['variables'\]"):
+            component.require_params({"processes": 3})
+        component.require_params({"processes": 3, "variables": 2})  # seed: filled by build
+        with pytest.raises(ComponentParamError, match="needs parameters"):
+            TOPOLOGY_REGISTRY.create("ring")
+        assert DISTRIBUTION_REGISTRY.get("neighbourhood").required == ()  # dynamic
+
+    def test_every_registered_suite_point_names_its_required_params(self):
+        from repro.experiments.registry import REGISTRY
+
+        points = [point for suite in REGISTRY.suites() for spec in REGISTRY.specs(suite)
+                  for point in spec.expand()]
+        assert len(points) > 70
+        for point in points:
+            point.spec.validate()
+
     def test_builtin_registries_are_populated(self):
         assert {"uniform", "single_writer", "hoop_relay"} <= set(WORKLOAD_REGISTRY)
         assert {"chain", "random", "neighbourhood"} <= set(DISTRIBUTION_REGISTRY)

@@ -171,7 +171,19 @@ class TestCommands:
         ({"distribution": {"family": "random", "params": {
             "processes": "4", "variables": 8, "replicas_per_variable": 2}}},
          "processes must be a number, got '4'"),
-    ], ids=["string-rate", "string-bool", "string-count"])
+        ({"network": {"model": "faulty", "params": {"partitions": [
+            {"start": "x", "end": 4.0, "links": [[0, 2]]}]}}},
+         "network spec invalid: malformed partition spec"),
+        ({"network": {"model": "faulty", "params": {"partitions": [
+            {"start": 0.0, "end": 4.0, "links": [[0, 2]], "symmetric": "false"}]}}},
+         "network spec invalid: partition spec 'symmetric' must be true or false, got 'false'"),
+        ({"network": {"model": "faulty", "params": {"crashes": [
+            {"process": None, "start": 0.0, "end": 4.0}]}}},
+         "network spec invalid: malformed crash spec"),
+        ({"distribution": "random"},
+         "distribution family 'random' needs parameters ['processes', 'variables']"),
+    ], ids=["string-rate", "string-bool", "string-count", "string-partition-start",
+            "string-symmetric", "null-crash-process", "missing-required-param"])
     def test_a_scenario_file_with_a_mistyped_value_is_a_clean_error(
         self, tmp_path, capsys, section, message
     ):

@@ -2,12 +2,14 @@
 """Alternating parent/change pairs of one benchmark workload, and the verdict.
 
 ``pairs.py --workload W --base REV [--pairs 10]`` (``make bench-pairs``)
-extracts the committed files of ``REV`` into a temporary directory
-(``git archive | tar``: the repository's own state is not touched), then runs
-``benchmarks/e2e/run.py --workload W --trace 0 --seed i`` once in that tree
-and once in this one for each pair ``i``, alternating which side goes first.
-Each side builds what it measures from its own checkout; the run length is
-the one ``BENCHMARK.json`` fixes.
+extracts the committed files of ``REV`` into one temporary directory
+(``git archive | tar``) and the working tree's tracked and untracked,
+unignored files (uncommitted changes included) into another, so neither side
+runs from the repository itself and no build output or cache of it reaches
+either.  It then runs ``benchmarks/e2e/run.py --workload W --trace 0 --seed
+i`` once in each tree for each pair ``i``, alternating which side goes
+first.  Each side builds what it measures from its own copy; the run length
+is the one ``BENCHMARK.json`` fixes.
 
 It prints every run, each side's median and quartiles per end-to-end metric,
 and the rule a claimed gain has to pass: the change wins at least nine tenths
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -65,6 +68,20 @@ def extract(revision: str, target: str) -> None:
         sys.exit(f"pairs.py: cannot extract revision {revision!r}")
 
 
+def snapshot(root: str, target: str) -> None:
+    """The working tree of the repository at ``root`` under ``target``: its
+    tracked and untracked, unignored files as they are on disk (a deleted
+    tracked file is left out)."""
+    listed = subprocess.run(
+        ["git", "-C", root, "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        capture_output=True, check=True).stdout.decode()
+    for name in sorted(set(filter(None, listed.split("\0")))):
+        source = os.path.join(root, name)
+        if os.path.isfile(source):
+            os.makedirs(os.path.dirname(os.path.join(target, name)), exist_ok=True)
+            shutil.copy2(source, os.path.join(target, name))
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> Dict[str, Any]:
     """One untraced run of ``workload`` in ``tree``: the benchmark's contract line."""
     done = subprocess.run(
@@ -87,9 +104,11 @@ def main() -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     runs: Dict[str, List[Dict[str, Any]]] = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as base_tree:
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as base_tree, \
+            tempfile.TemporaryDirectory(prefix="bench-pairs-") as change_tree:
         extract(args.base, base_tree)
-        trees = {"parent": base_tree, "change": ROOT}
+        snapshot(ROOT, change_tree)
+        trees = {"parent": base_tree, "change": change_tree}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..exceptions import ScenarioSpecError
-from ..spec.scenario import ScenarioSpec
+from ..spec.scenario import ScenarioSpec, decode_fields
 
 #: Bump when the reproducer file layout changes; files declaring a newer
 #: format than the library understands are rejected with a typed error.
@@ -159,15 +159,9 @@ class Finding:
         missing = sorted({"kind", "spec"} - set(data))
         if missing:
             raise ScenarioSpecError(f"finding misses keys {missing}")
-        return cls(
-            kind=data["kind"],
-            spec=ScenarioSpec.from_dict(data["spec"]),
-            guaranteed=bool(data.get("guaranteed", False)),
-            detail=data.get("detail", ""),
-            crash_type=data.get("crash_type", ""),
-            operations=int(data.get("operations", 0)),
-            provenance=dict(data.get("provenance", {})),
-        )
+        # every field by its declared type: a quoted "false" is no boolean
+        # and a "12" no operation count
+        return cls(**decode_fields(cls, data, "finding"))
 
 
 # ---------------------------------------------------------------------------

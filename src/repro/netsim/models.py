@@ -36,11 +36,12 @@ from __future__ import annotations
 import abc
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..exceptions import NetworkModelError
 from ..spec.registry import register_network_model
+from ..spec.scenario import Spec
 from .latency import LatencyModel, build_latency
 
 #: Drop reasons used in :class:`~repro.netsim.stats.NetworkStats.drops_by_reason`.
@@ -67,7 +68,7 @@ class DeliveryPlan:
 
 
 @dataclass(frozen=True)
-class Partition:
+class Partition(Spec):
     """One link-cut window ``[start, end)`` with an implied heal at ``end``.
 
     Either ``groups`` (processes split into isolated groups; messages
@@ -77,6 +78,8 @@ class Partition:
     time: a message that left the link before ``start`` is already past the
     cut and is delivered normally.
     """
+
+    _error = NetworkModelError
 
     start: float
     end: float
@@ -94,6 +97,11 @@ class Partition:
             raise NetworkModelError(
                 "a partition needs 'groups' or 'links' to sever"
             )
+        for link in self.links:
+            if len(link) != 2:
+                raise NetworkModelError(
+                    f"a partition link is a (src, dst) pair, got {link!r}"
+                )
         # Precompute the pid -> group index once; severs() sits on the
         # network's per-send hot path (frozen dataclass, hence __setattr__).
         group_of: Dict[int, int] = {}
@@ -114,47 +122,9 @@ class Partition:
             return group_of[src] != group_of[dst]
         return False
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"start": self.start, "end": self.end}
-        if self.groups:
-            data["groups"] = [list(group) for group in self.groups]
-        if self.links:
-            data["links"] = [list(link) for link in self.links]
-            data["symmetric"] = self.symmetric
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "Partition":
-        if isinstance(data, Partition):
-            return data
-        if not isinstance(data, dict):
-            raise NetworkModelError(f"partition spec must be a dict, got {data!r}")
-        unknown = sorted(set(data) - {"start", "end", "groups", "links", "symmetric"})
-        if unknown:
-            raise NetworkModelError(f"partition spec has unknown keys {unknown}")
-        symmetric = data.get("symmetric", True)
-        if not isinstance(symmetric, bool):  # bool("false") would be True
-            raise NetworkModelError(
-                f"partition spec 'symmetric' must be true or false, got {symmetric!r}"
-            )
-        try:
-            fields = dict(
-                start=float(data["start"]),
-                end=float(data["end"]),
-                groups=tuple(tuple(int(p) for p in g) for g in data.get("groups", ())),
-                links=tuple(tuple(int(p) for p in l) for l in data.get("links", ())),
-            )
-            if any(len(link) != 2 for link in fields["links"]):
-                raise ValueError("a link is a [src, dst] pair")
-        except KeyError as exc:
-            raise NetworkModelError(f"partition spec misses key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise NetworkModelError(f"malformed partition spec {data!r}: {exc}") from None
-        return cls(symmetric=symmetric, **fields)
-
 
 @dataclass(frozen=True)
-class CrashWindow:
+class CrashWindow(Spec):
     """Process ``process`` is crashed during ``[start, end)`` (recovers at ``end``).
 
     While crashed, every message the process sends or should receive is
@@ -165,6 +135,8 @@ class CrashWindow:
     (they hit the local replica); what the crash severs is the process'
     participation in update propagation.
     """
+
+    _error = NetworkModelError
 
     process: int
     start: float
@@ -179,30 +151,6 @@ class CrashWindow:
 
     def covers(self, process: int, now: float) -> bool:
         return process == self.process and self.start <= now < self.end
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"process": self.process, "start": self.start, "end": self.end}
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "CrashWindow":
-        if isinstance(data, CrashWindow):
-            return data
-        if not isinstance(data, dict):
-            raise NetworkModelError(f"crash spec must be a dict, got {data!r}")
-        unknown = sorted(set(data) - {"process", "start", "end"})
-        if unknown:
-            raise NetworkModelError(f"crash spec has unknown keys {unknown}")
-        try:
-            fields = dict(
-                process=int(data["process"]),
-                start=float(data["start"]),
-                end=float(data["end"]),
-            )
-        except KeyError as exc:
-            raise NetworkModelError(f"crash spec misses key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise NetworkModelError(f"malformed crash spec {data!r}: {exc}") from None
-        return cls(**fields)
 
 
 class NetworkModel(abc.ABC):
@@ -278,8 +226,13 @@ class FaultyNetworkModel(NetworkModel):
         self.drop_rate = float(drop_rate)
         self.duplicate_rate = float(duplicate_rate)
         self.duplicate_lag = float(duplicate_lag)
-        self.partitions = tuple(Partition.from_dict(p) for p in partitions)
-        self.crashes = tuple(CrashWindow.from_dict(c) for c in crashes)
+        # ready-built windows pass through; JSON forms are decoded
+        self.partitions = tuple(
+            p if isinstance(p, Partition) else Partition.from_dict(p) for p in partitions
+        )
+        self.crashes = tuple(
+            c if isinstance(c, CrashWindow) else CrashWindow.from_dict(c) for c in crashes
+        )
         self.seed = int(seed)
         self._rng = random.Random(self.seed)
         self.latency: LatencyModel = build_latency(latency, seed=self.seed)

@@ -23,6 +23,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from ..core.distribution import VariableDistribution
 from ..exceptions import ScenarioSpecError
+from ..spec.scenario import decode_value
 
 
 @dataclass(frozen=True)
@@ -138,21 +139,30 @@ class AccessProfile:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AccessProfile":
+    def from_dict(cls, data: Any) -> "AccessProfile":
+        if not isinstance(data, Mapping):
+            raise ScenarioSpecError(
+                f"an access profile must be a mapping, got {type(data).__name__}"
+            )
         unknown = set(data) - {"reads", "writes"}
         if unknown:
             raise ScenarioSpecError(
                 f"unknown access-profile keys {sorted(unknown)}"
             )
-        try:
-            reads = {(int(p), str(v)): int(n) for p, v, n in data.get("reads", [])}
-            writes = {(int(p), str(v)): int(n) for p, v, n in data.get("writes", [])}
-        except (TypeError, ValueError) as exc:
+        return cls(reads=_counts(data, "reads"), writes=_counts(data, "writes"))
+
+
+def _counts(data: Mapping[str, Any], key: str) -> Dict[Tuple[int, str], int]:
+    """The ``[process, variable, count]`` triples under ``key``, typed: a
+    ``"3"`` or a ``3.7`` is no process or count, a number no variable."""
+    triples = decode_value(data.get(key, []), List[Tuple[int, str, int]],
+                           f"access-profile {key} entry")
+    for process, _, _ in triples:
+        if process < 0:
             raise ScenarioSpecError(
-                f"access-profile entries must be [process, variable, count] "
-                f"triples: {exc}"
-            ) from exc
-        return cls(reads=reads, writes=writes)
+                f"access-profile {key} process must be >= 0, got {process!r}"
+            )
+    return {(process, variable): count for process, variable, count in triples}
 
 
 def synthetic_profile(

@@ -5,18 +5,19 @@ clique size, exact relevant-set size, hoop-process count and (for variables
 that still have hoops) a concrete hoop witness path — together with the
 paper-model predicted overhead and, when :func:`measure_overhead` has run the
 placement through a real protocol, the measured control-information numbers
-from :mod:`repro.mcs.metrics`.  Reports serialise to JSON (``repro place``
-writes them) and render as the plain-text tables the CLI prints.
+from :mod:`repro.mcs.metrics`.  Reports serialise to JSON through the
+codec of :class:`~repro.spec.Spec` (``repro place`` writes them) and
+render as the plain-text tables the CLI prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.distribution import VariableDistribution
 from ..core.share_graph import ShareGraph
-from ..exceptions import ScenarioSpecError
+from ..spec.scenario import Spec
 from .objectives import predicted_overhead
 from .optimizer import PlacementResult
 from .profile import AccessProfile
@@ -26,7 +27,7 @@ HOOP_WITNESS_LENGTH = 6
 
 
 @dataclass
-class VariablePlacement:
+class VariablePlacement(Spec):
     """Per-variable row of a placement report."""
 
     variable: str
@@ -50,8 +51,14 @@ class VariablePlacement:
 
 
 @dataclass
-class PlacementReport:
-    """The optimizer's output, exactly characterised and (optionally) measured."""
+class PlacementReport(Spec):
+    """The optimizer's output, exactly characterised and (optionally) measured.
+
+    Its JSON form is the field-derived one of :class:`~repro.spec.Spec`
+    (``repro place optimize --out`` writes it, ``repro place report`` reads
+    it back, typed :class:`~repro.exceptions.ScenarioSpecError` on a
+    malformed file).
+    """
 
     objective: str
     mode: str
@@ -63,79 +70,9 @@ class PlacementReport:
     added: Tuple[Tuple[str, int], ...]
     holders: Dict[str, Tuple[int, ...]]        #: variable -> replica holders
     processes: Tuple[int, ...]
-    rows: List[VariablePlacement] = field(default_factory=list)
+    variables: List[VariablePlacement] = field(default_factory=list)
     predicted: Dict[str, float] = field(default_factory=dict)
     measured: Optional[Dict[str, float]] = None
-
-    # -- JSON round-trip -------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "objective": self.objective,
-            "mode": self.mode,
-            "seed": self.seed,
-            "cost": self.cost,
-            "minimal_cost": self.minimal_cost,
-            "full_cost": self.full_cost,
-            "evaluations": self.evaluations,
-            "added": [[var, pid] for var, pid in self.added],
-            "holders": {var: list(pids) for var, pids in sorted(self.holders.items())},
-            "processes": list(self.processes),
-            "variables": [
-                {
-                    "variable": row.variable,
-                    "clique": list(row.clique),
-                    "relevant": list(row.relevant),
-                    "hoop_process_count": row.hoop_process_count,
-                    "hoop_witness": (
-                        None if row.hoop_witness is None else list(row.hoop_witness)
-                    ),
-                }
-                for row in self.rows
-            ],
-            "predicted": dict(self.predicted),
-            "measured": None if self.measured is None else dict(self.measured),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PlacementReport":
-        try:
-            rows = [
-                VariablePlacement(
-                    variable=str(entry["variable"]),
-                    clique=tuple(int(p) for p in entry["clique"]),
-                    relevant=tuple(int(p) for p in entry["relevant"]),
-                    hoop_process_count=int(entry["hoop_process_count"]),
-                    hoop_witness=(
-                        None if entry.get("hoop_witness") is None
-                        else tuple(int(p) for p in entry["hoop_witness"])
-                    ),
-                )
-                for entry in data.get("variables", [])
-            ]
-            return cls(
-                objective=str(data["objective"]),
-                mode=str(data["mode"]),
-                seed=int(data["seed"]),
-                cost=float(data["cost"]),
-                minimal_cost=float(data["minimal_cost"]),
-                full_cost=float(data["full_cost"]),
-                evaluations=int(data["evaluations"]),
-                added=tuple((str(v), int(p)) for v, p in data.get("added", [])),
-                holders={
-                    str(var): tuple(int(p) for p in pids)
-                    for var, pids in data.get("holders", {}).items()
-                },
-                processes=tuple(int(p) for p in data.get("processes", [])),
-                rows=rows,
-                predicted={str(k): float(v)
-                           for k, v in data.get("predicted", {}).items()},
-                measured=(
-                    None if data.get("measured") is None
-                    else {str(k): float(v) for k, v in data["measured"].items()}
-                ),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ScenarioSpecError(f"malformed placement report: {exc}") from exc
 
     def distribution(self) -> VariableDistribution:
         """Rebuild the placed distribution (report JSON -> live object)."""
@@ -160,18 +97,18 @@ class PlacementReport:
         if self.measured:
             for key in sorted(self.measured):
                 lines.append(f"measured  {key:<10}: {self.measured[key]:g}")
-        hooped = [row for row in self.rows if row.hoop_process_count]
+        hooped = [row for row in self.variables if row.hoop_process_count]
         lines.append(
-            f"variables with hoops: {len(hooped)}/{len(self.rows)}"
+            f"variables with hoops: {len(hooped)}/{len(self.variables)}"
         )
-        shown = hooped[:max_rows] or self.rows[:max_rows]
+        shown = hooped[:max_rows] or self.variables[:max_rows]
         if shown:
             header = list(shown[0].as_row())
             lines.append("  ".join(f"{h:>10}" for h in header))
             for row in shown:
                 values = row.as_row()
                 lines.append("  ".join(f"{str(values[h]):>10}" for h in header))
-            hidden = max(len(hooped or self.rows) - max_rows, 0)
+            hidden = max(len(hooped or self.variables) - max_rows, 0)
             if hidden:
                 lines.append(f"... {hidden} more variables")
         return "\n".join(lines)
@@ -212,7 +149,7 @@ def build_report(
         holders={var: tuple(sorted(distribution.holders(var)))
                  for var in distribution.variables},
         processes=distribution.processes,
-        rows=rows,
+        variables=rows,
         predicted=predicted_overhead(distribution, profile),
         measured=measured,
     )

@@ -28,6 +28,7 @@ fault schedule), so one integer reproduces a run bit for bit.
 from __future__ import annotations
 
 import inspect
+import re
 from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from typing import (TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping, Optional, Set, Tuple,
@@ -70,30 +71,50 @@ S = TypeVar("S", bound="Spec")
 
 
 class Spec:
-    """Base of every ``*Spec`` dataclass: one JSON codec read off its fields.
+    """Base of every record read back from a user file: one JSON codec read
+    off its dataclass fields.
+
+    It decodes every ``*Spec`` here and in :mod:`repro.serve.spec`, the
+    ``faulty`` network's fault windows (:class:`~repro.netsim.models.Partition`,
+    :class:`~repro.netsim.models.CrashWindow`) and the Section 3.3 placement
+    reports (:class:`~repro.place.report.PlacementReport`,
+    :class:`~repro.place.report.VariablePlacement`).
 
     :meth:`to_dict` writes each field whose value differs from its default
     (so a field without a default always, and the :attr:`_shorthand` field
-    too): nested specs through their own ``to_dict``, tuples as lists,
-    mappings as copies.  Defaults are omitted, so the canonical form the
-    experiment cache hashes does not move when a field is added.
+    too): nested specs through their own ``to_dict``, tuples and lists as
+    lists, mappings as copies.  Defaults are omitted, so the canonical form
+    the experiment cache hashes does not move when a field is added.
 
     :meth:`from_dict` inverts it.  A bare string sets the shorthand field; a
     non-mapping, an unknown key, a missing required key or a value of the
-    wrong shape raises :class:`~repro.exceptions.ScenarioSpecError`.  Values
-    are decoded by the field's declared type: nested specs by their own
-    ``from_dict``, tuples element by element, and ``bool``, ``int``,
-    ``float`` and ``str`` fields type-checked (a JSON ``true`` is not a
-    number, a ``"false"`` not a boolean).  Subclasses say only what a type
-    cannot, through
-    ``_shorthand``, ``_validate_on_load`` and the :meth:`_normalize` and
-    :meth:`_required_keys` hooks.
+    wrong shape raises the class's :attr:`_error`.  Values are decoded by the
+    field's declared type (:func:`decode_value`): nested specs by their own
+    ``from_dict``, ``Tuple[X, ...]`` and ``List[X]`` element by element, a
+    fixed-arity ``Tuple[X, Y]`` position by position after its length,
+    ``Dict[str, X]`` value by value, and ``bool``, ``int``, ``float`` and
+    ``str`` type-checked (a JSON ``true`` is not a number, a ``"false"`` not
+    a boolean, a ``"1.5"`` not a float).  Subclasses say only what a type
+    cannot, through ``_shorthand``, ``_validate_on_load``, ``_error`` and
+    the :meth:`_normalize` and :meth:`_required_keys` hooks.
+
+    Three records keep hand-written codecs.  ``TraceRecord`` and
+    ``TraceMeta`` (:mod:`repro.serve.trace`) are the versioned
+    ``repro-trace-v1`` wire format, whose op records are decoded once per
+    line on a monitor's set-up and on serve's ingest path.
+    ``ScenarioRecord`` (:mod:`repro.experiments.runner`) is a result-cache
+    entry: a foreign entry must read as a cache miss, not as an error.  A
+    hunt reproducer (``Finding``) and an access profile (``AccessProfile``)
+    keep their own file layouts but decode their values here
+    (:func:`decode_fields`, :func:`decode_value`).
     """
 
     #: The field a bare string sets, e.g. ``ProtocolSpec.from_dict("pram_partial")``.
     _shorthand: ClassVar[Optional[str]] = None
     #: Whether :meth:`from_dict` validates what it built.
     _validate_on_load: ClassVar[bool] = False
+    #: The error a malformed input raises.
+    _error: ClassVar[Type[ReproError]] = ScenarioSpecError
 
     def validate(self) -> None:
         """Raise a typed error on the first malformed field."""
@@ -110,27 +131,22 @@ class Spec:
     @classmethod
     def from_dict(cls: Type[S], data: Any) -> S:
         """Rebuild a spec from :meth:`to_dict` output (typed errors)."""
-        label = cls.__name__[: -len("Spec")].lower()
+        label, error = _label(cls), cls._error
         data = cls._normalize(data)
         if not isinstance(data, dict):
-            raise ScenarioSpecError(
-                f"{label} spec must be a mapping, got {type(data).__name__}"
-            )
+            raise error(f"{label} spec must be a mapping, got {type(data).__name__}")
         codec = _codec(cls)
         allowed = [name for name, _, _ in codec]
         unknown = sorted(set(data) - set(allowed))
         if unknown:
-            raise ScenarioSpecError(
+            raise error(
                 f"{label} spec has unknown keys {unknown}; allowed: {sorted(allowed)}"
             )
         missing = sorted(cls._required_keys(data) - set(data))
         if missing:
-            raise ScenarioSpecError(f"{label} spec misses " + (
+            raise error(f"{label} spec misses " + (
                 f"the {missing[0]!r} key" if len(missing) == 1 else f"keys {missing}"))
-        spec = cls(**{
-            name: _decode(data[name], hint, f"{label} {name}")
-            for name, hint, _ in codec if name in data
-        })
+        spec = cls(**decode_fields(cls, data, label, error))
         if cls._validate_on_load:
             spec.validate()
         return spec
@@ -146,6 +162,15 @@ class Spec:
     def _required_keys(cls, data: Dict[str, Any]) -> Set[str]:
         """The keys ``data`` must hold: the fields without a default."""
         return {name for name, _, default in _codec(cls) if default is _REQUIRED}
+
+
+@lru_cache(maxsize=None)
+def _label(cls: Any) -> str:
+    """``ScenarioSpec`` -> ``scenario``, ``CrashWindow`` -> ``crash window``."""
+    name = cls.__name__
+    if name.endswith("Spec"):
+        name = name[: -len("Spec")]
+    return re.sub(r"(?<=[a-z])(?=[A-Z])", " ", name).lower()
 
 
 @lru_cache(maxsize=None)
@@ -169,34 +194,62 @@ def _encode(value: Any) -> Any:
     if isinstance(value, (tuple, list)):
         return [_encode(item) for item in value]
     if isinstance(value, Mapping):
-        return dict(value)
+        return {key: _encode(item) for key, item in value.items()}
     return value
 
 
-def _decode(value: Any, hint: Any, what: str) -> Any:
+def decode_fields(
+    cls: Any, data: Mapping[str, Any], label: str, error: Type[ReproError] = ScenarioSpecError
+) -> Dict[str, Any]:
+    """The fields of dataclass ``cls`` that ``data`` holds, each decoded by
+    its declared type (``label`` names ``cls`` in errors)."""
+    return {
+        name: decode_value(data[name], hint, f"{label} {name}", error)
+        for name, hint, _ in _codec(cls) if name in data
+    }
+
+
+def decode_value(
+    value: Any, hint: Any, what: str, error: Type[ReproError] = ScenarioSpecError
+) -> Any:
     """Decode one JSON value by its declared type (``what`` names it in errors)."""
-    if get_origin(hint) is Union:  # Optional[X]
-        if value is None:
-            return None
-        hint = next(arg for arg in get_args(hint) if arg is not type(None))
-    if isinstance(hint, type) and issubclass(hint, Spec):
-        return hint.from_dict(value)
-    if get_origin(hint) is dict:
-        if not isinstance(value, Mapping):
-            raise ScenarioSpecError(
-                f"{what} must be a mapping, got {type(value).__name__}"
-            )
-        return dict(value)
-    if get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ScenarioSpecError(f"{what} must be a list, got {type(value).__name__}")
-        return tuple(_decode(item, get_args(hint)[0], what) for item in value)
-    if hint is bool and not isinstance(value, bool):
-        raise ScenarioSpecError(f"{what} must be a boolean, got {value!r}")
     if hint in _SCALARS:
         types, noun = _SCALARS[hint]
         if not isinstance(value, types) or isinstance(value, bool):
-            raise ScenarioSpecError(f"{what} must be {noun}, got {value!r}")
+            raise error(f"{what} must be {noun}, got {value!r}")
+        return float(value) if hint is float else value
+    if hint is bool:
+        if not isinstance(value, bool):
+            raise error(f"{what} must be a boolean, got {value!r}")
+        return value
+    origin = get_origin(hint)
+    if origin is Union:  # Optional[X]
+        if value is None:
+            return None
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+        origin = get_origin(hint)
+    if isinstance(hint, type) and issubclass(hint, Spec):
+        return hint.from_dict(value)
+    if origin is dict:
+        if not isinstance(value, Mapping):
+            raise error(f"{what} must be a mapping, got {type(value).__name__}")
+        key_hint, item_hint = get_args(hint)
+        if item_hint is Any:
+            return dict(value)
+        return {decode_value(key, key_hint, what, error):
+                decode_value(item, item_hint, f"{what} {key}", error)
+                for key, item in value.items()}
+    if origin in (tuple, list):
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{what} must be a list, got {type(value).__name__}")
+        args = get_args(hint)
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(value) != len(args):
+                raise error(f"{what} must be a list of {len(args)}, got {value!r}")
+            return tuple(decode_value(item, arg, f"{what}[{index}]", error)
+                         for index, (item, arg) in enumerate(zip(value, args)))
+        items = (decode_value(item, args[0], what, error) for item in value)
+        return tuple(items) if origin is tuple else list(items)
     return value
 
 
@@ -460,10 +513,12 @@ class NetworkSpec(Spec):
         try:
             if "latency" in self.params:
                 build_latency(self.params["latency"])
-            for partition in self.params.get("partitions", ()):
-                Partition.from_dict(partition)
-            for crash in self.params.get("crashes", ()):
-                CrashWindow.from_dict(crash)
+            if "partitions" in self.params:
+                decode_value(self.params["partitions"], Tuple[Partition, ...],
+                             "partitions", NetworkModelError)
+            if "crashes" in self.params:
+                decode_value(self.params["crashes"], Tuple[CrashWindow, ...],
+                             "crashes", NetworkModelError)
         except NetworkModelError as exc:
             raise ScenarioSpecError(f"network spec invalid: {exc}") from exc
 

@@ -1,6 +1,7 @@
 """Finding serialization, identity and the committed-file round trip."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from repro.hunt import (
     write_finding,
 )
 from repro.spec.scenario import NetworkSpec
+
+HUNTED = Path(__file__).resolve().parents[2] / "src" / "repro" / "experiments" / "hunted"
 
 
 def make_finding(kind="violation", **overrides):
@@ -80,6 +83,22 @@ class TestSerialization:
         data["format"] = FINDING_FORMAT + 1
         with pytest.raises(ScenarioSpecError):
             Finding.from_dict(data)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("guaranteed", "false", "finding guaranteed must be a boolean, got 'false'"),
+        ("operations", "12", "finding operations must be an integer, got '12'"),
+        ("detail", 3, "finding detail must be a string, got 3"),
+        ("crash_type", None, "finding crash_type must be a string, got None"),
+    ])
+    def test_a_field_is_decoded_by_its_declared_type(self, key, value, message):
+        data = {**make_finding().to_dict(), key: value}
+        with pytest.raises(ScenarioSpecError, match=message):
+            Finding.from_dict(data)
+
+    @pytest.mark.parametrize("path", sorted(HUNTED.glob("*.json")), ids=lambda p: p.stem)
+    def test_every_committed_reproducer_loads(self, path):
+        finding = load_finding(str(path))
+        assert finding.to_dict() == json.loads(path.read_text(encoding="utf-8"))
 
     def test_missing_keys_are_refused(self):
         with pytest.raises(ScenarioSpecError):

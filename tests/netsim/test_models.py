@@ -123,6 +123,8 @@ class TestPartition:
             Partition(start=2.0, end=1.0, groups=((0,), (1,)))
         with pytest.raises(NetworkModelError, match="'groups' or 'links'"):
             Partition(start=0.0, end=1.0)
+        with pytest.raises(NetworkModelError, match="a partition link is a \\(src, dst\\) pair"):
+            Partition(start=0, end=1, links=((0, 1, 2),))
         with pytest.raises(NetworkModelError, match="unknown keys"):
             Partition.from_dict({"start": 0, "end": 1, "groups": [[0]],
                                  "bogus": 2})
@@ -138,7 +140,7 @@ class TestPartition:
     ], ids=["string-start", "null-start", "list-end", "flat-groups", "string-link", "three-link",
             "one-link"])
     def test_a_mistyped_field_is_typed(self, spec):
-        with pytest.raises(NetworkModelError, match="malformed partition spec"):
+        with pytest.raises(NetworkModelError, match="^partition (start|end|groups|links)"):
             Partition.from_dict(spec)
 
     @pytest.mark.parametrize("start,end", [(float("nan"), 1.0), (0.0, float("nan"))])
@@ -150,7 +152,7 @@ class TestPartition:
 
     @pytest.mark.parametrize("symmetric", ["false", "true", 0, 1, None])
     def test_symmetric_must_be_a_json_bool(self, symmetric):
-        with pytest.raises(NetworkModelError, match="'symmetric' must be true or false"):
+        with pytest.raises(NetworkModelError, match="symmetric must be a boolean"):
             Partition.from_dict({"start": 0, "end": 1, "links": [[0, 2]],
                                  "symmetric": symmetric})
 
@@ -179,7 +181,7 @@ class TestCrashWindow:
         {"process": 1, "start": 0, "end": "later"},
     ], ids=["null-process", "null-start", "string-process", "string-end"])
     def test_a_mistyped_field_is_typed(self, spec):
-        with pytest.raises(NetworkModelError, match="malformed crash spec"):
+        with pytest.raises(NetworkModelError, match="^crash window (process|start|end)"):
             CrashWindow.from_dict(spec)
 
 

@@ -32,7 +32,7 @@ class TestOptimize:
         assert "objective" in printed and "cost" in printed
         data = json.loads(out.read_text())
         assert data["holders"]
-        assert data["measured"] is None
+        assert "measured" not in data  # a default the codec omits
 
     def test_measure_records_overhead(self, tmp_path, capsys):
         out = tmp_path / "placement.json"
@@ -109,4 +109,15 @@ class TestUnreadableInputFiles:
         path = tmp_path / "list.json"
         path.write_text("[1, 2]\n")
         assert main(["place", "report", str(path)]) == 2
-        assert "malformed placement report" in capsys.readouterr().err
+        assert "placement report spec must be a mapping, got list" in capsys.readouterr().err
+
+    def test_a_report_with_a_fractional_seed(self, tmp_path, capsys):
+        out = tmp_path / "placement.json"
+        assert main(["place", "optimize", "--processes", "6", "--variables", "4",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        data = json.loads(out.read_text())
+        out.write_text(json.dumps({**data, "seed": 3.7}))
+        assert main(["place", "report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: placement report seed must be an integer, got 3.7\n"

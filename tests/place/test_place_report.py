@@ -25,14 +25,14 @@ class TestBuildReport:
     def test_rows_cover_every_variable(self, chain_result):
         profile, result = chain_result
         report = build_report(result, profile)
-        assert {row.variable for row in report.rows} == set(profile.variables)
-        for row in report.rows:
+        assert {row.variable for row in report.variables} == set(profile.variables)
+        for row in report.variables:
             assert set(row.clique) <= set(row.relevant)
 
     def test_hoop_witness_only_when_hoops_remain(self, chain_result):
         profile, result = chain_result
         report = build_report(result, profile)
-        for row in report.rows:
+        for row in report.variables:
             if row.hoop_process_count:
                 assert row.hoop_witness is not None
                 assert len(row.hoop_witness) >= 3
@@ -60,8 +60,8 @@ class TestRoundTrip:
         restored = PlacementReport.from_dict(data)
         assert restored.distribution() == result.distribution
         assert restored.cost == report.cost
-        assert [r.variable for r in restored.rows] == \
-            [r.variable for r in report.rows]
+        assert [r.variable for r in restored.variables] == \
+            [r.variable for r in report.variables]
 
     def test_malformed_report_rejected(self):
         with pytest.raises(ScenarioSpecError):

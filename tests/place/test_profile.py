@@ -77,6 +77,26 @@ class TestRoundTrip:
         with pytest.raises(ScenarioSpecError):
             AccessProfile.from_dict({"reads": [[0, "x"]], "writes": []})
 
+    @pytest.mark.parametrize("process", ["3", 3.7, True, -1, None])
+    def test_a_process_is_a_non_negative_integer(self, process):
+        with pytest.raises(ScenarioSpecError, match="process|entry\\[0\\]"):
+            AccessProfile.from_dict({"reads": [[process, "x", 1]]})
+
+    @pytest.mark.parametrize("variable", [5, 1.5, None, ["x"]])
+    def test_a_variable_is_a_string(self, variable):
+        with pytest.raises(ScenarioSpecError, match="entry\\[1\\] must be a string"):
+            AccessProfile.from_dict({"writes": [[0, variable, 1]]})
+
+    @pytest.mark.parametrize("count", ["3", 3.7, True, None])
+    def test_a_count_is_an_integer(self, count):
+        with pytest.raises(ScenarioSpecError, match="entry\\[2\\] must be an integer"):
+            AccessProfile.from_dict({"reads": [[0, "x", count]]})
+
+    @pytest.mark.parametrize("data", [[], "x", None])
+    def test_a_profile_is_a_mapping(self, data):
+        with pytest.raises(ScenarioSpecError, match="must be a mapping"):
+            AccessProfile.from_dict(data)
+
 
 class TestSynthetic:
     def test_deterministic_per_seed(self):

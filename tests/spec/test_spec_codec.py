@@ -1,4 +1,5 @@
-"""The one JSON codec every ``*Spec`` shares (:class:`repro.spec.scenario.Spec`).
+"""The one JSON codec every ``*Spec``, fault window and placement report
+shares (:class:`repro.spec.scenario.Spec`).
 
 Three guards.  Coverage: ``FULL`` holds an instance of every ``Spec``
 subclass of the package, every field is off its default in one of them, and
@@ -6,7 +7,8 @@ no subclass hand-writes ``to_dict``/``from_dict``, so the full-form round
 trip fails for any field a codec drops.  Hostile input: every single-value corruption of a valid spec's
 JSON form, at every depth, either loads or raises
 :class:`~repro.exceptions.ScenarioSpecError` — never a ``TypeError`` or
-``AttributeError`` from deep inside a constructor.  Canonical form: the
+``AttributeError`` from deep inside a constructor (a fault window raises its
+own :class:`~repro.exceptions.NetworkModelError`).  Canonical form: the
 committed hunt reproducers, the hunter's draws and the serve configurations
 round-trip to the same dict, so ``ScenarioPoint.content_hash`` (and every
 existing cache entry) does not move.
@@ -21,8 +23,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.exceptions import ScenarioSpecError
+from repro.exceptions import NetworkModelError, ScenarioSpecError
 from repro.hunt.sampler import SpecSampler
+from repro.netsim.models import CrashWindow, Partition
+from repro.place.report import PlacementReport, VariablePlacement
 from repro.serve.spec import ServeSpec, TenantSpec, TraceSpec
 from repro.spec.registry import (
     APP_REGISTRY,
@@ -72,6 +76,18 @@ FULL = [
     ServeSpec(host="0.0.0.0", port=9090, window=128, queue_size=16,
               status_interval=0.5,
               tenants=(TenantSpec("a"), TenantSpec("b", window=64))),
+    Partition(start=0.5, end=4.0, groups=((0, 1), (2,)), links=((0, 2),),
+              symmetric=False),
+    CrashWindow(process=1, start=1.0, end=3.0),
+    VariablePlacement("x", clique=(0, 1), relevant=(0, 1, 2),
+                      hoop_process_count=1, hoop_witness=(0, 2, 1)),
+    PlacementReport(
+        objective="control", mode="greedy", seed=3, cost=4.5, minimal_cost=5.0,
+        full_cost=9.0, evaluations=12, added=(("x", 2),),
+        holders={"x": (0, 1, 2), "y": (1,)}, processes=(0, 1, 2),
+        variables=[VariablePlacement("x", (0, 1), (0, 1, 2), 1, (0, 2, 1)),
+                   VariablePlacement("y", (1,), (1,), 0, None)],
+        predicted={"replicas": 4.0}, measured={"messages": 6.0}),
 ]
 
 #: Values a hand-edited or truncated JSON file may hold anywhere.
@@ -88,7 +104,18 @@ LIST_FIELDS = [(CheckSpec, "criteria"), (ServeSpec, "tenants")]
 REQUIRED = {ProtocolSpec: ["name"], TopologySpec: ["name"],
             DistributionSpec: ["family"], WorkloadSpec: ["pattern"],
             AppSpec: ["name"], ScenarioSpec: ["name", "protocol"],
-            TraceSpec: ["path"], TenantSpec: ["name"]}
+            TraceSpec: ["path"], TenantSpec: ["name"],
+            Partition: ["start", "end"], CrashWindow: ["process", "start", "end"],
+            VariablePlacement: ["variable", "clique", "relevant",
+                                "hoop_process_count", "hoop_witness"],
+            PlacementReport: ["objective", "mode", "seed", "cost", "minimal_cost",
+                              "full_cost", "evaluations", "added", "holders",
+                              "processes"]}
+
+#: A valid mapping form of each class whose fields are not all defaulted
+#: or named by its shorthand.
+BASE = {TraceSpec: {"path": "/t.jsonl"},
+        Partition: {"start": 0, "end": 1, "links": [[0, 2]]}}
 
 
 def spec_id(spec):
@@ -96,10 +123,10 @@ def spec_id(spec):
 
 
 def load(cls, data):
-    """``cls.from_dict(data)``, or ``None`` when it raised the typed error."""
+    """``cls.from_dict(data)``, or ``None`` when it raised the class's typed error."""
     try:
         spec = cls.from_dict(data)
-    except ScenarioSpecError:
+    except cls._error:
         return None
     assert isinstance(spec, cls)
     return spec
@@ -128,7 +155,8 @@ def corruptions(data):
 
 def spec_subclasses():
     """Every subclass of :class:`Spec` the package defines, at any depth
-    (``repro.spec`` and ``repro.serve.spec`` are imported above)."""
+    (``repro.spec``, ``repro.serve.spec``, ``repro.netsim.models`` and
+    ``repro.place.report`` are imported above)."""
     found, stack = set(), [Spec]
     while stack:
         for cls in stack.pop().__subclasses__():
@@ -152,7 +180,7 @@ def off_default(spec, spec_field):
 class TestCoverage:
     def test_full_holds_every_spec_subclass(self):
         assert {type(spec) for spec in FULL} == spec_subclasses()
-        assert len(spec_subclasses()) == 11
+        assert len(spec_subclasses()) == 15
 
     @pytest.mark.parametrize("cls", sorted(spec_subclasses(), key=lambda c: c.__name__),
                              ids=lambda cls: cls.__name__)
@@ -191,14 +219,14 @@ class TestHostileInput:
 
     @pytest.mark.parametrize("spec", FULL, ids=spec_id)
     def test_an_unknown_key_is_rejected(self, spec):
-        with pytest.raises(ScenarioSpecError, match="unknown keys \\['bogus'\\]"):
+        with pytest.raises(type(spec)._error, match="unknown keys \\['bogus'\\]"):
             type(spec).from_dict({**spec.to_dict(), "bogus": 1})
 
     @pytest.mark.parametrize("spec", FULL, ids=spec_id)
     def test_a_missing_required_key_is_rejected(self, spec):
         data = spec.to_dict()
         for key in REQUIRED.get(type(spec), []):
-            with pytest.raises(ScenarioSpecError, match=f"misses the '{key}' key"):
+            with pytest.raises(type(spec)._error, match=f"misses the '{key}' key"):
                 type(spec).from_dict({k: v for k, v in data.items() if k != key})
 
     def test_a_scenario_without_app_needs_distribution_and_workload(self):
@@ -252,6 +280,48 @@ class TestHostileInput:
         assert ServeSpec().to_dict() == {}
 
 
+class TestNoCoercion:
+    """Fault windows and placement reports once had hand-written decoders
+    that coerced what the codec refuses; each literal here loaded."""
+
+    @pytest.mark.parametrize("cls,data,message", [
+        (Partition, {"start": "1.5", "end": 2, "groups": [[0], [1]]},
+         "partition start must be a number, got '1.5'"),
+        (Partition, {"start": 0, "end": True, "groups": [[0], [1]]},
+         "partition end must be a number, got True"),
+        (CrashWindow, {"process": "1", "start": 0, "end": 1},
+         "crash window process must be an integer, got '1'"),
+        (CrashWindow, {"process": 1, "start": 0, "end": True},
+         "crash window end must be a number, got True"),
+    ], ids=["string-start", "bool-end", "string-process", "crash-bool-end"])
+    def test_a_fault_window_raises_network_model_error(self, cls, data, message):
+        with pytest.raises(NetworkModelError, match=message):
+            cls.from_dict(data)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("seed", 3.7, "placement report seed must be an integer, got 3.7"),
+        ("cost", "1e3", "placement report cost must be a number, got '1e3'"),
+    ])
+    def test_a_placement_report_raises_scenario_spec_error(self, key, value, message):
+        with pytest.raises(ScenarioSpecError, match=message):
+            PlacementReport.from_dict({**FULL[-1].to_dict(), key: value})
+
+    @pytest.mark.parametrize("params,message", [
+        ({"partitions": [{"start": "1.5", "end": 2, "links": [[0, 2]]}]},
+         "partition start must be a number"),
+        ({"partitions": {"start": 0}}, "partitions must be a list"),
+        ({"crashes": [{"process": "1", "start": 0, "end": 1}]},
+         "crash window process must be an integer"),
+    ])
+    def test_a_network_spec_reports_a_bad_window_as_a_spec_error(self, params, message):
+        with pytest.raises(ScenarioSpecError, match="network spec invalid: " + message):
+            NetworkSpec("faulty", params).validate()
+
+    def test_a_float_field_reads_an_integer_as_a_float(self):
+        crash = CrashWindow.from_dict({"process": 1, "start": 0, "end": 2})
+        assert type(crash.start) is float and type(crash.end) is float
+
+
 class TestServeNumbers:
     """A JSON ``true`` is no port, window, queue size or interval."""
 
@@ -299,16 +369,16 @@ class TestTypedValues:
     @pytest.mark.parametrize("cls,name", BOOL_FIELDS,
                              ids=lambda value: getattr(value, "__name__", value))
     def test_a_bool_field_takes_only_a_boolean(self, cls, name):
-        base = {"path": "/t.jsonl"} if cls is TraceSpec else {}
+        base = BASE.get(cls, {})
         for value in (True, False):
             assert getattr(cls.from_dict({**base, name: value}), name) is value
         for garbage in ("false", "true", 0, 1, None, [], {}):
-            with pytest.raises(ScenarioSpecError, match=f"{name} must be a boolean"):
+            with pytest.raises(cls._error, match=f"{name} must be a boolean"):
                 cls.from_dict({**base, name: garbage})
 
     def test_there_are_bool_fields(self):
         assert {(CheckSpec, "enabled"), (CheckSpec, "exact"), (NetworkSpec, "fifo"),
-                (TraceSpec, "follow")} <= set(BOOL_FIELDS)
+                (TraceSpec, "follow"), (Partition, "symmetric")} <= set(BOOL_FIELDS)
 
     @pytest.mark.parametrize("cls,name,key", NUMERIC_PARAMS,
                              ids=lambda value: getattr(value, "__name__", value))

@@ -173,17 +173,21 @@ class TestCommands:
          "processes must be a number, got '4'"),
         ({"network": {"model": "faulty", "params": {"partitions": [
             {"start": "x", "end": 4.0, "links": [[0, 2]]}]}}},
-         "network spec invalid: malformed partition spec"),
+         "network spec invalid: partition start must be a number, got 'x'"),
+        ({"network": {"model": "faulty", "params": {"partitions": [
+            {"start": "1.5", "end": 4.0, "links": [[0, 2]]}]}}},
+         "network spec invalid: partition start must be a number, got '1.5'"),
         ({"network": {"model": "faulty", "params": {"partitions": [
             {"start": 0.0, "end": 4.0, "links": [[0, 2]], "symmetric": "false"}]}}},
-         "network spec invalid: partition spec 'symmetric' must be true or false, got 'false'"),
+         "network spec invalid: partition symmetric must be a boolean, got 'false'"),
         ({"network": {"model": "faulty", "params": {"crashes": [
             {"process": None, "start": 0.0, "end": 4.0}]}}},
-         "network spec invalid: malformed crash spec"),
+         "network spec invalid: crash window process must be an integer, got None"),
         ({"distribution": "random"},
          "distribution family 'random' needs parameters ['processes', 'variables']"),
     ], ids=["string-rate", "string-bool", "string-count", "string-partition-start",
-            "string-symmetric", "null-crash-process", "missing-required-param"])
+            "numeric-string-partition-start", "string-symmetric", "null-crash-process",
+            "missing-required-param"])
     def test_a_scenario_file_with_a_mistyped_value_is_a_clean_error(
         self, tmp_path, capsys, section, message
     ):
@@ -198,9 +202,7 @@ class TestCommands:
             **section,
         }), encoding="utf-8")
         assert main(["run", "--scenario", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert f"error: {message}" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_experiments_run_faults_suite_gate(self, capsys):
         assert main(["experiments", "run", "--suite", "faults",
